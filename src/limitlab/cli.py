@@ -133,7 +133,7 @@ def _estimator_cfg(sets: dict) -> EstimatorConfig:
 def _basin_cfg(sets: dict) -> BasinConfig:
     return BasinConfig(
         burn=int(sets.get("basin_burn", config.BASIN_BURN)),
-        window=int(sets.get("window", config.BASIN_WINDOW)),
+        window=int(sets.get("basin_window", config.BASIN_WINDOW)),
         escape_radius=float(sets.get("escape_radius", config.ESCAPE_RADIUS)),
         batch=int(sets.get("batch", 65536)),
     )

@@ -4,6 +4,19 @@ All inputs are ``(m, d)`` float arrays. Computation is brute force (pairwise
 distances), chunked to bound memory, with a KD-tree shortcut once the target
 cloud is large enough to make it worthwhile. Cloud sizes around here are
 <= 1e4 points, so nothing fancier is needed.
+
+Every metric runs on the *distinct* rows of its clouds. Limit-set clouds are
+raw tail windows, so a fixed point is hundreds of copies of one point and a
+period-2 orbit has two distinct values; deduplicating first makes those
+cases cost what their distinct points cost. A copy adds no pairwise distance
+its original does not already have, so Hausdorff distances and the diameter
+are maxima and minima over the same values, computed by the same
+arithmetic, and come out bit for bit as on the raw cloud (``sampling_gap``
+needs the multiplicities too; see there). Whether the KD tree or the
+brute-force path runs still follows the raw size: the two can round a
+distance differently (they do in eight or more dimensions with scipy 1.17),
+and keying the choice to the cloud as passed keeps every result identical to
+the undeduplicated computation.
 """
 
 from __future__ import annotations
@@ -27,12 +40,32 @@ def _as_cloud(points) -> np.ndarray:
     return p
 
 
+def _distinct_rows(p: np.ndarray, counts: bool = False):
+    """The distinct rows of cloud ``p``, and with ``counts`` their multiplicities.
+
+    Rows are sorted lexicographically and runs of equal neighbours collapsed:
+    ``np.unique(p, axis=0)`` without its structured-dtype sort, which costs
+    several times more on the few-hundred-point clouds used here. Rows equal
+    under ``==`` (so 0.0 and -0.0) are merged; they are at distance zero.
+    """
+    s = p[np.lexsort(p.T[::-1])]
+    new = np.empty(len(s), dtype=bool)
+    new[0] = True
+    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
+    if not counts:
+        return s[new]
+    starts = np.flatnonzero(new)
+    return s[starts], np.diff(starts, append=len(s))
+
+
 def directed_hausdorff(a, b) -> float:
     """sup over points of `a` of the distance to the nearest point of `b`."""
     a, b = _as_cloud(a), _as_cloud(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("clouds have mismatched dimension")
-    if len(b) >= _TREE_MIN:
+    use_tree = len(b) >= _TREE_MIN
+    a, b = _distinct_rows(a), _distinct_rows(b)
+    if use_tree:
         d, _ = cKDTree(b).query(a, k=1)
         return float(np.max(d))
     worst = 0.0
@@ -49,7 +82,7 @@ def hausdorff(a, b) -> float:
 
 def diameter(points) -> float:
     """Largest pairwise distance within a cloud."""
-    p = _as_cloud(points)
+    p = _distinct_rows(_as_cloud(points))
     if len(p) == 1:
         return 0.0
     best = 0.0
@@ -66,19 +99,29 @@ def sampling_gap(points) -> float:
     can only agree with another window up to roughly this scale. Duplicated
     points give gap 0, so clouds that have genuinely settled (fixed points,
     periodic orbits) report a strict resolution.
+
+    The gap is computed on the distinct rows and their counts, and equals the
+    raw-cloud value exactly: a point with a twin has a nearest other sample
+    at distance 0, and a point without one has as its nearest other sample
+    the nearest *other distinct* point. So the gap is the largest such
+    distance over the singletons, or 0 when every point has a twin. (The gap
+    of the distinct rows alone differs: a settled period-2 cloud would report
+    its spacing instead of 0.)
     """
     p = _as_cloud(points)
-    n = len(p)
-    if n == 1:
+    u, count = _distinct_rows(p, counts=True)
+    alone = np.flatnonzero(count == 1)
+    if alone.size == 0 or len(u) == 1:
         return 0.0
-    gap = 0.0
-    if n >= _TREE_MIN:
-        d, _ = cKDTree(p).query(p, k=2)
+    if len(p) >= _TREE_MIN:
+        # the nearest hit is the singleton itself, the second its neighbour
+        d, _ = cKDTree(u).query(u[alone], k=2)
         return float(np.max(d[:, 1]))
-    for i in range(0, n, _CHUNK):
-        block = cdist(p[i : i + _CHUNK], p)
-        rows = np.arange(i, min(i + _CHUNK, n))
-        block[rows - i, rows] = np.inf
+    gap = 0.0
+    for i in range(0, alone.size, _CHUNK):
+        rows = alone[i : i + _CHUNK]
+        block = cdist(u[rows], u)
+        block[np.arange(len(rows)), rows] = np.inf
         gap = max(gap, float(block.min(axis=1).max()))
     return gap
 

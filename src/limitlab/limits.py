@@ -14,7 +14,7 @@ tolerance. The effective tolerance is recorded on the estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +24,8 @@ from . import config
 from .dynamics import (COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
                        DiscreteMap, DomainRegion, as_state, iterate)
 from .errors import UnconvergedError
-from .geometry import (diameter, directed_hausdorff, hausdorff, sampling_gap,
-                       split_discrepancy)
+from .geometry import (_distinct_rows, diameter, directed_hausdorff, hausdorff,
+                       sampling_gap, split_discrepancy)
 
 
 @dataclass(frozen=True)
@@ -355,7 +355,9 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     alive = np.ones(n, dtype=bool)
     dom = system.domain
 
-    member_pts = [m.points for m in catalog.members]
+    # copies of a point add nothing to a nearest-member query but still cost
+    # tree depth, and a fixed-point member is hundreds of copies of one point
+    member_pts = [_distinct_rows(m.points) for m in catalog.members]
     owners = np.concatenate([np.full(len(p), i) for i, p in enumerate(member_pts)])
     tree = cKDTree(np.vstack(member_pts))
     tol_by_member = np.array([catalog.match_tolerance(m) for m in catalog.members])

@@ -237,6 +237,14 @@ def test_set_overrides_reach_the_estimator(tmp_path, capsys):
     assert doc["tol_cluster"] == 0.123
 
 
+def test_set_basin_window_reaches_the_basin_params(tmp_path, capsys):
+    code, _, _ = run(capsys, "basins", "--system", "mobius", "--domain=-1,1",
+                     "--resolution", "11", "--set", "basin_window=1",
+                     "--out", str(tmp_path))
+    assert code == 0
+    assert read_json(tmp_path / "basins.json")["params"]["window"] == 1
+
+
 def test_demo_produces_the_full_artifact_set(tmp_path, capsys):
     code, out, err = run(capsys, "demo", "--seed", "42", "--out", str(tmp_path))
     assert code == 0 and err == ""

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from limitlab import (diameter, directed_hausdorff, hausdorff, sampling_gap,
                       split_discrepancy)
+from limitlab.geometry import _TREE_MIN
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -154,3 +156,117 @@ def test_split_discrepancy_sees_holes_that_nearest_neighbours_miss(rng):
 def test_split_discrepancy_deterministic():
     pts = np.random.default_rng(7).normal(size=(501, 2))
     assert split_discrepancy(pts) == split_discrepancy(pts)
+
+
+# -- duplicate-heavy clouds: exact agreement with the raw cloud ---------------------
+#
+# The metrics run on distinct rows. A copy adds no new pairwise distance, so
+# the results must equal, bit for bit, an all-pairs computation on the cloud
+# as given. The oracle sums squared coordinate differences in order and takes
+# the square root, the same arithmetic the library's paths use in <= 3-d.
+
+def pairwise(a, b):
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
+
+
+def oracle_directed(a, b):
+    return float(pairwise(a, b).min(axis=1).max())
+
+
+def oracle_diameter(a):
+    return float(pairwise(a, a).max())
+
+
+def oracle_gap(a):
+    if len(a) == 1:
+        return 0.0
+    d = pairwise(a, a)
+    np.fill_diagonal(d, np.inf)
+    return float(d.min(axis=1).max())
+
+
+@st.composite
+def repeated_clouds(draw, dim=2, big=None):
+    """A few rows, each repeated some number of times, then shuffled.
+
+    ``big`` pads the first row's copies until the raw cloud reaches the
+    KD-tree threshold while its distinct rows stay far below it.
+    """
+    rows = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                         min_size=1, max_size=10))
+    reps = draw(st.lists(st.sampled_from([1, 1, 2, 3, 17]),
+                         min_size=len(rows), max_size=len(rows)))
+    if big is None:
+        big = draw(st.booleans())
+    if big:
+        reps[0] += max(0, _TREE_MIN - sum(reps))
+    cloud = np.repeat(np.array(rows, dtype=float), reps, axis=0)
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(cloud))
+    return cloud[order]
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_clouds(), repeated_clouds())
+def test_directed_hausdorff_exact_on_repeated_clouds(a, b):
+    assert directed_hausdorff(a, b) == oracle_directed(a, b)
+    assert directed_hausdorff(b, a) == oracle_directed(b, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_clouds(dim=1), repeated_clouds(dim=1))
+def test_hausdorff_exact_on_repeated_clouds(a, b):
+    assert hausdorff(a, b) == max(oracle_directed(a, b), oracle_directed(b, a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_clouds(dim=3))
+def test_diameter_exact_on_repeated_clouds(a):
+    assert diameter(a) == oracle_diameter(a)
+
+
+@settings(max_examples=120, deadline=None)
+@given(repeated_clouds())
+def test_sampling_gap_exact_on_mixed_clouds(a):
+    # rows repeated once are singletons, the rest have twins
+    assert sampling_gap(a) == oracle_gap(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(repeated_clouds(big=True), repeated_clouds(big=False))
+def test_exact_across_the_tree_threshold(big, small):
+    # the raw cloud takes the KD-tree path, its distinct rows would not
+    assert len(big) >= _TREE_MIN > len(np.unique(big, axis=0))
+    assert directed_hausdorff(small, big) == oracle_directed(small, big)
+    assert directed_hausdorff(big, small) == oracle_directed(big, small)
+    assert sampling_gap(big) == oracle_gap(big)
+    assert diameter(big) == oracle_diameter(big)
+
+
+def test_sampling_gap_counts_only_singletons(rng):
+    # a settled cloud plus one straggler: only the straggler has a gap, and
+    # its gap is to the nearest other distinct point
+    settled = np.repeat([[0.0, 0.0], [1.0, 0.0]], 300, axis=0)
+    cloud = np.vstack([settled, [[0.0, 0.5]]])[rng.permutation(601)]
+    assert sampling_gap(cloud) == 0.5
+    assert sampling_gap(settled) == 0.0
+    assert sampling_gap(np.vstack([cloud, [[0.0, 0.5]]])) == 0.0
+
+
+def test_signed_zeros_are_one_point():
+    # 0.0 and -0.0 are at distance zero, so each is the other's twin
+    assert sampling_gap(np.array([[0.0], [-0.0], [1e-3], [1e-3]])) == 0.0
+    assert diameter(np.array([[0.0], [-0.0]])) == 0.0
+
+
+def test_path_choice_follows_the_raw_size(rng):
+    # in eight or more dimensions the KD tree and the brute-force path can
+    # round a distance differently, so a raw cloud past the threshold must
+    # get the tree's distances even when its distinct rows are few
+    base = rng.normal(size=(40, 10))
+    big = np.repeat(base, 16, axis=0)[rng.permutation(640)]
+    tree = cKDTree(big)
+    for q in rng.normal(size=(100, 1, 10)):
+        nearest = float(tree.query(q)[0][0])
+        assert directed_hausdorff(q, big) == nearest
+        # every row of big has twins, so the lone query sets the gap
+        assert sampling_gap(np.vstack([big, q])) == nearest

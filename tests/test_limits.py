@@ -10,7 +10,7 @@ from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       catalog_to_dict, classify_boundedness, cluster_limit_sets,
                       compute_basins, estimate_alpha, estimate_omega,
                       get_system, hausdorff, write_basin_csv, DomainRegion,
-                      LinearSystem)
+                      LinearSystem, LimitSetCatalog)
 from limitlab.errors import UnconvergedError
 from limitlab.serialize import validate
 
@@ -226,6 +226,46 @@ def test_basin_escape_and_singular_codes():
     assert labels[75] == "singular"             # the node inside the excluded ball
     assert labels.count("escaped") >= 90
     assert set(labels) == {"S0", "singular", "escaped"}
+
+
+def _brute_force_basin_codes(system, catalog, nodes, cfg):
+    """The settling protocol with the nearest member found over raw points."""
+    X = nodes.copy()
+    for _ in range(cfg.burn):
+        X = system.forward(X)
+    owner = np.full(len(X), -1)
+    consistent = np.ones(len(X), dtype=bool)
+    max_dist = np.zeros(len(X))
+    for _ in range(cfg.window):
+        dist = np.stack([np.linalg.norm(X[:, None, :] - m.points[None], axis=-1).min(axis=1)
+                         for m in catalog.members], axis=1)
+        who = dist.argmin(axis=1)
+        owner = np.where(owner == -1, who, owner)
+        consistent &= owner == who
+        max_dist = np.maximum(max_dist, dist.min(axis=1))
+        X = system.forward(X)
+    tol = np.array([catalog.match_tolerance(m) for m in catalog.members])
+    ok = consistent & (max_dist <= tol[owner])
+    return np.where(ok, owner, -1)
+
+
+def test_basins_on_copies_of_one_point_match_brute_force():
+    # a contraction whose member is 200 copies of its fixed point, behind a
+    # decoy member of 300 copies of a point the orbits pass close to: the
+    # basin tree holds one point per member, and each must keep its owner
+    half = get_system("scalar-linear", a=0.5)
+    catalog, _ = catalog_from_seeds(half, [0.0], cfg=FAST)
+    origin = catalog.members[0]
+    assert origin.points.shape == (200, 1) and not origin.points.any()
+    decoy = dataclasses.replace(origin, label="S0", points=np.full((300, 1), 1.5e-3))
+    catalog = LimitSetCatalog(members=(decoy, dataclasses.replace(origin, label="S1")),
+                              tol_cluster=catalog.tol_cluster)
+    cfg = BasinConfig(burn=10, window=4)
+    basins = compute_basins(half, catalog, region=DomainRegion.interval(-2.0, 2.0),
+                            resolution=101, cfg=cfg)
+    expected = _brute_force_basin_codes(half, catalog, basins.axes[0][:, None], cfg)
+    assert np.array_equal(basins.codes, expected)
+    assert set(np.unique(expected)) == {-1, 1}  # settled and undetermined nodes
 
 
 def test_basin_csv_golden(tmp_path):

@@ -7,8 +7,16 @@ fixture diff instead of silent drift. Run from the repository root after an
 intentional change, then review the diff:
 
     python3 tools/regenerate_fixtures.py
+
+To confirm that a change leaves the fixtures alone, recompute them and compare
+with the committed files at the acceptance gate's tolerance (rel 1e-6,
+abs 1e-9), writing nothing; the exit status is 1 on any drift:
+
+    python3 tools/regenerate_fixtures.py --check
 """
 
+import argparse
+import json
 import pathlib
 import sys
 
@@ -17,7 +25,7 @@ import numpy as np
 from limitlab import (DomainRegion, build_dictionary, catalog_from_seeds,
                       conjugacy_residual, default_seeds, fit_lift, get_system,
                       injectivity_probe, obstruction_sweep)
-from limitlab.serialize import dump
+from limitlab.serialize import dump, dumps
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -89,8 +97,39 @@ def control_fixture() -> dict:
     }
 
 
-def main() -> int:
-    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
+# the acceptance gate compares pinned numbers at this tolerance
+CHECK_REL = 1e-6
+CHECK_ABS = 1e-9
+
+
+def drift(got, want, path="$"):
+    """Where ``got`` departs from ``want``: numbers at the gate's tolerance,
+    everything else exactly. Yields one line per difference."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(set(want) | set(got)):
+            if key not in got or key not in want:
+                yield f"{path}.{key}: present on one side only"
+            else:
+                yield from drift(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            yield f"{path}: {len(got)} items, fixture has {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from drift(g, w, f"{path}[{i}]")
+    elif (isinstance(want, (int, float)) and isinstance(got, (int, float))
+          and not isinstance(want, bool) and not isinstance(got, bool)):
+        if abs(got - want) > max(CHECK_REL * abs(want), CHECK_ABS):
+            yield f"{path}: {got!r}, fixture has {want!r}"
+    elif got != want:
+        yield f"{path}: {got!r}, fixture has {want!r}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed fixtures, write nothing, "
+                             "exit 1 on drift")
+    args = parser.parse_args(argv)
     payload = {
         "kind": "sweep-regression-fixture",
         "schema_version": 1,
@@ -98,6 +137,15 @@ def main() -> int:
         "control": control_fixture(),
     }
     out = FIXTURE_DIR / "obstruction_sweep.json"
+    if args.check:
+        # round-trip through JSON so both sides hold the same types
+        got = json.loads(dumps(payload))
+        diffs = list(drift(got, json.loads(out.read_text())))
+        for line in diffs:
+            print(f"drift: {line}")
+        print(f"{out}: {'drifted' if diffs else 'matches the recomputed fixture'}")
+        return 1 if diffs else 0
+    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     dump(payload, out)
     print(f"wrote {out}")
     for row in payload["sweep"]["rows"]:
