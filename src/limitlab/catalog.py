@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import DiscreteMap, DomainRegion
 from .errors import InvalidParamError, NoExactImmersionError, UnknownSystemError
 from .immersion import ImmersionMap
-from .linear import LinearSystem
+from .linear import LinearSystem, apply_matrix
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def _build_rotation_scaling(theta: float = 1.0) -> DiscreteMap:
         single = X.ndim == 1
         P = np.atleast_2d(X)
         r = np.linalg.norm(P, axis=1)
-        out = (2.0 / (r + 1.0))[:, None] * (P @ R.T)
+        out = (2.0 / (r + 1.0))[:, None] * apply_matrix(P, R)
         return out[0] if single else out
 
     def backward(Y):
@@ -172,7 +172,7 @@ def _build_rotation_scaling(theta: float = 1.0) -> DiscreteMap:
         P = np.atleast_2d(Y)
         s = np.linalg.norm(P, axis=1)
         with np.errstate(all="ignore"):
-            out = (P @ R_inv.T) / (2.0 - s)[:, None]
+            out = apply_matrix(P, R_inv) / (2.0 - s)[:, None]
         return out[0] if single else out
 
     return DiscreteMap(

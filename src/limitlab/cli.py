@@ -139,6 +139,11 @@ def _basin_cfg(sets: dict) -> BasinConfig:
     )
 
 
+def _witness_args(sets: dict) -> dict:
+    return {"depth": int(sets.get("witness_depth", config.WITNESS_DEPTH)),
+            "max_pairs": int(sets.get("witness_max_pairs", config.WITNESS_MAX_PAIRS))}
+
+
 def _default_box(dim: int) -> DomainRegion:
     if dim == 1:
         return DomainRegion.interval(-_DEFAULT_BOX_HALF, _DEFAULT_BOX_HALF)
@@ -254,7 +259,7 @@ def cmd_basins(args) -> int:
     basins = compute_basins(system, catalog, region=region,
                             resolution=args.resolution, cfg=_basin_cfg(sets),
                             threads=args.threads)
-    witnesses = basin_closedness_witness(system, basins, est_cfg)
+    witnesses = basin_closedness_witness(system, basins, est_cfg, **_witness_args(sets))
 
     out = _out_dir(args)
     csv_path = out / "basins.csv"
@@ -479,7 +484,8 @@ def cmd_sweep(args) -> int:
 
 # -- demo -------------------------------------------------------------------------
 
-def _demo_mobius(out: Path, seed: int, threads: int, cfg: EstimatorConfig) -> dict:
+def _demo_mobius(out: Path, seed: int, threads: int, cfg: EstimatorConfig,
+                 witness_args: dict) -> dict:
     f = get_system("mobius")
     catalog, _ = catalog_from_seeds(f, default_seeds("mobius"), cfg)
     serialize.dump(catalog_to_dict(catalog), out / "mobius-catalog.json")
@@ -487,7 +493,7 @@ def _demo_mobius(out: Path, seed: int, threads: int, cfg: EstimatorConfig) -> di
     region = DomainRegion.interval(-2.0, 2.0)
     basins = compute_basins(f, catalog, region=region, resolution=401,
                             threads=threads)
-    witnesses = basin_closedness_witness(f, basins, cfg)
+    witnesses = basin_closedness_witness(f, basins, cfg, **witness_args)
     write_basin_csv(basins, out / "mobius-basins.csv")
     labels, counts = np.unique(basins.codes, return_counts=True)
     serialize.dump({
@@ -630,10 +636,11 @@ def _demo_sweep(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
 def cmd_demo(args) -> int:
     out = _out_dir(args)
     seed = _seed_of(args)
-    cfg = _estimator_cfg(_parse_sets(args.set))
+    sets = _parse_sets(args.set)
+    cfg = _estimator_cfg(sets)
     examples = []
     steps = [
-        lambda: _demo_mobius(out, seed, args.threads, cfg),
+        lambda: _demo_mobius(out, seed, args.threads, cfg, _witness_args(sets)),
         lambda: _demo_cot(out, seed, cfg),
         lambda: _demo_rotation(out, seed, cfg),
         lambda: _demo_sweep(out, seed, cfg),

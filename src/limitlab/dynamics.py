@@ -5,11 +5,21 @@ States are plain float64 arrays of shape ``(d,)`` (scalars promote to shape
 is allowed to act on; iteration records exactly what happened — early
 termination (domain exit, singularity, divergence) is data on the returned
 :class:`Trajectory`, not an exception.
+
+There is one orbit engine, :func:`iterate_batch`: it steps an ``(n, d)``
+array of states in lockstep, with the per-row checks of a single orbit, and
+reports per row why it stopped and how many valid points it has.
+:func:`iterate` and :func:`iterate_back` are its ``n = 1`` case, and the
+limit-set estimator runs whole seed lists through it. A row's orbit does not
+depend on which rows share its batch: every check is row-wise, and catalog
+maps are built so that their steps are too (``linear.apply_matrix`` replaces
+BLAS products, which round one row differently from several). A seed stepped
+alone and the same seed stepped among others therefore agree to the bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -110,20 +120,15 @@ class DomainRegion:
     # -- membership --------------------------------------------------------
 
     def violation(self, x) -> Optional[str]:
-        """None if ``x`` is inside; otherwise the reason it is not."""
-        x = np.asarray(x, dtype=float)
-        if self.excluded is not None:
-            d = np.linalg.norm(self.excluded - x[None, :], axis=1)
-            if (d <= self.eps_excl).any():
-                return "excluded-point"
-        if self.bounds is not None:
-            if self.kind == "annulus":
-                r = float(np.linalg.norm(x))
-                if not (self.bounds[0, 0] <= r <= self.bounds[0, 1]):
-                    return "out-of-bounds"
-            else:
-                if ((x < self.bounds[:, 0]) | (x > self.bounds[:, 1])).any():
-                    return "out-of-bounds"
+        """None if ``x`` is inside; otherwise the reason it is not.
+
+        Answered from the same row masks as :meth:`contains_batch`, so a
+        point on a bound gets the same verdict alone and in a batch."""
+        X = np.asarray(x, dtype=float).reshape(1, -1)
+        if self.exclusion_batch(X)[0]:
+            return "excluded-point"
+        if not self._in_bounds(X)[0]:
+            return "out-of-bounds"
         return None
 
     def contains(self, x) -> bool:
@@ -131,25 +136,30 @@ class DomainRegion:
 
     def contains_batch(self, X: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (m, d) batch; returns a bool mask."""
-        ok = np.ones(len(X), dtype=bool)
-        if self.bounds is not None:
-            if self.kind == "annulus":
-                r = np.linalg.norm(X, axis=1)
-                ok &= (r >= self.bounds[0, 0]) & (r <= self.bounds[0, 1])
-            else:
-                ok &= ((X >= self.bounds[:, 0]) & (X <= self.bounds[:, 1])).all(axis=1)
-        if self.excluded is not None:
-            for e in self.excluded:
-                ok &= np.linalg.norm(X - e[None, :], axis=1) > self.eps_excl
+        ok = self._in_bounds(X)
+        for d in self._exclusion_distances(X):
+            ok &= d > self.eps_excl
         return ok
 
     def exclusion_batch(self, X: np.ndarray) -> np.ndarray:
         """Mask of batch rows inside some excluded-point ball."""
         hit = np.zeros(len(X), dtype=bool)
-        if self.excluded is not None:
-            for e in self.excluded:
-                hit |= np.linalg.norm(X - e[None, :], axis=1) <= self.eps_excl
+        for d in self._exclusion_distances(X):
+            hit |= d <= self.eps_excl
         return hit
+
+    def _in_bounds(self, X: np.ndarray) -> np.ndarray:
+        if self.bounds is None:
+            return np.ones(len(X), dtype=bool)
+        if self.kind == "annulus":
+            r = np.linalg.norm(X, axis=1)
+            return (r >= self.bounds[0, 0]) & (r <= self.bounds[0, 1])
+        return ((X >= self.bounds[:, 0]) & (X <= self.bounds[:, 1])).all(axis=1)
+
+    def _exclusion_distances(self, X: np.ndarray) -> list[np.ndarray]:
+        if self.excluded is None:
+            return []
+        return [np.linalg.norm(X - e[None, :], axis=1) for e in self.excluded]
 
     # -- sampling ----------------------------------------------------------
 
@@ -277,48 +287,113 @@ def evaluate(system: DiscreteMap, x) -> np.ndarray:
     return y
 
 
-def _run(system: DiscreteMap, step, domain: DomainRegion, x0, k: int,
-         direction: str, r_div: float) -> Trajectory:
-    x0 = as_state(x0, system.dim)
+def _step_rows(step, X: np.ndarray, vectorized: bool) -> np.ndarray:
+    """Apply ``step`` to every row of an (n, d) batch: in one call when the
+    evaluator is vectorized, else one call per row."""
+    if vectorized:
+        return np.asarray(step(X), dtype=float).reshape(X.shape)
+    out = np.empty_like(X)
+    for i, x in enumerate(X):
+        out[i] = np.asarray(step(x), dtype=float).reshape(X.shape[1])
+    return out
+
+
+# Termination causes by code, as :attr:`BatchOrbit.termination` stores them.
+_CODE = {cause: code for code, cause in enumerate(TERMINATIONS)}
+
+
+@dataclass(frozen=True)
+class BatchOrbit:
+    """Per-row outcome of :func:`iterate_batch` on an (n, d) batch.
+
+    Row ``i`` has ``valid[i]`` points: ``states[:valid[i] - 1, i]`` followed
+    by ``last[i]``. A row that completed has ``valid[i] == k + 1``.
+    """
+
+    last: np.ndarray                 # (n, d) each row's last valid point
+    termination: np.ndarray          # (n,) index into TERMINATIONS
+    valid: np.ndarray                # (n,) valid points, start state included
+    states: Optional[np.ndarray]     # (steps run, n, d) states before each step, if recorded
+
+    def cause(self, i: int) -> str:
+        return TERMINATIONS[int(self.termination[i])]
+
+
+def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
+                  record: bool = False) -> BatchOrbit:
+    """Step every row of ``X0`` (shape ``(n, d)``) up to ``k`` times in lockstep.
+
+    Each step makes a row's checks in a fixed order: domain (an excluded point
+    is ``singular``, anything else outside is ``left-domain``), then the
+    ``r_div`` max-abs guard on the state, then the step, then a non-finite
+    image (``singular``, the image is dropped), then the ``r_div`` guard on
+    the image (``diverged``, the image is kept). A stopped row is not stepped
+    again. Only the current states are kept unless ``record`` is set.
+    """
+    X = np.array(X0, dtype=float)
+    if X.ndim != 2 or X.shape[1] != system.dim:
+        raise ValueError(f"expected an (n, {system.dim}) batch of states, got shape {X.shape}")
     if k < 0:
         raise ValueError("step count must be >= 0")
-    points = [x0]
-    termination = COMPLETED
+    n = len(X)
+    termination = np.full(n, _CODE[COMPLETED], dtype=np.int8)
+    valid = np.ones(n, dtype=np.intp)
+    states = [] if record else None
+    active = np.arange(n)
+    domain = system.domain
     for _ in range(int(k)):
-        x = points[-1]
-        reason = domain.violation(x)
-        if reason is not None:
-            termination = SINGULAR if reason == "excluded-point" else LEFT_DOMAIN
+        if active.size == 0:
             break
-        if np.abs(x).max() > r_div:
-            termination = DIVERGED
-            break
+        if states is not None:
+            states.append(X.copy())
+        P = X[active]
+        singular = domain.exclusion_batch(P)
+        outside = ~domain.contains_batch(P)
+        diverged = np.abs(P).max(axis=1) > r_div
+        stop = singular | outside | diverged
+        if stop.any():
+            # written in reverse check order, so a row's first failed check wins
+            termination[active[diverged]] = _CODE[DIVERGED]
+            termination[active[outside]] = _CODE[LEFT_DOMAIN]
+            termination[active[singular]] = _CODE[SINGULAR]
+            active, P = active[~stop], P[~stop]
+            if active.size == 0:
+                break
         with np.errstate(all="ignore"):
-            y = np.asarray(step(x), dtype=float).reshape(system.dim)
-        if not np.isfinite(y).all():
-            termination = SINGULAR
-            break
-        points.append(y)
-        if np.abs(y).max() > r_div:
-            termination = DIVERGED
-            break
-    pts = np.vstack(points)
+            Y = _step_rows(system.forward, P, system.vectorized)
+        finite = np.isfinite(Y).all(axis=1)
+        if not finite.all():
+            termination[active[~finite]] = _CODE[SINGULAR]
+            active, Y = active[finite], Y[finite]
+        X[active] = Y
+        valid[active] += 1
+        blown = np.abs(Y).max(axis=1) > r_div
+        if blown.any():
+            termination[active[blown]] = _CODE[DIVERGED]
+            active = active[~blown]
+    if states is not None:
+        states = np.stack(states) if states else np.empty((0, n, system.dim))
+    return BatchOrbit(last=X, termination=termination, valid=valid, states=states)
+
+
+def _run(system: DiscreteMap, x0, k: int, direction: str, r_div: float) -> Trajectory:
+    x0 = as_state(x0, system.dim)
+    run = iterate_batch(system, x0[None, :], k, r_div=r_div, record=True)
+    steps = int(run.valid[0]) - 1
+    pts = np.concatenate([run.states[:steps, 0], run.last[:1]])
     return Trajectory(points=pts, direction=direction,
-                      termination=termination, steps_taken=len(pts) - 1)
+                      termination=run.cause(0), steps_taken=steps)
 
 
 def iterate(system: DiscreteMap, x0, k: int, r_div: float = config.R_DIV) -> Trajectory:
     """Forward orbit of up to ``k`` steps; stops early on domain exit,
     singularity, or once a coordinate magnitude exceeds ``r_div``."""
-    return _run(system, system.forward, system.domain, x0, k, "forward", r_div)
+    return _run(system, x0, k, "forward", r_div)
 
 
 def iterate_back(system: DiscreteMap, x0, k: int, r_div: float = config.R_DIV) -> Trajectory:
     """Backward orbit under the inverse dynamics (:class:`NoInverseError` if absent)."""
-    if system.inverse is None:
-        raise NoInverseError(f"{system.name} has no inverse")
-    domain = system.inverse_domain or system.domain
-    return _run(system, system.inverse, domain, x0, k, "backward", r_div)
+    return _run(system.reversed(), x0, k, "backward", r_div)
 
 
 @dataclass(frozen=True)

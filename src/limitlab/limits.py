@@ -14,6 +14,7 @@ tolerance. The effective tolerance is recorded on the estimate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,7 +23,8 @@ from scipy.spatial import cKDTree
 
 from . import config
 from .dynamics import (COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
-                       DiscreteMap, DomainRegion, as_state, iterate)
+                       DiscreteMap, DomainRegion, _step_rows, as_state,
+                       iterate, iterate_batch)
 from .errors import UnconvergedError
 from .geometry import (_distinct_rows, diameter, directed_hausdorff, hausdorff,
                        sampling_gap, split_discrepancy)
@@ -38,6 +40,14 @@ class EstimatorConfig:
     tol_fp: float = config.TOL_FP
     max_period: int = config.MAX_PERIOD
     r_div: float = config.R_DIV
+
+    def __post_init__(self):
+        if self.burn < 0:
+            raise ValueError(f"burn must be >= 0, got {self.burn}")
+        if self.tail < 1:
+            raise ValueError(f"tail must be >= 1, got {self.tail}")
+        if self.max_rounds < 0:
+            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
 
 
 @dataclass(frozen=True)
@@ -77,50 +87,80 @@ def estimate_omega(system: DiscreteMap, x0, cfg: Optional[EstimatorConfig] = Non
     in the returned status rather than raised — an orbit with no forward limit
     set is a result, not a failure.
     """
-    cfg = cfg or EstimatorConfig()
-    seed = as_state(x0, system.dim)
+    return estimate_omega_batch(system, [x0], cfg, source)[0]
 
-    def fail(status, pts):
-        pts = np.atleast_2d(pts)
-        return LimitSetEstimate(points=pts, source=source, seed=seed,
+
+_STATUS_OF = {DIVERGED: "escaped", LEFT_DOMAIN: "escaped", SINGULAR: "singular"}
+
+
+def estimate_omega_batch(system: DiscreteMap, seeds,
+                         cfg: Optional[EstimatorConfig] = None,
+                         source: str = "omega") -> list[LimitSetEstimate]:
+    """:func:`estimate_omega` at every seed, with the orbits stepped in lockstep.
+
+    The burn runs for all seeds at once, then one tail window at a time for
+    the seeds that have not yet settled, escaped or hit a singularity; the
+    settle test and shape classification stay per seed. Estimates come back
+    in seed order, and each equals the one-seed estimate to the bit: no seed's
+    result depends on which seeds share the call.
+    """
+    cfg = cfg or EstimatorConfig()
+    seeds = [as_state(s, system.dim) for s in seeds]
+    if not seeds:
+        return []
+    out: list[Optional[LimitSetEstimate]] = [None] * len(seeds)
+
+    def fail(i, cause, point):
+        pts = np.atleast_2d(point).copy()
+        return LimitSetEstimate(points=pts, source=source, seed=seeds[i],
                                 diameter=float(diameter(pts)), shape="unknown",
-                                period=None, converged=False, status=status,
+                                period=None, converged=False, status=_STATUS_OF[cause],
                                 settle_gap=float("inf"), settle_tol=cfg.tol_settle)
 
-    status_of = {DIVERGED: "escaped", LEFT_DOMAIN: "escaped", SINGULAR: "singular"}
+    def settled(i, window, converged, gap, tol_eff):
+        shape, period, diam = _classify_shape(window, cfg.tol_fp, cfg.max_period)
+        return LimitSetEstimate(points=window, source=source, seed=seeds[i],
+                                diameter=diam, shape=shape, period=period,
+                                converged=converged,
+                                status="converged" if converged else "unconverged",
+                                settle_gap=float(gap), settle_tol=float(tol_eff))
 
-    burn_traj = iterate(system, seed, cfg.burn, r_div=cfg.r_div)
-    if burn_traj.termination != COMPLETED:
-        return fail(status_of[burn_traj.termination], burn_traj.points[-1:])
-    current = burn_traj.last
+    burn = iterate_batch(system, np.stack(seeds), cfg.burn, r_div=cfg.r_div)
+    rows = []
+    for i in range(len(seeds)):
+        if burn.cause(i) == COMPLETED:
+            rows.append(i)
+        else:
+            out[i] = fail(i, burn.cause(i), burn.last[i])
+    current = burn.last[rows]
 
-    windows: list[np.ndarray] = []
-    prev = None
-    gap = float("inf")
-    tol_eff = cfg.tol_settle
+    prev: dict[int, np.ndarray] = {}
+    gap = dict.fromkeys(rows, float("inf"))
+    tol_eff = dict.fromkeys(rows, cfg.tol_settle)
     for _ in range(cfg.max_rounds + 1):
-        traj = iterate(system, current, cfg.tail, r_div=cfg.r_div)
-        window = traj.points[: cfg.tail]
-        if traj.termination != COMPLETED:
-            return fail(status_of[traj.termination], traj.points[-1:])
-        current = traj.last
-        windows.append(window)
-        if prev is not None:
-            gap = hausdorff(prev, window)
-            tol_eff = max(cfg.tol_settle, cfg.gap_factor * split_discrepancy(window))
-            if gap <= tol_eff:
-                shape, period, diam = _classify_shape(window, cfg.tol_fp, cfg.max_period)
-                return LimitSetEstimate(points=window, source=source, seed=seed,
-                                        diameter=diam, shape=shape, period=period,
-                                        converged=True, status="converged",
-                                        settle_gap=float(gap), settle_tol=float(tol_eff))
-        prev = window
+        if not rows:
+            break
+        run = iterate_batch(system, current, cfg.tail, r_div=cfg.r_div, record=True)
+        still = []
+        for j, i in enumerate(rows):
+            if run.cause(j) != COMPLETED:
+                out[i] = fail(i, run.cause(j), run.last[j])
+                continue
+            window = np.ascontiguousarray(run.states[:, j])
+            if i in prev:
+                gap[i] = hausdorff(prev[i], window)
+                tol_eff[i] = max(cfg.tol_settle, cfg.gap_factor * split_discrepancy(window))
+                if gap[i] <= tol_eff[i]:
+                    out[i] = settled(i, window, True, gap[i], tol_eff[i])
+                    continue
+            prev[i] = window
+            still.append(j)
+        rows = [rows[j] for j in still]
+        current = run.last[still]
 
-    shape, period, diam = _classify_shape(windows[-1], cfg.tol_fp, cfg.max_period)
-    return LimitSetEstimate(points=windows[-1], source=source, seed=seed,
-                            diameter=diam, shape=shape, period=period,
-                            converged=False, status="unconverged",
-                            settle_gap=float(gap), settle_tol=float(tol_eff))
+    for i in rows:
+        out[i] = settled(i, prev[i], False, gap[i], tol_eff[i])
+    return out
 
 
 def estimate_alpha(system: DiscreteMap, x0,
@@ -285,9 +325,9 @@ def catalog_from_seeds(system: DiscreteMap, seeds,
     Returns ``(catalog, skipped)`` where skipped lists (seed, status) for
     orbits that escaped, hit a singularity, or failed to settle.
     """
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     ests, skipped = [], []
-    for s in np.atleast_2d(np.asarray(seeds, dtype=float)):
-        est = estimate_omega(system, s, cfg)
+    for s, est in zip(seeds, estimate_omega_batch(system, seeds, cfg)):
         if est.converged:
             ests.append(est)
         else:
@@ -339,13 +379,6 @@ class BasinMap:
         return self.label_of_code(int(self.codes[idx]))
 
 
-def _batch_forward(system: DiscreteMap, X: np.ndarray) -> np.ndarray:
-    if system.vectorized:
-        return np.asarray(system.forward(X), dtype=float).reshape(X.shape)
-    return np.stack([np.asarray(system.forward(x), dtype=float).reshape(system.dim)
-                     for x in X])
-
-
 def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
                   cfg: BasinConfig) -> np.ndarray:
     """Settle a batch of start points and match each tail to a catalog member."""
@@ -383,7 +416,7 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
         if idx.size == 0:
             return codes
         with np.errstate(all="ignore"):
-            X[idx] = _batch_forward(system, X[idx])
+            X[idx] = _step_rows(system.forward, X[idx], system.vectorized)
 
     max_dist = np.zeros(n)
     owner = np.full(n, -1, dtype=np.int32)
@@ -403,7 +436,7 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
         consistent[idx] &= owner[idx] == who
         max_dist[idx] = np.maximum(max_dist[idx], d)
         with np.errstate(all="ignore"):
-            X[idx] = _batch_forward(system, X[idx])
+            X[idx] = _step_rows(system.forward, X[idx], system.vectorized)
 
     idx = np.flatnonzero(alive)
     ok = consistent[idx] & (owner[idx] >= 0) & (max_dist[idx] <= tol_by_member[np.maximum(owner[idx], 0)])
@@ -502,30 +535,50 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
 
     Heuristic and bounded (first ``max_pairs`` boundary pairs in row-major
     order, ``depth`` sequence points each); an empty result is consistent
-    with closed basins on the sampled grid, not a proof.
+    with closed basins on the sampled grid, not a proof. Every sequence point
+    and limit node of those pairs is estimated in one batch, and the pairs
+    are then judged in order, exactly as if each estimate were made when the
+    search reached it.
     """
+    if depth < 1:
+        raise ValueError(f"witness depth must be >= 1, got {depth}")
+    if max_pairs < 0:
+        raise ValueError(f"witness max_pairs must be >= 0, got {max_pairs}")
     cfg = cfg or EstimatorConfig()
     catalog = basins.catalog
+
+    cases = []
+    for a_idx, b_idx in itertools.islice(_boundary_pairs(basins), max_pairs):
+        xa, xb = basins.node(a_idx), basins.node(b_idx)
+        sequence = np.array([xb + (xa - xb) * 2.0 ** (-j) for j in range(1, depth + 1)])
+        cases.append((basins.label_at(a_idx), xa, xb, sequence))
+
+    # each distinct state is estimated once; estimates do not depend on the batch
+    slot: dict[bytes, int] = {}
+    states = []
+    for _, _, xb, sequence in cases:
+        for x in (*sequence, xb):
+            if x.tobytes() not in slot:
+                slot[x.tobytes()] = len(states)
+                states.append(x)
+    estimates = estimate_omega_batch(system, states, cfg)
+
+    def estimate(x):
+        return estimates[slot[x.tobytes()]]
+
     witnesses: list[ClosednessWitness] = []
     seen: set[tuple] = set()
-
-    for count, (a_idx, b_idx) in enumerate(_boundary_pairs(basins)):
-        if count >= max_pairs:
-            break
-        label_a = basins.label_at(a_idx)
-        xa, xb = basins.node(a_idx), basins.node(b_idx)
-
-        sequence = np.array([xb + (xa - xb) * 2.0 ** (-j) for j in range(1, depth + 1)])
+    for label_a, xa, xb, sequence in cases:
         ok = True
         for x in sequence:
-            est = estimate_omega(system, x, cfg)
+            est = estimate(x)
             if not est.converged or catalog.match(est.points) != label_a:
                 ok = False
                 break
         if not ok:
             continue
 
-        est_b = estimate_omega(system, xb, cfg)
+        est_b = estimate(xb)
         if not est_b.converged:
             continue
         label_b = catalog.match(est_b.points)

@@ -50,15 +50,36 @@ class LinearSystem:
         # invertible => backward iteration available
         if np.linalg.matrix_rank(A) == A.shape[0]:
             Ainv = np.linalg.inv(A)
-            inverse = lambda x: x @ Ainv.T
+            inverse = lambda x: apply_matrix(x, Ainv)
         return DiscreteMap(
             dim=A.shape[0],
-            forward=lambda x: x @ A.T,
+            forward=lambda x: apply_matrix(x, A),
             inverse=inverse,
             domain=DomainRegion.full_space(A.shape[0]),
             name=self.name,
             vectorized=True,
         )
+
+
+def apply_matrix(X, A) -> np.ndarray:
+    """``X @ A.T`` for states along the last axis of ``X``, rounded the same
+    way whatever the number of rows.
+
+    BLAS multiplies a single row (gemv) and a stack of rows (gemm) with
+    kernels that round differently, so a state stepped alone would drift from
+    the same state stepped in a batch. Here each output coordinate is one
+    fixed-order sum over the columns of ``X``, elementwise, so every row is
+    rounded alike.
+    """
+    A = np.asarray(A, dtype=float)
+    X = np.asarray(X, dtype=float)
+    out = []
+    for row in A:
+        acc = X[..., 0] * row[0]
+        for j in range(1, len(row)):
+            acc += X[..., j] * row[j]
+        out.append(acc)
+    return np.stack(out, axis=-1)
 
 
 def _matrix(sys) -> np.ndarray:

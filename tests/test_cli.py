@@ -245,6 +245,32 @@ def test_set_basin_window_reaches_the_basin_params(tmp_path, capsys):
     assert read_json(tmp_path / "basins.json")["params"]["window"] == 1
 
 
+@pytest.mark.parametrize("setting", ["max_rounds=-1", "burn=-1", "tail=0"])
+def test_impossible_estimator_settings_are_usage_errors(tmp_path, capsys, setting):
+    code, out, err = run(capsys, "limits", "--system", "mobius", "--set", setting,
+                         "--out", str(tmp_path))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert setting.split("=")[0] in payload["message"]
+    assert not (tmp_path / "catalog.json").exists()
+
+
+def test_witness_settings_reach_the_witness_search(tmp_path, capsys):
+    argv = ["basins", "--system", "rotation-scaling", "--domain=-2,2;-2,2",
+            "--resolution", "21"]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "default"))
+    assert code == 0
+    assert len(read_json(tmp_path / "default" / "basins.json")["witnesses"]) == 1
+    code, out, _ = run(capsys, *argv, "--set", "witness_max_pairs=0",
+                       "--out", str(tmp_path / "none"))
+    assert code == 0 and "witness:" not in out
+    assert read_json(tmp_path / "none" / "basins.json")["witnesses"] == []
+    code, _, err = run(capsys, *argv, "--set", "witness_depth=0",
+                       "--out", str(tmp_path / "bad"))
+    assert code == 2 and stderr_payload(err)["error"] == "usage"
+
+
 def test_demo_produces_the_full_artifact_set(tmp_path, capsys):
     code, out, err = run(capsys, "demo", "--seed", "42", "--out", str(tmp_path))
     assert code == 0 and err == ""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitlab import (DiscreteMap, DomainRegion, evaluate, get_system, iterate,
-                      iterate_back, list_systems, orbit_tail,
+                      iterate_back, iterate_batch, list_systems, orbit_tail,
                       read_trajectory_csv, write_trajectory_csv)
 from limitlab.dynamics import as_state
 from limitlab.errors import DomainError, NoInverseError
@@ -95,6 +95,21 @@ def test_contains_batch_matches_pointwise(rng):
     pts = rng.uniform(-3, 3, size=(128, 2))
     mask = region.contains_batch(pts)
     assert mask.tolist() == [region.contains(p) for p in pts]
+
+
+def test_annulus_membership_agrees_alone_and_in_a_batch(rng):
+    # points within an ulp of both radial bounds, where a 1-d norm and a
+    # row-wise norm can round apart
+    region = DomainRegion.annulus(0.5, 2.0)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 2000)
+    radius = np.repeat([0.5, 2.0], 1000)
+    pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+    pts = np.vstack([pts, np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf),
+                     np.nextafter(pts, 0.0)])
+    mask = region.contains_batch(pts)
+    assert 0 < mask.sum() < len(pts)
+    assert [region.violation(p) is None for p in pts] == mask.tolist()
+    assert [region.contains(p) for p in pts] == mask.tolist()
 
 
 # -- maps --------------------------------------------------------------------------
@@ -218,6 +233,64 @@ def test_orbit_tail_window():
     assert tail.points[:, 0] == pytest.approx([0.125, 0.0625, 0.03125, 0.015625])
     with pytest.raises(ValueError):
         orbit_tail(half, [1.0], burn=-1, n=4)
+
+
+# -- the lockstep engine --------------------------------------------------------------
+
+def _reciprocal(vectorized):
+    # 1/(x-1): a pole at 1 gives a non-finite image; the domain [-5, 50]
+    # excludes 3 and is wider than the guard radius used below
+    return DiscreteMap(dim=1, forward=lambda x: 1.0 / (np.asarray(x, dtype=float) - 1.0),
+                       domain=DomainRegion.interval(-5.0, 50.0, excluded=[3.0]),
+                       vectorized=vectorized)
+
+
+# start state -> (termination, valid points) with r_div = 20
+_MIXED = {0.0: ("completed", 41),      # settles near (1 - sqrt 5) / 2
+          3.0: ("singular", 1),        # excluded point
+          1.0: ("singular", 1),        # non-finite image, dropped
+          0.9: ("left-domain", 2),     # image -10 lies outside [-5, 50]
+          30.0: ("diverged", 1),       # the state itself is past the guard
+          1.01: ("diverged", 2)}       # the image is past the guard, and kept
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_iterate_batch_mixed_batch_matches_iterate_row_by_row(vectorized):
+    system = _reciprocal(vectorized)
+    starts = list(_MIXED)
+    run = iterate_batch(system, np.array(starts)[:, None], 40, r_div=20.0, record=True)
+    assert sorted({run.cause(i) for i in range(len(starts))}) == sorted(
+        ["completed", "left-domain", "singular", "diverged"])
+    for i, x0 in enumerate(starts):
+        traj = iterate(system, [x0], 40, r_div=20.0)
+        assert (run.cause(i), int(run.valid[i])) == _MIXED[x0]
+        assert (traj.termination, len(traj)) == _MIXED[x0]
+        valid = int(run.valid[i])
+        assert np.array_equal(run.states[:valid - 1, i], traj.points[:-1])
+        assert np.array_equal(run.last[i], traj.last)
+
+
+def test_iterate_batch_keeps_only_current_states_unless_recording():
+    run = iterate_batch(get_system("negation"), [[0.5], [-2.0]], 7)
+    assert run.states is None
+    assert run.last[:, 0].tolist() == [-0.5, 2.0]
+    assert run.valid.tolist() == [8, 8]
+    window = iterate_batch(get_system("negation"), [[0.5], [-2.0]], 3, record=True).states
+    assert window.shape == (3, 2, 1)
+    with pytest.raises(ValueError):
+        iterate_batch(get_system("negation"), [0.5], 3)       # needs (n, d)
+
+
+def test_iterate_batch_rows_do_not_depend_on_the_batch(rng):
+    for name, box in [("rotation-scaling", [[-2.0, 2.0]] * 2), ("cot-map", None),
+                      ("mobius", [[-5.0, 5.0]])]:
+        system = get_system(name)
+        X = system.domain.sample(64, rng, box=box)
+        whole = iterate_batch(system, X, 300, record=True)
+        for i in (0, 17, 63):
+            alone = iterate_batch(system, X[i:i + 1], 300, record=True)
+            assert np.array_equal(alone.last[0], whole.last[i]), name
+            assert np.array_equal(alone.states[:, 0], whole.states[:, i]), name
 
 
 # -- catalog-wide inverse consistency ------------------------------------------------

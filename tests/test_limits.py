@@ -9,8 +9,9 @@ from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       basin_closedness_witness, catalog_from_seeds,
                       catalog_to_dict, classify_boundedness, cluster_limit_sets,
                       compute_basins, estimate_alpha, estimate_omega,
-                      get_system, hausdorff, write_basin_csv, DomainRegion,
-                      LinearSystem, LimitSetCatalog)
+                      estimate_omega_batch, get_system, hausdorff,
+                      list_systems, write_basin_csv, DomainRegion,
+                      LinearSystem, LimitSetCatalog, default_seeds)
 from limitlab.errors import UnconvergedError
 from limitlab.serialize import validate
 
@@ -87,6 +88,64 @@ def test_omega_burn_invariance():
         assert e1.converged and e2.converged
         tol = max(e1.settle_tol, e2.settle_tol)
         assert hausdorff(e1.points, e2.points) <= tol, name
+
+
+def assert_same_estimate(a, b):
+    for f in dataclasses.fields(LimitSetEstimate):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and (x == y).all(), f.name
+        else:
+            assert x == y, f.name
+
+
+def _batch_cases():
+    rng = np.random.default_rng(7)
+    for entry in list_systems():
+        system = get_system(entry["name"])
+        box = [[-2.0, 2.0]] * system.dim
+        seeds = default_seeds(entry["name"]) + list(system.domain.sample(6, rng, box=box))
+        yield entry["name"], system, seeds
+    # escaping seeds and the pole itself, on the benchmark's window
+    mob = get_system("mobius").restrict(DomainRegion.interval(-5.0, 5.0))
+    yield "mobius[-5,5]", mob, [[0.5], [1.5], [2.9], [3.0], [4.5], [-4.0], [1.0], [5.0 / 3.0]]
+    # a defective unit eigenvalue never settles
+    yield "jordan-lam-1", get_system("jordan", lam=1.0), [[0.0, 1.0], [0.5, 0.5], [0.3, -0.2]]
+
+
+@pytest.mark.parametrize("name,system,seeds", list(_batch_cases()),
+                         ids=[case[0] for case in _batch_cases()])
+def test_batch_estimates_equal_single_seed_estimates(name, system, seeds):
+    batch = estimate_omega_batch(system, seeds, FAST)
+    assert len(batch) == len(seeds)
+    for seed, est in zip(seeds, batch):
+        assert_same_estimate(est, estimate_omega(system, seed, FAST))
+    if name == "mobius[-5,5]":
+        assert {e.status for e in batch} == {"converged", "escaped", "singular"}
+    if name == "jordan-lam-1":
+        assert {e.status for e in batch} == {"unconverged"}
+
+
+def test_batch_estimates_do_not_depend_on_order_or_company():
+    system = get_system("rotation-scaling")
+    rng = np.random.default_rng(3)
+    seeds = list(rng.uniform(-2.0, 2.0, (24, 2))) + [np.zeros(2)]
+    whole = estimate_omega_batch(system, seeds, FAST)
+    order = rng.permutation(len(seeds))
+    shuffled = estimate_omega_batch(system, [seeds[i] for i in order], FAST)
+    for k, i in enumerate(order):
+        assert_same_estimate(shuffled[k], whole[i])
+    sub = [3, 11, 24]
+    for k, est in enumerate(estimate_omega_batch(system, [seeds[i] for i in sub], FAST)):
+        assert_same_estimate(est, whole[sub[k]])
+    assert estimate_omega_batch(system, [], FAST) == []
+
+
+def test_estimator_config_rejects_impossible_settings():
+    for bad in ({"burn": -1}, {"tail": 0}, {"max_rounds": -1}):
+        with pytest.raises(ValueError):
+            EstimatorConfig(**bad)
+    EstimatorConfig(burn=0, tail=1, max_rounds=0)
 
 
 # -- boundedness ------------------------------------------------------------------
@@ -297,6 +356,53 @@ def test_witness_found_on_the_open_basin(mobius_unit, mobius_unit_catalog):
     assert w.limit_point[0] == pytest.approx(1.0)
     gaps = np.abs(w.sequence[:, 0] - w.limit_point[0])
     assert (np.diff(gaps) < 0).all()            # strictly shrinking toward the limit
+
+
+def _witnesses_pair_by_pair(system, basins, cfg, depth, max_pairs):
+    """The witness search made one estimate at a time, as the search reaches it."""
+    from limitlab.limits import _boundary_pairs
+
+    catalog = basins.catalog
+    found, seen = [], set()
+    for count, (a_idx, b_idx) in enumerate(_boundary_pairs(basins)):
+        if count >= max_pairs:
+            break
+        label_a = basins.label_at(a_idx)
+        xa, xb = basins.node(a_idx), basins.node(b_idx)
+        sequence = np.array([xb + (xa - xb) * 2.0 ** (-j) for j in range(1, depth + 1)])
+        if not all(est.converged and catalog.match(est.points) == label_a
+                   for est in (estimate_omega(system, x, cfg) for x in sequence)):
+            continue
+        est_b = estimate_omega(system, xb, cfg)
+        label_b = catalog.match(est_b.points) if est_b.converged else None
+        if label_b is None or label_b == label_a:
+            continue
+        key = (label_a, label_b, tuple(np.round(xb, 12)))
+        if key not in seen:
+            seen.add(key)
+            found.append((xa, xb, sequence, label_a, label_b))
+    return found
+
+
+@pytest.mark.parametrize("name,region", [
+    ("rotation-scaling", DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]])),
+    ("cot-map", None)])
+def test_batched_witness_search_equals_pair_by_pair_search(name, region):
+    system = get_system(name)
+    cfg = EstimatorConfig()
+    catalog, _ = catalog_from_seeds(system, default_seeds(name), cfg)
+    basins = compute_basins(system, catalog, region=region, resolution=21)
+    for depth, max_pairs in [(8, 64), (3, 3)]:
+        got = basin_closedness_witness(system, basins, cfg, depth=depth, max_pairs=max_pairs)
+        want = _witnesses_pair_by_pair(system, basins, cfg, depth, max_pairs)
+        assert len(got) == len(want) >= 1
+        for w, (xa, xb, sequence, label_a, label_b) in zip(got, want):
+            assert np.array_equal(w.sequence_seed, xa) and np.array_equal(w.limit_point, xb)
+            assert np.array_equal(w.sequence, sequence)
+            assert (w.sequence_label, w.limit_label) == (label_a, label_b)
+    assert basin_closedness_witness(system, basins, cfg, max_pairs=0) == []
+    with pytest.raises(ValueError):
+        basin_closedness_witness(system, basins, cfg, depth=0)
 
 
 def test_no_witness_on_linear_system():

@@ -13,6 +13,7 @@ from limitlab import (LinearSystem, classify_growth, jordan_block_power,
                       omega_nonempty_linear, spectral_split,
                       spectral_split_to_dict, stability_bound)
 from limitlab.errors import NotStableError
+from limitlab.linear import apply_matrix
 from limitlab.serialize import validate
 
 
@@ -89,6 +90,24 @@ def test_as_map_inverse_presence():
 
     singular = LinearSystem(np.diag([0.0, 1.0])).as_map()
     assert singular.inverse is None
+
+
+@pytest.mark.parametrize("A", [rotation(1.0), np.array([[0.9, 1.0], [0.0, 0.9]]),
+                               rotation_block(), np.arange(16.0).reshape(4, 4) / 7.0 - 1.0],
+                         ids=["rotation", "jordan", "rotation-block", "dense-4"])
+def test_apply_matrix_rows_do_not_depend_on_the_batch(A, rng):
+    X = rng.normal(size=(500, A.shape[0]))
+    batch = apply_matrix(X, A)
+    assert batch.shape == X.shape
+    for i in range(len(X)):
+        assert np.array_equal(apply_matrix(X[i:i + 1], A)[0], batch[i])
+        assert np.array_equal(apply_matrix(X[i], A), batch[i])
+    # a fixed-order sum and BLAS each stay within the textbook dot-product
+    # error bound, gamma_d * sum_j |x_j a_ij|, so they are within twice it
+    d = A.shape[0]
+    u = np.finfo(float).eps / 2
+    bound = 2 * d * u / (1 - d * u) * (np.abs(X) @ np.abs(A).T)
+    assert (np.abs(batch - X @ A.T) <= bound).all()
 
 
 # -- spectral split -----------------------------------------------------------------
