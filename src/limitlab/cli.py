@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,13 +31,14 @@ from .errors import (CatalogGuardError, DomainError, IllConditionedError,
                      InvalidParamError, MissingArtifactError,
                      NoExactImmersionError, NoInverseError, NotStableError,
                      SingularGramError, UnconvergedError, UnknownSystemError)
-from .immersion import (conjugacy_residual, injectivity_probe,
+from .immersion import (collapse_report, conjugacy_residual, injectivity_probe,
                         omega_alpha_consistency, pushforward_check)
 from .lifting import build_dictionary, fit_lift, obstruction_sweep
 from .limits import (BasinConfig, EstimatorConfig, basin_closedness_witness,
                      catalog_from_seeds, catalog_to_dict, compute_basins,
                      write_basin_csv)
-from .linear import spectral_split, spectral_split_to_dict, stability_bound
+from .linear import (LinearSystem, spectral_split, spectral_split_to_dict,
+                     stability_bound)
 
 _USAGE_ERRORS = (UnknownSystemError, InvalidParamError)
 _MATH_ERRORS = (DomainError, UnconvergedError, SingularGramError,
@@ -54,30 +56,22 @@ def _emit_error(kind: str, message: str, **extra) -> None:
     print(json.dumps(serialize._coerce(payload), sort_keys=True), file=sys.stderr)
 
 
-def _parse_params(pairs) -> dict:
+def _parse_params(pairs, flag: str, names=None) -> dict:
+    """Numbers from repeated ``flag NAME=VALUE`` items. When ``names`` is
+    given, a name outside it is rejected."""
     out = {}
     for item in pairs or []:
         if "=" not in item:
-            raise InvalidParamError(f"--param expects k=v, got {item!r}")
+            raise InvalidParamError(f"{flag} expects name=value, got {item!r}")
         key, raw = item.split("=", 1)
+        key = key.strip()
+        if names is not None and key not in names:
+            raise InvalidParamError(
+                f"{flag}: unknown name {key!r} (known: {', '.join(sorted(names))})")
         try:
-            value = int(raw) if raw.lstrip("+-").isdigit() else float(raw)
+            out[key] = int(raw) if raw.lstrip("+-").isdigit() else float(raw)
         except ValueError:
-            raise InvalidParamError(f"could not parse parameter value {raw!r}") from None
-        out[key.strip()] = value
-    return out
-
-
-def _parse_sets(pairs) -> dict:
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise InvalidParamError(f"--set expects name=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        try:
-            out[key.strip()] = int(raw) if raw.lstrip("+-").isdigit() else float(raw)
-        except ValueError:
-            raise InvalidParamError(f"could not parse setting value {raw!r}") from None
+            raise InvalidParamError(f"could not parse {flag} value {raw!r}") from None
     return out
 
 
@@ -135,7 +129,6 @@ def _basin_cfg(sets: dict) -> BasinConfig:
         burn=int(sets.get("basin_burn", config.BASIN_BURN)),
         window=int(sets.get("basin_window", config.BASIN_WINDOW)),
         escape_radius=float(sets.get("escape_radius", config.ESCAPE_RADIUS)),
-        batch=int(sets.get("batch", 65536)),
     )
 
 
@@ -178,6 +171,32 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# -- report builders shared by the subcommands and the demo ----------------------
+
+def _basin_summary(system, basins, witnesses) -> dict:
+    labels, counts = np.unique(basins.codes, return_counts=True)
+    return {
+        "schema_version": 1, "kind": "basin-summary", "system": system.name,
+        "resolution": [int(r) for r in basins.resolution],
+        "counts": {basins.label_of_code(int(c)): int(n) for c, n in zip(labels, counts)},
+        "params": basins.params,
+        "witnesses": [{
+            "boundary_label": w.sequence_label, "limit_label": w.limit_label,
+            "limit_point": [float(v) for v in w.limit_point],
+        } for w in witnesses],
+    }
+
+
+def _verify_report(system, F, status: str, seed: int, conj, push, inj) -> dict:
+    return {
+        "schema_version": 1, "kind": "verify-report", "system": system.name,
+        "immersion": F.name, "status": status, "seed": seed,
+        "conjugacy": conj.to_dict(),
+        "pushforward": push.to_dict() if push else None,
+        "injectivity": inj.to_dict(),
+    }
+
+
 # -- sampling shared by verify/learn ---------------------------------------------
 
 def _survey_samples(region: DomainRegion, dim: int, seed: int,
@@ -195,7 +214,7 @@ def _survey_samples(region: DomainRegion, dim: int, seed: int,
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    system = get_system(args.system, **_parse_params(args.param))
+    system = get_system(args.system, **_parse_params(args.param, "--param"))
     if args.domain:
         system = system.restrict(_parse_domain(args.domain, system.dim))
     x0 = _parse_points(args.x0, system.dim)[0]
@@ -212,12 +231,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    system = get_system(args.system, **_parse_params(args.param))
+    system = get_system(args.system, **_parse_params(args.param, "--param"))
     if args.domain:
         system = system.restrict(_parse_domain(args.domain, system.dim))
     if args.backward:
         system = system.reversed()
-    sets = _parse_sets(args.set)
+    sets = _parse_params(args.set, "--set", config.DEFAULTS)
     cfg = _estimator_cfg(sets)
     tol_cluster = float(sets.get("tol_cluster", config.TOL_CLUSTER))
     seeds = (_parse_points(args.seeds, system.dim) if args.seeds
@@ -239,8 +258,8 @@ def cmd_limits(args) -> int:
 
 
 def cmd_basins(args) -> int:
-    system = get_system(args.system, **_parse_params(args.param))
-    sets = _parse_sets(args.set)
+    system = get_system(args.system, **_parse_params(args.param, "--param"))
+    sets = _parse_params(args.set, "--set", config.DEFAULTS)
     est_cfg = _estimator_cfg(sets)
     tol_cluster = float(sets.get("tol_cluster", config.TOL_CLUSTER))
 
@@ -264,21 +283,11 @@ def cmd_basins(args) -> int:
     out = _out_dir(args)
     csv_path = out / "basins.csv"
     write_basin_csv(basins, csv_path)
-    labels, counts = np.unique(basins.codes, return_counts=True)
-    count_map = {basins.label_of_code(int(c)): int(n) for c, n in zip(labels, counts)}
-    summary = {
-        "schema_version": 1, "kind": "basin-summary", "system": system.name,
-        "resolution": [int(r) for r in basins.resolution],
-        "counts": count_map, "params": basins.params,
-        "witnesses": [{
-            "boundary_label": w.sequence_label, "limit_label": w.limit_label,
-            "limit_point": [float(v) for v in w.limit_point],
-        } for w in witnesses],
-    }
+    summary = _basin_summary(system, basins, witnesses)
     json_path = out / "basins.json"
     serialize.dump(summary, json_path)
 
-    print(_table(["label", "nodes"], sorted(count_map.items())))
+    print(_table(["label", "nodes"], sorted(summary["counts"].items())))
     for w in witnesses:
         pt = ",".join(repr(float(v)) for v in w.limit_point)
         print(f"witness: basin of {w.sequence_label} is not closed — points "
@@ -292,12 +301,12 @@ def cmd_basins(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     pair = exact_immersion(args.system, variant=args.variant, **params)
     F, target = pair.immersion, pair.target
     seed = _seed_of(args)
-    sets = _parse_sets(args.set)
+    sets = _parse_params(args.set, "--set", config.DEFAULTS)
     cfg = _estimator_cfg(sets)
 
     explicit = args.domain is not None
@@ -344,16 +353,9 @@ def cmd_verify(args) -> int:
     inj = injectivity_probe(F, samples[F.domain.contains_batch(samples)])
 
     status = "ok" if conj.max_residual <= args.tol and inj.n_collisions == 0 else "failed"
-    report = {
-        "schema_version": 1, "kind": "verify-report", "system": system.name,
-        "immersion": F.name, "status": status, "seed": seed,
-        "conjugacy": conj.to_dict(),
-        "pushforward": push.to_dict() if push else None,
-        "injectivity": inj.to_dict(),
-    }
     out = _out_dir(args)
     path = out / "verify.json"
-    serialize.dump(report, path)
+    serialize.dump(_verify_report(system, F, status, seed, conj, push, inj), path)
 
     print(f"immersion {F.name} -> {target.name}")
     print(f"conjugacy: max residual {conj.max_residual:.3e} over "
@@ -376,7 +378,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     seed = _seed_of(args)
     region = box = None
@@ -430,10 +432,10 @@ def _parse_dict_specs(spec: str) -> list[tuple[str, int]]:
 
 
 def cmd_sweep(args) -> int:
-    params = _parse_params(args.param)
+    params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     seed = _seed_of(args)
-    sets = _parse_sets(args.set)
+    sets = _parse_params(args.set, "--set", config.DEFAULTS)
     est_cfg = _estimator_cfg(sets)
     tol_cluster = float(sets.get("tol_cluster", config.TOL_CLUSTER))
 
@@ -495,31 +497,16 @@ def _demo_mobius(out: Path, seed: int, threads: int, cfg: EstimatorConfig,
                             threads=threads)
     witnesses = basin_closedness_witness(f, basins, cfg, **witness_args)
     write_basin_csv(basins, out / "mobius-basins.csv")
-    labels, counts = np.unique(basins.codes, return_counts=True)
-    serialize.dump({
-        "schema_version": 1, "kind": "basin-summary", "system": f.name,
-        "resolution": [int(r) for r in basins.resolution],
-        "counts": {basins.label_of_code(int(c)): int(n)
-                   for c, n in zip(labels, counts)},
-        "params": basins.params,
-        "witnesses": [{"boundary_label": w.sequence_label,
-                       "limit_label": w.limit_label,
-                       "limit_point": [float(v) for v in w.limit_point]}
-                      for w in witnesses],
-    }, out / "mobius-basins.json")
+    serialize.dump(_basin_summary(f, basins, witnesses), out / "mobius-basins.json")
 
     pair = exact_immersion("mobius")
+    F, target = pair.immersion, pair.target
     samples = _survey_samples(region, 1, seed)
-    conj = conjugacy_residual(pair.immersion, f, pair.target, samples)
-    push = pushforward_check(pair.immersion, f, pair.target, [0.0], cfg)
-    serialize.dump({
-        "schema_version": 1, "kind": "verify-report", "system": f.name,
-        "immersion": pair.immersion.name, "status": "ok", "seed": seed,
-        "conjugacy": conj.to_dict(), "pushforward": push.to_dict(),
-        "injectivity": injectivity_probe(
-            pair.immersion, samples[pair.immersion.domain.contains_batch(samples)]
-        ).to_dict(),
-    }, out / "mobius-verify.json")
+    conj = conjugacy_residual(F, f, target, samples)
+    push = pushforward_check(F, f, target, [0.0], cfg)
+    inj = injectivity_probe(F, samples[F.domain.contains_batch(samples)])
+    serialize.dump(_verify_report(f, F, "ok", seed, conj, push, inj),
+                   out / "mobius-verify.json")
 
     return {
         "name": "rational-fixed-points", "status": "ok",
@@ -535,16 +522,14 @@ def _demo_mobius(out: Path, seed: int, threads: int, cfg: EstimatorConfig,
 def _demo_cot(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
     f = get_system("cot-map")
     pair = exact_immersion("cot-map")
+    F, target = pair.immersion, pair.target
     samples = _survey_samples(f.domain, 1, seed)
-    conj = conjugacy_residual(pair.immersion, f, pair.target, samples)
-    push = pushforward_check(pair.immersion, f, pair.target, [1.0], cfg)
+    conj = conjugacy_residual(F, f, target, samples)
+    push = pushforward_check(F, f, target, [1.0], cfg)
     consistency = omega_alpha_consistency(f, [2.0], cfg)
-    serialize.dump({
-        "schema_version": 1, "kind": "verify-report", "system": f.name,
-        "immersion": pair.immersion.name, "status": "ok", "seed": seed,
-        "conjugacy": conj.to_dict(), "pushforward": push.to_dict(),
-        "injectivity": injectivity_probe(pair.immersion, samples).to_dict(),
-    }, out / "cot-verify.json")
+    inj = injectivity_probe(F, samples)
+    serialize.dump(_verify_report(f, F, "ok", seed, conj, push, inj),
+                   out / "cot-verify.json")
     serialize.dump(consistency.to_dict(), out / "cot-consistency.json")
     return {
         "name": "half-angle-conjugacy", "status": "ok",
@@ -558,9 +543,6 @@ def _demo_cot(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
 
 
 def _demo_rotation(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
-    from .immersion import collapse_report
-    from .linear import LinearSystem
-
     f = get_system("rotation-scaling")
     catalog, _ = catalog_from_seeds(f, default_seeds("rotation-scaling"), cfg)
     serialize.dump(catalog_to_dict(catalog), out / "rotation-catalog.json")
@@ -578,7 +560,6 @@ def _demo_rotation(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
     push = pushforward_check(pair.immersion, f, pair.target, [2.0, 0.0], cfg)
 
     A = np.zeros((3, 3))
-    import math
     c, s = math.cos(1.0), math.sin(1.0)
     A[:2, :2] = [[c, s], [-s, c]]
     A[2, 2] = 0.5
@@ -588,9 +569,8 @@ def _demo_rotation(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
     basis = np.hstack([split.stable_basis, split.unit_basis])
     bound = stability_bound(target, basis)
 
-    serialize.dump({
-        "schema_version": 1, "kind": "pushforward-report", **push.to_dict(),
-    } | {"collapse_error": collapse_error}, out / "rotation-pushforward.json")
+    serialize.dump(push.to_dict() | {"collapse_error": collapse_error},
+                   out / "rotation-pushforward.json")
 
     status = "ok" if collapse_error else "unexpected"
     return {
@@ -636,7 +616,7 @@ def _demo_sweep(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
 def cmd_demo(args) -> int:
     out = _out_dir(args)
     seed = _seed_of(args)
-    sets = _parse_sets(args.set)
+    sets = _parse_params(args.set, "--set", config.DEFAULTS)
     cfg = _estimator_cfg(sets)
     examples = []
     steps = [

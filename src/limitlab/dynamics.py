@@ -287,14 +287,18 @@ def evaluate(system: DiscreteMap, x) -> np.ndarray:
     return y
 
 
-def _step_rows(step, X: np.ndarray, vectorized: bool) -> np.ndarray:
+def _step_rows(step, X: np.ndarray, vectorized: bool,
+               width: Optional[int] = None) -> np.ndarray:
     """Apply ``step`` to every row of an (n, d) batch: in one call when the
-    evaluator is vectorized, else one call per row."""
+    evaluator is vectorized, else one call per row. Each image has ``width``
+    coordinates (default ``d``); an empty batch gives an empty (0, width)
+    array without calling a per-row ``step``."""
+    width = X.shape[1] if width is None else width
     if vectorized:
-        return np.asarray(step(X), dtype=float).reshape(X.shape)
-    out = np.empty_like(X)
+        return np.asarray(step(X), dtype=float).reshape(len(X), width)
+    out = np.empty((len(X), width))
     for i, x in enumerate(X):
-        out[i] = np.asarray(step(x), dtype=float).reshape(X.shape[1])
+        out[i] = np.asarray(step(x), dtype=float).reshape(width)
     return out
 
 

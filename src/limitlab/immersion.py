@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import config
-from .dynamics import DiscreteMap, DomainRegion, as_state
+from .dynamics import DiscreteMap, DomainRegion, _step_rows, as_state
 from .errors import DomainError, UnconvergedError
 from .geometry import diameter, directed_hausdorff, hausdorff, split_discrepancy
 from .limits import (EstimatorConfig, LimitSetCatalog, LimitSetEstimate,
@@ -59,12 +59,8 @@ class ImmersionMap:
             bad = P[~ok][0]
             raise DomainError(bad, self.domain.violation(bad) or "out-of-bounds",
                               detail=self.name)
-        if self.vectorized:
-            with np.errstate(all="ignore"):
-                out = np.asarray(self.func(P), dtype=float).reshape(len(P), self.dim_out)
-        else:
-            out = np.stack([np.asarray(self.func(p), dtype=float).reshape(self.dim_out)
-                            for p in P])
+        with np.errstate(all="ignore"):
+            out = _step_rows(self.func, P, self.vectorized, self.dim_out)
         if not np.isfinite(out).all():
             bad = P[~np.isfinite(out).all(axis=1)][0]
             raise DomainError(bad, "non-finite-image", detail=self.name)
@@ -80,6 +76,7 @@ class ImmersionMap:
 class ConjugacyReport:
     max_residual: float
     mean_residual: float
+    rms_residual: float
     worst_point: np.ndarray
     samples_used: int
     samples_skipped: int
@@ -100,9 +97,13 @@ def conjugacy_residual(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap,
                        samples) -> ConjugacyReport:
     """Sampled residual ``||F(f(x)) - g(F(x))||`` over the given states.
 
-    Samples that fall outside any participating domain (or whose step image
-    does) are skipped and counted, not fatal — but at least one sample must
-    survive.
+    The residual is checked on ``F.domain``: samples outside it or outside
+    ``f``'s domain, samples whose step image leaves ``F.domain``, and samples
+    with a non-finite image anywhere are skipped and counted, not fatal — but
+    at least one sample must survive. A caller that wants every step image
+    kept, wherever it lands, passes ``F`` restricted to the full space (the
+    dictionary sweep does, because a learned lift is evaluated off the region
+    it was fitted on).
     """
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     if X.shape[1] != f.dim or f.dim != F.dim_in:
@@ -112,10 +113,7 @@ def conjugacy_residual(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap,
     ok &= F.domain.contains_batch(X) & f.domain.contains_batch(X)
     Xv = X[ok]
     with np.errstate(all="ignore"):
-        if f.vectorized:
-            Y = np.asarray(f.forward(Xv), dtype=float).reshape(len(Xv), f.dim)
-        else:
-            Y = np.stack([np.asarray(f.forward(x), dtype=float).reshape(f.dim) for x in Xv])
+        Y = _step_rows(f.forward, Xv, f.vectorized)
     good = np.isfinite(Y).all(axis=1)
     good &= F.domain.contains_batch(np.where(np.isfinite(Y), Y, 0.0))
 
@@ -124,13 +122,10 @@ def conjugacy_residual(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap,
         raise DomainError(X[0], "out-of-bounds",
                           detail="no usable conjugacy samples on this domain")
 
-    FX = _apply_unchecked(F, Xv)
-    FY = _apply_unchecked(F, Y)
     with np.errstate(all="ignore"):
-        if g.vectorized:
-            GFX = np.asarray(g.forward(FX), dtype=float).reshape(len(FX), g.dim)
-        else:
-            GFX = np.stack([np.asarray(g.forward(z), dtype=float).reshape(g.dim) for z in FX])
+        FX = _step_rows(F.func, Xv, F.vectorized, F.dim_out)
+        FY = _step_rows(F.func, Y, F.vectorized, F.dim_out)
+        GFX = _step_rows(g.forward, FX, g.vectorized)
     finite = np.isfinite(GFX).all(axis=1) & np.isfinite(FY).all(axis=1) & np.isfinite(FX).all(axis=1)
     Xv, FY, GFX = Xv[finite], FY[finite], GFX[finite]
     if len(Xv) == 0:
@@ -142,17 +137,11 @@ def conjugacy_residual(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap,
     return ConjugacyReport(
         max_residual=float(res[worst]),
         mean_residual=float(res.mean()),
+        rms_residual=float(np.sqrt(np.mean(res ** 2))),
         worst_point=Xv[worst],
         samples_used=int(len(Xv)),
         samples_skipped=int(len(X) - len(Xv)),
     )
-
-
-def _apply_unchecked(F: ImmersionMap, P: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        if F.vectorized:
-            return np.asarray(F.func(P), dtype=float).reshape(len(P), F.dim_out)
-        return np.stack([np.asarray(F.func(p), dtype=float).reshape(F.dim_out) for p in P])
 
 
 # -- limit-set pushforward -----------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import config
-from .dynamics import DiscreteMap, DomainRegion
+from .dynamics import DiscreteMap, DomainRegion, _step_rows
 from .errors import (CatalogGuardError, DomainError, InvalidParamError,
                      SingularGramError)
 from .immersion import (CollapseReport, ImmersionMap, InjectivityReport,
@@ -173,11 +173,7 @@ def training_pairs(system: DiscreteMap, region: Optional[DomainRegion] = None,
     X = X[system.domain.contains_batch(X)]
 
     with np.errstate(all="ignore"):
-        if system.vectorized:
-            Y = np.asarray(system.forward(X), dtype=float).reshape(len(X), system.dim)
-        else:
-            Y = np.stack([np.asarray(system.forward(x), dtype=float).reshape(system.dim)
-                          for x in X])
+        Y = _step_rows(system.forward, X, system.vectorized)
     keep = np.isfinite(Y).all(axis=1)
     return X[keep], Y[keep]
 
@@ -365,9 +361,12 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
 
     ``specs`` are ``(kind, order)`` pairs. Scores per row: held-out conjugacy
     RMS residual against the lifted linear system, limit-set collapse ratio
-    against ``catalog``, and the worst injectivity separation ratio. Rows that
-    fail to fit (singular Gram, domain escapes) are kept with an ``error``
-    field so the sweep output is total.
+    against ``catalog``, and the worst injectivity separation ratio. The
+    residual is :func:`conjugacy_residual`'s, with the lift checked on the full
+    space rather than on ``region``: a held-out sample whose step image leaves
+    the training region still counts, since the lift is defined there too.
+    Rows that fail to fit (singular Gram, domain escapes) are kept with an
+    ``error`` field so the sweep output is total.
     """
     if len(catalog) > config.CATALOG_GUARD:
         raise CatalogGuardError(
@@ -386,8 +385,9 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
                                 seed=seed, box=box)
                 F = lift.as_immersion()
                 g = lift.lifted_map()
-                conj = conjugacy_residual(F, system, g, heldout)
-                resid = _rms_conjugacy(F, system, g, heldout)
+                resid = conjugacy_residual(
+                    F.restricted(DomainRegion.full_space(system.dim)), system, g,
+                    heldout).rms_residual
                 try:
                     col = collapse_report(F, catalog, seed=seed,
                                           tol_cluster=tol_cluster)
@@ -406,31 +406,6 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
                                         None, None, None, error=str(exc)))
     rows.sort(key=lambda r: (r.dict_size, r.dict_kind, r.ridge))
     return TradeoffReport(system_name=system.name, rows=tuple(rows), seed=seed)
-
-
-def _rms_conjugacy(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap, samples) -> float:
-    """Held-out RMS of ``||F(f(x)) - g(F(x))||`` (the sweep's residual column)."""
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
-    ok = F.domain.contains_batch(X) & f.domain.contains_batch(X)
-    X = X[ok]
-    with np.errstate(all="ignore"):
-        Y = (np.asarray(f.forward(X), dtype=float).reshape(len(X), f.dim)
-             if f.vectorized else
-             np.stack([np.asarray(f.forward(x), dtype=float).reshape(f.dim) for x in X]))
-        FY = _eval(F, Y)
-        GFX = (np.asarray(g.forward(_eval(F, X)), dtype=float)
-               .reshape(len(X), g.dim))
-    res = np.linalg.norm(FY - GFX, axis=1)
-    res = res[np.isfinite(res)]
-    if len(res) == 0:
-        raise DomainError(X[0] if len(X) else np.zeros(f.dim), "non-finite-image",
-                          detail="no usable held-out samples")
-    return float(np.sqrt(np.mean(res ** 2)))
-
-
-def _eval(F: ImmersionMap, P: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        return np.asarray(F.func(P), dtype=float).reshape(len(P), F.dim_out)
 
 
 def _spec_size(kind: str, dim: int, order: int) -> int:
