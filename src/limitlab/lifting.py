@@ -24,6 +24,7 @@ from .errors import (CatalogGuardError, DomainError, InvalidParamError,
 from .immersion import (CollapseReport, ImmersionMap, InjectivityReport,
                         collapse_report, conjugacy_residual, injectivity_probe)
 from .limits import LimitSetCatalog
+from .linear import LinearSystem
 from .serialize import dumps, write_csv
 
 
@@ -223,18 +224,10 @@ class LearnedLift:
                             name=f"{d.kind}-lift[{d.size}]")
 
     def lifted_map(self) -> DiscreteMap:
-        K = self.K
-        size = self.dictionary.size
-        inv = None
-        if np.linalg.matrix_rank(K) == size:
-            K_inv = np.linalg.inv(K)
-            inv = lambda Z: np.atleast_2d(Z) @ K_inv.T if np.ndim(Z) > 1 else K_inv @ Z
-        fwd = lambda Z: np.atleast_2d(Z) @ K.T if np.ndim(Z) > 1 else K @ Z
-        return DiscreteMap(dim=size, forward=fwd,
-                           domain=DomainRegion.full_space(size),
-                           inverse=inv,
-                           inverse_domain=DomainRegion.full_space(size) if inv else None,
-                           name=f"lifted[{self.dictionary.kind},{size}]")
+        """``z -> K z`` on the full space, stepped like every linear map: a
+        state's image does not depend on what shares its batch."""
+        name = f"lifted[{self.dictionary.kind},{self.dictionary.size}]"
+        return LinearSystem(self.K, name=name).as_map()
 
     def predict(self, x) -> np.ndarray:
         return self.K @ self.dictionary(x)
@@ -285,6 +278,8 @@ def fit_lift(system: DiscreteMap, dictionary: Dictionary,
         Kt = np.linalg.solve(G, PhiX.T @ PhiY)
         method = "normal-equations"
     K = Kt.T
+    if not np.isfinite(K).all():
+        raise SingularGramError("the fitted K has non-finite entries")
 
     resid = np.linalg.norm(PhiY - PhiX @ Kt, axis=1)
     report = FitReport(rms_residual=float(np.sqrt(np.mean(resid ** 2))),

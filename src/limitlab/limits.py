@@ -322,10 +322,12 @@ def catalog_from_seeds(system: DiscreteMap, seeds,
                        tol_cluster: float = config.TOL_CLUSTER):
     """Estimate omega at each seed and cluster what converged.
 
+    ``seeds`` lists states, as :func:`estimate_omega_batch` takes them: for a
+    1-d system a flat list of numbers is one seed per number.
     Returns ``(catalog, skipped)`` where skipped lists (seed, status) for
     orbits that escaped, hit a singularity, or failed to settle.
     """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    seeds = [as_state(s, system.dim) for s in seeds]
     ests, skipped = [], []
     for s, est in zip(seeds, estimate_omega_batch(system, seeds, cfg)):
         if est.converged:

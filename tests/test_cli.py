@@ -256,6 +256,17 @@ def test_impossible_estimator_settings_are_usage_errors(tmp_path, capsys, settin
     assert not (tmp_path / "catalog.json").exists()
 
 
+@pytest.mark.parametrize("setting", ["no_such_knob=5", "batch=1024"])
+def test_unknown_settings_are_usage_errors(tmp_path, capsys, setting):
+    code, _, err = run(capsys, "limits", "--system", "mobius", "--set", setting,
+                       "--out", str(tmp_path))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert repr(setting.split("=")[0]) in payload["message"]
+    assert not (tmp_path / "catalog.json").exists()
+
+
 def test_witness_settings_reach_the_witness_search(tmp_path, capsys):
     argv = ["basins", "--system", "rotation-scaling", "--domain=-2,2;-2,2",
             "--resolution", "21"]

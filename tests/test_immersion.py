@@ -1,5 +1,7 @@
 """Conjugacy residuals, limit-set pushforwards, collapse, and injectivity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,34 @@ def test_conjugacy_residual_needs_at_least_one_sample():
     with pytest.raises(ValueError):
         conjugacy_residual(ent.immersion, get_system("mobius"), ent.target,
                            np.array([[0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("name,samples", [
+    ("mobius", np.linspace(-2.0, 0.9, 41)[:, None]),
+    ("rotation-scaling", np.stack(np.meshgrid(np.linspace(-2, 2, 9),
+                                              np.linspace(-2, 2, 8)), -1).reshape(-1, 2)),
+])
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_per_row_evaluation_matches_the_batch_call(name, samples, vectorized):
+    ent = exact_immersion(name, 0)
+    F, f, g = ent.immersion, get_system(name), ent.target
+    Fv, fv, gv = (replace(m, vectorized=vectorized) for m in (F, f, g))
+    inside = samples[F.domain.contains_batch(samples)]
+    assert np.array_equal(Fv.apply(inside), F.apply(inside))
+    got = conjugacy_residual(Fv, fv, gv, samples)
+    want = conjugacy_residual(F, f, g, samples)
+    assert got.to_dict() == want.to_dict()
+    assert got.rms_residual == want.rms_residual
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_empty_batches(vectorized):
+    ent = exact_immersion("mobius", 0)
+    F = replace(ent.immersion, vectorized=vectorized)
+    f = replace(get_system("mobius"), vectorized=vectorized)
+    assert F.apply(np.empty((0, 1))).shape == (0, 1)
+    with pytest.raises(DomainError):       # no sample lies in F's domain
+        conjugacy_residual(F, f, ent.target, np.array([[2.0], [5.0]]))
 
 
 def test_conjugacy_report_validates():

@@ -1,12 +1,17 @@
 """Dictionary regression: construction, fitting, recovery, and the sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from limitlab import (DomainRegion, build_dictionary, catalog_from_seeds,
-                      fit_lift, get_system, obstruction_sweep, training_pairs)
+                      conjugacy_residual, fit_lift, get_system,
+                      obstruction_sweep, training_pairs)
+from limitlab.config import RANDOM_SAMPLES
 from limitlab.errors import (CatalogGuardError, InvalidParamError,
                              SingularGramError)
+from limitlab.linear import apply_matrix
 from limitlab.serialize import validate
 
 MOBIUS_REGION = DomainRegion.interval(-0.9, 0.5)
@@ -87,6 +92,15 @@ def test_training_pairs_are_forward_images():
     direct = np.stack([np.asarray(f.forward(x), dtype=float) for x in X])
     assert np.array_equal(Y, direct.reshape(Y.shape))
     assert MOBIUS_REGION.contains_batch(X).all()
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_training_pairs_per_row_path_matches(vectorized):
+    f = get_system("mobius")
+    X, Y = training_pairs(f, MOBIUS_REGION, n_grid=64, n_random=32, seed=1)
+    Xv, Yv = training_pairs(replace(f, vectorized=vectorized), MOBIUS_REGION,
+                            n_grid=64, n_random=32, seed=1)
+    assert np.array_equal(Xv, X) and np.array_equal(Yv, Y)
 
 
 def test_training_pairs_skip_grid_on_non_box_regions():
@@ -202,6 +216,28 @@ def test_lifted_map_exposes_inverse_and_predict():
     assert np.allclose(lift.predict([0.2]), fwd)
 
 
+def test_lifted_map_steps_a_row_alone_as_in_a_batch(rng):
+    f = get_system("mobius")
+    lift = fit_lift(f, build_dictionary("monomial", 1, 4), region=MOBIUS_REGION,
+                    seed=42)
+    g = lift.lifted_map()
+    Z = lift.as_immersion().apply(MOBIUS_REGION.sample(200, rng))
+    forward, backward = g.forward(Z), g.inverse(Z)
+    for i, z in enumerate(Z):
+        assert np.array_equal(g.forward(z), forward[i])
+        assert np.array_equal(g.forward(Z[i:i + 1])[0], forward[i])
+        assert np.array_equal(g.inverse(z), backward[i])
+
+
+def test_non_finite_fit_is_a_singular_gram_error():
+    # 1 on the region, 1e308 where the map leaves it below: the Gram matrix
+    # is fine, but Phi(X)^T Phi(f(X)) overflows and so does K
+    jump = build_dictionary("custom", 1,
+                            funcs=[lambda X: 1.0 + 1e308 * (X[:, 0] < -0.9)])
+    with pytest.raises(SingularGramError):
+        fit_lift(get_system("mobius"), jump, region=MOBIUS_REGION, seed=42)
+
+
 # -- sweep -------------------------------------------------------------------
 
 def test_sweep_rows_are_sorted_and_validate(cot_catalog):
@@ -273,3 +309,24 @@ def test_sweep_csv_blanks_missing_fields(tmp_path):
     report.write_csv(out)
     row = out.read_text().splitlines()[1]
     assert row == "monomial,17,0.0,,,"
+
+
+def test_sweep_residual_keeps_step_images_outside_the_region():
+    f = get_system("mobius")
+    catalog, _ = catalog_from_seeds(
+        f.restrict(DomainRegion.interval(-1.0, 1.0)), [[0.0], [1.0]])
+    report = obstruction_sweep(f, catalog, specs=[("monomial", 2)], ridges=(0.0,),
+                               region=MOBIUS_REGION, seed=42)
+    lift = fit_lift(f, build_dictionary("monomial", 1, 2), region=MOBIUS_REGION,
+                    seed=42)
+    X = MOBIUS_REGION.sample(RANDOM_SAMPLES, np.random.default_rng(43))
+    Y = f.forward(X)
+    assert f.domain.contains_batch(X).all()
+    assert not MOBIUS_REGION.contains_batch(Y).all()    # so the rule matters
+    phi = lift.dictionary.evaluate
+    res = np.linalg.norm(phi(Y) - apply_matrix(phi(X), lift.K), axis=1)
+    assert report.rows[0].residual_heldout == np.sqrt(np.mean(res ** 2))
+    # checked on the training region instead, as verify does, it differs
+    on_region = conjugacy_residual(lift.as_immersion(), f, lift.lifted_map(), X)
+    assert on_region.samples_skipped > 0
+    assert on_region.rms_residual != report.rows[0].residual_heldout

@@ -226,6 +226,14 @@ def test_catalog_from_seeds_reports_skips():
     assert {status for _, status in skipped} == {"unconverged"}
 
 
+def test_catalog_from_seeds_reads_a_flat_list_as_one_seed_per_number():
+    system = get_system("mobius")
+    flat, flat_skipped = catalog_from_seeds(system, [0.0, -0.5], cfg=FAST)
+    rows, rows_skipped = catalog_from_seeds(system, [[0.0], [-0.5]], cfg=FAST)
+    assert catalog_to_dict(flat) == catalog_to_dict(rows)
+    assert flat_skipped == rows_skipped == []
+
+
 def test_catalog_lookup_and_separation(mobius_unit_catalog, rotation_catalog):
     cat = mobius_unit_catalog
     assert cat.labels == ["S0", "S1"]
