@@ -16,6 +16,7 @@ parse them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -67,7 +68,7 @@ def _parse_params(pairs, flag: str, names=None) -> dict:
         key = key.strip()
         if names is not None and key not in names:
             raise InvalidParamError(
-                f"{flag}: unknown name {key!r} (known: {', '.join(sorted(names))})")
+                f"{flag}: unknown name {key!r} (known: {', '.join(sorted(names)) or 'none'})")
         try:
             out[key] = int(raw) if raw.lstrip("+-").isdigit() else float(raw)
         except ValueError:
@@ -111,30 +112,32 @@ def _seed_of(args) -> int:
     return int(env) if env else config.DEFAULT_SEED
 
 
+# The --set names each part of a run reads; a subcommand accepts exactly the
+# names of the parts it runs.
+_ESTIMATOR = tuple(f.name for f in dataclasses.fields(EstimatorConfig))
+_BASIN = ("basin_burn", "basin_window", "escape_radius")
+_WITNESS = ("witness_depth", "witness_max_pairs")
+
+
+def _settings(args, names) -> dict:
+    """Every setting in ``names``: its ``config.DEFAULTS`` value, or the
+    ``--set`` one as the default's type. Any other ``--set`` name is rejected."""
+    sets = {name: config.DEFAULTS[name] for name in names}
+    for name, value in _parse_params(args.set, "--set", names).items():
+        try:
+            sets[name] = type(sets[name])(value)
+        except (ValueError, OverflowError):
+            raise InvalidParamError(f"--set {name}={value!r} is not a valid "
+                                    f"{type(sets[name]).__name__}") from None
+    return sets
+
+
 def _estimator_cfg(sets: dict) -> EstimatorConfig:
-    return EstimatorConfig(
-        burn=int(sets.get("burn", config.BURN)),
-        tail=int(sets.get("tail", config.TAIL)),
-        max_rounds=int(sets.get("max_rounds", config.MAX_ROUNDS)),
-        tol_settle=float(sets.get("tol_settle", config.TOL_SETTLE)),
-        gap_factor=float(sets.get("gap_factor", config.GAP_FACTOR)),
-        tol_fp=float(sets.get("tol_fp", config.TOL_FP)),
-        max_period=int(sets.get("max_period", config.MAX_PERIOD)),
-        r_div=float(sets.get("r_div", config.R_DIV)),
-    )
-
-
-def _basin_cfg(sets: dict) -> BasinConfig:
-    return BasinConfig(
-        burn=int(sets.get("basin_burn", config.BASIN_BURN)),
-        window=int(sets.get("basin_window", config.BASIN_WINDOW)),
-        escape_radius=float(sets.get("escape_radius", config.ESCAPE_RADIUS)),
-    )
+    return EstimatorConfig(**{name: sets[name] for name in _ESTIMATOR})
 
 
 def _witness_args(sets: dict) -> dict:
-    return {"depth": int(sets.get("witness_depth", config.WITNESS_DEPTH)),
-            "max_pairs": int(sets.get("witness_max_pairs", config.WITNESS_MAX_PAIRS))}
+    return {"depth": sets["witness_depth"], "max_pairs": sets["witness_max_pairs"]}
 
 
 def _default_box(dim: int) -> DomainRegion:
@@ -217,9 +220,10 @@ def cmd_simulate(args) -> int:
     system = get_system(args.system, **_parse_params(args.param, "--param"))
     if args.domain:
         system = system.restrict(_parse_domain(args.domain, system.dim))
+    sets = _settings(args, ("r_div",))
     x0 = _parse_points(args.x0, system.dim)[0]
     system_run = system.reversed() if args.backward else system
-    traj = iterate(system_run, x0, args.steps)
+    traj = iterate(system_run, x0, args.steps, r_div=sets["r_div"])
     out = _out_dir(args)
     path = out / "trajectory.csv"
     write_trajectory_csv(traj, path)
@@ -236,12 +240,11 @@ def cmd_limits(args) -> int:
         system = system.restrict(_parse_domain(args.domain, system.dim))
     if args.backward:
         system = system.reversed()
-    sets = _parse_params(args.set, "--set", config.DEFAULTS)
+    sets = _settings(args, _ESTIMATOR + ("tol_cluster",))
     cfg = _estimator_cfg(sets)
-    tol_cluster = float(sets.get("tol_cluster", config.TOL_CLUSTER))
     seeds = (_parse_points(args.seeds, system.dim) if args.seeds
              else default_seeds(args.system))
-    catalog, skipped = catalog_from_seeds(system, seeds, cfg, tol_cluster=tol_cluster)
+    catalog, skipped = catalog_from_seeds(system, seeds, cfg, tol_cluster=sets["tol_cluster"])
 
     out = _out_dir(args)
     path = out / "catalog.json"
@@ -259,9 +262,10 @@ def cmd_limits(args) -> int:
 
 def cmd_basins(args) -> int:
     system = get_system(args.system, **_parse_params(args.param, "--param"))
-    sets = _parse_params(args.set, "--set", config.DEFAULTS)
+    sets = _settings(args, _ESTIMATOR + ("tol_cluster",) + _BASIN + _WITNESS)
     est_cfg = _estimator_cfg(sets)
-    tol_cluster = float(sets.get("tol_cluster", config.TOL_CLUSTER))
+    basin_cfg = BasinConfig(burn=sets["basin_burn"], window=sets["basin_window"],
+                            escape_radius=sets["escape_radius"])
 
     if args.domain:
         region = _parse_domain(args.domain, system.dim)
@@ -274,9 +278,10 @@ def cmd_basins(args) -> int:
 
     seeds = (_parse_points(args.seeds, system.dim) if args.seeds
              else default_seeds(args.system))
-    catalog, skipped = catalog_from_seeds(system, seeds, est_cfg, tol_cluster=tol_cluster)
+    catalog, skipped = catalog_from_seeds(system, seeds, est_cfg,
+                                          tol_cluster=sets["tol_cluster"])
     basins = compute_basins(system, catalog, region=region,
-                            resolution=args.resolution, cfg=_basin_cfg(sets),
+                            resolution=args.resolution, cfg=basin_cfg,
                             threads=args.threads)
     witnesses = basin_closedness_witness(system, basins, est_cfg, **_witness_args(sets))
 
@@ -306,8 +311,7 @@ def cmd_verify(args) -> int:
     pair = exact_immersion(args.system, variant=args.variant, **params)
     F, target = pair.immersion, pair.target
     seed = _seed_of(args)
-    sets = _parse_params(args.set, "--set", config.DEFAULTS)
-    cfg = _estimator_cfg(sets)
+    cfg = _estimator_cfg(_settings(args, _ESTIMATOR))
 
     explicit = args.domain is not None
     if explicit:
@@ -381,6 +385,7 @@ def cmd_learn(args) -> int:
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     seed = _seed_of(args)
+    _settings(args, ())         # a lift fit reads no --set name
     region = box = None
     if args.domain:
         region = _parse_domain(args.domain, system.dim)
@@ -435,9 +440,9 @@ def cmd_sweep(args) -> int:
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     seed = _seed_of(args)
-    sets = _parse_params(args.set, "--set", config.DEFAULTS)
+    sets = _settings(args, _ESTIMATOR + ("tol_cluster",))
     est_cfg = _estimator_cfg(sets)
-    tol_cluster = float(sets.get("tol_cluster", config.TOL_CLUSTER))
+    tol_cluster = sets["tol_cluster"]
 
     region = box = None
     if args.domain:
@@ -616,7 +621,7 @@ def _demo_sweep(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
 def cmd_demo(args) -> int:
     out = _out_dir(args)
     seed = _seed_of(args)
-    sets = _parse_params(args.set, "--set", config.DEFAULTS)
+    sets = _settings(args, _ESTIMATOR + _WITNESS)
     cfg = _estimator_cfg(sets)
     examples = []
     steps = [

@@ -50,9 +50,9 @@ CATALOG_GUARD = 64        # sweep refuses catalogs larger than this
 
 DEFAULT_SEED = 42
 
+# What ``--set NAME=VALUE`` can override; a subcommand accepts the names it reads.
 DEFAULTS = {
     "r_div": R_DIV,
-    "eps_excl": EPS_EXCL,
     "burn": BURN,
     "tail": TAIL,
     "max_rounds": MAX_ROUNDS,
@@ -61,22 +61,9 @@ DEFAULTS = {
     "tol_fp": TOL_FP,
     "tol_cluster": TOL_CLUSTER,
     "max_period": MAX_PERIOD,
-    "r_bound": R_BOUND,
     "escape_radius": ESCAPE_RADIUS,
-    "bound_horizon": BOUND_HORIZON,
     "basin_burn": BASIN_BURN,
     "basin_window": BASIN_WINDOW,
     "witness_depth": WITNESS_DEPTH,
     "witness_max_pairs": WITNESS_MAX_PAIRS,
-    "tol_eig": TOL_EIG,
-    "tol_rank": TOL_RANK,
-    "delta_sep": DELTA_SEP,
-    "delta_img": DELTA_IMG,
-    "grid_samples": GRID_SAMPLES,
-    "random_samples": RANDOM_SAMPLES,
-    "qr_cond_switch": QR_COND_SWITCH,
-    "singular_cond": SINGULAR_COND,
-    "max_dict_order": MAX_DICT_ORDER,
-    "catalog_guard": CATALOG_GUARD,
-    "seed": DEFAULT_SEED,
 }

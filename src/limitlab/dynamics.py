@@ -9,17 +9,19 @@ termination (domain exit, singularity, divergence) is data on the returned
 There is one orbit engine, :func:`iterate_batch`: it steps an ``(n, d)``
 array of states in lockstep, with the per-row checks of a single orbit, and
 reports per row why it stopped and how many valid points it has.
-:func:`iterate` and :func:`iterate_back` are its ``n = 1`` case, and the
-limit-set estimator runs whole seed lists through it. A row's orbit does not
-depend on which rows share its batch: every check is row-wise, and catalog
-maps are built so that their steps are too (``linear.apply_matrix`` replaces
-BLAS products, which round one row differently from several). A seed stepped
-alone and the same seed stepped among others therefore agree to the bit.
+:func:`iterate` and :func:`iterate_back` are its ``n = 1`` case; limit-set
+estimates step whole seed lists through it, basin maps whole grids (with the
+escape radius as ``r_div``). A row's orbit does not depend on which rows
+share its batch: every check is row-wise, and catalog maps are built so that
+their steps are too (``linear.apply_matrix`` replaces BLAS products, which
+round one row differently from several). A seed stepped alone and the same
+seed stepped among others therefore agree to the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -306,6 +308,12 @@ def _step_rows(step, X: np.ndarray, vectorized: bool,
 _CODE = {cause: code for code, cause in enumerate(TERMINATIONS)}
 
 
+def _max_abs(X: np.ndarray) -> np.ndarray:
+    """Each row's largest coordinate magnitude, NaN or inf if a coordinate is:
+    folded column by column, as reducing along the short last axis is slow."""
+    return reduce(np.maximum, np.abs(X).T)
+
+
 @dataclass(frozen=True)
 class BatchOrbit:
     """Per-row outcome of :func:`iterate_batch` on an (n, d) batch.
@@ -345,6 +353,7 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     states = [] if record else None
     active = np.arange(n)
     domain = system.domain
+    mag = _max_abs(X)       # each row's max-abs, kept with its current state
     for _ in range(int(k)):
         if active.size == 0:
             break
@@ -353,7 +362,7 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
         P = X[active]
         singular = domain.exclusion_batch(P)
         outside = ~domain.contains_batch(P)
-        diverged = np.abs(P).max(axis=1) > r_div
+        diverged = mag[active] > r_div
         stop = singular | outside | diverged
         if stop.any():
             # written in reverse check order, so a row's first failed check wins
@@ -365,13 +374,15 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
                 break
         with np.errstate(all="ignore"):
             Y = _step_rows(system.forward, P, system.vectorized)
-        finite = np.isfinite(Y).all(axis=1)
+        m = _max_abs(Y)
+        finite = np.isfinite(m)     # NaN and inf survive the max-abs fold
         if not finite.all():
             termination[active[~finite]] = _CODE[SINGULAR]
-            active, Y = active[finite], Y[finite]
+            active, Y, m = active[finite], Y[finite], m[finite]
         X[active] = Y
+        mag[active] = m
         valid[active] += 1
-        blown = np.abs(Y).max(axis=1) > r_div
+        blown = m > r_div
         if blown.any():
             termination[active[blown]] = _CODE[DIVERGED]
             active = active[~blown]

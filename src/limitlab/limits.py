@@ -22,8 +22,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import config
-from .dynamics import (COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
-                       DiscreteMap, DomainRegion, _step_rows, as_state,
+from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
+                       TERMINATIONS, DiscreteMap, DomainRegion, as_state,
                        iterate, iterate_batch)
 from .errors import UnconvergedError
 from .geometry import (_distinct_rows, diameter, directed_hausdorff, hausdorff,
@@ -349,13 +349,29 @@ _SPECIAL_LABELS = {CODE_UNDETERMINED: "undetermined",
                    CODE_SINGULAR: "singular",
                    CODE_ESCAPED: "escaped"}
 
+# basin code of each engine termination code; the causes group as in _STATUS_OF
+_BASIN_CODE = np.array([{"escaped": CODE_ESCAPED, "singular": CODE_SINGULAR}.get(
+    _STATUS_OF.get(cause), CODE_UNDETERMINED) for cause in TERMINATIONS], dtype=np.int16)
+
 
 @dataclass(frozen=True)
 class BasinConfig:
+    """Grid orbits drop ``burn`` steps, then their next ``window`` states must
+    sit on one member. An orbit escapes once a coordinate magnitude exceeds
+    ``escape_radius``. ``batch`` nodes are settled per chunk."""
+
     burn: int = config.BASIN_BURN
     window: int = config.BASIN_WINDOW
     escape_radius: float = config.ESCAPE_RADIUS
     batch: int = 65536
+
+    def __post_init__(self):
+        if self.burn < 0:
+            raise ValueError(f"basin_burn must be >= 0, got {self.burn}")
+        if self.window < 1:
+            raise ValueError(f"basin_window must be >= 1, got {self.window}")
+        if not self.escape_radius > 0:
+            raise ValueError(f"escape_radius must be > 0, got {self.escape_radius}")
 
 
 @dataclass(frozen=True)
@@ -383,12 +399,12 @@ class BasinMap:
 
 def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
                   cfg: BasinConfig) -> np.ndarray:
-    """Settle a batch of start points and match each tail to a catalog member."""
+    """Settle a batch of start points and match each tail to a catalog member.
+    :func:`iterate_batch`, with the escape radius as ``r_div``, runs the burn and
+    then each window step after its nearest-member query; a row it stops gets
+    the code of its cause."""
     n = len(X0)
     codes = np.full(n, CODE_UNDETERMINED, dtype=np.int16)
-    X = X0.astype(float).copy()
-    alive = np.ones(n, dtype=bool)
-    dom = system.domain
 
     # copies of a point add nothing to a nearest-member query but still cost
     # tree depth, and a fixed-point member is hundreds of copies of one point
@@ -397,52 +413,30 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     tree = cKDTree(np.vstack(member_pts))
     tol_by_member = np.array([catalog.match_tolerance(m) for m in catalog.members])
 
-    def cull(idx_alive):
-        """Flag exclusion hits / domain exits / escapes among currently alive rows."""
-        pts = X[idx_alive]
-        sing = dom.exclusion_batch(pts) | ~np.isfinite(pts).all(axis=1)
-        inside = dom.contains_batch(np.where(np.isfinite(pts), pts, 0.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            nrm = np.linalg.norm(np.where(np.isfinite(pts), pts, np.inf), axis=1)
-        esc = (~inside & ~sing) | (nrm > cfg.escape_radius)
-        codes[idx_alive[sing]] = CODE_SINGULAR
-        codes[idx_alive[esc & ~sing]] = CODE_ESCAPED
-        alive[idx_alive[sing | esc]] = False
+    def advance(rows, X, k):
+        run = iterate_batch(system, X, k, r_div=cfg.escape_radius)
+        going = run.termination == _CODE[COMPLETED]
+        codes[rows[~going]] = _BASIN_CODE[run.termination[~going]]
+        return rows[going], run.last[going]
 
-    for _ in range(cfg.burn):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            return codes
-        cull(idx)
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            return codes
-        with np.errstate(all="ignore"):
-            X[idx] = _step_rows(system.forward, X[idx], system.vectorized)
-
+    rows, X = advance(np.arange(n), X0, cfg.burn)
     max_dist = np.zeros(n)
     owner = np.full(n, -1, dtype=np.int32)
     consistent = np.ones(n, dtype=bool)
     for _ in range(cfg.window):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+        if rows.size == 0:
             break
-        cull(idx)
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        d, nearest = tree.query(X[idx], k=1)
+        d, nearest = tree.query(X, k=1)
         who = owners[nearest]
-        first = owner[idx] == -1
-        owner[idx[first]] = who[first]
-        consistent[idx] &= owner[idx] == who
-        max_dist[idx] = np.maximum(max_dist[idx], d)
-        with np.errstate(all="ignore"):
-            X[idx] = _step_rows(system.forward, X[idx], system.vectorized)
+        first = owner[rows] == -1
+        owner[rows[first]] = who[first]
+        consistent[rows] &= owner[rows] == who
+        max_dist[rows] = np.maximum(max_dist[rows], d)
+        rows, X = advance(rows, X, 1)
 
-    idx = np.flatnonzero(alive)
-    ok = consistent[idx] & (owner[idx] >= 0) & (max_dist[idx] <= tol_by_member[np.maximum(owner[idx], 0)])
-    codes[idx[ok]] = owner[idx[ok]].astype(np.int16)
+    # window >= 1, so every row still going has an owner
+    ok = consistent[rows] & (max_dist[rows] <= tol_by_member[owner[rows]])
+    codes[rows[ok]] = owner[rows[ok]]
     return codes
 
 
@@ -453,9 +447,10 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     settles onto (``resolution`` nodes per axis, endpoints included).
 
     A node is labeled only when the trailing window of its orbit sits entirely
-    within the member's match tolerance; orbits that hit an excluded point are
-    ``singular``, orbits that leave the domain or blow past the escape radius
-    are ``escaped``, everything else is ``undetermined``.
+    within the member's match tolerance. Orbits that hit an excluded point or a
+    non-finite image are ``singular``, orbits that leave the domain or get a
+    coordinate past the escape radius are ``escaped``, the rest ``undetermined``;
+    the image of the last window state is checked too.
     """
     cfg = cfg or BasinConfig()
     region = region or system.domain
@@ -464,20 +459,17 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.column_stack([m.ravel() for m in mesh])
 
-    chunks = [(s, min(s + cfg.batch, len(centers)))
-              for s in range(0, len(centers), cfg.batch)]
-    results: dict[int, np.ndarray] = {}
-    if threads > 1 and len(chunks) > 1:
+    def settle(start):
+        return _settle_batch(system, centers[start:start + cfg.batch], catalog, cfg)
+
+    starts = range(0, len(centers), cfg.batch)
+    if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(_settle_batch, system, centers[a:b], catalog, cfg): i
-                    for i, (a, b) in enumerate(chunks)}
-            for f, i in futs.items():
-                results[i] = f.result()
+            parts = list(pool.map(settle, starts))
     else:
-        for i, (a, b) in enumerate(chunks):
-            results[i] = _settle_batch(system, centers[a:b], catalog, cfg)
-    codes = np.concatenate([results[i] for i in range(len(chunks))]).reshape(res)
+        parts = [settle(start) for start in starts]
+    codes = np.concatenate(parts).reshape(res)
 
     params = {
         "burn": cfg.burn, "window": cfg.window,

@@ -245,7 +245,7 @@ def test_set_basin_window_reaches_the_basin_params(tmp_path, capsys):
     assert read_json(tmp_path / "basins.json")["params"]["window"] == 1
 
 
-@pytest.mark.parametrize("setting", ["max_rounds=-1", "burn=-1", "tail=0"])
+@pytest.mark.parametrize("setting", ["max_rounds=-1", "burn=-1", "tail=0", "burn=inf"])
 def test_impossible_estimator_settings_are_usage_errors(tmp_path, capsys, setting):
     code, out, err = run(capsys, "limits", "--system", "mobius", "--set", setting,
                          "--out", str(tmp_path))
@@ -265,6 +265,71 @@ def test_unknown_settings_are_usage_errors(tmp_path, capsys, setting):
     assert payload["error"] == "usage"
     assert repr(setting.split("=")[0]) in payload["message"]
     assert not (tmp_path / "catalog.json").exists()
+
+
+_ESTIMATOR = {"burn", "tail", "max_rounds", "tol_settle", "gap_factor", "tol_fp",
+              "max_period", "r_div"}
+_BASIN = {"basin_burn", "basin_window", "escape_radius"}
+_WITNESS = {"witness_depth", "witness_max_pairs"}
+# subcommand -> (a cheap command line, the --set names it reads)
+_SET_NAMES = {
+    "simulate": (["--system", "mobius", "--x0", "0.0"], {"r_div"}),
+    "limits": (["--system", "mobius"], _ESTIMATOR | {"tol_cluster"}),
+    "basins": (["--system", "mobius", "--domain=-1,1", "--resolution", "11"],
+               _ESTIMATOR | {"tol_cluster"} | _BASIN | _WITNESS),
+    "verify": (["--system", "cot-map"], _ESTIMATOR),
+    "learn": (["--system", "mobius", "--domain=-0.9,0.5"], set()),
+    "sweep": (["--system", "mobius", "--dicts", "monomial:1"], _ESTIMATOR | {"tol_cluster"}),
+    "demo": ([], _ESTIMATOR | _WITNESS),
+}
+# listed in config.py, but no subcommand passes them to the code that uses them
+_NEVER_READ = ["eps_excl", "r_bound", "bound_horizon", "tol_eig", "tol_rank", "delta_sep",
+               "delta_img", "grid_samples", "random_samples", "qr_cond_switch",
+               "singular_cond", "max_dict_order", "catalog_guard", "seed"]
+
+
+def _rejected_setting(tmp_path, capsys, command, setting):
+    argv, _ = _SET_NAMES[command]
+    out_dir = tmp_path / command
+    code, _, err = run(capsys, command, *argv, "--set", setting, "--out", str(out_dir))
+    assert code == 2, (command, setting)
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+    return payload["message"]
+
+
+@pytest.mark.parametrize("command", sorted(_SET_NAMES))
+def test_each_subcommand_accepts_exactly_the_names_it_reads(tmp_path, capsys, command):
+    message = _rejected_setting(tmp_path, capsys, command, "no_such_knob=5")
+    assert "'no_such_knob'" in message
+    known = message.rsplit("(known: ", 1)[1].rstrip(")")
+    assert set(known.split(", ")) - {"none"} == _SET_NAMES[command][1]
+
+
+@pytest.mark.parametrize("name", _NEVER_READ + ["basin_burn", "tol_cluster"])
+def test_names_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, name):
+    for command, (_, names) in _SET_NAMES.items():
+        if name not in names:
+            assert repr(name) in _rejected_setting(tmp_path, capsys, command, f"{name}=5")
+
+
+def test_simulate_honours_r_div(tmp_path, capsys):
+    argv = ["simulate", "--system", "scalar-linear", "--param", "a=2", "--x0", "1",
+            "--steps", "100"]
+    code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "default"))
+    assert code == 0 and "steps=40 termination=diverged" in out     # 2**40 > 1e12
+    code, out, _ = run(capsys, *argv, "--set", "r_div=10", "--out", str(tmp_path / "ten"))
+    assert code == 0 and "steps=4 termination=diverged last=16.0" in out
+    lines = (tmp_path / "ten" / "trajectory.csv").read_text().splitlines()
+    assert lines[-2:] == ["4,16.0", "# termination=diverged"]
+
+
+@pytest.mark.parametrize("setting", ["basin_burn=-3", "basin_window=0", "escape_radius=0",
+                                     "escape_radius=-1", "escape_radius=nan"])
+def test_impossible_basin_settings_are_usage_errors(tmp_path, capsys, setting):
+    message = _rejected_setting(tmp_path, capsys, "basins", setting)
+    assert setting.split("=")[0] in message
 
 
 def test_witness_settings_reach_the_witness_search(tmp_path, capsys):

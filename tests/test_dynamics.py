@@ -1,5 +1,7 @@
 """Guarded domains, map evaluation, and finite-orbit iteration."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,53 @@ def test_iterate_batch_mixed_batch_matches_iterate_row_by_row(vectorized):
         valid = int(run.valid[i])
         assert np.array_equal(run.states[:valid - 1, i], traj.points[:-1])
         assert np.array_equal(run.last[i], traj.last)
+
+
+# marker -> what the countdown map writes in its place: the offending
+# coordinate of a non-finite or past-r_div image
+_POISON = {-1.0: np.nan, -2.0: np.inf, -3.0: -np.inf, -4.0: 1e3}
+
+
+def _countdown_map(d, vectorized):
+    """Column 0 counts down by one per step. On the step that takes it to 0,
+    every other column holding a marker of _POISON gets the marker's value."""
+    def forward(X):
+        X = np.asarray(X, dtype=float)
+        Y = X.copy()
+        Y[..., 0] -= 1.0
+        fire = (Y[..., 0] == 0.0)[..., None]
+        for marker, value in _POISON.items():
+            Y[..., 1:][fire & (X[..., 1:] == marker)] = value
+        return Y
+    return DiscreteMap(dim=d, forward=forward, domain=DomainRegion.full_space(d),
+                       vectorized=vectorized)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_iterate_batch_guards_every_column(d, vectorized):
+    # every mix of markers, a harmless 0.5 and a state past r_div (500) over
+    # columns 1..d-1, fired on the first step, a later one, or never
+    system = _countdown_map(d, vectorized)
+    values = [0.5, 500.0, *_POISON]
+    X0 = np.array([(t, *rest) for t in (1.0, 3.0, 9.0)
+                   for rest in itertools.product(values, repeat=d - 1)])
+    run = iterate_batch(system, X0, 4, r_div=100.0)
+    for i, x0 in enumerate(X0):
+        t, rest = int(x0[0]), set(x0[1:])
+        if 500.0 in rest:
+            want = ("diverged", 1)
+        elif t > 4:
+            want = ("completed", 5)
+        elif rest & {-1.0, -2.0, -3.0}:
+            want = ("singular", t)          # the non-finite image is dropped
+        elif -4.0 in rest:
+            want = ("diverged", t + 1)      # the image past r_div is kept
+        else:
+            want = ("completed", 5)
+        traj = iterate(system, x0, 4, r_div=100.0)
+        assert (run.cause(i), int(run.valid[i])) == want == (traj.termination, len(traj)), x0
+        assert np.array_equal(run.last[i], traj.last), x0
 
 
 def test_iterate_batch_keeps_only_current_states_unless_recording():

@@ -9,10 +9,11 @@ from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       basin_closedness_witness, catalog_from_seeds,
                       catalog_to_dict, classify_boundedness, cluster_limit_sets,
                       compute_basins, estimate_alpha, estimate_omega,
-                      estimate_omega_batch, get_system, hausdorff,
+                      estimate_omega_batch, get_system, hausdorff, iterate,
                       list_systems, write_basin_csv, DomainRegion,
                       LinearSystem, LimitSetCatalog, default_seeds)
 from limitlab.errors import UnconvergedError
+from limitlab.limits import CODE_ESCAPED, CODE_SINGULAR, CODE_UNDETERMINED
 from limitlab.serialize import validate
 
 FAST = EstimatorConfig(burn=200, tail=200, max_rounds=6)
@@ -314,6 +315,99 @@ def _brute_force_basin_codes(system, catalog, nodes, cfg):
     tol = np.array([catalog.match_tolerance(m) for m in catalog.members])
     ok = consistent & (max_dist <= tol[owner])
     return np.where(ok, owner, -1)
+
+
+def _reference_basin_code(system, catalog, node, cfg):
+    """One node's code from its own orbit: the engine's termination cause,
+    else the nearest member of every window state and the tolerance rule."""
+    traj = iterate(system, node, cfg.burn + cfg.window, r_div=cfg.escape_radius)
+    if traj.termination != "completed":
+        return CODE_SINGULAR if traj.termination == "singular" else CODE_ESCAPED
+    owners, worst = set(), 0.0
+    for x in traj.points[cfg.burn:cfg.burn + cfg.window]:
+        dist = [np.linalg.norm(m.points - x, axis=1).min() for m in catalog.members]
+        owners.add(int(np.argmin(dist)))
+        worst = max(worst, min(dist))
+    if len(owners) == 1 and worst <= catalog.match_tolerance(catalog.members[min(owners)]):
+        return owners.pop()
+    return CODE_UNDETERMINED
+
+
+def _pole_map():
+    # the rational map confined to [-5, 5]: the pole at 3 is an excluded
+    # point, and the images of nodes near it leave the interval
+    region = DomainRegion.interval(-5.0, 5.0, excluded=[3.0])
+    return get_system("mobius").restrict(region), [[0.0], [1.0]], region
+
+
+def _pole_map_per_row():
+    system, seeds, region = _pole_map()
+    return dataclasses.replace(system, vectorized=False), seeds, region
+
+
+def _excluded_ball_doubler():
+    region = DomainRegion.interval(-1.0, 1.0, excluded=[0.5], eps_excl=0.015)
+    return get_system("scalar-linear", a=2.0).restrict(region), [0.0], region
+
+
+def _shear_doubler():
+    # x is kept and y doubled: nodes off the x axis escape, nodes on it stay
+    # where they are and only the origin sits on the member
+    system = LinearSystem(np.diag([1.0, 2.0])).as_map()
+    return system, [[0.0, 0.0]], DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("case", [_pole_map, _pole_map_per_row,
+                                  _excluded_ball_doubler, _shear_doubler])
+@pytest.mark.parametrize("cfg", [BasinConfig(),
+                                 BasinConfig(burn=3, window=4, escape_radius=40.0)])
+def test_basin_codes_equal_a_per_node_reference(case, cfg):
+    system, seeds, region = case()
+    catalog, _ = catalog_from_seeds(system, seeds, cfg=FAST)
+    basins = compute_basins(system, catalog, region=region, resolution=41, cfg=cfg)
+    for idx in np.ndindex(basins.codes.shape):
+        want = _reference_basin_code(system, catalog, basins.node(idx), cfg)
+        assert basins.codes[idx] == want, (idx, basins.node(idx))
+
+
+def test_basin_reference_cases_hit_every_code():
+    seen = set()
+    for case in (_pole_map, _excluded_ball_doubler, _shear_doubler):
+        system, seeds, region = case()
+        catalog, _ = catalog_from_seeds(system, seeds, cfg=FAST)
+        for cfg in (BasinConfig(), BasinConfig(burn=3, window=4, escape_radius=40.0)):
+            basins = compute_basins(system, catalog, region=region, resolution=41, cfg=cfg)
+            seen |= {int(min(c, 0)) for c in np.unique(basins.codes)}
+    assert seen == {0, CODE_UNDETERMINED, CODE_SINGULAR, CODE_ESCAPED}
+
+
+def test_basin_escape_is_the_max_abs_guard_on_every_image():
+    # a fixed point with |x|_max = 0.9 is inside the radius 1, though its
+    # Euclidean norm is 1.27
+    ident = LinearSystem(np.eye(2)).as_map()
+    catalog, _ = catalog_from_seeds(ident, [[0.9, 0.9]], cfg=FAST)
+    corner = compute_basins(ident, catalog, region=DomainRegion.box([[0.9, 1.0], [0.9, 1.0]]),
+                            resolution=1, cfg=BasinConfig(escape_radius=1.0))
+    assert corner.codes.tolist() == [[0]]
+
+    # both windows sit on the member; the image 2.4 of the second window's
+    # last state is past the radius, so that node is not labelled
+    doubler = get_system("scalar-linear", a=2.0)
+    catalog, _ = catalog_from_seeds(doubler, [0.0], cfg=FAST)
+    member = dataclasses.replace(catalog.members[0], resolution=0.0,
+                                 points=np.array([[0.3], [0.6], [1.2]]))
+    catalog = LimitSetCatalog(members=(member,), tol_cluster=catalog.tol_cluster)
+    basins = compute_basins(doubler, catalog, region=DomainRegion.interval(0.3, 0.6),
+                            resolution=2, cfg=BasinConfig(burn=0, window=2, escape_radius=2.0))
+    assert basins.codes.tolist() == [0, CODE_ESCAPED]
+
+
+def test_basin_config_rejects_impossible_settings():
+    for bad in ({"burn": -1}, {"window": 0}, {"escape_radius": 0.0},
+                {"escape_radius": -1.0}, {"escape_radius": float("nan")}):
+        with pytest.raises(ValueError):
+            BasinConfig(**bad)
+    BasinConfig(burn=0, window=1, escape_radius=1e-300)
 
 
 def test_basins_on_copies_of_one_point_match_brute_force():
