@@ -121,14 +121,18 @@ _WITNESS = ("witness_depth", "witness_max_pairs")
 
 def _settings(args, names) -> dict:
     """Every setting in ``names``: its ``config.DEFAULTS`` value, or the
-    ``--set`` one as the default's type. Any other ``--set`` name is rejected."""
+    ``--set`` one as the default's type. Any other ``--set`` name, and a value
+    the type does not hold exactly (``burn=2.5``, ``tol_fp=nan``), is rejected."""
     sets = {name: config.DEFAULTS[name] for name in names}
     for name, value in _parse_params(args.set, "--set", names).items():
+        kind = type(sets[name])
         try:
-            sets[name] = type(sets[name])(value)
-        except (ValueError, OverflowError):
-            raise InvalidParamError(f"--set {name}={value!r} is not a valid "
-                                    f"{type(sets[name]).__name__}") from None
+            exact = kind(value) == value
+        except (ValueError, OverflowError):     # int(nan), int(inf)
+            exact = False
+        if not exact:
+            raise InvalidParamError(f"--set {name}={value!r} is not a valid {kind.__name__}")
+        sets[name] = kind(value)
     return sets
 
 

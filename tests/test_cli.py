@@ -245,7 +245,8 @@ def test_set_basin_window_reaches_the_basin_params(tmp_path, capsys):
     assert read_json(tmp_path / "basins.json")["params"]["window"] == 1
 
 
-@pytest.mark.parametrize("setting", ["max_rounds=-1", "burn=-1", "tail=0", "burn=inf"])
+@pytest.mark.parametrize("setting", ["max_rounds=-1", "burn=-1", "tail=0", "burn=inf",
+                                     "burn=2.5", "tol_fp=nan"])
 def test_impossible_estimator_settings_are_usage_errors(tmp_path, capsys, setting):
     code, out, err = run(capsys, "limits", "--system", "mobius", "--set", setting,
                          "--out", str(tmp_path))
