@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import DiscreteMap, DomainRegion
+from .dynamics import DiscreteMap, DomainRegion, _row_norm
 from .errors import InvalidParamError, NoExactImmersionError, UnknownSystemError
 from .immersion import ImmersionMap
 from .linear import LinearSystem, apply_matrix
@@ -162,7 +162,7 @@ def _build_rotation_scaling(theta: float = 1.0) -> DiscreteMap:
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         P = np.atleast_2d(X)
-        r = np.linalg.norm(P, axis=1)
+        r = _row_norm(P)
         out = (2.0 / (r + 1.0))[:, None] * apply_matrix(P, R)
         return out[0] if single else out
 
@@ -170,7 +170,7 @@ def _build_rotation_scaling(theta: float = 1.0) -> DiscreteMap:
         Y = np.asarray(Y, dtype=float)
         single = Y.ndim == 1
         P = np.atleast_2d(Y)
-        s = np.linalg.norm(P, axis=1)
+        s = _row_norm(P)
         with np.errstate(all="ignore"):
             out = apply_matrix(P, R_inv) / (2.0 - s)[:, None]
         return out[0] if single else out
@@ -196,7 +196,7 @@ def _rotation_scaling_immersions(theta: float = 1.0) -> tuple[ExactImmersion, ..
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         P = np.atleast_2d(X)
-        r = np.linalg.norm(P, axis=1)
+        r = _row_norm(P)
         with np.errstate(all="ignore"):
             out = np.column_stack([P[:, 0] / r, P[:, 1] / r, (r - 1.0) / r])
         return out[0] if single else out

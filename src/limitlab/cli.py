@@ -105,6 +105,14 @@ def _parse_points(spec: str, dim: int) -> list[np.ndarray]:
     return points
 
 
+def _at_least_one(args, *flags) -> None:
+    """Reject a count option below 1, naming it."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise InvalidParamError(f"--{flag} must be >= 1, got {value}")
+
+
 def _seed_of(args) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -265,6 +273,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_basins(args) -> int:
+    _at_least_one(args, "resolution", "threads")
     system = get_system(args.system, **_parse_params(args.param, "--param"))
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",) + _BASIN + _WITNESS)
     est_cfg = _estimator_cfg(sets)
@@ -623,6 +632,7 @@ def _demo_sweep(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
 
 
 def cmd_demo(args) -> int:
+    _at_least_one(args, "threads")
     out = _out_dir(args)
     seed = _seed_of(args)
     sets = _settings(args, _ESTIMATOR + _WITNESS)

@@ -16,6 +16,12 @@ share its batch: every check is row-wise, and catalog maps are built so that
 their steps are too (``linear.apply_matrix`` replaces BLAS products, which
 round one row differently from several). A seed stepped alone and the same
 seed stepped among others therefore agree to the bit.
+
+Row-wise Euclidean norms go through one helper, :func:`_row_norm`. numpy's
+``np.linalg.norm(X, axis=1)`` reduces along the short last axis, which is
+slow; below 8 columns it adds the squares in column order, so a column-by-
+column fold gives the same bits, faster. From 8 columns on numpy adds them
+pairwise, and the helper calls numpy.
 """
 
 from __future__ import annotations
@@ -154,14 +160,14 @@ class DomainRegion:
         if self.bounds is None:
             return np.ones(len(X), dtype=bool)
         if self.kind == "annulus":
-            r = np.linalg.norm(X, axis=1)
+            r = _row_norm(X)
             return (r >= self.bounds[0, 0]) & (r <= self.bounds[0, 1])
         return ((X >= self.bounds[:, 0]) & (X <= self.bounds[:, 1])).all(axis=1)
 
     def _exclusion_distances(self, X: np.ndarray) -> list[np.ndarray]:
         if self.excluded is None:
             return []
-        return [np.linalg.norm(X - e[None, :], axis=1) for e in self.excluded]
+        return [_row_norm(X - e[None, :]) for e in self.excluded]
 
     # -- sampling ----------------------------------------------------------
 
@@ -314,6 +320,16 @@ def _max_abs(X: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, np.abs(X).T)
 
 
+def _row_norm(X: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, equal to ``np.linalg.norm(X, axis=1)`` to
+    the bit. Below 8 columns numpy sums the squares in order, so folding them
+    column by column is the same sum, and faster; from 8 on it sums pairwise,
+    and numpy does the work."""
+    if X.shape[1] >= 8:
+        return np.linalg.norm(X, axis=1)
+    return np.sqrt(reduce(np.add, [c * c for c in X.T]))
+
+
 @dataclass(frozen=True)
 class BatchOrbit:
     """Per-row outcome of :func:`iterate_batch` on an (n, d) batch.
@@ -341,6 +357,9 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     image (``singular``, the image is dropped), then the ``r_div`` guard on
     the image (``diverged``, the image is kept). A stopped row is not stepped
     again. Only the current states are kept unless ``record`` is set.
+
+    Until the first row stops, every row is stepped in place: the batch is
+    ``X`` itself, with no gather of the active rows and no scatter back.
     """
     X = np.array(X0, dtype=float)
     if X.ndim != 2 or X.shape[1] != system.dim:
@@ -352,6 +371,7 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     valid = np.ones(n, dtype=np.intp)
     states = [] if record else None
     active = np.arange(n)
+    all_active = True       # no row has stopped yet
     domain = system.domain
     mag = _max_abs(X)       # each row's max-abs, kept with its current state
     for _ in range(int(k)):
@@ -359,16 +379,17 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
             break
         if states is not None:
             states.append(X.copy())
-        P = X[active]
+        P = X if all_active else X[active]
         singular = domain.exclusion_batch(P)
         outside = ~domain.contains_batch(P)
-        diverged = mag[active] > r_div
+        diverged = (mag if all_active else mag[active]) > r_div
         stop = singular | outside | diverged
         if stop.any():
             # written in reverse check order, so a row's first failed check wins
             termination[active[diverged]] = _CODE[DIVERGED]
             termination[active[outside]] = _CODE[LEFT_DOMAIN]
             termination[active[singular]] = _CODE[SINGULAR]
+            all_active = False
             active, P = active[~stop], P[~stop]
             if active.size == 0:
                 break
@@ -378,13 +399,20 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
         finite = np.isfinite(m)     # NaN and inf survive the max-abs fold
         if not finite.all():
             termination[active[~finite]] = _CODE[SINGULAR]
+            all_active = False
             active, Y, m = active[finite], Y[finite], m[finite]
-        X[active] = Y
-        mag[active] = m
-        valid[active] += 1
+        if all_active:
+            X[...] = Y      # copied, so no returned state aliases the map's output
+            mag = m
+            valid += 1
+        else:
+            X[active] = Y
+            mag[active] = m
+            valid[active] += 1
         blown = m > r_div
         if blown.any():
             termination[active[blown]] = _CODE[DIVERGED]
+            all_active = False
             active = active[~blown]
     if states is not None:
         states = np.stack(states) if states else np.empty((0, n, system.dim))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import config
-from .dynamics import DiscreteMap, DomainRegion, _step_rows, as_state
+from .dynamics import DiscreteMap, DomainRegion, _row_norm, _step_rows, as_state
 from .errors import DomainError, UnconvergedError
 from .geometry import diameter, directed_hausdorff, hausdorff, split_discrepancy
 from .limits import (EstimatorConfig, LimitSetCatalog, LimitSetEstimate,
@@ -132,7 +132,7 @@ def conjugacy_residual(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap,
         raise DomainError(X[0], "non-finite-image",
                           detail="no usable conjugacy samples on this domain")
 
-    res = np.linalg.norm(FY - GFX, axis=1)
+    res = _row_norm(FY - GFX)
     worst = int(np.argmax(res))
     return ConjugacyReport(
         max_residual=float(res[worst]),

@@ -23,8 +23,8 @@ from scipy.spatial import cKDTree
 
 from . import config
 from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
-                       TERMINATIONS, DiscreteMap, DomainRegion, as_state,
-                       iterate, iterate_batch)
+                       TERMINATIONS, DiscreteMap, DomainRegion, _row_norm,
+                       as_state, iterate, iterate_batch)
 from .errors import UnconvergedError
 from .geometry import (_distinct_rows, diameter, directed_hausdorff, hausdorff,
                        sampling_gap, split_discrepancy)
@@ -71,7 +71,7 @@ def _classify_shape(points: np.ndarray, tol_fp: float, max_period: int):
     if diam < tol_fp:
         return "fixed-point", 1, diam
     for p in range(1, min(max_period, len(points) - 1) + 1):
-        lagged = np.linalg.norm(points[p:] - points[:-p], axis=1)
+        lagged = _row_norm(points[p:] - points[:-p])
         if lagged.max() < tol_fp:
             return "periodic-orbit", p, diam
     if sampling_gap(points) < 0.05 * diam:
@@ -372,6 +372,8 @@ class BasinConfig:
             raise ValueError(f"basin_window must be >= 1, got {self.window}")
         if not self.escape_radius > 0:
             raise ValueError(f"escape_radius must be > 0, got {self.escape_radius}")
+        if self.batch < 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
 @dataclass(frozen=True)
@@ -397,12 +399,84 @@ class BasinMap:
         return self.label_of_code(int(self.codes[idx]))
 
 
+_DEFER, _RULED_OUT = -1, -2     # bound verdicts besides a member index
+
+
+def _bound_verdicts(member_pts: list[np.ndarray], tol: np.ndarray):
+    """The bound stage of :func:`_settle_batch` for these members, or None when
+    no member is compact (box diagonal within its tolerance): the stage is
+    then never used, as one point's distance bounds no other member usefully.
+
+    The returned function maps an (m, d) batch to ``(verdict, bound)`` per
+    row: a member index with the upper bound that settled the row on it,
+    ``_RULED_OUT``, or ``_DEFER`` to the tree."""
+    lo = [p.min(axis=0) for p in member_pts]
+    hi = [p.max(axis=0) for p in member_pts]
+    compact = [i for i in range(len(member_pts))
+               if _row_norm((hi[i] - lo[i])[None])[0] <= tol[i]]
+    if not compact:
+        return None
+    d = member_pts[0].shape[1]
+    rho = 16 * (d + 2) * np.finfo(float).eps
+    alpha = 16 * np.sqrt(d) * 2.0 ** -537
+
+    def verdicts(Q):
+        with np.errstate(over="ignore"):
+            lower = []          # each member's box distance, less the margin
+            for l, h in zip(lo, hi):
+                box = _row_norm(np.maximum(np.maximum(l - Q, Q - h), 0.0))
+                lower.append(np.where(np.isfinite(box), box * (1 - rho) - alpha, -np.inf))
+            verdict = np.where(np.logical_and.reduce(
+                [b > t for b, t in zip(lower, tol)]), _RULED_OUT, _DEFER)
+            bound = np.zeros(len(Q))
+            for i in compact:
+                upper = _row_norm(Q - member_pts[i][0]) * (1 + rho) + alpha
+                ok = np.isfinite(upper) & (upper <= tol[i])
+                for j, b in enumerate(lower):
+                    if j != i:
+                        ok &= upper < b
+                verdict[ok] = i
+                bound[ok] = upper[ok]
+        return verdict, bound
+
+    return verdicts
+
+
 def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
                   cfg: BasinConfig) -> np.ndarray:
     """Settle a batch of start points and match each tail to a catalog member.
     :func:`iterate_batch`, with the escape radius as ``r_div``, runs the burn and
     then each window step after its nearest-member query; a row it stops gets
-    the code of its cause."""
+    the code of its cause.
+
+    A row is labelled ``i`` when every window state's nearest member point
+    belongs to member ``i`` and the largest of those distances is at most
+    ``tol_i``, the member's match tolerance. Rows are asked only while that
+    can still hold; a row that fails it keeps stepping, as it may yet stop.
+    The KD tree answers the query, unless one of two bounds already does:
+
+    * *ruled out*: the row's distance to every member's bounding box exceeds
+      that member's tolerance. Whichever member the tree names, its distance
+      exceeds its tolerance, so the row cannot be labelled.
+    * *settled*: member ``i`` is compact (its box diagonal is at most
+      ``tol_i``), the row's distance ``u`` to one point of ``i`` is at most
+      ``tol_i``, and ``u`` is below the row's distance to every other
+      member's box. Then the tree's nearest point lies in ``i``, at distance
+      at most ``u``. ``u``, widened by the margin below, is recorded in place
+      of that distance: the largest distance only feeds the final
+      ``<= tol_i`` test, and either value passes it, so the test's outcome
+      rests on the other window steps alike.
+
+    Both tests carry a margin. A computed 2-norm of ``d`` coordinate
+    differences is within ``(d + 2) eps`` relative and ``sqrt(d) 2**-537``
+    absolute of the exact norm: each difference, square, sum and the root
+    round once, and a square that underflows loses at most ``2**-1075``. The
+    tree's own distances carry the same error. Each bound is widened by
+    ``16 (d + 2) eps`` relative and ``16 sqrt(d) 2**-537`` absolute, more
+    than both errors together, so a tie, a near-tie, an underflowed distance
+    or an overflowed one decides nothing and goes to the tree. Whether the
+    bounds run depends only on the catalog (see :func:`_bound_verdicts`);
+    when they decide no row, the tree is asked about the whole batch."""
     n = len(X0)
     codes = np.full(n, CODE_UNDETERMINED, dtype=np.int16)
 
@@ -412,10 +486,27 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     owners = np.concatenate([np.full(len(p), i) for i, p in enumerate(member_pts)])
     tree = cKDTree(np.vstack(member_pts))
     tol_by_member = np.array([catalog.match_tolerance(m) for m in catalog.members])
+    bound_verdicts = _bound_verdicts(member_pts, tol_by_member)
+
+    def nearest_member(Q):
+        if bound_verdicts is None:
+            who, dist = np.full(len(Q), _DEFER), None
+        else:
+            who, dist = bound_verdicts(Q)
+        ask = who == _DEFER
+        if ask.all():
+            dist, nearest = tree.query(Q, k=1)
+            return owners[nearest], dist
+        if ask.any():
+            dist[ask], nearest = tree.query(Q[ask], k=1)
+            who[ask] = owners[nearest]
+        return who, dist
 
     def advance(rows, X, k):
         run = iterate_batch(system, X, k, r_div=cfg.escape_radius)
         going = run.termination == _CODE[COMPLETED]
+        if going.all():
+            return rows, run.last
         codes[rows[~going]] = _BASIN_CODE[run.termination[~going]]
         return rows[going], run.last[going]
 
@@ -426,16 +517,22 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     for _ in range(cfg.window):
         if rows.size == 0:
             break
-        d, nearest = tree.query(X, k=1)
-        who = owners[nearest]
-        first = owner[rows] == -1
-        owner[rows[first]] = who[first]
-        consistent[rows] &= owner[rows] == who
-        max_dist[rows] = np.maximum(max_dist[rows], d)
+        live = consistent[rows]
+        asked, Q = (rows, X) if live.all() else (rows[live], X[live])
+        who, d = nearest_member(Q)
+        out = who == _RULED_OUT
+        if out.any():
+            consistent[asked[out]] = False
+            asked, who, d = asked[~out], who[~out], d[~out]
+        first = owner[asked] == -1
+        owner[asked[first]] = who[first]
+        consistent[asked] &= owner[asked] == who
+        max_dist[asked] = np.maximum(max_dist[asked], d)
         rows, X = advance(rows, X, 1)
 
-    # window >= 1, so every row still going has an owner
-    ok = consistent[rows] & (max_dist[rows] <= tol_by_member[owner[rows]])
+    # window >= 1, so every consistent row still going has an owner
+    rows = rows[consistent[rows]]
+    ok = max_dist[rows] <= tol_by_member[owner[rows]]
     codes[rows[ok]] = owner[rows[ok]]
     return codes
 
@@ -451,18 +548,27 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     non-finite image are ``singular``, orbits that leave the domain or get a
     coordinate past the escape radius are ``escaped``, the rest ``undetermined``;
     the image of the last window state is checked too.
+
+    The nodes are settled in chunks of at most ``cfg.batch``, and in at least
+    ``threads`` chunks, so that every thread has one. A node's code does not
+    depend on its chunk: :func:`_settle_batch` decides each row on its own.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if np.min(resolution) < 1:
+        raise ValueError(f"resolution must be >= 1 node per axis, got {resolution}")
     cfg = cfg or BasinConfig()
     region = region or system.domain
     axes = region.grid(resolution)
     res = tuple(len(a) for a in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.column_stack([m.ravel() for m in mesh])
+    size = min(cfg.batch, -(-len(centers) // threads))
 
     def settle(start):
-        return _settle_batch(system, centers[start:start + cfg.batch], catalog, cfg)
+        return _settle_batch(system, centers[start:start + size], catalog, cfg)
 
-    starts = range(0, len(centers), cfg.batch)
+    starts = range(0, len(centers), size)
     if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -501,22 +607,26 @@ class ClosednessWitness:
 
 
 def _boundary_pairs(basins: BasinMap):
+    """Neighbouring nodes ``(a, b)`` with different codes, ``a`` labelled,
+    ordered as a row-major walk meets them: by the lower node of the two,
+    then by axis, the pair that starts at the lower node first."""
     codes = basins.codes
-    shape = codes.shape
-    for idx in np.ndindex(shape):
-        for axis in range(len(shape)):
-            j = list(idx)
-            j[axis] += 1
-            if j[axis] >= shape[axis]:
-                continue
-            j = tuple(j)
-            a, b = int(codes[idx]), int(codes[j])
-            if a == b:
-                continue
-            if a >= 0:
-                yield idx, j
-            if b >= 0:
-                yield j, idx
+    keys, pairs = [], []
+    for axis in range(codes.ndim):
+        def cut(part):
+            return tuple(part if a == axis else slice(None) for a in range(codes.ndim))
+        lower = np.argwhere(codes[cut(slice(0, -1))] != codes[cut(slice(1, None))])
+        upper = lower.copy()
+        upper[:, axis] += 1
+        flat = np.ravel_multi_index(lower.T, codes.shape)
+        for order, (a, b) in enumerate(((lower, upper), (upper, lower))):
+            keep = codes[tuple(a.T)] >= 0
+            keys.append(np.stack([flat[keep], np.full(keep.sum(), axis),
+                                  np.full(keep.sum(), order)]))
+            pairs.append(np.stack([a[keep], b[keep]], axis=1))
+    keys, pairs = np.concatenate(keys, axis=1), np.concatenate(pairs)
+    for k in np.lexsort(keys[::-1]):
+        yield tuple(int(v) for v in pairs[k, 0]), tuple(int(v) for v in pairs[k, 1])
 
 
 def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
@@ -529,10 +639,13 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
 
     Heuristic and bounded (first ``max_pairs`` boundary pairs in row-major
     order, ``depth`` sequence points each); an empty result is consistent
-    with closed basins on the sampled grid, not a proof. Every sequence point
-    and limit node of those pairs is estimated in one batch, and the pairs
-    are then judged in order, exactly as if each estimate were made when the
-    search reached it.
+    with closed basins on the sampled grid, not a proof. The states are
+    estimated in batches by depth: batch ``j`` holds the ``j``-th sequence
+    point of each pair whose earlier points all matched its label, and a
+    last batch the limit nodes of the pairs whose whole sequence matched.
+    That is every state the search reaches one pair at a time and no other,
+    each distinct state once; the pairs are then judged in order, exactly as
+    if each estimate were made when the search reached it.
     """
     if depth < 1:
         raise ValueError(f"witness depth must be >= 1, got {depth}")
@@ -548,30 +661,28 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
         cases.append((basins.label_at(a_idx), xa, xb, sequence))
 
     # each distinct state is estimated once; estimates do not depend on the batch
-    slot: dict[bytes, int] = {}
-    states = []
-    for _, _, xb, sequence in cases:
-        for x in (*sequence, xb):
-            if x.tobytes() not in slot:
-                slot[x.tobytes()] = len(states)
-                states.append(x)
-    estimates = estimate_omega_batch(system, states, cfg)
+    estimates: dict[bytes, LimitSetEstimate] = {}
+
+    def settle(states):
+        fresh = {x.tobytes(): x for x in states if x.tobytes() not in estimates}
+        estimates.update(zip(fresh, estimate_omega_batch(system, list(fresh.values()), cfg)))
 
     def estimate(x):
-        return estimates[slot[x.tobytes()]]
+        return estimates[x.tobytes()]
+
+    def on(label, x):
+        est = estimate(x)
+        return est.converged and catalog.match(est.points) == label
+
+    matched = cases
+    for j in range(depth):
+        settle([sequence[j] for _, _, _, sequence in matched])
+        matched = [case for case in matched if on(case[0], case[3][j])]
+    settle([xb for _, _, xb, _ in matched])
 
     witnesses: list[ClosednessWitness] = []
     seen: set[tuple] = set()
-    for label_a, xa, xb, sequence in cases:
-        ok = True
-        for x in sequence:
-            est = estimate(x)
-            if not est.converged or catalog.match(est.points) != label_a:
-                ok = False
-                break
-        if not ok:
-            continue
-
+    for label_a, xa, xb, sequence in matched:
         est_b = estimate(xb)
         if not est_b.converged:
             continue

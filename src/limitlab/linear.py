@@ -73,13 +73,13 @@ def apply_matrix(X, A) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
-    out = []
-    for row in A:
-        acc = X[..., 0] * row[0]
+    out = np.empty(X.shape[:-1] + (len(A),))
+    for i, row in enumerate(A):
+        acc = out[..., i]
+        np.multiply(X[..., 0], row[0], out=acc)
         for j in range(1, len(row)):
             acc += X[..., j] * row[j]
-        out.append(acc)
-    return np.stack(out, axis=-1)
+    return out
 
 
 def _matrix(sys) -> np.ndarray:

@@ -176,6 +176,21 @@ def test_domain_axis_must_be_ordered(tmp_path, capsys):
     assert "lo < hi" in stderr_payload(err)["message"]
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("basins", "--resolution", "0"), ("basins", "--resolution", "-3"),
+    ("basins", "--threads", "0"), ("basins", "--threads", "-2"),
+    ("demo", "--threads", "0"), ("demo", "--threads", "-2")])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag, value):
+    argv = ["--system", "mobius", "--domain=-1,1"] if command == "basins" else []
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, command, *argv, flag, value, "--out", str(out_dir))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert payload["message"] == f"{flag} must be >= 1, got {value}"
+    assert not out_dir.exists()
+
+
 def test_verify_flags_an_undefined_chart_point(tmp_path, capsys):
     # the claimed region contains the point the chart excludes
     code, _, err = run(capsys, "verify", "--system", "mobius",

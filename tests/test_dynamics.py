@@ -1,6 +1,7 @@
 """Guarded domains, map evaluation, and finite-orbit iteration."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from limitlab import (DiscreteMap, DomainRegion, evaluate, get_system, iterate,
                       iterate_back, iterate_batch, list_systems, orbit_tail,
                       read_trajectory_csv, write_trajectory_csv)
-from limitlab.dynamics import as_state
+from limitlab.dynamics import _row_norm, as_state
 from limitlab.errors import DomainError, NoInverseError
 
 
@@ -237,6 +238,33 @@ def test_orbit_tail_window():
         orbit_tail(half, [1.0], burn=-1, n=4)
 
 
+# -- row norms ---------------------------------------------------------------------
+
+def _wide_rows(rng, n, d):
+    # signed magnitudes across 1e-150..1e150, plus rows holding inf and NaN
+    X = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-150, 150, (n, d))
+    X[:: 97, rng.integers(d)] = np.inf
+    X[1:: 89, rng.integers(d)] = np.nan
+    X[2:: 83, rng.integers(d)] = -np.inf
+    return X
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_row_norm_is_numpy_norm_to_the_bit(d, rng):
+    X = _wide_rows(rng, 20000, d)
+    assert np.array_equal(_row_norm(X), np.linalg.norm(X, axis=1), equal_nan=True)
+
+
+@pytest.mark.parametrize("d", [8, 9, 16])
+def test_row_norm_leaves_eight_columns_and_more_to_numpy(d, rng):
+    # numpy sums 8 or more terms pairwise, so a column fold would differ
+    X = _wide_rows(rng, 20000, d)
+    norm = np.linalg.norm(X, axis=1)
+    assert np.array_equal(_row_norm(X), norm, equal_nan=True)
+    fold = np.sqrt(reduce(np.add, [c * c for c in X.T]))
+    assert not np.array_equal(fold, norm, equal_nan=True)
+
+
 # -- the lockstep engine --------------------------------------------------------------
 
 def _reciprocal(vectorized):
@@ -317,6 +345,27 @@ def test_iterate_batch_guards_every_column(d, vectorized):
         traj = iterate(system, x0, 4, r_div=100.0)
         assert (run.cause(i), int(run.valid[i])) == want == (traj.termination, len(traj)), x0
         assert np.array_equal(run.last[i], traj.last), x0
+
+
+@pytest.mark.parametrize("case", ["no stop", "late stop"])
+def test_iterate_batch_steps_in_place_until_a_row_stops(case, rng):
+    # no row stops: every step runs on the whole batch; late stop: the first
+    # rows stop at the third step, and the rest go on from the indexed path
+    if case == "no stop":
+        system = get_system("rotation-scaling")
+        X0 = system.domain.sample(40, rng, box=[[-2.0, 2.0]] * 2)
+    else:
+        system = _countdown_map(2, True)
+        X0 = np.array([[3.0, -1.0], [9.0, 0.5], [3.0, -4.0], [5.0, 0.5], [3.0, 0.5]])
+    run = iterate_batch(system, X0, 6, r_div=100.0, record=True)
+    assert run.states.shape == (6, len(X0), 2)
+    for i, x0 in enumerate(X0):
+        traj = iterate(system, x0, 6, r_div=100.0)
+        assert (run.cause(i), int(run.valid[i])) == (traj.termination, len(traj))
+        assert np.array_equal(run.states[:len(traj) - 1, i], traj.points[:-1])
+        assert np.array_equal(run.last[i], traj.last)
+    stopped = {i for i in range(len(X0)) if run.cause(i) != "completed"}
+    assert stopped == (set() if case == "no stop" else {0, 2})
 
 
 def test_iterate_batch_keeps_only_current_states_unless_recording():

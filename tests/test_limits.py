@@ -11,9 +11,10 @@ from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       compute_basins, estimate_alpha, estimate_omega,
                       estimate_omega_batch, get_system, hausdorff, iterate,
                       list_systems, write_basin_csv, DomainRegion,
-                      LinearSystem, LimitSetCatalog, default_seeds)
+                      LinearSystem, LimitSetCatalog, CatalogMember, default_seeds)
 from limitlab.errors import UnconvergedError
-from limitlab.limits import CODE_ESCAPED, CODE_SINGULAR, CODE_UNDETERMINED
+from limitlab.limits import (BasinMap, CODE_ESCAPED, CODE_SINGULAR, CODE_UNDETERMINED,
+                             _DEFER, _RULED_OUT, _bound_verdicts)
 from limitlab.serialize import validate
 
 FAST = EstimatorConfig(burn=200, tail=200, max_rounds=6)
@@ -283,6 +284,28 @@ def test_basins_are_thread_count_independent(mobius_unit, mobius_unit_catalog):
     assert np.array_equal(a.codes, b.codes)
 
 
+def test_basins_settle_in_at_least_one_chunk_per_thread(mobius_unit, mobius_unit_catalog,
+                                                        monkeypatch):
+    import limitlab.limits as limits
+    chunks = []
+    settle = limits._settle_batch
+
+    def counted(system, X0, *rest):
+        chunks.append(len(X0))
+        return settle(system, X0, *rest)
+
+    monkeypatch.setattr(limits, "_settle_batch", counted)
+    for threads, cfg, want in [(1, None, [101]), (4, None, [26, 26, 26, 23]),
+                               (3, BasinConfig(batch=20), [20] * 5 + [1])]:
+        chunks.clear()
+        compute_basins(mobius_unit, mobius_unit_catalog, resolution=101, cfg=cfg,
+                       threads=threads)
+        assert sorted(chunks, reverse=True) == want
+    for bad in ({"threads": 0}, {"threads": -2}, {"resolution": 0}, {"resolution": -3}):
+        with pytest.raises(ValueError):
+            compute_basins(mobius_unit, mobius_unit_catalog, **{"resolution": 11, **bad})
+
+
 def test_basin_escape_and_singular_codes():
     doubler = get_system("scalar-linear", a=2.0)
     catalog, _ = catalog_from_seeds(doubler, [0.0], cfg=FAST)
@@ -333,48 +356,130 @@ def _reference_basin_code(system, catalog, node, cfg):
     return CODE_UNDETERMINED
 
 
+def _seeded(system, seeds, region):
+    return system, catalog_from_seeds(system, seeds, cfg=FAST)[0], region
+
+
+def _point_members(*points):
+    # one single-point member per point, held to the cluster tolerance 1e-3
+    members = tuple(CatalogMember(label=f"S{i}", points=np.array([p], dtype=float),
+                                  shape="fixed-point", period=1, diameter=0.0,
+                                  first_seed=np.array(p, dtype=float), n_estimates=1,
+                                  precompact=True, resolution=0.0)
+                    for i, p in enumerate(points))
+    return LimitSetCatalog(members=members, tol_cluster=1e-3)
+
+
+_STILL = LinearSystem(np.eye(2)).as_map()
+
+
 def _pole_map():
     # the rational map confined to [-5, 5]: the pole at 3 is an excluded
     # point, and the images of nodes near it leave the interval
     region = DomainRegion.interval(-5.0, 5.0, excluded=[3.0])
-    return get_system("mobius").restrict(region), [[0.0], [1.0]], region
+    return _seeded(get_system("mobius").restrict(region), [[0.0], [1.0]], region)
 
 
 def _pole_map_per_row():
-    system, seeds, region = _pole_map()
-    return dataclasses.replace(system, vectorized=False), seeds, region
+    system, catalog, region = _pole_map()
+    return dataclasses.replace(system, vectorized=False), catalog, region
 
 
 def _excluded_ball_doubler():
     region = DomainRegion.interval(-1.0, 1.0, excluded=[0.5], eps_excl=0.015)
-    return get_system("scalar-linear", a=2.0).restrict(region), [0.0], region
+    return _seeded(get_system("scalar-linear", a=2.0).restrict(region), [0.0], region)
 
 
 def _shear_doubler():
     # x is kept and y doubled: nodes off the x axis escape, nodes on it stay
     # where they are and only the origin sits on the member
     system = LinearSystem(np.diag([1.0, 2.0])).as_map()
-    return system, [[0.0, 0.0]], DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]])
+    return _seeded(system, [[0.0, 0.0]], DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]]))
+
+
+def _tiny_spread_contraction():
+    # one compact member: distinct points of a decaying orbit near 1e-43
+    return _seeded(get_system("jordan", lam=0.9), [[0.5, 0.7], [-0.3, 0.9], [0.8, -0.6]],
+                   DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]]))
+
+
+def _origin_inside_circle():
+    # the compact origin sits inside the box of the circle, which is not
+    # compact: rows near either must go to the tree
+    return _seeded(get_system("rotation-scaling"), default_seeds("rotation-scaling"),
+                   DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]))
+
+
+def _near_tie():
+    # two points 2**-60 apart, seen from 1e-4 away: each row's distances to
+    # the two differ by less than the bounds' margin, and the middle row ties
+    return (_STILL, _point_members([0.0, 0.0], [0.0, 2.0 ** -60]),
+            DomainRegion.box([[-1e-4, 1e-4], [-1e-4, 1e-4]]))
+
+
+def _subnormal_members():
+    # members and rows below the smallest normal float: every square underflows
+    return (_STILL, _point_members([0.0, 0.0], [2e-310, 1e-310]),
+            DomainRegion.box([[-4e-310, 4e-310], [-4e-310, 4e-310]]))
+
+
+def _ruled_out_rows():
+    # every orbit decays to the origin, which no member holds: each row's
+    # distance to both members' boxes exceeds their tolerance
+    return (LinearSystem(0.5 * np.eye(2)).as_map(),
+            _point_members([1.5, 1.5], [-1.5, 1.5]),
+            DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]]))
 
 
 @pytest.mark.parametrize("case", [_pole_map, _pole_map_per_row,
-                                  _excluded_ball_doubler, _shear_doubler])
+                                  _excluded_ball_doubler, _shear_doubler,
+                                  _tiny_spread_contraction, _origin_inside_circle,
+                                  _near_tie, _subnormal_members, _ruled_out_rows])
 @pytest.mark.parametrize("cfg", [BasinConfig(),
                                  BasinConfig(burn=3, window=4, escape_radius=40.0)])
 def test_basin_codes_equal_a_per_node_reference(case, cfg):
-    system, seeds, region = case()
-    catalog, _ = catalog_from_seeds(system, seeds, cfg=FAST)
-    basins = compute_basins(system, catalog, region=region, resolution=41, cfg=cfg)
+    system, catalog, region = case()
+    resolution = 41 if system.dim == 1 else 9
+    basins = compute_basins(system, catalog, region=region, resolution=resolution, cfg=cfg)
     for idx in np.ndindex(basins.codes.shape):
         want = _reference_basin_code(system, catalog, basins.node(idx), cfg)
         assert basins.codes[idx] == want, (idx, basins.node(idx))
 
 
+def test_basin_bounds_decide_only_clear_rows():
+    tol = np.array([1e-3, 1e-3])
+    verdicts = _bound_verdicts([np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])], tol)
+    tol_edge = 1e-3 * np.array([1 - 1e-15, 1 + 1e-15])
+    who, bound = verdicts(np.array([[1e-4, 0.0], [1.0, 5e-4], [0.5, 0.3],
+                                    [tol_edge[0], 0.0], [tol_edge[1], 0.0]]))
+    # settled on each member, with a bound between the distance and the
+    # tolerance; ruled out far from both; within the margin of the
+    # tolerance either way, deferred
+    assert who.tolist() == [0, 1, _RULED_OUT, _DEFER, _DEFER]
+    assert 1e-4 <= bound[0] <= 1e-3 and 5e-4 <= bound[1] <= 1e-3
+
+    # near-ties and underflowed distances between two compact members defer
+    for members, rows in [(([0.0, 0.0], [0.0, 2.0 ** -60]), [[1e-4, 1e-5], [1e-4, 0.0]]),
+                          (([0.0, 0.0], [2e-310, 1e-310]), [[3e-310, 0.0], [-1e-310, 0.0]])]:
+        verdicts = _bound_verdicts([np.array([m]) for m in members], tol)
+        assert verdicts(np.array(rows))[0].tolist() == [_DEFER, _DEFER]
+    # alone, a subnormal member settles the rows within its tolerance
+    who, _ = _bound_verdicts([np.array([[2e-310, 1e-310]])], tol[:1])(np.array([[0.0, 0.0]]))
+    assert who.tolist() == [0]
+
+    # a member whose box diagonal exceeds its tolerance settles no row; it
+    # takes the stage away when no member is compact, and its box shields
+    # the compact member inside it
+    wide = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    assert _bound_verdicts([wide], tol[:1]) is None
+    verdicts = _bound_verdicts([np.array([[0.0, 0.0]]), wide], tol)
+    assert verdicts(np.array([[1e-4, 0.0], [0.0, 0.5]]))[0].tolist() == [_DEFER, _RULED_OUT]
+
+
 def test_basin_reference_cases_hit_every_code():
     seen = set()
     for case in (_pole_map, _excluded_ball_doubler, _shear_doubler):
-        system, seeds, region = case()
-        catalog, _ = catalog_from_seeds(system, seeds, cfg=FAST)
+        system, catalog, region = case()
         for cfg in (BasinConfig(), BasinConfig(burn=3, window=4, escape_radius=40.0)):
             basins = compute_basins(system, catalog, region=region, resolution=41, cfg=cfg)
             seen |= {int(min(c, 0)) for c in np.unique(basins.codes)}
@@ -404,7 +509,7 @@ def test_basin_escape_is_the_max_abs_guard_on_every_image():
 
 def test_basin_config_rejects_impossible_settings():
     for bad in ({"burn": -1}, {"window": 0}, {"escape_radius": 0.0},
-                {"escape_radius": -1.0}, {"escape_radius": float("nan")}):
+                {"escape_radius": -1.0}, {"escape_radius": float("nan")}, {"batch": 0}):
         with pytest.raises(ValueError):
             BasinConfig(**bad)
     BasinConfig(burn=0, window=1, escape_radius=1e-300)
@@ -460,6 +565,28 @@ def test_witness_found_on_the_open_basin(mobius_unit, mobius_unit_catalog):
     assert (np.diff(gaps) < 0).all()            # strictly shrinking toward the limit
 
 
+def test_boundary_pairs_follow_a_row_major_walk(rng):
+    from limitlab.limits import _boundary_pairs
+
+    def walk(codes):
+        # every node in row-major order, each axis, the pair from the node first
+        for idx in np.ndindex(codes.shape):
+            for axis in range(codes.ndim):
+                j = tuple(i + (a == axis) for a, i in enumerate(idx))
+                if j[axis] < codes.shape[axis] and codes[idx] != codes[j]:
+                    if codes[idx] >= 0:
+                        yield idx, j
+                    if codes[j] >= 0:
+                        yield j, idx
+
+    for shape in [(1,), (9,), (1, 1), (5, 1), (6, 7), (3, 4, 5)]:
+        for _ in range(10):
+            codes = rng.integers(-3, 3, size=shape).astype(np.int16)
+            basins = BasinMap(region=None, resolution=shape, axes=(), codes=codes,
+                              catalog=None, params={})
+            assert list(_boundary_pairs(basins)) == list(walk(codes)), shape
+
+
 def _witnesses_pair_by_pair(system, basins, cfg, depth, max_pairs):
     """The witness search made one estimate at a time, as the search reaches it."""
     from limitlab.limits import _boundary_pairs
@@ -505,6 +632,37 @@ def test_batched_witness_search_equals_pair_by_pair_search(name, region):
     assert basin_closedness_witness(system, basins, cfg, max_pairs=0) == []
     with pytest.raises(ValueError):
         basin_closedness_witness(system, basins, cfg, depth=0)
+
+
+def test_witness_search_estimates_only_the_states_a_pair_by_pair_search_reaches(monkeypatch):
+    import sys
+
+    import limitlab.limits as limits
+    system = get_system("cot-map")
+    cfg = EstimatorConfig()
+    catalog, _ = catalog_from_seeds(system, default_seeds("cot-map"), cfg)
+    basins = compute_basins(system, catalog, resolution=21)
+    batched, reached = [], set()
+    estimate_batch, estimate_one = limits.estimate_omega_batch, estimate_omega
+
+    def recorded_batch(system, seeds, *rest):
+        batched.extend(np.asarray(s, dtype=float).tobytes() for s in seeds)
+        return estimate_batch(system, seeds, *rest)
+
+    def recorded_one(system, x, *rest):
+        reached.add(np.asarray(x, dtype=float).tobytes())
+        return estimate_one(system, x, *rest)
+
+    monkeypatch.setattr(sys.modules[__name__], "estimate_omega", recorded_one)
+    for depth, max_pairs in [(8, 64), (3, 3)]:
+        batched.clear()
+        reached.clear()
+        monkeypatch.setattr(limits, "estimate_omega_batch", recorded_batch)
+        basin_closedness_witness(system, basins, cfg, depth=depth, max_pairs=max_pairs)
+        monkeypatch.setattr(limits, "estimate_omega_batch", estimate_batch)
+        _witnesses_pair_by_pair(system, basins, cfg, depth, max_pairs)
+        assert len(batched) == len(set(batched))      # each state once
+        assert set(batched) == reached and len(reached) > 0
 
 
 def test_no_witness_on_linear_system():
