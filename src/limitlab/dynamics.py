@@ -371,7 +371,6 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     valid = np.ones(n, dtype=np.intp)
     states = [] if record else None
     active = np.arange(n)
-    all_active = True       # no row has stopped yet
     domain = system.domain
     mag = _max_abs(X)       # each row's max-abs, kept with its current state
     for _ in range(int(k)):
@@ -379,17 +378,17 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
             break
         if states is not None:
             states.append(X.copy())
-        P = X if all_active else X[active]
+        whole = len(active) == n    # no row has stopped yet
+        P = X if whole else X[active]
         singular = domain.exclusion_batch(P)
         outside = ~domain.contains_batch(P)
-        diverged = (mag if all_active else mag[active]) > r_div
+        diverged = (mag if whole else mag[active]) > r_div
         stop = singular | outside | diverged
         if stop.any():
             # written in reverse check order, so a row's first failed check wins
             termination[active[diverged]] = _CODE[DIVERGED]
             termination[active[outside]] = _CODE[LEFT_DOMAIN]
             termination[active[singular]] = _CODE[SINGULAR]
-            all_active = False
             active, P = active[~stop], P[~stop]
             if active.size == 0:
                 break
@@ -399,9 +398,8 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
         finite = np.isfinite(m)     # NaN and inf survive the max-abs fold
         if not finite.all():
             termination[active[~finite]] = _CODE[SINGULAR]
-            all_active = False
             active, Y, m = active[finite], Y[finite], m[finite]
-        if all_active:
+        if len(active) == n:
             X[...] = Y      # copied, so no returned state aliases the map's output
             mag = m
             valid += 1
@@ -412,7 +410,6 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
         blown = m > r_div
         if blown.any():
             termination[active[blown]] = _CODE[DIVERGED]
-            all_active = False
             active = active[~blown]
     if states is not None:
         states = np.stack(states) if states else np.empty((0, n, system.dim))

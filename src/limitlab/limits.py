@@ -639,13 +639,10 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
 
     Heuristic and bounded (first ``max_pairs`` boundary pairs in row-major
     order, ``depth`` sequence points each); an empty result is consistent
-    with closed basins on the sampled grid, not a proof. The states are
-    estimated in batches by depth: batch ``j`` holds the ``j``-th sequence
-    point of each pair whose earlier points all matched its label, and a
-    last batch the limit nodes of the pairs whose whole sequence matched.
-    That is every state the search reaches one pair at a time and no other,
-    each distinct state once; the pairs are then judged in order, exactly as
-    if each estimate were made when the search reached it.
+    with closed basins on the sampled grid, not a proof. Every sequence point
+    and limit node of those pairs is estimated in one batch, and the pairs
+    are then judged in order, exactly as if each estimate were made when the
+    search reached it.
     """
     if depth < 1:
         raise ValueError(f"witness depth must be >= 1, got {depth}")
@@ -661,28 +658,30 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
         cases.append((basins.label_at(a_idx), xa, xb, sequence))
 
     # each distinct state is estimated once; estimates do not depend on the batch
-    estimates: dict[bytes, LimitSetEstimate] = {}
-
-    def settle(states):
-        fresh = {x.tobytes(): x for x in states if x.tobytes() not in estimates}
-        estimates.update(zip(fresh, estimate_omega_batch(system, list(fresh.values()), cfg)))
+    slot: dict[bytes, int] = {}
+    states = []
+    for _, _, xb, sequence in cases:
+        for x in (*sequence, xb):
+            if x.tobytes() not in slot:
+                slot[x.tobytes()] = len(states)
+                states.append(x)
+    estimates = estimate_omega_batch(system, states, cfg)
 
     def estimate(x):
-        return estimates[x.tobytes()]
-
-    def on(label, x):
-        est = estimate(x)
-        return est.converged and catalog.match(est.points) == label
-
-    matched = cases
-    for j in range(depth):
-        settle([sequence[j] for _, _, _, sequence in matched])
-        matched = [case for case in matched if on(case[0], case[3][j])]
-    settle([xb for _, _, xb, _ in matched])
+        return estimates[slot[x.tobytes()]]
 
     witnesses: list[ClosednessWitness] = []
     seen: set[tuple] = set()
-    for label_a, xa, xb, sequence in matched:
+    for label_a, xa, xb, sequence in cases:
+        ok = True
+        for x in sequence:
+            est = estimate(x)
+            if not est.converged or catalog.match(est.points) != label_a:
+                ok = False
+                break
+        if not ok:
+            continue
+
         est_b = estimate(xb)
         if not est_b.converged:
             continue

@@ -1,7 +1,6 @@
 """Guarded domains, map evaluation, and finite-orbit iteration."""
 
 import itertools
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -257,12 +256,10 @@ def test_row_norm_is_numpy_norm_to_the_bit(d, rng):
 
 @pytest.mark.parametrize("d", [8, 9, 16])
 def test_row_norm_leaves_eight_columns_and_more_to_numpy(d, rng):
-    # numpy sums 8 or more terms pairwise, so a column fold would differ
+    # numpy may sum 8 or more terms pairwise, where a column fold would not
+    # be its sum, so the helper hands these widths to numpy
     X = _wide_rows(rng, 20000, d)
-    norm = np.linalg.norm(X, axis=1)
-    assert np.array_equal(_row_norm(X), norm, equal_nan=True)
-    fold = np.sqrt(reduce(np.add, [c * c for c in X.T]))
-    assert not np.array_equal(fold, norm, equal_nan=True)
+    assert np.array_equal(_row_norm(X), np.linalg.norm(X, axis=1), equal_nan=True)
 
 
 # -- the lockstep engine --------------------------------------------------------------

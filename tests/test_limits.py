@@ -356,8 +356,12 @@ def _reference_basin_code(system, catalog, node, cfg):
     return CODE_UNDETERMINED
 
 
-def _seeded(system, seeds, region):
-    return system, catalog_from_seeds(system, seeds, cfg=FAST)[0], region
+# each reference case is (system, catalog, region, grid resolution per axis);
+# the reference steps every node alone, so the 2-d cases whose orbits all run
+# the full burn and window use a 9 x 9 grid
+
+def _seeded(system, seeds, region, resolution=41):
+    return system, catalog_from_seeds(system, seeds, cfg=FAST)[0], region, resolution
 
 
 def _point_members(*points):
@@ -381,8 +385,8 @@ def _pole_map():
 
 
 def _pole_map_per_row():
-    system, catalog, region = _pole_map()
-    return dataclasses.replace(system, vectorized=False), catalog, region
+    system, catalog, region, resolution = _pole_map()
+    return dataclasses.replace(system, vectorized=False), catalog, region, resolution
 
 
 def _excluded_ball_doubler():
@@ -400,27 +404,27 @@ def _shear_doubler():
 def _tiny_spread_contraction():
     # one compact member: distinct points of a decaying orbit near 1e-43
     return _seeded(get_system("jordan", lam=0.9), [[0.5, 0.7], [-0.3, 0.9], [0.8, -0.6]],
-                   DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]]))
+                   DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]]), 9)
 
 
 def _origin_inside_circle():
     # the compact origin sits inside the box of the circle, which is not
     # compact: rows near either must go to the tree
     return _seeded(get_system("rotation-scaling"), default_seeds("rotation-scaling"),
-                   DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]))
+                   DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]), 9)
 
 
 def _near_tie():
     # two points 2**-60 apart, seen from 1e-4 away: each row's distances to
     # the two differ by less than the bounds' margin, and the middle row ties
     return (_STILL, _point_members([0.0, 0.0], [0.0, 2.0 ** -60]),
-            DomainRegion.box([[-1e-4, 1e-4], [-1e-4, 1e-4]]))
+            DomainRegion.box([[-1e-4, 1e-4], [-1e-4, 1e-4]]), 9)
 
 
 def _subnormal_members():
     # members and rows below the smallest normal float: every square underflows
     return (_STILL, _point_members([0.0, 0.0], [2e-310, 1e-310]),
-            DomainRegion.box([[-4e-310, 4e-310], [-4e-310, 4e-310]]))
+            DomainRegion.box([[-4e-310, 4e-310], [-4e-310, 4e-310]]), 9)
 
 
 def _ruled_out_rows():
@@ -428,7 +432,7 @@ def _ruled_out_rows():
     # distance to both members' boxes exceeds their tolerance
     return (LinearSystem(0.5 * np.eye(2)).as_map(),
             _point_members([1.5, 1.5], [-1.5, 1.5]),
-            DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]]))
+            DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]]), 9)
 
 
 @pytest.mark.parametrize("case", [_pole_map, _pole_map_per_row,
@@ -438,8 +442,7 @@ def _ruled_out_rows():
 @pytest.mark.parametrize("cfg", [BasinConfig(),
                                  BasinConfig(burn=3, window=4, escape_radius=40.0)])
 def test_basin_codes_equal_a_per_node_reference(case, cfg):
-    system, catalog, region = case()
-    resolution = 41 if system.dim == 1 else 9
+    system, catalog, region, resolution = case()
     basins = compute_basins(system, catalog, region=region, resolution=resolution, cfg=cfg)
     for idx in np.ndindex(basins.codes.shape):
         want = _reference_basin_code(system, catalog, basins.node(idx), cfg)
@@ -479,9 +482,10 @@ def test_basin_bounds_decide_only_clear_rows():
 def test_basin_reference_cases_hit_every_code():
     seen = set()
     for case in (_pole_map, _excluded_ball_doubler, _shear_doubler):
-        system, catalog, region = case()
+        system, catalog, region, resolution = case()
         for cfg in (BasinConfig(), BasinConfig(burn=3, window=4, escape_radius=40.0)):
-            basins = compute_basins(system, catalog, region=region, resolution=41, cfg=cfg)
+            basins = compute_basins(system, catalog, region=region, resolution=resolution,
+                                    cfg=cfg)
             seen |= {int(min(c, 0)) for c in np.unique(basins.codes)}
     assert seen == {0, CODE_UNDETERMINED, CODE_SINGULAR, CODE_ESCAPED}
 
@@ -632,37 +636,6 @@ def test_batched_witness_search_equals_pair_by_pair_search(name, region):
     assert basin_closedness_witness(system, basins, cfg, max_pairs=0) == []
     with pytest.raises(ValueError):
         basin_closedness_witness(system, basins, cfg, depth=0)
-
-
-def test_witness_search_estimates_only_the_states_a_pair_by_pair_search_reaches(monkeypatch):
-    import sys
-
-    import limitlab.limits as limits
-    system = get_system("cot-map")
-    cfg = EstimatorConfig()
-    catalog, _ = catalog_from_seeds(system, default_seeds("cot-map"), cfg)
-    basins = compute_basins(system, catalog, resolution=21)
-    batched, reached = [], set()
-    estimate_batch, estimate_one = limits.estimate_omega_batch, estimate_omega
-
-    def recorded_batch(system, seeds, *rest):
-        batched.extend(np.asarray(s, dtype=float).tobytes() for s in seeds)
-        return estimate_batch(system, seeds, *rest)
-
-    def recorded_one(system, x, *rest):
-        reached.add(np.asarray(x, dtype=float).tobytes())
-        return estimate_one(system, x, *rest)
-
-    monkeypatch.setattr(sys.modules[__name__], "estimate_omega", recorded_one)
-    for depth, max_pairs in [(8, 64), (3, 3)]:
-        batched.clear()
-        reached.clear()
-        monkeypatch.setattr(limits, "estimate_omega_batch", recorded_batch)
-        basin_closedness_witness(system, basins, cfg, depth=depth, max_pairs=max_pairs)
-        monkeypatch.setattr(limits, "estimate_omega_batch", estimate_batch)
-        _witnesses_pair_by_pair(system, basins, cfg, depth, max_pairs)
-        assert len(batched) == len(set(batched))      # each state once
-        assert set(batched) == reached and len(reached) > 0
 
 
 def test_no_witness_on_linear_system():
