@@ -186,6 +186,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _ratio(v) -> str:
+    """A separation ratio, or ``n/a`` when no sample pair was separated."""
+    return "n/a" if v is None else f"{v:.3e}"
+
+
 # -- report builders shared by the subcommands and the demo ----------------------
 
 def _basin_summary(system, basins, witnesses) -> dict:
@@ -383,7 +388,7 @@ def cmd_verify(args) -> int:
               + (f", hausdorff {push.hausdorff_alpha:.3e}"
                  if push.hausdorff_alpha is not None else ""))
     print(f"injectivity: {inj.n_collisions} collision(s) over "
-          f"{inj.pairs_checked} pairs; worst separation ratio {inj.min_separation_ratio:.3e}")
+          f"{inj.pairs_checked} pairs; worst separation ratio {_ratio(inj.min_separation_ratio)}")
     print(f"status: {status}")
     print(f"wrote {path}")
     if status != "ok":
@@ -700,7 +705,7 @@ def _render_verify(data: dict) -> None:
               f"alpha {push['alpha_status']}")
     inj = data["injectivity"]
     print(f"  collisions {inj.get('n_collisions', len(inj['collisions']))}, "
-          f"min separation ratio {inj['min_separation_ratio']:.3e}")
+          f"min separation ratio {_ratio(inj['min_separation_ratio'])}")
 
 
 def _render_spectral(data: dict) -> None:

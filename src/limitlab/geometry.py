@@ -1,9 +1,20 @@
 """Point-cloud metrics: Hausdorff distances, diameter, sampling resolution.
 
-All inputs are ``(m, d)`` float arrays. Computation is brute force (pairwise
-distances), chunked to bound memory, with a KD-tree shortcut once the target
-cloud is large enough to make it worthwhile. Cloud sizes around here are
-<= 1e4 points, so nothing fancier is needed.
+All inputs are ``(m, d)`` float arrays. Distances between two clouds are
+brute force (``cdist``) in row chunks of ``_CHUNK``, with a KD-tree shortcut
+once the target cloud is large enough to make it worthwhile. Cloud sizes
+around here are <= 1e4 points, so nothing fancier is needed.
+
+Distances *within* one cloud (the diameter here, the injectivity probe in
+``immersion``) walk its unordered pairs ``(r, c)``, ``r < c``, once each, in
+row-major order (:func:`_pair_blocks`): per block of rows, ``pdist`` gives
+the pairs inside the block and ``cdist`` those from the block to every later
+row. Both compute a pair with the same Euclidean kernel, and a distance does
+not depend on the order of its two points (``(a - b)**2 == (b - a)**2``), so
+each value is bit for bit the corresponding entry of the full ``cdist(p, p)``
+matrix; the walk only skips the diagonal and the mirrored lower triangle. A
+block of ``b`` rows starting at row ``i`` holds ``b*(b-1)/2 + b*(m-i-b) <
+b*m`` distances, less than a ``b``-row chunk of the full matrix.
 
 Every metric runs on the *distinct* rows of its clouds. Limit-set clouds are
 raw tail windows, so a fixed point is hundreds of copies of one point and a
@@ -23,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 _CHUNK = 1024
 _TREE_MIN = 512
@@ -58,6 +69,46 @@ def _distinct_rows(p: np.ndarray, counts: bool = False):
     return s[starts], np.diff(starts, append=len(s))
 
 
+def _pair_blocks(p: np.ndarray, rows: int):
+    """Walk the pairs ``(r, c)``, ``r < c``, of cloud ``p`` in blocks of ``rows`` rows.
+
+    Yields ``(i, b, dist)`` per block: its first row ``i``, its row count
+    ``b`` and the flat distances of its pairs, the ``b*(b-1)/2`` pairs inside
+    the block (``pdist`` order) followed by the ``b x (m - i - b)`` pairs from
+    the block to the later rows (row-major). :func:`_pair_rows` maps
+    positions in ``dist`` back to ``(r, c)``.
+    """
+    m = len(p)
+    for i in range(0, m, rows):
+        b = min(rows, m - i)
+        inner = b * (b - 1) // 2
+        dist = np.empty(inner + b * (m - i - b))
+        pdist(p[i:i + b], out=dist[:inner])
+        cdist(p[i:i + b], p[i + b:], out=dist[inner:].reshape(b, m - i - b))
+        yield i, b, dist
+
+
+def _pair_rows(m: int, i: int, b: int, pos: np.ndarray, first: int):
+    """The first ``first`` pairs, in row-major order, among the positions
+    ``pos`` (ascending) of the :func:`_pair_blocks` block that starts at row
+    ``i`` with ``b`` rows of an ``m``-row cloud: their positions and rows,
+    as arrays ``(pos, r, c)``."""
+    inner = b * (b - 1) // 2
+    split = int(np.searchsorted(pos, inner))
+    # each part is row-major on its own, so the block's first pairs are among
+    # the first pairs of each part
+    pin, pout = pos[:split][:first], pos[split:][:first]
+    k = np.arange(b)
+    starts = k * (2 * b - k - 1) // 2          # position of each row's first inner pair
+    r_in = np.searchsorted(starts, pin, side="right") - 1
+    c_in = pin - starts[r_in] + r_in + 1
+    r_out, c_out = np.divmod(pout - inner, max(m - i - b, 1))
+    r = np.concatenate((r_in, r_out)) + i
+    c = np.concatenate((c_in, c_out + b)) + i
+    order = np.lexsort((c, r))[:first]
+    return np.concatenate((pin, pout))[order], r[order], c[order]
+
+
 def directed_hausdorff(a, b) -> float:
     """sup over points of `a` of the distance to the nearest point of `b`."""
     a, b = _as_cloud(a), _as_cloud(b)
@@ -85,11 +136,8 @@ def diameter(points) -> float:
     p = _distinct_rows(_as_cloud(points))
     if len(p) == 1:
         return 0.0
-    best = 0.0
-    for i in range(0, len(p), _CHUNK):
-        block = cdist(p[i : i + _CHUNK], p)
-        best = max(best, float(block.max()))
-    return best
+    return max(float(dist.max()) for _, _, dist in _pair_blocks(p, _CHUNK)
+               if dist.size)
 
 
 def sampling_gap(points) -> float:

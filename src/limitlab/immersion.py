@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import config
 from .dynamics import DiscreteMap, DomainRegion, _row_norm, _step_rows, as_state
 from .errors import DomainError, UnconvergedError
-from .geometry import diameter, directed_hausdorff, hausdorff, split_discrepancy
+from .geometry import (_pair_blocks, _pair_rows, diameter, directed_hausdorff,
+                       hausdorff, split_discrepancy)
 from .limits import (EstimatorConfig, LimitSetCatalog, LimitSetEstimate,
                      estimate_alpha, estimate_omega)
 
@@ -302,7 +302,7 @@ def _bounding_box(catalog: LimitSetCatalog, domain: DomainRegion) -> np.ndarray:
 class InjectivityReport:
     collisions: tuple               # rows (x, x_prime, input_dist, image_dist), capped
     n_collisions: int               # total found (may exceed len(collisions))
-    min_separation_ratio: float     # min ||F(x)-F(x')|| / ||x-x'|| over separated pairs
+    min_separation_ratio: Optional[float]  # min ||F(x)-F(x')|| / ||x-x'||; None if none separated
     pairs_checked: int
     delta_sep: float
     delta_img: float
@@ -321,7 +321,8 @@ class InjectivityReport:
                 for a, b, dx, di in self.collisions
             ],
             "n_collisions": int(self.n_collisions),
-            "min_separation_ratio": float(self.min_separation_ratio),
+            "min_separation_ratio": (None if self.min_separation_ratio is None
+                                     else float(self.min_separation_ratio)),
             "pairs_checked": int(self.pairs_checked),
             "delta_sep": float(self.delta_sep),
             "delta_img": float(self.delta_img),
@@ -336,8 +337,12 @@ def injectivity_probe(F: ImmersionMap, samples,
 
     A collision is ``||x - x'|| > delta_sep`` with ``||F(x) - F(x')|| <
     delta_img``. Also reports the worst contraction ratio over separated
-    pairs (zero collisions implies it is positive). Only the first
-    ``max_recorded`` collision pairs are kept; ``n_collisions`` counts all.
+    pairs (zero collisions implies it is positive), or ``None`` when no pair
+    is separated. Each unordered pair of in-domain samples is measured once,
+    in both spaces, by :func:`geometry._pair_blocks`, and its distances are
+    the ones the full pairwise matrices hold. Only the first
+    ``max_recorded`` collision pairs are kept, in row-major order of their
+    sample indices ``(r, c)``, ``r < c``; ``n_collisions`` counts all.
     """
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     X = X[F.domain.contains_batch(X)]
@@ -350,25 +355,23 @@ def injectivity_probe(F: ImmersionMap, samples,
     min_ratio = float("inf")
     pairs = 0
     chunk = 512
-    for i in range(0, len(X), chunk):
-        dx = cdist(X[i:i + chunk], X)
-        di = cdist(FX[i:i + chunk], FX)
-        rows, cols = np.nonzero(dx > delta_sep)
-        keep = (rows + i) < cols          # upper triangle only
-        rows, cols = rows[keep], cols[keep]
-        pairs += len(rows)
-        if len(rows):
-            ratios = di[rows, cols] / dx[rows, cols]
-            min_ratio = min(min_ratio, float(ratios.min()))
-            hit = di[rows, cols] < delta_img
-            n_collisions += int(hit.sum())
-            for r, c in zip(rows[hit], cols[hit]):
-                if len(collisions) >= max_recorded:
-                    break
-                collisions.append((X[r + i], X[c], float(dx[r, c]), float(di[r, c])))
+    n = len(X)
+    for (i, b, dx), (_, _, di) in zip(_pair_blocks(X, chunk), _pair_blocks(FX, chunk)):
+        sep = dx > delta_sep
+        n_sep = int(np.count_nonzero(sep))
+        pairs += n_sep
+        if n_sep:
+            min_ratio = min(min_ratio, float((di[sep] / dx[sep]).min()))
+            hit = np.flatnonzero(sep & (di < delta_img))
+            n_collisions += len(hit)
+            room = max_recorded - len(collisions)
+            if len(hit) and room > 0:
+                pos, rows, cols = _pair_rows(n, i, b, hit, room)
+                collisions.extend((X[r], X[c], float(dx[k]), float(di[k]))
+                                  for k, r, c in zip(pos, rows, cols))
     return InjectivityReport(collisions=tuple(collisions),
                              n_collisions=n_collisions,
-                             min_separation_ratio=min_ratio,
+                             min_separation_ratio=min_ratio if pairs else None,
                              pairs_checked=pairs,
                              delta_sep=delta_sep, delta_img=delta_img)
 

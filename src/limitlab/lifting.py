@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import config
-from .dynamics import DiscreteMap, DomainRegion, _step_rows
+from .dynamics import DiscreteMap, DomainRegion, _row_norm, _step_rows
 from .errors import (CatalogGuardError, DomainError, InvalidParamError,
                      SingularGramError)
 from .immersion import (CollapseReport, ImmersionMap, InjectivityReport,
@@ -281,7 +281,7 @@ def fit_lift(system: DiscreteMap, dictionary: Dictionary,
     if not np.isfinite(K).all():
         raise SingularGramError("the fitted K has non-finite entries")
 
-    resid = np.linalg.norm(PhiY - PhiX @ Kt, axis=1)
+    resid = _row_norm(PhiY - PhiX @ Kt)
     report = FitReport(rms_residual=float(np.sqrt(np.mean(resid ** 2))),
                        max_residual=float(resid.max()),
                        gram_condition=cond, samples_used=int(m),

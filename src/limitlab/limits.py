@@ -187,7 +187,7 @@ def classify_boundedness(system: DiscreteMap, x0,
     crossed ``escape_radius`` with non-decreasing norms over the final quarter
     of what was recorded. Anything else: undetermined."""
     traj = iterate(system, x0, horizon)
-    norms = np.linalg.norm(traj.points, axis=1)
+    norms = _row_norm(traj.points)
     max_norm = float(norms.max())
     steps = traj.steps_taken
     if traj.termination == COMPLETED and max_norm <= r_bound:

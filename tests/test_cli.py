@@ -103,6 +103,31 @@ def test_verify_reports_ok_on_default_domain(tmp_path, capsys):
     assert "status: ok" in out
 
 
+def test_verify_with_no_separated_pair_reports_a_null_ratio(tmp_path, capsys):
+    # every sample pair of this domain is within delta_sep of each other
+    code, out, err = run(capsys, "verify", "--system", "cot-map",
+                         "--domain=1.0,1.0005", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    doc = read_json(tmp_path / "verify.json")
+    validate(doc, "verify-report")
+    assert doc["injectivity"]["pairs_checked"] == 0
+    assert doc["injectivity"]["min_separation_ratio"] is None
+    assert "worst separation ratio n/a" in out
+    code, out, err = run(capsys, "report", "--dir", str(tmp_path))
+    assert code == 0 and err == ""
+    assert "min separation ratio n/a" in out
+
+
+def test_sweep_with_no_separated_pair_reports_null_ratios(tmp_path, capsys):
+    code, _, err = run(capsys, "sweep", "--system", "scalar-linear",
+                       "--domain=-2e-4,2e-4", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    doc = read_json(tmp_path / "sweep.json")
+    validate(doc, "tradeoff-report")
+    fitted = [r for r in doc["rows"] if r["error"] is None]
+    assert fitted and all(r["min_sep_ratio"] is None for r in fitted)
+
+
 def test_learn_recovers_the_rational_cascade(tmp_path, capsys):
     code, out, err = run(capsys, "learn", "--system", "mobius",
                          "--dict", "rational-pole", "--order", "3",

@@ -162,11 +162,20 @@ def test_split_discrepancy_deterministic():
 #
 # The metrics run on distinct rows. A copy adds no new pairwise distance, so
 # the results must equal, bit for bit, an all-pairs computation on the cloud
-# as given. The oracle sums squared coordinate differences in order and takes
-# the square root, the same arithmetic the library's paths use in <= 3-d.
+# as given. The oracle sums squared coordinate differences in order, column
+# by column, and takes the square root: the arithmetic of scipy's ``cdist``
+# and ``pdist`` in any dimension, and of the KD tree in the few dimensions
+# these tests give it. (numpy's ``sum`` over eight or more columns adds
+# pairwise, so it is not used.)
 
 def pairwise(a, b):
-    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
+    acc = np.zeros((len(a), len(b)))
+    sq = np.empty_like(acc)
+    for k in range(a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=sq)
+        sq *= sq
+        acc += sq
+    return np.sqrt(acc)
 
 
 def oracle_directed(a, b):
@@ -174,7 +183,7 @@ def oracle_directed(a, b):
 
 
 def oracle_diameter(a):
-    return float(pairwise(a, a).max())
+    return max(float(pairwise(a[i:i + 256], a).max()) for i in range(0, len(a), 256))
 
 
 def oracle_gap(a):
@@ -222,6 +231,19 @@ def test_hausdorff_exact_on_repeated_clouds(a, b):
 @given(repeated_clouds(dim=3))
 def test_diameter_exact_on_repeated_clouds(a):
     assert diameter(a) == oracle_diameter(a)
+
+
+@pytest.mark.parametrize("n", [1100, 2100])
+@pytest.mark.parametrize("d", [1, 8, 20])
+@pytest.mark.parametrize("scale", [1e-310, 1.0, 1e150])
+def test_diameter_exact_on_large_clouds(n, d, scale, rng):
+    # more distinct rows than one and two chunks of the pair walk, with
+    # duplicate rows and zeros of both signs mixed in
+    a = rng.normal(size=(n, d)) * scale
+    cloud = np.vstack([a, a[::7], np.zeros((3, d)), -np.zeros((3, d))])
+    cloud = cloud[rng.permutation(len(cloud))]
+    assert len(np.unique(cloud, axis=0)) == n + 1
+    assert diameter(cloud) == oracle_diameter(cloud)
 
 
 @settings(max_examples=120, deadline=None)

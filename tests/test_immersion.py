@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from limitlab import (DiscreteMap, DomainRegion, EstimatorConfig, ImmersionMap,
                       LimitSetCatalog, LinearSystem, collapse_report,
@@ -277,6 +278,95 @@ def test_injectivity_recording_is_capped_but_counting_is_not():
     assert report.pairs_checked == 80 * 79 // 2
     assert report.n_collisions == report.pairs_checked
     assert len(report.collisions) == 256
+
+
+def reference_probe(F, samples, delta_sep=1e-3, delta_img=1e-6, max_recorded=256):
+    """The full-matrix walk: per 512-row chunk, every distance to every sample,
+    upper triangle kept by index."""
+    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    X = X[F.domain.contains_batch(X)]
+    FX = F.apply(X)
+    collisions = []
+    n_collisions = 0
+    min_ratio = float("inf")
+    pairs = 0
+    for i in range(0, len(X), 512):
+        dx = cdist(X[i:i + 512], X)
+        di = cdist(FX[i:i + 512], FX)
+        rows, cols = np.nonzero(dx > delta_sep)
+        keep = (rows + i) < cols
+        rows, cols = rows[keep], cols[keep]
+        pairs += len(rows)
+        if len(rows):
+            ratios = di[rows, cols] / dx[rows, cols]
+            min_ratio = min(min_ratio, float(ratios.min()))
+            hit = di[rows, cols] < delta_img
+            n_collisions += int(hit.sum())
+            for r, c in zip(rows[hit], cols[hit]):
+                if len(collisions) >= max_recorded:
+                    break
+                collisions.append((X[r + i], X[c], float(dx[r, c]), float(di[r, c])))
+    return collisions, n_collisions, min_ratio, pairs
+
+
+def assert_probe_equals_reference(F, samples, **kw):
+    report = injectivity_probe(F, samples, **kw)
+    collisions, n_collisions, min_ratio, pairs = reference_probe(F, samples, **kw)
+    assert report.pairs_checked == pairs
+    assert report.n_collisions == n_collisions
+    assert report.min_separation_ratio == min_ratio
+    assert len(report.collisions) == len(collisions)
+    for got, want in zip(report.collisions, collisions):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2] and got[3] == want[3]
+    return report
+
+
+@pytest.mark.parametrize("n", [2, 511, 512, 513, 1100, 2000])
+@pytest.mark.parametrize("d_in,d_out", [(1, 1), (1, 13), (2, 3), (3, 1), (3, 13)])
+def test_injectivity_probe_equals_the_full_matrix_walk(n, d_in, d_out):
+    # a smooth folding map gives a nontrivial worst ratio; quantising its
+    # image glues whole cells together, so collisions overflow the record
+    rng = np.random.default_rng(1000 * n + 10 * d_in + d_out)
+    W = rng.normal(scale=3.0, size=(d_in, d_out))
+    samples = rng.uniform(-1.0, 1.0, size=(n, d_in))
+    region = DomainRegion.full_space(d_in)
+    smooth = ImmersionMap(d_in, d_out, lambda X: np.sin(X @ W), region)
+    folded = ImmersionMap(d_in, d_out, lambda X: np.floor(4.0 * np.sin(X @ W)), region)
+    assert assert_probe_equals_reference(smooth, samples).min_separation_ratio > 0.0
+    report = assert_probe_equals_reference(folded, samples)
+    if n >= 511 and d_out < 13:
+        assert report.n_collisions > 256
+
+
+def test_injectivity_record_cap_falls_in_a_later_block():
+    # the first 512 samples collide in 40 pairs: 40 of them are copies of
+    # others shifted by 10, which F shifts back. The rest fall into two
+    # cells, so the cap of 256 fills inside the second block, which holds
+    # pairs inside it and pairs with the samples after it
+    rng = np.random.default_rng(5)
+    head = np.linspace(0.0, 1.0, 472)
+    samples = np.concatenate([head, head[:40] + 10.0,
+                              rng.uniform(20.0, 20.5, size=600)])[:, None]
+    F = ImmersionMap(1, 1, lambda X: np.where(X < 5.0, X, np.where(
+        X < 15.0, X - 10.0, np.floor(4.0 * X))), DomainRegion.full_space(1))
+    report = assert_probe_equals_reference(F, samples)
+    first = reference_probe(F, samples[:512])
+    assert 0 < first[1] < 256 < report.n_collisions
+    rows = [np.flatnonzero(samples[:, 0] == x[0])[0] for x, *_ in report.collisions]
+    assert rows == sorted(rows) and rows[-1] >= 512
+    assert_probe_equals_reference(F, samples, max_recorded=1000)
+    assert_probe_equals_reference(F, samples, max_recorded=0)
+
+
+def test_injectivity_ratio_is_null_without_separated_pairs():
+    F = cos_map(0.0, np.pi)
+    report = injectivity_probe(F, np.array([[1.0], [1.0005], [1.0002]]))
+    assert report.pairs_checked == 0 and report.n_collisions == 0
+    assert report.min_separation_ratio is None
+    doc = report.to_dict()
+    assert doc["min_separation_ratio"] is None
+    validate(doc, "injectivity-report")
 
 
 def test_injectivity_needs_two_samples():

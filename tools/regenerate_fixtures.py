@@ -22,12 +22,16 @@ import sys
 
 import numpy as np
 
-from limitlab import (DomainRegion, build_dictionary, catalog_from_seeds,
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the sources beside this script, not whatever limitlab is installed
+sys.path.insert(0, str(ROOT / "src"))
+
+from limitlab import (DomainRegion, build_dictionary, catalog_from_seeds,  # noqa: E402
                       conjugacy_residual, default_seeds, fit_lift, get_system,
                       injectivity_probe, obstruction_sweep)
-from limitlab.serialize import dump, dumps
+from limitlab.serialize import dump, dumps  # noqa: E402
 
-FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+FIXTURE_DIR = ROOT / "tests" / "fixtures"
 
 SWEEP_SEED = 42
 SWEEP_RIDGES = (0.0, 1e-8, 1e-4)
