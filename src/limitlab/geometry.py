@@ -1,9 +1,9 @@
 """Point-cloud metrics: Hausdorff distances, diameter, sampling resolution.
 
-All inputs are ``(m, d)`` float arrays. Distances between two clouds are
-brute force (``cdist``) in row chunks of ``_CHUNK``, with a KD-tree shortcut
-once the target cloud is large enough to make it worthwhile. Cloud sizes
-around here are <= 1e4 points, so nothing fancier is needed.
+Inputs are ``(m, d)`` float arrays, or clouds prepared once with
+:func:`_prepare` (below). Distances between two clouds are brute force
+(``cdist``) in row chunks of ``_CHUNK``, with a KD-tree shortcut once the
+target cloud is large enough to make it worthwhile.
 
 Distances *within* one cloud (the diameter here, the injectivity probe in
 ``immersion``) walk its unordered pairs ``(r, c)``, ``r < c``, once each, in
@@ -28,6 +28,25 @@ brute-force path runs still follows the raw size: the two can round a
 distance differently (they do in eight or more dimensions with scipy 1.17),
 and keying the choice to the cloud as passed keeps every result identical to
 the undeduplicated computation.
+
+A cloud that is measured many times (a tail window compared with the next
+one, an estimate against every catalog cluster, a catalog member against
+every query) is prepared once as a :class:`_Cloud`. It keeps the validated
+points as passed, whose row count still picks the path, and computes on
+first use, then keeps, its distinct rows, their counts, its bounding box and
+a KD tree on the distinct rows. Every metric takes a prepared cloud wherever
+it takes an array and returns the same value to the bit: the derived forms
+are the ones the metric would otherwise compute from the raw points.
+
+Catalog loops skip a Hausdorff distance that a lower bound already decides
+(:func:`_hausdorff_lower_bounds`). Every point of one cloud has its nearest
+point of the other inside the other's bounding box, so the largest distance
+from a point of either cloud to the other's box is at most their Hausdorff
+distance. The computed bound and the computed distance both carry rounding
+error, so the bound is narrowed by the margin of :func:`_margin`, which
+exceeds both errors together: the narrowed bound never exceeds the distance
+:func:`hausdorff` returns, and a pair it rules out could not have changed a
+comparison or a minimum.
 """
 
 from __future__ import annotations
@@ -35,6 +54,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
+
+from .dynamics import _row_norm
 
 _CHUNK = 1024
 _TREE_MIN = 512
@@ -67,6 +88,115 @@ def _distinct_rows(p: np.ndarray, counts: bool = False):
         return s[new]
     starts = np.flatnonzero(new)
     return s[starts], np.diff(starts, append=len(s))
+
+
+class _Cloud:
+    """A validated ``(m, d)`` point cloud and the forms the metrics derive from it.
+
+    ``points`` is the cloud as passed; ``len()`` and ``np.asarray`` give it,
+    and its row count picks the KD-tree or brute-force path. The distinct
+    rows, their counts, the bounding box of the distinct rows and a KD tree
+    on them are computed on first use and kept. The points must not change
+    afterwards. Make one with :func:`_prepare`.
+    """
+
+    __slots__ = ("points", "_distinct", "_counts", "_box", "_tree")
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self._distinct = self._counts = self._box = self._tree = None
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
+
+    @property
+    def distinct(self) -> np.ndarray:
+        if self._distinct is None:
+            self._distinct = _distinct_rows(self.points)
+        return self._distinct
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Multiplicity of each distinct row, in the order of :attr:`distinct`."""
+        if self._counts is None:
+            rows, self._counts = _distinct_rows(self.points, counts=True)
+            if self._distinct is None:
+                self._distinct = rows
+        return self._counts
+
+    @property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate minima and maxima of the points."""
+        if self._box is None:
+            self._box = self.distinct.min(axis=0), self.distinct.max(axis=0)
+        return self._box
+
+    @property
+    def tree(self) -> cKDTree:
+        if self._tree is None:
+            self._tree = cKDTree(self.distinct)
+        return self._tree
+
+
+def _prepare(points) -> _Cloud:
+    """``points`` as a :class:`_Cloud`: a prepared cloud is returned as it is,
+    anything else is validated as a nonempty, finite ``(m, d)`` float array
+    (a flat array is a cloud of scalars)."""
+    if isinstance(points, _Cloud):
+        return points
+    return _Cloud(_as_cloud(points))
+
+
+def _margin(d: int) -> tuple[float, float]:
+    """The relative and absolute widening, ``(16 (d + 2) eps, 16 sqrt(d)
+    2**-537)``, that makes a bound computed from 2-norms of ``d`` coordinate
+    differences safe against another computed distance.
+
+    A computed 2-norm of ``d`` differences is within ``(d + 2) eps`` relative
+    and ``sqrt(d) 2**-537`` absolute of the exact norm: each difference,
+    square, sum and the root round once, and a square that underflows loses
+    at most ``2**-1075``. ``cdist``, ``pdist`` and the KD tree carry the same
+    error. The margin is more than both errors together, so a bound widened by
+    it sits on the right side of the computed distance it is compared with,
+    and a tie, a near-tie or an underflowed distance decides nothing."""
+    return 16 * (d + 2) * np.finfo(float).eps, 16 * np.sqrt(d) * 2.0 ** -537
+
+
+def _box_lower(Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A lower bound on the distance from each point of ``Q`` (``(..., d)``)
+    to the box ``[lo, hi]`` (broadcast against ``Q``), safe against computed
+    distances: the computed box distance narrowed by :func:`_margin`, or
+    ``-inf`` where it overflowed."""
+    rho, alpha = _margin(Q.shape[-1])
+    with np.errstate(over="ignore"):
+        gap = np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
+        box = _row_norm(gap.reshape(-1, gap.shape[-1])).reshape(gap.shape[:-1])
+        return np.where(np.isfinite(box), box * (1 - rho) - alpha, -np.inf)
+
+
+def _hausdorff_lower_bounds(a: _Cloud, others: list[_Cloud]) -> np.ndarray:
+    """For each cloud ``b`` of ``others``, a value that never exceeds
+    ``hausdorff(a, b)``: the largest distance from a point of ``a`` to the box
+    of ``b`` or from a point of ``b`` to the box of ``a``, narrowed by
+    :func:`_box_lower`. The nearest point of ``b`` to a point of ``a`` lies in
+    the box of ``b``, so the exact distance to the box is at most the exact
+    directed distance, and the margin keeps that order for the computed
+    values."""
+    if not others:
+        return np.empty(0)
+    lo = np.array([b.box[0] for b in others])
+    hi = np.array([b.box[1] for b in others])
+    u = a.distinct
+    bound = np.full(len(others), -np.inf)
+    for i in range(0, len(u), _CHUNK):
+        np.maximum(bound, _box_lower(u[i:i + _CHUNK, None], lo, hi).max(axis=0), out=bound)
+    rows = [b.distinct for b in others]
+    starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
+    back = np.maximum.reduceat(_box_lower(np.concatenate(rows), *a.box), starts)
+    return np.maximum(bound, back)
 
 
 def _pair_blocks(p: np.ndarray, rows: int):
@@ -111,14 +241,13 @@ def _pair_rows(m: int, i: int, b: int, pos: np.ndarray, first: int):
 
 def directed_hausdorff(a, b) -> float:
     """sup over points of `a` of the distance to the nearest point of `b`."""
-    a, b = _as_cloud(a), _as_cloud(b)
-    if a.shape[1] != b.shape[1]:
+    a, b = _prepare(a), _prepare(b)
+    if a.points.shape[1] != b.points.shape[1]:
         raise ValueError("clouds have mismatched dimension")
-    use_tree = len(b) >= _TREE_MIN
-    a, b = _distinct_rows(a), _distinct_rows(b)
-    if use_tree:
-        d, _ = cKDTree(b).query(a, k=1)
+    if len(b) >= _TREE_MIN:
+        d, _ = b.tree.query(a.distinct, k=1)
         return float(np.max(d))
+    a, b = a.distinct, b.distinct
     worst = 0.0
     for i in range(0, len(a), _CHUNK):
         block = cdist(a[i : i + _CHUNK], b)
@@ -128,12 +257,13 @@ def directed_hausdorff(a, b) -> float:
 
 def hausdorff(a, b) -> float:
     """Symmetric Hausdorff distance between two point clouds."""
+    a, b = _prepare(a), _prepare(b)
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 def diameter(points) -> float:
     """Largest pairwise distance within a cloud."""
-    p = _distinct_rows(_as_cloud(points))
+    p = _prepare(points).distinct
     if len(p) == 1:
         return 0.0
     return max(float(dist.max()) for _, _, dist in _pair_blocks(p, _CHUNK)
@@ -156,14 +286,15 @@ def sampling_gap(points) -> float:
     of the distinct rows alone differs: a settled period-2 cloud would report
     its spacing instead of 0.)
     """
-    p = _as_cloud(points)
-    u, count = _distinct_rows(p, counts=True)
+    p = _prepare(points)
+    count = p.counts
+    u = p.distinct
     alone = np.flatnonzero(count == 1)
     if alone.size == 0 or len(u) == 1:
         return 0.0
     if len(p) >= _TREE_MIN:
         # the nearest hit is the singleton itself, the second its neighbour
-        d, _ = cKDTree(u).query(u[alone], k=2)
+        d, _ = p.tree.query(u[alone], k=2)
         return float(np.max(d[:, 1]))
     gap = 0.0
     for i in range(0, alone.size, _CHUNK):
@@ -187,10 +318,10 @@ def split_discrepancy(points) -> float:
     The split is seeded per call and depends only on the cloud size, so the
     result is deterministic for a given input.
     """
-    p = _as_cloud(points)
+    p = _prepare(points).points
     n = len(p)
     if n < 4:
         return 0.0
     perm = np.random.default_rng(0).permutation(n)
     half = n // 2
-    return hausdorff(p[perm[:half]], p[perm[half:]])
+    return hausdorff(_Cloud(p[perm[:half]]), _Cloud(p[perm[half:]]))

@@ -18,8 +18,8 @@ import numpy as np
 from . import config
 from .dynamics import DiscreteMap, DomainRegion, _row_norm, _step_rows, as_state
 from .errors import DomainError, UnconvergedError
-from .geometry import (_pair_blocks, _pair_rows, diameter, directed_hausdorff,
-                       hausdorff, split_discrepancy)
+from .geometry import (_pair_blocks, _pair_rows, _prepare, diameter,
+                       directed_hausdorff, hausdorff, split_discrepancy)
 from .limits import (EstimatorConfig, LimitSetCatalog, LimitSetEstimate,
                      estimate_alpha, estimate_omega)
 
@@ -250,9 +250,11 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
     Raises :class:`DomainError` if any member point falls outside F's domain —
     that failure is itself evidence (the candidate cannot even represent the
     limit set). ``maximal_member`` is the member whose image contains every
-    other image within ``tol_cluster`` one-sidedly, when one exists.
+    other image within ``tol_cluster`` one-sidedly, when one exists. Each
+    member's image is prepared once (:func:`geometry._prepare`) for all the
+    distances it takes part in.
     """
-    images = [F.apply(m.points) for m in catalog.members]
+    images = [_prepare(F.apply(m.points)) for m in catalog.members]
     labels = tuple(m.label for m in catalog.members)
     k = len(images)
     pairwise = np.zeros((k, k))

@@ -15,7 +15,9 @@ tolerance. The effective tolerance is recorded on the estimate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,8 +28,9 @@ from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
                        TERMINATIONS, DiscreteMap, DomainRegion, _row_norm,
                        as_state, iterate, iterate_batch)
 from .errors import UnconvergedError
-from .geometry import (_distinct_rows, diameter, directed_hausdorff, hausdorff,
-                       sampling_gap, split_discrepancy)
+from .geometry import (_Cloud, _box_lower, _hausdorff_lower_bounds, _margin, _prepare,
+                       diameter, directed_hausdorff, hausdorff, sampling_gap,
+                       split_discrepancy)
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,14 @@ class EstimatorConfig:
             raise ValueError(f"tail must be >= 1, got {self.tail}")
         if self.max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if self.max_period < 0:
+            raise ValueError(f"max_period must be >= 0, got {self.max_period}")
+        for name in ("tol_settle", "gap_factor", "tol_fp"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.r_div) and self.r_div > 0):
+            raise ValueError(f"r_div must be finite and > 0, got {self.r_div}")
 
 
 @dataclass(frozen=True)
@@ -66,15 +77,16 @@ class LimitSetEstimate:
     settle_tol: float            # effective tolerance that was applied to it
 
 
-def _classify_shape(points: np.ndarray, tol_fp: float, max_period: int):
-    diam = diameter(points)
+def _classify_shape(window: _Cloud, tol_fp: float, max_period: int):
+    diam = diameter(window)
     if diam < tol_fp:
         return "fixed-point", 1, diam
+    points = window.points
     for p in range(1, min(max_period, len(points) - 1) + 1):
         lagged = _row_norm(points[p:] - points[:-p])
         if lagged.max() < tol_fp:
             return "periodic-orbit", p, diam
-    if sampling_gap(points) < 0.05 * diam:
+    if sampling_gap(window) < 0.05 * diam:
         return "curve", None, diam
     return "unknown", None, diam
 
@@ -102,7 +114,9 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
     the seeds that have not yet settled, escaped or hit a singularity; the
     settle test and shape classification stay per seed. Estimates come back
     in seed order, and each equals the one-seed estimate to the bit: no seed's
-    result depends on which seeds share the call.
+    result depends on which seeds share the call. Each tail window is prepared
+    once (:func:`geometry._prepare`) for its settle test, its shape and, if it
+    does not settle, the next round's comparison.
     """
     cfg = cfg or EstimatorConfig()
     seeds = [as_state(s, system.dim) for s in seeds]
@@ -119,7 +133,7 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
 
     def settled(i, window, converged, gap, tol_eff):
         shape, period, diam = _classify_shape(window, cfg.tol_fp, cfg.max_period)
-        return LimitSetEstimate(points=window, source=source, seed=seeds[i],
+        return LimitSetEstimate(points=window.points, source=source, seed=seeds[i],
                                 diameter=diam, shape=shape, period=period,
                                 converged=converged,
                                 status="converged" if converged else "unconverged",
@@ -134,7 +148,7 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
             out[i] = fail(i, burn.cause(i), burn.last[i])
     current = burn.last[rows]
 
-    prev: dict[int, np.ndarray] = {}
+    prev: dict[int, _Cloud] = {}
     gap = dict.fromkeys(rows, float("inf"))
     tol_eff = dict.fromkeys(rows, cfg.tol_settle)
     for _ in range(cfg.max_rounds + 1):
@@ -146,7 +160,7 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
             if run.cause(j) != COMPLETED:
                 out[i] = fail(i, run.cause(j), run.last[j])
                 continue
-            window = np.ascontiguousarray(run.states[:, j])
+            window = _prepare(np.ascontiguousarray(run.states[:, j]))
             if i in prev:
                 gap[i] = hausdorff(prev[i], window)
                 tol_eff[i] = max(cfg.tol_settle, cfg.gap_factor * split_discrepancy(window))
@@ -217,6 +231,12 @@ class CatalogMember:
     precompact: bool
     resolution: float            # sampling gap of the stored cloud
 
+    @cached_property
+    def _cloud(self) -> _Cloud:
+        """The stored cloud, prepared once for every match, separation and
+        basin query against this member."""
+        return _prepare(self.points)
+
 
 @dataclass(frozen=True)
 class LimitSetCatalog:
@@ -238,22 +258,40 @@ class LimitSetCatalog:
         raise KeyError(label)
 
     def min_separation(self) -> float:
-        if len(self.members) < 2:
+        """The smallest Hausdorff distance between two members (inf below two).
+
+        Pairs are measured in ascending order of a lower bound on their
+        distance (:func:`geometry._hausdorff_lower_bounds`), and the walk stops
+        at the first pair whose bound reaches the smallest distance so far: no
+        pair from there on can be closer. The result is the all-pairs minimum
+        to the bit."""
+        k = len(self.members)
+        if k < 2:
             return float("inf")
+        clouds = [m._cloud for m in self.members]
+        first, second = np.triu_indices(k, 1)
+        bound = np.concatenate([_hausdorff_lower_bounds(clouds[i], clouds[i + 1:])
+                                for i in range(k - 1)])
         best = float("inf")
-        for i, a in enumerate(self.members):
-            for b in self.members[i + 1:]:
-                best = min(best, hausdorff(a.points, b.points))
+        for n in np.argsort(bound, kind="stable"):
+            if bound[n] >= best:
+                break
+            best = min(best, hausdorff(clouds[first[n]], clouds[second[n]]))
         return best
 
     def match_tolerance(self, member: CatalogMember) -> float:
         return max(self.tol_cluster, self.gap_factor * member.resolution)
 
     def match(self, points) -> Optional[str]:
-        """Label of the member the cloud sits on (one-sided, resolution-aware)."""
+        """Label of the member the cloud sits on (one-sided, resolution-aware):
+        the member at the smallest directed Hausdorff distance from the cloud,
+        if that is within its match tolerance. The cloud is prepared once and
+        each member's cloud is kept on the member, so repeated matches
+        deduplicate neither again."""
         best_label, best_d = None, float("inf")
+        points = _prepare(points)
         for m in self.members:
-            d = directed_hausdorff(points, m.points)
+            d = directed_hausdorff(points, m._cloud)
             if d <= self.match_tolerance(m) and d < best_d:
                 best_label, best_d = m.label, d
         return best_label
@@ -266,12 +304,26 @@ def _thin(points: np.ndarray, cap: int = _MEMBER_CAP) -> np.ndarray:
     return points[idx]
 
 
+def _check_tol_cluster(tol_cluster: float) -> None:
+    if not (math.isfinite(tol_cluster) and tol_cluster > 0):
+        raise ValueError(f"tol_cluster must be finite and > 0, got {tol_cluster}")
+
+
 def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
                        tol_cluster: float = config.TOL_CLUSTER,
                        gap_factor: float = config.GAP_FACTOR) -> LimitSetCatalog:
     """Greedy Hausdorff clustering of converged estimates into distinct limit
     sets. Labels are assigned in order of each member's first-seen seed, so
-    the catalog is reproducible regardless of estimate order."""
+    the catalog is reproducible regardless of estimate order.
+
+    Each estimate joins the cluster at the smallest Hausdorff distance below
+    that cluster's merge tolerance, the first such one on a tie, or starts a
+    new cluster. Every estimate and cluster cloud is prepared once. A cluster
+    whose lower bound (:func:`geometry._hausdorff_lower_bounds`) already
+    reaches its merge tolerance or the best distance so far cannot be the
+    one joined, so its distance is not computed; the clusters come out as if
+    every distance were. ``tol_cluster`` must be finite and positive."""
+    _check_tol_cluster(tol_cluster)
     if len(estimates) == 0:
         raise ValueError("no estimates to cluster")
     bad = [i for i, e in enumerate(estimates) if not e.converged]
@@ -281,22 +333,26 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
 
     clusters: list[dict] = []
     for est in estimates:
-        res = sampling_gap(est.points)
+        cloud = _prepare(est.points)
+        res = sampling_gap(cloud)
         hit = None
         best = float("inf")
-        for c in clusters:
-            d = hausdorff(est.points, c["points"])
+        bounds = _hausdorff_lower_bounds(cloud, [c["cloud"] for c in clusters])
+        for c, bound in zip(clusters, bounds):
             # two samples of one curve can sit half a sampling gap apart, so
             # the merge tolerance adapts to the coarser of the two resolutions
             tol_eff = max(tol_cluster, gap_factor * max(res, c["res"]))
+            if bound >= min(tol_eff, best):
+                continue
+            d = hausdorff(cloud, c["cloud"])
             if d < tol_eff and d < best:
                 hit, best = c, d
         if hit is None:
-            clusters.append({"points": est.points, "ests": [est], "res": res})
+            clusters.append({"cloud": cloud, "ests": [est], "res": res})
         else:
-            hit["points"] = _thin(np.vstack([hit["points"], est.points]))
+            hit["cloud"] = _Cloud(_thin(np.vstack([hit["cloud"].points, cloud.points])))
             hit["ests"].append(est)
-            hit["res"] = sampling_gap(hit["points"])
+            hit["res"] = sampling_gap(hit["cloud"])
 
     clusters.sort(key=lambda c: tuple(c["ests"][0].seed))
     members = []
@@ -304,14 +360,14 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
         first = c["ests"][0]
         members.append(CatalogMember(
             label=f"S{i}",
-            points=c["points"],
+            points=c["cloud"].points,
             shape=first.shape,
             period=first.period,
-            diameter=float(diameter(c["points"])),
+            diameter=float(diameter(c["cloud"])),
             first_seed=first.seed,
             n_estimates=len(c["ests"]),
             precompact=all(e.status == "converged" for e in c["ests"]),
-            resolution=float(sampling_gap(c["points"])),
+            resolution=float(c["res"]),
         ))
     return LimitSetCatalog(members=tuple(members), tol_cluster=tol_cluster,
                            gap_factor=gap_factor)
@@ -327,6 +383,7 @@ def catalog_from_seeds(system: DiscreteMap, seeds,
     Returns ``(catalog, skipped)`` where skipped lists (seed, status) for
     orbits that escaped, hit a singularity, or failed to settle.
     """
+    _check_tol_cluster(tol_cluster)
     seeds = [as_state(s, system.dim) for s in seeds]
     ests, skipped = [], []
     for s, est in zip(seeds, estimate_omega_batch(system, seeds, cfg)):
@@ -416,16 +473,12 @@ def _bound_verdicts(member_pts: list[np.ndarray], tol: np.ndarray):
                if _row_norm((hi[i] - lo[i])[None])[0] <= tol[i]]
     if not compact:
         return None
-    d = member_pts[0].shape[1]
-    rho = 16 * (d + 2) * np.finfo(float).eps
-    alpha = 16 * np.sqrt(d) * 2.0 ** -537
+    rho, alpha = _margin(member_pts[0].shape[1])
 
     def verdicts(Q):
         with np.errstate(over="ignore"):
-            lower = []          # each member's box distance, less the margin
-            for l, h in zip(lo, hi):
-                box = _row_norm(np.maximum(np.maximum(l - Q, Q - h), 0.0))
-                lower.append(np.where(np.isfinite(box), box * (1 - rho) - alpha, -np.inf))
+            # each member's box distance, less the margin
+            lower = [_box_lower(Q, l, h) for l, h in zip(lo, hi)]
             verdict = np.where(np.logical_and.reduce(
                 [b > t for b, t in zip(lower, tol)]), _RULED_OUT, _DEFER)
             bound = np.zeros(len(Q))
@@ -462,27 +515,26 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
       ``tol_i``), the row's distance ``u`` to one point of ``i`` is at most
       ``tol_i``, and ``u`` is below the row's distance to every other
       member's box. Then the tree's nearest point lies in ``i``, at distance
-      at most ``u``. ``u``, widened by the margin below, is recorded in place
+      at most ``u``. ``u``, widened by the margin, is recorded in place
       of that distance: the largest distance only feeds the final
       ``<= tol_i`` test, and either value passes it, so the test's outcome
       rests on the other window steps alike.
 
-    Both tests carry a margin. A computed 2-norm of ``d`` coordinate
-    differences is within ``(d + 2) eps`` relative and ``sqrt(d) 2**-537``
-    absolute of the exact norm: each difference, square, sum and the root
-    round once, and a square that underflows loses at most ``2**-1075``. The
-    tree's own distances carry the same error. Each bound is widened by
-    ``16 (d + 2) eps`` relative and ``16 sqrt(d) 2**-537`` absolute, more
-    than both errors together, so a tie, a near-tie, an underflowed distance
-    or an overflowed one decides nothing and goes to the tree. Whether the
-    bounds run depends only on the catalog (see :func:`_bound_verdicts`);
-    when they decide no row, the tree is asked about the whole batch."""
+    Both tests carry the margin of :func:`geometry._margin`, which covers the
+    rounding of the bound and of the tree's own distance together, so a tie,
+    a near-tie, an underflowed distance or an overflowed one decides nothing
+    and goes to the tree. Whether the bounds run depends only on the catalog
+    (see :func:`_bound_verdicts`); when they decide no row, the tree is asked
+    about the whole batch.
+
+    The tree and the bounds run on the distinct rows of each member's cloud,
+    which the member keeps: copies of a point add nothing to a nearest-member
+    query but still cost tree depth, and a fixed-point member is hundreds of
+    copies of one point."""
     n = len(X0)
     codes = np.full(n, CODE_UNDETERMINED, dtype=np.int16)
 
-    # copies of a point add nothing to a nearest-member query but still cost
-    # tree depth, and a fixed-point member is hundreds of copies of one point
-    member_pts = [_distinct_rows(m.points) for m in catalog.members]
+    member_pts = [m._cloud.distinct for m in catalog.members]
     owners = np.concatenate([np.full(len(p), i) for i, p in enumerate(member_pts)])
     tree = cKDTree(np.vstack(member_pts))
     tol_by_member = np.array([catalog.match_tolerance(m) for m in catalog.members])

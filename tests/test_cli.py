@@ -297,6 +297,23 @@ def test_impossible_estimator_settings_are_usage_errors(tmp_path, capsys, settin
     assert not (tmp_path / "catalog.json").exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "tol_cluster=0", "tol_cluster=-0.001", "tol_cluster=inf", "r_div=0", "r_div=-1",
+    "r_div=inf", "max_period=-5", "tol_fp=-1", "tol_fp=inf", "tol_settle=-1",
+    "tol_settle=inf", "gap_factor=-1", "gap_factor=inf"])
+def test_impossible_tolerances_are_usage_errors(tmp_path, capsys, setting):
+    # each used to run (tol_cluster=0 wrote two members at separation 0 from
+    # one repeated seed), fail on the JSON encoder, or exit 3 as if no seed
+    # had converged
+    code, _, err = run(capsys, "limits", "--system", "negation", "--seeds=0.3;0.3",
+                       "--set", setting, "--out", str(tmp_path))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert payload["message"].startswith(setting.split("=")[0] + " must be")
+    assert not (tmp_path / "catalog.json").exists()
+
+
 @pytest.mark.parametrize("setting", ["no_such_knob=5", "batch=1024"])
 def test_unknown_settings_are_usage_errors(tmp_path, capsys, setting):
     code, _, err = run(capsys, "limits", "--system", "mobius", "--set", setting,

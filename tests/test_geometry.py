@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 from limitlab import (diameter, directed_hausdorff, hausdorff, sampling_gap,
                       split_discrepancy)
-from limitlab.geometry import _TREE_MIN
+from limitlab.geometry import _TREE_MIN, _hausdorff_lower_bounds, _prepare
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -292,3 +292,130 @@ def test_path_choice_follows_the_raw_size(rng):
         assert directed_hausdorff(q, big) == nearest
         # every row of big has twins, so the lone query sets the gap
         assert sampling_gap(np.vstack([big, q])) == nearest
+
+
+# -- prepared clouds: the same values as the raw arrays ---------------------------------
+#
+# A prepared cloud keeps its distinct rows, counts, box and KD tree after the
+# first metric that needs them, so the same object is measured several times
+# and in varying orders. The raw size must still pick the path: d = 8 and 10
+# are where the KD tree and the brute-force path can round differently.
+
+SCALES = [1e-310, 1e-155, 1.0, 1e150]
+
+
+@st.composite
+def scaled_clouds(draw, dim, scale):
+    """Repeated rows of one dimension and scale, some of them signed zeros,
+    raw size past the tree threshold about half the time."""
+    cloud = draw(repeated_clouds(dim=dim)) * scale
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=3))
+    for z in zeros:
+        cloud = np.vstack([cloud, np.full((1, dim), z)])
+    return cloud
+
+
+@st.composite
+def cloud_pairs(draw):
+    dim = draw(st.sampled_from([1, 2, 8, 10]))
+    scale = draw(st.sampled_from(SCALES))
+    return draw(scaled_clouds(dim, scale)), draw(scaled_clouds(dim, scale))
+
+
+def _one_cloud_metrics(p):
+    return [diameter(p), sampling_gap(p), split_discrepancy(p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloud_pairs(), st.permutations(range(4)))
+def test_metrics_on_prepared_clouds_equal_the_raw_arrays(pair, order):
+    a, b = pair
+    want = {"ab": directed_hausdorff(a, b), "ba": directed_hausdorff(b, a),
+            "h": hausdorff(a, b), "one": _one_cloud_metrics(a) + _one_cloud_metrics(b)}
+    pa, pb = _prepare(a), _prepare(b)
+    assert len(pa) == len(a) and np.asarray(pa) is pa.points
+    # the cached forms are filled in a different order in each example
+    steps = [lambda: _one_cloud_metrics(pa) + _one_cloud_metrics(pb),
+             lambda: directed_hausdorff(pa, pb), lambda: directed_hausdorff(pb, pa),
+             lambda: hausdorff(pa, pb)]
+    got = {}
+    for k in order:
+        got[k] = steps[k]()
+    assert got[0] == want["one"]
+    assert got[1] == want["ab"] and got[2] == want["ba"] and got[3] == want["h"]
+    # mixed arguments, and every metric again on the now-filled caches
+    assert directed_hausdorff(pa, b) == directed_hausdorff(a, pb) == want["ab"]
+    assert hausdorff(pb, a) == hausdorff(b, pa) == hausdorff(pb, pa) == want["h"]
+    assert _one_cloud_metrics(pa) + _one_cloud_metrics(pb) == want["one"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 10])
+@pytest.mark.parametrize("scale", SCALES)
+def test_prepared_clouds_keep_the_path_of_the_raw_size(d, scale, rng):
+    # 640 raw rows, 40 distinct: the tree path, with its own rounding
+    base = rng.normal(size=(40, d)) * scale
+    big = np.vstack([np.repeat(base, 16, axis=0), np.zeros((1, d)), -np.zeros((1, d))])
+    big = big[rng.permutation(len(big))]
+    small = rng.normal(size=(100, d)) * scale
+    prepared = _prepare(big)
+    assert len(prepared) >= _TREE_MIN > len(prepared.distinct)
+    tree = cKDTree(np.unique(big, axis=0))
+    for q in small:
+        nearest = float(tree.query(q)[0])
+        assert directed_hausdorff(q[None], prepared) == nearest
+        # every row of big has a twin, so the lone query sets the gap
+        assert sampling_gap(_prepare(np.vstack([big, q]))) == nearest
+    assert directed_hausdorff(prepared, small) == oracle_directed(big, small)
+    assert diameter(prepared) == oracle_diameter(big)
+
+
+# -- the box bound never exceeds the computed distance ------------------------------------
+
+def _bound(a, b):
+    return float(_hausdorff_lower_bounds(_prepare(a), [_prepare(b)])[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloud_pairs())
+def test_box_bound_is_below_the_hausdorff_distance(pair):
+    a, b = pair
+    h = hausdorff(a, b)
+    assert _bound(a, b) <= h and _bound(b, a) <= h
+
+
+@st.composite
+def near_ties(draw):
+    """``a`` is one point straight out from a face of ``b``'s box, through a
+    point of ``b`` on that face: in exact arithmetic the box distance and the
+    Hausdorff distance from ``a`` are both the offset, so the computed values
+    tie or nearly tie."""
+    dim = draw(st.sampled_from([1, 2, 8, 10]))
+    scale = draw(st.sampled_from(SCALES))
+    b = draw(repeated_clouds(dim=dim, big=False)) * scale
+    axis = draw(st.integers(0, dim - 1))
+    face = b[np.argmax(b[:, axis])]
+    offset = draw(st.floats(min_value=1e-6, max_value=1e3)) * scale
+    a = face.copy()
+    a[axis] += offset
+    return a[None], b
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_ties())
+def test_box_bound_on_near_ties(case):
+    a, b = case
+    h = hausdorff(a, b)
+    assert _bound(a, b) <= h
+    # and the bound gives up no more than its margin
+    assert _bound(a, b) >= directed_hausdorff(a, b) * (1 - 1e-12) - 1e-159
+
+
+def test_box_bound_on_subnormal_and_huge_clouds(rng):
+    for scale in (5e-324, 1e-310, 1e150, 1e300):
+        for _ in range(50):
+            a = rng.normal(size=(int(rng.integers(1, 30)), 2)) * scale
+            b = rng.normal(size=(int(rng.integers(1, 30)), 2)) * scale + scale
+            assert _bound(a, b) <= hausdorff(a, b)
+    # a distance that overflows bounds nothing
+    far = np.array([[1e308, -1e308]])
+    assert _bound(far, -far) == -np.inf

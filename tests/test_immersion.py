@@ -7,10 +7,10 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from limitlab import (DiscreteMap, DomainRegion, EstimatorConfig, ImmersionMap,
-                      LimitSetCatalog, LinearSystem, collapse_report,
-                      conjugacy_residual, exact_immersion, get_system,
-                      injectivity_probe, omega_alpha_consistency,
-                      pushforward_check)
+                      LimitSetCatalog, LinearSystem, catalog_from_seeds,
+                      collapse_report, conjugacy_residual, directed_hausdorff,
+                      exact_immersion, get_system, hausdorff, injectivity_probe,
+                      omega_alpha_consistency, pushforward_check)
 from limitlab.errors import DomainError, UnconvergedError
 from limitlab.serialize import validate
 
@@ -245,6 +245,51 @@ def test_collapse_is_permutation_equivariant(cot_catalog):
     perm = [1, 0]
     assert np.array_equal(b.pairwise, a.pairwise[np.ix_(perm, perm)])
     assert a.collapse_ratio == b.collapse_ratio
+
+
+def _reference_collapse(F, catalog, tol_cluster=1e-3):
+    """The pairwise matrix and maximal member as computed before member images
+    were prepared: every distance on the raw image arrays."""
+    images = [F.apply(m.points) for m in catalog.members]
+    k = len(images)
+    pairwise = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            pairwise[i, j] = pairwise[j, i] = hausdorff(images[i], images[j])
+    maximal = None
+    for i in range(k):
+        if all(directed_hausdorff(images[j], images[i]) < tol_cluster
+               for j in range(k) if j != i):
+            maximal = catalog.members[i].label
+            break
+    return pairwise, maximal
+
+
+def _negation_catalog():
+    seeds = [[0.05 * k] for k in range(-6, 7)] + [[0.3 + 4e-4], [0.3 + 1e-3]]
+    return catalog_from_seeds(get_system("negation"), seeds)[0]
+
+
+@pytest.mark.parametrize("case", ["cos", "constant", "square", "coarse", "identity"])
+def test_collapse_report_equals_the_unprepared_computation(cot_catalog, case):
+    line = DomainRegion.full_space(1)
+    catalog = cot_catalog if case in ("cos", "constant") else _negation_catalog()
+    F = {
+        "cos": cos_map(0.0, np.pi),
+        "constant": ImmersionMap(1, 1, lambda X: np.ones_like(np.asarray(X, dtype=float)),
+                                 DomainRegion.interval(0.0, np.pi)),
+        # glues each period-2 orbit {x, -x} to one point
+        "square": ImmersionMap(1, 1, lambda X: np.asarray(X, dtype=float) ** 2, line),
+        # rounds images to a grid near the cluster tolerance, so one-sided
+        # distances tie with it
+        "coarse": ImmersionMap(1, 1, lambda X: np.round(np.asarray(X, dtype=float), 3), line),
+        "identity": ImmersionMap(1, 1, lambda X: np.asarray(X, dtype=float), line),
+    }[case]
+    report = collapse_report(F, catalog, samples=np.linspace(-1.0, 1.0, 33)[:, None]
+                             if case not in ("cos", "constant") else None, seed=42)
+    pairwise, maximal = _reference_collapse(F, catalog)
+    assert np.array_equal(report.pairwise, pairwise)
+    assert report.maximal_member == maximal
 
 
 # -- injectivity -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Limit-set estimation, clustering, boundedness, basins, and witnesses."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       list_systems, write_basin_csv, DomainRegion,
                       LinearSystem, LimitSetCatalog, CatalogMember, default_seeds)
 from limitlab.errors import UnconvergedError
+from limitlab.geometry import diameter, sampling_gap
 from limitlab.limits import (BasinMap, CODE_ESCAPED, CODE_SINGULAR, CODE_UNDETERMINED,
-                             _DEFER, _RULED_OUT, _bound_verdicts)
+                             _DEFER, _RULED_OUT, _bound_verdicts, _thin)
 from limitlab.serialize import validate
 
 FAST = EstimatorConfig(burn=200, tail=200, max_rounds=6)
@@ -148,6 +150,21 @@ def test_estimator_config_rejects_impossible_settings():
         with pytest.raises(ValueError):
             EstimatorConfig(**bad)
     EstimatorConfig(burn=0, tail=1, max_rounds=0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"r_div": 0.0}, {"r_div": -1.0}, {"r_div": float("inf")}, {"r_div": float("nan")},
+    {"tol_settle": -1.0}, {"tol_settle": float("inf")}, {"gap_factor": -1.0},
+    {"gap_factor": float("nan")}, {"tol_fp": -1e-6}, {"tol_fp": float("inf")},
+    {"max_period": -5}])
+def test_estimator_config_rejects_impossible_tolerances(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        EstimatorConfig(**bad)
+
+
+def test_estimator_config_accepts_zero_tolerances():
+    EstimatorConfig(tol_settle=0.0, gap_factor=0.0, tol_fp=0.0, max_period=0)
 
 
 # -- boundedness ------------------------------------------------------------------
@@ -646,3 +663,124 @@ def test_no_witness_on_linear_system():
                             region=DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]),
                             resolution=101)
     assert basin_closedness_witness(system, basins) == []
+
+
+# -- pruned catalog loops against the loops they replaced ---------------------------
+#
+# Clustering and ``min_separation`` skip the Hausdorff distances that a lower
+# bound already decides. The references below are the loops as they were
+# before, on raw arrays and with every distance computed; the catalogs must
+# come out equal to the bit.
+
+def _reference_members(estimates, tol_cluster=1e-3, gap_factor=2.0):
+    clusters: list[dict] = []
+    for est in estimates:
+        res = sampling_gap(est.points)
+        hit = None
+        best = float("inf")
+        for c in clusters:
+            d = hausdorff(est.points, c["points"])
+            tol_eff = max(tol_cluster, gap_factor * max(res, c["res"]))
+            if d < tol_eff and d < best:
+                hit, best = c, d
+        if hit is None:
+            clusters.append({"points": est.points, "ests": [est], "res": res})
+        else:
+            hit["points"] = _thin(np.vstack([hit["points"], est.points]))
+            hit["ests"].append(est)
+            hit["res"] = sampling_gap(hit["points"])
+    clusters.sort(key=lambda c: tuple(c["ests"][0].seed))
+    return [(f"S{i}", c["points"], float(sampling_gap(c["points"])),
+             float(diameter(c["points"])), len(c["ests"]))
+            for i, c in enumerate(clusters)]
+
+
+def _all_pairs_min(catalog):
+    return min((hausdorff(a.points, b.points)
+                for a, b in itertools.combinations(catalog.members, 2)),
+               default=float("inf"))
+
+
+def _seed_sets():
+    rng = np.random.default_rng(8)
+    angle, radius = rng.uniform(0.0, 2 * np.pi, 12), rng.uniform(0.1, 2.0, 12)
+    rotation = [(0.0, 0.0)] + list(zip(radius * np.cos(angle), radius * np.sin(angle)))
+    # the repelling fixed point 1 settles only from itself
+    mobius = [[x] for x in rng.uniform(-4.5, 0.95, 12)] + [[1.0]]
+    # period-2 orbits {x, -x}: members 0.02 apart, and a run of seeds whose
+    # orbits sit about tol_cluster = 1e-3 from each other, where merging is a
+    # near-tie
+    offsets = [0.0, 5e-4, 9.99e-4, 1e-3, 1.001e-3, 2e-3, 2.999e-3, 3e-3]
+    negation = ([[s * (0.05 + 0.02 * k)] for k, s in enumerate(rng.choice([-1.0, 1.0], 16))]
+                + [[0.6 + o] for o in offsets] + [[-(0.9 + o)] for o in offsets[::-1]])
+    return {"rotation-scaling": (get_system("rotation-scaling"), rotation),
+            "mobius": (get_system("mobius").restrict(DomainRegion.interval(-5.0, 5.0)), mobius),
+            "negation": (get_system("negation"), negation)}
+
+
+@pytest.fixture(scope="module")
+def seed_set_estimates():
+    out = {}
+    for name, (system, seeds) in _seed_sets().items():
+        out[name] = [e for e in estimate_omega_batch(system, seeds) if e.converged]
+    return out
+
+
+@pytest.mark.parametrize("name", ["rotation-scaling", "mobius", "negation"])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_pruned_clustering_equals_the_all_pairs_loop(seed_set_estimates, name, shuffled):
+    ests = list(seed_set_estimates[name])
+    if shuffled:
+        ests = [ests[i] for i in np.random.default_rng(3).permutation(len(ests))]
+    catalog = cluster_limit_sets(ests)
+    want = _reference_members(ests)
+    assert len(catalog) == len(want) > 1
+    for m, (label, points, resolution, diam, n) in zip(catalog.members, want):
+        assert m.label == label
+        assert m.points.shape == points.shape and np.array_equal(m.points, points)
+        assert m.resolution == resolution
+        assert m.diameter == diam
+        assert m.n_estimates == n
+    assert catalog.min_separation() == _all_pairs_min(catalog)
+
+
+def test_near_tie_seeds_exercise_both_sides_of_the_merge(seed_set_estimates):
+    # the negation set must both merge and keep apart seeds at the tolerance
+    catalog = cluster_limit_sets(seed_set_estimates["negation"])
+    counts = sorted(m.n_estimates for m in catalog.members)
+    assert counts[-1] > 1 and counts[0] == 1
+    assert catalog.min_separation() < 2e-3
+
+
+def _random_catalog(rng):
+    """Members of a few shapes, some translated copies of others, so that
+    bounds and distances tie."""
+    dim = int(rng.integers(1, 4))
+    scale = float(rng.choice([1e-300, 1e-3, 1.0, 1e100]))
+    base = rng.normal(size=(int(rng.integers(1, 30)), dim)) * scale
+    members = []
+    for i in range(int(rng.integers(2, 14))):
+        if rng.random() < 0.5:
+            pts = base + rng.integers(-3, 4, dim) * scale
+        else:
+            pts = rng.normal(size=(int(rng.integers(1, 40)), dim)) * scale
+        pts = np.repeat(pts, rng.integers(1, 4, len(pts)), axis=0)
+        members.append(CatalogMember(label=f"S{i}", points=pts, shape="unknown", period=None,
+                                     diameter=0.0, first_seed=pts[0], n_estimates=1,
+                                     precompact=True, resolution=0.0))
+    return LimitSetCatalog(members=tuple(members), tol_cluster=1e-3)
+
+
+def test_min_separation_equals_the_all_pairs_minimum(rng):
+    for _ in range(60):
+        catalog = _random_catalog(rng)
+        assert catalog.min_separation() == _all_pairs_min(catalog)
+
+
+def test_tol_cluster_must_be_finite_and_positive(seed_set_estimates):
+    ests = seed_set_estimates["negation"][:2]
+    for bad in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tol_cluster"):
+            cluster_limit_sets(ests, tol_cluster=bad)
+        with pytest.raises(ValueError, match="tol_cluster"):
+            catalog_from_seeds(get_system("negation"), [0.3], cfg=FAST, tol_cluster=bad)
