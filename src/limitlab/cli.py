@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,7 +36,8 @@ from .errors import (CatalogGuardError, DomainError, IllConditionedError,
 from .immersion import (collapse_report, conjugacy_residual, injectivity_probe,
                         omega_alpha_consistency, pushforward_check)
 from .lifting import build_dictionary, fit_lift, obstruction_sweep
-from .limits import (BasinConfig, EstimatorConfig, basin_closedness_witness,
+from .limits import (BasinConfig, EstimatorConfig, _check_tol_cluster,
+                     _check_witness, basin_closedness_witness,
                      catalog_from_seeds, catalog_to_dict, compute_basins,
                      write_basin_csv)
 from .linear import (LinearSystem, spectral_split, spectral_split_to_dict,
@@ -47,6 +49,8 @@ _MATH_ERRORS = (DomainError, UnconvergedError, SingularGramError,
                 IllConditionedError, NoInverseError, MissingArtifactError)
 
 _DEFAULT_BOX_HALF = 2.0
+_SURVEY_RANDOM = 512        # random draws added to a survey grid
+_VERIFY_TOL = 1e-8          # verify's default --tol, also the demo's
 
 
 # -- small parsing helpers -----------------------------------------------------
@@ -127,11 +131,22 @@ _BASIN = ("basin_burn", "basin_window", "escape_radius")
 _WITNESS = ("witness_depth", "witness_max_pairs")
 
 
-def _settings(args, names) -> dict:
-    """Every setting in ``names``: its ``config.DEFAULTS`` value, or the
-    ``--set`` one as the default's type. Any other ``--set`` name, and a value
-    the type does not hold exactly (``burn=2.5``, ``tol_fp=nan``), is rejected."""
-    sets = {name: config.DEFAULTS[name] for name in names}
+class _Settings(NamedTuple):
+    """What a run passes on to the library, one field per reader."""
+
+    estimator: EstimatorConfig      # also holds simulate's r_div
+    tol_cluster: float
+    basin: BasinConfig
+    witness: dict                   # basin_closedness_witness's depth and max_pairs
+
+
+def _settings(args, names) -> _Settings:
+    """The settings of a run: the ``config.DEFAULTS`` values, with the
+    ``--set`` ones for ``names`` as their default's type. Any other ``--set``
+    name, a value the type does not hold exactly (``burn=2.5``,
+    ``tol_fp=nan``) and a value the code that reads it rejects are usage
+    errors, raised here, before the run steps an orbit or writes a file."""
+    sets = dict(config.DEFAULTS)
     for name, value in _parse_params(args.set, "--set", names).items():
         kind = type(sets[name])
         try:
@@ -141,26 +156,41 @@ def _settings(args, names) -> dict:
         if not exact:
             raise InvalidParamError(f"--set {name}={value!r} is not a valid {kind.__name__}")
         sets[name] = kind(value)
-    return sets
+    _check_tol_cluster(sets["tol_cluster"])
+    _check_witness(sets["witness_depth"], sets["witness_max_pairs"])
+    return _Settings(
+        estimator=EstimatorConfig(**{name: sets[name] for name in _ESTIMATOR}),
+        tol_cluster=sets["tol_cluster"],
+        basin=BasinConfig(burn=sets["basin_burn"], window=sets["basin_window"],
+                          escape_radius=sets["escape_radius"]),
+        witness={"depth": sets["witness_depth"], "max_pairs": sets["witness_max_pairs"]})
 
 
-def _estimator_cfg(sets: dict) -> EstimatorConfig:
-    return EstimatorConfig(**{name: sets[name] for name in _ESTIMATOR})
+def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
+    """The region a run works on, and the box to sample it within when it has
+    no finite box of its own: ``--domain``, else the system's domain, sampled
+    within ``[-2, 2]`` per axis when it is unbounded."""
+    if args.domain:
+        return _parse_domain(args.domain, system.dim), None
+    region = system.domain
+    if (region.bounds is not None and np.isfinite(region.bounds).all()
+            and region.kind != "annulus"):
+        return region, None
+    return region, [[-_DEFAULT_BOX_HALF, _DEFAULT_BOX_HALF]] * system.dim
 
 
-def _witness_args(sets: dict) -> dict:
-    return {"depth": sets["witness_depth"], "max_pairs": sets["witness_max_pairs"]}
-
-
-def _default_box(dim: int) -> DomainRegion:
-    if dim == 1:
-        return DomainRegion.interval(-_DEFAULT_BOX_HALF, _DEFAULT_BOX_HALF)
-    return DomainRegion.box([[-_DEFAULT_BOX_HALF, _DEFAULT_BOX_HALF]] * dim)
-
-
-def _bounded(region: DomainRegion) -> bool:
-    return (region.bounds is not None and np.isfinite(region.bounds).all()
-            and region.kind != "annulus")
+def _catalog(args, system, sets: _Settings, region=None, box=None):
+    """The catalog a run works against, from ``--auto-seeds`` points drawn in
+    the region (``sweep`` only), the ``--seeds`` list, or the system's default
+    seeds. Returns ``(catalog, skipped)`` as :func:`catalog_from_seeds` does."""
+    if getattr(args, "auto_seeds", 0):
+        rng = np.random.default_rng(_seed_of(args))
+        seeds = list(region.sample(args.auto_seeds, rng, box=box))
+    elif args.seeds:
+        seeds = _parse_points(args.seeds, system.dim)
+    else:
+        seeds = default_seeds(args.system)
+    return catalog_from_seeds(system, seeds, sets.estimator, sets.tol_cluster)
 
 
 def _out_dir(args) -> Path:
@@ -217,18 +247,44 @@ def _verify_report(system, F, status: str, seed: int, conj, push, inj) -> dict:
     }
 
 
-# -- sampling shared by verify/learn ---------------------------------------------
+# -- steps shared by the subcommands and the demo --------------------------------
 
-def _survey_samples(region: DomainRegion, dim: int, seed: int,
-                    n_random: int = 512) -> np.ndarray:
-    per_axis = 129 if dim == 1 else 17
+def _survey_samples(region: DomainRegion, seed: int) -> np.ndarray:
+    per_axis = 129 if region.dim == 1 else 17
     axes = region.grid(per_axis)
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
     grid = grid[region.contains_batch(grid)]
     rng = np.random.default_rng(seed)
-    rand = region.sample(n_random, rng)
+    rand = region.sample(_SURVEY_RANDOM, rng)
     return np.vstack([grid, rand])
+
+
+def _basins_step(system, catalog, region, resolution: int, threads: int,
+                 sets: _Settings, out: Path, stem: str):
+    """Label the grid, search it for closedness witnesses, and write
+    ``stem.csv`` and ``stem.json``. Returns the summary and the witnesses."""
+    basins = compute_basins(system, catalog, region=region, resolution=resolution,
+                            cfg=sets.basin, threads=threads)
+    witnesses = basin_closedness_witness(system, basins, sets.estimator, **sets.witness)
+    write_basin_csv(basins, out / f"{stem}.csv")
+    summary = _basin_summary(system, basins, witnesses)
+    serialize.dump(summary, out / f"{stem}.json")
+    return summary, witnesses
+
+
+def _verify_step(system, pair, samples, xi, seed: int, cfg: EstimatorConfig,
+                 tol: float, path: Path):
+    """Check the chart ``pair`` on ``samples`` (and its limit-set pushforward
+    from ``xi`` unless that is None) and write the verify report to ``path``.
+    Returns the status and the three check results."""
+    F, target = pair.immersion, pair.target
+    conj = conjugacy_residual(F, system, target, samples)
+    push = None if xi is None else pushforward_check(F, system, target, xi, cfg)
+    inj = injectivity_probe(F, samples)
+    status = "ok" if conj.max_residual <= tol and inj.n_collisions == 0 else "failed"
+    serialize.dump(_verify_report(system, F, status, seed, conj, push, inj), path)
+    return status, conj, push, inj
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -240,7 +296,7 @@ def cmd_simulate(args) -> int:
     sets = _settings(args, ("r_div",))
     x0 = _parse_points(args.x0, system.dim)[0]
     system_run = system.reversed() if args.backward else system
-    traj = iterate(system_run, x0, args.steps, r_div=sets["r_div"])
+    traj = iterate(system_run, x0, args.steps, r_div=sets.estimator.r_div)
     out = _out_dir(args)
     path = out / "trajectory.csv"
     write_trajectory_csv(traj, path)
@@ -258,10 +314,7 @@ def cmd_limits(args) -> int:
     if args.backward:
         system = system.reversed()
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",))
-    cfg = _estimator_cfg(sets)
-    seeds = (_parse_points(args.seeds, system.dim) if args.seeds
-             else default_seeds(args.system))
-    catalog, skipped = catalog_from_seeds(system, seeds, cfg, tol_cluster=sets["tol_cluster"])
+    catalog, skipped = _catalog(args, system, sets)
 
     out = _out_dir(args)
     path = out / "catalog.json"
@@ -281,34 +334,16 @@ def cmd_basins(args) -> int:
     _at_least_one(args, "resolution", "threads")
     system = get_system(args.system, **_parse_params(args.param, "--param"))
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",) + _BASIN + _WITNESS)
-    est_cfg = _estimator_cfg(sets)
-    basin_cfg = BasinConfig(burn=sets["basin_burn"], window=sets["basin_window"],
-                            escape_radius=sets["escape_radius"])
-
-    if args.domain:
-        region = _parse_domain(args.domain, system.dim)
-    elif _bounded(system.domain):
-        region = system.domain
-    else:
+    region, box = _region(args, system)
+    if box is not None:
         raise InvalidParamError(
             f"{system.name} lives on an unbounded domain; pass --domain to pick "
             "the grid window")
 
-    seeds = (_parse_points(args.seeds, system.dim) if args.seeds
-             else default_seeds(args.system))
-    catalog, skipped = catalog_from_seeds(system, seeds, est_cfg,
-                                          tol_cluster=sets["tol_cluster"])
-    basins = compute_basins(system, catalog, region=region,
-                            resolution=args.resolution, cfg=basin_cfg,
-                            threads=args.threads)
-    witnesses = basin_closedness_witness(system, basins, est_cfg, **_witness_args(sets))
-
+    catalog, skipped = _catalog(args, system, sets)
     out = _out_dir(args)
-    csv_path = out / "basins.csv"
-    write_basin_csv(basins, csv_path)
-    summary = _basin_summary(system, basins, witnesses)
-    json_path = out / "basins.json"
-    serialize.dump(summary, json_path)
+    summary, witnesses = _basins_step(system, catalog, region, args.resolution,
+                                      args.threads, sets, out, "basins")
 
     print(_table(["label", "nodes"], sorted(summary["counts"].items())))
     for w in witnesses:
@@ -318,8 +353,8 @@ def cmd_basins(args) -> int:
               f"the point itself settles on {w.limit_label}")
     for seed, status in skipped:
         print(f"skipped seed {','.join(repr(float(v)) for v in seed)}: {status}")
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+    print(f"wrote {out / 'basins.csv'}")
+    print(f"wrote {out / 'basins.json'}")
     return 0
 
 
@@ -329,18 +364,13 @@ def cmd_verify(args) -> int:
     pair = exact_immersion(args.system, variant=args.variant, **params)
     F, target = pair.immersion, pair.target
     seed = _seed_of(args)
-    cfg = _estimator_cfg(_settings(args, _ESTIMATOR))
+    sets = _settings(args, _ESTIMATOR)
 
-    explicit = args.domain is not None
-    if explicit:
-        region = _parse_domain(args.domain, system.dim)
-    elif _bounded(system.domain):
-        region = system.domain
-    else:
-        region = _default_box(system.dim)
-
-    samples = _survey_samples(region, system.dim, seed)
-    if explicit:
+    region, box = _region(args, system)
+    if box is not None:
+        region = DomainRegion.box(box)
+    samples = _survey_samples(region, seed)
+    if args.domain:
         # the user is claiming the immersion works on this whole region —
         # every grid node must be usable, endpoints included
         try:
@@ -357,9 +387,6 @@ def cmd_verify(args) -> int:
                         point=point)
             return 3
 
-    conj = conjugacy_residual(F, system, target, samples)
-
-    push = None
     xi = None
     if args.x0:
         xi = _parse_points(args.x0, system.dim)[0]
@@ -369,15 +396,9 @@ def cmd_verify(args) -> int:
                     and system.domain.contains(cand):
                 xi = cand
                 break
-    if xi is not None:
-        push = pushforward_check(F, system, target, xi, cfg)
-
-    inj = injectivity_probe(F, samples[F.domain.contains_batch(samples)])
-
-    status = "ok" if conj.max_residual <= args.tol and inj.n_collisions == 0 else "failed"
-    out = _out_dir(args)
-    path = out / "verify.json"
-    serialize.dump(_verify_report(system, F, status, seed, conj, push, inj), path)
+    path = _out_dir(args) / "verify.json"
+    status, conj, push, inj = _verify_step(system, pair, samples, xi, seed,
+                                           sets.estimator, args.tol, path)
 
     print(f"immersion {F.name} -> {target.name}")
     print(f"conjugacy: max residual {conj.max_residual:.3e} over "
@@ -404,11 +425,7 @@ def cmd_learn(args) -> int:
     system = get_system(args.system, **params)
     seed = _seed_of(args)
     _settings(args, ())         # a lift fit reads no --set name
-    region = box = None
-    if args.domain:
-        region = _parse_domain(args.domain, system.dim)
-    elif not _bounded(system.domain):
-        box = [[-_DEFAULT_BOX_HALF, _DEFAULT_BOX_HALF]] * system.dim
+    region, box = _region(args, system)
 
     dictionary = build_dictionary(args.dict, system.dim, args.order, pole=args.pole)
     lift = fit_lift(system, dictionary, region=region, ridge=args.ridge,
@@ -459,25 +476,8 @@ def cmd_sweep(args) -> int:
     system = get_system(args.system, **params)
     seed = _seed_of(args)
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",))
-    est_cfg = _estimator_cfg(sets)
-    tol_cluster = sets["tol_cluster"]
-
-    region = box = None
-    if args.domain:
-        region = _parse_domain(args.domain, system.dim)
-    elif not _bounded(system.domain):
-        box = [[-_DEFAULT_BOX_HALF, _DEFAULT_BOX_HALF]] * system.dim
-
-    if args.auto_seeds:
-        rng = np.random.default_rng(seed)
-        sample_region = region or system.domain
-        seeds = list(sample_region.sample(args.auto_seeds, rng, box=box))
-    elif args.seeds:
-        seeds = _parse_points(args.seeds, system.dim)
-    else:
-        seeds = default_seeds(args.system)
-    catalog, _skipped = catalog_from_seeds(system, seeds, est_cfg,
-                                           tol_cluster=tol_cluster)
+    region, box = _region(args, system)
+    catalog, _skipped = _catalog(args, system, sets, region, box)
 
     if args.dicts:
         specs = _parse_dict_specs(args.dicts)
@@ -489,8 +489,7 @@ def cmd_sweep(args) -> int:
     ridges = [float(r) for r in args.ridges.split(",")] if args.ridges else [0.0]
 
     report = obstruction_sweep(system, catalog, specs, ridges=ridges,
-                               region=region, seed=seed, tol_cluster=tol_cluster,
-                               pole=args.pole, box=box)
+                               region=region, seed=seed, pole=args.pole, box=box)
     out = _out_dir(args)
     csv_path = out / "sweep.csv"
     report.write_csv(csv_path)
@@ -509,30 +508,26 @@ def cmd_sweep(args) -> int:
 
 # -- demo -------------------------------------------------------------------------
 
-def _demo_mobius(out: Path, seed: int, threads: int, cfg: EstimatorConfig,
-                 witness_args: dict) -> dict:
-    f = get_system("mobius")
-    catalog, _ = catalog_from_seeds(f, default_seeds("mobius"), cfg)
+def _demo_catalog(name: str, sets: _Settings):
+    system = get_system(name)
+    catalog, _ = catalog_from_seeds(system, default_seeds(name), sets.estimator,
+                                    sets.tol_cluster)
+    return system, catalog
+
+
+def _demo_mobius(out: Path, seed: int, threads: int, sets: _Settings) -> dict:
+    f, catalog = _demo_catalog("mobius", sets)
     serialize.dump(catalog_to_dict(catalog), out / "mobius-catalog.json")
 
     region = DomainRegion.interval(-2.0, 2.0)
-    basins = compute_basins(f, catalog, region=region, resolution=401,
-                            threads=threads)
-    witnesses = basin_closedness_witness(f, basins, cfg, **witness_args)
-    write_basin_csv(basins, out / "mobius-basins.csv")
-    serialize.dump(_basin_summary(f, basins, witnesses), out / "mobius-basins.json")
-
-    pair = exact_immersion("mobius")
-    F, target = pair.immersion, pair.target
-    samples = _survey_samples(region, 1, seed)
-    conj = conjugacy_residual(F, f, target, samples)
-    push = pushforward_check(F, f, target, [0.0], cfg)
-    inj = injectivity_probe(F, samples[F.domain.contains_batch(samples)])
-    serialize.dump(_verify_report(f, F, "ok", seed, conj, push, inj),
-                   out / "mobius-verify.json")
+    _, witnesses = _basins_step(f, catalog, region, 401, threads, sets, out,
+                                "mobius-basins")
+    status, conj, push, _ = _verify_step(
+        f, exact_immersion("mobius"), _survey_samples(region, seed), [0.0], seed,
+        sets.estimator, _VERIFY_TOL, out / "mobius-verify.json")
 
     return {
-        "name": "rational-fixed-points", "status": "ok",
+        "name": "rational-fixed-points", "status": status,
         "metrics": {
             "members": len(catalog), "witnesses": len(witnesses),
             "max_residual": conj.max_residual,
@@ -542,20 +537,15 @@ def _demo_mobius(out: Path, seed: int, threads: int, cfg: EstimatorConfig,
     }
 
 
-def _demo_cot(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
+def _demo_cot(out: Path, seed: int, sets: _Settings) -> dict:
     f = get_system("cot-map")
-    pair = exact_immersion("cot-map")
-    F, target = pair.immersion, pair.target
-    samples = _survey_samples(f.domain, 1, seed)
-    conj = conjugacy_residual(F, f, target, samples)
-    push = pushforward_check(F, f, target, [1.0], cfg)
-    consistency = omega_alpha_consistency(f, [2.0], cfg)
-    inj = injectivity_probe(F, samples)
-    serialize.dump(_verify_report(f, F, "ok", seed, conj, push, inj),
-                   out / "cot-verify.json")
+    status, conj, push, _ = _verify_step(
+        f, exact_immersion("cot-map"), _survey_samples(f.domain, seed), [1.0], seed,
+        sets.estimator, _VERIFY_TOL, out / "cot-verify.json")
+    consistency = omega_alpha_consistency(f, [2.0], sets.estimator)
     serialize.dump(consistency.to_dict(), out / "cot-consistency.json")
     return {
-        "name": "half-angle-conjugacy", "status": "ok",
+        "name": "half-angle-conjugacy", "status": status,
         "metrics": {
             "max_residual": conj.max_residual,
             "hausdorff_omega": push.hausdorff_omega,
@@ -565,9 +555,8 @@ def _demo_cot(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
     }
 
 
-def _demo_rotation(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
-    f = get_system("rotation-scaling")
-    catalog, _ = catalog_from_seeds(f, default_seeds("rotation-scaling"), cfg)
+def _demo_rotation(out: Path, seed: int, sets: _Settings) -> dict:
+    f, catalog = _demo_catalog("rotation-scaling", sets)
     serialize.dump(catalog_to_dict(catalog), out / "rotation-catalog.json")
 
     pair = exact_immersion("rotation-scaling")
@@ -580,7 +569,7 @@ def _demo_rotation(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
         collapse_error = {"reason": exc.reason,
                           "point": [float(v) for v in np.atleast_1d(exc.point)]}
 
-    push = pushforward_check(pair.immersion, f, pair.target, [2.0, 0.0], cfg)
+    push = pushforward_check(pair.immersion, f, pair.target, [2.0, 0.0], sets.estimator)
 
     A = np.zeros((3, 3))
     c, s = math.cos(1.0), math.sin(1.0)
@@ -609,9 +598,8 @@ def _demo_rotation(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
     }
 
 
-def _demo_sweep(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
-    f = get_system("mobius")
-    catalog, _ = catalog_from_seeds(f, default_seeds("mobius"), cfg)
+def _demo_sweep(out: Path, seed: int, sets: _Settings) -> dict:
+    f, catalog = _demo_catalog("mobius", sets)
     region = DomainRegion.interval(-1.2, 1.2)
     specs = [("monomial", 1), ("monomial", 2), ("monomial", 4),
              ("fourier", 2), ("rational-pole", 1)]
@@ -638,16 +626,15 @@ def _demo_sweep(out: Path, seed: int, cfg: EstimatorConfig) -> dict:
 
 def cmd_demo(args) -> int:
     _at_least_one(args, "threads")
+    sets = _settings(args, _ESTIMATOR + _WITNESS)
     out = _out_dir(args)
     seed = _seed_of(args)
-    sets = _settings(args, _ESTIMATOR + _WITNESS)
-    cfg = _estimator_cfg(sets)
     examples = []
     steps = [
-        lambda: _demo_mobius(out, seed, args.threads, cfg, _witness_args(sets)),
-        lambda: _demo_cot(out, seed, cfg),
-        lambda: _demo_rotation(out, seed, cfg),
-        lambda: _demo_sweep(out, seed, cfg),
+        lambda: _demo_mobius(out, seed, args.threads, sets),
+        lambda: _demo_cot(out, seed, sets),
+        lambda: _demo_rotation(out, seed, sets),
+        lambda: _demo_sweep(out, seed, sets),
     ]
     for i, step in enumerate(steps, 1):
         result = step()
@@ -875,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", type=int, default=0,
                    help="which catalogued immersion to check")
     p.add_argument("--x0", help="state for the limit-set pushforward check")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=_VERIFY_TOL,
                    help="max conjugacy residual to count as ok")
     p.set_defaults(func=cmd_verify)
 

@@ -1,7 +1,12 @@
 """Central table of numeric defaults.
 
-Every tolerance or guard used by the library is named here once; the CLI's
-``--set name=value`` overrides resolve against :data:`DEFAULTS`.
+Every tolerance or guard used by the library is named here once.
+:data:`DEFAULTS` lists the ones the CLI's ``--set name=value`` can override.
+``cli._settings`` is the one place a ``--set`` value becomes library input:
+it puts the values a subcommand accepts over these defaults and builds what
+the library reads from them, the ``EstimatorConfig``, the ``BasinConfig``,
+the witness search's ``depth`` and ``max_pairs``, and ``tol_cluster``. Each
+value passes its reader's own check there, before any work starts.
 """
 
 from __future__ import annotations

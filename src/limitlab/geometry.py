@@ -72,8 +72,8 @@ def _as_cloud(points) -> np.ndarray:
     return p
 
 
-def _distinct_rows(p: np.ndarray, counts: bool = False):
-    """The distinct rows of cloud ``p``, and with ``counts`` their multiplicities.
+def _distinct_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of cloud ``p`` and their multiplicities, from one sort.
 
     Rows are sorted lexicographically and runs of equal neighbours collapsed:
     ``np.unique(p, axis=0)`` without its structured-dtype sort, which costs
@@ -84,8 +84,6 @@ def _distinct_rows(p: np.ndarray, counts: bool = False):
     new = np.empty(len(s), dtype=bool)
     new[0] = True
     np.any(s[1:] != s[:-1], axis=1, out=new[1:])
-    if not counts:
-        return s[new]
     starts = np.flatnonzero(new)
     return s[starts], np.diff(starts, append=len(s))
 
@@ -115,16 +113,13 @@ class _Cloud:
     @property
     def distinct(self) -> np.ndarray:
         if self._distinct is None:
-            self._distinct = _distinct_rows(self.points)
+            self._distinct, self._counts = _distinct_rows(self.points)
         return self._distinct
 
     @property
     def counts(self) -> np.ndarray:
         """Multiplicity of each distinct row, in the order of :attr:`distinct`."""
-        if self._counts is None:
-            rows, self._counts = _distinct_rows(self.points, counts=True)
-            if self._distinct is None:
-                self._distinct = rows
+        self.distinct               # the rows and their counts come together
         return self._counts
 
     @property

@@ -240,9 +240,11 @@ class CollapseReport:
         }
 
 
+_COLLAPSE_SAMPLES = 512     # domain samples drawn for the image diameter
+
+
 def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
                     samples=None, seed: int = config.DEFAULT_SEED,
-                    n_samples: int = 512,
                     tol_cluster: float = config.TOL_CLUSTER) -> CollapseReport:
     """How far apart the images of the catalog's limit sets sit, relative to
     the overall spread of F over its domain.
@@ -272,7 +274,7 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
     if samples is None:
         rng = np.random.default_rng(seed)
         box = _bounding_box(catalog, F.domain)
-        samples = F.domain.sample(n_samples, rng, box=box)
+        samples = F.domain.sample(_COLLAPSE_SAMPLES, rng, box=box)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     img_diam = diameter(F.apply(samples))
 

@@ -349,7 +349,6 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
                       ridges: Sequence[float] = (0.0,),
                       region: Optional[DomainRegion] = None,
                       seed: int = config.DEFAULT_SEED,
-                      tol_cluster: float = config.TOL_CLUSTER,
                       pole: float = 1.0, box=None) -> TradeoffReport:
     """Fit every (dictionary spec, ridge) combination and score the resulting
     immersion candidate on held-out samples.
@@ -384,9 +383,7 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
                     F.restricted(DomainRegion.full_space(system.dim)), system, g,
                     heldout).rms_residual
                 try:
-                    col = collapse_report(F, catalog, seed=seed,
-                                          tol_cluster=tol_cluster)
-                    ratio = col.collapse_ratio
+                    ratio = collapse_report(F, catalog, seed=seed).collapse_ratio
                 except DomainError as exc:
                     rows.append(TradeoffRow(kind, dictionary.size, float(ridge),
                                             resid, None, None,

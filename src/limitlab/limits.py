@@ -381,9 +381,11 @@ def catalog_from_seeds(system: DiscreteMap, seeds,
     ``seeds`` lists states, as :func:`estimate_omega_batch` takes them: for a
     1-d system a flat list of numbers is one seed per number.
     Returns ``(catalog, skipped)`` where skipped lists (seed, status) for
-    orbits that escaped, hit a singularity, or failed to settle.
+    orbits that escaped, hit a singularity, or failed to settle. The
+    clustering, and so every match tolerance, uses ``cfg.gap_factor``.
     """
     _check_tol_cluster(tol_cluster)
+    cfg = cfg or EstimatorConfig()
     seeds = [as_state(s, system.dim) for s in seeds]
     ests, skipped = [], []
     for s, est in zip(seeds, estimate_omega_batch(system, seeds, cfg)):
@@ -393,7 +395,7 @@ def catalog_from_seeds(system: DiscreteMap, seeds,
             skipped.append((s, est.status))
     if not ests:
         raise UnconvergedError("no seed produced a converged estimate")
-    return cluster_limit_sets(ests, tol_cluster=tol_cluster), skipped
+    return cluster_limit_sets(ests, tol_cluster, cfg.gap_factor), skipped
 
 
 # -- basins ------------------------------------------------------------------
@@ -415,12 +417,11 @@ _BASIN_CODE = np.array([{"escaped": CODE_ESCAPED, "singular": CODE_SINGULAR}.get
 class BasinConfig:
     """Grid orbits drop ``burn`` steps, then their next ``window`` states must
     sit on one member. An orbit escapes once a coordinate magnitude exceeds
-    ``escape_radius``. ``batch`` nodes are settled per chunk."""
+    ``escape_radius``."""
 
     burn: int = config.BASIN_BURN
     window: int = config.BASIN_WINDOW
     escape_radius: float = config.ESCAPE_RADIUS
-    batch: int = 65536
 
     def __post_init__(self):
         if self.burn < 0:
@@ -429,8 +430,9 @@ class BasinConfig:
             raise ValueError(f"basin_window must be >= 1, got {self.window}")
         if not self.escape_radius > 0:
             raise ValueError(f"escape_radius must be > 0, got {self.escape_radius}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+
+
+_BATCH = 65536      # most grid nodes settled in one chunk; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -601,7 +603,7 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     coordinate past the escape radius are ``escaped``, the rest ``undetermined``;
     the image of the last window state is checked too.
 
-    The nodes are settled in chunks of at most ``cfg.batch``, and in at least
+    The nodes are settled in chunks of at most ``_BATCH``, and in at least
     ``threads`` chunks, so that every thread has one. A node's code does not
     depend on its chunk: :func:`_settle_batch` decides each row on its own.
     """
@@ -615,7 +617,7 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     res = tuple(len(a) for a in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.column_stack([m.ravel() for m in mesh])
-    size = min(cfg.batch, -(-len(centers) // threads))
+    size = min(_BATCH, -(-len(centers) // threads))
 
     def settle(start):
         return _settle_batch(system, centers[start:start + size], catalog, cfg)
@@ -681,6 +683,13 @@ def _boundary_pairs(basins: BasinMap):
         yield tuple(int(v) for v in pairs[k, 0]), tuple(int(v) for v in pairs[k, 1])
 
 
+def _check_witness(depth: int, max_pairs: int) -> None:
+    if depth < 1:
+        raise ValueError(f"witness_depth must be >= 1, got {depth}")
+    if max_pairs < 0:
+        raise ValueError(f"witness_max_pairs must be >= 0, got {max_pairs}")
+
+
 def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
                              cfg: Optional[EstimatorConfig] = None,
                              depth: int = config.WITNESS_DEPTH,
@@ -696,10 +705,7 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
     are then judged in order, exactly as if each estimate were made when the
     search reached it.
     """
-    if depth < 1:
-        raise ValueError(f"witness depth must be >= 1, got {depth}")
-    if max_pairs < 0:
-        raise ValueError(f"witness max_pairs must be >= 0, got {max_pairs}")
+    _check_witness(depth, max_pairs)
     cfg = cfg or EstimatorConfig()
     catalog = basins.catalog
 

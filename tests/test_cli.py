@@ -372,6 +372,46 @@ def test_names_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, nam
             assert repr(name) in _rejected_setting(tmp_path, capsys, command, f"{name}=5")
 
 
+@pytest.mark.parametrize("command,setting", [
+    ("simulate", "r_div=0"), ("simulate", "r_div=-1"), ("simulate", "r_div=inf"),
+    ("basins", "witness_depth=0"), ("basins", "witness_max_pairs=-1"),
+    ("demo", "witness_depth=0"), ("demo", "witness_max_pairs=-1")])
+def test_impossible_settings_are_rejected_before_any_orbit(tmp_path, capsys, monkeypatch,
+                                                          command, setting):
+    # simulate used to run with r_div=0 and call a converging orbit diverged;
+    # basins refused a witness setting only after settling the whole grid, and
+    # demo after writing its mobius catalog
+    import limitlab.dynamics
+    import limitlab.limits
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit was stepped")
+
+    monkeypatch.setattr(limitlab.dynamics, "iterate_batch", refuse)
+    monkeypatch.setattr(limitlab.limits, "iterate_batch", refuse)
+    message = _rejected_setting(tmp_path, capsys, command, setting)
+    assert message.startswith(setting.split("=")[0] + " must be")
+    assert not (tmp_path / command).exists()
+
+
+def test_gap_factor_reaches_the_clustering_and_the_match_tolerances(tmp_path, capsys):
+    # the clustering used to keep the default 2.0, so catalog.json recorded it
+    # and every match tolerance was computed with it
+    argv = ["--system", "rotation-scaling", "--set", "gap_factor=5"]
+    code, _, _ = run(capsys, "limits", *argv, "--out", str(tmp_path / "limits"))
+    assert code == 0
+    catalog = read_json(tmp_path / "limits" / "catalog.json")
+    assert catalog["gap_factor"] == 5.0
+    code, _, _ = run(capsys, "basins", *argv, "--domain=-2,2;-2,2", "--resolution", "5",
+                     "--set", "witness_max_pairs=0", "--out", str(tmp_path / "basins"))
+    assert code == 0
+    tolerances = read_json(tmp_path / "basins" / "basins.json")["params"]["match_tolerances"]
+    want = {m["label"]: max(catalog["tol_cluster"], 5.0 * m["resolution"])
+            for m in catalog["members"]}
+    assert tolerances == want
+    assert any(tol > catalog["tol_cluster"] for tol in want.values())
+
+
 def test_simulate_honours_r_div(tmp_path, capsys):
     argv = ["simulate", "--system", "scalar-linear", "--param", "a=2", "--x0", "1",
             "--steps", "100"]

@@ -312,11 +312,12 @@ def test_basins_settle_in_at_least_one_chunk_per_thread(mobius_unit, mobius_unit
         return settle(system, X0, *rest)
 
     monkeypatch.setattr(limits, "_settle_batch", counted)
-    for threads, cfg, want in [(1, None, [101]), (4, None, [26, 26, 26, 23]),
-                               (3, BasinConfig(batch=20), [20] * 5 + [1])]:
+    default = limits._BATCH
+    for threads, batch, want in [(1, default, [101]), (4, default, [26, 26, 26, 23]),
+                                 (3, 20, [20] * 5 + [1])]:
         chunks.clear()
-        compute_basins(mobius_unit, mobius_unit_catalog, resolution=101, cfg=cfg,
-                       threads=threads)
+        monkeypatch.setattr(limits, "_BATCH", batch)
+        compute_basins(mobius_unit, mobius_unit_catalog, resolution=101, threads=threads)
         assert sorted(chunks, reverse=True) == want
     for bad in ({"threads": 0}, {"threads": -2}, {"resolution": 0}, {"resolution": -3}):
         with pytest.raises(ValueError):
@@ -530,7 +531,7 @@ def test_basin_escape_is_the_max_abs_guard_on_every_image():
 
 def test_basin_config_rejects_impossible_settings():
     for bad in ({"burn": -1}, {"window": 0}, {"escape_radius": 0.0},
-                {"escape_radius": -1.0}, {"escape_radius": float("nan")}, {"batch": 0}):
+                {"escape_radius": -1.0}, {"escape_radius": float("nan")}):
         with pytest.raises(ValueError):
             BasinConfig(**bad)
     BasinConfig(burn=0, window=1, escape_radius=1e-300)
