@@ -515,8 +515,8 @@ def _demo_catalog(name: str, sets: _Settings):
     return system, catalog
 
 
-def _demo_mobius(out: Path, seed: int, threads: int, sets: _Settings) -> dict:
-    f, catalog = _demo_catalog("mobius", sets)
+def _demo_mobius(out: Path, seed: int, threads: int, sets: _Settings, f,
+                 catalog) -> dict:
     serialize.dump(catalog_to_dict(catalog), out / "mobius-catalog.json")
 
     region = DomainRegion.interval(-2.0, 2.0)
@@ -598,8 +598,7 @@ def _demo_rotation(out: Path, seed: int, sets: _Settings) -> dict:
     }
 
 
-def _demo_sweep(out: Path, seed: int, sets: _Settings) -> dict:
-    f, catalog = _demo_catalog("mobius", sets)
+def _demo_sweep(out: Path, seed: int, f, catalog) -> dict:
     region = DomainRegion.interval(-1.2, 1.2)
     specs = [("monomial", 1), ("monomial", 2), ("monomial", 4),
              ("fourier", 2), ("rational-pole", 1)]
@@ -630,11 +629,12 @@ def cmd_demo(args) -> int:
     out = _out_dir(args)
     seed = _seed_of(args)
     examples = []
+    mobius = _demo_catalog("mobius", sets)      # the first and last examples share it
     steps = [
-        lambda: _demo_mobius(out, seed, args.threads, sets),
+        lambda: _demo_mobius(out, seed, args.threads, sets, *mobius),
         lambda: _demo_cot(out, seed, sets),
         lambda: _demo_rotation(out, seed, sets),
-        lambda: _demo_sweep(out, seed, sets),
+        lambda: _demo_sweep(out, seed, *mobius),
     ]
     for i, step in enumerate(steps, 1):
         result = step()

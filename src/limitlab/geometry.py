@@ -1,9 +1,13 @@
 """Point-cloud metrics: Hausdorff distances, diameter, sampling resolution.
 
 Inputs are ``(m, d)`` float arrays, or clouds prepared once with
-:func:`_prepare` (below). Distances between two clouds are brute force
-(``cdist``) in row chunks of ``_CHUNK``, with a KD-tree shortcut once the
-target cloud is large enough to make it worthwhile.
+:func:`_prepare` (below). Nearest-neighbour distances to a cloud (Hausdorff
+distances, the sampling gap) come from a KD tree on its distinct rows or from
+brute-force ``cdist`` blocks of ``_CHUNK`` rows; :func:`_by_tree` picks the
+path (see below). When neither cloud of a Hausdorff pair takes the tree, one
+``cdist`` block per chunk gives both directions: its row minima and its
+running column minima. ``cdist(a, b)`` is ``cdist(b, a)`` transposed to the
+bit, for the reason given next.
 
 Distances *within* one cloud (the diameter here, the injectivity probe in
 ``immersion``) walk its unordered pairs ``(r, c)``, ``r < c``, once each, in
@@ -23,20 +27,30 @@ cases cost what their distinct points cost. A copy adds no pairwise distance
 its original does not already have, so Hausdorff distances and the diameter
 are maxima and minima over the same values, computed by the same
 arithmetic, and come out bit for bit as on the raw cloud (``sampling_gap``
-needs the multiplicities too; see there). Whether the KD tree or the
-brute-force path runs still follows the raw size: the two can round a
-distance differently (they do in eight or more dimensions with scipy 1.17),
-and keying the choice to the cloud as passed keeps every result identical to
-the undeduplicated computation.
+needs the multiplicities too; see there).
+
+The path rule (:func:`_by_tree`) takes the tree for a cloud of at least
+``_TREE_MIN`` raw rows, whatever its dimension, and for a cloud of fewer than
+8 columns with at least ``_TREE_DISTINCT`` distinct rows. Below 8 columns the
+tree and ``cdist`` both add the squared coordinate differences in column
+order and take one square root, so they return the same bits (with scipy
+1.17, on lattice ties, near-duplicates and magnitudes from 1e-310 to 1e300);
+the tree is then only a cheaper way to the same value. From 8 columns on the
+two can round a distance differently, the boundary where
+``dynamics._row_norm`` leaves its in-order fold for numpy's pairwise sum.
+There the choice follows the raw size alone, so every result stays
+identical to the undeduplicated computation.
 
 A cloud that is measured many times (a tail window compared with the next
 one, an estimate against every catalog cluster, a catalog member against
 every query) is prepared once as a :class:`_Cloud`. It keeps the validated
-points as passed, whose row count still picks the path, and computes on
+points as passed (the path rule reads their row count), and computes on
 first use, then keeps, its distinct rows, their counts, its bounding box and
 a KD tree on the distinct rows. Every metric takes a prepared cloud wherever
 it takes an array and returns the same value to the bit: the derived forms
-are the ones the metric would otherwise compute from the raw points.
+are the ones the metric would otherwise compute from the raw points. It also
+keeps its sampling gap once computed, so a window classified as a curve and
+then clustered is measured once.
 
 Catalog loops skip a Hausdorff distance that a lower bound already decides
 (:func:`_hausdorff_lower_bounds`). Every point of one cloud has its nearest
@@ -58,7 +72,8 @@ from scipy.spatial.distance import cdist, pdist
 from .dynamics import _row_norm
 
 _CHUNK = 1024
-_TREE_MIN = 512
+_TREE_MIN = 512         # raw rows from which every cloud takes the KD tree
+_TREE_DISTINCT = 128    # distinct rows from which a cloud of < 8 columns does
 
 
 def _as_cloud(points) -> np.ndarray:
@@ -91,18 +106,17 @@ def _distinct_rows(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Cloud:
     """A validated ``(m, d)`` point cloud and the forms the metrics derive from it.
 
-    ``points`` is the cloud as passed; ``len()`` and ``np.asarray`` give it,
-    and its row count picks the KD-tree or brute-force path. The distinct
-    rows, their counts, the bounding box of the distinct rows and a KD tree
-    on them are computed on first use and kept. The points must not change
-    afterwards. Make one with :func:`_prepare`.
+    ``points`` is the cloud as passed; ``len()`` and ``np.asarray`` give it.
+    The distinct rows, their counts, the bounding box of the distinct rows, a
+    KD tree on them and the sampling gap are computed on first use and kept.
+    The points must not change afterwards. Make one with :func:`_prepare`.
     """
 
-    __slots__ = ("points", "_distinct", "_counts", "_box", "_tree")
+    __slots__ = ("points", "_distinct", "_counts", "_box", "_tree", "_gap")
 
     def __init__(self, points: np.ndarray):
         self.points = points
-        self._distinct = self._counts = self._box = self._tree = None
+        self._distinct = self._counts = self._box = self._tree = self._gap = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -134,6 +148,22 @@ class _Cloud:
         if self._tree is None:
             self._tree = cKDTree(self.distinct)
         return self._tree
+
+    @property
+    def gap(self) -> float:
+        """:func:`sampling_gap` of the points."""
+        if self._gap is None:
+            self._gap = _sampling_gap(self)
+        return self._gap
+
+
+def _by_tree(c: _Cloud) -> bool:
+    """Whether nearest-neighbour queries against ``c`` use its KD tree: from
+    ``_TREE_MIN`` raw rows, and below 8 columns also from ``_TREE_DISTINCT``
+    distinct rows, where the tree and ``cdist`` agree to the bit (see the
+    module docstring)."""
+    return len(c) >= _TREE_MIN or (c.points.shape[1] < 8
+                                   and len(c.distinct) >= _TREE_DISTINCT)
 
 
 def _prepare(points) -> _Cloud:
@@ -234,12 +264,17 @@ def _pair_rows(m: int, i: int, b: int, pos: np.ndarray, first: int):
     return np.concatenate((pin, pout))[order], r[order], c[order]
 
 
-def directed_hausdorff(a, b) -> float:
-    """sup over points of `a` of the distance to the nearest point of `b`."""
+def _pair(a, b) -> tuple[_Cloud, _Cloud]:
     a, b = _prepare(a), _prepare(b)
     if a.points.shape[1] != b.points.shape[1]:
         raise ValueError("clouds have mismatched dimension")
-    if len(b) >= _TREE_MIN:
+    return a, b
+
+
+def directed_hausdorff(a, b) -> float:
+    """sup over points of `a` of the distance to the nearest point of `b`."""
+    a, b = _pair(a, b)
+    if _by_tree(b):
         d, _ = b.tree.query(a.distinct, k=1)
         return float(np.max(d))
     a, b = a.distinct, b.distinct
@@ -252,8 +287,19 @@ def directed_hausdorff(a, b) -> float:
 
 def hausdorff(a, b) -> float:
     """Symmetric Hausdorff distance between two point clouds."""
-    a, b = _prepare(a), _prepare(b)
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+    a, b = _pair(a, b)
+    if _by_tree(a) or _by_tree(b):
+        return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
+    # both directions from one block per chunk: row minima give a -> b, the
+    # running column minima b -> a
+    u, v = a.distinct, b.distinct
+    worst = 0.0
+    cols = np.full(len(v), np.inf)
+    for i in range(0, len(u), _CHUNK):
+        block = cdist(u[i : i + _CHUNK], v)
+        worst = max(worst, float(block.min(axis=1).max()))
+        np.minimum(cols, block.min(axis=0), out=cols)
+    return max(worst, float(cols.max()))
 
 
 def diameter(points) -> float:
@@ -279,15 +325,18 @@ def sampling_gap(points) -> float:
     the nearest *other distinct* point. So the gap is the largest such
     distance over the singletons, or 0 when every point has a twin. (The gap
     of the distinct rows alone differs: a settled period-2 cloud would report
-    its spacing instead of 0.)
+    its spacing instead of 0.) A prepared cloud computes it once.
     """
-    p = _prepare(points)
+    return _prepare(points).gap
+
+
+def _sampling_gap(p: _Cloud) -> float:
     count = p.counts
     u = p.distinct
     alone = np.flatnonzero(count == 1)
     if alone.size == 0 or len(u) == 1:
         return 0.0
-    if len(p) >= _TREE_MIN:
+    if _by_tree(p):
         # the nearest hit is the singleton itself, the second its neighbour
         d, _ = p.tree.query(u[alone], k=2)
         return float(np.max(d[:, 1]))

@@ -76,16 +76,28 @@ class LimitSetEstimate:
     settle_gap: float            # Hausdorff distance between the last two windows
     settle_tol: float            # effective tolerance that was applied to it
 
+    @cached_property
+    def _cloud(self) -> _Cloud:
+        """The window, prepared. :func:`estimate_omega_batch` hands over the
+        one it measured, so clustering reuses its distinct rows, tree and
+        sampling gap. Not a field: estimates compare by their values."""
+        return _prepare(self.points)
+
 
 def _classify_shape(window: _Cloud, tol_fp: float, max_period: int):
     diam = diameter(window)
     if diam < tol_fp:
         return "fixed-point", 1, diam
     points = window.points
-    for p in range(1, min(max_period, len(points) - 1) + 1):
+    # lag p passes when every |x_{k+p} - x_k| < tol_fp, so |x_p - x_0| must;
+    # those first distances, taken for all lags at once, leave few lags to
+    # check in full, still in ascending order
+    lags = min(max_period, len(points) - 1)
+    first = _row_norm(points[1:lags + 1] - points[0])
+    for p in np.flatnonzero(first < tol_fp) + 1:
         lagged = _row_norm(points[p:] - points[:-p])
         if lagged.max() < tol_fp:
-            return "periodic-orbit", p, diam
+            return "periodic-orbit", int(p), diam
     if sampling_gap(window) < 0.05 * diam:
         return "curve", None, diam
     return "unknown", None, diam
@@ -116,7 +128,8 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
     in seed order, and each equals the one-seed estimate to the bit: no seed's
     result depends on which seeds share the call. Each tail window is prepared
     once (:func:`geometry._prepare`) for its settle test, its shape and, if it
-    does not settle, the next round's comparison.
+    does not settle, the next round's comparison; the estimate keeps it for
+    :func:`cluster_limit_sets`.
     """
     cfg = cfg or EstimatorConfig()
     seeds = [as_state(s, system.dim) for s in seeds]
@@ -133,11 +146,13 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
 
     def settled(i, window, converged, gap, tol_eff):
         shape, period, diam = _classify_shape(window, cfg.tol_fp, cfg.max_period)
-        return LimitSetEstimate(points=window.points, source=source, seed=seeds[i],
-                                diameter=diam, shape=shape, period=period,
-                                converged=converged,
-                                status="converged" if converged else "unconverged",
-                                settle_gap=float(gap), settle_tol=float(tol_eff))
+        est = LimitSetEstimate(points=window.points, source=source, seed=seeds[i],
+                               diameter=diam, shape=shape, period=period,
+                               converged=converged,
+                               status="converged" if converged else "unconverged",
+                               settle_gap=float(gap), settle_tol=float(tol_eff))
+        vars(est)["_cloud"] = window        # the cached_property's slot
+        return est
 
     burn = iterate_batch(system, np.stack(seeds), cfg.burn, r_div=cfg.r_div)
     rows = []
@@ -318,7 +333,8 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
 
     Each estimate joins the cluster at the smallest Hausdorff distance below
     that cluster's merge tolerance, the first such one on a tie, or starts a
-    new cluster. Every estimate and cluster cloud is prepared once. A cluster
+    new cluster. Every estimate and cluster cloud is prepared once, and an
+    estimate's window keeps the sampling gap its shape test took. A cluster
     whose lower bound (:func:`geometry._hausdorff_lower_bounds`) already
     reaches its merge tolerance or the best distance so far cannot be the
     one joined, so its distance is not computed; the clusters come out as if
@@ -333,7 +349,7 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
 
     clusters: list[dict] = []
     for est in estimates:
-        cloud = _prepare(est.points)
+        cloud = est._cloud
         res = sampling_gap(cloud)
         hit = None
         best = float("inf")
@@ -763,9 +779,10 @@ def write_basin_csv(basins: BasinMap, path) -> None:
     """One row per grid node, row-major: ``i,j,...,label``."""
     dims = len(basins.resolution)
     header = ",".join(chr(ord("i") + a) for a in range(dims)) + ",label"
+    label = {code: basins.label_of_code(code) for code in np.unique(basins.codes).tolist()}
     lines = [header]
-    for idx in np.ndindex(basins.codes.shape):
-        lines.append(",".join(str(i) for i in idx) + "," + basins.label_at(idx))
+    for idx, code in zip(np.ndindex(basins.codes.shape), basins.codes.ravel().tolist()):
+        lines.append(",".join(str(i) for i in idx) + "," + label[code])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -460,3 +460,17 @@ def test_demo_produces_the_full_artifact_set(tmp_path, capsys):
     validate(summary, "demo-summary")
     assert [ex["status"] for ex in summary["examples"]] == ["ok"] * 4
     assert out.count("[") == 4 and "wrote" in out
+
+
+def test_demo_builds_each_catalog_once(tmp_path, capsys, monkeypatch):
+    # the mobius catalog serves both the basin and the sweep example
+    from limitlab import cli
+    built, real = [], cli.catalog_from_seeds
+
+    def count(system, *args, **kwargs):
+        built.append(system.name)
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "catalog_from_seeds", count)
+    code, _, _ = run(capsys, "demo", "--seed", "42", "--out", str(tmp_path))
+    assert code == 0 and sorted(built) == ["mobius", "rotation-scaling(theta=1)"]

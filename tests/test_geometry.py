@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from limitlab import (diameter, directed_hausdorff, hausdorff, sampling_gap,
                       split_discrepancy)
-from limitlab.geometry import _TREE_MIN, _hausdorff_lower_bounds, _prepare
+from limitlab.geometry import (_TREE_DISTINCT, _TREE_MIN, _by_tree,
+                               _hausdorff_lower_bounds, _prepare)
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -228,6 +230,15 @@ def test_hausdorff_exact_on_repeated_clouds(a, b):
 
 
 @settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda d: st.tuples(repeated_clouds(dim=d), repeated_clouds(dim=d))))
+def test_hausdorff_exact_on_repeated_clouds_in_the_plane_and_in_space(pair):
+    # both directions from one distance block (or the tree, past _TREE_MIN)
+    a, b = pair
+    assert hausdorff(a, b) == max(oracle_directed(a, b), oracle_directed(b, a))
+
+
+@settings(max_examples=80, deadline=None)
 @given(repeated_clouds(dim=3))
 def test_diameter_exact_on_repeated_clouds(a):
     assert diameter(a) == oracle_diameter(a)
@@ -292,6 +303,82 @@ def test_path_choice_follows_the_raw_size(rng):
         assert directed_hausdorff(q, big) == nearest
         # every row of big has twins, so the lone query sets the gap
         assert sampling_gap(np.vstack([big, q])) == nearest
+
+
+# -- the path rule: the KD tree below 8 columns gives cdist's bits ------------------------
+#
+# Below 8 columns a cloud with _TREE_DISTINCT distinct rows takes the KD tree
+# even when its raw size is under _TREE_MIN. The clouds below sit on both
+# sides of both cuts; the oracle is scipy's cdist on the raw clouds.
+
+def cdist_directed(a, b):
+    return float(cdist(a, b).min(axis=1).max())
+
+
+def cdist_gap(a):
+    if len(a) == 1:
+        return 0.0
+    d = cdist(a, a)
+    np.fill_diagonal(d, np.inf)
+    return float(d.min(axis=1).max())
+
+
+# (distinct rows, raw rows) on either side of _TREE_DISTINCT and _TREE_MIN
+PATH_SIZES = [(_TREE_DISTINCT - 1, _TREE_DISTINCT - 1), (_TREE_DISTINCT, _TREE_DISTINCT),
+              (_TREE_DISTINCT - 1, _TREE_MIN - 1), (_TREE_DISTINCT, _TREE_MIN - 1),
+              (40, _TREE_MIN - 1), (40, _TREE_MIN), (300, 300)]
+
+
+def _path_cloud(rng, d, distinct, raw, kind, scale):
+    """``distinct`` rows of one kind, topped up with copies to ``raw`` rows:
+    integer lattice points (many tied distances), rows that each have a
+    near-duplicate 1e-13 away in relative terms, or plain normal rows."""
+    if kind == "lattice":
+        side = int(np.ceil(distinct ** (1 / d))) + 1
+        grid = np.unique(rng.integers(-side, side + 1, size=(8 * distinct, d)), axis=0)
+        rows = grid[rng.permutation(len(grid))[:distinct]].astype(float)
+    elif kind == "near-duplicate":
+        half = rng.normal(size=((distinct + 1) // 2, d))
+        rows = np.vstack([half, half * (1 + 1e-13 * rng.normal(size=half.shape))])[:distinct]
+    else:
+        rows = rng.normal(size=(distinct, d))
+    cloud = np.vstack([rows, rows[rng.integers(0, distinct, raw - distinct)]]) * scale
+    return cloud[rng.permutation(raw)]
+
+
+# squares in the subnormal range (scale 1e-155) are slow to compute, so that
+# scale runs at one and at three columns only
+@pytest.mark.parametrize("d, scale", [(d, scale) for d in range(1, 8)
+                                      for scale in (1e-310, 1.0, 1e150)]
+                         + [(1, 1e-155), (3, 1e-155)])
+@pytest.mark.parametrize("kind", ["lattice", "near-duplicate", "normal"])
+def test_path_rule_below_eight_columns_gives_the_cdist_bits(d, scale, kind, rng):
+    clouds = [_path_cloud(rng, d, distinct, raw, kind, scale) for distinct, raw in PATH_SIZES]
+    tree_sides = set()
+    for k, c in enumerate(clouds):
+        other = clouds[(k + 3) % len(clouds)]
+        distinct = len(np.unique(c, axis=0))
+        by_tree = len(c) >= _TREE_MIN or distinct >= _TREE_DISTINCT
+        tree_sides.add(by_tree)
+        pc = _prepare(c)
+        assert _by_tree(pc) == by_tree
+        assert directed_hausdorff(other, pc) == cdist_directed(other, c)
+        assert (pc._tree is not None) == by_tree      # the rule picked the path
+        assert directed_hausdorff(pc, other) == cdist_directed(c, other)
+        assert hausdorff(pc, other) == hausdorff(other, c) == max(
+            cdist_directed(c, other), cdist_directed(other, c))
+        assert sampling_gap(pc) == sampling_gap(c) == cdist_gap(c)
+        # a lone extra point: the k = 2 self query of the tree path
+        lone = other[:1] * 0.5
+        assert sampling_gap(np.vstack([c, lone])) == cdist_gap(np.vstack([c, lone]))
+    assert tree_sides == {True, False}
+
+
+def test_path_rule_keeps_the_raw_size_from_eight_columns(rng):
+    # 300 distinct rows: the tree below 8 columns, brute force from 8 on
+    for d in (7, 8, 10):
+        pc = _prepare(rng.normal(size=(300, d)))
+        assert _by_tree(pc) == (d < 8)
 
 
 # -- prepared clouds: the same values as the raw arrays ---------------------------------

@@ -14,9 +14,10 @@ from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       list_systems, write_basin_csv, DomainRegion,
                       LinearSystem, LimitSetCatalog, CatalogMember, default_seeds)
 from limitlab.errors import UnconvergedError
-from limitlab.geometry import diameter, sampling_gap
+from limitlab import geometry, limits
+from limitlab.geometry import _prepare, diameter, sampling_gap
 from limitlab.limits import (BasinMap, CODE_ESCAPED, CODE_SINGULAR, CODE_UNDETERMINED,
-                             _DEFER, _RULED_OUT, _bound_verdicts, _thin)
+                             _DEFER, _RULED_OUT, _bound_verdicts, _classify_shape, _thin)
 from limitlab.serialize import validate
 
 FAST = EstimatorConfig(burn=200, tail=200, max_rounds=6)
@@ -233,6 +234,66 @@ def test_cluster_is_idempotent(rotation_catalog):
     assert len(again) == len(rotation_catalog)
     for a, b in zip(again.members, rotation_catalog.members):
         assert hausdorff(a.points, b.points) == 0.0
+
+
+def test_catalog_takes_each_converged_window_gap_once(monkeypatch):
+    # the shape test and the clustering share the estimate's prepared window,
+    # so the gap worker sees each converged window once and each merged
+    # cluster cloud once
+    measured, estimates = [], []
+    worker, batch = geometry._sampling_gap, limits.estimate_omega_batch
+
+    def count(cloud):
+        measured.append(cloud.points)
+        return worker(cloud)
+
+    def keep(*args, **kwargs):
+        estimates.extend(batch(*args, **kwargs))
+        return estimates
+
+    monkeypatch.setattr(geometry, "_sampling_gap", count)
+    monkeypatch.setattr(limits, "estimate_omega_batch", keep)
+    seeds = default_seeds("rotation-scaling") + [[1.2, -0.7], [0.1, 1.9]]
+    catalog, skipped = catalog_from_seeds(get_system("rotation-scaling"), seeds, cfg=FAST)
+    assert skipped == [] and len(estimates) == len(seeds)
+    assert sum(e.shape == "curve" for e in estimates) == len(seeds) - 1
+    for e in estimates:
+        assert sum(points is e.points for points in measured) == 1
+    merges = len(estimates) - len(catalog)
+    assert merges > 0 and len(measured) == len(estimates) + merges
+
+
+def _shape_over_every_lag(points, tol_fp, max_period):
+    """The shape test checking every lag in full, in ascending order."""
+    diam = diameter(points)
+    if diam < tol_fp:
+        return "fixed-point", 1, diam
+    for p in range(1, min(max_period, len(points) - 1) + 1):
+        if np.linalg.norm(points[p:] - points[:-p], axis=1).max() < tol_fp:
+            return "periodic-orbit", p, diam
+    if sampling_gap(points) < 0.05 * diam:
+        return "curve", None, diam
+    return "unknown", None, diam
+
+
+def test_shape_test_checks_in_full_only_lags_whose_first_step_is_close(rng):
+    angle = np.arange(300) * 1.0
+    windows = [
+        np.tile([[0.0], [1.0], [2.0]], (60, 1)) + 1e-9 * rng.normal(size=(180, 1)),
+        # x_2 == x_0 but x_3 != x_1: lag 2 passes its first step only, lag 4 passes
+        np.tile([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], (50, 1)),
+        np.column_stack([np.cos(angle), np.sin(angle)]),         # a curve
+        rng.normal(size=(40, 3)),
+        np.zeros((1, 2)),
+        np.array([[0.0], [1.0]]),
+    ]
+    for w in windows:
+        for tol_fp in (1e-12, 1e-6, 0.5):
+            for max_period in (0, 1, 3, 8):
+                got = _classify_shape(_prepare(w), tol_fp, max_period)
+                assert got == _shape_over_every_lag(w, tol_fp, max_period)
+                assert got[1] is None or type(got[1]) is int
+    assert _classify_shape(_prepare(windows[1]), 1e-6, 8)[:2] == ("periodic-orbit", 4)
 
 
 def test_catalog_from_seeds_reports_skips():
@@ -564,6 +625,21 @@ def test_basin_csv_golden(tmp_path):
     path = tmp_path / "basins.csv"
     write_basin_csv(basins, path)
     assert path.read_text() == "i,label\n0,S0\n1,S0\n2,S0\n"
+
+
+def test_basin_csv_labels_every_node_as_label_at(tmp_path, rotation_catalog, rng):
+    special = [CODE_UNDETERMINED, CODE_SINGULAR, CODE_ESCAPED]
+    wide = rng.choice(special + list(range(len(rotation_catalog))), size=(7, 10))
+    codes = wide.astype(np.int16)[:, ::2]                  # not contiguous
+    basins = BasinMap(region=DomainRegion.box([[-1.0, 1.0], [-2.0, 2.0]]),
+                      resolution=(7, 5),
+                      axes=(np.linspace(-1.0, 1.0, 7), np.linspace(-2.0, 2.0, 5)),
+                      codes=codes, catalog=rotation_catalog, params={})
+    path = tmp_path / "basins.csv"
+    write_basin_csv(basins, path)
+    want = "i,j,label\n" + "".join(f"{i},{j},{basins.label_at((i, j))}\n"
+                                   for i, j in np.ndindex(codes.shape))
+    assert path.read_text() == want
 
 
 def test_basin_params_record_the_settling_policy(mobius_unit, mobius_unit_catalog):
