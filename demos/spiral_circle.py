@@ -19,7 +19,7 @@ import numpy as np
 
 from limitlab import EstimatorConfig, estimate_omega
 from limitlab.catalog import exact_immersion, get_system
-from limitlab.dynamics import DomainError
+from limitlab.errors import DomainError
 from limitlab.immersion import collapse_report, omega_alpha_consistency, pushforward_check
 from limitlab.limits import catalog_from_seeds
 

@@ -3,10 +3,8 @@ diagnostics for discrete-time dynamical systems."""
 
 from .catalog import (ExactImmersion, default_seeds, exact_immersion,
                       exact_immersions, get_system, list_systems, manifest)
-from .dynamics import (BatchOrbit, DiscreteMap, DomainRegion, OrbitTail,
-                       Trajectory, evaluate, iterate, iterate_back,
-                       iterate_batch, orbit_tail, read_trajectory_csv,
-                       write_trajectory_csv)
+from .dynamics import (BatchOrbit, DiscreteMap, DomainRegion, Trajectory,
+                       iterate, iterate_batch, write_trajectory_csv)
 from .errors import (CatalogGuardError, DomainError, IllConditionedError,
                      InvalidParamError, LimitLabError, MissingArtifactError,
                      NoExactImmersionError, NoInverseError, NotStableError,
@@ -20,12 +18,12 @@ from .immersion import (CollapseReport, ConjugacyReport, ConsistencyReport,
 from .lifting import (Dictionary, FitReport, LearnedLift, TradeoffReport,
                       TradeoffRow, build_dictionary, fit_lift,
                       obstruction_sweep, training_pairs)
-from .limits import (BasinConfig, BasinMap, BoundednessVerdict, CatalogMember,
-                     ClosednessWitness, EstimatorConfig, LimitSetCatalog,
-                     LimitSetEstimate, basin_closedness_witness,
-                     catalog_from_seeds, catalog_to_dict, classify_boundedness,
-                     cluster_limit_sets, compute_basins, estimate_alpha,
-                     estimate_omega, estimate_omega_batch, write_basin_csv)
+from .limits import (BasinConfig, BasinMap, CatalogMember, ClosednessWitness,
+                     EstimatorConfig, LimitSetCatalog, LimitSetEstimate,
+                     basin_closedness_witness, catalog_from_seeds,
+                     catalog_to_dict, cluster_limit_sets, compute_basins,
+                     estimate_alpha, estimate_omega, estimate_omega_batch,
+                     write_basin_csv)
 from .linear import (GrowthClass, LinearSystem, SpectralSplit, classify_growth,
                      jordan_block_power, omega_nonempty_linear, spectral_split,
                      spectral_split_to_dict, stability_bound)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import config, serialize
 from .catalog import default_seeds, exact_immersion, get_system
-from .dynamics import DomainRegion, iterate, write_trajectory_csv
+from .dynamics import DomainRegion, _grid_nodes, iterate, write_trajectory_csv
 from .errors import (CatalogGuardError, DomainError, IllConditionedError,
                      InvalidParamError, MissingArtifactError,
                      NoExactImmersionError, NoInverseError, NotStableError,
@@ -109,12 +109,21 @@ def _parse_points(spec: str, dim: int) -> list[np.ndarray]:
     return points
 
 
-def _at_least_one(args, *flags) -> None:
-    """Reject a count option below 1, naming it."""
+def _at_least(low: int, args, *flags) -> None:
+    """Reject a count option below ``low``, naming it."""
     for flag in flags:
-        value = getattr(args, flag)
-        if value < 1:
-            raise InvalidParamError(f"--{flag} must be >= 1, got {value}")
+        value = getattr(args, flag.replace("-", "_"))
+        if value < low:
+            raise InvalidParamError(f"--{flag} must be >= {low}, got {value}")
+
+
+def _finite(flag: str, value: float, nonnegative: bool = True) -> float:
+    """``value`` of the number option ``flag``. NaN, infinity and, when
+    ``nonnegative``, a value below 0 are rejected, naming the option."""
+    if not math.isfinite(value) or (nonnegative and value < 0):
+        rule = "finite and >= 0" if nonnegative else "finite"
+        raise InvalidParamError(f"{flag} must be {rule}, got {value}")
+    return value
 
 
 def _seed_of(args) -> int:
@@ -173,8 +182,7 @@ def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
     if args.domain:
         return _parse_domain(args.domain, system.dim), None
     region = system.domain
-    if (region.bounds is not None and np.isfinite(region.bounds).all()
-            and region.kind != "annulus"):
+    if region.has_finite_box():
         return region, None
     return region, [[-_DEFAULT_BOX_HALF, _DEFAULT_BOX_HALF]] * system.dim
 
@@ -216,6 +224,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _eigenvalue(re: float, im: float) -> str:
+    return f"{re:.6g}{im:+.6g}j" if im else f"{re:.6g}"
+
+
+def _leading_eigenvalues(pairs) -> str:
+    """The first six of a lift's ``[re, im]`` eigenvalue pairs."""
+    return ", ".join(_eigenvalue(re, im) for re, im in pairs[:6])
+
+
 def _ratio(v) -> str:
     """A separation ratio, or ``n/a`` when no sample pair was separated."""
     return "n/a" if v is None else f"{v:.3e}"
@@ -251,9 +268,7 @@ def _verify_report(system, F, status: str, seed: int, conj, push, inj) -> dict:
 
 def _survey_samples(region: DomainRegion, seed: int) -> np.ndarray:
     per_axis = 129 if region.dim == 1 else 17
-    axes = region.grid(per_axis)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.column_stack([m.ravel() for m in mesh])
+    grid = _grid_nodes(region.grid(per_axis))
     grid = grid[region.contains_batch(grid)]
     rng = np.random.default_rng(seed)
     rand = region.sample(_SURVEY_RANDOM, rng)
@@ -331,7 +346,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_basins(args) -> int:
-    _at_least_one(args, "resolution", "threads")
+    _at_least(1, args, "resolution", "threads")
     system = get_system(args.system, **_parse_params(args.param, "--param"))
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",) + _BASIN + _WITNESS)
     region, box = _region(args, system)
@@ -359,6 +374,7 @@ def cmd_basins(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _finite("--tol", args.tol)
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     pair = exact_immersion(args.system, variant=args.variant, **params)
@@ -421,6 +437,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    _finite("--ridge", args.ridge)
+    _finite("--pole", args.pole, nonnegative=False)
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     seed = _seed_of(args)
@@ -446,13 +464,11 @@ def cmd_learn(args) -> int:
     lift_path = out / "lift.json"
     serialize.dump(lift_doc, lift_path)
 
-    ev = ", ".join(f"{e.real:.6g}{e.imag:+.6g}j" if e.imag else f"{e.real:.6g}"
-                   for e in lift.eigenvalues[: min(6, len(lift.eigenvalues))])
     print(f"dictionary {dictionary.kind} size {dictionary.size} "
           f"({lift.report.method}, ridge {args.ridge:g})")
     print(f"train rms residual {lift.report.rms_residual:.3e}, "
           f"gram condition {lift.report.gram_condition:.3e}")
-    print(f"leading eigenvalues: {ev}")
+    print(f"leading eigenvalues: {_leading_eigenvalues(lift_doc['eigenvalues'])}")
     print(f"wrote {fit_path}")
     print(f"wrote {lift_path}")
     return 0
@@ -472,13 +488,15 @@ def _parse_dict_specs(spec: str) -> list[tuple[str, int]]:
 
 
 def cmd_sweep(args) -> int:
+    _at_least(0, args, "auto-seeds")
+    _finite("--pole", args.pole, nonnegative=False)
+    ridges = ([_finite("--ridges", float(r)) for r in args.ridges.split(",")]
+              if args.ridges else [0.0])
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     seed = _seed_of(args)
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",))
     region, box = _region(args, system)
-    catalog, _skipped = _catalog(args, system, sets, region, box)
-
     if args.dicts:
         specs = _parse_dict_specs(args.dicts)
     elif system.dim == 1:
@@ -486,7 +504,7 @@ def cmd_sweep(args) -> int:
                  ("fourier", 2), ("rational-pole", 1)]
     else:
         specs = [("monomial", 1), ("monomial", 2), ("monomial", 3)]
-    ridges = [float(r) for r in args.ridges.split(",")] if args.ridges else [0.0]
+    catalog, _skipped = _catalog(args, system, sets, region, box)
 
     report = obstruction_sweep(system, catalog, specs, ridges=ridges,
                                region=region, seed=seed, pole=args.pole, box=box)
@@ -496,11 +514,7 @@ def cmd_sweep(args) -> int:
     json_path = out / "sweep.json"
     serialize.dump(report.to_dict(), json_path)
 
-    rows = [(r.dict_kind, r.dict_size, r.ridge, r.residual_heldout,
-             r.collapse_ratio, r.min_sep_ratio,
-             (r.error or "")[:48]) for r in report.rows]
-    print(_table(["dict", "size", "ridge", "residual", "collapse", "min-sep", "note"],
-                 rows))
+    _render_sweep(report.to_dict())
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return 0
@@ -624,7 +638,7 @@ def _demo_sweep(out: Path, seed: int, f, catalog) -> dict:
 
 
 def cmd_demo(args) -> int:
-    _at_least_one(args, "threads")
+    _at_least(1, args, "threads")
     sets = _settings(args, _ESTIMATOR + _WITNESS)
     out = _out_dir(args)
     seed = _seed_of(args)
@@ -675,7 +689,7 @@ def _render_catalog(data: dict, stem: str, out: Path) -> list[str]:
 
 def _render_sweep(data: dict) -> None:
     rows = [(r["dict_kind"], r["dict_size"], r["ridge"], r["residual_heldout"],
-             r["collapse_ratio"], r["min_sep_ratio"], (r["error"] or "")[:40])
+             r["collapse_ratio"], r["min_sep_ratio"], (r["error"] or "")[:48])
             for r in data["rows"]]
     print(_table(["dict", "size", "ridge", "residual", "collapse", "min-sep", "note"],
                  rows))
@@ -696,8 +710,7 @@ def _render_verify(data: dict) -> None:
 
 
 def _render_spectral(data: dict) -> None:
-    rows = [((f"{ev['value'][0]:.6g}" if ev["value"][1] == 0 else
-              f"{ev['value'][0]:.6g}{ev['value'][1]:+.6g}j"),
+    rows = [(_eigenvalue(*ev["value"]),
              ev["alg_mult"], ev["geo_mult"], ev["abs_class"], ev["split_class"])
             for ev in data["eigenvalues"]]
     print(_table(["eigenvalue", "alg", "geo", "band", "subspace"], rows))
@@ -786,10 +799,8 @@ def cmd_report(args) -> int:
             print(f"  rms residual {data['rms_residual']:.3e}, gram condition "
                   f"{data['gram_condition']:.3e}, {data['method']}")
         elif kind == "learned-lift":
-            evs = ", ".join(f"{re:.6g}{im:+.6g}j" if im else f"{re:.6g}"
-                            for re, im in data["eigenvalues"][:6])
             print(f"  {data['dict_kind']} lift of {data['system']}: "
-                  f"eigenvalues {evs}")
+                  f"eigenvalues {_leading_eigenvalues(data['eigenvalues'])}")
         else:
             print(f"  (no renderer for kind {kind!r})")
         rendered.append(str(path))

@@ -26,12 +26,8 @@ TOL_FP = 1e-6             # diameter below which a cloud is called a fixed point
 TOL_CLUSTER = 1e-3        # Hausdorff scale separating distinct limit sets
 MAX_PERIOD = 64           # largest lag probed for periodic-orbit shape detection
 
-# Boundedness classification.
-R_BOUND = 1e6             # stay inside this norm for the full horizon => bounded
-ESCAPE_RADIUS = 1e8       # exceed this (with non-decreasing tail norms) => unbounded
-BOUND_HORIZON = 2000      # default steps for classify_boundedness
-
 # Basin mapping.
+ESCAPE_RADIUS = 1e8       # a grid orbit with a coordinate magnitude past this has escaped
 BASIN_BURN = 500
 BASIN_WINDOW = 32         # trailing points that must all sit on the matched member
 WITNESS_DEPTH = 8         # shrinking-sequence length toward a boundary cell

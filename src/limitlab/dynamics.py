@@ -9,13 +9,14 @@ termination (domain exit, singularity, divergence) is data on the returned
 There is one orbit engine, :func:`iterate_batch`: it steps an ``(n, d)``
 array of states in lockstep, with the per-row checks of a single orbit, and
 reports per row why it stopped and how many valid points it has.
-:func:`iterate` and :func:`iterate_back` are its ``n = 1`` case; limit-set
-estimates step whole seed lists through it, basin maps whole grids (with the
-escape radius as ``r_div``). A row's orbit does not depend on which rows
-share its batch: every check is row-wise, and catalog maps are built so that
-their steps are too (``linear.apply_matrix`` replaces BLAS products, which
-round one row differently from several). A seed stepped alone and the same
-seed stepped among others therefore agree to the bit.
+:func:`iterate` is its ``n = 1`` case (a backward orbit is an orbit of
+:meth:`DiscreteMap.reversed`); limit-set estimates step whole seed lists
+through it, basin maps whole grids (with the escape radius as ``r_div``).
+A row's orbit does not depend on which rows share its batch: every check is
+row-wise, and catalog maps are built so that their steps are too
+(``linear.apply_matrix`` replaces BLAS products, which round one row
+differently from several). A seed stepped alone and the same seed stepped
+among others therefore agree to the bit.
 
 Row-wise Euclidean norms go through one helper, :func:`_row_norm`. numpy's
 ``np.linalg.norm(X, axis=1)`` reduces along the short last axis, which is
@@ -33,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import config
-from .errors import DomainError, NoInverseError
+from .errors import NoInverseError
 
 # Termination causes.
 COMPLETED = "completed"
@@ -199,15 +200,26 @@ class DomainRegion:
                 bad = ~self.contains_batch(pts)
         return pts
 
+    def has_finite_box(self) -> bool:
+        """Whether the region has finite per-axis bounds (an annulus bounds the
+        radius, not the axes): the regions :meth:`grid` can span."""
+        return (self.bounds is not None and self.kind != "annulus"
+                and bool(np.isfinite(self.bounds).all()))
+
     def grid(self, resolution) -> list[np.ndarray]:
         """Per-axis sample nodes: ``resolution[i]`` points spanning axis i inclusive."""
-        if self.bounds is None or self.kind == "annulus":
-            raise ValueError("grids need finite per-axis bounds")
-        if not np.isfinite(self.bounds).all():
+        if not self.has_finite_box():
             raise ValueError("grids need finite per-axis bounds")
         res = np.broadcast_to(np.asarray(resolution, dtype=int), (self.dim,))
         return [np.linspace(self.bounds[i, 0], self.bounds[i, 1], int(res[i]))
                 for i in range(self.dim)]
+
+
+def _grid_nodes(axes) -> np.ndarray:
+    """The nodes of the grid with per-axis coordinates ``axes`` as an
+    ``(N, d)`` array, in row-major order: the last axis varies fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def _column(excluded):
@@ -266,7 +278,6 @@ class Trajectory:
     """A stored finite orbit. ``points[k+1] = f(points[k])`` by construction."""
 
     points: np.ndarray          # (m, dim)
-    direction: str              # "forward" | "backward"
     termination: str            # one of TERMINATIONS
     steps_taken: int
 
@@ -276,23 +287,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def evaluate(system: DiscreteMap, x) -> np.ndarray:
-    """One forward step with domain checking.
-
-    Raises :class:`DomainError` when ``x`` is outside the domain (reason
-    ``excluded-point`` / ``out-of-bounds``) or when the image has non-finite
-    coordinates (reason ``non-finite-image``).
-    """
-    x = as_state(x, system.dim)
-    reason = system.domain.violation(x)
-    if reason is not None:
-        raise DomainError(x, reason, detail=system.name)
-    y = np.asarray(system.forward(x), dtype=float).reshape(system.dim)
-    if not np.isfinite(y).all():
-        raise DomainError(x, "non-finite-image", detail=system.name)
-    return y
 
 
 def _step_rows(step, X: np.ndarray, vectorized: bool,
@@ -416,39 +410,14 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     return BatchOrbit(last=X, termination=termination, valid=valid, states=states)
 
 
-def _run(system: DiscreteMap, x0, k: int, direction: str, r_div: float) -> Trajectory:
+def iterate(system: DiscreteMap, x0, k: int, r_div: float = config.R_DIV) -> Trajectory:
+    """Forward orbit of up to ``k`` steps; stops early on domain exit,
+    singularity, or once a coordinate magnitude exceeds ``r_div``."""
     x0 = as_state(x0, system.dim)
     run = iterate_batch(system, x0[None, :], k, r_div=r_div, record=True)
     steps = int(run.valid[0]) - 1
     pts = np.concatenate([run.states[:steps, 0], run.last[:1]])
-    return Trajectory(points=pts, direction=direction,
-                      termination=run.cause(0), steps_taken=steps)
-
-
-def iterate(system: DiscreteMap, x0, k: int, r_div: float = config.R_DIV) -> Trajectory:
-    """Forward orbit of up to ``k`` steps; stops early on domain exit,
-    singularity, or once a coordinate magnitude exceeds ``r_div``."""
-    return _run(system, x0, k, "forward", r_div)
-
-
-def iterate_back(system: DiscreteMap, x0, k: int, r_div: float = config.R_DIV) -> Trajectory:
-    """Backward orbit under the inverse dynamics (:class:`NoInverseError` if absent)."""
-    return _run(system.reversed(), x0, k, "backward", r_div)
-
-
-@dataclass(frozen=True)
-class OrbitTail:
-    points: np.ndarray
-    termination: str
-
-
-def orbit_tail(system: DiscreteMap, x0, burn: int, n: int,
-               r_div: float = config.R_DIV) -> OrbitTail:
-    """Points ``f^burn(x0) .. f^{burn+n-1}(x0)`` — fewer if the orbit terminated."""
-    if burn < 0 or n <= 0:
-        raise ValueError("need burn >= 0 and n >= 1")
-    traj = iterate(system, x0, burn + n - 1, r_div=r_div)
-    return OrbitTail(points=traj.points[burn: burn + n], termination=traj.termination)
+    return Trajectory(points=pts, termination=run.cause(0), steps_taken=steps)
 
 
 # -- trajectory CSV ---------------------------------------------------------
@@ -463,19 +432,3 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_trajectory_csv(path) -> Trajectory:
-    """Inverse of :func:`write_trajectory_csv` (round-trips exactly)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    termination = COMPLETED
-    rows = []
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            if "termination=" in ln:
-                termination = ln.split("termination=", 1)[1].strip()
-            continue
-        rows.append([float(v) for v in ln.split(",")[1:]])
-    pts = np.asarray(rows, dtype=float)
-    return Trajectory(points=pts, direction="forward",
-                      termination=termination, steps_taken=len(pts) - 1)

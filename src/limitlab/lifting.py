@@ -18,14 +18,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import config
-from .dynamics import DiscreteMap, DomainRegion, _row_norm, _step_rows
+from .dynamics import (DiscreteMap, DomainRegion, _grid_nodes, _row_norm,
+                       _step_rows)
 from .errors import (CatalogGuardError, DomainError, InvalidParamError,
                      SingularGramError)
 from .immersion import (CollapseReport, ImmersionMap, InjectivityReport,
                         collapse_report, conjugacy_residual, injectivity_probe)
 from .limits import LimitSetCatalog
 from .linear import LinearSystem
-from .serialize import dumps, write_csv
+from .serialize import write_csv
 
 
 # -- dictionaries -------------------------------------------------------------
@@ -161,12 +162,9 @@ def training_pairs(system: DiscreteMap, region: Optional[DomainRegion] = None,
     region = region or system.domain
     rng = np.random.default_rng(seed)
     parts = []
-    if region.bounds is not None and np.isfinite(region.bounds).all() \
-            and region.kind != "annulus":
+    if region.has_finite_box():
         per_axis = max(2, int(round(n_grid ** (1.0 / region.dim))))
-        axes = region.grid(per_axis)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        G = np.column_stack([m.ravel() for m in mesh])
+        G = _grid_nodes(region.grid(per_axis))
         parts.append(G[region.contains_batch(G)])
     if n_random > 0:
         parts.append(region.sample(n_random, rng, box=box))
@@ -211,7 +209,6 @@ class LearnedLift:
     K: np.ndarray
     domain: DomainRegion
     report: FitReport
-    system_name: str = ""
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -228,9 +225,6 @@ class LearnedLift:
         state's image does not depend on what shares its batch."""
         name = f"lifted[{self.dictionary.kind},{self.dictionary.size}]"
         return LinearSystem(self.K, name=name).as_map()
-
-    def predict(self, x) -> np.ndarray:
-        return self.K @ self.dictionary(x)
 
 
 def fit_lift(system: DiscreteMap, dictionary: Dictionary,
@@ -286,8 +280,7 @@ def fit_lift(system: DiscreteMap, dictionary: Dictionary,
                        max_residual=float(resid.max()),
                        gram_condition=cond, samples_used=int(m),
                        ridge=float(ridge), method=method)
-    return LearnedLift(dictionary=dictionary, K=K, domain=region, report=report,
-                       system_name=system.name)
+    return LearnedLift(dictionary=dictionary, K=K, domain=region, report=report)
 
 
 # -- sweep --------------------------------------------------------------------
@@ -331,9 +324,6 @@ class TradeoffReport:
             "seed": int(self.seed),
             "rows": [r.to_dict() for r in self.rows],
         }
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())
 
     def write_csv(self, path) -> None:
         header = ["dict_kind", "dict_size", "ridge", "residual_heldout",

@@ -1,4 +1,4 @@
-"""Limit-set estimation, boundedness, basins of attraction, and closedness probes.
+"""Limit-set estimation, basins of attraction, and closedness probes.
 
 The forward limit set of a seed is estimated from tail windows of its orbit:
 consecutive windows must agree in Hausdorff distance before the estimate
@@ -25,8 +25,8 @@ from scipy.spatial import cKDTree
 
 from . import config
 from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
-                       TERMINATIONS, DiscreteMap, DomainRegion, _row_norm,
-                       as_state, iterate, iterate_batch)
+                       TERMINATIONS, DiscreteMap, DomainRegion, _grid_nodes,
+                       _row_norm, as_state, iterate_batch)
 from .errors import UnconvergedError
 from .geometry import (_Cloud, _box_lower, _hausdorff_lower_bounds, _margin, _prepare,
                        diameter, directed_hausdorff, hausdorff, sampling_gap,
@@ -196,37 +196,6 @@ def estimate_alpha(system: DiscreteMap, x0,
                    cfg: Optional[EstimatorConfig] = None) -> LimitSetEstimate:
     """Backward limit-set estimate: the omega estimate of the inverse dynamics."""
     return estimate_omega(system.reversed(), x0, cfg, source="alpha")
-
-
-# -- boundedness -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundednessVerdict:
-    verdict: str                 # "bounded" | "unbounded" | "undetermined"
-    escape_radius: float
-    steps_used: int
-    max_norm: float
-
-
-def classify_boundedness(system: DiscreteMap, x0,
-                         horizon: int = config.BOUND_HORIZON,
-                         r_bound: float = config.R_BOUND,
-                         escape_radius: float = config.ESCAPE_RADIUS) -> BoundednessVerdict:
-    """Bounded: stayed within ``r_bound`` for the whole horizon. Unbounded:
-    crossed ``escape_radius`` with non-decreasing norms over the final quarter
-    of what was recorded. Anything else: undetermined."""
-    traj = iterate(system, x0, horizon)
-    norms = _row_norm(traj.points)
-    max_norm = float(norms.max())
-    steps = traj.steps_taken
-    if traj.termination == COMPLETED and max_norm <= r_bound:
-        return BoundednessVerdict("bounded", escape_radius, steps, max_norm)
-    if max_norm > escape_radius:
-        q = max(2, len(norms) // 4)
-        tail = norms[-q:]
-        if np.all(np.diff(tail) >= -1e-9 * tail[:-1]):
-            return BoundednessVerdict("unbounded", escape_radius, steps, max_norm)
-    return BoundednessVerdict("undetermined", escape_radius, steps, max_norm)
 
 
 # -- clustering --------------------------------------------------------------
@@ -631,8 +600,7 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     region = region or system.domain
     axes = region.grid(resolution)
     res = tuple(len(a) for a in axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.column_stack([m.ravel() for m in mesh])
+    centers = _grid_nodes(axes)
     size = min(_BATCH, -(-len(centers) // threads))
 
     def settle(start):

@@ -170,6 +170,23 @@ def test_report_renders_saved_artifacts(tmp_path, capsys):
     assert "rendered" in out
 
 
+def test_report_renders_a_2d_basin_raster(tmp_path, capsys):
+    code, _, _ = run(capsys, "basins", "--system", "rotation-scaling",
+                     "--domain=-2,2;-2,2", "--resolution", "5", "--out", str(tmp_path))
+    assert code == 0
+    code, _, err = run(capsys, "report", "--dir", str(tmp_path))
+    assert code == 0 and err == ""
+    ppm = (tmp_path / "render" / "basins.ppm").read_text()
+    assert ppm.startswith("P3\n5 5\n255\n")
+    pixels = [row.split("  ") for row in ppm.splitlines()[3:]]
+    assert len(pixels) == 5 and all(len(row) == 5 for row in pixels)
+    # the centre node is the origin, the fixed point; every other node
+    # settles on the unit circle
+    others = {p for i, row in enumerate(pixels) for j, p in enumerate(row)
+              if (i, j) != (2, 2)}
+    assert len(others) == 1 and pixels[2][2] not in others
+
+
 def test_report_on_empty_directory_fails(tmp_path, capsys):
     code, _, err = run(capsys, "report", "--dir", str(tmp_path))
     assert code == 3
@@ -213,6 +230,30 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag, valu
     payload = stderr_payload(err)
     assert payload["error"] == "usage"
     assert payload["message"] == f"{flag} must be >= 1, got {value}"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("verify", "--tol", "nan", "--tol must be finite and >= 0, got nan"),
+    ("verify", "--tol", "-1", "--tol must be finite and >= 0, got -1.0"),
+    ("verify", "--tol", "inf", "--tol must be finite and >= 0, got inf"),
+    ("learn", "--ridge", "nan", "--ridge must be finite and >= 0, got nan"),
+    ("learn", "--ridge", "-0.5", "--ridge must be finite and >= 0, got -0.5"),
+    ("learn", "--pole", "nan", "--pole must be finite, got nan"),
+    ("learn", "--pole", "inf", "--pole must be finite, got inf"),
+    ("sweep", "--ridges", "0,-1", "--ridges must be finite and >= 0, got -1.0"),
+    ("sweep", "--ridges", "nan", "--ridges must be finite and >= 0, got nan"),
+    ("sweep", "--pole", "-inf", "--pole must be finite, got -inf"),
+    ("sweep", "--auto-seeds", "-3", "--auto-seeds must be >= 0, got -3")])
+def test_numbers_out_of_range_are_usage_errors(tmp_path, capsys, command, flag, value,
+                                               message):
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, command, "--system", "mobius", f"{flag}={value}",
+                       "--out", str(out_dir))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert payload["message"] == message
     assert not out_dir.exists()
 
 

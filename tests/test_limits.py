@@ -8,7 +8,7 @@ import pytest
 
 from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       basin_closedness_witness, catalog_from_seeds,
-                      catalog_to_dict, classify_boundedness, cluster_limit_sets,
+                      catalog_to_dict, cluster_limit_sets,
                       compute_basins, estimate_alpha, estimate_omega,
                       estimate_omega_batch, get_system, hausdorff, iterate,
                       list_systems, write_basin_csv, DomainRegion,
@@ -170,14 +170,6 @@ def test_estimator_config_accepts_zero_tolerances():
 
 # -- boundedness ------------------------------------------------------------------
 
-def test_classify_boundedness_verdicts():
-    assert classify_boundedness(get_system("scalar-linear", a=0.5), [1.0]).verdict == "bounded"
-    assert classify_boundedness(get_system("negation"), [0.7]).verdict == "bounded"
-    verdict = classify_boundedness(get_system("scalar-linear", a=1.1), [1.0])
-    assert verdict.verdict == "unbounded"
-    assert verdict.max_norm > verdict.escape_radius
-
-
 def test_omega_convergence_matches_boundedness_on_linear_maps():
     # bounded linear orbits settle; unbounded ones escape
     cases = [(np.diag([0.5, 0.5]), [1.0, 1.0], True),
@@ -188,7 +180,6 @@ def test_omega_convergence_matches_boundedness_on_linear_maps():
         system = LinearSystem(A).as_map()
         est = estimate_omega(system, xi)
         assert est.converged == bounded
-        assert (classify_boundedness(system, xi).verdict == "bounded") == bounded
 
 
 # -- clustering -------------------------------------------------------------------

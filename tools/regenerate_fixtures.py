@@ -57,18 +57,7 @@ def sweep_fixture() -> dict:
         "ridges": list(SWEEP_RIDGES),
         "catalog_members": len(catalog),
         "seeds_skipped": len(skipped),
-        "rows": [
-            {
-                "dict_kind": r.dict_kind,
-                "dict_size": r.dict_size,
-                "ridge": r.ridge,
-                "residual_heldout": r.residual_heldout,
-                "collapse_ratio": r.collapse_ratio,
-                "min_sep_ratio": r.min_sep_ratio,
-                "error": r.error,
-            }
-            for r in report.rows
-        ],
+        "rows": [r.to_dict() for r in report.rows],
     }
 
 
