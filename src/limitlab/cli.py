@@ -117,6 +117,14 @@ def _at_least(low: int, args, *flags) -> None:
             raise InvalidParamError(f"--{flag} must be >= {low}, got {value}")
 
 
+def _number(flag: str, raw: str) -> float:
+    """One value of the number option ``flag``, parsed as a float."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise InvalidParamError(f"{flag}: {raw!r} is not a number") from None
+
+
 def _finite(flag: str, value: float, nonnegative: bool = True) -> float:
     """``value`` of the number option ``flag``. NaN, infinity and, when
     ``nonnegative``, a value below 0 are rejected, naming the option."""
@@ -490,7 +498,7 @@ def _parse_dict_specs(spec: str) -> list[tuple[str, int]]:
 def cmd_sweep(args) -> int:
     _at_least(0, args, "auto-seeds")
     _finite("--pole", args.pole, nonnegative=False)
-    ridges = ([_finite("--ridges", float(r)) for r in args.ridges.split(",")]
+    ridges = ([_finite("--ridges", _number("--ridges", r)) for r in args.ridges.split(",")]
               if args.ridges else [0.0])
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)

@@ -12,6 +12,7 @@ across dictionary families and sizes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -240,8 +241,8 @@ def fit_lift(system: DiscreteMap, dictionary: Dictionary,
     ``SINGULAR_COND`` with no ridge raises :class:`SingularGramError` instead
     of returning garbage coefficients.
     """
-    if ridge < 0:
-        raise InvalidParamError("ridge must be non-negative")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise InvalidParamError(f"ridge must be finite and non-negative, got {ridge}")
     region = region or system.domain
     X, Y = training_pairs(system, region, n_grid=n_grid, n_random=n_random,
                           seed=seed, box=box)

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from . import config
 from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
                        TERMINATIONS, DiscreteMap, DomainRegion, _grid_nodes,
-                       _row_norm, as_state, iterate_batch)
+                       _row_norm, _step_rows, as_state, iterate_batch)
 from .errors import UnconvergedError
 from .geometry import (_Cloud, _box_lower, _hausdorff_lower_bounds, _margin, _prepare,
                        diameter, directed_hausdorff, hausdorff, sampling_gap,
@@ -446,40 +446,71 @@ class BasinMap:
 _DEFER, _RULED_OUT = -1, -2     # bound verdicts besides a member index
 
 
-def _bound_verdicts(member_pts: list[np.ndarray], tol: np.ndarray):
-    """The bound stage of :func:`_settle_batch` for these members, or None when
-    no member is compact (box diagonal within its tolerance): the stage is
-    then never used, as one point's distance bounds no other member usefully.
+class _SettleStage:
+    """The nearest-member query of :func:`_settle_batch`, for one catalog.
 
-    The returned function maps an (m, d) batch to ``(verdict, bound)`` per
-    row: a member index with the upper bound that settled the row on it,
-    ``_RULED_OUT``, or ``_DEFER`` to the tree."""
-    lo = [p.min(axis=0) for p in member_pts]
-    hi = [p.max(axis=0) for p in member_pts]
-    compact = [i for i in range(len(member_pts))
-               if _row_norm((hi[i] - lo[i])[None])[0] <= tol[i]]
-    if not compact:
-        return None
-    rho, alpha = _margin(member_pts[0].shape[1])
+    It holds the member points (the distinct rows of every member, stacked
+    in catalog order), the member that owns each, the members' boxes and
+    match tolerances, a KD tree on the points, and each point's successor:
+    the tree's nearest member point to the point's image under the map, or
+    -1 where the point is outside the domain (an excluded point included) or
+    its image is not finite. The points are stepped in one batch and their
+    images asked of the tree in one query. ``succ`` ends with one more -1,
+    which an anchor of -1 reads."""
 
-    def verdicts(Q):
+    def __init__(self, system: DiscreteMap, member_pts: list[np.ndarray], tol: np.ndarray):
+        self.points = np.vstack(member_pts)
+        sizes = [len(p) for p in member_pts]
+        self.owners = np.repeat(np.arange(len(sizes)), sizes)
+        self.first = np.cumsum([0] + sizes[:-1])
+        self.lo = np.array([p.min(axis=0) for p in member_pts])
+        self.hi = np.array([p.max(axis=0) for p in member_pts])
+        self.tol = tol
+        self.margin = _margin(self.points.shape[1])
+        self.tree = cKDTree(self.points)
+        self.succ = np.full(len(self.points) + 1, -1, dtype=np.intp)
+        inside = np.flatnonzero(system.domain.contains_batch(self.points))
+        if inside.size:
+            with np.errstate(all="ignore"):
+                image = _step_rows(system.forward, self.points[inside], system.vectorized)
+            finite = np.isfinite(image).all(axis=1)
+            if finite.any():
+                self.succ[inside[finite]] = self.tree.query(image[finite], k=1)[1]
+
+    def bounds(self, Q: np.ndarray, anchor: np.ndarray):
+        """The bound verdict on each row of ``Q``, whose ``anchor`` is a member
+        point index or -1: ``(verdict, bound, cand)``, where the verdict is a
+        member index with the upper bound that settled the row on it,
+        ``_RULED_OUT``, or ``_DEFER`` to the tree, and ``cand`` is the member
+        point the bound measured."""
+        rho, alpha = self.margin
         with np.errstate(over="ignore"):
             # each member's box distance, less the margin
-            lower = [_box_lower(Q, l, h) for l, h in zip(lo, hi)]
+            lower = [_box_lower(Q, lo, hi) for lo, hi in zip(self.lo, self.hi)]
             verdict = np.where(np.logical_and.reduce(
-                [b > t for b, t in zip(lower, tol)]), _RULED_OUT, _DEFER)
-            bound = np.zeros(len(Q))
-            for i in compact:
-                upper = _row_norm(Q - member_pts[i][0]) * (1 + rho) + alpha
-                ok = np.isfinite(upper) & (upper <= tol[i])
-                for j, b in enumerate(lower):
-                    if j != i:
-                        ok &= upper < b
-                verdict[ok] = i
-                bound[ok] = upper[ok]
-        return verdict, bound
+                [b > t for b, t in zip(lower, self.tol)]), _RULED_OUT, _DEFER)
+            cand = self.succ[anchor]
+            lost = cand < 0
+            if lost.any():
+                cand[lost] = self.first[np.array(lower)[:, lost].argmin(axis=0)]
+            own = self.owners[cand]
+            bound = _row_norm(Q - self.points[cand]) * (1 + rho) + alpha
+            ok = bound <= self.tol[own]
+            for i, b in enumerate(lower):
+                ok &= (bound < b) | (own == i)
+        verdict[ok] = own[ok]
+        return verdict, bound, cand
 
-    return verdicts
+    def nearest(self, Q: np.ndarray, anchor: np.ndarray):
+        """``(who, dist, anchor)`` per row: the bound's verdict and bound, and
+        for the rows it defers, the tree's nearest owner and distance; the
+        member point each row was measured against is its next anchor."""
+        who, dist, cand = self.bounds(Q, anchor)
+        ask = who == _DEFER
+        if ask.any():
+            dist[ask], cand[ask] = self.tree.query(Q[ask], k=1)
+            who[ask] = self.owners[cand[ask]]
+        return who, dist, cand
 
 
 def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
@@ -493,26 +524,37 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     belongs to member ``i`` and the largest of those distances is at most
     ``tol_i``, the member's match tolerance. Rows are asked only while that
     can still hold; a row that fails it keeps stepping, as it may yet stop.
-    The KD tree answers the query, unless one of two bounds already does:
+    The KD tree answers the query, unless one of two bounds already does
+    (:meth:`_SettleStage.bounds`):
 
     * *ruled out*: the row's distance to every member's bounding box exceeds
       that member's tolerance. Whichever member the tree names, its distance
       exceeds its tolerance, so the row cannot be labelled.
-    * *settled*: member ``i`` is compact (its box diagonal is at most
-      ``tol_i``), the row's distance ``u`` to one point of ``i`` is at most
-      ``tol_i``, and ``u`` is below the row's distance to every other
-      member's box. Then the tree's nearest point lies in ``i``, at distance
-      at most ``u``. ``u``, widened by the margin, is recorded in place
-      of that distance: the largest distance only feeds the final
+    * *settled*: the row's distance ``u`` to a candidate member point, of
+      member ``i``, is at most ``tol_i`` and below the row's distance to
+      every other member's box. Then the tree's nearest point lies in ``i``,
+      at distance at most ``u``. ``u``, widened by the margin, is recorded in
+      place of that distance: the largest distance only feeds the final
       ``<= tol_i`` test, and either value passes it, so the test's outcome
       rests on the other window steps alike.
+
+    Any member point gives a valid ``u``; the candidate is chosen so that
+    ``u`` is small. A limit set is invariant, so the image of a member point
+    lies near another point of the same member, and a state near member point
+    ``p`` steps to a state near ``f(p)``. Each row therefore carries an
+    anchor, the member point it was last measured against (the candidate
+    that settled it, or the tree's nearest point), and its next candidate is
+    the anchor's successor: the member point nearest the anchor's image,
+    found once, when the stage is built. A row with no anchor yet, or whose
+    anchor has no successor, takes the first distinct point of the member
+    whose box is nearest; on a member that fits within its tolerance, that
+    one point bounds every row near it.
 
     Both tests carry the margin of :func:`geometry._margin`, which covers the
     rounding of the bound and of the tree's own distance together, so a tie,
     a near-tie, an underflowed distance or an overflowed one decides nothing
-    and goes to the tree. Whether the bounds run depends only on the catalog
-    (see :func:`_bound_verdicts`); when they decide no row, the tree is asked
-    about the whole batch.
+    and goes to the tree. The codes are therefore those of asking the tree
+    at every step, whichever rows the bounds decide.
 
     The tree and the bounds run on the distinct rows of each member's cloud,
     which the member keeps: copies of a point add nothing to a nearest-member
@@ -520,26 +562,9 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     copies of one point."""
     n = len(X0)
     codes = np.full(n, CODE_UNDETERMINED, dtype=np.int16)
-
-    member_pts = [m._cloud.distinct for m in catalog.members]
-    owners = np.concatenate([np.full(len(p), i) for i, p in enumerate(member_pts)])
-    tree = cKDTree(np.vstack(member_pts))
     tol_by_member = np.array([catalog.match_tolerance(m) for m in catalog.members])
-    bound_verdicts = _bound_verdicts(member_pts, tol_by_member)
-
-    def nearest_member(Q):
-        if bound_verdicts is None:
-            who, dist = np.full(len(Q), _DEFER), None
-        else:
-            who, dist = bound_verdicts(Q)
-        ask = who == _DEFER
-        if ask.all():
-            dist, nearest = tree.query(Q, k=1)
-            return owners[nearest], dist
-        if ask.any():
-            dist[ask], nearest = tree.query(Q[ask], k=1)
-            who[ask] = owners[nearest]
-        return who, dist
+    stage = _SettleStage(system, [m._cloud.distinct for m in catalog.members],
+                         tol_by_member)
 
     def advance(rows, X, k):
         run = iterate_batch(system, X, k, r_div=cfg.escape_radius)
@@ -552,13 +577,14 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     rows, X = advance(np.arange(n), X0, cfg.burn)
     max_dist = np.zeros(n)
     owner = np.full(n, -1, dtype=np.int32)
+    anchor = np.full(n, -1, dtype=np.intp)
     consistent = np.ones(n, dtype=bool)
     for _ in range(cfg.window):
         if rows.size == 0:
             break
         live = consistent[rows]
         asked, Q = (rows, X) if live.all() else (rows[live], X[live])
-        who, d = nearest_member(Q)
+        who, d, anchor[asked] = stage.nearest(Q, anchor[asked])
         out = who == _RULED_OUT
         if out.any():
             consistent[asked[out]] = False

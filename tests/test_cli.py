@@ -243,6 +243,7 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag, valu
     ("learn", "--pole", "inf", "--pole must be finite, got inf"),
     ("sweep", "--ridges", "0,-1", "--ridges must be finite and >= 0, got -1.0"),
     ("sweep", "--ridges", "nan", "--ridges must be finite and >= 0, got nan"),
+    ("sweep", "--ridges", "0,abc", "--ridges: 'abc' is not a number"),
     ("sweep", "--pole", "-inf", "--pole must be finite, got -inf"),
     ("sweep", "--auto-seeds", "-3", "--auto-seeds must be >= 0, got -3")])
 def test_numbers_out_of_range_are_usage_errors(tmp_path, capsys, command, flag, value,

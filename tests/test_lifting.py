@@ -278,6 +278,23 @@ def test_sweep_records_singular_fits():
     assert row.residual_heldout is None
 
 
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
+def test_fit_rejects_a_ridge_that_is_not_finite_and_non_negative(ridge):
+    with pytest.raises(InvalidParamError, match="ridge must be finite and non-negative"):
+        fit_lift(get_system("mobius"), build_dictionary("monomial", 1, 2),
+                 region=MOBIUS_REGION, ridge=ridge, seed=42)
+
+
+def test_sweep_turns_a_nan_ridge_into_an_error_row(cot_catalog):
+    report = obstruction_sweep(get_system("cot-map"), cot_catalog, specs=[("fourier", 1)],
+                               ridges=(0.0, float("nan")), seed=42)
+    assert len(report.rows) == 2
+    good, bad = sorted(report.rows, key=lambda r: r.error is not None)
+    assert good.error is None and good.ridge == 0.0
+    assert bad.error == "ridge must be finite and non-negative, got nan"
+    assert bad.residual_heldout is None
+
+
 def test_sweep_guards_against_huge_catalogs():
     f = get_system("negation")
     catalog, _ = catalog_from_seeds(f, np.linspace(0.1, 4.0, 65)[:, None])

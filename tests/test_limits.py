@@ -1,10 +1,14 @@
 """Limit-set estimation, clustering, boundedness, basins, and witnesses."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       basin_closedness_witness, catalog_from_seeds,
@@ -13,11 +17,12 @@ from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       estimate_omega_batch, get_system, hausdorff, iterate,
                       list_systems, write_basin_csv, DomainRegion,
                       LinearSystem, LimitSetCatalog, CatalogMember, default_seeds)
+from limitlab.dynamics import DiscreteMap
 from limitlab.errors import UnconvergedError
 from limitlab import geometry, limits
 from limitlab.geometry import _prepare, diameter, sampling_gap
 from limitlab.limits import (BasinMap, CODE_ESCAPED, CODE_SINGULAR, CODE_UNDETERMINED,
-                             _DEFER, _RULED_OUT, _bound_verdicts, _classify_shape, _thin)
+                             _DEFER, _RULED_OUT, _SettleStage, _classify_shape, _thin)
 from limitlab.serialize import validate
 
 FAST = EstimatorConfig(burn=200, tail=200, max_rounds=6)
@@ -505,10 +510,46 @@ def _ruled_out_rows():
             DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]]), 9)
 
 
+def _period_three():
+    # a 120-degree rotation pulled onto the unit circle, one seeded orbit: a
+    # period-3 member, held to 0.3 so that nodes turning beside it settle on
+    # it at every window step, each step one member point further on
+    system = get_system("rotation-scaling", theta=2 * np.pi / 3)
+    catalog, _ = catalog_from_seeds(system, [[1.0, 0.0]], cfg=FAST, tol_cluster=0.3)
+    return system, catalog, DomainRegion.box([[-1.5, 1.5], [-1.5, 1.5]]), 9
+
+
+def _thinned_successor():
+    # x -> x/2 beside a hand-built member {0, 0.01, 0.02}: the image 0.005 of
+    # 0.01 is farther than the tolerance from every stored point, so a row
+    # anchored at 0.01 finds no member point near its next state
+    half = get_system("scalar-linear", a=0.5)
+    catalog, _ = catalog_from_seeds(half, [0.0], cfg=FAST)
+    member = dataclasses.replace(catalog.members[0], resolution=0.0,
+                                 points=np.array([[0.0], [0.01], [0.02]]))
+    catalog = LimitSetCatalog(members=(member,), tol_cluster=catalog.tol_cluster)
+    return half, catalog, DomainRegion.interval(-0.2, 0.2), 41
+
+
+def _wide_beside_point():
+    # the origin and, 1e-12 to its right, a member spread along a line (box
+    # diagonal 2, past its tolerance): rows right of the origin are clearly
+    # nearer the line, and rows on the middle column are nearer the origin
+    # by less than the bounds' margin
+    catalog = _point_members([0.0, 0.0], [1e-12, 0.0])
+    line = dataclasses.replace(catalog.members[1], shape="curve",
+                               points=np.array([[1e-12, -1.0], [1e-12, 0.0], [1e-12, 1.0]]))
+    catalog = LimitSetCatalog(members=(catalog.members[0], line),
+                              tol_cluster=catalog.tol_cluster)
+    return _STILL, catalog, DomainRegion.box([[-1e-4, 1e-4], [-1e-4, 1e-4]]), 9
+
+
 @pytest.mark.parametrize("case", [_pole_map, _pole_map_per_row,
                                   _excluded_ball_doubler, _shear_doubler,
                                   _tiny_spread_contraction, _origin_inside_circle,
-                                  _near_tie, _subnormal_members, _ruled_out_rows])
+                                  _near_tie, _subnormal_members, _ruled_out_rows,
+                                  _period_three, _thinned_successor,
+                                  _wide_beside_point])
 @pytest.mark.parametrize("cfg", [BasinConfig(),
                                  BasinConfig(burn=3, window=4, escape_radius=40.0)])
 def test_basin_codes_equal_a_per_node_reference(case, cfg):
@@ -519,12 +560,17 @@ def test_basin_codes_equal_a_per_node_reference(case, cfg):
         assert basins.codes[idx] == want, (idx, basins.node(idx))
 
 
+def _unanchored(stage, rows):
+    Q = np.array(rows, dtype=float)
+    return stage.bounds(Q, np.full(len(Q), -1))
+
+
 def test_basin_bounds_decide_only_clear_rows():
     tol = np.array([1e-3, 1e-3])
-    verdicts = _bound_verdicts([np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])], tol)
+    stage = _SettleStage(_STILL, [np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])], tol)
     tol_edge = 1e-3 * np.array([1 - 1e-15, 1 + 1e-15])
-    who, bound = verdicts(np.array([[1e-4, 0.0], [1.0, 5e-4], [0.5, 0.3],
-                                    [tol_edge[0], 0.0], [tol_edge[1], 0.0]]))
+    who, bound, _ = _unanchored(stage, [[1e-4, 0.0], [1.0, 5e-4], [0.5, 0.3],
+                                        [tol_edge[0], 0.0], [tol_edge[1], 0.0]])
     # settled on each member, with a bound between the distance and the
     # tolerance; ruled out far from both; within the margin of the
     # tolerance either way, deferred
@@ -534,19 +580,93 @@ def test_basin_bounds_decide_only_clear_rows():
     # near-ties and underflowed distances between two compact members defer
     for members, rows in [(([0.0, 0.0], [0.0, 2.0 ** -60]), [[1e-4, 1e-5], [1e-4, 0.0]]),
                           (([0.0, 0.0], [2e-310, 1e-310]), [[3e-310, 0.0], [-1e-310, 0.0]])]:
-        verdicts = _bound_verdicts([np.array([m]) for m in members], tol)
-        assert verdicts(np.array(rows))[0].tolist() == [_DEFER, _DEFER]
+        stage = _SettleStage(_STILL, [np.array([m]) for m in members], tol)
+        assert _unanchored(stage, rows)[0].tolist() == [_DEFER, _DEFER]
     # alone, a subnormal member settles the rows within its tolerance
-    who, _ = _bound_verdicts([np.array([[2e-310, 1e-310]])], tol[:1])(np.array([[0.0, 0.0]]))
-    assert who.tolist() == [0]
+    stage = _SettleStage(_STILL, [np.array([[2e-310, 1e-310]])], tol[:1])
+    assert _unanchored(stage, [[0.0, 0.0]])[0].tolist() == [0]
 
-    # a member whose box diagonal exceeds its tolerance settles no row; it
-    # takes the stage away when no member is compact, and its box shields
-    # the compact member inside it
+    # a member whose box diagonal exceeds its tolerance: an unanchored row
+    # is measured against its first point, an anchored one against its
+    # anchor's successor, and its box shields the compact member inside it
     wide = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    assert _bound_verdicts([wide], tol[:1]) is None
-    verdicts = _bound_verdicts([np.array([[0.0, 0.0]]), wide], tol)
-    assert verdicts(np.array([[1e-4, 0.0], [0.0, 0.5]]))[0].tolist() == [_DEFER, _RULED_OUT]
+    stage = _SettleStage(_STILL, [wide], tol[:1])
+    Q = np.array([[-1.0 + 1e-4, 0.0], [1.0 - 1e-4, 0.0], [1.0 - 1e-4, 0.0]])
+    who, _, cand = stage.bounds(Q, np.array([-1, -1, 1]))
+    assert who.tolist() == [0, _DEFER, 0] and cand.tolist() == [0, 0, 1]
+    stage = _SettleStage(_STILL, [np.array([[0.0, 0.0]]), wide], tol)
+    assert _unanchored(stage, [[1e-4, 0.0], [0.0, 0.5]])[0].tolist() == [_DEFER, _RULED_OUT]
+
+
+def test_basin_successors_follow_the_map_on_the_member():
+    # a period-3 member: each point's successor is the next point of the
+    # cycle, and a row beside the image of its anchor settles on that image
+    system = get_system("rotation-scaling", theta=2 * np.pi / 3)
+    angle = 2 * np.pi / 3 * np.arange(3)
+    cycle = np.column_stack([np.cos(angle), np.sin(angle)])
+    stage = _SettleStage(system, [cycle], np.array([1e-3]))
+    succ = stage.succ[:3]
+    assert sorted(succ.tolist()) == [0, 1, 2] and (succ != np.arange(3)).all()
+    assert succ[succ[succ]].tolist() == [0, 1, 2]
+    assert np.allclose(stage.points[succ], system.forward(stage.points), atol=1e-12)
+    Q = stage.points[succ] + [1e-4, 0.0]
+    who, _, cand = stage.bounds(Q, np.arange(3))
+    assert who.tolist() == [0, 0, 0] and cand.tolist() == succ.tolist()
+    # unanchored, only the row beside the member's first point settles
+    who, _, cand = stage.bounds(Q, np.full(3, -1))
+    assert (who == 0).sum() == 1 and cand.tolist() == [0, 0, 0]
+
+    # a point outside the domain, at an excluded point or with a non-finite
+    # image has no successor; a row anchored there falls back to the first
+    # point of its nearest box
+    region = DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]], excluded=[[0.5, 0.0]])
+    stage = _SettleStage(_STILL.restrict(region),
+                         [np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])], np.array([1e-3]))
+    assert stage.succ.tolist() == [0, -1, -1, -1]
+    assert stage.bounds(np.array([[1e-4, 0.0]]), np.array([2]))[2].tolist() == [0]
+    ratio = DiscreteMap(dim=2, forward=lambda X: X / X[:, :1],
+                        domain=DomainRegion.full_space(2))
+    stage = _SettleStage(ratio, [np.array([[0.0, 1.0], [1.0, 0.0]])], np.array([1e-3]))
+    assert stage.succ.tolist() == [-1, 1, -1]
+
+
+def test_basin_rows_ask_the_tree_once_then_follow_their_anchors(monkeypatch, rotation_catalog):
+    # every orbit but the origin's turns along the circle: once its first
+    # query has anchored a row, the successor bound settles every later
+    # window step, so the tree is asked about the member points once, each
+    # node at most once, and the origin's row, inside the circle's box, at
+    # most at each later step
+    asked = []
+
+    class Counted(cKDTree):
+        def query(self, x, *args, **kwargs):
+            asked.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "cKDTree", Counted)
+    basins = compute_basins(get_system("rotation-scaling"), rotation_catalog,
+                            region=DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]), resolution=41)
+    assert basins.label_at((20, 20)) == "S0" and (basins.codes >= 0).all()
+    points = sum(len(m._cloud.distinct) for m in rotation_catalog.members)
+    assert sum(asked) <= points + 41 * 41 + BasinConfig().window - 1
+
+
+BASIN_FIXTURE = Path(__file__).parent / "fixtures" / "basin_codes.json"
+
+
+def test_basin_codes_equal_the_pinned_fixture():
+    # the grids tools/regenerate_fixtures.py pins: every node's code, by the
+    # sha256 of the code array, and the count of each label
+    for grid in json.loads(BASIN_FIXTURE.read_text())["grids"]:
+        system = get_system(grid["system"], **grid["params"])
+        catalog, _ = catalog_from_seeds(system, default_seeds(grid["system"]))
+        basins = compute_basins(system, catalog, region=DomainRegion.box(grid["region"]),
+                                resolution=grid["resolution"])
+        codes, counts = np.unique(basins.codes, return_counts=True)
+        assert {basins.label_of_code(int(c)): int(n)
+                for c, n in zip(codes, counts)} == grid["counts"], grid["system"]
+        assert hashlib.sha256(basins.codes.tobytes()).hexdigest() == grid["sha256"], \
+            grid["system"]
 
 
 def test_basin_reference_cases_hit_every_code():

@@ -2,9 +2,11 @@
 """Regenerate the pinned regression fixtures under tests/fixtures/.
 
 The obstruction-sweep acceptance test compares a fresh sweep against the
-values pinned here, so a genuine behaviour change shows up as an explicit
-fixture diff instead of silent drift. Run from the repository root after an
-intentional change, then review the diff:
+values pinned in ``obstruction_sweep.json``, and the basin-code test compares
+fresh basin grids against the sha256 of their codes and their label counts
+in ``basin_codes.json``, so a genuine behaviour change shows up as an
+explicit fixture diff instead of silent drift. Run from the repository root
+after an intentional change, then review the diff:
 
     python3 tools/regenerate_fixtures.py
 
@@ -16,6 +18,7 @@ abs 1e-9), writing nothing; the exit status is 1 on any drift:
 """
 
 import argparse
+import hashlib
 import json
 import pathlib
 import sys
@@ -27,8 +30,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from limitlab import (DomainRegion, build_dictionary, catalog_from_seeds,  # noqa: E402
-                      conjugacy_residual, default_seeds, fit_lift, get_system,
-                      injectivity_probe, obstruction_sweep)
+                      compute_basins, conjugacy_residual, default_seeds,
+                      fit_lift, get_system, injectivity_probe, obstruction_sweep)
 from limitlab.serialize import dump, dumps  # noqa: E402
 
 FIXTURE_DIR = ROOT / "tests" / "fixtures"
@@ -90,6 +93,37 @@ def control_fixture() -> dict:
     }
 
 
+# basin grids pinned by their codes: system, its parameters, the grid's
+# per-axis bounds (None: the system's own domain) and nodes per axis; each
+# catalog comes from the system's default seeds
+BASIN_GRIDS = (
+    ("rotation-scaling", {}, [[-2.0, 2.0], [-2.0, 2.0]], 201),
+    ("jordan", {"lam": 0.9}, [[-1.0, 1.0], [-1.0, 1.0]], 101),
+    ("mobius", {}, [[-2.0, 2.0]], 401),
+    ("cot-map", {}, None, 201),
+)
+
+
+def basin_codes_fixture() -> dict:
+    grids = []
+    for name, params, bounds, resolution in BASIN_GRIDS:
+        system = get_system(name, **params)
+        bounds = bounds or system.domain.bounds.tolist()
+        catalog, _ = catalog_from_seeds(system, default_seeds(name))
+        basins = compute_basins(system, catalog, region=DomainRegion.box(bounds),
+                                resolution=resolution)
+        codes, counts = np.unique(basins.codes, return_counts=True)
+        grids.append({
+            "system": name,
+            "params": params,
+            "region": bounds,
+            "resolution": resolution,
+            "sha256": hashlib.sha256(basins.codes.tobytes()).hexdigest(),
+            "counts": {basins.label_of_code(int(c)): int(n) for c, n in zip(codes, counts)},
+        })
+    return {"kind": "basin-codes-fixture", "schema_version": 1, "grids": grids}
+
+
 # the acceptance gate compares pinned numbers at this tolerance
 CHECK_REL = 1e-6
 CHECK_ABS = 1e-9
@@ -123,28 +157,35 @@ def main(argv=None) -> int:
                         help="compare with the committed fixtures, write nothing, "
                              "exit 1 on drift")
     args = parser.parse_args(argv)
-    payload = {
+    sweep = {
         "kind": "sweep-regression-fixture",
         "schema_version": 1,
         "sweep": sweep_fixture(),
         "control": control_fixture(),
     }
-    out = FIXTURE_DIR / "obstruction_sweep.json"
+    fixtures = {"obstruction_sweep.json": sweep, "basin_codes.json": basin_codes_fixture()}
     if args.check:
-        # round-trip through JSON so both sides hold the same types
-        got = json.loads(dumps(payload))
-        diffs = list(drift(got, json.loads(out.read_text())))
-        for line in diffs:
-            print(f"drift: {line}")
-        print(f"{out}: {'drifted' if diffs else 'matches the recomputed fixture'}")
-        return 1 if diffs else 0
+        drifted = False
+        for name, payload in fixtures.items():
+            out = FIXTURE_DIR / name
+            # round-trip through JSON so both sides hold the same types
+            got = json.loads(dumps(payload))
+            diffs = list(drift(got, json.loads(out.read_text())))
+            for line in diffs:
+                print(f"drift: {line}")
+            print(f"{out}: {'drifted' if diffs else 'matches the recomputed fixture'}")
+            drifted |= bool(diffs)
+        return 1 if drifted else 0
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-    dump(payload, out)
-    print(f"wrote {out}")
-    for row in payload["sweep"]["rows"]:
+    for name, payload in fixtures.items():
+        dump(payload, FIXTURE_DIR / name)
+        print(f"wrote {FIXTURE_DIR / name}")
+    for row in sweep["sweep"]["rows"]:
         print("  sweep row:", row)
-    print("  control:", {k: payload["control"][k]
+    print("  control:", {k: sweep["control"][k]
                          for k in ("train_rms", "heldout_max", "n_collisions")})
+    for grid in fixtures["basin_codes.json"]["grids"]:
+        print(f"  basins {grid['system']}:", grid["counts"])
     return 0
 
 
