@@ -83,7 +83,7 @@ def _parse_params(pairs, flag: str, names=None) -> dict:
 def _parse_domain(spec: str, dim: int) -> DomainRegion:
     axes = []
     for part in spec.split(";"):
-        nums = [float(v) for v in part.split(",") if v.strip()]
+        nums = [_number("--domain", v) for v in part.split(",") if v.strip()]
         if len(nums) != 2 or not nums[0] < nums[1]:
             raise InvalidParamError(
                 f"--domain axis {part!r} must be 'lo,hi' with lo < hi")
@@ -96,10 +96,10 @@ def _parse_domain(spec: str, dim: int) -> DomainRegion:
     return DomainRegion.box(axes)
 
 
-def _parse_points(spec: str, dim: int) -> list[np.ndarray]:
+def _parse_points(flag: str, spec: str, dim: int) -> list[np.ndarray]:
     points = []
     for part in spec.split(";"):
-        nums = [float(v) for v in part.split(",") if v.strip()]
+        nums = [_number(flag, v) for v in part.split(",") if v.strip()]
         if len(nums) != dim:
             raise InvalidParamError(
                 f"point {part!r} has {len(nums)} coordinate(s), expected {dim}")
@@ -203,7 +203,7 @@ def _catalog(args, system, sets: _Settings, region=None, box=None):
         rng = np.random.default_rng(_seed_of(args))
         seeds = list(region.sample(args.auto_seeds, rng, box=box))
     elif args.seeds:
-        seeds = _parse_points(args.seeds, system.dim)
+        seeds = _parse_points("--seeds", args.seeds, system.dim)
     else:
         seeds = default_seeds(args.system)
     return catalog_from_seeds(system, seeds, sets.estimator, sets.tol_cluster)
@@ -317,7 +317,7 @@ def cmd_simulate(args) -> int:
     if args.domain:
         system = system.restrict(_parse_domain(args.domain, system.dim))
     sets = _settings(args, ("r_div",))
-    x0 = _parse_points(args.x0, system.dim)[0]
+    x0 = _parse_points("--x0", args.x0, system.dim)[0]
     system_run = system.reversed() if args.backward else system
     traj = iterate(system_run, x0, args.steps, r_div=sets.estimator.r_div)
     out = _out_dir(args)
@@ -413,7 +413,7 @@ def cmd_verify(args) -> int:
 
     xi = None
     if args.x0:
-        xi = _parse_points(args.x0, system.dim)[0]
+        xi = _parse_points("--x0", args.x0, system.dim)[0]
     else:
         for cand in default_seeds(args.system):
             if region.contains(cand) and F.domain.contains(cand) \
@@ -499,13 +499,13 @@ def cmd_sweep(args) -> int:
     _at_least(0, args, "auto-seeds")
     _finite("--pole", args.pole, nonnegative=False)
     ridges = ([_finite("--ridges", _number("--ridges", r)) for r in args.ridges.split(",")]
-              if args.ridges else [0.0])
+              if args.ridges is not None else [0.0])
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     seed = _seed_of(args)
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",))
     region, box = _region(args, system)
-    if args.dicts:
+    if args.dicts is not None:
         specs = _parse_dict_specs(args.dicts)
     elif system.dim == 1:
         specs = [("monomial", 1), ("monomial", 2), ("monomial", 3), ("monomial", 4),

@@ -7,6 +7,12 @@ through the same diagnostics as hand-built candidates: conjugacy residual on
 held-out samples, limit-set collapse against a catalog, and injectivity
 probing. The sweep makes the residual/collapse/injectivity trade-off visible
 across dictionary families and sizes.
+
+A sweep draws its training pairs once. Per dictionary it evaluates the
+features and runs the collapse and injectivity probes once; per ridge only the
+solve and the conjugacy residual run. That reuse is exact: nothing but the
+solve and the residual reads ``K`` or the ridge. :func:`fit_lift` is the same
+solve on freshly drawn pairs.
 """
 
 from __future__ import annotations
@@ -216,36 +222,33 @@ class LearnedLift:
         return np.sort_complex(np.linalg.eigvals(self.K))[::-1]
 
     def as_immersion(self) -> ImmersionMap:
-        d = self.dictionary
-        return ImmersionMap(dim_in=d.dim, dim_out=d.size, func=d.evaluate,
-                            domain=self.domain,
-                            name=f"{d.kind}-lift[{d.size}]")
+        return _immersion(self.dictionary, self.domain)
 
     def lifted_map(self) -> DiscreteMap:
         """``z -> K z`` on the full space, stepped like every linear map: a
         state's image does not depend on what shares its batch."""
-        name = f"lifted[{self.dictionary.kind},{self.dictionary.size}]"
-        return LinearSystem(self.K, name=name).as_map()
+        return _lifted_map(self.dictionary, self.K)
 
 
-def fit_lift(system: DiscreteMap, dictionary: Dictionary,
-             region: Optional[DomainRegion] = None, ridge: float = 0.0,
-             seed: int = config.DEFAULT_SEED,
-             n_grid: int = config.GRID_SAMPLES,
-             n_random: int = config.RANDOM_SAMPLES,
-             box=None) -> LearnedLift:
-    """Least-squares fit of ``K`` with ``Phi(f(x)) ~ K Phi(x)``.
+def _immersion(dictionary: Dictionary, domain: DomainRegion) -> ImmersionMap:
+    return ImmersionMap(dim_in=dictionary.dim, dim_out=dictionary.size,
+                        func=dictionary.evaluate, domain=domain,
+                        name=f"{dictionary.kind}-lift[{dictionary.size}]")
 
-    Uses normal equations while the Gram matrix is comfortably conditioned,
-    switching to a QR solve past ``QR_COND_SWITCH``; a Gram condition beyond
-    ``SINGULAR_COND`` with no ridge raises :class:`SingularGramError` instead
-    of returning garbage coefficients.
-    """
+
+def _lifted_map(dictionary: Dictionary, K: np.ndarray) -> DiscreteMap:
+    name = f"lifted[{dictionary.kind},{dictionary.size}]"
+    return LinearSystem(K, name=name).as_map()
+
+
+def _check_ridge(ridge: float) -> None:
     if not (math.isfinite(ridge) and ridge >= 0):
         raise InvalidParamError(f"ridge must be finite and non-negative, got {ridge}")
-    region = region or system.domain
-    X, Y = training_pairs(system, region, n_grid=n_grid, n_random=n_random,
-                          seed=seed, box=box)
+
+
+def _features(dictionary: Dictionary, X: np.ndarray,
+              Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi(X)`` and ``Phi(Y)``, rows with a non-finite value dropped."""
     PhiX = dictionary.evaluate(X)
     PhiY = dictionary.evaluate(Y)
     keep = np.isfinite(PhiX).all(axis=1) & np.isfinite(PhiY).all(axis=1)
@@ -254,7 +257,14 @@ def fit_lift(system: DiscreteMap, dictionary: Dictionary,
     if m < N:
         raise SingularGramError(
             f"only {m} usable samples for a {N}-function dictionary")
+    return PhiX, PhiY
 
+
+def _solve(PhiX: np.ndarray, PhiY: np.ndarray,
+           ridge: float) -> tuple[np.ndarray, float, str]:
+    """``(K^T, gram condition, method)`` for one ridge, solved as
+    :func:`fit_lift` describes."""
+    N = PhiX.shape[1]
     G = PhiX.T @ PhiX + ridge * np.eye(N)
     cond = float(np.linalg.cond(G))
     if cond > config.SINGULAR_COND and ridge == 0.0:
@@ -272,16 +282,36 @@ def fit_lift(system: DiscreteMap, dictionary: Dictionary,
     else:
         Kt = np.linalg.solve(G, PhiX.T @ PhiY)
         method = "normal-equations"
-    K = Kt.T
-    if not np.isfinite(K).all():
+    if not np.isfinite(Kt).all():
         raise SingularGramError("the fitted K has non-finite entries")
+    return Kt, cond, method
 
+
+def fit_lift(system: DiscreteMap, dictionary: Dictionary,
+             region: Optional[DomainRegion] = None, ridge: float = 0.0,
+             seed: int = config.DEFAULT_SEED,
+             n_grid: int = config.GRID_SAMPLES,
+             n_random: int = config.RANDOM_SAMPLES,
+             box=None) -> LearnedLift:
+    """Least-squares fit of ``K`` with ``Phi(f(x)) ~ K Phi(x)``.
+
+    Uses normal equations while the Gram matrix is comfortably conditioned,
+    switching to a QR solve past ``QR_COND_SWITCH``; a Gram condition beyond
+    ``SINGULAR_COND`` with no ridge raises :class:`SingularGramError` instead
+    of returning garbage coefficients.
+    """
+    _check_ridge(ridge)
+    region = region or system.domain
+    X, Y = training_pairs(system, region, n_grid=n_grid, n_random=n_random,
+                          seed=seed, box=box)
+    PhiX, PhiY = _features(dictionary, X, Y)
+    Kt, cond, method = _solve(PhiX, PhiY, ridge)
     resid = _row_norm(PhiY - PhiX @ Kt)
     report = FitReport(rms_residual=float(np.sqrt(np.mean(resid ** 2))),
                        max_residual=float(resid.max()),
-                       gram_condition=cond, samples_used=int(m),
+                       gram_condition=cond, samples_used=len(PhiX),
                        ridge=float(ridge), method=method)
-    return LearnedLift(dictionary=dictionary, K=K, domain=region, report=report)
+    return LearnedLift(dictionary=dictionary, K=Kt.T, domain=region, report=report)
 
 
 # -- sweep --------------------------------------------------------------------
@@ -352,6 +382,16 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
     the training region still counts, since the lift is defined there too.
     Rows that fail to fit (singular Gram, domain escapes) are kept with an
     ``error`` field so the sweep output is total.
+
+    Each piece of work runs once at the level where its inputs change:
+    :func:`training_pairs` once per sweep; the dictionary's features,
+    :func:`collapse_report` and :func:`injectivity_probe` once per
+    dictionary, at its first ridge that gets that far; the ridge check, the
+    solve and :func:`conjugacy_residual` per ridge. Reusing the
+    per-dictionary work is exact, because nothing but the solve and the
+    residual reads ``K`` or the ridge. A stage that raised raises the same
+    error again at each later ridge, at the same point of the row, so every
+    row is the one a fit per (spec, ridge) gives.
     """
     if len(catalog) > config.CATALOG_GUARD:
         raise CatalogGuardError(
@@ -360,35 +400,66 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
     region = region or system.domain
     rng = np.random.default_rng(seed + 1)          # held-out draw, distinct stream
     heldout = region.sample(config.RANDOM_SAMPLES, rng, box=box)
+    full_space = DomainRegion.full_space(system.dim)
+    pairs = _once(lambda: training_pairs(system, region, seed=seed, box=box))
 
     rows = []
     for kind, order in specs:
+        try:
+            dictionary = build_dictionary(kind, system.dim, order, pole=pole)
+        except InvalidParamError as exc:
+            size = _spec_size(kind, system.dim, order)
+            rows.extend(TradeoffRow(kind, size, float(ridge), None, None, None,
+                                    error=str(exc)) for ridge in ridges)
+            continue
+        F = _immersion(dictionary, region)
+        features = _once(lambda d=dictionary: _features(d, *pairs()))
+        collapse = _once(lambda F=F: collapse_report(F, catalog, seed=seed))
+        injectivity = _once(lambda F=F: injectivity_probe(F, heldout))
         for ridge in ridges:
             try:
-                dictionary = build_dictionary(kind, system.dim, order, pole=pole)
-                lift = fit_lift(system, dictionary, region=region, ridge=ridge,
-                                seed=seed, box=box)
-                F = lift.as_immersion()
-                g = lift.lifted_map()
+                _check_ridge(ridge)
+                Kt, _, _ = _solve(*features(), ridge)
                 resid = conjugacy_residual(
-                    F.restricted(DomainRegion.full_space(system.dim)), system, g,
-                    heldout).rms_residual
+                    F.restricted(full_space), system,
+                    _lifted_map(dictionary, Kt.T), heldout).rms_residual
                 try:
-                    ratio = collapse_report(F, catalog, seed=seed).collapse_ratio
+                    ratio = collapse().collapse_ratio
                 except DomainError as exc:
                     rows.append(TradeoffRow(kind, dictionary.size, float(ridge),
                                             resid, None, None,
                                             error=f"collapse: {exc}"))
                     continue
-                inj = injectivity_probe(F, heldout)
+                inj = injectivity()
                 rows.append(TradeoffRow(kind, dictionary.size, float(ridge),
                                         resid, ratio, inj.min_separation_ratio))
-            except (SingularGramError, DomainError, InvalidParamError) as exc:
-                size = _spec_size(kind, system.dim, order)
-                rows.append(TradeoffRow(kind, size, float(ridge),
+            except _ROW_ERRORS as exc:
+                rows.append(TradeoffRow(kind, dictionary.size, float(ridge),
                                         None, None, None, error=str(exc)))
     rows.sort(key=lambda r: (r.dict_size, r.dict_kind, r.ridge))
     return TradeoffReport(system_name=system.name, rows=tuple(rows), seed=seed)
+
+
+# The errors a sweep keeps as a row's ``error`` instead of raising.
+_ROW_ERRORS = (SingularGramError, DomainError, InvalidParamError)
+
+
+def _once(fn: Callable):
+    """``fn`` made to run at most once: each call returns its value, or
+    raises the row error it raised, again."""
+    outcome = []
+
+    def call():
+        if not outcome:
+            try:
+                outcome.append((fn(), None))
+            except _ROW_ERRORS as exc:
+                outcome.append((None, exc))
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+    return call
 
 
 def _spec_size(kind: str, dim: int, order: int) -> int:

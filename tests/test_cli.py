@@ -245,7 +245,10 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag, valu
     ("sweep", "--ridges", "nan", "--ridges must be finite and >= 0, got nan"),
     ("sweep", "--ridges", "0,abc", "--ridges: 'abc' is not a number"),
     ("sweep", "--pole", "-inf", "--pole must be finite, got -inf"),
-    ("sweep", "--auto-seeds", "-3", "--auto-seeds must be >= 0, got -3")])
+    ("sweep", "--auto-seeds", "-3", "--auto-seeds must be >= 0, got -3"),
+    ("basins", "--domain", "-1,abc", "--domain: 'abc' is not a number"),
+    ("limits", "--seeds", "0.5,abc", "--seeds: 'abc' is not a number"),
+    ("simulate", "--x0", "abc", "--x0: 'abc' is not a number")])
 def test_numbers_out_of_range_are_usage_errors(tmp_path, capsys, command, flag, value,
                                                message):
     out_dir = tmp_path / "out"
@@ -256,6 +259,20 @@ def test_numbers_out_of_range_are_usage_errors(tmp_path, capsys, command, flag, 
     assert payload["error"] == "usage"
     assert payload["message"] == message
     assert not out_dir.exists()
+
+
+def test_sweep_refuses_an_empty_dicts_or_ridges(tmp_path, capsys):
+    # an empty value is not the same as leaving the option out
+    for flag, message in (("--dicts", "--dicts expects kind:order items, got ''"),
+                          ("--ridges", "--ridges: '' is not a number")):
+        out_dir = tmp_path / flag.strip("-")
+        code, _, err = run(capsys, "sweep", "--system", "cot-map", f"{flag}=",
+                           "--out", str(out_dir))
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "usage"
+        assert payload["message"] == message
+        assert not out_dir.exists()
 
 
 def test_verify_flags_an_undefined_chart_point(tmp_path, capsys):

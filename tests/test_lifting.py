@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from limitlab import (DomainRegion, build_dictionary, catalog_from_seeds,
-                      conjugacy_residual, fit_lift, get_system,
-                      obstruction_sweep, training_pairs)
+from limitlab import (DomainRegion, TradeoffRow, build_dictionary,
+                      catalog_from_seeds, conjugacy_residual, fit_lift,
+                      get_system, lifting, obstruction_sweep, training_pairs)
 from limitlab.config import RANDOM_SAMPLES
-from limitlab.errors import (CatalogGuardError, InvalidParamError,
+from limitlab.errors import (CatalogGuardError, DomainError, InvalidParamError,
                              SingularGramError)
 from limitlab.linear import apply_matrix
 from limitlab.serialize import validate
@@ -346,3 +346,124 @@ def test_sweep_residual_keeps_step_images_outside_the_region():
     on_region = conjugacy_residual(lift.as_immersion(), f, lift.lifted_map(), X)
     assert on_region.samples_skipped > 0
     assert on_region.rms_residual != report.rows[0].residual_heldout
+
+
+# -- the sweep against one fit per (spec, ridge) -------------------------------
+
+def reference_sweep(system, catalog, specs, ridges, region=None, seed=42,
+                    pole=1.0, box=None):
+    """The sweep's rows as one fit per (spec, ridge), from the public
+    functions alone, looked up on ``lifting`` so a monkeypatch reaches both."""
+    region = region or system.domain
+    heldout = region.sample(RANDOM_SAMPLES, np.random.default_rng(seed + 1), box=box)
+    full_space = DomainRegion.full_space(system.dim)
+    rows = []
+    for kind, order in specs:
+        for ridge in ridges:
+            try:
+                dictionary = build_dictionary(kind, system.dim, order, pole=pole)
+                lift = fit_lift(system, dictionary, region=region, ridge=ridge,
+                                seed=seed, box=box)
+                F = lift.as_immersion()
+                resid = lifting.conjugacy_residual(
+                    F.restricted(full_space), system, lift.lifted_map(),
+                    heldout).rms_residual
+                try:
+                    ratio = lifting.collapse_report(F, catalog, seed=seed).collapse_ratio
+                except DomainError as exc:
+                    rows.append(TradeoffRow(kind, dictionary.size, float(ridge),
+                                            resid, None, None, error=f"collapse: {exc}"))
+                    continue
+                inj = lifting.injectivity_probe(F, heldout)
+                rows.append(TradeoffRow(kind, dictionary.size, float(ridge),
+                                        resid, ratio, inj.min_separation_ratio))
+            except (SingularGramError, DomainError, InvalidParamError) as exc:
+                try:
+                    size = build_dictionary(kind, system.dim, order).size
+                except InvalidParamError:
+                    size = -1
+                rows.append(TradeoffRow(kind, size, float(ridge), None, None, None,
+                                        error=str(exc)))
+    rows.sort(key=lambda r: (r.dict_size, r.dict_kind, r.ridge))
+    return tuple(rows)
+
+
+def assert_sweep_matches_reference(system, catalog, specs, ridges, **kw):
+    rows = obstruction_sweep(system, catalog, specs, ridges=ridges, seed=42, **kw).rows
+    assert rows == reference_sweep(system, catalog, specs, ridges, **kw)
+    return rows
+
+
+def test_sweep_matches_one_fit_per_spec_and_ridge(cot_catalog):
+    # the nan ridge is the one object both sides hold, so its rows compare equal
+    rows = assert_sweep_matches_reference(
+        get_system("cot-map"), cot_catalog, [("fourier", k) for k in range(3)],
+        (0.0, 1e-8, float("nan")))
+    assert len(rows) == 9
+    assert sum(r.error is None for r in rows) == 6
+
+
+def test_sweep_repeats_a_collapse_failure_at_every_ridge():
+    f = get_system("mobius").restrict(DomainRegion.interval(-1.2, 1.2))
+    catalog, _ = catalog_from_seeds(f, [[0.0], [1.0]])
+    rows = assert_sweep_matches_reference(f, catalog, [("rational-pole", 2)],
+                                          (0.0, 1e-8, 1e-4))
+    assert len(rows) == 3
+    assert all(r.error.startswith("collapse:") and r.residual_heldout is not None
+               for r in rows)
+
+
+def test_sweep_matches_a_fit_singular_at_one_ridge_only(mobius_unit_catalog):
+    rows = assert_sweep_matches_reference(
+        get_system("mobius").restrict(MOBIUS_REGION), mobius_unit_catalog,
+        [("monomial", 16)], (0.0, 1e-4, float("nan")))
+    singular, fitted, no_ridge = rows
+    assert "gram condition" in singular.error and singular.residual_heldout is None
+    assert fitted.residual_heldout is not None
+    # the ridge is checked before the solve, whose error it would otherwise be
+    assert no_ridge.error == "ridge must be finite and non-negative, got nan"
+
+
+def test_sweep_matches_an_invalid_spec_at_every_ridge(rotation_catalog):
+    rows = assert_sweep_matches_reference(
+        get_system("rotation-scaling"), rotation_catalog,
+        [("fourier", 1), ("monomial", 1)], (0.0, 1e-8), box=[[-2.0, 2.0]] * 2)
+    invalid = [r for r in rows if r.dict_kind == "fourier"]
+    assert len(invalid) == 2
+    assert all(r.dict_size == -1 and r.error == "fourier dictionaries are one-dimensional"
+               for r in invalid)
+
+
+def test_sweep_matches_an_injectivity_failure_without_collapse_prefix(
+        monkeypatch, cot_catalog):
+    def refuse(F, samples):
+        raise DomainError(np.zeros(1), "out-of-bounds", detail="refused")
+
+    monkeypatch.setattr(lifting, "injectivity_probe", refuse)
+    rows = assert_sweep_matches_reference(
+        get_system("cot-map"), cot_catalog, [("fourier", 1)], (0.0, 1e-8))
+    assert [r.error for r in rows] == ["domain violation (out-of-bounds) at [0.]: refused"] * 2
+    assert all(r.residual_heldout is None for r in rows)
+
+
+def test_sweep_runs_shared_work_once_per_sweep_and_per_fitted_dictionary(
+        monkeypatch, cot_catalog):
+    calls = {"training_pairs": 0, "collapse_report": 0, "injectivity_probe": 0}
+
+    def counted(name):
+        fn = getattr(lifting, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lifting, name, counted(name))
+    # fourier:1 and fourier:2 fit at ridge 0; monomial:16 is singular there and
+    # nan is no ridge, so it fits at none; fourier:40 is no dictionary at all
+    specs = [("fourier", 1), ("fourier", 2), ("monomial", 16), ("fourier", 40)]
+    rows = obstruction_sweep(get_system("cot-map"), cot_catalog, specs,
+                             ridges=(0.0, float("nan")), seed=42).rows
+    assert len(rows) == 8
+    assert calls == {"training_pairs": 1, "collapse_report": 2, "injectivity_probe": 2}
