@@ -102,7 +102,7 @@ def _parse_points(flag: str, spec: str, dim: int) -> list[np.ndarray]:
         nums = [_number(flag, v) for v in part.split(",") if v.strip()]
         if len(nums) != dim:
             raise InvalidParamError(
-                f"point {part!r} has {len(nums)} coordinate(s), expected {dim}")
+                f"{flag} point {part!r} has {len(nums)} coordinate(s), expected {dim}")
         points.append(np.asarray(nums, dtype=float))
     if not points:
         raise InvalidParamError("no points parsed")
@@ -187,7 +187,7 @@ def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
     """The region a run works on, and the box to sample it within when it has
     no finite box of its own: ``--domain``, else the system's domain, sampled
     within ``[-2, 2]`` per axis when it is unbounded."""
-    if args.domain:
+    if args.domain is not None:
         return _parse_domain(args.domain, system.dim), None
     region = system.domain
     if region.has_finite_box():
@@ -202,7 +202,7 @@ def _catalog(args, system, sets: _Settings, region=None, box=None):
     if getattr(args, "auto_seeds", 0):
         rng = np.random.default_rng(_seed_of(args))
         seeds = list(region.sample(args.auto_seeds, rng, box=box))
-    elif args.seeds:
+    elif args.seeds is not None:
         seeds = _parse_points("--seeds", args.seeds, system.dim)
     else:
         seeds = default_seeds(args.system)
@@ -314,7 +314,7 @@ def _verify_step(system, pair, samples, xi, seed: int, cfg: EstimatorConfig,
 
 def cmd_simulate(args) -> int:
     system = get_system(args.system, **_parse_params(args.param, "--param"))
-    if args.domain:
+    if args.domain is not None:
         system = system.restrict(_parse_domain(args.domain, system.dim))
     sets = _settings(args, ("r_div",))
     x0 = _parse_points("--x0", args.x0, system.dim)[0]
@@ -332,7 +332,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_limits(args) -> int:
     system = get_system(args.system, **_parse_params(args.param, "--param"))
-    if args.domain:
+    if args.domain is not None:
         system = system.restrict(_parse_domain(args.domain, system.dim))
     if args.backward:
         system = system.reversed()
@@ -394,7 +394,7 @@ def cmd_verify(args) -> int:
     if box is not None:
         region = DomainRegion.box(box)
     samples = _survey_samples(region, seed)
-    if args.domain:
+    if args.domain is not None:
         # the user is claiming the immersion works on this whole region —
         # every grid node must be usable, endpoints included
         try:
@@ -412,7 +412,7 @@ def cmd_verify(args) -> int:
             return 3
 
     xi = None
-    if args.x0:
+    if args.x0 is not None:
         xi = _parse_points("--x0", args.x0, system.dim)[0]
     else:
         for cand in default_seeds(args.system):

@@ -18,6 +18,13 @@ row-wise, and catalog maps are built so that their steps are too
 differently from several). A seed stepped alone and the same seed stepped
 among others therefore agree to the bit.
 
+The same invariant lets the engine step a block of steps at a time: it
+applies the map several times with no check in between, then runs each
+check once over every state and image of the block, and stops each row at
+its first failed check. Rows that stop inside a block change nothing for the
+others, so the result is that of checking step by step, while a small batch
+pays the checks' fixed cost once per block instead of once per step.
+
 Row-wise Euclidean norms go through one helper, :func:`_row_norm`. numpy's
 ``np.linalg.norm(X, axis=1)`` reduces along the short last axis, which is
 slow; below 8 columns it adds the squares in column order, so a column-by-
@@ -307,11 +314,17 @@ def _step_rows(step, X: np.ndarray, vectorized: bool,
 # Termination causes by code, as :attr:`BatchOrbit.termination` stores them.
 _CODE = {cause: code for code, cause in enumerate(TERMINATIONS)}
 
+# A block holds at most about this many floats: a small batch steps many
+# times per round of checks, and a batch this wide (a 40k-row grid of 2-d
+# states) steps once per round, with a per-step loop's memory.
+_BLOCK_FLOATS = 2 ** 15
+
 
 def _max_abs(X: np.ndarray) -> np.ndarray:
-    """Each row's largest coordinate magnitude, NaN or inf if a coordinate is:
-    folded column by column, as reducing along the short last axis is slow."""
-    return reduce(np.maximum, np.abs(X).T)
+    """Each state's largest coordinate magnitude (over the last axis), NaN or
+    inf if a coordinate is: folded column by column, as reducing along the
+    short last axis is slow."""
+    return reduce(np.maximum, np.moveaxis(np.abs(X), -1, 0))
 
 
 def _row_norm(X: np.ndarray) -> np.ndarray:
@@ -341,6 +354,44 @@ class BatchOrbit:
         return TERMINATIONS[int(self.termination[i])]
 
 
+def _state_codes(domain: DomainRegion, P: np.ndarray, over: np.ndarray) -> np.ndarray:
+    """Each state's checks before a step: an excluded point is ``singular``,
+    anything else outside the domain ``left-domain``, a state past ``r_div``
+    (the mask ``over``) ``diverged``, and ``completed`` if all pass. Written in
+    reverse check order, so a state's first failed check wins."""
+    code = np.where(over, np.int8(_CODE[DIVERGED]), np.int8(_CODE[COMPLETED]))
+    code[~domain.contains_batch(P)] = _CODE[LEFT_DOMAIN]
+    code[domain.exclusion_batch(P)] = _CODE[SINGULAR]
+    return code
+
+
+def _run_block(system: DiscreteMap, P: np.ndarray, b: int) -> np.ndarray:
+    """``(b, m, d)``: the next ``b`` images of the states ``P``, with no check
+    in between. A one-step block is the map's own output: on a wide batch, a
+    fresh buffer per step costs more in page faults than the step itself. It
+    is made contiguous, as a buffer is, since the next step maps it, and a
+    ufunc may round a strided input differently."""
+    first = _step_rows(system.forward, P, system.vectorized)
+    if b == 1:
+        return np.ascontiguousarray(first)[None]
+    Y = np.empty((b,) + P.shape)
+    Y[0] = first
+    for j in range(1, b):
+        Y[j] = _step_rows(system.forward, Y[j - 1], system.vectorized)
+    return Y
+
+
+def _room(states: np.ndarray, size: int, k: int) -> np.ndarray:
+    """``states`` with room for ``size`` recorded steps. It grows by doubling,
+    up to ``k``, so a long run whose rows all stop early holds only about
+    the steps it ran."""
+    if len(states) >= size:
+        return states
+    grown = np.empty((min(k, max(size, 2 * len(states))),) + states.shape[1:])
+    grown[:len(states)] = states
+    return grown
+
+
 def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
                   record: bool = False) -> BatchOrbit:
     """Step every row of ``X0`` (shape ``(n, d)``) up to ``k`` times in lockstep.
@@ -352,62 +403,109 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     the image (``diverged``, the image is kept). A stopped row is not stepped
     again. Only the current states are kept unless ``record`` is set.
 
-    Until the first row stops, every row is stepped in place: the batch is
-    ``X`` itself, with no gather of the active rows and no scatter back.
+    The steps run in blocks. A block checks its starting states and drops the
+    rows that fail, applies the map ``b`` times with no check in between, and
+    then makes every check of its ``b`` steps at once, on the states inside
+    the block and on every image. Each row's first failed check, in the order
+    above, sets its cause, its ``valid`` count and its ``last`` state; what
+    the block computed for it after that is discarded. This is exactly the
+    step-by-step result, because a row's images do not depend on the other
+    rows of its batch (see the module docstring). The map may meet states
+    past a row's stop (an excluded point, a state outside the domain, an
+    inf): the block runs with floating-point warnings off, and a block in
+    which the map raises is run again one step long, where the map sees only
+    states that passed their checks, so an error surfaces at the step where
+    a per-step loop raises it.
+
+    ``b`` starts at 1 and doubles per block, so a batch whose rows all stop
+    early wastes few steps. It is capped by the steps left and by about
+    ``2**15`` floats per block, so a basin grid keeps one step per block. A
+    map that takes one state at a time (``vectorized=False``) steps one at a
+    time: it pays a call per row anyway.
     """
-    X = np.array(X0, dtype=float)
-    if X.ndim != 2 or X.shape[1] != system.dim:
-        raise ValueError(f"expected an (n, {system.dim}) batch of states, got shape {X.shape}")
+    last = np.array(X0, dtype=float)
+    if last.ndim != 2 or last.shape[1] != system.dim:
+        raise ValueError(f"expected an (n, {system.dim}) batch of states, got shape {last.shape}")
     if k < 0:
         raise ValueError("step count must be >= 0")
-    n = len(X)
+    k = int(k)
+    n, d = last.shape
     termination = np.full(n, _CODE[COMPLETED], dtype=np.int8)
-    valid = np.ones(n, dtype=np.intp)
-    states = [] if record else None
-    active = np.arange(n)
-    domain = system.domain
-    mag = _max_abs(X)       # each row's max-abs, kept with its current state
-    for _ in range(int(k)):
-        if active.size == 0:
-            break
-        if states is not None:
-            states.append(X.copy())
-        whole = len(active) == n    # no row has stopped yet
-        P = X if whole else X[active]
-        singular = domain.exclusion_batch(P)
-        outside = ~domain.contains_batch(P)
-        diverged = (mag if whole else mag[active]) > r_div
-        stop = singular | outside | diverged
-        if stop.any():
-            # written in reverse check order, so a row's first failed check wins
-            termination[active[diverged]] = _CODE[DIVERGED]
-            termination[active[outside]] = _CODE[LEFT_DOMAIN]
-            termination[active[singular]] = _CODE[SINGULAR]
-            active, P = active[~stop], P[~stop]
-            if active.size == 0:
-                break
-        with np.errstate(all="ignore"):
-            Y = _step_rows(system.forward, P, system.vectorized)
-        m = _max_abs(Y)
-        finite = np.isfinite(m)     # NaN and inf survive the max-abs fold
-        if not finite.all():
-            termination[active[~finite]] = _CODE[SINGULAR]
-            active, Y, m = active[finite], Y[finite], m[finite]
-        if len(active) == n:
-            X[...] = Y      # copied, so no returned state aliases the map's output
-            mag = m
-            valid += 1
-        else:
-            X[active] = Y
-            mag[active] = m
-            valid[active] += 1
-        blown = m > r_div
-        if blown.any():
-            termination[active[blown]] = _CODE[DIVERGED]
-            active = active[~blown]
+    valid = np.full(n, k + 1, dtype=np.intp)    # a row that never stops keeps all k images
+    states = np.empty((0, n, d)) if record else None
+    # The rows still going are ``active``, with their states ``P`` and
+    # max-abs ``mag`` in the same order. ``last`` takes a row's last state
+    # when it stops, after the block has read everything it needs (``P`` or
+    # an image may be a view of it), and the going rows' states at the end.
+    active, P, mag = np.arange(n), last, _max_abs(last)
+    t = ran = 0             # steps done; steps in which some row was still going
+    span = 1                # the next block's length before its caps
+    with np.errstate(all="ignore"):
+        while t < k and active.size:
+            b = min(span, k - t, max(1, _BLOCK_FLOATS // P.size)) if system.vectorized else 1
+            ran = t + 1
+            code = _state_codes(system.domain, P, mag > r_div)
+            ok = code == _CODE[COMPLETED]
+            if not ok.all():
+                gone, stopped = active[~ok], P[~ok]
+                active, P, mag = active[ok], P[ok], mag[ok]
+                termination[gone], valid[gone], last[gone] = code[~ok], t + 1, stopped
+                if active.size == 0:
+                    if states is not None:
+                        states = _room(states, t + 1, k)
+                        states[t] = last
+                    break
+            try:
+                Y = _run_block(system, P, b)
+            except Exception:
+                # a state past some row's stop may have made the map raise
+                if b == 1:
+                    raise
+                b = 1
+                Y = _run_block(system, P, b)
+            span = 2 * b
+
+            M = _max_abs(Y)                     # (b, m): each image's max-abs
+            failed = ~(M <= r_div)              # past r_div, or NaN, or inf
+            if b > 1:   # the states inside the block, checked before their step
+                inner = _state_codes(system.domain, Y[:-1].reshape(-1, d),
+                                     M[:-1].ravel() > r_div).reshape(b - 1, -1)
+                failed[1:] |= inner != _CODE[COMPLETED]
+            stops = failed.any(axis=0)
+            stopping = stops.any()
+            kept = b                            # images each row keeps
+            if stopping:
+                kept = np.full(len(active), b)
+                sub = np.flatnonzero(stops)
+                first = failed[:, sub].argmax(axis=0)   # the step each one stops at
+                cause = np.where(np.isfinite(M[first, sub]), _CODE[DIVERGED], _CODE[SINGULAR])
+                if b > 1:   # a state's own checks come before its image's
+                    own = np.where(first > 0, inner[first - 1, sub], _CODE[COMPLETED])
+                    cause = np.where(own == _CODE[COMPLETED], cause, own)
+                kept[sub] = first + (cause == _CODE[DIVERGED])    # a diverged image is kept
+                at = kept[sub]
+                stopped = np.where((at > 0)[:, None], Y[at - 1, sub], P[sub])
+            if states is not None:
+                states = _room(states, t + b, k)
+                states[t:t + b] = last              # rows stopped before: frozen
+                B = np.concatenate([P[None], Y])    # the block's states, then its last image
+                states[t:t + b, active] = B[np.minimum(np.arange(b)[:, None], kept),
+                                            np.arange(len(active))]
+            if stopping:
+                going, gone = ~stops, active[sub]
+                ran = t + b if going.any() else t + 1 + int(first.max())
+                active, P, mag = active[going], Y[-1][going], M[-1][going]
+                termination[gone], valid[gone], last[gone] = cause, t + 1 + at, stopped
+            else:
+                ran, P, mag = t + b, Y[-1], M[-1]
+            t += b
+    if active.size == n:
+        last[...] = P
+    else:
+        last[active] = P
     if states is not None:
-        states = np.stack(states) if states else np.empty((0, n, system.dim))
-    return BatchOrbit(last=X, termination=termination, valid=valid, states=states)
+        states = states[:ran]
+    return BatchOrbit(last=last, termination=termination, valid=valid, states=states)
 
 
 def iterate(system: DiscreteMap, x0, k: int, r_div: float = config.R_DIV) -> Trajectory:

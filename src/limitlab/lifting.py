@@ -280,7 +280,9 @@ def _solve(PhiX: np.ndarray, PhiY: np.ndarray,
         Kt, *_ = np.linalg.lstsq(A, B, rcond=None)
         method = "qr"
     else:
-        Kt = np.linalg.solve(G, PhiX.T @ PhiY)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an overflow here gives a non-finite K, rejected below
+            Kt = np.linalg.solve(G, PhiX.T @ PhiY)
         method = "normal-equations"
     if not np.isfinite(Kt).all():
         raise SingularGramError("the fitted K has non-finite entries")

@@ -275,6 +275,29 @@ def test_sweep_refuses_an_empty_dicts_or_ridges(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+_EMPTY_DOMAIN = "--domain axis '' must be 'lo,hi' with lo < hi"
+
+
+@pytest.mark.parametrize("command,argv,message", [
+    ("limits", ["--domain="], _EMPTY_DOMAIN),
+    ("limits", ["--seeds="], "--seeds point '' has 0 coordinate(s), expected 1"),
+    ("simulate", ["--x0", "0", "--domain="], _EMPTY_DOMAIN),
+    ("simulate", ["--x0="], "--x0 point '' has 0 coordinate(s), expected 1"),
+    ("verify", ["--domain="], _EMPTY_DOMAIN),
+    ("verify", ["--x0="], "--x0 point '' has 0 coordinate(s), expected 1"),
+    ("basins", ["--domain="], _EMPTY_DOMAIN),
+    ("sweep", ["--seeds="], "--seeds point '' has 0 coordinate(s), expected 1")])
+def test_empty_option_values_are_usage_errors(tmp_path, capsys, command, argv, message):
+    # an empty value is not the same as leaving the option out
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, command, "--system", "mobius", *argv, "--out", str(out_dir))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert payload["message"] == message
+    assert not out_dir.exists()
+
+
 def test_verify_flags_an_undefined_chart_point(tmp_path, capsys):
     # the claimed region contains the point the chart excludes
     code, _, err = run(capsys, "verify", "--system", "mobius",

@@ -1,6 +1,7 @@
 """Guarded domains, map evaluation, and finite-orbit iteration."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from limitlab import (DiscreteMap, DomainRegion, get_system, iterate,
                       iterate_batch, list_systems, write_trajectory_csv)
+from limitlab import config
 from limitlab.dynamics import _row_norm, as_state
 from limitlab.errors import NoInverseError
 
@@ -183,6 +185,14 @@ def test_diverged_termination_exceeds_guard_radius():
     assert np.abs(traj.last).max() > 1e6
 
 
+def test_a_huge_step_budget_records_only_the_steps_run():
+    # the record grows with the steps run, not with the budget: 10**12
+    # steps of one state would not fit in memory
+    traj = iterate(get_system("scalar-linear", a=2.0), [1.0], 10 ** 12, r_div=1e6)
+    assert (traj.termination, traj.steps_taken) == ("diverged", 20)
+    assert traj.points[:, 0].tolist() == [2.0 ** i for i in range(21)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=1.5, max_value=3.0))
 def test_diverged_guard_property(x0, a):
@@ -342,6 +352,128 @@ def test_iterate_batch_keeps_only_current_states_unless_recording():
     assert window.shape == (3, 2, 1)
     with pytest.raises(ValueError):
         iterate_batch(get_system("negation"), [0.5], 3)       # needs (n, d)
+
+
+def _reference_orbit(system, x0, k, r_div):
+    """One orbit, one state at a time, in the documented check order:
+    ``(points, cause, steps begun)``. Shares no code with the engine."""
+    points = [np.array(x0, dtype=float)]
+    for step in range(k):
+        x = points[-1]
+        reason = system.domain.violation(x)
+        if reason is not None:
+            return points, "singular" if reason == "excluded-point" else "left-domain", step + 1
+        if np.abs(x).max() > r_div:
+            return points, "diverged", step + 1
+        with np.errstate(all="ignore"):
+            y = system.forward(x[None, :] if system.vectorized else x)
+        y = np.asarray(y, dtype=float).reshape(system.dim)
+        if not np.isfinite(y).all():
+            return points, "singular", step + 1
+        points.append(y)
+        if np.abs(y).max() > r_div:
+            return points, "diverged", step + 1
+    return points, "completed", k
+
+
+def _assert_matches_reference(system, X0, k, r_div, record):
+    run = iterate_batch(system, X0, k, r_div=r_div, record=record)
+    refs = [_reference_orbit(system, x0, k, r_div) for x0 in X0]
+    assert [run.cause(i) for i in range(len(X0))] == [cause for _, cause, _ in refs]
+    assert run.valid.tolist() == [len(points) for points, _, _ in refs]
+    assert np.array_equal(run.last, np.array([points[-1] for points, _, _ in refs]))
+    if not record:
+        assert run.states is None
+        return run
+    # a row's recorded state after its stop is its last point, frozen; the
+    # record is as long as the longest-running row
+    ran = max((begun for _, _, begun in refs), default=0)
+    want = np.array([[points[min(t, len(points) - 1)] for points, _, _ in refs]
+                     for t in range(ran)]).reshape(ran, len(X0), system.dim)
+    assert run.states.shape == want.shape
+    assert np.array_equal(run.states, want)
+    return run
+
+
+_R_DIV = 1e4
+
+
+def _lanes_map(d, vectorized, raising=False):
+    """Column 0 counts up by one per step, with a trap at each lane's mark
+    (the other columns 0): an image past ``_R_DIV`` (kept) from 300, NaN
+    from 500, inf from 700, a jump below the domain from 800 and from 900,
+    and excluded points at 1000 and 1200. A start ``mark - s`` stops after
+    ``s`` steps. The states the domain rejects from 800 and 1000 have images
+    that would fail too, so only the check order decides their cause; those
+    from 900 and 1200 have finite images. A state past ``_R_DIV`` grows until
+    its square overflows. ``raising`` makes the map raise on any non-finite
+    state or any state past ``_R_DIV``."""
+    def forward(X):
+        X = np.asarray(X, dtype=float)
+        if raising and not (np.isfinite(X).all() and np.abs(X).max() <= _R_DIV):
+            raise FloatingPointError("state past the guard")
+        Y = X.copy()
+        Y[..., 0] += 1.0
+        Y[..., -1][np.abs(X[..., -1]) > _R_DIV] *= 1e150
+        at = X[..., 0]
+        Y[..., -1][at == 300.0] = 10 * _R_DIV
+        Y[..., 0][at == 500.0] = np.nan
+        Y[..., -1][at == 700.0] = np.inf
+        Y[..., 0][at == 800.0] = -1e3
+        Y[..., -1][at == -1e3] = 10 * _R_DIV
+        Y[..., 0][at == 900.0] = -500.0
+        Y[..., 0][at == 1000.0] = np.nan
+        return Y
+    excluded = [[1000.0] + [0.0] * (d - 1), [1200.0] + [0.0] * (d - 1)]
+    domain = DomainRegion.box([[-100.0, np.inf]] + [[-np.inf, np.inf]] * (d - 1),
+                              excluded=excluded)
+    return DiscreteMap(dim=d, forward=forward, domain=domain, vectorized=vectorized)
+
+
+_MARKS = (300.0, 500.0, 700.0, 800.0, 900.0, 1000.0, 1200.0)
+# steps before the trap: inside and across blocks of any length, and past k
+_STOPS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 47, 58, 59, 60, 70)
+
+
+def _lanes(d, marks=_MARKS, stops=_STOPS, free=(-50.0, 5 * _R_DIV)):
+    # every lane's trap at every stop, plus a row that runs free and a row
+    # whose start is past the guard
+    rows = [[mark - s] + [0.0] * (d - 1) for mark in marks for s in stops]
+    rows += [[x] + [0.25] * (d - 1) for x in free]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("raising", [False, True])
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("d", [1, 2])
+def test_iterate_batch_matches_a_one_orbit_reference(d, vectorized, raising):
+    system = _lanes_map(d, vectorized, raising)
+    X0 = _lanes(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for record in (False, True):
+            run = _assert_matches_reference(system, X0, 60, _R_DIV, record)
+            for x0 in X0[::7]:
+                _assert_matches_reference(system, x0[None, :], 60, _R_DIV, record)
+        assert {run.cause(i) for i in range(len(X0))} == {
+            "completed", "singular", "left-domain", "diverged"}
+        # every row stops before the budget: the record is only as long as
+        # the longest-running row
+        early = _lanes(d, stops=(0, 3, 9, 21), free=())
+        run = _assert_matches_reference(system, early, 60, _R_DIV, True)
+        assert len(run.states) == 23
+
+
+def test_iterate_batch_matches_the_reference_on_catalog_maps(rng):
+    # near the mobius pole (escapes, one singular), the cot map and a
+    # rotation-scaling batch, with a guard radius some rows cross
+    cases = [("mobius", np.r_[rng.uniform(2.5, 3.5, 20), 3.0, 5.0 / 3.0][:, None], 1e3),
+             ("cot-map", get_system("cot-map").domain.sample(16, rng), config.R_DIV),
+             ("rotation-scaling", rng.uniform(-40.0, 40.0, (16, 2)), 30.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, X0, r_div in cases:
+            _assert_matches_reference(get_system(name), X0, 200, r_div, True)
 
 
 def test_iterate_batch_rows_do_not_depend_on_the_batch(rng):
