@@ -466,7 +466,7 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
             span = 2 * b
 
             M = _max_abs(Y)                     # (b, m): each image's max-abs
-            failed = ~(M <= r_div)              # past r_div, or NaN, or inf
+            failed = ~np.isfinite(M) | (M > r_div)  # NaN or inf, even with r_div = inf
             if b > 1:   # the states inside the block, checked before their step
                 inner = _state_codes(system.domain, Y[:-1].reshape(-1, d),
                                      M[:-1].ravel() > r_div).reshape(b - 1, -1)
@@ -499,10 +499,7 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
             else:
                 ran, P, mag = t + b, Y[-1], M[-1]
             t += b
-    if active.size == n:
-        last[...] = P
-    else:
-        last[active] = P
+    last[active] = P
     if states is not None:
         states = states[:ran]
     return BatchOrbit(last=last, termination=termination, valid=valid, states=states)

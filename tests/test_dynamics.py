@@ -360,7 +360,8 @@ def _reference_orbit(system, x0, k, r_div):
     points = [np.array(x0, dtype=float)]
     for step in range(k):
         x = points[-1]
-        reason = system.domain.violation(x)
+        with np.errstate(over="ignore"):    # a huge state's distance to an excluded point is inf
+            reason = system.domain.violation(x)
         if reason is not None:
             return points, "singular" if reason == "excluded-point" else "left-domain", step + 1
         if np.abs(x).max() > r_div:
@@ -462,6 +463,27 @@ def test_iterate_batch_matches_a_one_orbit_reference(d, vectorized, raising):
         early = _lanes(d, stops=(0, 3, 9, 21), free=())
         run = _assert_matches_reference(system, early, 60, _R_DIV, True)
         assert len(run.states) == 23
+        if raising:
+            return      # the raising map's guard is _R_DIV; an infinite one passes it states beyond
+        # with no guard radius, a non-finite image still stops its row: a
+        # last coordinate started past _R_DIV overflows to inf at step three
+        X0 = np.vstack([X0, [0.0] * (d - 1) + [5 * _R_DIV]])
+        for record in (False, True):
+            run = _assert_matches_reference(system, X0, 60, np.inf, record)
+        assert run.cause(len(X0) - 1) == "singular"
+        assert run.valid[-1] == 3
+
+
+def test_an_infinite_guard_radius_still_stops_at_a_non_finite_image():
+    doubler = get_system("scalar-linear", a=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X0 in ([[1.0]], [[1.0], [0.5], [3.0], [0.0]]):
+            for record in (False, True):
+                _assert_matches_reference(doubler, np.array(X0), 1100, np.inf, record)
+        traj = iterate(doubler, [1.0], 1100, r_div=np.inf)
+    assert traj.termination == "singular"
+    assert traj.steps_taken == 1023 and traj.last[0] == 2.0 ** 1023
 
 
 def test_iterate_batch_matches_the_reference_on_catalog_maps(rng):
