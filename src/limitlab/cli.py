@@ -80,7 +80,7 @@ def _parse_params(pairs, flag: str, names=None) -> dict:
     return out
 
 
-def _parse_domain(spec: str, dim: int) -> DomainRegion:
+def _parse_domain(spec: str, dim: int, excluded=None, eps_excl=config.EPS_EXCL) -> DomainRegion:
     axes = []
     for part in spec.split(";"):
         nums = [_number("--domain", v) for v in part.split(",") if v.strip()]
@@ -92,8 +92,8 @@ def _parse_domain(spec: str, dim: int) -> DomainRegion:
         raise InvalidParamError(
             f"--domain has {len(axes)} axis spec(s) but the system is {dim}-dimensional")
     if dim == 1:
-        return DomainRegion.interval(axes[0][0], axes[0][1])
-    return DomainRegion.box(axes)
+        return DomainRegion.interval(axes[0][0], axes[0][1], excluded, eps_excl)
+    return DomainRegion.box(axes, excluded, eps_excl)
 
 
 def _parse_points(flag: str, spec: str, dim: int) -> list[np.ndarray]:
@@ -312,13 +312,22 @@ def _verify_step(system, pair, samples, xi, seed: int, cfg: EstimatorConfig,
 
 # -- subcommands ------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
+def _stepped_system(args):
+    """The named system and the one a ``simulate`` or ``limits`` run steps:
+    reversed under ``--backward``, then restricted to ``--domain``. The region
+    keeps the excluded points and ``eps_excl`` of the direction that runs."""
     system = get_system(args.system, **_parse_params(args.param, "--param"))
+    run = system.reversed() if args.backward else system
     if args.domain is not None:
-        system = system.restrict(_parse_domain(args.domain, system.dim))
+        own = run.domain
+        run = run.restrict(_parse_domain(args.domain, run.dim, own.excluded, own.eps_excl))
+    return system, run
+
+
+def cmd_simulate(args) -> int:
+    system, system_run = _stepped_system(args)
     sets = _settings(args, ("r_div",))
     x0 = _parse_points("--x0", args.x0, system.dim)[0]
-    system_run = system.reversed() if args.backward else system
     traj = iterate(system_run, x0, args.steps, r_div=sets.estimator.r_div)
     out = _out_dir(args)
     path = out / "trajectory.csv"
@@ -331,11 +340,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    system = get_system(args.system, **_parse_params(args.param, "--param"))
-    if args.domain is not None:
-        system = system.restrict(_parse_domain(args.domain, system.dim))
-    if args.backward:
-        system = system.reversed()
+    system = _stepped_system(args)[1]
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",))
     catalog, skipped = _catalog(args, system, sets)
 

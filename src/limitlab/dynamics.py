@@ -11,7 +11,9 @@ array of states in lockstep, with the per-row checks of a single orbit, and
 reports per row why it stopped and how many valid points it has.
 :func:`iterate` is its ``n = 1`` case (a backward orbit is an orbit of
 :meth:`DiscreteMap.reversed`); limit-set estimates step whole seed lists
-through it, basin maps whole grids (with the escape radius as ``r_div``).
+through it, basin maps whole grids (with the escape radius as ``r_div``), and
+``lifting.training_pairs``, ``limits._SettleStage`` and
+``immersion.conjugacy_residual`` take one checked step through it.
 A row's orbit does not depend on which rows share its batch: every check is
 row-wise, and catalog maps are built so that their steps are too
 (``linear.apply_matrix`` replaces BLAS products, which round one row
@@ -138,14 +140,12 @@ class DomainRegion:
     def violation(self, x) -> Optional[str]:
         """None if ``x`` is inside; otherwise the reason it is not.
 
-        Answered from the same row masks as :meth:`contains_batch`, so a
-        point on a bound gets the same verdict alone and in a batch."""
+        Answered by :meth:`contains_batch` and :meth:`exclusion_batch`, so a
+        point gets the same verdict alone and in a batch, NaN included."""
         X = np.asarray(x, dtype=float).reshape(1, -1)
-        if self.exclusion_batch(X)[0]:
-            return "excluded-point"
-        if not self._in_bounds(X)[0]:
-            return "out-of-bounds"
-        return None
+        if self.contains_batch(X)[0]:
+            return None
+        return "excluded-point" if self.exclusion_batch(X)[0] else "out-of-bounds"
 
     def contains(self, x) -> bool:
         return self.violation(x) is None
@@ -168,14 +168,16 @@ class DomainRegion:
         if self.bounds is None:
             return np.ones(len(X), dtype=bool)
         if self.kind == "annulus":
-            r = _row_norm(X)
+            with np.errstate(over="ignore"):    # a norm past the float range is inf
+                r = _row_norm(X)
             return (r >= self.bounds[0, 0]) & (r <= self.bounds[0, 1])
         return ((X >= self.bounds[:, 0]) & (X <= self.bounds[:, 1])).all(axis=1)
 
     def _exclusion_distances(self, X: np.ndarray) -> list[np.ndarray]:
         if self.excluded is None:
             return []
-        return [_row_norm(X - e[None, :]) for e in self.excluded]
+        with np.errstate(over="ignore"):        # a distance past the float range is inf
+            return [_row_norm(X - e[None, :]) for e in self.excluded]
 
     # -- sampling ----------------------------------------------------------
 
@@ -358,10 +360,13 @@ def _state_codes(domain: DomainRegion, P: np.ndarray, over: np.ndarray) -> np.nd
     """Each state's checks before a step: an excluded point is ``singular``,
     anything else outside the domain ``left-domain``, a state past ``r_div``
     (the mask ``over``) ``diverged``, and ``completed`` if all pass. Written in
-    reverse check order, so a state's first failed check wins."""
+    reverse check order, so a state's first failed check wins. Only a state
+    outside the domain can be in an exclusion ball, so only those are asked."""
     code = np.where(over, np.int8(_CODE[DIVERGED]), np.int8(_CODE[COMPLETED]))
-    code[~domain.contains_batch(P)] = _CODE[LEFT_DOMAIN]
-    code[domain.exclusion_batch(P)] = _CODE[SINGULAR]
+    out = np.flatnonzero(~domain.contains_batch(P))
+    if out.size:
+        code[out] = _CODE[LEFT_DOMAIN]
+        code[out[domain.exclusion_batch(P[out])]] = _CODE[SINGULAR]
     return code
 
 
@@ -421,7 +426,9 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     early wastes few steps. It is capped by the steps left and by about
     ``2**15`` floats per block, so a basin grid keeps one step per block. A
     map that takes one state at a time (``vectorized=False``) steps one at a
-    time: it pays a call per row anyway.
+    time: it pays a call per row anyway. ``k = 1`` with ``r_div = np.inf`` is
+    one checked step with no divergence guard: the rows that complete are the
+    states inside the domain with a finite image, and ``last`` holds it.
     """
     last = np.array(X0, dtype=float)
     if last.ndim != 2 or last.shape[1] != system.dim:

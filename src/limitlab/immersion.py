@@ -16,7 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import config
-from .dynamics import DiscreteMap, DomainRegion, _row_norm, _step_rows, as_state
+from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _row_norm,
+                       _step_rows, as_state, iterate_batch)
 from .errors import DomainError, UnconvergedError
 from .geometry import (_pair_blocks, _pair_rows, _prepare, diameter,
                        directed_hausdorff, hausdorff, split_discrepancy)
@@ -41,15 +42,7 @@ class ImmersionMap:
     vectorized: bool = True
 
     def __call__(self, x) -> np.ndarray:
-        x = as_state(x, self.dim_in)
-        reason = self.domain.violation(x)
-        if reason is not None:
-            raise DomainError(x, reason, detail=self.name)
-        with np.errstate(all="ignore"):
-            y = np.asarray(self.func(x), dtype=float).reshape(self.dim_out)
-        if not np.isfinite(y).all():
-            raise DomainError(x, "non-finite-image", detail=self.name)
-        return y
+        return self.apply(as_state(x, self.dim_in)[None])[0]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Batch map with domain checks; raises on the first offending point."""
@@ -57,8 +50,7 @@ class ImmersionMap:
         ok = self.domain.contains_batch(P)
         if not ok.all():
             bad = P[~ok][0]
-            raise DomainError(bad, self.domain.violation(bad) or "out-of-bounds",
-                              detail=self.name)
+            raise DomainError(bad, self.domain.violation(bad), detail=self.name)
         with np.errstate(all="ignore"):
             out = _step_rows(self.func, P, self.vectorized, self.dim_out)
         if not np.isfinite(out).all():
@@ -109,15 +101,10 @@ def conjugacy_residual(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap,
     if X.shape[1] != f.dim or f.dim != F.dim_in:
         raise ValueError("sample dimension does not match the source system")
 
-    ok = np.isfinite(X).all(axis=1)
-    ok &= F.domain.contains_batch(X) & f.domain.contains_batch(X)
-    Xv = X[ok]
-    with np.errstate(all="ignore"):
-        Y = _step_rows(f.forward, Xv, f.vectorized)
-    good = np.isfinite(Y).all(axis=1)
-    good &= F.domain.contains_batch(np.where(np.isfinite(Y), Y, 0.0))
-
-    Xv, Y = Xv[good], Y[good]
+    Xv = X[np.isfinite(X).all(axis=1) & F.domain.contains_batch(X)]
+    run = iterate_batch(f, Xv, 1, r_div=np.inf)
+    good = (run.termination == _CODE[COMPLETED]) & F.domain.contains_batch(run.last)
+    Xv, Y = Xv[good], run.last[good]
     if len(Xv) == 0:
         raise DomainError(X[0], "out-of-bounds",
                           detail="no usable conjugacy samples on this domain")

@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import config
-from .dynamics import (DiscreteMap, DomainRegion, _grid_nodes, _row_norm,
-                       _step_rows)
+from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _grid_nodes,
+                       _row_norm, iterate_batch)
 from .errors import (CatalogGuardError, DomainError, InvalidParamError,
                      SingularGramError)
 from .immersion import (CollapseReport, ImmersionMap, InjectivityReport,
@@ -164,7 +164,7 @@ def training_pairs(system: DiscreteMap, region: Optional[DomainRegion] = None,
                    seed: int = config.DEFAULT_SEED,
                    box=None) -> tuple[np.ndarray, np.ndarray]:
     """State/next-state pairs over ``region``: a regular grid plus seeded
-    uniform draws. Rows whose step image is non-finite are dropped.
+    uniform draws, less the rows one checked step of the system rejects.
     """
     region = region or system.domain
     rng = np.random.default_rng(seed)
@@ -176,12 +176,9 @@ def training_pairs(system: DiscreteMap, region: Optional[DomainRegion] = None,
     if n_random > 0:
         parts.append(region.sample(n_random, rng, box=box))
     X = np.vstack(parts)
-    X = X[system.domain.contains_batch(X)]
-
-    with np.errstate(all="ignore"):
-        Y = _step_rows(system.forward, X, system.vectorized)
-    keep = np.isfinite(Y).all(axis=1)
-    return X[keep], Y[keep]
+    run = iterate_batch(system, X, 1, r_div=np.inf)
+    keep = run.termination == _CODE[COMPLETED]
+    return X[keep], run.last[keep]
 
 
 # -- regression ---------------------------------------------------------------

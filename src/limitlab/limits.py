@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from . import config
 from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
                        TERMINATIONS, DiscreteMap, DomainRegion, _grid_nodes,
-                       _row_norm, _step_rows, as_state, iterate_batch)
+                       _row_norm, as_state, iterate_batch)
 from .errors import UnconvergedError
 from .geometry import (_Cloud, _box_lower, _hausdorff_lower_bounds, _margin, _prepare,
                        diameter, directed_hausdorff, hausdorff, sampling_gap,
@@ -454,9 +454,9 @@ class _SettleStage:
     match tolerances, a KD tree on the points, and each point's successor:
     the tree's nearest member point to the point's image under the map, or
     -1 where the point is outside the domain (an excluded point included) or
-    its image is not finite. The points are stepped in one batch and their
-    images asked of the tree in one query. ``succ`` ends with one more -1,
-    which an anchor of -1 reads."""
+    its image is not finite. The points take one checked step together and
+    their images are asked of the tree in one query. ``succ`` ends with one
+    more -1, which an anchor of -1 reads."""
 
     def __init__(self, system: DiscreteMap, member_pts: list[np.ndarray], tol: np.ndarray):
         self.points = np.vstack(member_pts)
@@ -469,13 +469,9 @@ class _SettleStage:
         self.margin = _margin(self.points.shape[1])
         self.tree = cKDTree(self.points)
         self.succ = np.full(len(self.points) + 1, -1, dtype=np.intp)
-        inside = np.flatnonzero(system.domain.contains_batch(self.points))
-        if inside.size:
-            with np.errstate(all="ignore"):
-                image = _step_rows(system.forward, self.points[inside], system.vectorized)
-            finite = np.isfinite(image).all(axis=1)
-            if finite.any():
-                self.succ[inside[finite]] = self.tree.query(image[finite], k=1)[1]
+        run = iterate_batch(system, self.points, 1, r_div=np.inf)
+        done = np.flatnonzero(run.termination == _CODE[COMPLETED])
+        self.succ[done] = self.tree.query(run.last[done], k=1)[1]
 
     def bounds(self, Q: np.ndarray, anchor: np.ndarray):
         """The bound verdict on each row of ``Q``, whose ``anchor`` is a member

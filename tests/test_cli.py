@@ -316,6 +316,37 @@ def test_simulate_from_the_pole_terminates_gracefully(tmp_path, capsys):
     assert "termination=singular" in out
 
 
+def test_simulate_domain_keeps_the_pole(tmp_path, capsys):
+    code, out, err = run(capsys, "simulate", "--system", "mobius", "--domain=-5,5",
+                         "--x0", "3.0000000001", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    assert "steps=0 termination=singular" in out
+
+
+def test_limits_domain_keeps_the_pole(tmp_path, capsys):
+    code, out, err = run(capsys, "limits", "--system", "mobius", "--domain=-5,5",
+                         "--seeds=3.0000000001;0.0", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    assert "skipped seed 3.0000000001: singular" in out
+
+
+def test_simulate_backward_is_guarded_by_the_domain(tmp_path, capsys):
+    code, out, err = run(capsys, "simulate", "--system", "mobius", "--backward",
+                         "--domain=-0.5,0.5", "--x0", "0.4", "--steps", "50",
+                         "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    assert "system=mobius direction=backward steps=1 termination=left-domain" in out
+
+
+def test_limits_backward_is_guarded_by_the_domain(tmp_path, capsys):
+    # backward orbits run to the repeller at 1, outside the region: none converges
+    code, _, err = run(capsys, "limits", "--system", "mobius", "--backward",
+                       "--domain=-0.5,0.5", "--out", str(tmp_path))
+    assert code == 3
+    assert stderr_payload(err)["error"] == "UnconvergedError"
+    assert not (tmp_path / "catalog.json").exists()
+
+
 def test_pushforward_outside_the_chart_is_a_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--system", "mobius", "--x0", "5",
                        "--out", str(tmp_path))

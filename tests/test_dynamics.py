@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from limitlab import (DiscreteMap, DomainRegion, get_system, iterate,
                       iterate_batch, list_systems, write_trajectory_csv)
 from limitlab import config
-from limitlab.dynamics import _row_norm, as_state
+from limitlab.dynamics import _CODE, COMPLETED, SINGULAR, _row_norm, _state_codes, as_state
 from limitlab.errors import NoInverseError
 
 
@@ -113,6 +113,79 @@ def test_annulus_membership_agrees_alone_and_in_a_batch(rng):
     assert 0 < mask.sum() < len(pts)
     assert [region.violation(p) is None for p in pts] == mask.tolist()
     assert [region.contains(p) for p in pts] == mask.tolist()
+
+
+EDGE_REGIONS = {
+    "interval": DomainRegion.interval(-1.0, 1.0, excluded=[0.5], eps_excl=0.1),
+    "half-line": DomainRegion.interval(-np.inf, 1.0, excluded=[1.0]),
+    "box": DomainRegion.box([[-1.0, 1.0], [-2.0, 2.0]]),
+    "punctured-box": DomainRegion.box([[-1.0, 1.0], [-2.0, 2.0]],
+                                      excluded=[[0.0, 0.0], [1.0, 2.0]], eps_excl=0.25),
+    "annulus": DomainRegion.annulus(0.5, 2.0),
+    "full-space": DomainRegion.full_space(2),
+    "punctured-line": DomainRegion.full_space(1, excluded=[3.0]),
+    "punctured-plane": DomainRegion.full_space(2, excluded=[[0.0, 0.0]]),
+}
+
+
+def _edge_rows(region):
+    """Rows where a verdict can go wrong: NaN and infinite coordinates, rows
+    whose squared norm overflows, rows on a bound and an ulp either side, and
+    rows at, just inside and just outside each exclusion radius."""
+    d = region.dim
+    rows = [np.full(d, np.nan), np.full(d, np.inf), np.full(d, -np.inf), np.zeros(d),
+            np.full(d, 1e200), np.full(d, -1e200),
+            np.r_[np.zeros(d - 1), np.nan], np.r_[np.full(d - 1, 0.5), -np.inf]]
+    if region.kind == "annulus":
+        on = [r * np.array([np.cos(t), np.sin(t)]) for r in region.bounds[0] for t in (0.0, 0.7)]
+    elif region.bounds is not None:
+        on = [region.bounds[:, 0], region.bounds[:, 1]]
+    else:
+        on = []
+    for p in on:
+        rows += [p, np.nextafter(p, np.inf), np.nextafter(p, -np.inf)]
+    eps = region.eps_excl
+    for e in [] if region.excluded is None else region.excluded:
+        rows.append(e)
+        for r in (eps, np.nextafter(eps, 0.0), np.nextafter(eps, np.inf)):
+            rows += [e + r * np.eye(d)[0], e - r * np.eye(d)[-1]]
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("kind", EDGE_REGIONS)
+def test_violation_is_the_batch_verdict_row_for_row(kind):
+    region = EDGE_REGIONS[kind]
+    X = _edge_rows(region)
+    inside, hit = region.contains_batch(X), region.exclusion_batch(X)
+    assert not (inside & hit).any()
+    expected = [None if i else "excluded-point" if h else "out-of-bounds"
+                for i, h in zip(inside, hit)]
+    assert [region.violation(x) for x in X] == expected
+    assert [region.contains(x) for x in X] == inside.tolist()
+
+
+def test_a_nan_state_is_outside_a_punctured_full_space():
+    region = DomainRegion.full_space(1, excluded=[3.0])
+    assert region.violation([np.nan]) == "out-of-bounds"
+    assert not region.contains_batch(np.array([[np.nan]]))[0]
+
+
+def test_a_state_check_takes_each_exclusion_distance_once(monkeypatch):
+    region = get_system("mobius").domain
+    real = DomainRegion._exclusion_distances
+    asked = []
+
+    def counted(self, X):
+        asked.append(len(X))
+        return real(self, X)
+
+    monkeypatch.setattr(DomainRegion, "_exclusion_distances", counted)
+    P = np.linspace(-2.0, 2.0, 101)[:, None]
+    code = _state_codes(region, P, np.zeros(len(P), dtype=bool))
+    assert (code == _CODE[COMPLETED]).all() and asked == [101]
+    asked.clear()
+    code = _state_codes(region, np.vstack([P, [[3.0]]]), np.zeros(len(P) + 1, dtype=bool))
+    assert code[-1] == _CODE[SINGULAR] and asked == [102, 1]
 
 
 # -- maps --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from limitlab import (DiscreteMap, DomainRegion, EstimatorConfig, ImmersionMap,
                       collapse_report, conjugacy_residual, directed_hausdorff,
                       exact_immersion, get_system, hausdorff, injectivity_probe,
                       omega_alpha_consistency, pushforward_check)
+from limitlab.catalog import exact_immersions, list_systems
 from limitlab.errors import DomainError, UnconvergedError
 from limitlab.serialize import validate
 
@@ -55,6 +56,42 @@ def test_immersion_restriction_narrows_the_domain():
     assert G([1.0]) == pytest.approx(F([1.0]))
     with pytest.raises(DomainError):
         G([-1.0])
+
+
+def _outcome(evaluate):
+    """The image's bytes, or the reason of the :class:`DomainError` raised."""
+    try:
+        return evaluate().tobytes()
+    except DomainError as exc:
+        return exc.reason
+
+
+def _probe_points(F, rng):
+    """Points inside and outside ``F``'s domain: random ones, each excluded
+    point and one inside its ball, one past each finite axis bound, and one
+    whose norm overflows."""
+    D, d = F.domain, F.dim_in
+    pts = list(rng.uniform(-2.0, 2.0, size=(16, d))) + [np.full(d, 1e200)]
+    for e in [] if D.excluded is None else D.excluded:
+        pts += [e, e + 0.5 * D.eps_excl]
+    if D.bounds is not None and D.kind != "annulus":
+        pts += [np.where(np.isfinite(b), b + s, 0.0)
+                for b, s in ((D.bounds[:, 0], -1.0), (D.bounds[:, 1], 1.0))]
+    return pts
+
+
+def test_a_call_is_apply_on_one_row_for_every_catalogued_chart(rng):
+    reasons = set()
+    for entry in list_systems():
+        if not entry["has_exact_immersion"]:
+            continue
+        for pair in exact_immersions(entry["name"]):
+            F = pair.immersion
+            for x in _probe_points(F, rng):
+                alone = _outcome(lambda: F(x))
+                assert alone == _outcome(lambda: F.apply([x])[0]), (F.name, x)
+                reasons.add(alone if isinstance(alone, str) else "image")
+    assert reasons == {"image", "excluded-point", "out-of-bounds", "non-finite-image"}
 
 
 # -- conjugacy residual ----------------------------------------------------------------
