@@ -29,8 +29,8 @@ from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _grid_nodes,
                        _row_norm, iterate_batch)
 from .errors import (CatalogGuardError, DomainError, InvalidParamError,
                      SingularGramError)
-from .immersion import (CollapseReport, ImmersionMap, InjectivityReport,
-                        collapse_report, conjugacy_residual, injectivity_probe)
+from .immersion import (ImmersionMap, collapse_report, conjugacy_residual,
+                        injectivity_probe)
 from .limits import LimitSetCatalog
 from .linear import LinearSystem
 from .serialize import write_csv

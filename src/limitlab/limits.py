@@ -218,7 +218,9 @@ class CatalogMember:
     @cached_property
     def _cloud(self) -> _Cloud:
         """The stored cloud, prepared once for every match, separation and
-        basin query against this member."""
+        basin query against this member. :func:`cluster_limit_sets` hands over
+        its cluster's cloud, with the distinct rows, tree and sampling gap the
+        clustering took. Not a field: members compare by their values."""
         return _prepare(self.points)
 
 
@@ -302,12 +304,24 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
 
     Each estimate joins the cluster at the smallest Hausdorff distance below
     that cluster's merge tolerance, the first such one on a tie, or starts a
-    new cluster. Every estimate and cluster cloud is prepared once, and an
-    estimate's window keeps the sampling gap its shape test took. A cluster
-    whose lower bound (:func:`geometry._hausdorff_lower_bounds`) already
-    reaches its merge tolerance or the best distance so far cannot be the
-    one joined, so its distance is not computed; the clusters come out as if
-    every distance were. ``tol_cluster`` must be finite and positive."""
+    new cluster. Two samples of one curve can sit half a sampling gap apart,
+    so the merge tolerance is ``max(tol_cluster, gap_factor * g)``, with
+    ``g`` the larger sampling gap of the estimate and the cluster. Every
+    estimate and cluster cloud is prepared once, and an estimate's window
+    keeps the sampling gap its shape test took. A cluster whose lower bound
+    (:func:`geometry._hausdorff_lower_bounds`) already reaches its merge
+    tolerance or the best distance so far cannot be the one joined, so its
+    distance is not computed; the clusters come out as if every distance
+    were.
+
+    The tolerance is never below the estimate's own part, ``tol_own =
+    max(tol_cluster, gap_factor * gap(estimate))``, so a merged cluster's
+    gap is taken only when a decision reads it: a bound at or above the best
+    distance rules the cluster out, otherwise a bound below ``tol_own`` calls
+    for its distance, and a distance below ``tol_own`` joins it, all without
+    the cluster's gap. Each member's ``resolution`` is its cluster's gap, taken
+    at the end if no decision took it, and the member keeps its cluster's
+    prepared cloud. ``tol_cluster`` must be finite and positive."""
     _check_tol_cluster(tol_cluster)
     if len(estimates) == 0:
         raise ValueError("no estimates to cluster")
@@ -319,31 +333,28 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
     clusters: list[dict] = []
     for est in estimates:
         cloud = est._cloud
-        res = sampling_gap(cloud)
+        # the cluster's gap is read only where tol_own decides nothing
+        tol_own = max(tol_cluster, gap_factor * cloud.gap)
         hit = None
         best = float("inf")
         bounds = _hausdorff_lower_bounds(cloud, [c["cloud"] for c in clusters])
         for c, bound in zip(clusters, bounds):
-            # two samples of one curve can sit half a sampling gap apart, so
-            # the merge tolerance adapts to the coarser of the two resolutions
-            tol_eff = max(tol_cluster, gap_factor * max(res, c["res"]))
-            if bound >= min(tol_eff, best):
+            if bound >= best or (bound >= tol_own and bound >= gap_factor * c["cloud"].gap):
                 continue
             d = hausdorff(cloud, c["cloud"])
-            if d < tol_eff and d < best:
+            if d < best and (d < tol_own or d < gap_factor * c["cloud"].gap):
                 hit, best = c, d
         if hit is None:
-            clusters.append({"cloud": cloud, "ests": [est], "res": res})
+            clusters.append({"cloud": cloud, "ests": [est]})
         else:
             hit["cloud"] = _Cloud(_thin(np.vstack([hit["cloud"].points, cloud.points])))
             hit["ests"].append(est)
-            hit["res"] = sampling_gap(hit["cloud"])
 
     clusters.sort(key=lambda c: tuple(c["ests"][0].seed))
     members = []
     for i, c in enumerate(clusters):
         first = c["ests"][0]
-        members.append(CatalogMember(
+        member = CatalogMember(
             label=f"S{i}",
             points=c["cloud"].points,
             shape=first.shape,
@@ -352,8 +363,10 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
             first_seed=first.seed,
             n_estimates=len(c["ests"]),
             precompact=all(e.status == "converged" for e in c["ests"]),
-            resolution=float(c["res"]),
-        ))
+            resolution=float(c["cloud"].gap),
+        )
+        vars(member)["_cloud"] = c["cloud"]     # the cached_property's slot
+        members.append(member)
     return LimitSetCatalog(members=tuple(members), tol_cluster=tol_cluster,
                            gap_factor=gap_factor)
 

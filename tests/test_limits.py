@@ -940,6 +940,87 @@ def test_near_tie_seeds_exercise_both_sides_of_the_merge(seed_set_estimates):
     assert catalog.min_separation() < 2e-3
 
 
+def _arc_estimate(n, seed, radius=1.0, shift=0.0):
+    """A converged curve estimate: ``n`` even samples of the arc of angles
+    [0, 1) on the circle of ``radius``, shifted by ``shift`` of a step."""
+    t = (np.arange(n) + shift) / n
+    points = radius * np.column_stack([np.cos(t), np.sin(t)])
+    return LimitSetEstimate(points=points, source="omega", seed=np.array([0.0, seed]),
+                            diameter=diameter(points), shape="curve", period=None,
+                            converged=True, status="converged", settle_gap=0.0,
+                            settle_tol=1e-7)
+
+
+def _gap_deciding_estimates():
+    """A coarse arc, a dense window on it and a dense window on a slightly
+    larger arc. Each dense window's own tolerance is too tight for its
+    distance to the cluster, so the cluster's gap decides: the first window
+    joins the coarse arc, and the second, just past the merged cluster's
+    tolerance, starts a cluster of its own."""
+    coarse, dense, far = (_arc_estimate(50, 0.0), _arc_estimate(500, 1.0, shift=0.5),
+                          _arc_estimate(2000, 2.0, radius=1.00395, shift=0.25))
+    tol_own = [max(1e-3, 2.0 * sampling_gap(e.points)) for e in (dense, far)]
+    assert tol_own[0] < hausdorff(dense.points, coarse.points) < 2.0 * sampling_gap(coarse.points)
+    merged = _thin(np.vstack([coarse.points, dense.points]))
+    bound = geometry._hausdorff_lower_bounds(_prepare(far.points), [_prepare(merged)])[0]
+    assert max(tol_own[1], bound) < 2.0 * sampling_gap(merged) <= hausdorff(far.points, merged)
+    assert hausdorff(far.points, merged) < 1.02 * 2.0 * sampling_gap(merged)
+    return [coarse, dense, far]
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_a_cluster_gap_read_on_demand_equals_the_eager_loop(order):
+    ests = _gap_deciding_estimates()
+    ests = [ests[i] for i in order]
+    catalog = cluster_limit_sets(ests)
+    want = _reference_members(ests)
+    if order == (0, 1, 2):
+        assert [m.n_estimates for m in catalog.members] == [2, 1]
+    assert len(catalog) == len(want)
+    for m, (label, points, resolution, diam, n) in zip(catalog.members, want):
+        assert m.label == label
+        assert m.points.shape == points.shape and np.array_equal(m.points, points)
+        assert m.resolution == resolution
+        assert m.diameter == diam
+        assert m.n_estimates == n
+    assert catalog.min_separation() == _all_pairs_min(catalog)
+
+
+def test_clustering_takes_a_merged_gap_only_when_a_decision_reads_it(
+        seed_set_estimates, monkeypatch):
+    # every circle window lies within its own tolerance of the circle
+    # cluster, so no merge decision reads the cluster's gap: the only merged
+    # cloud measured is the final one, for the member's resolution
+    ests = seed_set_estimates["rotation-scaling"]
+    measured = []
+    worker = geometry._sampling_gap
+
+    def count(cloud):
+        measured.append(cloud)
+        return worker(cloud)
+
+    monkeypatch.setattr(geometry, "_sampling_gap", count)
+    catalog = cluster_limit_sets(ests)
+    circle = max(catalog.members, key=lambda m: m.n_estimates)
+    assert circle.n_estimates == len(ests) - 1 > 2
+    merged = [c for c in measured if not any(c is e._cloud for e in ests)]
+    assert len(merged) == 1 and merged[0] is vars(circle)["_cloud"]
+    assert circle.resolution == merged[0].gap
+    origin = next(m for m in catalog.members if m is not circle)
+    assert vars(origin)["_cloud"] is next(e._cloud for e in ests if e.shape == "fixed-point")
+
+    # the members' clouds come prepared: a separation deduplicates no member
+    # and builds no tree again
+    want = _all_pairs_min(catalog)
+    rebuilt = []
+    monkeypatch.setattr(geometry, "_distinct_rows",
+                        lambda p, real=geometry._distinct_rows: rebuilt.append(p) or real(p))
+    monkeypatch.setattr(geometry, "cKDTree",
+                        lambda p, real=geometry.cKDTree: rebuilt.append(p) or real(p))
+    assert catalog.min_separation() == want
+    assert rebuilt == []
+
+
 def _random_catalog(rng):
     """Members of a few shapes, some translated copies of others, so that
     bounds and distances tie."""
