@@ -14,7 +14,8 @@ class DomainError(LimitLabError):
         The offending state.
     reason : str
         One of ``"excluded-point"``, ``"out-of-bounds"``, ``"non-finite-image"``,
-        ``"non-finite-input"``.
+        ``"non-finite-input"``, ``"non-finite-distance"`` (two finite points or
+        images too far apart for their distance to be a float).
     """
 
     def __init__(self, point, reason, detail=""):

@@ -96,28 +96,66 @@ def conjugacy_residual(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap,
     kept, wherever it lands, passes ``F`` restricted to the full space (the
     dictionary sweep does, because a learned lift is evaluated off the region
     it was fitted on).
+
+    The residual is three stages run in sequence, split at the one place it
+    reads ``g``: :func:`_residual_samples` (the kept samples and their source
+    step; reads only ``F.domain``, ``f`` and the samples),
+    :func:`_residual_images` (``F(x)`` and ``F(f(x))``) and
+    :func:`_residual_tail` (``g(F(x))`` and the report). A caller that scores
+    many charts or targets on one sample set may run each stage once per
+    change of its inputs, as ``lifting.obstruction_sweep`` does; the result
+    is this function's.
     """
     X = np.atleast_2d(np.asarray(samples, dtype=float))
-    if X.shape[1] != f.dim or f.dim != F.dim_in:
-        raise ValueError("sample dimension does not match the source system")
+    if X.shape[1] != f.dim:
+        raise ValueError(f"sample dimension {X.shape[1]} does not match the "
+                         f"source system's dimension {f.dim}")
+    if F.dim_in != f.dim:
+        raise ValueError(f"chart {F.name} takes dimension {F.dim_in}, but the "
+                         f"source system has dimension {f.dim}")
+    return _residual_tail(g, *_residual_images(F, *_residual_samples(F.domain, f, X)))
 
-    Xv = X[np.isfinite(X).all(axis=1) & F.domain.contains_batch(X)]
+
+_NO_SAMPLES = "no usable conjugacy samples on this domain"
+
+
+def _residual_samples(domain: DomainRegion, f: DiscreteMap, X: np.ndarray):
+    """The residual's first stage: ``(X, Xv, Y)``, the samples ``X`` as
+    passed, those finite and in ``domain`` whose one checked step of ``f``
+    completes inside ``domain``, and those steps. Raises ``out-of-bounds`` at
+    ``X[0]`` when none survive."""
+    Xv = X[np.isfinite(X).all(axis=1) & domain.contains_batch(X)]
     run = iterate_batch(f, Xv, 1, r_div=np.inf)
-    good = (run.termination == _CODE[COMPLETED]) & F.domain.contains_batch(run.last)
-    Xv, Y = Xv[good], run.last[good]
-    if len(Xv) == 0:
-        raise DomainError(X[0], "out-of-bounds",
-                          detail="no usable conjugacy samples on this domain")
+    good = (run.termination == _CODE[COMPLETED]) & domain.contains_batch(run.last)
+    if not good.any():
+        raise DomainError(X[0], "out-of-bounds", detail=_NO_SAMPLES)
+    return X, Xv[good], run.last[good]
 
+
+def _residual_images(F: ImmersionMap, X: np.ndarray, Xv: np.ndarray, Y: np.ndarray):
+    """The second stage: ``(X, Xv, F(Xv), F(Y))`` over the rows where both
+    chart images are finite. Raises ``non-finite-image`` at ``X[0]`` when
+    none are."""
     with np.errstate(all="ignore"):
         FX = _step_rows(F.func, Xv, F.vectorized, F.dim_out)
         FY = _step_rows(F.func, Y, F.vectorized, F.dim_out)
+    finite = np.isfinite(FX).all(axis=1) & np.isfinite(FY).all(axis=1)
+    if not finite.any():
+        raise DomainError(X[0], "non-finite-image", detail=_NO_SAMPLES)
+    return X, Xv[finite], FX[finite], FY[finite]
+
+
+def _residual_tail(g: DiscreteMap, X: np.ndarray, Xv: np.ndarray,
+                   FX: np.ndarray, FY: np.ndarray) -> ConjugacyReport:
+    """The last stage, the only one that reads ``g``: ``g(F(x))`` over the
+    rows where it is finite, and the report. Raises ``non-finite-image`` at
+    ``X[0]`` when it is finite nowhere."""
+    with np.errstate(all="ignore"):
         GFX = _step_rows(g.forward, FX, g.vectorized)
-    finite = np.isfinite(GFX).all(axis=1) & np.isfinite(FY).all(axis=1) & np.isfinite(FX).all(axis=1)
+    finite = np.isfinite(GFX).all(axis=1)
     Xv, FY, GFX = Xv[finite], FY[finite], GFX[finite]
     if len(Xv) == 0:
-        raise DomainError(X[0], "non-finite-image",
-                          detail="no usable conjugacy samples on this domain")
+        raise DomainError(X[0], "non-finite-image", detail=_NO_SAMPLES)
 
     res = _row_norm(FY - GFX)
     worst = int(np.argmax(res))
@@ -238,10 +276,13 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
 
     Raises :class:`DomainError` if any member point falls outside F's domain —
     that failure is itself evidence (the candidate cannot even represent the
-    limit set). ``maximal_member`` is the member whose image contains every
-    other image within ``tol_cluster`` one-sidedly, when one exists. Each
-    member's image is prepared once (:func:`geometry._prepare`) for all the
-    distances it takes part in.
+    limit set) — and, with reason ``non-finite-distance``, if a distance
+    between two member images or the diameter of the sampled image
+    overflows, since a ratio of overflowed distances means nothing.
+    ``maximal_member`` is the member whose image contains every other image
+    within ``tol_cluster`` one-sidedly, when one exists. Each member's image
+    is prepared once (:func:`geometry._prepare`) for all the distances it
+    takes part in.
     """
     images = [_prepare(F.apply(m.points)) for m in catalog.members]
     labels = tuple(m.label for m in catalog.members)
@@ -250,6 +291,10 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
     for i in range(k):
         for j in range(i + 1, k):
             pairwise[i, j] = pairwise[j, i] = hausdorff(images[i], images[j])
+            if not np.isfinite(pairwise[i, j]):
+                raise DomainError(catalog.members[i].points[0], "non-finite-distance",
+                                  detail=f"{F.name}: the distance between the "
+                                  f"images of {labels[i]} and {labels[j]} overflows")
 
     maximal = None
     for i in range(k):
@@ -263,7 +308,12 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
         box = _bounding_box(catalog, F.domain)
         samples = F.domain.sample(_COLLAPSE_SAMPLES, rng, box=box)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    img_diam = diameter(F.apply(samples))
+    sample_images = F.apply(samples)
+    img_diam = diameter(sample_images)
+    if not np.isfinite(img_diam):
+        far = int(np.abs(sample_images).max(axis=1).argmax())
+        raise DomainError(samples[far], "non-finite-distance",
+                          detail=f"{F.name}: the diameter of the sampled image overflows")
 
     ratio = None
     if k >= 2:
@@ -334,6 +384,8 @@ def injectivity_probe(F: ImmersionMap, samples,
     the ones the full pairwise matrices hold. Only the first
     ``max_recorded`` collision pairs are kept, in row-major order of their
     sample indices ``(r, c)``, ``r < c``; ``n_collisions`` counts all.
+    A pair whose distance in either space overflows raises
+    :class:`DomainError` (``non-finite-distance``) at its first sample.
     """
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     X = X[F.domain.contains_batch(X)]
@@ -348,6 +400,12 @@ def injectivity_probe(F: ImmersionMap, samples,
     chunk = 512
     n = len(X)
     for (i, b, dx), (_, _, di) in zip(_pair_blocks(X, chunk), _pair_blocks(FX, chunk)):
+        bad = np.flatnonzero(~(np.isfinite(dx) & np.isfinite(di)))
+        if bad.size:
+            _, (r,), (c,) = _pair_rows(n, i, b, bad, 1)
+            raise DomainError(X[r], "non-finite-distance",
+                              detail=f"{F.name}: the distance to {X[c]} or "
+                              "between their images overflows")
         sep = dx > delta_sep
         n_sep = int(np.count_nonzero(sep))
         pairs += n_sep

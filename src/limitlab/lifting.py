@@ -8,11 +8,13 @@ held-out samples, limit-set collapse against a catalog, and injectivity
 probing. The sweep makes the residual/collapse/injectivity trade-off visible
 across dictionary families and sizes.
 
-A sweep draws its training pairs once. Per dictionary it evaluates the
-features and runs the collapse and injectivity probes once; per ridge only the
-solve and the conjugacy residual run. That reuse is exact: nothing but the
-solve and the residual reads ``K`` or the ridge. :func:`fit_lift` is the same
-solve on freshly drawn pairs.
+A sweep draws its training pairs and runs the conjugacy residual's samples
+stage (the held-out samples kept and their source step) once. Per dictionary
+it evaluates the features, the residual's images stage (``F(x)`` and
+``F(f(x))``) and the collapse and injectivity probes once; per ridge only the
+solve and the residual's tail (``g(F(x)) = K F(x)`` and the report) run. That
+reuse is exact: nothing but the solve and the tail reads ``K`` or the ridge.
+:func:`fit_lift` is the same solve on freshly drawn pairs.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _grid_nodes,
                        _row_norm, iterate_batch)
 from .errors import (CatalogGuardError, DomainError, InvalidParamError,
                      SingularGramError)
-from .immersion import (ImmersionMap, collapse_report, conjugacy_residual,
-                        injectivity_probe)
+from .immersion import (ImmersionMap, _residual_images, _residual_samples,
+                        _residual_tail, collapse_report, injectivity_probe)
 from .limits import LimitSetCatalog
 from .linear import LinearSystem
 from .serialize import write_csv
@@ -262,7 +264,10 @@ def _solve(PhiX: np.ndarray, PhiY: np.ndarray,
     """``(K^T, gram condition, method)`` for one ridge, solved as
     :func:`fit_lift` describes."""
     N = PhiX.shape[1]
-    G = PhiX.T @ PhiX + ridge * np.eye(N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # features past 1e154 overflow the Gram matrix; its condition is then
+        # not finite, and the checks below refuse it
+        G = PhiX.T @ PhiX + ridge * np.eye(N)
     cond = float(np.linalg.cond(G))
     if cond > config.SINGULAR_COND and ridge == 0.0:
         raise SingularGramError(
@@ -376,21 +381,26 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
     ``specs`` are ``(kind, order)`` pairs. Scores per row: held-out conjugacy
     RMS residual against the lifted linear system, limit-set collapse ratio
     against ``catalog``, and the worst injectivity separation ratio. The
-    residual is :func:`conjugacy_residual`'s, with the lift checked on the full
-    space rather than on ``region``: a held-out sample whose step image leaves
-    the training region still counts, since the lift is defined there too.
-    Rows that fail to fit (singular Gram, domain escapes) are kept with an
-    ``error`` field so the sweep output is total.
+    residual is :func:`immersion.conjugacy_residual`'s, with the lift checked
+    on the full space rather than on ``region``: a held-out sample whose step
+    image leaves the training region still counts, since the lift is defined
+    there too. Rows that fail to fit (singular Gram, domain escapes) are kept
+    with an ``error`` field so the sweep output is total.
 
-    Each piece of work runs once at the level where its inputs change:
-    :func:`training_pairs` once per sweep; the dictionary's features,
-    :func:`collapse_report` and :func:`injectivity_probe` once per
-    dictionary, at its first ridge that gets that far; the ridge check, the
-    solve and :func:`conjugacy_residual` per ridge. Reusing the
-    per-dictionary work is exact, because nothing but the solve and the
-    residual reads ``K`` or the ridge. A stage that raised raises the same
-    error again at each later ridge, at the same point of the row, so every
-    row is the one a fit per (spec, ridge) gives.
+    Each piece of work runs once at the level where its inputs change. Once
+    per sweep: :func:`training_pairs` and the residual's samples stage
+    (``immersion._residual_samples``: the held-out samples kept on the full
+    space and their one source step). Once per dictionary, at its first
+    ridge that gets that far: the dictionary's features, the residual's
+    images stage (``immersion._residual_images``: ``F(x)`` and
+    ``F(f(x))``), :func:`collapse_report` and :func:`injectivity_probe`. Per
+    ridge: the ridge check, the solve and the residual's tail
+    (``immersion._residual_tail``: ``K F(x)`` and the report). Reusing the
+    shared work is exact, because nothing but the solve and the tail reads
+    ``K`` or the ridge. A stage that raised raises the same error again at
+    each later ridge, at the same point of the row, so every row is the one
+    a fit and a :func:`immersion.conjugacy_residual` call per (spec, ridge)
+    give.
     """
     if len(catalog) > config.CATALOG_GUARD:
         raise CatalogGuardError(
@@ -399,8 +409,9 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
     region = region or system.domain
     rng = np.random.default_rng(seed + 1)          # held-out draw, distinct stream
     heldout = region.sample(config.RANDOM_SAMPLES, rng, box=box)
-    full_space = DomainRegion.full_space(system.dim)
     pairs = _once(lambda: training_pairs(system, region, seed=seed, box=box))
+    samples = _once(lambda: _residual_samples(DomainRegion.full_space(system.dim),
+                                              system, heldout))
 
     rows = []
     for kind, order in specs:
@@ -413,15 +424,15 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
             continue
         F = _immersion(dictionary, region)
         features = _once(lambda d=dictionary: _features(d, *pairs()))
+        images = _once(lambda F=F: _residual_images(F, *samples()))
         collapse = _once(lambda F=F: collapse_report(F, catalog, seed=seed))
         injectivity = _once(lambda F=F: injectivity_probe(F, heldout))
         for ridge in ridges:
             try:
                 _check_ridge(ridge)
                 Kt, _, _ = _solve(*features(), ridge)
-                resid = conjugacy_residual(
-                    F.restricted(full_space), system,
-                    _lifted_map(dictionary, Kt.T), heldout).rms_residual
+                resid = _residual_tail(_lifted_map(dictionary, Kt.T),
+                                       *images()).rms_residual
                 try:
                     ratio = collapse().collapse_ratio
                 except DomainError as exc:

@@ -128,6 +128,48 @@ def test_sweep_with_no_separated_pair_reports_null_ratios(tmp_path, capsys):
     assert fitted and all(r["min_sep_ratio"] is None for r in fitted)
 
 
+# Features near 1e180 (monomial:3 on +-1e60) or states near 1e200 are finite,
+# but distances between them overflow; the probes that compare those
+# distances refuse them, and the sweep keeps the refusal as an error row.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,collapse_failed", [
+    (["--domain=-1e60,1e60", "--dicts", "monomial:1,monomial:2,monomial:3",
+      "--ridges", "0,1e-4"], [(4, 1e-4)]),
+    (["--domain=-1e200,1e200", "--dicts", "monomial:1"], []),
+    (["--domain=-1e200,1e200", "--dicts", "monomial:1", "--ridges", "0,1e-4"],
+     [(2, 1e-4)]),
+])
+def test_sweep_keeps_overflowing_probe_distances_as_error_rows(
+        tmp_path, capsys, argv, collapse_failed):
+    code, _, err = run(capsys, "sweep", "--system", "mobius", *argv,
+                       "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    doc = read_json(tmp_path / "sweep.json")
+    validate(doc, "tradeoff-report")
+    failed = [(r["dict_size"], r["ridge"]) for r in doc["rows"]
+              if (r["error"] or "").startswith("collapse:")]
+    assert failed == collapse_failed
+    for r in doc["rows"]:
+        if (r["dict_size"], r["ridge"]) in collapse_failed:
+            assert "(non-finite-distance)" in r["error"]
+            assert r["residual_heldout"] is not None
+        elif r["ridge"] == 0.0:
+            assert "gram condition" in r["error"]
+        else:
+            assert r["error"] is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_refuses_overflowing_sample_distances(tmp_path, capsys):
+    code, _, err = run(capsys, "verify", "--system", "jordan",
+                       "--domain=-1e200,1e200;-1e200,1e200", "--out", str(tmp_path))
+    assert code == 3
+    payload = stderr_payload(err)
+    assert payload["error"] == "domain-error"
+    assert payload["reason"] == "non-finite-distance"
+    assert payload["point"] == [-1e200, -1e200]
+
+
 def test_learn_recovers_the_rational_cascade(tmp_path, capsys):
     code, out, err = run(capsys, "learn", "--system", "mobius",
                          "--dict", "rational-pole", "--order", "3",

@@ -146,6 +146,66 @@ def test_conjugacy_residual_needs_at_least_one_sample():
                            np.array([[0.0, 0.0]]))
 
 
+def shift_map(c):
+    return DiscreteMap(dim=1, forward=lambda x: np.asarray(x, dtype=float) + c,
+                       domain=DomainRegion.full_space(1), name=f"shift{c:g}")
+
+
+def chart_1d(func, domain=None):
+    return ImmersionMap(1, 1, func, domain or DomainRegion.full_space(1), name="chart")
+
+
+NO_SAMPLES = "no usable conjugacy samples on this domain"
+
+
+@pytest.mark.parametrize("stage,F,f,g,reason", [
+    # every step image leaves the chart's domain
+    ("samples", chart_1d(lambda X: X, DomainRegion.interval(0.0, 1.0)),
+     shift_map(10.0), shift_map(0.0), "out-of-bounds"),
+    # every chart image is non-finite
+    ("images", chart_1d(lambda X: np.full(np.shape(X), np.nan)),
+     shift_map(0.5), shift_map(0.0), "non-finite-image"),
+    # every target image is non-finite
+    ("tail", chart_1d(lambda X: X), shift_map(0.5),
+     DiscreteMap(dim=1, forward=lambda z: np.asarray(z, dtype=float) * np.inf,
+                 domain=DomainRegion.full_space(1), name="blow-up"),
+     "non-finite-image"),
+])
+def test_conjugacy_residual_stage_failures_name_the_first_sample(stage, F, f, g, reason):
+    samples = np.array([[0.25], [0.5], [0.75]])
+    with pytest.raises(DomainError) as exc:
+        conjugacy_residual(F, f, g, samples)
+    assert exc.value.reason == reason
+    assert np.array_equal(exc.value.point, samples[0])
+    assert str(exc.value) == f"domain violation ({reason}) at [0.25]: {NO_SAMPLES}"
+
+
+def test_conjugacy_residual_counts_rows_dropped_at_every_stage():
+    # 2.0 is off the chart's domain, 0.95 steps off it, 0.1 has a NaN chart
+    # image, 0.2 a NaN target image; only 0.5 is used
+    F = chart_1d(lambda X: np.where(X == 0.1, np.nan, X), DomainRegion.interval(0.0, 1.0))
+    g = DiscreteMap(dim=1, forward=lambda z: np.where(z == 0.2, np.nan, z + 0.25),
+                    domain=DomainRegion.full_space(1), name="g")
+    report = conjugacy_residual(F, shift_map(0.25), g,
+                                np.array([[2.0], [0.95], [0.1], [0.2], [0.5]]))
+    assert report.samples_used == 1 and report.samples_skipped == 4
+    assert report.worst_point[0] == 0.5 and report.max_residual == 0.0
+
+
+def test_conjugacy_residual_names_both_dimensions_of_a_mismatched_chart():
+    def refuse(x):
+        raise AssertionError("the source map was stepped")
+
+    f = DiscreteMap(dim=1, forward=refuse, domain=DomainRegion.full_space(1), name="f")
+    F = ImmersionMap(2, 2, lambda X: X, DomainRegion.full_space(2), name="planar")
+    with pytest.raises(ValueError, match="chart planar takes dimension 2, but the "
+                                         "source system has dimension 1"):
+        conjugacy_residual(F, f, f, np.array([[0.5]]))
+    with pytest.raises(ValueError, match="sample dimension 2 does not match the "
+                                         "source system's dimension 1"):
+        conjugacy_residual(chart_1d(lambda X: X), f, f, np.array([[0.5, 0.5]]))
+
+
 @pytest.mark.parametrize("name,samples", [
     ("mobius", np.linspace(-2.0, 0.9, 41)[:, None]),
     ("rotation-scaling", np.stack(np.meshgrid(np.linspace(-2, 2, 9),
@@ -256,6 +316,25 @@ def test_collapse_constant_map_is_total(cot_catalog):
     assert report.collapse_ratio == 0.0
     assert report.image_diameter == 0.0
     assert report.maximal_member == "S0"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_collapse_refuses_overflowing_distances(mobius_unit_catalog):
+    # the members sit at -1 and 1, so their images are 2e154 apart, and the
+    # square of that distance overflows
+    apart = chart_1d(lambda X: 1e154 * np.asarray(X, dtype=float))
+    with pytest.raises(DomainError) as exc:
+        collapse_report(apart, mobius_unit_catalog, seed=42)
+    assert exc.value.reason == "non-finite-distance"
+    assert np.array_equal(exc.value.point, mobius_unit_catalog.members[0].points[0])
+    assert "images of S0 and S1 overflows" in str(exc.value)
+    # the member images nearly coincide, but the sampled image's diameter overflows
+    spread = chart_1d(lambda X: 1e154 * (2 * np.asarray(X, dtype=float) ** 2 - 1))
+    with pytest.raises(DomainError) as exc:
+        collapse_report(spread, mobius_unit_catalog, samples=[[0.0], [0.5], [1.0]])
+    assert exc.value.reason == "non-finite-distance"
+    assert exc.value.point[0] == 0.0
+    assert "diameter of the sampled image overflows" in str(exc.value)
 
 
 def test_collapse_single_member_has_no_ratio():
@@ -449,6 +528,21 @@ def test_injectivity_ratio_is_null_without_separated_pairs():
     doc = report.to_dict()
     assert doc["min_separation_ratio"] is None
     validate(doc, "injectivity-report")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("func,samples", [
+    # the sample distance overflows
+    (lambda X: np.asarray(X, dtype=float), [[0.0], [-1e154], [1e154]]),
+    # the image distance overflows
+    (lambda X: 1e154 * np.asarray(X, dtype=float), [[0.0], [-1.0], [1.0]]),
+])
+def test_injectivity_refuses_overflowing_distances(func, samples):
+    # the first overflowing pair in row-major order is (1, 2)
+    with pytest.raises(DomainError) as exc:
+        injectivity_probe(chart_1d(func), np.array(samples))
+    assert exc.value.reason == "non-finite-distance"
+    assert exc.value.point[0] == samples[1][0]
 
 
 def test_injectivity_needs_two_samples():

@@ -7,7 +7,8 @@ import pytest
 
 from limitlab import (DomainRegion, TradeoffRow, build_dictionary,
                       catalog_from_seeds, conjugacy_residual, fit_lift,
-                      get_system, lifting, obstruction_sweep, training_pairs)
+                      get_system, immersion, lifting, obstruction_sweep,
+                      training_pairs)
 from limitlab.config import RANDOM_SAMPLES
 from limitlab.errors import (CatalogGuardError, DomainError, InvalidParamError,
                              SingularGramError)
@@ -353,7 +354,9 @@ def test_sweep_residual_keeps_step_images_outside_the_region():
 def reference_sweep(system, catalog, specs, ridges, region=None, seed=42,
                     pole=1.0, box=None):
     """The sweep's rows as one fit per (spec, ridge), from the public
-    functions alone, looked up on ``lifting`` so a monkeypatch reaches both."""
+    functions alone. They are looked up on ``lifting``, so a monkeypatch there
+    reaches both sides; the residual comes from ``immersion``, whose stages
+    the sweep imports, so a stage is patched on both modules."""
     region = region or system.domain
     heldout = region.sample(RANDOM_SAMPLES, np.random.default_rng(seed + 1), box=box)
     full_space = DomainRegion.full_space(system.dim)
@@ -365,7 +368,7 @@ def reference_sweep(system, catalog, specs, ridges, region=None, seed=42,
                 lift = fit_lift(system, dictionary, region=region, ridge=ridge,
                                 seed=seed, box=box)
                 F = lift.as_immersion()
-                resid = lifting.conjugacy_residual(
+                resid = immersion.conjugacy_residual(
                     F.restricted(full_space), system, lift.lifted_map(),
                     heldout).rms_residual
                 try:
@@ -448,7 +451,8 @@ def test_sweep_matches_an_injectivity_failure_without_collapse_prefix(
 
 def test_sweep_runs_shared_work_once_per_sweep_and_per_fitted_dictionary(
         monkeypatch, cot_catalog):
-    calls = {"training_pairs": 0, "collapse_report": 0, "injectivity_probe": 0}
+    calls = {"training_pairs": 0, "collapse_report": 0, "injectivity_probe": 0,
+             "_residual_samples": 0, "_residual_images": 0}
 
     def counted(name):
         fn = getattr(lifting, name)
@@ -466,4 +470,28 @@ def test_sweep_runs_shared_work_once_per_sweep_and_per_fitted_dictionary(
     rows = obstruction_sweep(get_system("cot-map"), cot_catalog, specs,
                              ridges=(0.0, float("nan")), seed=42).rows
     assert len(rows) == 8
-    assert calls == {"training_pairs": 1, "collapse_report": 2, "injectivity_probe": 2}
+    assert calls == {"training_pairs": 1, "collapse_report": 2, "injectivity_probe": 2,
+                     "_residual_samples": 1, "_residual_images": 2}
+
+
+@pytest.mark.parametrize("stage", ["_residual_samples", "_residual_images",
+                                   "_residual_tail"])
+def test_sweep_matches_a_residual_stage_failure_at_every_ridge(
+        monkeypatch, mobius_unit_catalog, stage):
+    def refuse(*args):
+        raise DomainError(np.zeros(1), "out-of-bounds", detail="refused")
+
+    monkeypatch.setattr(immersion, stage, refuse)
+    monkeypatch.setattr(lifting, stage, refuse)
+    rows = assert_sweep_matches_reference(
+        get_system("mobius").restrict(MOBIUS_REGION), mobius_unit_catalog,
+        [("monomial", 2), ("monomial", 16)], (0.0, 1e-4, float("nan")))
+    refused = "domain violation (out-of-bounds) at [0.]: refused"
+    no_ridge = "ridge must be finite and non-negative, got nan"
+    # the ridge check and a singular solve come before the residual
+    assert [r.dict_size for r in rows] == [3, 3, 3, 17, 17, 17]
+    errors = [r.error for r in rows]
+    assert errors[:3] == [refused, refused, no_ridge]
+    assert "gram condition" in errors[3]
+    assert errors[4:] == [refused, no_ridge]
+    assert all(r.residual_heldout is None for r in rows)
