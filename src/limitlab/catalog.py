@@ -162,17 +162,23 @@ def _build_rotation_scaling(theta: float = 1.0) -> DiscreteMap:
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         P = np.atleast_2d(X)
-        r = _row_norm(P)
-        out = (2.0 / (r + 1.0))[:, None] * apply_matrix(P, R)
+        # (2 / (r + 1)) * (P R^T) in place, the scale still the left operand,
+        # so the same bits without the temporaries; order "F" runs the inner
+        # loop down each column, not across a row of two
+        out, scale = apply_matrix(P, R), _row_norm(P)
+        scale += 1.0
+        np.divide(2.0, scale, out=scale)
+        np.multiply(scale[:, None], out, out=out, order="F")
         return out[0] if single else out
 
     def backward(Y):
         Y = np.asarray(Y, dtype=float)
         single = Y.ndim == 1
         P = np.atleast_2d(Y)
-        s = _row_norm(P)
-        with np.errstate(all="ignore"):
-            out = apply_matrix(P, R_inv) / (2.0 - s)[:, None]
+        out, s = apply_matrix(P, R_inv), _row_norm(P)
+        with np.errstate(all="ignore"):     # (P R_inv^T) / (2 - s), in place
+            np.subtract(2.0, s, out=s)
+            np.divide(out, s[:, None], out=out, order="F")
         return out[0] if single else out
 
     return DiscreteMap(

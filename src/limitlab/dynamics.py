@@ -32,12 +32,21 @@ Row-wise Euclidean norms go through one helper, :func:`_row_norm`. numpy's
 slow; below 8 columns it adds the squares in column order, so a column-by-
 column fold gives the same bits, faster. From 8 columns on numpy adds them
 pairwise, and the helper calls numpy.
+
+The per-step kernels of a wide batch (the fold of :func:`_row_norm`, the
+max-abs fold of :func:`_max_abs`, ``geometry._box_lower`` and the catalog's
+rotation-scaling steps) work column by column, in place: each column goes
+through one scratch buffer into one accumulator, with ``out=``. An
+elementwise operation rounds its result alone, whatever buffer receives it,
+so running the same operations on the same operands in the same order
+gives the same bits as building a fresh array for each; only the
+temporaries, and the page faults of allocating them, are gone. On a grid
+of 40k states, those temporaries cost more than the arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -324,19 +333,30 @@ _BLOCK_FLOATS = 2 ** 15
 
 def _max_abs(X: np.ndarray) -> np.ndarray:
     """Each state's largest coordinate magnitude (over the last axis), NaN or
-    inf if a coordinate is: folded column by column, as reducing along the
-    short last axis is slow."""
-    return reduce(np.maximum, np.moveaxis(np.abs(X), -1, 0))
+    inf if a coordinate is: folded column by column into one accumulator, in
+    place, as reducing along the short last axis is slow."""
+    acc, col = np.abs(X[..., 0]), None
+    for j in range(1, X.shape[-1]):
+        col = np.abs(X[..., j], out=col)
+        np.maximum(acc, col, out=acc)
+    return acc
 
 
 def _row_norm(X: np.ndarray) -> np.ndarray:
     """Each row's Euclidean norm, equal to ``np.linalg.norm(X, axis=1)`` to
     the bit. Below 8 columns numpy sums the squares in order, so folding them
     column by column is the same sum, and faster; from 8 on it sums pairwise,
-    and numpy does the work."""
+    and numpy does the work. The fold squares each column into one scratch
+    buffer and adds it to one accumulator, in place: the same operations on
+    the same operands in the same order as a sum of fresh arrays, so the
+    same bits, without a temporary per column."""
     if X.shape[1] >= 8:
         return np.linalg.norm(X, axis=1)
-    return np.sqrt(reduce(np.add, [c * c for c in X.T]))
+    acc, sq = X[:, 0] * X[:, 0], None
+    for j in range(1, X.shape[1]):
+        sq = np.multiply(X[:, j], X[:, j], out=sq)
+        acc += sq
+    return np.sqrt(acc, out=acc)
 
 
 @dataclass(frozen=True)
@@ -356,14 +376,22 @@ class BatchOrbit:
         return TERMINATIONS[int(self.termination[i])]
 
 
-def _state_codes(domain: DomainRegion, P: np.ndarray, over: np.ndarray) -> np.ndarray:
+def _state_codes(domain: DomainRegion, P: np.ndarray,
+                 over: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Each state's checks before a step: an excluded point is ``singular``,
     anything else outside the domain ``left-domain``, a state past ``r_div``
-    (the mask ``over``) ``diverged``, and ``completed`` if all pass. Written in
-    reverse check order, so a state's first failed check wins. Only a state
-    outside the domain can be in an exclusion ball, so only those are asked."""
-    code = np.where(over, np.int8(_CODE[DIVERGED]), np.int8(_CODE[COMPLETED]))
-    out = np.flatnonzero(~domain.contains_batch(P))
+    (the mask ``over``; none if it is ``None``) ``diverged``, and
+    ``completed`` if all pass; ``None`` when every state passes, with no
+    codes built. Written in reverse check order, so a state's first failed
+    check wins. Only a state outside the domain can be in an exclusion ball,
+    so only those are asked."""
+    inside = domain.contains_batch(P)
+    if inside.all() and (over is None or not over.any()):
+        return None
+    code = np.full(len(P), _CODE[COMPLETED], dtype=np.int8)
+    if over is not None:
+        code[over] = _CODE[DIVERGED]
+    out = np.flatnonzero(~inside)
     if out.size:
         code[out] = _CODE[LEFT_DOMAIN]
         code[out[domain.exclusion_batch(P[out])]] = _CODE[SINGULAR]
@@ -428,34 +456,42 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     map that takes one state at a time (``vectorized=False``) steps one at a
     time: it pays a call per row anyway. ``k = 1`` with ``r_div = np.inf`` is
     one checked step with no divergence guard: the rows that complete are the
-    states inside the domain with a finite image, and ``last`` holds it.
+    states inside the domain with a finite image, and ``last`` holds it. A
+    NaN ``r_div`` raises ``ValueError``: nothing compares past it, so it would
+    silently drop the guard.
     """
     last = np.array(X0, dtype=float)
     if last.ndim != 2 or last.shape[1] != system.dim:
         raise ValueError(f"expected an (n, {system.dim}) batch of states, got shape {last.shape}")
     if k < 0:
         raise ValueError("step count must be >= 0")
+    if np.isnan(r_div):
+        raise ValueError("r_div must not be NaN")
     k = int(k)
+    # One comparison is the image guard: ``M <= cap`` is false for a NaN or
+    # inf image and for one past ``r_div``, also when ``r_div`` is inf.
+    cap = min(r_div, np.finfo(float).max)
     n, d = last.shape
     termination = np.full(n, _CODE[COMPLETED], dtype=np.int8)
     valid = np.full(n, k + 1, dtype=np.intp)    # a row that never stops keeps all k images
     states = np.empty((0, n, d)) if record else None
-    # The rows still going are ``active``, with their states ``P`` and
-    # max-abs ``mag`` in the same order. ``last`` takes a row's last state
-    # when it stops, after the block has read everything it needs (``P`` or
-    # an image may be a view of it), and the going rows' states at the end.
-    active, P, mag = np.arange(n), last, _max_abs(last)
+    # The rows still going are ``active``, with their states ``P`` in the
+    # same order. ``last`` takes a row's last state when it stops, after the
+    # block has read everything it needs (``P`` or an image may be a view of
+    # it), and the going rows' states at the end. Only the start states can
+    # be past ``r_div``: every later state is an image that passed the guard.
+    active, P, over = np.arange(n), last, _max_abs(last) > r_div
     t = ran = 0             # steps done; steps in which some row was still going
     span = 1                # the next block's length before its caps
     with np.errstate(all="ignore"):
         while t < k and active.size:
             b = min(span, k - t, max(1, _BLOCK_FLOATS // P.size)) if system.vectorized else 1
             ran = t + 1
-            code = _state_codes(system.domain, P, mag > r_div)
-            ok = code == _CODE[COMPLETED]
-            if not ok.all():
+            code, over = _state_codes(system.domain, P, over), None
+            if code is not None:
+                ok = code == _CODE[COMPLETED]
                 gone, stopped = active[~ok], P[~ok]
-                active, P, mag = active[ok], P[ok], mag[ok]
+                active, P = active[ok], P[ok]
                 termination[gone], valid[gone], last[gone] = code[~ok], t + 1, stopped
                 if active.size == 0:
                     if states is not None:
@@ -473,10 +509,12 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
             span = 2 * b
 
             M = _max_abs(Y)                     # (b, m): each image's max-abs
-            failed = ~np.isfinite(M) | (M > r_div)  # NaN or inf, even with r_div = inf
-            if b > 1:   # the states inside the block, checked before their step
-                inner = _state_codes(system.domain, Y[:-1].reshape(-1, d),
-                                     M[:-1].ravel() > r_div).reshape(b - 1, -1)
+            failed = ~(M <= cap)
+            # The states inside the block, checked before their step. One past
+            # r_div failed the guard as an image, a step before its own check.
+            inner = None if b == 1 else _state_codes(system.domain, Y[:-1].reshape(-1, d))
+            if inner is not None:
+                inner = inner.reshape(b - 1, -1)
                 failed[1:] |= inner != _CODE[COMPLETED]
             stops = failed.any(axis=0)
             stopping = stops.any()
@@ -486,7 +524,7 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
                 sub = np.flatnonzero(stops)
                 first = failed[:, sub].argmax(axis=0)   # the step each one stops at
                 cause = np.where(np.isfinite(M[first, sub]), _CODE[DIVERGED], _CODE[SINGULAR])
-                if b > 1:   # a state's own checks come before its image's
+                if inner is not None:   # a state's own checks come before its image's
                     own = np.where(first > 0, inner[first - 1, sub], _CODE[COMPLETED])
                     cause = np.where(own == _CODE[COMPLETED], cause, own)
                 kept[sub] = first + (cause == _CODE[DIVERGED])    # a diverged image is kept
@@ -501,10 +539,10 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
             if stopping:
                 going, gone = ~stops, active[sub]
                 ran = t + b if going.any() else t + 1 + int(first.max())
-                active, P, mag = active[going], Y[-1][going], M[-1][going]
+                active, P = active[going], Y[-1][going]
                 termination[gone], valid[gone], last[gone] = cause, t + 1 + at, stopped
             else:
-                ran, P, mag = t + b, Y[-1], M[-1]
+                ran, P = t + b, Y[-1]
             t += b
     last[active] = P
     if states is not None:

@@ -194,12 +194,40 @@ def _box_lower(Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """A lower bound on the distance from each point of ``Q`` (``(..., d)``)
     to the box ``[lo, hi]`` (broadcast against ``Q``), safe against computed
     distances: the computed box distance narrowed by :func:`_margin`, or
-    ``-inf`` where it overflowed."""
-    rho, alpha = _margin(Q.shape[-1])
+    ``-inf`` where it overflowed.
+
+    Below 8 columns the box distance is the fold of :func:`dynamics._row_norm`
+    over the per-column gaps, done in place: each column's gap
+    ``max(lo - q, q - hi, 0)`` is formed in one scratch buffer, squared there
+    and added to one accumulator, which then takes the root and the margin.
+    Those are the operations of the row norm of the full gap array, on the
+    same operands in the same order, so the bits are the same, without the
+    ``(..., d)`` temporaries. From 8 columns on the row norm sums pairwise,
+    and it gets the full gap array."""
+    d = Q.shape[-1]
+    rho, alpha = _margin(d)
     with np.errstate(over="ignore"):
-        gap = np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
-        box = _row_norm(gap.reshape(-1, gap.shape[-1])).reshape(gap.shape[:-1])
-        return np.where(np.isfinite(box), box * (1 - rho) - alpha, -np.inf)
+        if d >= 8:
+            gap = np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
+            box = _row_norm(gap.reshape(-1, d)).reshape(gap.shape[:-1])
+        else:
+            box = gap = above = None
+            for j in range(d):
+                q = Q[..., j]
+                gap = np.subtract(lo[..., j], q, out=gap)
+                above = np.subtract(q, hi[..., j], out=above)
+                np.maximum(gap, above, out=gap)
+                np.maximum(gap, 0.0, out=gap)
+                if box is None:
+                    box = gap * gap
+                else:
+                    box += np.multiply(gap, gap, out=gap)
+            np.sqrt(box, out=box)
+        finite = np.isfinite(box)
+        np.multiply(box, 1 - rho, out=box)
+        box -= alpha
+        np.copyto(box, -np.inf, where=~finite)
+        return box
 
 
 def _hausdorff_lower_bounds(a: _Cloud, others: list[_Cloud]) -> np.ndarray:

@@ -783,9 +783,11 @@ def write_basin_csv(basins: BasinMap, path) -> None:
     dims = len(basins.resolution)
     header = ",".join(chr(ord("i") + a) for a in range(dims)) + ",label"
     label = {code: basins.label_of_code(code) for code in np.unique(basins.codes).tolist()}
-    lines = [header]
-    for idx, code in zip(np.ndindex(basins.codes.shape), basins.codes.ravel().tolist()):
-        lines.append(",".join(str(i) for i in idx) + "," + label[code])
+    prefix = [""]       # each node's "i,j,...," in row-major order, an axis at a time
+    for size in basins.codes.shape:
+        step = [f"{i}," for i in range(size)]
+        prefix = [p + s for p in prefix for s in step]
+    lines = [header] + [p + label[code] for p, code in zip(prefix, basins.codes.ravel().tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from limitlab import (DiscreteMap, DomainRegion, get_system, iterate,
                       iterate_batch, list_systems, write_trajectory_csv)
 from limitlab import config
-from limitlab.dynamics import _CODE, COMPLETED, SINGULAR, _row_norm, _state_codes, as_state
+from limitlab.dynamics import (_CODE, COMPLETED, SINGULAR, _max_abs, _row_norm, _state_codes,
+                               as_state)
 from limitlab.errors import NoInverseError
 
 
@@ -182,7 +184,7 @@ def test_a_state_check_takes_each_exclusion_distance_once(monkeypatch):
     monkeypatch.setattr(DomainRegion, "_exclusion_distances", counted)
     P = np.linspace(-2.0, 2.0, 101)[:, None]
     code = _state_codes(region, P, np.zeros(len(P), dtype=bool))
-    assert (code == _CODE[COMPLETED]).all() and asked == [101]
+    assert code is None and asked == [101]          # every state passes: no codes built
     asked.clear()
     code = _state_codes(region, np.vstack([P, [[3.0]]]), np.zeros(len(P) + 1, dtype=bool))
     assert code[-1] == _CODE[SINGULAR] and asked == [102, 1]
@@ -311,6 +313,15 @@ def test_row_norm_leaves_eight_columns_and_more_to_numpy(d, rng):
     # be its sum, so the helper hands these widths to numpy
     X = _wide_rows(rng, 20000, d)
     assert np.array_equal(_row_norm(X), np.linalg.norm(X, axis=1), equal_nan=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_max_abs_is_the_fold_on_fresh_arrays_to_the_bit(d, rng):
+    # on rows holding NaN and inf, for a batch and for a block of batches
+    X = _wide_rows(rng, 6000, d)
+    for A in (X, X.reshape(3, 2000, d)):
+        want = reduce(np.maximum, np.moveaxis(np.abs(A), -1, 0))
+        assert np.array_equal(_max_abs(A).view(np.uint64), want.view(np.uint64))
 
 
 # -- the lockstep engine --------------------------------------------------------------
@@ -557,6 +568,43 @@ def test_an_infinite_guard_radius_still_stops_at_a_non_finite_image():
         traj = iterate(doubler, [1.0], 1100, r_div=np.inf)
     assert traj.termination == "singular"
     assert traj.steps_taken == 1023 and traj.last[0] == 2.0 ** 1023
+
+
+@pytest.mark.parametrize("r_div", [1.0, 3.0 * 2.0 ** 100, np.finfo(float).max, np.inf])
+def test_the_image_guard_at_and_just_past_the_radius(r_div):
+    # an image equal to r_div passes, the next float up is diverged (kept),
+    # and an inf image is singular (dropped), also with r_div = inf; the
+    # reference checks with ``not finite`` and ``> r_div``
+    doubler = get_system("scalar-linear", a=2.0)
+    fmax = np.finfo(float).max
+    top = min(r_div, fmax)
+    with np.errstate(over="ignore"):
+        past = np.nextafter(top, np.inf)        # inf past fmax
+    X0 = np.array([[top / 2], [past / 2], [top / 8], [-top / 2], [top], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 6):        # one step, and blocks of 2 and 3 steps
+            for record in (False, True):
+                _assert_matches_reference(doubler, X0, k, r_div, record)
+        run = iterate_batch(doubler, X0[:2], 1, r_div=r_div)
+    assert run.cause(0) == "completed" and run.last[0, 0] == top
+    if np.isfinite(past):
+        assert run.cause(1) == "diverged" and run.valid[1] == 2 and run.last[1, 0] == past
+    else:           # the start is inf: past a finite guard, else its image is not finite
+        want = "singular" if np.isinf(r_div) else "diverged"
+        assert run.cause(1) == want and run.valid[1] == 1
+    run = iterate_batch(doubler, [[fmax]], 1, r_div=r_div)
+    if r_div >= fmax:       # an inf image stops a row even with no guard radius
+        assert (run.cause(0), run.valid[0], run.last[0, 0]) == ("singular", 1, fmax)
+
+
+def test_a_nan_guard_radius_is_rejected():
+    # ``M > nan`` is always false, so a NaN radius would drop the guard
+    doubler = get_system("scalar-linear", a=2.0)
+    with pytest.raises(ValueError, match="r_div"):
+        iterate_batch(doubler, [[1.0]], 3, r_div=np.nan)
+    with pytest.raises(ValueError, match="r_div"):
+        iterate(doubler, [1.0], 3, r_div=float("nan"))
 
 
 def test_iterate_batch_matches_the_reference_on_catalog_maps(rng):

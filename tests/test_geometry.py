@@ -9,8 +9,8 @@ from scipy.spatial.distance import cdist
 
 from limitlab import (diameter, directed_hausdorff, hausdorff, sampling_gap,
                       split_discrepancy)
-from limitlab.geometry import (_TREE_DISTINCT, _TREE_MIN, _by_tree,
-                               _hausdorff_lower_bounds, _prepare)
+from limitlab.geometry import (_TREE_DISTINCT, _TREE_MIN, _box_lower, _by_tree,
+                               _hausdorff_lower_bounds, _margin, _prepare)
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -506,3 +506,40 @@ def test_box_bound_on_subnormal_and_huge_clouds(rng):
     # a distance that overflows bounds nothing
     far = np.array([[1e308, -1e308]])
     assert _bound(far, -far) == -np.inf
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def _box_lower_of_the_gap_array(Q, lo, hi):
+    # the box bound written on the full (..., d) gap array
+    rho, alpha = _margin(Q.shape[-1])
+    with np.errstate(over="ignore"):
+        gap = np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
+        box = np.linalg.norm(gap.reshape(-1, gap.shape[-1]), axis=1).reshape(gap.shape[:-1])
+        return np.where(np.isfinite(box), box * (1 - rho) - alpha, -np.inf)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_box_lower_folds_columns_to_the_bits_of_the_gap_array(d, rng):
+    # rows inside, beside and far from the boxes, rows whose squared gaps
+    # overflow (-inf) and rows whose gaps are subnormal
+    lo = rng.normal(size=(5, d))
+    hi = lo + rng.uniform(0.0, 3.0, (5, d))
+    lo[0], hi[0], lo[1], hi[1] = -1.0, 0.0, 0.0, 1.0   # subnormal gaps from faces at 0
+    Q = np.vstack([rng.normal(scale=3.0, size=(40, d)),
+                   rng.choice([-1.0, 1.0], (20, d)) * 10.0 ** rng.uniform(150, 308, (20, d)),
+                   rng.uniform(0.0, 1e-308, (10, d)),
+                   -5e-324 * rng.integers(0, 4, (10, d))])
+    # a chunk of rows against every box, as _hausdorff_lower_bounds asks
+    got = _box_lower(Q[:, None], lo, hi)
+    want = _box_lower_of_the_gap_array(Q[:, None], lo, hi)
+    assert got.shape == want.shape == (len(Q), len(lo))
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.isneginf(got[40:60]).any()
+    assert (got[60:70, 0] < 0).all() and (got[70:, 1] < 0).all()
+    # every row against one box, as the settle stage asks
+    for b in range(len(lo)):
+        assert np.array_equal(_bits(_box_lower(Q, lo[b], hi[b])),
+                              _bits(_box_lower_of_the_gap_array(Q, lo[b], hi[b])))

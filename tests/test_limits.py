@@ -739,18 +739,24 @@ def test_basin_csv_golden(tmp_path):
 
 
 def test_basin_csv_labels_every_node_as_label_at(tmp_path, rotation_catalog, rng):
-    special = [CODE_UNDETERMINED, CODE_SINGULAR, CODE_ESCAPED]
-    wide = rng.choice(special + list(range(len(rotation_catalog))), size=(7, 10))
-    codes = wide.astype(np.int16)[:, ::2]                  # not contiguous
-    basins = BasinMap(region=DomainRegion.box([[-1.0, 1.0], [-2.0, 2.0]]),
-                      resolution=(7, 5),
-                      axes=(np.linspace(-1.0, 1.0, 7), np.linspace(-2.0, 2.0, 5)),
-                      codes=codes, catalog=rotation_catalog, params={})
-    path = tmp_path / "basins.csv"
-    write_basin_csv(basins, path)
-    want = "i,j,label\n" + "".join(f"{i},{j},{basins.label_at((i, j))}\n"
-                                   for i, j in np.ndindex(codes.shape))
-    assert path.read_text() == want
+    # 1-d, 2-d and 3-d grids of codes that are not contiguous, each holding
+    # every special code and every member at least once
+    every = [CODE_UNDETERMINED, CODE_SINGULAR, CODE_ESCAPED] + list(range(len(rotation_catalog)))
+    for shape in [(7,), (7, 5), (3, 4, 5)]:
+        wide = rng.choice(every, size=shape[:-1] + (2 * shape[-1],))
+        codes = wide.astype(np.int16)[..., ::2]
+        codes.flat[rng.permutation(codes.size)[:len(every)]] = every
+        assert set(codes.ravel().tolist()) == set(every) and not codes.flags.c_contiguous
+        bounds = [[-1.0 - a, 1.0 + a] for a in range(len(shape))]
+        basins = BasinMap(region=DomainRegion.box(bounds), resolution=shape,
+                          axes=tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape)),
+                          codes=codes, catalog=rotation_catalog, params={})
+        path = tmp_path / f"basins{len(shape)}.csv"
+        write_basin_csv(basins, path)
+        header = ",".join("ijk"[:len(shape)]) + ",label\n"
+        want = header + "".join(",".join(map(str, idx)) + f",{basins.label_at(idx)}\n"
+                                for idx in np.ndindex(shape))
+        assert path.read_text() == want
 
 
 def test_basin_params_record_the_settling_policy(mobius_unit, mobius_unit_catalog):
