@@ -250,12 +250,6 @@ def _identity_immersion(system: DiscreteMap) -> tuple[ExactImmersion, ...]:
     return (ExactImmersion(F, system, note="already linear"),)
 
 
-def _no_immersion(name: str, why: str):
-    def raiser(**_params):
-        raise NoExactImmersionError(f"{name}: {why}")
-    return raiser
-
-
 # -- registry ---------------------------------------------------------------------
 
 _ENTRIES: dict[str, CatalogEntry] = {}
@@ -298,10 +292,7 @@ _register(CatalogEntry(
     name="negation", dim=1,
     summary="sign flip: every nonzero point lies on its own period-2 orbit",
     build=lambda: _build_negation(),
-    immersions=_no_immersion(
-        "negation",
-        "its period-2 orbits form an uncountable family of distinct limit sets, "
-        "which no finite-dimensional linear system can carry injectively"),
+    immersions=lambda: _identity_immersion(_build_negation()),
     seeds=(0.7, 1.3, 0.0, -0.4),
 ))
 _register(CatalogEntry(
@@ -377,8 +368,8 @@ def exact_immersions(name: str, **params) -> tuple[ExactImmersion, ...]:
 def exact_immersion(name: str, variant: int = 0, **params) -> ExactImmersion:
     """The catalogued immersion (first variant by default).
 
-    Raises :class:`NoExactImmersionError` for systems with none — the sign
-    flip is the catalogued example.
+    Raises :class:`NoExactImmersionError` for a system with none; every
+    catalogued system has one (the identity, for the linear ones).
     """
     pairs = exact_immersions(name, **params)
     if not 0 <= variant < len(pairs):

@@ -5,7 +5,9 @@ Subcommands map one-to-one onto the library surface: ``simulate`` (orbits),
 witnesses), ``verify`` (exact-immersion diagnostics), ``learn``/``sweep``
 (dictionary lifts and the residual/collapse/injectivity trade-off), ``demo``
 (four deterministic worked examples), and ``report`` (render saved artifacts
-into text tables, whitespace point files, and basin rasters).
+into text tables, whitespace point files, and basin rasters). This module
+parses and checks the arguments, names the files and prints; the steps and
+report builders it calls live in :mod:`limitlab.runs`.
 
 Exit codes: 0 on success, 2 for usage/parameter problems, 3 when the requested
 mathematics fails (domain violations, unconverged estimates, singular
@@ -22,26 +24,20 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import config, serialize
+from . import config, runs, serialize
 from .catalog import default_seeds, exact_immersion, get_system
-from .dynamics import DomainRegion, _grid_nodes, iterate, write_trajectory_csv
+from .dynamics import DomainRegion, iterate, write_trajectory_csv
 from .errors import (CatalogGuardError, DomainError, IllConditionedError,
                      InvalidParamError, MissingArtifactError,
                      NoExactImmersionError, NoInverseError, NotStableError,
                      SingularGramError, UnconvergedError, UnknownSystemError)
-from .immersion import (collapse_report, conjugacy_residual, injectivity_probe,
-                        omega_alpha_consistency, pushforward_check)
 from .lifting import build_dictionary, fit_lift, obstruction_sweep
 from .limits import (BasinConfig, EstimatorConfig, _check_tol_cluster,
-                     _check_witness, basin_closedness_witness,
-                     catalog_from_seeds, catalog_to_dict, compute_basins,
-                     write_basin_csv)
-from .linear import (LinearSystem, spectral_split, spectral_split_to_dict,
-                     stability_bound)
+                     _check_witness, catalog_from_seeds, catalog_to_dict)
 
 _USAGE_ERRORS = (UnknownSystemError, InvalidParamError)
 _MATH_ERRORS = (DomainError, UnconvergedError, SingularGramError,
@@ -49,8 +45,6 @@ _MATH_ERRORS = (DomainError, UnconvergedError, SingularGramError,
                 IllConditionedError, NoInverseError, MissingArtifactError)
 
 _DEFAULT_BOX_HALF = 2.0
-_SURVEY_RANDOM = 512        # random draws added to a survey grid
-_VERIFY_TOL = 1e-8          # verify's default --tol, also the demo's
 
 
 # -- small parsing helpers -----------------------------------------------------
@@ -104,8 +98,6 @@ def _parse_points(flag: str, spec: str, dim: int) -> list[np.ndarray]:
             raise InvalidParamError(
                 f"{flag} point {part!r} has {len(nums)} coordinate(s), expected {dim}")
         points.append(np.asarray(nums, dtype=float))
-    if not points:
-        raise InvalidParamError("no points parsed")
     return points
 
 
@@ -135,10 +127,18 @@ def _finite(flag: str, value: float, nonnegative: bool = True) -> float:
 
 
 def _seed_of(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("LIMITLAB_SEED")
-    return int(env) if env else config.DEFAULT_SEED
+    """``--seed``, else ``$LIMITLAB_SEED``, else the default seed. A negative
+    or non-integer value is a usage error that names where it came from."""
+    source, raw = "--seed", args.seed
+    if raw is None:
+        source, raw = "LIMITLAB_SEED", os.environ.get("LIMITLAB_SEED") or config.DEFAULT_SEED
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise InvalidParamError(f"{source} must be an integer >= 0, got {raw!r}")
+    return seed
 
 
 # The --set names each part of a run reads; a subcommand accepts exactly the
@@ -148,16 +148,7 @@ _BASIN = ("basin_burn", "basin_window", "escape_radius")
 _WITNESS = ("witness_depth", "witness_max_pairs")
 
 
-class _Settings(NamedTuple):
-    """What a run passes on to the library, one field per reader."""
-
-    estimator: EstimatorConfig      # also holds simulate's r_div
-    tol_cluster: float
-    basin: BasinConfig
-    witness: dict                   # basin_closedness_witness's depth and max_pairs
-
-
-def _settings(args, names) -> _Settings:
+def _settings(args, names) -> runs.Settings:
     """The settings of a run: the ``config.DEFAULTS`` values, with the
     ``--set`` ones for ``names`` as their default's type. Any other ``--set``
     name, a value the type does not hold exactly (``burn=2.5``,
@@ -175,7 +166,7 @@ def _settings(args, names) -> _Settings:
         sets[name] = kind(value)
     _check_tol_cluster(sets["tol_cluster"])
     _check_witness(sets["witness_depth"], sets["witness_max_pairs"])
-    return _Settings(
+    return runs.Settings(
         estimator=EstimatorConfig(**{name: sets[name] for name in _ESTIMATOR}),
         tol_cluster=sets["tol_cluster"],
         basin=BasinConfig(burn=sets["basin_burn"], window=sets["basin_window"],
@@ -195,7 +186,7 @@ def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
     return region, [[-_DEFAULT_BOX_HALF, _DEFAULT_BOX_HALF]] * system.dim
 
 
-def _catalog(args, system, sets: _Settings, region=None, box=None):
+def _catalog(args, system, sets: runs.Settings, region=None, box=None):
     """The catalog a run works against, from ``--auto-seeds`` points drawn in
     the region (``sweep`` only), the ``--seeds`` list, or the system's default
     seeds. Returns ``(catalog, skipped)`` as :func:`catalog_from_seeds` does."""
@@ -244,70 +235,6 @@ def _leading_eigenvalues(pairs) -> str:
 def _ratio(v) -> str:
     """A separation ratio, or ``n/a`` when no sample pair was separated."""
     return "n/a" if v is None else f"{v:.3e}"
-
-
-# -- report builders shared by the subcommands and the demo ----------------------
-
-def _basin_summary(system, basins, witnesses) -> dict:
-    labels, counts = np.unique(basins.codes, return_counts=True)
-    return {
-        "schema_version": 1, "kind": "basin-summary", "system": system.name,
-        "resolution": [int(r) for r in basins.resolution],
-        "counts": {basins.label_of_code(int(c)): int(n) for c, n in zip(labels, counts)},
-        "params": basins.params,
-        "witnesses": [{
-            "boundary_label": w.sequence_label, "limit_label": w.limit_label,
-            "limit_point": [float(v) for v in w.limit_point],
-        } for w in witnesses],
-    }
-
-
-def _verify_report(system, F, status: str, seed: int, conj, push, inj) -> dict:
-    return {
-        "schema_version": 1, "kind": "verify-report", "system": system.name,
-        "immersion": F.name, "status": status, "seed": seed,
-        "conjugacy": conj.to_dict(),
-        "pushforward": push.to_dict() if push else None,
-        "injectivity": inj.to_dict(),
-    }
-
-
-# -- steps shared by the subcommands and the demo --------------------------------
-
-def _survey_samples(region: DomainRegion, seed: int) -> np.ndarray:
-    per_axis = 129 if region.dim == 1 else 17
-    grid = _grid_nodes(region.grid(per_axis))
-    grid = grid[region.contains_batch(grid)]
-    rng = np.random.default_rng(seed)
-    rand = region.sample(_SURVEY_RANDOM, rng)
-    return np.vstack([grid, rand])
-
-
-def _basins_step(system, catalog, region, resolution: int, threads: int,
-                 sets: _Settings, out: Path, stem: str):
-    """Label the grid, search it for closedness witnesses, and write
-    ``stem.csv`` and ``stem.json``. Returns the summary and the witnesses."""
-    basins = compute_basins(system, catalog, region=region, resolution=resolution,
-                            cfg=sets.basin, threads=threads)
-    witnesses = basin_closedness_witness(system, basins, sets.estimator, **sets.witness)
-    write_basin_csv(basins, out / f"{stem}.csv")
-    summary = _basin_summary(system, basins, witnesses)
-    serialize.dump(summary, out / f"{stem}.json")
-    return summary, witnesses
-
-
-def _verify_step(system, pair, samples, xi, seed: int, cfg: EstimatorConfig,
-                 tol: float, path: Path):
-    """Check the chart ``pair`` on ``samples`` (and its limit-set pushforward
-    from ``xi`` unless that is None) and write the verify report to ``path``.
-    Returns the status and the three check results."""
-    F, target = pair.immersion, pair.target
-    conj = conjugacy_residual(F, system, target, samples)
-    push = None if xi is None else pushforward_check(F, system, target, xi, cfg)
-    inj = injectivity_probe(F, samples)
-    status = "ok" if conj.max_residual <= tol and inj.n_collisions == 0 else "failed"
-    serialize.dump(_verify_report(system, F, status, seed, conj, push, inj), path)
-    return status, conj, push, inj
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -370,8 +297,8 @@ def cmd_basins(args) -> int:
 
     catalog, skipped = _catalog(args, system, sets)
     out = _out_dir(args)
-    summary, witnesses = _basins_step(system, catalog, region, args.resolution,
-                                      args.threads, sets, out, "basins")
+    summary, witnesses = runs.basins_step(system, catalog, region, args.resolution,
+                                          args.threads, sets, out, "basins")
 
     print(_table(["label", "nodes"], sorted(summary["counts"].items())))
     for w in witnesses:
@@ -398,7 +325,7 @@ def cmd_verify(args) -> int:
     region, box = _region(args, system)
     if box is not None:
         region = DomainRegion.box(box)
-    samples = _survey_samples(region, seed)
+    samples = runs.survey_samples(region, seed)
     if args.domain is not None:
         # the user is claiming the immersion works on this whole region —
         # every grid node must be usable, endpoints included
@@ -426,8 +353,8 @@ def cmd_verify(args) -> int:
                 xi = cand
                 break
     path = _out_dir(args) / "verify.json"
-    status, conj, push, inj = _verify_step(system, pair, samples, xi, seed,
-                                           sets.estimator, args.tol, path)
+    report, conj, push, inj = runs.verify_step(system, pair, samples, xi, seed,
+                                               sets.estimator, args.tol, path)
 
     print(f"immersion {F.name} -> {target.name}")
     print(f"conjugacy: max residual {conj.max_residual:.3e} over "
@@ -439,9 +366,9 @@ def cmd_verify(args) -> int:
                  if push.hausdorff_alpha is not None else ""))
     print(f"injectivity: {inj.n_collisions} collision(s) over "
           f"{inj.pairs_checked} pairs; worst separation ratio {_ratio(inj.min_separation_ratio)}")
-    print(f"status: {status}")
+    print(f"status: {report['status']}")
     print(f"wrote {path}")
-    if status != "ok":
+    if report["status"] != "ok":
         _emit_error("verification-failed",
                     f"max residual {conj.max_residual!r} exceeds tol {args.tol!r} "
                     f"or collisions found", system=args.system)
@@ -463,17 +390,9 @@ def cmd_learn(args) -> int:
                     seed=seed, box=box)
 
     out = _out_dir(args)
+    lift_doc = runs.learned_lift(system, dictionary, lift)
     fit_path = out / "fit.json"
-    serialize.dump(lift.report.to_dict(), fit_path)
-    K = lift.K
-    lift_doc = {
-        "schema_version": 1, "kind": "learned-lift", "system": system.name,
-        "dict_kind": dictionary.kind, "labels": list(dictionary.labels),
-        "K": {"shape": [int(K.shape[0]), int(K.shape[1])],
-              "data_colmajor": [float(v) for v in K.flatten(order="F")]},
-        "eigenvalues": [[float(ev.real), float(ev.imag)] for ev in lift.eigenvalues],
-        "fit": lift.report.to_dict(),
-    }
+    serialize.dump(lift_doc["fit"], fit_path)
     lift_path = out / "lift.json"
     serialize.dump(lift_doc, lift_path)
 
@@ -525,154 +444,30 @@ def cmd_sweep(args) -> int:
     csv_path = out / "sweep.csv"
     report.write_csv(csv_path)
     json_path = out / "sweep.json"
-    serialize.dump(report.to_dict(), json_path)
+    data = report.to_dict()
+    serialize.dump(data, json_path)
 
-    _render_sweep(report.to_dict())
+    _render_sweep(data)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return 0
 
 
-# -- demo -------------------------------------------------------------------------
-
-def _demo_catalog(name: str, sets: _Settings):
-    system = get_system(name)
-    catalog, _ = catalog_from_seeds(system, default_seeds(name), sets.estimator,
-                                    sets.tol_cluster)
-    return system, catalog
-
-
-def _demo_mobius(out: Path, seed: int, threads: int, sets: _Settings, f,
-                 catalog) -> dict:
-    serialize.dump(catalog_to_dict(catalog), out / "mobius-catalog.json")
-
-    region = DomainRegion.interval(-2.0, 2.0)
-    _, witnesses = _basins_step(f, catalog, region, 401, threads, sets, out,
-                                "mobius-basins")
-    status, conj, push, _ = _verify_step(
-        f, exact_immersion("mobius"), _survey_samples(region, seed), [0.0], seed,
-        sets.estimator, _VERIFY_TOL, out / "mobius-verify.json")
-
-    return {
-        "name": "rational-fixed-points", "status": status,
-        "metrics": {
-            "members": len(catalog), "witnesses": len(witnesses),
-            "max_residual": conj.max_residual,
-            "hausdorff_omega": push.hausdorff_omega,
-            "alpha_status": push.alpha_status,
-        },
-    }
-
-
-def _demo_cot(out: Path, seed: int, sets: _Settings) -> dict:
-    f = get_system("cot-map")
-    status, conj, push, _ = _verify_step(
-        f, exact_immersion("cot-map"), _survey_samples(f.domain, seed), [1.0], seed,
-        sets.estimator, _VERIFY_TOL, out / "cot-verify.json")
-    consistency = omega_alpha_consistency(f, [2.0], sets.estimator)
-    serialize.dump(consistency.to_dict(), out / "cot-consistency.json")
-    return {
-        "name": "half-angle-conjugacy", "status": status,
-        "metrics": {
-            "max_residual": conj.max_residual,
-            "hausdorff_omega": push.hausdorff_omega,
-            "forward_backward_consistent": consistency.consistent,
-            "consistency_detail": consistency.detail,
-        },
-    }
-
-
-def _demo_rotation(out: Path, seed: int, sets: _Settings) -> dict:
-    f, catalog = _demo_catalog("rotation-scaling", sets)
-    serialize.dump(catalog_to_dict(catalog), out / "rotation-catalog.json")
-
-    pair = exact_immersion("rotation-scaling")
-    collapse_error = None
-    try:
-        collapse_report(pair.immersion, catalog, seed=seed)
-    except DomainError as exc:
-        # expected: the fixed point at the origin is outside the immersion's
-        # domain, so its limit set cannot even be carried over
-        collapse_error = {"reason": exc.reason,
-                          "point": [float(v) for v in np.atleast_1d(exc.point)]}
-
-    push = pushforward_check(pair.immersion, f, pair.target, [2.0, 0.0], sets.estimator)
-
-    A = np.zeros((3, 3))
-    c, s = math.cos(1.0), math.sin(1.0)
-    A[:2, :2] = [[c, s], [-s, c]]
-    A[2, 2] = 0.5
-    target = LinearSystem(A, name="rotation-block")
-    split = spectral_split(target)
-    serialize.dump(spectral_split_to_dict(split), out / "rotation-spectral.json")
-    basis = np.hstack([split.stable_basis, split.unit_basis])
-    bound = stability_bound(target, basis)
-
-    serialize.dump(push.to_dict() | {"collapse_error": collapse_error},
-                   out / "rotation-pushforward.json")
-
-    status = "ok" if collapse_error else "unexpected"
-    return {
-        "name": "circle-collapse-obstruction", "status": status,
-        "metrics": {
-            "members": len(catalog),
-            "collapse_domain_failure": collapse_error,
-            "one_sided_omega": push.one_sided_omega,
-            "alpha_status": push.alpha_status,
-            "spectral_dims": list(split.dims),
-            "stability_bound": bound,
-        },
-    }
-
-
-def _demo_sweep(out: Path, seed: int, f, catalog) -> dict:
-    region = DomainRegion.interval(-1.2, 1.2)
-    specs = [("monomial", 1), ("monomial", 2), ("monomial", 4),
-             ("fourier", 2), ("rational-pole", 1)]
-    report = obstruction_sweep(f, catalog, specs, ridges=(0.0,), region=region,
-                               seed=seed)
-    report.write_csv(out / "mobius-sweep.csv")
-    serialize.dump(report.to_dict(), out / "mobius-sweep.json")
-
-    lift = fit_lift(f, build_dictionary("rational-pole", 1, 1), region=region,
-                    seed=seed)
-    ok_rows = [r for r in report.rows if r.residual_heldout is not None]
-    best = min(ok_rows, key=lambda r: r.residual_heldout)
-    return {
-        "name": "dictionary-tradeoff", "status": "ok",
-        "metrics": {
-            "rows": len(report.rows),
-            "best_dict": best.dict_kind,
-            "best_residual": best.residual_heldout,
-            "rational_pole_eigenvalues": [
-                [float(e.real), float(e.imag)] for e in lift.eigenvalues],
-        },
-    }
-
-
 def cmd_demo(args) -> int:
     _at_least(1, args, "threads")
     sets = _settings(args, _ESTIMATOR + _WITNESS)
-    out = _out_dir(args)
     seed = _seed_of(args)
+    out = _out_dir(args)
     examples = []
-    mobius = _demo_catalog("mobius", sets)      # the first and last examples share it
-    steps = [
-        lambda: _demo_mobius(out, seed, args.threads, sets, *mobius),
-        lambda: _demo_cot(out, seed, sets),
-        lambda: _demo_rotation(out, seed, sets),
-        lambda: _demo_sweep(out, seed, *mobius),
-    ]
+    steps = runs.demo_examples(out, seed, args.threads, sets)
     for i, step in enumerate(steps, 1):
         result = step()
         examples.append(result)
         keys = ", ".join(f"{k}={_fmt(v)}" for k, v in result["metrics"].items()
                          if not isinstance(v, (list, dict)))
         print(f"[{i}/{len(steps)}] {result['name']}: {result['status']} ({keys})")
-    summary = {"schema_version": 1, "kind": "demo-summary", "seed": seed,
-               "examples": examples}
     path = out / "demo-summary.json"
-    serialize.dump(summary, path)
+    serialize.dump(runs.demo_summary(seed, examples), path)
     print(f"wrote {path}")
     return 0
 
@@ -886,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", type=int, default=0,
                    help="which catalogued immersion to check")
     p.add_argument("--x0", help="state for the limit-set pushforward check")
-    p.add_argument("--tol", type=float, default=_VERIFY_TOL,
+    p.add_argument("--tol", type=float, default=config.VERIFY_TOL,
                    help="max conjugacy residual to count as ok")
     p.set_defaults(func=cmd_verify)
 

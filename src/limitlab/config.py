@@ -3,10 +3,11 @@
 Every tolerance or guard used by the library is named here once.
 :data:`DEFAULTS` lists the ones the CLI's ``--set name=value`` can override.
 ``cli._settings`` is the one place a ``--set`` value becomes library input:
-it puts the values a subcommand accepts over these defaults and builds what
-the library reads from them, the ``EstimatorConfig``, the ``BasinConfig``,
-the witness search's ``depth`` and ``max_pairs``, and ``tol_cluster``. Each
-value passes its reader's own check there, before any work starts.
+it puts the values a subcommand accepts over these defaults and builds the
+``runs.Settings`` the run steps read: the ``EstimatorConfig``, the
+``BasinConfig``, the witness search's ``depth`` and ``max_pairs``, and
+``tol_cluster``. Each value passes its reader's own check there, before any
+work starts. :data:`VERIFY_TOL` is ``verify --tol``'s default and the demo's.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ TOL_RANK = 1e-8           # relative rank/residual tolerance (scaled by ||A||)
 # Immersion diagnostics.
 DELTA_SEP = 1e-3          # pairs farther apart than this are injectivity-relevant
 DELTA_IMG = 1e-6          # ... and collide when their images are closer than this
+VERIFY_TOL = 1e-8         # largest conjugacy residual a verify report calls ok
 
 # Dictionary lifting.
 GRID_SAMPLES = 512

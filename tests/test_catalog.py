@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from limitlab import (DomainRegion, catalog_from_seeds, conjugacy_residual,
                       default_seeds, estimate_omega, exact_immersion,
                       exact_immersions, get_system, list_systems, manifest)
-from limitlab.errors import (InvalidParamError, NoExactImmersionError,
-                             UnknownSystemError)
+from limitlab.errors import InvalidParamError, UnknownSystemError
 from limitlab.serialize import validate
 
 ALL_NAMES = ["cot-map", "jordan", "mobius", "mobius-inverse", "negation",
@@ -42,9 +41,7 @@ def test_listing_is_complete_and_sorted():
     assert [r["name"] for r in rows] == ALL_NAMES
     assert all(set(r) == {"name", "dim", "summary", "params",
                           "has_exact_immersion"} for r in rows)
-    flags = {r["name"]: r["has_exact_immersion"] for r in rows}
-    assert flags["negation"] is False
-    assert all(flags[n] for n in ALL_NAMES if n != "negation")
+    assert all(r["has_exact_immersion"] is True for r in rows)
 
 
 def test_unknown_system_raises():
@@ -81,9 +78,14 @@ def test_immersion_variant_counts():
         exact_immersion("cot-map", 1)
 
 
-def test_negation_has_no_exact_immersion():
-    with pytest.raises(NoExactImmersionError):
-        exact_immersions("negation")
+def test_negation_identity_chart_has_zero_residual():
+    # x -> -x is itself linear, so the identity is an exact chart
+    pair = exact_immersion("negation")
+    f = get_system("negation")
+    samples = DomainRegion.interval(-2.0, 2.0).sample(1000, np.random.default_rng(0))
+    rep = conjugacy_residual(pair.immersion, f, pair.target, samples)
+    assert pair.immersion.name == "identity"
+    assert rep.max_residual == 0.0 and rep.samples_used == 1000
 
 
 def test_manifest_lists_every_system():

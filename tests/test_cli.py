@@ -290,7 +290,10 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag, valu
     ("sweep", "--auto-seeds", "-3", "--auto-seeds must be >= 0, got -3"),
     ("basins", "--domain", "-1,abc", "--domain: 'abc' is not a number"),
     ("limits", "--seeds", "0.5,abc", "--seeds: 'abc' is not a number"),
-    ("simulate", "--x0", "abc", "--x0: 'abc' is not a number")])
+    ("simulate", "--x0", "abc", "--x0: 'abc' is not a number"),
+    ("verify", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
+    ("learn", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
+    ("sweep", "--seed", "-3", "--seed must be an integer >= 0, got -3")])
 def test_numbers_out_of_range_are_usage_errors(tmp_path, capsys, command, flag, value,
                                                message):
     out_dir = tmp_path / "out"
@@ -421,6 +424,30 @@ def test_seed_falls_back_to_environment(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path / "flag"))
     assert code == 0
     assert read_json(tmp_path / "flag" / "verify.json")["seed"] == 9
+
+
+def test_demo_refuses_a_negative_seed_before_any_file(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "demo", "--seed=-3", "--out", str(out_dir))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert payload["message"] == "--seed must be an integer >= 0, got -3"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_a_bad_environment_seed_is_a_usage_error_before_any_file(tmp_path, capsys,
+                                                                 monkeypatch, value):
+    monkeypatch.setenv("LIMITLAB_SEED", value)
+    for argv in (["demo"], ["verify", "--system", "cot-map"]):
+        out_dir = tmp_path / argv[0]
+        code, _, err = run(capsys, *argv, "--out", str(out_dir))
+        assert code == 2
+        payload = stderr_payload(err)
+        assert payload["error"] == "usage"
+        assert payload["message"] == f"LIMITLAB_SEED must be an integer >= 0, got {value!r}"
+        assert not out_dir.exists()
 
 
 def test_set_overrides_reach_the_estimator(tmp_path, capsys):
@@ -611,21 +638,24 @@ def test_demo_produces_the_full_artifact_set(tmp_path, capsys):
         "rotation-spectral.json",
     ]
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for path in tmp_path.glob("*.json"):
+        doc = read_json(path)
+        validate(doc, doc["kind"])
     summary = read_json(tmp_path / "demo-summary.json")
-    validate(summary, "demo-summary")
     assert [ex["status"] for ex in summary["examples"]] == ["ok"] * 4
     assert out.count("[") == 4 and "wrote" in out
 
 
 def test_demo_builds_each_catalog_once(tmp_path, capsys, monkeypatch):
-    # the mobius catalog serves both the basin and the sweep example
-    from limitlab import cli
-    built, real = [], cli.catalog_from_seeds
+    # the mobius catalog serves both the basin and the sweep example; the demo
+    # looks the builder up in limits
+    from limitlab import limits
+    built, real = [], limits.catalog_from_seeds
 
     def count(system, *args, **kwargs):
         built.append(system.name)
         return real(system, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "catalog_from_seeds", count)
+    monkeypatch.setattr(limits, "catalog_from_seeds", count)
     code, _, _ = run(capsys, "demo", "--seed", "42", "--out", str(tmp_path))
     assert code == 0 and sorted(built) == ["mobius", "rotation-scaling(theta=1)"]
