@@ -31,18 +31,13 @@ import numpy as np
 from . import config, runs, serialize
 from .catalog import default_seeds, exact_immersion, get_system
 from .dynamics import DomainRegion, iterate, write_trajectory_csv
-from .errors import (CatalogGuardError, DomainError, IllConditionedError,
-                     InvalidParamError, MissingArtifactError,
-                     NoExactImmersionError, NoInverseError, NotStableError,
-                     SingularGramError, UnconvergedError, UnknownSystemError)
+from .errors import (DomainError, InvalidParamError, LimitLabError,
+                     MissingArtifactError, UnknownSystemError)
 from .lifting import build_dictionary, fit_lift, obstruction_sweep
 from .limits import (BasinConfig, EstimatorConfig, _check_tol_cluster,
                      _check_witness, catalog_from_seeds, catalog_to_dict)
 
 _USAGE_ERRORS = (UnknownSystemError, InvalidParamError)
-_MATH_ERRORS = (DomainError, UnconvergedError, SingularGramError,
-                NotStableError, NoExactImmersionError, CatalogGuardError,
-                IllConditionedError, NoInverseError, MissingArtifactError)
 
 _DEFAULT_BOX_HALF = 2.0
 
@@ -126,19 +121,26 @@ def _finite(flag: str, value: float, nonnegative: bool = True) -> float:
     return value
 
 
-def _seed_of(args) -> int:
-    """``--seed``, else ``$LIMITLAB_SEED``, else the default seed. A negative
-    or non-integer value is a usage error that names where it came from."""
-    source, raw = "--seed", args.seed
-    if raw is None:
-        source, raw = "LIMITLAB_SEED", os.environ.get("LIMITLAB_SEED") or config.DEFAULT_SEED
+def _seed(value, source: str) -> int:
+    """``value``, read from ``source``, as a seed: an integer at least 0.
+    Anything else is a usage error that names the source."""
     try:
-        seed = int(raw)
+        seed = int(value)
     except ValueError:
         seed = -1
     if seed < 0:
-        raise InvalidParamError(f"{source} must be an integer >= 0, got {raw!r}")
+        raise InvalidParamError(f"{source} must be an integer >= 0, got {value!r}")
     return seed
+
+
+def _seed_option(raw: str) -> int:
+    """The type of ``--seed``: :func:`_seed`, showing a value that reads as
+    an integer as that integer."""
+    try:
+        raw = int(raw)
+    except ValueError:
+        pass
+    return _seed(raw, "--seed")
 
 
 # The --set names each part of a run reads; a subcommand accepts exactly the
@@ -191,7 +193,7 @@ def _catalog(args, system, sets: runs.Settings, region=None, box=None):
     the region (``sweep`` only), the ``--seeds`` list, or the system's default
     seeds. Returns ``(catalog, skipped)`` as :func:`catalog_from_seeds` does."""
     if getattr(args, "auto_seeds", 0):
-        rng = np.random.default_rng(_seed_of(args))
+        rng = np.random.default_rng(args.seed)
         seeds = list(region.sample(args.auto_seeds, rng, box=box))
     elif args.seeds is not None:
         seeds = _parse_points("--seeds", args.seeds, system.dim)
@@ -319,13 +321,12 @@ def cmd_verify(args) -> int:
     system = get_system(args.system, **params)
     pair = exact_immersion(args.system, variant=args.variant, **params)
     F, target = pair.immersion, pair.target
-    seed = _seed_of(args)
     sets = _settings(args, _ESTIMATOR)
 
     region, box = _region(args, system)
     if box is not None:
         region = DomainRegion.box(box)
-    samples = runs.survey_samples(region, seed)
+    samples = runs.survey_samples(region, args.seed)
     if args.domain is not None:
         # the user is claiming the immersion works on this whole region —
         # every grid node must be usable, endpoints included
@@ -353,7 +354,7 @@ def cmd_verify(args) -> int:
                 xi = cand
                 break
     path = _out_dir(args) / "verify.json"
-    report, conj, push, inj = runs.verify_step(system, pair, samples, xi, seed,
+    report, conj, push, inj = runs.verify_step(system, pair, samples, xi, args.seed,
                                                sets.estimator, args.tol, path)
 
     print(f"immersion {F.name} -> {target.name}")
@@ -381,13 +382,12 @@ def cmd_learn(args) -> int:
     _finite("--pole", args.pole, nonnegative=False)
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
-    seed = _seed_of(args)
     _settings(args, ())         # a lift fit reads no --set name
     region, box = _region(args, system)
 
     dictionary = build_dictionary(args.dict, system.dim, args.order, pole=args.pole)
     lift = fit_lift(system, dictionary, region=region, ridge=args.ridge,
-                    seed=seed, box=box)
+                    seed=args.seed, box=box)
 
     out = _out_dir(args)
     lift_doc = runs.learned_lift(system, dictionary, lift)
@@ -426,7 +426,6 @@ def cmd_sweep(args) -> int:
               if args.ridges is not None else [0.0])
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
-    seed = _seed_of(args)
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",))
     region, box = _region(args, system)
     if args.dicts is not None:
@@ -439,7 +438,7 @@ def cmd_sweep(args) -> int:
     catalog, _skipped = _catalog(args, system, sets, region, box)
 
     report = obstruction_sweep(system, catalog, specs, ridges=ridges,
-                               region=region, seed=seed, pole=args.pole, box=box)
+                               region=region, seed=args.seed, pole=args.pole, box=box)
     out = _out_dir(args)
     csv_path = out / "sweep.csv"
     report.write_csv(csv_path)
@@ -456,10 +455,9 @@ def cmd_sweep(args) -> int:
 def cmd_demo(args) -> int:
     _at_least(1, args, "threads")
     sets = _settings(args, _ESTIMATOR + _WITNESS)
-    seed = _seed_of(args)
     out = _out_dir(args)
     examples = []
-    steps = runs.demo_examples(out, seed, args.threads, sets)
+    steps = runs.demo_examples(out, args.seed, args.threads, sets)
     for i, step in enumerate(steps, 1):
         result = step()
         examples.append(result)
@@ -467,7 +465,7 @@ def cmd_demo(args) -> int:
                          if not isinstance(v, (list, dict)))
         print(f"[{i}/{len(steps)}] {result['name']}: {result['status']} ({keys})")
     path = out / "demo-summary.json"
-    serialize.dump(runs.demo_summary(seed, examples), path)
+    serialize.dump(runs.demo_summary(args.seed, examples), path)
     print(f"wrote {path}")
     return 0
 
@@ -640,14 +638,23 @@ def _add_common(p, system: bool = True) -> None:
                        help="restrict/select the working region (use --domain=-1,1 "
                             "for negative bounds)")
     p.add_argument("--out", default=".", help="directory for written artifacts")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed_option, default=None,
                    help="random seed (default: $LIMITLAB_SEED or 42)")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="override a tolerance/iteration setting (repeatable)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (a malformed value, a missing or
+    unknown option) raise :class:`InvalidParamError`, so that ``main``
+    reports them as every other usage error."""
+
+    def error(self, message):
+        raise InvalidParamError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="limitlab",
         description="limit sets, basins, and linear-representation diagnostics "
                     "for discrete-time systems")
@@ -720,9 +727,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = _seed(os.environ.get("LIMITLAB_SEED") or config.DEFAULT_SEED,
+                              "LIMITLAB_SEED")
         return args.func(args)
     except _USAGE_ERRORS as exc:
         _emit_error("usage", str(exc))
@@ -731,7 +740,7 @@ def main(argv=None) -> int:
         _emit_error("domain-error", str(exc), reason=exc.reason,
                     point=[float(v) for v in np.atleast_1d(exc.point)])
         return 3
-    except _MATH_ERRORS as exc:
+    except LimitLabError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 3
     except ValueError as exc:

@@ -3,11 +3,10 @@
 Inputs are ``(m, d)`` float arrays, or clouds prepared once with
 :func:`_prepare` (below). Nearest-neighbour distances to a cloud (Hausdorff
 distances, the sampling gap) come from a KD tree on its distinct rows or from
-brute-force ``cdist`` blocks of ``_CHUNK`` rows; :func:`_by_tree` picks the
-path (see below). When neither cloud of a Hausdorff pair takes the tree, one
-``cdist`` block per chunk gives both directions: its row minima and its
-running column minima. ``cdist(a, b)`` is ``cdist(b, a)`` transposed to the
-bit, for the reason given next.
+brute-force ``cdist`` blocks of ``_CHUNK`` rows, all in one loop
+(:func:`_nearest_max`); :func:`_by_tree` picks the path (see below). The
+symmetric Hausdorff distance is the larger of its two directed distances,
+each computed on its own.
 
 Distances *within* one cloud (the diameter here, the injectivity probe in
 ``immersion``) walk its unordered pairs ``(r, c)``, ``r < c``, once each, in
@@ -299,35 +298,37 @@ def _pair(a, b) -> tuple[_Cloud, _Cloud]:
     return a, b
 
 
+def _nearest_max(q: np.ndarray, c: _Cloud, skip: np.ndarray | None = None) -> float:
+    """The largest distance from a row of ``q`` to its nearest distinct point
+    of ``c``, by ``c``'s KD tree or by ``cdist`` blocks as :func:`_by_tree`
+    picks. ``skip``, when given, holds for each row of ``q`` the index of that
+    row among ``c``'s distinct rows: the row is not its own nearest point."""
+    if _by_tree(c):
+        if skip is None:
+            d, _ = c.tree.query(q, k=1)
+            return float(np.max(d))
+        # the nearest hit is the row itself, the second its neighbour
+        d, _ = c.tree.query(q, k=2)
+        return float(np.max(d[:, 1]))
+    worst = 0.0
+    for i in range(0, len(q), _CHUNK):
+        block = cdist(q[i : i + _CHUNK], c.distinct)
+        if skip is not None:
+            block[np.arange(len(block)), skip[i : i + _CHUNK]] = np.inf
+        worst = max(worst, float(block.min(axis=1).max()))
+    return worst
+
+
 def directed_hausdorff(a, b) -> float:
     """sup over points of `a` of the distance to the nearest point of `b`."""
     a, b = _pair(a, b)
-    if _by_tree(b):
-        d, _ = b.tree.query(a.distinct, k=1)
-        return float(np.max(d))
-    a, b = a.distinct, b.distinct
-    worst = 0.0
-    for i in range(0, len(a), _CHUNK):
-        block = cdist(a[i : i + _CHUNK], b)
-        worst = max(worst, float(block.min(axis=1).max()))
-    return worst
+    return _nearest_max(a.distinct, b)
 
 
 def hausdorff(a, b) -> float:
     """Symmetric Hausdorff distance between two point clouds."""
     a, b = _pair(a, b)
-    if _by_tree(a) or _by_tree(b):
-        return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
-    # both directions from one block per chunk: row minima give a -> b, the
-    # running column minima b -> a
-    u, v = a.distinct, b.distinct
-    worst = 0.0
-    cols = np.full(len(v), np.inf)
-    for i in range(0, len(u), _CHUNK):
-        block = cdist(u[i : i + _CHUNK], v)
-        worst = max(worst, float(block.min(axis=1).max()))
-        np.minimum(cols, block.min(axis=0), out=cols)
-    return max(worst, float(cols.max()))
+    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 def diameter(points) -> float:
@@ -359,22 +360,10 @@ def sampling_gap(points) -> float:
 
 
 def _sampling_gap(p: _Cloud) -> float:
-    count = p.counts
-    u = p.distinct
-    alone = np.flatnonzero(count == 1)
-    if alone.size == 0 or len(u) == 1:
+    alone = np.flatnonzero(p.counts == 1)
+    if alone.size == 0 or len(p.distinct) == 1:
         return 0.0
-    if _by_tree(p):
-        # the nearest hit is the singleton itself, the second its neighbour
-        d, _ = p.tree.query(u[alone], k=2)
-        return float(np.max(d[:, 1]))
-    gap = 0.0
-    for i in range(0, alone.size, _CHUNK):
-        rows = alone[i : i + _CHUNK]
-        block = cdist(u[rows], u)
-        block[np.arange(len(rows)), rows] = np.inf
-        gap = max(gap, float(block.min(axis=1).max()))
-    return gap
+    return _nearest_max(p.distinct[alone], p, skip=alone)
 
 
 def split_discrepancy(points) -> float:

@@ -418,8 +418,8 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
         try:
             dictionary = build_dictionary(kind, system.dim, order, pole=pole)
         except InvalidParamError as exc:
-            size = _spec_size(kind, system.dim, order)
-            rows.extend(TradeoffRow(kind, size, float(ridge), None, None, None,
+            # a spec build_dictionary refuses has no size: it reads -1
+            rows.extend(TradeoffRow(kind, -1, float(ridge), None, None, None,
                                     error=str(exc)) for ridge in ridges)
             continue
         F = _immersion(dictionary, region)
@@ -470,10 +470,3 @@ def _once(fn: Callable):
             raise error
         return value
     return call
-
-
-def _spec_size(kind: str, dim: int, order: int) -> int:
-    try:
-        return build_dictionary(kind, dim, order).size
-    except InvalidParamError:
-        return -1

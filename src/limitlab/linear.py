@@ -110,10 +110,6 @@ class EigenGroup:
     def real_dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def trivial(self) -> bool:
-        return self.geo == self.alg
-
 
 def _null_basis(M: np.ndarray, rel_tol: float) -> np.ndarray:
     """Orthonormal basis of the numerical null space of M."""

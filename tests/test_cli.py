@@ -25,6 +25,34 @@ def stderr_payload(err):
     return json.loads(lines[0])
 
 
+# a line the report renderer of each artifact kind writes
+_RENDERED = {
+    "limit-set-catalog": "label  shape",
+    "tradeoff-report": "min-sep",
+    "verify-report": "max residual",
+    "spectral-split": "subspace dims:",
+    "demo-summary": "rational-fixed-points: ok",
+    "basin-summary": "label  nodes",
+    "consistency-report": "consistent: ",
+    "pushforward-report": "one-sided",
+    "fit-report": "gram condition",
+    "learned-lift": "lift of mobius: eigenvalues",
+}
+
+
+def assert_report_renders_each_artifact(capsys, directory):
+    """``report --dir`` on ``directory`` draws every JSON artifact there in a
+    section of its own, by the renderer of its kind."""
+    code, out, err = run(capsys, "report", "--dir", str(directory))
+    assert code == 0 and err == ""
+    assert "(no renderer for kind" not in out
+    sections = dict(block.split(" ==\n", 1) for block in out.split("== ")[1:])
+    artifacts = sorted(directory.glob("*.json"))
+    assert artifacts
+    for path in artifacts:
+        assert _RENDERED[read_json(path)["kind"]] in sections[path.name]
+
+
 # -- happy paths ---------------------------------------------------------------
 
 def test_simulate_writes_trajectory(tmp_path, capsys):
@@ -182,6 +210,7 @@ def test_learn_recovers_the_rational_cascade(tmp_path, capsys):
     assert np.allclose(ev[:, 0], [1.0, 0.5, 0.25, 0.125], atol=1e-9)
     assert np.abs(ev[:, 1]).max() < 1e-12
     assert "leading eigenvalues" in out
+    assert_report_renders_each_artifact(capsys, tmp_path)
 
 
 def test_sweep_writes_both_artifacts(tmp_path, capsys):
@@ -293,12 +322,36 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag, valu
     ("simulate", "--x0", "abc", "--x0: 'abc' is not a number"),
     ("verify", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
     ("learn", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
-    ("sweep", "--seed", "-3", "--seed must be an integer >= 0, got -3")])
+    ("sweep", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
+    ("limits", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
+    ("basins", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
+    ("verify", "--seed", "1.5", "--seed must be an integer >= 0, got '1.5'"),
+    ("verify", "--tol", "x", "argument --tol: invalid float value: 'x'"),
+    ("basins", "--resolution", "x", "argument --resolution: invalid int value: 'x'")])
 def test_numbers_out_of_range_are_usage_errors(tmp_path, capsys, command, flag, value,
                                                message):
     out_dir = tmp_path / "out"
     code, _, err = run(capsys, command, "--system", "mobius", f"{flag}={value}",
                        "--out", str(out_dir))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert payload["message"] == message
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["demo", "--seed", "abc"], "--seed must be an integer >= 0, got 'abc'"),
+    (["simulate", "--system", "mobius", "--x0", "0.5", "--seed=-3"],
+     "--seed must be an integer >= 0, got -3"),
+    (["limits"], "the following arguments are required: --system"),
+    (["limits", "--system", "mobius", "--no-such-option"],
+     "unrecognized arguments: --no-such-option")])
+def test_parser_errors_are_usage_errors(tmp_path, capsys, argv, message):
+    # a value the parser rejects, a missing option and an unknown one are
+    # the same JSON usage error as every other, raised before any file
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out", str(out_dir))
     assert code == 2
     payload = stderr_payload(err)
     assert payload["error"] == "usage"
@@ -440,7 +493,8 @@ def test_demo_refuses_a_negative_seed_before_any_file(tmp_path, capsys):
 def test_a_bad_environment_seed_is_a_usage_error_before_any_file(tmp_path, capsys,
                                                                  monkeypatch, value):
     monkeypatch.setenv("LIMITLAB_SEED", value)
-    for argv in (["demo"], ["verify", "--system", "cot-map"]):
+    for argv in (["demo"], ["verify", "--system", "cot-map"], ["limits", "--system", "mobius"],
+                 ["simulate", "--system", "mobius", "--x0", "0.5"]):
         out_dir = tmp_path / argv[0]
         code, _, err = run(capsys, *argv, "--out", str(out_dir))
         assert code == 2
@@ -644,6 +698,7 @@ def test_demo_produces_the_full_artifact_set(tmp_path, capsys):
     summary = read_json(tmp_path / "demo-summary.json")
     assert [ex["status"] for ex in summary["examples"]] == ["ok"] * 4
     assert out.count("[") == 4 and "wrote" in out
+    assert_report_renders_each_artifact(capsys, tmp_path)
 
 
 def test_demo_builds_each_catalog_once(tmp_path, capsys, monkeypatch):
