@@ -35,7 +35,6 @@ class ExactImmersion:
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    dim: int
     summary: str
     defaults: dict = field(default_factory=dict)
     build: Callable[..., DiscreteMap] = None
@@ -152,7 +151,7 @@ def _rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _build_rotation_scaling(theta: float = 1.0) -> DiscreteMap:
+def _build_rotation_scaling(theta: float) -> DiscreteMap:
     if not (0.0 < theta < 2.0 * np.pi):
         raise InvalidParamError(f"theta must lie in (0, 2*pi), got {theta}")
     R = _rotation_matrix(theta)
@@ -191,7 +190,7 @@ def _build_rotation_scaling(theta: float = 1.0) -> DiscreteMap:
     )
 
 
-def _rotation_scaling_immersions(theta: float = 1.0) -> tuple[ExactImmersion, ...]:
+def _rotation_scaling_immersions(theta: float) -> tuple[ExactImmersion, ...]:
     R = _rotation_matrix(theta)
     A = np.zeros((3, 3))
     A[:2, :2] = R
@@ -227,13 +226,13 @@ def _build_negation() -> DiscreteMap:
     )
 
 
-def _build_scalar_linear(a: float = 0.5) -> DiscreteMap:
+def _build_scalar_linear(a: float) -> DiscreteMap:
     if not np.isfinite(a):
         raise InvalidParamError("a must be finite")
     return LinearSystem(np.array([[float(a)]]), name=f"scalar-linear(a={a:g})").as_map()
 
 
-def _build_jordan(lam: float = 1.0, m: int = 2) -> DiscreteMap:
+def _build_jordan(lam: float, m: int) -> DiscreteMap:
     if not np.isfinite(lam):
         raise InvalidParamError("lam must be finite")
     m = int(m)
@@ -260,55 +259,55 @@ def _register(entry: CatalogEntry) -> None:
 
 
 _register(CatalogEntry(
-    name="mobius", dim=1,
+    name="mobius",
     summary="rational map with an attracting and a repelling fixed point and a pole",
-    build=lambda: _build_mobius(),
-    immersions=lambda: _mobius_immersions(),
+    build=_build_mobius,
+    immersions=_mobius_immersions,
     seeds=(0.0, -0.5, 0.5, 2.0, 1.0),
 ))
 _register(CatalogEntry(
-    name="mobius-inverse", dim=1,
+    name="mobius-inverse",
     summary="time reversal of the rational map: the fixed points trade stability",
-    build=lambda: _build_mobius_inverse(),
-    immersions=lambda: _mobius_inverse_immersions(),
+    build=_build_mobius_inverse,
+    immersions=_mobius_inverse_immersions,
     seeds=(0.0, -0.5, 0.5, 2.0, -1.0),
 ))
 _register(CatalogEntry(
-    name="cot-map", dim=1,
+    name="cot-map",
     summary="half-angle cotangent map on [0, pi], conjugate to the rational map via cos",
-    build=lambda: _build_cot_map(),
-    immersions=lambda: _cot_immersions(),
+    build=_build_cot_map,
+    immersions=_cot_immersions,
     seeds=(1.0, 2.0, 0.5, 0.0, float(np.pi)),
 ))
 _register(CatalogEntry(
-    name="rotation-scaling", dim=2,
+    name="rotation-scaling",
     summary="planar rotation with radial pull toward the unit circle",
     defaults={"theta": 1.0},
-    build=lambda theta=1.0: _build_rotation_scaling(theta),
-    immersions=lambda theta=1.0: _rotation_scaling_immersions(theta),
+    build=_build_rotation_scaling,
+    immersions=_rotation_scaling_immersions,
     seeds=((2.0, 0.0), (0.5, 0.5), (-1.5, 0.25), (0.0, 0.0)),
 ))
 _register(CatalogEntry(
-    name="negation", dim=1,
+    name="negation",
     summary="sign flip: every nonzero point lies on its own period-2 orbit",
-    build=lambda: _build_negation(),
+    build=_build_negation,
     immersions=lambda: _identity_immersion(_build_negation()),
     seeds=(0.7, 1.3, 0.0, -0.4),
 ))
 _register(CatalogEntry(
-    name="scalar-linear", dim=1,
+    name="scalar-linear",
     summary="one-dimensional linear contraction/expansion x -> a*x",
     defaults={"a": 0.5},
-    build=lambda a=0.5: _build_scalar_linear(a),
-    immersions=lambda a=0.5: _identity_immersion(_build_scalar_linear(a)),
+    build=_build_scalar_linear,
+    immersions=lambda a: _identity_immersion(_build_scalar_linear(a)),
     seeds=(1.0, -2.0, 0.25),
 ))
 _register(CatalogEntry(
-    name="jordan", dim=2,    # with the default block size; m sets the dimension
+    name="jordan",
     summary="single Jordan block: polynomial transients on top of geometric rates",
     defaults={"lam": 1.0, "m": 2},
-    build=lambda lam=1.0, m=2: _build_jordan(lam, m),
-    immersions=lambda lam=1.0, m=2: _identity_immersion(_build_jordan(lam, m)),
+    build=_build_jordan,
+    immersions=lambda lam, m: _identity_immersion(_build_jordan(lam, m)),
     seeds=((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)),
 ))
 
@@ -320,7 +319,7 @@ def list_systems() -> list[dict]:
         e = _ENTRIES[name]
         out.append({
             "name": e.name,
-            "dim": e.dim,
+            "dim": e.build(**e.defaults).dim,
             "summary": e.summary,
             "params": dict(e.defaults),
             "has_exact_immersion": _has_immersion(e),

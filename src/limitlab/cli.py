@@ -34,8 +34,7 @@ from .dynamics import DomainRegion, iterate, write_trajectory_csv
 from .errors import (DomainError, InvalidParamError, LimitLabError,
                      MissingArtifactError, UnknownSystemError)
 from .lifting import build_dictionary, fit_lift, obstruction_sweep
-from .limits import (BasinConfig, EstimatorConfig, _check_tol_cluster,
-                     _check_witness, catalog_from_seeds, catalog_to_dict)
+from .limits import EstimatorConfig, catalog_from_seeds, catalog_to_dict
 
 _USAGE_ERRORS = (UnknownSystemError, InvalidParamError)
 
@@ -96,12 +95,14 @@ def _parse_points(flag: str, spec: str, dim: int) -> list[np.ndarray]:
     return points
 
 
-def _at_least(low: int, args, *flags) -> None:
-    """Reject a count option below ``low``, naming it."""
+def _at_least(low: int, args, *flags, at_most: float = math.inf) -> None:
+    """Reject a count option below ``low`` or above ``at_most``, naming it."""
     for flag in flags:
         value = getattr(args, flag.replace("-", "_"))
         if value < low:
             raise InvalidParamError(f"--{flag} must be >= {low}, got {value}")
+        if value > at_most:
+            raise InvalidParamError(f"--{flag} must be <= {at_most}, got {value}")
 
 
 def _number(flag: str, raw: str) -> float:
@@ -143,22 +144,20 @@ def _seed_option(raw: str) -> int:
     return _seed(raw, "--seed")
 
 
-# The --set names each part of a run reads; a subcommand accepts exactly the
-# names of the parts it runs.
+# The type of each --set setting, by name: the fields of runs.Settings.
+_SET_KINDS = {f.name: type(f.default) for f in dataclasses.fields(runs.Settings)}
 _ESTIMATOR = tuple(f.name for f in dataclasses.fields(EstimatorConfig))
-_BASIN = ("basin_burn", "basin_window", "escape_radius")
-_WITNESS = ("witness_depth", "witness_max_pairs")
 
 
 def _settings(args, names) -> runs.Settings:
-    """The settings of a run: the ``config.DEFAULTS`` values, with the
-    ``--set`` ones for ``names`` as their default's type. Any other ``--set``
+    """The settings of a run: the ``--set`` values for ``names`` as their
+    field's type, over the ``runs.Settings`` defaults. Any other ``--set``
     name, a value the type does not hold exactly (``burn=2.5``,
     ``tol_fp=nan``) and a value the code that reads it rejects are usage
     errors, raised here, before the run steps an orbit or writes a file."""
-    sets = dict(config.DEFAULTS)
-    for name, value in _parse_params(args.set, "--set", names).items():
-        kind = type(sets[name])
+    sets = _parse_params(args.set, "--set", names)
+    for name, value in sets.items():
+        kind = _SET_KINDS[name]
         try:
             exact = kind(value) == value
         except (ValueError, OverflowError):     # int(nan), int(inf)
@@ -166,14 +165,7 @@ def _settings(args, names) -> runs.Settings:
         if not exact:
             raise InvalidParamError(f"--set {name}={value!r} is not a valid {kind.__name__}")
         sets[name] = kind(value)
-    _check_tol_cluster(sets["tol_cluster"])
-    _check_witness(sets["witness_depth"], sets["witness_max_pairs"])
-    return runs.Settings(
-        estimator=EstimatorConfig(**{name: sets[name] for name in _ESTIMATOR}),
-        tol_cluster=sets["tol_cluster"],
-        basin=BasinConfig(burn=sets["basin_burn"], window=sets["basin_window"],
-                          escape_radius=sets["escape_radius"]),
-        witness={"depth": sets["witness_depth"], "max_pairs": sets["witness_max_pairs"]})
+    return runs.Settings(**sets)
 
 
 def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
@@ -199,7 +191,7 @@ def _catalog(args, system, sets: runs.Settings, region=None, box=None):
         seeds = _parse_points("--seeds", args.seeds, system.dim)
     else:
         seeds = default_seeds(args.system)
-    return catalog_from_seeds(system, seeds, sets.estimator, sets.tol_cluster)
+    return catalog_from_seeds(system, seeds, sets, sets.tol_cluster)
 
 
 def _out_dir(args) -> Path:
@@ -257,7 +249,7 @@ def cmd_simulate(args) -> int:
     system, system_run = _stepped_system(args)
     sets = _settings(args, ("r_div",))
     x0 = _parse_points("--x0", args.x0, system.dim)[0]
-    traj = iterate(system_run, x0, args.steps, r_div=sets.estimator.r_div)
+    traj = iterate(system_run, x0, args.steps, r_div=sets.r_div)
     out = _out_dir(args)
     path = out / "trajectory.csv"
     write_trajectory_csv(traj, path)
@@ -288,9 +280,10 @@ def cmd_limits(args) -> int:
 
 
 def cmd_basins(args) -> int:
-    _at_least(1, args, "resolution", "threads")
+    _at_least(1, args, "resolution")
+    _at_least(1, args, "threads", at_most=config.MAX_THREADS)
     system = get_system(args.system, **_parse_params(args.param, "--param"))
-    sets = _settings(args, _ESTIMATOR + ("tol_cluster",) + _BASIN + _WITNESS)
+    sets = _settings(args, tuple(_SET_KINDS))
     region, box = _region(args, system)
     if box is not None:
         raise InvalidParamError(
@@ -355,7 +348,7 @@ def cmd_verify(args) -> int:
                 break
     path = _out_dir(args) / "verify.json"
     report, conj, push, inj = runs.verify_step(system, pair, samples, xi, args.seed,
-                                               sets.estimator, args.tol, path)
+                                               sets, args.tol, path)
 
     print(f"immersion {F.name} -> {target.name}")
     print(f"conjugacy: max residual {conj.max_residual:.3e} over "
@@ -453,8 +446,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    _at_least(1, args, "threads")
-    sets = _settings(args, _ESTIMATOR + _WITNESS)
+    _at_least(1, args, "threads", at_most=config.MAX_THREADS)
+    sets = _settings(args, _ESTIMATOR + ("witness_depth", "witness_max_pairs"))
     out = _out_dir(args)
     examples = []
     steps = runs.demo_examples(out, args.seed, args.threads, sets)

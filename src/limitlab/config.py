@@ -1,13 +1,11 @@
 """Central table of numeric defaults.
 
-Every tolerance or guard used by the library is named here once.
-:data:`DEFAULTS` lists the ones the CLI's ``--set name=value`` can override.
-``cli._settings`` is the one place a ``--set`` value becomes library input:
-it puts the values a subcommand accepts over these defaults and builds the
-``runs.Settings`` the run steps read: the ``EstimatorConfig``, the
-``BasinConfig``, the witness search's ``depth`` and ``max_pairs``, and
-``tol_cluster``. Each value passes its reader's own check there, before any
-work starts. :data:`VERIFY_TOL` is ``verify --tol``'s default and the demo's.
+Every tolerance or guard used by the library is named here once. The ones
+``--set name=value`` can override are the fields of ``runs.Settings``, each
+defaulting to its constant here. ``cli._settings`` is the one place a
+``--set`` value becomes library input: the ``runs.Settings`` it builds checks
+each value, before any work starts. :data:`VERIFY_TOL` is ``verify --tol``'s
+default and the demo's; :data:`MAX_THREADS` bounds ``--threads``.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ BASIN_BURN = 500
 BASIN_WINDOW = 32         # trailing points that must all sit on the matched member
 WITNESS_DEPTH = 8         # shrinking-sequence length toward a boundary cell
 WITNESS_MAX_PAIRS = 64    # boundary pairs examined per witness search
+MAX_THREADS = 64          # most threads a basin grid is settled on (one per chunk)
 
 # Linear analysis.
 TOL_EIG = 1e-8            # |.|-1 band half-width for the unit class
@@ -53,20 +52,3 @@ CATALOG_GUARD = 64        # sweep refuses catalogs larger than this
 
 DEFAULT_SEED = 42
 
-# What ``--set NAME=VALUE`` can override; a subcommand accepts the names it reads.
-DEFAULTS = {
-    "r_div": R_DIV,
-    "burn": BURN,
-    "tail": TAIL,
-    "max_rounds": MAX_ROUNDS,
-    "tol_settle": TOL_SETTLE,
-    "gap_factor": GAP_FACTOR,
-    "tol_fp": TOL_FP,
-    "tol_cluster": TOL_CLUSTER,
-    "max_period": MAX_PERIOD,
-    "escape_radius": ESCAPE_RADIUS,
-    "basin_burn": BASIN_BURN,
-    "basin_window": BASIN_WINDOW,
-    "witness_depth": WITNESS_DEPTH,
-    "witness_max_pairs": WITNESS_MAX_PAIRS,
-}

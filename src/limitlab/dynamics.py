@@ -53,6 +53,7 @@ import numpy as np
 
 from . import config
 from .errors import NoInverseError
+from .serialize import write_csv
 
 # Termination causes.
 COMPLETED = "completed"
@@ -564,11 +565,7 @@ def iterate(system: DiscreteMap, x0, k: int, r_div: float = config.R_DIV) -> Tra
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """``k,x1,...,xd`` rows plus a trailing ``# termination=<cause>`` comment."""
-    d = traj.points.shape[1]
-    lines = ["k," + ",".join(f"x{i+1}" for i in range(d))]
-    for k, row in enumerate(traj.points):
-        lines.append(f"{k}," + ",".join(repr(float(v)) for v in row))
-    lines.append(f"# termination={traj.termination}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["k"] + [f"x{i+1}" for i in range(traj.points.shape[1])]
+    rows = [[k, *row] for k, row in enumerate(traj.points)]
+    write_csv(path, header, rows + [[f"# termination={traj.termination}"]])
 

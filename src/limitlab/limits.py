@@ -624,11 +624,14 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     the image of the last window state is checked too.
 
     The nodes are settled in chunks of at most ``_BATCH``, and in at least
-    ``threads`` chunks, so that every thread has one. A node's code does not
-    depend on its chunk: :func:`_settle_batch` decides each row on its own.
+    ``threads`` chunks, so that every thread has one; ``threads`` is at most
+    ``config.MAX_THREADS``. A node's code does not depend on its chunk:
+    :func:`_settle_batch` decides each row on its own.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads > config.MAX_THREADS:
+        raise ValueError(f"threads must be <= {config.MAX_THREADS}, got {threads}")
     if np.min(resolution) < 1:
         raise ValueError(f"resolution must be >= 1 node per axis, got {resolution}")
     cfg = cfg or BasinConfig()

@@ -1,13 +1,13 @@
 """Run steps and report builders: what a subcommand or the demo composes from
-checked settings; the command line only parses, prints and names the files.
+checked :class:`Settings`; the command line only parses, prints and names the files.
 Library calls go through their modules (``limits.compute_basins``), so a
 wrapper set on a module attribute, as perfbench's tracer sets, sees each one."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,13 +18,31 @@ from .errors import DomainError
 _SURVEY_RANDOM = 512        # random draws added to a survey grid
 
 
-class Settings(NamedTuple):
-    """What a run passes on to the library, one field per reader."""
+@dataclass(frozen=True)
+class Settings(limits.EstimatorConfig):
+    """Every ``--set NAME=VALUE`` setting, one field each, defaulting to its
+    ``config`` constant: the estimator's config (``r_div`` guards ``simulate``
+    too), ``tol_cluster``, the basin settling and the witness search. Each value
+    is checked as its reader checks it: ``tol_cluster``, witness, estimator, basin."""
 
-    estimator: limits.EstimatorConfig   # also holds simulate's r_div
-    tol_cluster: float
-    basin: limits.BasinConfig
-    witness: dict                       # basin_closedness_witness's depth and max_pairs
+    tol_cluster: float = config.TOL_CLUSTER
+    basin_burn: int = config.BASIN_BURN
+    basin_window: int = config.BASIN_WINDOW
+    escape_radius: float = config.ESCAPE_RADIUS
+    witness_depth: int = config.WITNESS_DEPTH
+    witness_max_pairs: int = config.WITNESS_MAX_PAIRS
+
+    def __post_init__(self):
+        limits._check_tol_cluster(self.tol_cluster)
+        limits._check_witness(self.witness_depth, self.witness_max_pairs)
+        super().__post_init__()
+        _ = self.basin      # its BasinConfig checks the basin settling
+
+    @property
+    def basin(self) -> limits.BasinConfig:
+        """What ``compute_basins`` reads of these settings."""
+        return limits.BasinConfig(burn=self.basin_burn, window=self.basin_window,
+                                  escape_radius=self.escape_radius)
 
 
 def survey_samples(region: DomainRegion, seed: int) -> np.ndarray:
@@ -43,7 +61,8 @@ def basins_step(system, catalog, region, resolution: int, threads: int,
     ``stem.csv`` and ``stem.json``. Returns the summary and the witnesses."""
     basins = limits.compute_basins(system, catalog, region=region, resolution=resolution,
                                    cfg=sets.basin, threads=threads)
-    witnesses = limits.basin_closedness_witness(system, basins, sets.estimator, **sets.witness)
+    witnesses = limits.basin_closedness_witness(system, basins, sets, sets.witness_depth,
+                                                sets.witness_max_pairs)
     limits.write_basin_csv(basins, out / f"{stem}.csv")
     labels, counts = np.unique(basins.codes, return_counts=True)
     summary = {
@@ -99,8 +118,8 @@ def learned_lift(system, dictionary, lift) -> dict:
 
 def _demo_catalog(name: str, sets: Settings):
     system = systems.get_system(name)
-    catalog, _ = limits.catalog_from_seeds(system, systems.default_seeds(name),
-                                           sets.estimator, sets.tol_cluster)
+    catalog, _ = limits.catalog_from_seeds(system, systems.default_seeds(name), sets,
+                                           sets.tol_cluster)
     return system, catalog
 
 
@@ -113,7 +132,7 @@ def _demo_mobius(out: Path, seed: int, threads: int, sets: Settings, f,
                                "mobius-basins")
     report, conj, push, _ = verify_step(
         f, systems.exact_immersion("mobius"), survey_samples(region, seed), [0.0], seed,
-        sets.estimator, config.VERIFY_TOL, out / "mobius-verify.json")
+        sets, config.VERIFY_TOL, out / "mobius-verify.json")
 
     return {
         "name": "rational-fixed-points", "status": report["status"],
@@ -130,8 +149,8 @@ def _demo_cot(out: Path, seed: int, sets: Settings) -> dict:
     f = systems.get_system("cot-map")
     report, conj, push, _ = verify_step(
         f, systems.exact_immersion("cot-map"), survey_samples(f.domain, seed), [1.0], seed,
-        sets.estimator, config.VERIFY_TOL, out / "cot-verify.json")
-    consistency = immersion.omega_alpha_consistency(f, [2.0], sets.estimator)
+        sets, config.VERIFY_TOL, out / "cot-verify.json")
+    consistency = immersion.omega_alpha_consistency(f, [2.0], sets)
     serialize.dump(consistency.to_dict(), out / "cot-consistency.json")
     return {
         "name": "half-angle-conjugacy", "status": report["status"],
@@ -158,7 +177,7 @@ def _demo_rotation(out: Path, seed: int, sets: Settings) -> dict:
         collapse_error = {"reason": exc.reason,
                           "point": [float(v) for v in np.atleast_1d(exc.point)]}
 
-    push = immersion.pushforward_check(pair.immersion, f, pair.target, [2.0, 0.0], sets.estimator)
+    push = immersion.pushforward_check(pair.immersion, f, pair.target, [2.0, 0.0], sets)
 
     A = np.zeros((3, 3))
     c, s = math.cos(1.0), math.sin(1.0)

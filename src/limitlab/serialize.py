@@ -1,9 +1,10 @@
 """Deterministic JSON/CSV output and schema validation helpers.
 
-Every artifact the package writes goes through these functions so that two
-runs with the same seed produce byte-identical files: keys are sorted, floats
-use Python's shortest round-trip repr, and numpy scalars are coerced to plain
-Python types before encoding.
+Every JSON and CSV artifact but the basin grid goes through these functions so
+that two runs with the same seed produce byte-identical files: keys are sorted,
+floats use Python's shortest round-trip repr, and numpy scalars are coerced
+to plain Python types before encoding. ``limits.write_basin_csv`` formats its
+integer and label cells by hand, for speed, by the same rules.
 """
 
 from __future__ import annotations

@@ -304,6 +304,23 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag, valu
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command,argv", [
+    ("basins", ["--system", "mobius", "--domain=-1,1", "--resolution", "3"]),
+    ("demo", [])], ids=["basins", "demo"])
+def test_thread_counts_above_the_limit_are_usage_errors(tmp_path, capsys, command, argv):
+    # the limit is a constant, not the machine's core count
+    from limitlab import config
+    out_dir = tmp_path / "out"
+    threads = config.MAX_THREADS + 1
+    code, _, err = run(capsys, command, *argv, "--threads", str(threads),
+                       "--out", str(out_dir))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert payload["message"] == f"--threads must be <= {config.MAX_THREADS}, got {threads}"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command,flag,value,message", [
     ("verify", "--tol", "nan", "--tol must be finite and >= 0, got nan"),
     ("verify", "--tol", "-1", "--tol must be finite and >= 0, got -1.0"),
@@ -628,6 +645,31 @@ def test_impossible_settings_are_rejected_before_any_orbit(tmp_path, capsys, mon
     message = _rejected_setting(tmp_path, capsys, command, setting)
     assert message.startswith(setting.split("=")[0] + " must be")
     assert not (tmp_path / command).exists()
+
+
+def test_settings_defaults_are_the_config_constants():
+    # runs.Settings() is the run with no --set, and each default is the
+    # constant of that name in config, of its type
+    import dataclasses
+    import types
+
+    from limitlab import cli, config, runs
+    defaults = runs.Settings()
+    assert defaults == cli._settings(types.SimpleNamespace(set=None), ())
+    for f in dataclasses.fields(runs.Settings):
+        value, want = getattr(defaults, f.name), getattr(config, f.name.upper())
+        assert (value, type(value)) == (want, type(want)), f.name
+
+
+@pytest.mark.parametrize("setting", ["basin_window=0", "witness_depth=0", "tol_cluster=0",
+                                     "burn=-1"])
+def test_settings_reject_what_set_rejects_with_its_message(tmp_path, capsys, setting):
+    from limitlab import runs
+    name, value = setting.split("=")
+    message = _rejected_setting(tmp_path, capsys, "basins", setting)
+    with pytest.raises(ValueError) as exc:
+        runs.Settings(**{name: type(getattr(runs.Settings(), name))(value)})
+    assert str(exc.value) == message
 
 
 def test_gap_factor_reaches_the_clustering_and_the_match_tolerances(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitlab import (DiscreteMap, DomainRegion, get_system, iterate,
+from limitlab import (DiscreteMap, DomainRegion, Trajectory, get_system, iterate,
                       iterate_batch, list_systems, write_trajectory_csv)
 from limitlab import config
 from limitlab.dynamics import (_CODE, COMPLETED, SINGULAR, _max_abs, _row_norm, _state_codes,
@@ -668,3 +668,14 @@ def test_trajectory_csv_round_trip(tmp_path):
     singular = iterate(get_system("mobius"), [5.0 / 3.0], 10)
     write_trajectory_csv(singular, path)
     assert path.read_text().splitlines()[-1] == "# termination=singular"
+
+
+def test_trajectory_csv_bytes_are_pinned(tmp_path):
+    # signed zeros, a subnormal, a huge value and pi, each as its shortest
+    # round-trip repr; LF line endings, no quoting, the comment a final row
+    traj = Trajectory(points=np.array([[0.0, -0.0], [1e-310, 1e300], [np.pi, -1.5]]),
+                      termination="diverged", steps_taken=2)
+    path = tmp_path / "orbit.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == (b"k,x1,x2\n0,0.0,-0.0\n1,1e-310,1e+300\n"
+                                 b"2,3.141592653589793,-1.5\n# termination=diverged\n")

@@ -17,6 +17,7 @@ from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
                       estimate_omega_batch, get_system, hausdorff, iterate,
                       list_systems, write_basin_csv, DomainRegion,
                       LinearSystem, LimitSetCatalog, CatalogMember, default_seeds)
+from limitlab import config
 from limitlab.dynamics import DiscreteMap
 from limitlab.errors import UnconvergedError
 from limitlab import geometry, limits
@@ -379,6 +380,38 @@ def test_basins_settle_in_at_least_one_chunk_per_thread(mobius_unit, mobius_unit
     for bad in ({"threads": 0}, {"threads": -2}, {"resolution": 0}, {"resolution": -3}):
         with pytest.raises(ValueError):
             compute_basins(mobius_unit, mobius_unit_catalog, **{"resolution": 11, **bad})
+
+
+def test_basins_ask_for_at_most_max_threads_workers(mobius_unit, mobius_unit_catalog,
+                                                    monkeypatch):
+    # a serial stand-in for the pool records the workers asked for and
+    # starts no thread; above config.MAX_THREADS no pool is made at all
+    import concurrent.futures
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    serial = compute_basins(mobius_unit, mobius_unit_catalog, resolution=101)
+    most = compute_basins(mobius_unit, mobius_unit_catalog, resolution=101,
+                          threads=config.MAX_THREADS)
+    assert asked == [config.MAX_THREADS]
+    assert np.array_equal(most.codes, serial.codes)
+    over = config.MAX_THREADS + 1
+    with pytest.raises(ValueError, match=f"<= {config.MAX_THREADS}, got {over}$"):
+        compute_basins(mobius_unit, mobius_unit_catalog, resolution=101, threads=over)
+    assert asked == [config.MAX_THREADS]
 
 
 def test_basin_escape_and_singular_codes():
