@@ -447,7 +447,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_demo(args) -> int:
     _at_least(1, args, "threads", at_most=config.MAX_THREADS)
-    sets = _settings(args, _ESTIMATOR + ("witness_depth", "witness_max_pairs"))
+    sets = _settings(args, tuple(_SET_KINDS))     # the demo reads every setting
     out = _out_dir(args)
     examples = []
     steps = runs.demo_examples(out, args.seed, args.threads, sets)

@@ -42,6 +42,22 @@ so running the same operations on the same operands in the same order
 gives the same bits as building a fresh array for each; only the
 temporaries, and the page faults of allocating them, are gone. On a grid
 of 40k states, those temporaries cost more than the arithmetic.
+
+The layout contract. A batch has the shape ``(n, d)`` in either memory
+order, and no result depends on which. A basin grid (:func:`_grid_nodes`)
+is column-major, so that each coordinate is one contiguous column for those
+kernels; seed lists, windows and the witness batch are row-major, and an
+``(n, 1)`` batch is both. A wide grid, which takes one step per block,
+stays column-major: a one-step block is the map's own output, and
+``linear.apply_matrix`` writes in its input's order. A multi-step block
+and a row gather (the rows that go on after some stop) are row-major.
+Each step gives the same bits in either order. The catalog maps of two or more
+dimensions use only +, -, *, / and sqrt, which round each element alone,
+whatever the strides. A reduction may depend on the order: numpy's
+pairwise sum in ``np.linalg.norm`` groups a column-major array differently,
+so :func:`_row_norm` hands numpy a row-major copy from 8 columns on. A user
+map that multiplies through BLAS (``X @ A.T``) may round differently in the
+two orders, as it does for one row against several.
 """
 
 from __future__ import annotations
@@ -236,9 +252,14 @@ class DomainRegion:
 
 def _grid_nodes(axes) -> np.ndarray:
     """The nodes of the grid with per-axis coordinates ``axes`` as an
-    ``(N, d)`` array, in row-major order: the last axis varies fastest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    ``(N, d)`` array, listed in the grid's row-major order (the last axis
+    varies fastest) and stored column-major, each column filled in place
+    (see the module docstring)."""
+    shape = tuple(len(a) for a in axes)
+    nodes = np.empty((int(np.prod(shape)), len(axes)), order="F")
+    for j, m in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        nodes[:, j].reshape(shape)[...] = m
+    return nodes
 
 
 def _column(excluded):
@@ -344,15 +365,16 @@ def _max_abs(X: np.ndarray) -> np.ndarray:
 
 
 def _row_norm(X: np.ndarray) -> np.ndarray:
-    """Each row's Euclidean norm, equal to ``np.linalg.norm(X, axis=1)`` to
-    the bit. Below 8 columns numpy sums the squares in order, so folding them
-    column by column is the same sum, and faster; from 8 on it sums pairwise,
-    and numpy does the work. The fold squares each column into one scratch
-    buffer and adds it to one accumulator, in place: the same operations on
-    the same operands in the same order as a sum of fresh arrays, so the
-    same bits, without a temporary per column."""
+    """Each row's Euclidean norm, equal to ``np.linalg.norm(X, axis=1)`` on a
+    row-major ``X`` to the bit. Below 8 columns numpy sums the squares in
+    order, so folding them column by column is the same sum, and faster; from
+    8 on it sums pairwise, and numpy does the work on a row-major copy, as it
+    groups a column-major array's terms differently. The fold squares each
+    column into one scratch buffer and adds it to one accumulator, in place:
+    the same operations on the same operands in the same order as a sum of
+    fresh arrays, so the same bits, without a temporary per column."""
     if X.shape[1] >= 8:
-        return np.linalg.norm(X, axis=1)
+        return np.linalg.norm(np.ascontiguousarray(X), axis=1)
     acc, sq = X[:, 0] * X[:, 0], None
     for j in range(1, X.shape[1]):
         sq = np.multiply(X[:, j], X[:, j], out=sq)
@@ -401,13 +423,17 @@ def _state_codes(domain: DomainRegion, P: np.ndarray,
 
 def _run_block(system: DiscreteMap, P: np.ndarray, b: int) -> np.ndarray:
     """``(b, m, d)``: the next ``b`` images of the states ``P``, with no check
-    in between. A one-step block is the map's own output: on a wide batch, a
-    fresh buffer per step costs more in page faults than the step itself. It
-    is made contiguous, as a buffer is, since the next step maps it, and a
-    ufunc may round a strided input differently."""
+    in between. A one-step block is the map's own output, in the layout the
+    map gave it: on a wide batch, a fresh buffer per step costs more in page
+    faults than the step itself, and a column-major batch stays column-major.
+    That changes no bit: an elementwise ufunc rounds each element alone,
+    whatever the strides. Reductions do not: numpy's row norm of a
+    column-major array differs in the last bit from 8 columns on, so
+    :func:`_row_norm` and ``geometry._box_lower`` reduce a row-major array
+    there."""
     first = _step_rows(system.forward, P, system.vectorized)
     if b == 1:
-        return np.ascontiguousarray(first)[None]
+        return first[None]
     Y = np.empty((b,) + P.shape)
     Y[0] = first
     for j in range(1, b):

@@ -202,7 +202,8 @@ def _box_lower(Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     Those are the operations of the row norm of the full gap array, on the
     same operands in the same order, so the bits are the same, without the
     ``(..., d)`` temporaries. From 8 columns on the row norm sums pairwise,
-    and it gets the full gap array."""
+    and it gets the full gap array, which it reduces in row-major order
+    whatever the order of ``Q``."""
     d = Q.shape[-1]
     rho, alpha = _margin(d)
     with np.errstate(over="ignore"):

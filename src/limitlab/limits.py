@@ -480,6 +480,7 @@ class _SettleStage:
         self.hi = np.array([p.max(axis=0) for p in member_pts])
         self.tol = tol
         self.margin = _margin(self.points.shape[1])
+        self.columns = self.points.T.copy()     # each coordinate, contiguous
         self.tree = cKDTree(self.points)
         self.succ = np.full(len(self.points) + 1, -1, dtype=np.intp)
         run = iterate_batch(system, self.points, 1, r_div=np.inf)
@@ -503,7 +504,12 @@ class _SettleStage:
             if lost.any():
                 cand[lost] = self.first[np.array(lower)[:, lost].argmin(axis=0)]
             own = self.owners[cand]
-            bound = _row_norm(Q - self.points[cand]) * (1 + rho) + alpha
+            # each row less its candidate point, a column at a time: a row
+            # gather of the points costs more, and would be row-major
+            diff = np.empty(Q.shape, order="F")
+            for j, column in enumerate(self.columns):
+                np.subtract(Q[:, j], column[cand], out=diff[:, j])
+            bound = _row_norm(diff) * (1 + rho) + alpha
             ok = bound <= self.tol[own]
             for i, b in enumerate(lower):
                 ok &= (bound < b) | (own == i)
@@ -623,10 +629,12 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     coordinate past the escape radius are ``escaped``, the rest ``undetermined``;
     the image of the last window state is checked too.
 
-    The nodes are settled in chunks of at most ``_BATCH``, and in at least
-    ``threads`` chunks, so that every thread has one; ``threads`` is at most
-    ``config.MAX_THREADS``. A node's code does not depend on its chunk:
-    :func:`_settle_batch` decides each row on its own.
+    The nodes are settled in ``max(threads, ceil(nodes / _BATCH))`` chunks of
+    near-equal size, but no more chunks than nodes, so that every thread has
+    one and no chunk holds more than ``_BATCH``; ``min(threads, chunks)``
+    threads run them. ``threads`` is at most ``config.MAX_THREADS``. A
+    node's code does not depend on its chunk: :func:`_settle_batch` decides
+    each row on its own.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -639,18 +647,19 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     axes = region.grid(resolution)
     res = tuple(len(a) for a in axes)
     centers = _grid_nodes(axes)
-    size = min(_BATCH, -(-len(centers) // threads))
+    n = len(centers)
+    chunks = np.array_split(centers, min(n, max(threads, -(-n // _BATCH))))
 
-    def settle(start):
-        return _settle_batch(system, centers[start:start + size], catalog, cfg)
+    def settle(X):
+        return _settle_batch(system, X, catalog, cfg)
 
-    starts = range(0, len(centers), size)
-    if threads > 1 and len(starts) > 1:
+    workers = min(threads, len(chunks))
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(settle, starts))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(settle, chunks))
     else:
-        parts = [settle(start) for start in starts]
+        parts = [settle(X) for X in chunks]
     codes = np.concatenate(parts).reshape(res)
 
     params = {
@@ -722,10 +731,10 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
 
     Heuristic and bounded (first ``max_pairs`` boundary pairs in row-major
     order, ``depth`` sequence points each); an empty result is consistent
-    with closed basins on the sampled grid, not a proof. Every sequence point
-    and limit node of those pairs is estimated in one batch, and the pairs
-    are then judged in order, exactly as if each estimate were made when the
-    search reached it.
+    with closed basins on the sampled grid, not a proof. The states are
+    estimated in two batches, every pair's first sequence point and then the
+    rest of the pairs that pass it, and the pairs are judged in order,
+    exactly as if each estimate were made when the search reached it.
     """
     _check_witness(depth, max_pairs)
     cfg = cfg or EstimatorConfig()
@@ -737,32 +746,32 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
         sequence = np.array([xb + (xa - xb) * 2.0 ** (-j) for j in range(1, depth + 1)])
         cases.append((basins.label_at(a_idx), xa, xb, sequence))
 
-    # each distinct state is estimated once; estimates do not depend on the batch
-    slot: dict[bytes, int] = {}
-    states = []
-    for _, _, xb, sequence in cases:
-        for x in (*sequence, xb):
-            if x.tobytes() not in slot:
-                slot[x.tobytes()] = len(states)
-                states.append(x)
-    estimates = estimate_omega_batch(system, states, cfg)
+    # Each distinct state is estimated once, and only if the replay below
+    # reads it: first every pair's first sequence point, then the rest of the
+    # sequence and the limit node of each pair whose first point settled on
+    # its label. Estimates do not depend on the batch.
+    found: dict[bytes, LimitSetEstimate] = {}
 
-    def estimate(x):
-        return estimates[slot[x.tobytes()]]
+    def settle(states):
+        todo = {x.tobytes(): x for x in states if x.tobytes() not in found}
+        found.update(zip(todo, estimate_omega_batch(system, list(todo.values()), cfg)))
+
+    def settles_on(x, label):
+        est = found[x.tobytes()]
+        return est.converged and catalog.match(est.points) == label
+
+    settle([sequence[0] for *_, sequence in cases])
+    cases = [(label_a, xa, xb, sequence) for label_a, xa, xb, sequence in cases
+             if settles_on(sequence[0], label_a)]
+    settle([x for _, _, xb, sequence in cases for x in (*sequence[1:], xb)])
 
     witnesses: list[ClosednessWitness] = []
     seen: set[tuple] = set()
     for label_a, xa, xb, sequence in cases:
-        ok = True
-        for x in sequence:
-            est = estimate(x)
-            if not est.converged or catalog.match(est.points) != label_a:
-                ok = False
-                break
-        if not ok:
+        if not all(settles_on(x, label_a) for x in sequence[1:]):
             continue
 
-        est_b = estimate(xb)
+        est_b = found[xb.tobytes()]
         if not est_b.converged:
             continue
         label_b = catalog.match(est_b.points)

@@ -69,11 +69,12 @@ def apply_matrix(X, A) -> np.ndarray:
     kernels that round differently, so a state stepped alone would drift from
     the same state stepped in a batch. Here each output coordinate is one
     fixed-order sum over the columns of ``X``, elementwise, so every row is
-    rounded alike.
+    rounded alike, in either memory order. The result takes the order of
+    ``X``, so a column-major batch writes contiguous columns.
     """
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[:-1] + (len(A),))
+    out = np.empty_like(X, shape=X.shape[:-1] + (len(A),))
     for i, row in enumerate(A):
         acc = out[..., i]
         np.multiply(X[..., 0], row[0], out=acc)

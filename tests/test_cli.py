@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from limitlab import BasinConfig
 from limitlab.cli import main
 from limitlab.serialize import validate
 
@@ -108,15 +109,16 @@ def test_basins_writes_csv_and_summary(tmp_path, capsys):
 
 
 def test_basins_threads_do_not_change_output(tmp_path, capsys):
-    outputs = []
-    for threads in ("1", "4"):
-        d = tmp_path / f"t{threads}"
-        code, _, _ = run(capsys, "basins", "--system", "mobius",
-                         "--domain=-1,1", "--resolution", "41",
-                         "--threads", threads, "--out", str(d))
-        assert code == 0
-        outputs.append((d / "basins.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+    # in 2-d a chunk of the column-major grid is a strided slice of it
+    for system, domain in [("mobius", "-1,1"), ("rotation-scaling", "-2,2;-2,2")]:
+        outputs = []
+        for threads in ("1", "4"):
+            d = tmp_path / system / f"t{threads}"
+            code, _, _ = run(capsys, "basins", "--system", system, f"--domain={domain}",
+                             "--resolution", "41", "--threads", threads, "--out", str(d))
+            assert code == 0
+            outputs.append([(d / name).read_bytes() for name in ("basins.csv", "basins.json")])
+        assert outputs[0] == outputs[1], system
 
 
 def test_verify_reports_ok_on_default_domain(tmp_path, capsys):
@@ -591,7 +593,7 @@ _SET_NAMES = {
     "verify": (["--system", "cot-map"], _ESTIMATOR),
     "learn": (["--system", "mobius", "--domain=-0.9,0.5"], set()),
     "sweep": (["--system", "mobius", "--dicts", "monomial:1"], _ESTIMATOR | {"tol_cluster"}),
-    "demo": ([], _ESTIMATOR | _WITNESS),
+    "demo": ([], _ESTIMATOR | {"tol_cluster"} | _BASIN | _WITNESS),
 }
 # listed in config.py, but no subcommand passes them to the code that uses them
 _NEVER_READ = ["eps_excl", "r_bound", "bound_horizon", "tol_eig", "tol_rank", "delta_sep",
@@ -628,7 +630,8 @@ def test_names_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, nam
 @pytest.mark.parametrize("command,setting", [
     ("simulate", "r_div=0"), ("simulate", "r_div=-1"), ("simulate", "r_div=inf"),
     ("basins", "witness_depth=0"), ("basins", "witness_max_pairs=-1"),
-    ("demo", "witness_depth=0"), ("demo", "witness_max_pairs=-1")])
+    ("demo", "witness_depth=0"), ("demo", "witness_max_pairs=-1"),
+    ("demo", "basin_window=0"), ("demo", "tol_cluster=-1")])
 def test_impossible_settings_are_rejected_before_any_orbit(tmp_path, capsys, monkeypatch,
                                                           command, setting):
     # simulate used to run with r_div=0 and call a converging orbit diverged;
@@ -645,6 +648,34 @@ def test_impossible_settings_are_rejected_before_any_orbit(tmp_path, capsys, mon
     message = _rejected_setting(tmp_path, capsys, command, setting)
     assert message.startswith(setting.split("=")[0] + " must be")
     assert not (tmp_path / command).exists()
+
+
+def test_demo_passes_tol_cluster_and_the_basin_settings_to_their_readers(tmp_path, capsys,
+                                                                        monkeypatch):
+    # the demo's first catalog reads tol_cluster and its first basin grid the
+    # basin settings; the run stops there
+    import limitlab.limits
+
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def catalog(system, seeds, cfg, tol_cluster):
+        seen["tol_cluster"] = tol_cluster
+        return limitlab.limits.LimitSetCatalog(members=(), tol_cluster=tol_cluster), []
+
+    def basins(system, catalog, region, resolution, cfg, threads):
+        seen["basin"] = cfg
+        raise Stop
+
+    monkeypatch.setattr(limitlab.limits, "catalog_from_seeds", catalog)
+    monkeypatch.setattr(limitlab.limits, "compute_basins", basins)
+    with pytest.raises(Stop):
+        main(["demo", "--out", str(tmp_path), "--set", "tol_cluster=0.25",
+              "--set", "basin_burn=7", "--set", "basin_window=3", "--set", "escape_radius=9"])
+    assert seen == {"tol_cluster": 0.25,
+                    "basin": BasinConfig(burn=7, window=3, escape_radius=9.0)}
 
 
 def test_settings_defaults_are_the_config_constants():

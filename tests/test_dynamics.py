@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitlab import (DiscreteMap, DomainRegion, Trajectory, get_system, iterate,
-                      iterate_batch, list_systems, write_trajectory_csv)
+from limitlab import (DiscreteMap, DomainRegion, LinearSystem, Trajectory, get_system,
+                      iterate, iterate_batch, list_systems, write_trajectory_csv)
 from limitlab import config
-from limitlab.dynamics import (_CODE, COMPLETED, SINGULAR, _max_abs, _row_norm, _state_codes,
-                               as_state)
+from limitlab.dynamics import (_CODE, COMPLETED, LEFT_DOMAIN, SINGULAR, _max_abs, _row_norm,
+                               _state_codes, as_state)
 from limitlab.errors import NoInverseError
+from limitlab.geometry import _box_lower
 
 
 # -- states ----------------------------------------------------------------------
@@ -629,6 +630,84 @@ def test_iterate_batch_rows_do_not_depend_on_the_batch(rng):
             alone = iterate_batch(system, X[i:i + 1], 300, record=True)
             assert np.array_equal(alone.last[0], whole.last[i]), name
             assert np.array_equal(alone.states[:, 0], whole.states[:, i]), name
+
+
+# -- layout ----------------------------------------------------------------------
+#
+# A basin grid is column-major and a seed list row-major, so each step must
+# give the same bits in either layout of one batch.
+
+def _bits(X):
+    """``X``'s bytes in row-major order: equal exactly when every element
+    has the same bits, NaN payloads and signed zeros included."""
+    return np.ascontiguousarray(X).tobytes()
+
+
+def _assert_same_run(a, b, name):
+    assert _bits(a.last) == _bits(b.last), name
+    assert np.array_equal(a.termination, b.termination), name
+    assert np.array_equal(a.valid, b.valid), name
+    assert _bits(a.states) == _bits(b.states), name
+
+
+def _nine_d_linear():
+    # a 9-d contraction with an excluded point: its state checks take the
+    # row norm from 8 columns on, which numpy reduces pairwise
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(9, 9))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+    return LinearSystem(A, name="linear-9d").as_map().restrict(
+        DomainRegion.full_space(9, excluded=[np.full(9, 0.25)], eps_excl=0.5))
+
+
+def _layout_cases():
+    rng = np.random.default_rng(11)
+    for entry in list_systems():
+        system = get_system(entry["name"])
+        box = [[-2.0, 2.0]] * system.dim
+        yield entry["name"], system, system.domain.sample(301, rng, box=box)
+    yield "linear-9d", _nine_d_linear(), rng.uniform(-2.0, 2.0, (301, 9))
+
+
+@pytest.mark.parametrize("name,system,X", list(_layout_cases()),
+                         ids=[case[0] for case in _layout_cases()])
+def test_steps_give_the_same_bits_in_either_layout(name, system, X):
+    # every catalog map forward and backward, and iterate_batch over both,
+    # on row-major and column-major copies of one batch; 301 rows take
+    # blocks of several steps, and some rows stop
+    C, F = np.ascontiguousarray(X), np.asfortranarray(X)
+    assert F.flags.f_contiguous and (system.dim == 1 or not F.flags.c_contiguous)
+    for s in [system] + ([system.reversed()] if system.inverse is not None else []):
+        with np.errstate(all="ignore"):
+            assert _bits(s.forward(C)) == _bits(s.forward(F)), s.name
+        runs = [iterate_batch(s, Y, 40, r_div=1e3, record=True) for Y in (C, F)]
+        _assert_same_run(*runs, s.name)
+
+
+def test_a_row_that_stops_inside_a_block_stops_alike_in_either_layout():
+    # the backward rotation-scaling map pushes r = 1 + 1e-3 and 1 + 1e-5 out
+    # of its disc at steps 9 and 16, inside the blocks that start at 7 and 15
+    back = get_system("rotation-scaling").reversed()
+    r = np.r_[np.linspace(0.1, 0.9, 30), 1.0 + 1e-3, 1.0 + 1e-5]
+    angle = np.linspace(0.0, 6.0, len(r))
+    X = np.column_stack([r * np.cos(angle), r * np.sin(angle)])
+    C, F = (iterate_batch(back, Y, 60, record=True)
+            for Y in (np.ascontiguousarray(X), np.asfortranarray(X)))
+    assert C.valid[-2:].tolist() == [10, 17]
+    assert (C.termination[-2:] == _CODE[LEFT_DOMAIN]).all()
+    _assert_same_run(C, F, back.name)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 33])
+def test_row_norm_and_box_bound_give_the_same_bits_in_either_layout(d, rng):
+    # numpy's norm of a column-major array differs in the last bit from 8
+    # columns on, so those widths reduce a row-major copy
+    X = _wide_rows(rng, 4000, d)
+    F = np.asfortranarray(X)
+    assert _bits(_row_norm(F)) == _bits(_row_norm(X))
+    lo, hi = -rng.uniform(0.0, 2.0, d), rng.uniform(0.0, 2.0, d)
+    with np.errstate(invalid="ignore"):
+        assert _bits(_box_lower(F, lo, hi)) == _bits(_box_lower(X, lo, hi))
 
 
 # -- catalog-wide inverse consistency ------------------------------------------------

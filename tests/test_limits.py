@@ -371,8 +371,8 @@ def test_basins_settle_in_at_least_one_chunk_per_thread(mobius_unit, mobius_unit
 
     monkeypatch.setattr(limits, "_settle_batch", counted)
     default = limits._BATCH
-    for threads, batch, want in [(1, default, [101]), (4, default, [26, 26, 26, 23]),
-                                 (3, 20, [20] * 5 + [1])]:
+    for threads, batch, want in [(1, default, [101]), (4, default, [26, 25, 25, 25]),
+                                 (3, 20, [17] * 5 + [16])]:
         chunks.clear()
         monkeypatch.setattr(limits, "_BATCH", batch)
         compute_basins(mobius_unit, mobius_unit_catalog, resolution=101, threads=threads)
@@ -382,12 +382,54 @@ def test_basins_settle_in_at_least_one_chunk_per_thread(mobius_unit, mobius_unit
             compute_basins(mobius_unit, mobius_unit_catalog, **{"resolution": 11, **bad})
 
 
+def _layout_grid(name):
+    """``(system, seeds, region, resolution, cfg)`` of a basin grid."""
+    box = DomainRegion.box([[-2.0, 2.0]] * 2)
+    if name == "linear-9d":
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(9, 9))
+        A *= 0.5 / np.abs(np.linalg.eigvals(A)).max()
+        return (LinearSystem(A, name=name).as_map(), [np.zeros(9)],
+                DomainRegion.box([[-1.0, 1.0]] * 9), 3, BasinConfig(burn=100, window=8))
+    if name == "rotation-scaling-back":     # most rows leave the disc, at many steps
+        return get_system("rotation-scaling").reversed(), [[0.1, 0.1]], box, 41, None
+    if name == "mobius":
+        return get_system(name), default_seeds(name), DomainRegion.interval(-5.0, 5.0), 201, None
+    system = get_system(name, **({"lam": 0.9} if name == "jordan" else {}))
+    return system, default_seeds(name), box, 41, None
+
+
+@pytest.mark.parametrize("name", ["mobius", "rotation-scaling", "rotation-scaling-back",
+                                  "jordan", "linear-9d"])
+def test_basin_codes_do_not_depend_on_the_grid_layout(name, monkeypatch):
+    # the grid is column-major; a row-major copy of it gives the same codes,
+    # also where rows stop (and are gathered out) and in 9-d, where the
+    # bounds take numpy's pairwise row norm
+    from limitlab import dynamics
+
+    system, seeds, region, resolution, cfg = _layout_grid(name)
+    catalog, _ = catalog_from_seeds(system, seeds, FAST)
+
+    def codes():
+        return compute_basins(system, catalog, region=region, resolution=resolution,
+                              cfg=cfg, threads=2).codes
+
+    column_major = codes()
+    monkeypatch.setattr(limits, "_grid_nodes",
+                        lambda axes: np.ascontiguousarray(dynamics._grid_nodes(axes)))
+    assert np.array_equal(codes(), column_major)
+    if name not in ("jordan", "linear-9d"):     # those have one basin
+        assert len(np.unique(column_major)) >= 2
+
+
 def test_basins_ask_for_at_most_max_threads_workers(mobius_unit, mobius_unit_catalog,
                                                     monkeypatch):
-    # a serial stand-in for the pool records the workers asked for and
-    # starts no thread; above config.MAX_THREADS no pool is made at all
+    # a serial stand-in for the pool records the workers asked for and the
+    # chunks given, and starts no thread; above config.MAX_THREADS no pool
+    # is made at all
     import concurrent.futures
-    asked = []
+    asked, sizes = [], []
+    settle = limits._settle_batch
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -402,16 +444,29 @@ def test_basins_ask_for_at_most_max_threads_workers(mobius_unit, mobius_unit_cat
         def map(self, fn, items):
             return map(fn, items)
 
+    def counted(system, X0, *rest):
+        sizes.append(len(X0))
+        return settle(system, X0, *rest)
+
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(limits, "_settle_batch", counted)
     serial = compute_basins(mobius_unit, mobius_unit_catalog, resolution=101)
+    sizes.clear()
     most = compute_basins(mobius_unit, mobius_unit_catalog, resolution=101,
                           threads=config.MAX_THREADS)
     assert asked == [config.MAX_THREADS]
+    assert sorted(sizes, reverse=True) == [2] * 37 + [1] * 27     # 64 chunks, not 51
     assert np.array_equal(most.codes, serial.codes)
+    sizes.clear()
+    few = compute_basins(mobius_unit, mobius_unit_catalog, resolution=5,
+                         threads=config.MAX_THREADS)
+    assert asked == [config.MAX_THREADS, 5] and sizes == [1] * 5    # a worker per node
+    assert np.array_equal(few.codes, compute_basins(mobius_unit, mobius_unit_catalog,
+                                                    resolution=5).codes)
     over = config.MAX_THREADS + 1
     with pytest.raises(ValueError, match=f"<= {config.MAX_THREADS}, got {over}$"):
         compute_basins(mobius_unit, mobius_unit_catalog, resolution=101, threads=over)
-    assert asked == [config.MAX_THREADS]
+    assert asked == [config.MAX_THREADS, 5]
 
 
 def test_basin_escape_and_singular_codes():
@@ -880,6 +935,29 @@ def test_batched_witness_search_equals_pair_by_pair_search(name, region):
     assert basin_closedness_witness(system, basins, cfg, max_pairs=0) == []
     with pytest.raises(ValueError):
         basin_closedness_witness(system, basins, cfg, depth=0)
+
+
+def test_witness_search_estimates_only_the_states_its_replay_reads(monkeypatch):
+    # 64 boundary pairs: 4 distinct first sequence points, then the other 7
+    # points and the limit node of the pairs whose first point settled on
+    # their label, 33 states in all, as many as the pair-by-pair search
+    # reads. One batch of every sequence point and limit node made 65.
+    system = get_system("rotation-scaling")
+    catalog, _ = catalog_from_seeds(system, default_seeds("rotation-scaling"))
+    basins = compute_basins(system, catalog, resolution=21,
+                            region=DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]))
+    batches = []
+    batch = limits.estimate_omega_batch
+
+    def counted(system, seeds, *rest):
+        batches.append(len(seeds))
+        return batch(system, seeds, *rest)
+
+    monkeypatch.setattr(limits, "estimate_omega_batch", counted)
+    witnesses = basin_closedness_witness(system, basins)
+    assert [(w.sequence_label, w.limit_label) for w in witnesses] == [("S1", "S0")]
+    assert np.array_equal(witnesses[0].limit_point, [0.0, 0.0])
+    assert batches == [4, 29]
 
 
 def test_no_witness_on_linear_system():
