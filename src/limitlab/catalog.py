@@ -190,12 +190,17 @@ def _build_rotation_scaling(theta: float) -> DiscreteMap:
     )
 
 
-def _rotation_scaling_immersions(theta: float) -> tuple[ExactImmersion, ...]:
-    R = _rotation_matrix(theta)
+def rotation_block(theta: float) -> LinearSystem:
+    """The linear target of the rotation-scaling chart: the rotation by
+    ``theta`` on the first two axes and the contraction by 1/2 on the third."""
     A = np.zeros((3, 3))
-    A[:2, :2] = R
+    A[:2, :2] = _rotation_matrix(theta)
     A[2, 2] = 0.5
-    target = LinearSystem(A, name=f"rotation-block(theta={theta:g})").as_map()
+    return LinearSystem(A, name=f"rotation-block(theta={theta:g})")
+
+
+def _rotation_scaling_immersions(theta: float) -> tuple[ExactImmersion, ...]:
+    target = rotation_block(theta).as_map()
 
     def func(X):
         X = np.asarray(X, dtype=float)

@@ -9,6 +9,12 @@ into text tables, whitespace point files, and basin rasters). This module
 parses and checks the arguments, names the files and prints; the steps and
 report builders it calls live in :mod:`limitlab.runs`.
 
+Each report kind has one renderer, looked up by kind in ``_RENDERERS``. A
+subcommand prints each report it names in a ``wrote`` line through it, and
+``report`` renders the saved file through it, so the two print the same
+lines. Besides the renders a subcommand prints only what no report holds:
+skipped seeds, the ``wrote`` lines and ``verify``'s chart target.
+
 Exit codes: 0 on success, 2 for usage/parameter problems, 3 when the requested
 mathematics fails (domain violations, unconverged estimates, singular
 regressions, ...). Failures print a single JSON line to stderr so scripts can
@@ -217,20 +223,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _eigenvalue(re: float, im: float) -> str:
-    return f"{re:.6g}{im:+.6g}j" if im else f"{re:.6g}"
-
-
-def _leading_eigenvalues(pairs) -> str:
-    """The first six of a lift's ``[re, im]`` eigenvalue pairs."""
-    return ", ".join(_eigenvalue(re, im) for re, im in pairs[:6])
-
-
-def _ratio(v) -> str:
-    """A separation ratio, or ``n/a`` when no sample pair was separated."""
-    return "n/a" if v is None else f"{v:.3e}"
-
-
 # -- subcommands ------------------------------------------------------------------
 
 def _stepped_system(args):
@@ -265,14 +257,11 @@ def cmd_limits(args) -> int:
     sets = _settings(args, _ESTIMATOR + ("tol_cluster",))
     catalog, skipped = _catalog(args, system, sets)
 
-    out = _out_dir(args)
-    path = out / "catalog.json"
-    serialize.dump(catalog_to_dict(catalog), path)
+    path = _out_dir(args) / "catalog.json"
+    doc = catalog_to_dict(catalog)
+    serialize.dump(doc, path)
 
-    rows = [(m.label, m.shape, m.period if m.period is not None else "-",
-             m.diameter, m.n_estimates, m.resolution)
-            for m in catalog.members]
-    print(_table(["label", "shape", "period", "diameter", "estimates", "resolution"], rows))
+    print(_render(doc))
     for seed, status in skipped:
         print(f"skipped seed {','.join(repr(float(v)) for v in seed)}: {status}")
     print(f"wrote {path}")
@@ -292,15 +281,10 @@ def cmd_basins(args) -> int:
 
     catalog, skipped = _catalog(args, system, sets)
     out = _out_dir(args)
-    summary, witnesses = runs.basins_step(system, catalog, region, args.resolution,
-                                          args.threads, sets, out, "basins")
+    summary, _ = runs.basins_step(system, catalog, region, args.resolution,
+                                  args.threads, sets, out, "basins")
 
-    print(_table(["label", "nodes"], sorted(summary["counts"].items())))
-    for w in witnesses:
-        pt = ",".join(repr(float(v)) for v in w.limit_point)
-        print(f"witness: basin of {w.sequence_label} is not closed — points "
-              f"arbitrarily close to ({pt}) settle on {w.sequence_label}, "
-              f"the point itself settles on {w.limit_label}")
+    print(_render(summary))
     for seed, status in skipped:
         print(f"skipped seed {','.join(repr(float(v)) for v in seed)}: {status}")
     print(f"wrote {out / 'basins.csv'}")
@@ -347,20 +331,11 @@ def cmd_verify(args) -> int:
                 xi = cand
                 break
     path = _out_dir(args) / "verify.json"
-    report, conj, push, inj = runs.verify_step(system, pair, samples, xi, args.seed,
-                                               sets, args.tol, path)
+    report, conj, _, _ = runs.verify_step(system, pair, samples, xi, args.seed,
+                                          sets, args.tol, path)
 
-    print(f"immersion {F.name} -> {target.name}")
-    print(f"conjugacy: max residual {conj.max_residual:.3e} over "
-          f"{conj.samples_used} samples ({conj.samples_skipped} outside the domain)")
-    if push:
-        print(f"pushforward: hausdorff(omega image, target omega) = "
-              f"{push.hausdorff_omega:.3e}; alpha: {push.alpha_status}"
-              + (f", hausdorff {push.hausdorff_alpha:.3e}"
-                 if push.hausdorff_alpha is not None else ""))
-    print(f"injectivity: {inj.n_collisions} collision(s) over "
-          f"{inj.pairs_checked} pairs; worst separation ratio {_ratio(inj.min_separation_ratio)}")
-    print(f"status: {report['status']}")
+    print(f"immersion {F.name} -> {target.name}")     # the report names no target
+    print(_render(report))
     print(f"wrote {path}")
     if report["status"] != "ok":
         _emit_error("verification-failed",
@@ -389,11 +364,8 @@ def cmd_learn(args) -> int:
     lift_path = out / "lift.json"
     serialize.dump(lift_doc, lift_path)
 
-    print(f"dictionary {dictionary.kind} size {dictionary.size} "
-          f"({lift.report.method}, ridge {args.ridge:g})")
-    print(f"train rms residual {lift.report.rms_residual:.3e}, "
-          f"gram condition {lift.report.gram_condition:.3e}")
-    print(f"leading eigenvalues: {_leading_eigenvalues(lift_doc['eigenvalues'])}")
+    print(_render(lift_doc["fit"]))
+    print(_render(lift_doc))
     print(f"wrote {fit_path}")
     print(f"wrote {lift_path}")
     return 0
@@ -439,7 +411,7 @@ def cmd_sweep(args) -> int:
     data = report.to_dict()
     serialize.dump(data, json_path)
 
-    _render_sweep(data)
+    print(_render(data))
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return 0
@@ -449,21 +421,142 @@ def cmd_demo(args) -> int:
     _at_least(1, args, "threads", at_most=config.MAX_THREADS)
     sets = _settings(args, tuple(_SET_KINDS))     # the demo reads every setting
     out = _out_dir(args)
-    examples = []
-    steps = runs.demo_examples(out, args.seed, args.threads, sets)
-    for i, step in enumerate(steps, 1):
-        result = step()
-        examples.append(result)
-        keys = ", ".join(f"{k}={_fmt(v)}" for k, v in result["metrics"].items()
-                         if not isinstance(v, (list, dict)))
-        print(f"[{i}/{len(steps)}] {result['name']}: {result['status']} ({keys})")
+    summary = runs.demo(out, args.seed, args.threads, sets)
     path = out / "demo-summary.json"
-    serialize.dump(runs.demo_summary(args.seed, examples), path)
+    serialize.dump(summary, path)
+    print(_render(summary))
     print(f"wrote {path}")
     return 0
 
 
 # -- report rendering ----------------------------------------------------------
+# One renderer per report kind: it takes the report dict and returns the text
+# it prints as. The subcommand that writes a report and ``report`` both print
+# it through _render, so the two read the same.
+
+def _render_catalog(data: dict) -> str:
+    rows = [(m["label"], m["shape"], m["period"], m["diameter"], m["n_estimates"],
+             m["resolution"]) for m in data["members"]]
+    return _table(["label", "shape", "period", "diameter", "estimates", "resolution"], rows)
+
+
+def _render_basins(data: dict) -> str:
+    lines = [_table(["label", "nodes"], sorted(data["counts"].items()))]
+    for w in data["witnesses"]:
+        near, point = w["boundary_label"], ",".join(repr(float(v)) for v in w["limit_point"])
+        lines.append(f"witness: basin of {near} is not closed — points arbitrarily close "
+                     f"to ({point}) settle on {near}, the point itself settles on "
+                     f"{w['limit_label']}")
+    return "\n".join(lines)
+
+
+def _render_pushforward(data: dict) -> str:
+    alpha = data["hausdorff_alpha"]
+    return (f"pushforward: hausdorff(omega image, target omega) = "
+            f"{data['hausdorff_omega']:.3e} (one-sided {data['one_sided_omega']:.3e}); "
+            f"alpha: {data['alpha_status']}"
+            + ("" if alpha is None else f", hausdorff {alpha:.3e}"))
+
+
+def _render_verify(data: dict) -> str:
+    conj, push, inj = data["conjugacy"], data["pushforward"], data["injectivity"]
+    ratio = inj["min_separation_ratio"]
+    lines = [f"{data['system']} via {data['immersion']}",
+             f"conjugacy: max residual {conj['max_residual']:.3e} over "
+             f"{conj['samples_used']} samples ({conj['samples_skipped']} outside the domain)"]
+    if push:
+        lines.append(_render_pushforward(push))
+    lines += [f"injectivity: {inj['n_collisions']} collision(s) over {inj['pairs_checked']} "
+              f"pairs; min separation ratio {'n/a' if ratio is None else f'{ratio:.3e}'}",
+              f"status: {data['status']}"]
+    return "\n".join(lines)
+
+
+def _render_fit(data: dict) -> str:
+    return (f"rms residual {data['rms_residual']:.3e} over {data['samples_used']} samples, "
+            f"gram condition {data['gram_condition']:.3e} "
+            f"({data['method']}, ridge {data['ridge']:g})")
+
+
+def _eigenvalue(re: float, im: float) -> str:
+    return f"{re:.6g}{im:+.6g}j" if im else f"{re:.6g}"
+
+
+def _render_lift(data: dict) -> str:
+    leading = ", ".join(_eigenvalue(re, im) for re, im in data["eigenvalues"][:6])
+    return f"{data['dict_kind']} lift of {data['system']}: eigenvalues {leading}"
+
+
+def _render_sweep(data: dict) -> str:
+    rows = [(r["dict_kind"], r["dict_size"], r["ridge"], r["residual_heldout"],
+             r["collapse_ratio"], r["min_sep_ratio"], (r["error"] or "")[:48])
+            for r in data["rows"]]
+    return _table(["dict", "size", "ridge", "residual", "collapse", "min-sep", "note"], rows)
+
+
+def _render_spectral(data: dict) -> str:
+    rows = [(_eigenvalue(*ev["value"]), ev["alg_mult"], ev["geo_mult"], ev["abs_class"],
+             ev["split_class"]) for ev in data["eigenvalues"]]
+    d = data["dims"]
+    return (_table(["eigenvalue", "alg", "geo", "band", "subspace"], rows)
+            + f"\nsubspace dims: stable {d[0]}, unit {d[1]}, unstable {d[2]}")
+
+
+def _render_demo(data: dict) -> str:
+    examples = data["examples"]
+    lines = []
+    for i, ex in enumerate(examples, 1):
+        keys = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(ex["metrics"].items())
+                         if not isinstance(v, (list, dict)))
+        lines.append(f"[{i}/{len(examples)}] {ex['name']}: {ex['status']} ({keys})")
+    return "\n".join(lines)
+
+
+_RENDERERS = {
+    "basin-summary": _render_basins,
+    "consistency-report": lambda data: f"consistent: {data['consistent']} ({data['detail']})",
+    "demo-summary": _render_demo,
+    "fit-report": _render_fit,
+    "learned-lift": _render_lift,
+    "limit-set-catalog": _render_catalog,
+    "pushforward-report": _render_pushforward,
+    "spectral-split": _render_spectral,
+    "tradeoff-report": _render_sweep,
+    "verify-report": _render_verify,
+}
+
+
+def _render(data: dict) -> str:
+    """The text of the report ``data``, by the renderer of its kind."""
+    renderer = _RENDERERS.get(data["kind"])
+    return renderer(data) if renderer else f"(no renderer for kind {data['kind']!r})"
+
+
+def _saved_report(path: Path) -> Optional[dict]:
+    """The report a JSON file holds: an object with a ``kind``, else None."""
+    try:
+        data = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return data if isinstance(data, dict) and data.get("kind") is not None else None
+
+
+def _basin_dims(path: Path) -> int:
+    """The grid dimension of a basin CSV (header ``i,...,label``, then a row
+    per node), else 0."""
+    with open(path) as fh:
+        header, node = fh.readline().strip(), fh.readline().strip()
+    is_basin = node and header.startswith("i,") and header.endswith(",label")
+    return header.count(",") if is_basin else 0
+
+
+def _write_xy(data: dict, stem: str, out: Path) -> None:
+    """Each catalog member's representative points, one a line, as
+    ``out/<stem>.<label>.xy``."""
+    for m in data["members"]:
+        lines = [" ".join(repr(float(v)) for v in p) for p in m["representative_points"]]
+        (out / f"{stem}.{m['label']}.xy").write_text("\n".join(lines) + "\n")
+
 
 _PALETTE = [(31, 119, 180), (255, 127, 14), (44, 160, 44), (214, 39, 40),
             (148, 103, 189), (140, 86, 75), (227, 119, 194), (23, 190, 207)]
@@ -471,151 +564,42 @@ _SPECIAL_COLORS = {"undetermined": (160, 160, 160), "singular": (0, 0, 0),
                    "escaped": (255, 255, 255)}
 
 
-def _render_catalog(data: dict, stem: str, out: Path) -> list[str]:
-    rows = [(m["label"], m["shape"],
-             m["period"] if m["period"] is not None else "-",
-             m["diameter"], m["n_estimates"]) for m in data["members"]]
-    print(_table(["label", "shape", "period", "diameter", "estimates"], rows))
-    written = []
-    for m in data["members"]:
-        path = out / f"{stem}.{m['label']}.xy"
-        lines = [" ".join(repr(float(v)) for v in p)
-                 for p in m["representative_points"]]
-        path.write_text("\n".join(lines) + "\n")
-        written.append(str(path))
-    return written
-
-
-def _render_sweep(data: dict) -> None:
-    rows = [(r["dict_kind"], r["dict_size"], r["ridge"], r["residual_heldout"],
-             r["collapse_ratio"], r["min_sep_ratio"], (r["error"] or "")[:48])
-            for r in data["rows"]]
-    print(_table(["dict", "size", "ridge", "residual", "collapse", "min-sep", "note"],
-                 rows))
-
-
-def _render_verify(data: dict) -> None:
-    conj = data["conjugacy"]
-    print(f"{data['system']} via {data['immersion']}: status {data['status']}")
-    print(f"  max residual {conj['max_residual']:.3e} "
-          f"({conj['samples_used']} samples)")
-    push = data.get("pushforward")
-    if push:
-        print(f"  hausdorff omega {push['hausdorff_omega']:.3e}, "
-              f"alpha {push['alpha_status']}")
-    inj = data["injectivity"]
-    print(f"  collisions {inj.get('n_collisions', len(inj['collisions']))}, "
-          f"min separation ratio {_ratio(inj['min_separation_ratio'])}")
-
-
-def _render_spectral(data: dict) -> None:
-    rows = [(_eigenvalue(*ev["value"]),
-             ev["alg_mult"], ev["geo_mult"], ev["abs_class"], ev["split_class"])
-            for ev in data["eigenvalues"]]
-    print(_table(["eigenvalue", "alg", "geo", "band", "subspace"], rows))
-    d = data["dims"]
-    print(f"subspace dims: stable {d[0]}, unit {d[1]}, unstable {d[2]}")
-
-
-def _render_basin_csv(path: Path, out: Path) -> list[str]:
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    dims = len(header) - 1
-    if dims not in (1, 2):
-        return []
-    idx = []
-    labels = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        idx.append(tuple(int(v) for v in parts[:dims]))
-        labels.append(parts[dims])
-    shape = tuple(max(i[a] for i in idx) + 1 for a in range(dims))
-    member_labels = sorted({l for l in labels if l not in _SPECIAL_COLORS})
-    color_of = {l: _PALETTE[i % len(_PALETTE)] for i, l in enumerate(member_labels)}
+def _write_raster(path: Path, out: Path) -> str:
+    """The 1-d or 2-d basin CSV ``path`` as ``out/<stem>.ppm``, a pixel per node.
+    Its rows are the nodes in row-major order, as ``limits.write_basin_csv``
+    writes them, so the last row's last index, plus one, is the width."""
+    rows = path.read_text().strip().split("\n")[1:]
+    labels = [row.rsplit(",", 1)[1] for row in rows]
+    width = int(rows[-1].split(",")[-2]) + 1
+    height = len(labels) // width
+    members = sorted(set(labels) - _SPECIAL_COLORS.keys())
+    color_of = {l: _PALETTE[i % len(_PALETTE)] for i, l in enumerate(members)}
     color_of.update(_SPECIAL_COLORS)
-
-    if dims == 1:
-        width, height = shape[0], 1
-        grid = {(0, i[0]): l for i, l in zip(idx, labels)}
-    else:
-        height, width = shape
-        grid = {(i[0], i[1]): l for i, l in zip(idx, labels)}
-    body = []
-    for r in range(height):
-        row = []
-        for c in range(width):
-            row.append(" ".join(str(v) for v in color_of[grid[(r, c)]]))
-        body.append("  ".join(row))
+    pixel = {l: " ".join(map(str, c)) for l, c in color_of.items()}
+    body = ["  ".join(pixel[l] for l in labels[r * width:(r + 1) * width])
+            for r in range(height)]
     ppm = out / (path.stem + ".ppm")
     ppm.write_text(f"P3\n{width} {height}\n255\n" + "\n".join(body) + "\n")
-    counts = {}
-    for l in labels:
-        counts[l] = counts.get(l, 0) + 1
-    print(_table(["label", "nodes"], sorted(counts.items())))
-    return [str(ppm)]
+    return f"raster {width}x{height}: {ppm}"
 
 
 def cmd_report(args) -> int:
     src = Path(args.dir)
     out = Path(args.out) if args.out != "." else src / "render"
-    out.mkdir(parents=True, exist_ok=True)
-    rendered = []
-
-    for path in sorted(src.glob("*.json")):
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            continue
-        if not isinstance(data, dict):
-            continue
-        kind = data.get("kind")
-        if kind is None:
-            continue
-        print(f"== {path.name} ==")
-        if kind == "limit-set-catalog":
-            rendered += _render_catalog(data, path.stem, out)
-        elif kind == "tradeoff-report":
-            _render_sweep(data)
-        elif kind == "verify-report":
-            _render_verify(data)
-        elif kind == "spectral-split":
-            _render_spectral(data)
-        elif kind == "demo-summary":
-            for ex in data["examples"]:
-                print(f"  {ex['name']}: {ex['status']}")
-        elif kind == "basin-summary":
-            print(_table(["label", "nodes"], sorted(data["counts"].items())))
-            for w in data.get("witnesses", []):
-                print(f"  witness: {w['boundary_label']} not closed at "
-                      f"{w['limit_point']} (limit settles on {w['limit_label']})")
-        elif kind == "consistency-report":
-            print(f"  consistent: {data['consistent']} ({data['detail']})")
-        elif kind == "pushforward-report":
-            print(f"  hausdorff omega {data['hausdorff_omega']:.3e} "
-                  f"(one-sided {data['one_sided_omega']:.3e}), "
-                  f"alpha {data['alpha_status']}")
-        elif kind == "fit-report":
-            print(f"  rms residual {data['rms_residual']:.3e}, gram condition "
-                  f"{data['gram_condition']:.3e}, {data['method']}")
-        elif kind == "learned-lift":
-            print(f"  {data['dict_kind']} lift of {data['system']}: "
-                  f"eigenvalues {_leading_eigenvalues(data['eigenvalues'])}")
-        else:
-            print(f"  (no renderer for kind {kind!r})")
-        rendered.append(str(path))
-        print()
-
-    for path in sorted(src.glob("*.csv")):
-        with open(path) as fh:
-            first = fh.readline().strip()
-        if first.startswith("i,") and first.endswith(",label"):
-            print(f"== {path.name} ==")
-            rendered += _render_basin_csv(path, out)
-            print()
-
-    if not rendered:
+    reports = [(path, data) for path in sorted(src.glob("*.json"))
+               if (data := _saved_report(path)) is not None]
+    rasters = [path for path in sorted(src.glob("*.csv")) if _basin_dims(path) in (1, 2)]
+    if not reports and not rasters:
         raise MissingArtifactError(f"no renderable artifacts under {src}")
-    print(f"rendered {len(rendered)} artifact(s); derived files in {out}")
+    out.mkdir(parents=True, exist_ok=True)
+
+    for path, data in reports:
+        print(f"== {path.name} ==\n{_render(data)}\n")
+        if data["kind"] == "limit-set-catalog":
+            _write_xy(data, path.stem, out)
+    for path in rasters:
+        print(f"== {path.name} ==\n{_write_raster(path, out)}\n")
+    print(f"rendered {len(reports) + len(rasters)} artifact(s); derived files in {out}")
     return 0
 
 
@@ -710,7 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_demo)
 
-    p = sub.add_parser("report", help="render saved artifacts to text/xy/ppm")
+    p = sub.add_parser("report", help="print saved reports as their subcommands do; "
+                                      "write .xy/.ppm files")
     p.add_argument("--dir", default=".", help="directory holding artifacts")
     p.add_argument("--out", default=".",
                    help="directory for derived files (default: DIR/render)")

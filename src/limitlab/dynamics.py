@@ -96,6 +96,11 @@ def as_state(x, dim: Optional[int] = None) -> np.ndarray:
     return p
 
 
+# Rounds of redraws DomainRegion.sample makes for points that land in an
+# exclusion ball before it gives up with a ValueError.
+_REDRAW_ROUNDS = 1000
+
+
 @dataclass(frozen=True)
 class DomainRegion:
     """A region of state space with optional excluded points.
@@ -211,29 +216,37 @@ class DomainRegion:
         """Draw ``n`` points from the region (uniform per axis / radius).
 
         Unbounded regions need an explicit ``box`` to draw from. Samples that
-        land inside an exclusion ball are redrawn.
+        land inside an exclusion ball are redrawn, in up to
+        ``_REDRAW_ROUNDS`` rounds; a sample still excluded after them is a
+        ``ValueError``.
         """
+        pts = self._draw(n, rng, box)
+        rounds = 0
+        while self.excluded is not None and not (ok := self.contains_batch(pts)).all():
+            if rounds == _REDRAW_ROUNDS:
+                raise ValueError(f"samples still inside an exclusion ball after "
+                                 f"{_REDRAW_ROUNDS} redraws")
+            pts[~ok] = self._draw(int((~ok).sum()), rng, box)
+            rounds += 1
+        return pts
+
+    def _draw(self, n: int, rng: np.random.Generator, box) -> np.ndarray:
+        """``n`` uniform draws from the region's box (or ``box``) or annulus,
+        exclusion balls ignored."""
         if self.kind == "annulus":
             r = rng.uniform(self.bounds[0, 0], self.bounds[0, 1], size=n)
             theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
             if self.dim != 2:
                 raise NotImplementedError("annulus sampling implemented for dim 2")
-            pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+            return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        if self.bounds is not None and np.isfinite(self.bounds).all():
+            lo, hi = self.bounds[:, 0], self.bounds[:, 1]
+        elif box is not None:
+            b = np.asarray(box, dtype=float)
+            lo, hi = b[:, 0], b[:, 1]
         else:
-            if self.bounds is not None and np.isfinite(self.bounds).all():
-                lo, hi = self.bounds[:, 0], self.bounds[:, 1]
-            elif box is not None:
-                b = np.asarray(box, dtype=float)
-                lo, hi = b[:, 0], b[:, 1]
-            else:
-                raise ValueError("unbounded region: pass an explicit sample box")
-            pts = rng.uniform(lo, hi, size=(n, self.dim))
-        if self.excluded is not None:
-            bad = ~self.contains_batch(pts)
-            while bad.any():
-                pts[bad] = self.sample(int(bad.sum()), rng, box=box)
-                bad = ~self.contains_batch(pts)
-        return pts
+            raise ValueError("unbounded region: pass an explicit sample box")
+        return rng.uniform(lo, hi, size=(n, self.dim))
 
     def has_finite_box(self) -> bool:
         """Whether the region has finite per-axis bounds (an annulus bounds the

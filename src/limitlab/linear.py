@@ -148,34 +148,24 @@ def _eigen_groups(A: np.ndarray, tol_eig: float, tol_rank: float) -> list[EigenG
         unused = rest
         clusters.append(members)
 
-    # Merge conjugate clusters; keep representatives with Im >= 0.
+    # One group per real cluster and per conjugate pair of clusters, the pair
+    # represented by its cluster with Im > 0.
     groups: list[EigenGroup] = []
-    consumed = set()
-    for ci, members in enumerate(clusters):
-        if ci in consumed:
-            continue
+    for members in clusters:
         mu = complex(np.mean(lam[members]))
+        m = len(members)
         if abs(mu.imag) <= group_tol:
             mu = complex(mu.real, 0.0)
-            m = len(members)
             B = A - mu.real * np.eye(n)
             b_ref = scale + abs(mu)
             is_pair = False
         else:
             if mu.imag < 0:
                 continue  # handled from the positive-imag side
-            # find the conjugate cluster
-            for cj, other in enumerate(clusters):
-                if cj != ci and cj not in consumed and \
-                        abs(np.mean(lam[other]) - mu.conjugate()) <= group_tol:
-                    consumed.add(cj)
-                    break
-            m = len(members)
             a, b2 = mu.real, abs(mu) ** 2
             B = A @ A - 2.0 * a * A + b2 * np.eye(n)
             b_ref = scale * scale + 2.0 * abs(a) * scale + b2
             is_pair = True
-        consumed.add(ci)
 
         # A nearly scalar annihilator is pure rounding noise: powering it and
         # taking a *relative* null space finds nothing, even though the

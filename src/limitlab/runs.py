@@ -5,7 +5,6 @@ wrapper set on a module attribute, as perfbench's tracer sets, sees each one."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -179,11 +178,7 @@ def _demo_rotation(out: Path, seed: int, sets: Settings) -> dict:
 
     push = immersion.pushforward_check(pair.immersion, f, pair.target, [2.0, 0.0], sets)
 
-    A = np.zeros((3, 3))
-    c, s = math.cos(1.0), math.sin(1.0)
-    A[:2, :2] = [[c, s], [-s, c]]
-    A[2, 2] = 0.5
-    target = linear.LinearSystem(A, name="rotation-block")
+    target = systems.rotation_block(1.0)
     split = linear.spectral_split(target)
     serialize.dump(linear.spectral_split_to_dict(split), out / "rotation-spectral.json")
     basis = np.hstack([split.stable_basis, split.unit_basis])
@@ -231,20 +226,12 @@ def _demo_sweep(out: Path, seed: int, f, catalog) -> dict:
     }
 
 
-def demo_examples(out: Path, seed: int, threads: int, sets: Settings) -> list:
-    """The four worked examples, as calls that each run one, write its files
-    under ``out`` and return its entry of the demo summary. The first and the
+def demo(out: Path, seed: int, threads: int, sets: Settings) -> dict:
+    """Run the four worked examples, each writing its files under ``out``, and
+    return the ``demo-summary`` report of their entries. The first and the
     last share the mobius catalog, built here once."""
     mobius = _demo_catalog("mobius", sets)
-    return [
-        lambda: _demo_mobius(out, seed, threads, sets, *mobius),
-        lambda: _demo_cot(out, seed, sets),
-        lambda: _demo_rotation(out, seed, sets),
-        lambda: _demo_sweep(out, seed, *mobius),
-    ]
-
-
-def demo_summary(seed: int, examples: list) -> dict:
-    """The ``demo-summary`` report of the examples' entries."""
+    examples = [_demo_mobius(out, seed, threads, sets, *mobius), _demo_cot(out, seed, sets),
+                _demo_rotation(out, seed, sets), _demo_sweep(out, seed, *mobius)]
     return {"schema_version": 1, "kind": "demo-summary", "seed": seed,
             "examples": examples}

@@ -1,6 +1,7 @@
 """The command line, exercised in-process through main(argv)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_verify_with_no_separated_pair_reports_a_null_ratio(tmp_path, capsys):
     validate(doc, "verify-report")
     assert doc["injectivity"]["pairs_checked"] == 0
     assert doc["injectivity"]["min_separation_ratio"] is None
-    assert "worst separation ratio n/a" in out
+    assert "min separation ratio n/a" in out
     code, out, err = run(capsys, "report", "--dir", str(tmp_path))
     assert code == 0 and err == ""
     assert "min separation ratio n/a" in out
@@ -211,7 +212,7 @@ def test_learn_recovers_the_rational_cascade(tmp_path, capsys):
     ev = np.array(doc["eigenvalues"])
     assert np.allclose(ev[:, 0], [1.0, 0.5, 0.25, 0.125], atol=1e-9)
     assert np.abs(ev[:, 1]).max() < 1e-12
-    assert "leading eigenvalues" in out
+    assert "lift of mobius: eigenvalues" in out
     assert_report_renders_each_artifact(capsys, tmp_path)
 
 
@@ -264,6 +265,75 @@ def test_report_on_empty_directory_fails(tmp_path, capsys):
     code, _, err = run(capsys, "report", "--dir", str(tmp_path))
     assert code == 3
     assert stderr_payload(err)["error"] == "MissingArtifactError"
+    # it creates no render directory in a directory it rejects
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_on_a_missing_directory_fails_and_creates_nothing(tmp_path, capsys):
+    code, _, err = run(capsys, "report", "--dir", str(tmp_path / "nothere"))
+    assert code == 3
+    assert stderr_payload(err)["error"] == "MissingArtifactError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_skips_a_basin_csv_without_nodes(tmp_path, capsys):
+    (tmp_path / "basins.csv").write_text("i,j,label\n")
+    code, _, err = run(capsys, "report", "--dir", str(tmp_path))
+    assert code == 3
+    assert stderr_payload(err)["error"] == "MissingArtifactError"
+    assert [p.name for p in tmp_path.iterdir()] == ["basins.csv"]
+
+
+# one run of each subcommand that writes a report
+_REPORT_WRITERS = {
+    "limits": ["limits", "--system", "mobius"],
+    "basins": ["basins", "--system", "rotation-scaling", "--domain=-2,2;-2,2",
+               "--resolution", "21"],
+    "verify": ["verify", "--system", "cot-map", "--x0", "1.0"],
+    "learn": ["learn", "--system", "mobius", "--domain=-0.9,0.5", "--dict", "rational-pole",
+              "--order", "3"],
+    "sweep": ["sweep", "--system", "cot-map", "--dicts", "fourier:0,fourier:1",
+              "--ridges", "0,1e-8"],
+    "demo": ["demo", "--seed", "42"],
+}
+
+
+def report_sections(out):
+    """``report`` stdout as ``{file name: the lines of its section}``."""
+    sections, name = {}, None
+    for line in out.splitlines():
+        if line.startswith("== ") and line.endswith(" =="):
+            name = line[3:-3]
+            sections[name] = []
+        elif name is not None and line:
+            sections[name].append(line)
+        else:
+            name = None
+    return sections
+
+
+@pytest.mark.parametrize("command", list(_REPORT_WRITERS))
+def test_subcommands_print_their_reports_as_report_renders_them(tmp_path, capsys, command):
+    code, out, err = run(capsys, *_REPORT_WRITERS[command], "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    written = [line.removeprefix("wrote ") for line in out.splitlines()
+               if line.startswith("wrote ") and line.endswith(".json")]
+    assert written
+    code, rendered, _ = run(capsys, "report", "--dir", str(tmp_path))
+    assert code == 0
+    sections = report_sections(rendered)
+    for path in written:
+        lines = sections[Path(path).name]
+        assert lines
+        # the same lines, one after another, in the subcommand's own output
+        assert "\n" + "\n".join(lines) + "\n" in "\n" + out
+
+
+def test_every_rendered_kind_is_a_bundled_schema():
+    from limitlab import cli
+    from limitlab.serialize import schema_names
+
+    assert set(cli._RENDERERS) <= set(schema_names())
 
 
 # -- error paths -----------------------------------------------------------------

@@ -88,6 +88,48 @@ def test_sample_stays_in_region_and_respects_exclusions(rng):
     assert (np.abs(pts[:, 0]) > 0.2).all()
 
 
+def _recursive_sample(region, n, rng, box=None):
+    """Sampling as it was written before the redraws became a loop: each
+    redraw samples the excluded points again, recursively."""
+    if region.kind == "annulus":
+        r = rng.uniform(region.bounds[0, 0], region.bounds[0, 1], size=n)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    else:
+        b = region.bounds if region.bounds is not None else np.asarray(box, dtype=float)
+        pts = rng.uniform(b[:, 0], b[:, 1], size=(n, region.dim))
+    bad = ~region.contains_batch(pts)
+    while bad.any():
+        pts[bad] = _recursive_sample(region, int(bad.sum()), rng, box)
+        bad = ~region.contains_batch(pts)
+    return pts
+
+
+@pytest.mark.parametrize("region, box", [
+    (DomainRegion.interval(-1.0, 1.0, excluded=[0.0], eps_excl=0.5), None),
+    (DomainRegion.box([[-1.0, 1.0], [-1.0, 1.0]], excluded=[[0.0, 0.0], [0.5, -0.5]],
+                      eps_excl=0.6), None),
+    (DomainRegion.full_space(2, excluded=[[0.0, 0.0]], eps_excl=0.9), [[-1.0, 1.0]] * 2),
+    (DomainRegion("annulus", 2, [[0.5, 2.0]], excluded=[[1.0, 0.0]], eps_excl=1.0), None),
+])
+def test_sample_redraws_as_the_recursive_sampler_did(region, box):
+    # regions where a good share of the draws needs a redraw, some of them
+    # more than one: the loop draws the same numbers in the same order
+    for seed in range(5):
+        got = region.sample(300, np.random.default_rng(seed), box=box)
+        want = _recursive_sample(region, 300, np.random.default_rng(seed), box)
+        assert np.array_equal(got, want)
+        assert region.contains_batch(got).all()
+
+
+def test_sample_gives_up_when_every_draw_is_excluded(rng):
+    # every point of [0, 1e-10] lies inside the exclusion ball around 0: the
+    # redraws used to recurse until Python's recursion limit
+    region = DomainRegion.interval(0.0, 1e-10, excluded=[0.0])
+    with pytest.raises(ValueError, match="exclusion ball"):
+        region.sample(3, rng)
+
+
 def test_sample_unbounded_needs_a_box(rng):
     region = DomainRegion.full_space(2)
     with pytest.raises(ValueError):
