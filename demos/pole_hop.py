@@ -14,7 +14,7 @@ converges to the repeller at +1 instead.
 
 import numpy as np
 
-from limitlab import EstimatorConfig, estimate_alpha, estimate_omega, iterate
+from limitlab import Settings, estimate_alpha, estimate_omega, iterate
 from limitlab.catalog import exact_immersion, get_system
 from limitlab.immersion import conjugacy_residual
 
@@ -32,7 +32,7 @@ for k in range(13):
 print("max deviation: %.3e" % np.abs(traj.points[:, 0] - closed).max())
 
 # omega-limit sets from both sides of the pole
-cfg = EstimatorConfig()
+cfg = Settings()
 for x0 in (0.0, 2.9, 3.1, 50.0):
     est = estimate_omega(f, [x0], cfg)
     where = est.points.mean() if est.converged else None

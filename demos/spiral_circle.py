@@ -17,14 +17,14 @@ limit set of the image.
 
 import numpy as np
 
-from limitlab import EstimatorConfig, estimate_omega
+from limitlab import Settings, estimate_omega
 from limitlab.catalog import exact_immersion, get_system
 from limitlab.errors import DomainError
 from limitlab.immersion import collapse_report, omega_alpha_consistency, pushforward_check
 from limitlab.limits import catalog_from_seeds
 
 f = get_system("rotation-scaling")
-cfg = EstimatorConfig(tail=2000)
+cfg = Settings(tail=2000)
 
 est = estimate_omega(f, [2.0, 0.0], cfg)
 radii = np.linalg.norm(est.points, axis=1)

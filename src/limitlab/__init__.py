@@ -18,12 +18,11 @@ from .immersion import (CollapseReport, ConjugacyReport, ConsistencyReport,
 from .lifting import (Dictionary, FitReport, LearnedLift, TradeoffReport,
                       TradeoffRow, build_dictionary, fit_lift,
                       obstruction_sweep, training_pairs)
-from .limits import (BasinConfig, BasinMap, CatalogMember, ClosednessWitness,
-                     EstimatorConfig, LimitSetCatalog, LimitSetEstimate,
-                     basin_closedness_witness, catalog_from_seeds,
-                     catalog_to_dict, cluster_limit_sets, compute_basins,
-                     estimate_alpha, estimate_omega, estimate_omega_batch,
-                     write_basin_csv)
+from .limits import (BasinMap, CatalogMember, ClosednessWitness, LimitSetCatalog,
+                     LimitSetEstimate, Settings, basin_closedness_witness,
+                     catalog_from_seeds, catalog_to_dict, cluster_limit_sets,
+                     compute_basins, estimate_alpha, estimate_omega,
+                     estimate_omega_batch, write_basin_csv)
 from .linear import (GrowthClass, LinearSystem, SpectralSplit, classify_growth,
                      jordan_block_power, omega_nonempty_linear, spectral_split,
                      spectral_split_to_dict, stability_bound)

@@ -40,7 +40,7 @@ from .dynamics import DomainRegion, iterate, write_trajectory_csv
 from .errors import (DomainError, InvalidParamError, LimitLabError,
                      MissingArtifactError, UnknownSystemError)
 from .lifting import build_dictionary, fit_lift, obstruction_sweep
-from .limits import EstimatorConfig, catalog_from_seeds, catalog_to_dict
+from .limits import Settings, catalog_from_seeds, catalog_to_dict
 
 _USAGE_ERRORS = (UnknownSystemError, InvalidParamError)
 
@@ -150,14 +150,16 @@ def _seed_option(raw: str) -> int:
     return _seed(raw, "--seed")
 
 
-# The type of each --set setting, by name: the fields of runs.Settings.
-_SET_KINDS = {f.name: type(f.default) for f in dataclasses.fields(runs.Settings)}
-_ESTIMATOR = tuple(f.name for f in dataclasses.fields(EstimatorConfig))
+# The type of each --set setting, by name: the fields of Settings.
+_SET_KINDS = {f.name: type(f.default) for f in dataclasses.fields(Settings)}
+# the names the limit-set estimator reads
+_ESTIMATOR = ("burn", "tail", "max_rounds", "tol_settle", "gap_factor", "tol_fp",
+              "max_period", "r_div")
 
 
-def _settings(args, names) -> runs.Settings:
+def _settings(args, names) -> Settings:
     """The settings of a run: the ``--set`` values for ``names`` as their
-    field's type, over the ``runs.Settings`` defaults. Any other ``--set``
+    field's type, over the ``Settings`` defaults. Any other ``--set``
     name, a value the type does not hold exactly (``burn=2.5``,
     ``tol_fp=nan``) and a value the code that reads it rejects are usage
     errors, raised here, before the run steps an orbit or writes a file."""
@@ -171,7 +173,7 @@ def _settings(args, names) -> runs.Settings:
         if not exact:
             raise InvalidParamError(f"--set {name}={value!r} is not a valid {kind.__name__}")
         sets[name] = kind(value)
-    return runs.Settings(**sets)
+    return Settings(**sets)
 
 
 def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
@@ -186,7 +188,7 @@ def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
     return region, [[-_DEFAULT_BOX_HALF, _DEFAULT_BOX_HALF]] * system.dim
 
 
-def _catalog(args, system, sets: runs.Settings, region=None, box=None):
+def _catalog(args, system, sets: Settings, region=None, box=None):
     """The catalog a run works against, from ``--auto-seeds`` points drawn in
     the region (``sweep`` only), the ``--seeds`` list, or the system's default
     seeds. Returns ``(catalog, skipped)`` as :func:`catalog_from_seeds` does."""
@@ -197,7 +199,7 @@ def _catalog(args, system, sets: runs.Settings, region=None, box=None):
         seeds = _parse_points("--seeds", args.seeds, system.dim)
     else:
         seeds = default_seeds(args.system)
-    return catalog_from_seeds(system, seeds, sets, sets.tol_cluster)
+    return catalog_from_seeds(system, seeds, sets)
 
 
 def _out_dir(args) -> Path:

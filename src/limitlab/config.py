@@ -1,11 +1,13 @@
 """Central table of numeric defaults.
 
 Every tolerance or guard used by the library is named here once. The ones
-``--set name=value`` can override are the fields of ``runs.Settings``, each
-defaulting to its constant here. ``cli._settings`` is the one place a
-``--set`` value becomes library input: the ``runs.Settings`` it builds checks
-each value, before any work starts. :data:`VERIFY_TOL` is ``verify --tol``'s
-default and the demo's; :data:`MAX_THREADS` bounds ``--threads``.
+``--set name=value`` can override are the fields of ``limits.Settings``, each
+named as its constant here in lower case and defaulting to it; every reader
+takes that one record and reads a field by its ``--set`` name.
+``cli._settings`` is the one place a ``--set`` value becomes library input:
+the ``Settings`` it builds checks each value, before any work starts.
+:data:`VERIFY_TOL` is ``verify --tol``'s default and the demo's;
+:data:`MAX_THREADS` bounds ``--threads``.
 """
 
 from __future__ import annotations

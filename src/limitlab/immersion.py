@@ -21,8 +21,8 @@ from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _row_norm,
 from .errors import DomainError, UnconvergedError
 from .geometry import (_pair_blocks, _pair_rows, _prepare, diameter,
                        directed_hausdorff, hausdorff, split_discrepancy)
-from .limits import (EstimatorConfig, LimitSetCatalog, LimitSetEstimate,
-                     estimate_alpha, estimate_omega)
+from .limits import (LimitSetCatalog, LimitSetEstimate, Settings, estimate_alpha,
+                     estimate_omega)
 
 
 @dataclass(frozen=True)
@@ -195,14 +195,14 @@ class PushforwardReport:
 
 
 def pushforward_check(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap, xi,
-                      cfg: Optional[EstimatorConfig] = None) -> PushforwardReport:
+                      cfg: Optional[Settings] = None) -> PushforwardReport:
     """Compare the image of the source limit-set estimate with the target's own.
 
     Both omega estimates must converge (:class:`UnconvergedError` otherwise).
     The alpha variant runs when both systems have inverses; backward escape on
     either side is recorded as vacuous rather than failing.
     """
-    cfg = cfg or EstimatorConfig()
+    cfg = cfg or Settings()
     xi = as_state(xi, f.dim)
     z0 = F(xi)
 
@@ -269,8 +269,7 @@ _COLLAPSE_SAMPLES = 512     # domain samples drawn for the image diameter
 
 
 def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
-                    samples=None, seed: int = config.DEFAULT_SEED,
-                    tol_cluster: float = config.TOL_CLUSTER) -> CollapseReport:
+                    samples=None, seed: int = config.DEFAULT_SEED) -> CollapseReport:
     """How far apart the images of the catalog's limit sets sit, relative to
     the overall spread of F over its domain.
 
@@ -280,9 +279,9 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
     between two member images or the diameter of the sampled image
     overflows, since a ratio of overflowed distances means nothing.
     ``maximal_member`` is the member whose image contains every other image
-    within ``tol_cluster`` one-sidedly, when one exists. Each member's image
-    is prepared once (:func:`geometry._prepare`) for all the distances it
-    takes part in.
+    within ``catalog.tol_cluster``, the tolerance the catalog was clustered
+    with, one-sidedly, when one exists. Each member's image is prepared once
+    (:func:`geometry._prepare`) for all the distances it takes part in.
     """
     images = [_prepare(F.apply(m.points)) for m in catalog.members]
     labels = tuple(m.label for m in catalog.members)
@@ -298,7 +297,7 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
 
     maximal = None
     for i in range(k):
-        if all(directed_hausdorff(images[j], images[i]) < tol_cluster
+        if all(directed_hausdorff(images[j], images[i]) < catalog.tol_cluster
                for j in range(k) if j != i):
             maximal = labels[i]
             break
@@ -450,16 +449,17 @@ class ConsistencyReport:
 
 
 def omega_alpha_consistency(g: DiscreteMap, z0,
-                            cfg: Optional[EstimatorConfig] = None,
-                            tol_cluster: float = config.TOL_CLUSTER) -> ConsistencyReport:
+                            cfg: Optional[Settings] = None) -> ConsistencyReport:
     """Do the forward and backward limit sets of ``z0`` agree?
 
     For a system whose domains of attraction/repulsion are closed, a point in
     both (with precompact orbits both ways) must have matching limit sets —
     a flagged mismatch is evidence the basins are not closed on this domain.
-    Escape on either side makes the check vacuous (consistent).
+    Escape on either side makes the check vacuous (consistent). The
+    estimates read ``cfg``'s estimator fields, and the two sets match within
+    ``max(cfg.tol_cluster, cfg.gap_factor * discrepancy)``.
     """
-    cfg = cfg or EstimatorConfig()
+    cfg = cfg or Settings()
     est_o = estimate_omega(g, z0, cfg)
     est_a = estimate_alpha(g, z0, cfg)
 
@@ -475,8 +475,8 @@ def omega_alpha_consistency(g: DiscreteMap, z0,
     # two finite samplings of one curve disagree by about as much as two
     # random halves of either sampling do, so the comparison tolerance
     # adapts to the noisier estimate
-    tol_eff = max(tol_cluster, cfg.gap_factor * max(split_discrepancy(est_o.points),
-                                                    split_discrepancy(est_a.points)))
+    tol_eff = max(cfg.tol_cluster, cfg.gap_factor * max(split_discrepancy(est_o.points),
+                                                        split_discrepancy(est_a.points)))
     consistent = d < tol_eff
     detail = "matched" if consistent else "inconsistent: forward and backward limit sets differ"
     return ConsistencyReport(consistent=consistent, detail=detail,

@@ -34,7 +34,21 @@ from .geometry import (_Cloud, _box_lower, _hausdorff_lower_bounds, _margin, _pr
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
+class Settings:
+    """Every ``--set NAME=VALUE`` setting, one field each, defaulting to its
+    ``config`` constant. Each reader takes the record as ``cfg`` and reads
+    the fields it needs by these names:
+
+    * the limit-set estimator: ``burn``, ``tail``, ``max_rounds``,
+      ``tol_settle``, ``gap_factor``, ``tol_fp``, ``max_period``, ``r_div``
+      (``r_div`` guards ``simulate`` too);
+    * the clustering: ``tol_cluster`` and ``gap_factor``;
+    * the basin settling: ``basin_burn``, ``basin_window``, ``escape_radius``;
+    * the witness search: ``witness_depth`` and ``witness_max_pairs``.
+
+    Each value is checked here, in the order ``tol_cluster``, witness,
+    estimator, basin, and a value no reader can use is a ``ValueError``."""
+
     burn: int = config.BURN
     tail: int = config.TAIL
     max_rounds: int = config.MAX_ROUNDS
@@ -43,22 +57,33 @@ class EstimatorConfig:
     tol_fp: float = config.TOL_FP
     max_period: int = config.MAX_PERIOD
     r_div: float = config.R_DIV
+    tol_cluster: float = config.TOL_CLUSTER
+    basin_burn: int = config.BASIN_BURN
+    basin_window: int = config.BASIN_WINDOW
+    escape_radius: float = config.ESCAPE_RADIUS
+    witness_depth: int = config.WITNESS_DEPTH
+    witness_max_pairs: int = config.WITNESS_MAX_PAIRS
 
     def __post_init__(self):
-        if self.burn < 0:
-            raise ValueError(f"burn must be >= 0, got {self.burn}")
-        if self.tail < 1:
-            raise ValueError(f"tail must be >= 1, got {self.tail}")
-        if self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        if self.max_period < 0:
-            raise ValueError(f"max_period must be >= 0, got {self.max_period}")
+        if not (math.isfinite(self.tol_cluster) and self.tol_cluster > 0):
+            raise ValueError(f"tol_cluster must be finite and > 0, got {self.tol_cluster}")
+        self._at_least(witness_depth=1, witness_max_pairs=0,
+                       burn=0, tail=1, max_rounds=0, max_period=0)
         for name in ("tol_settle", "gap_factor", "tol_fp"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not (math.isfinite(self.r_div) and self.r_div > 0):
             raise ValueError(f"r_div must be finite and > 0, got {self.r_div}")
+        self._at_least(basin_burn=0, basin_window=1)
+        if not self.escape_radius > 0:
+            raise ValueError(f"escape_radius must be > 0, got {self.escape_radius}")
+
+    def _at_least(self, **least):
+        for name, bound in least.items():
+            value = getattr(self, name)
+            if value < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +128,7 @@ def _classify_shape(window: _Cloud, tol_fp: float, max_period: int):
     return "unknown", None, diam
 
 
-def estimate_omega(system: DiscreteMap, x0, cfg: Optional[EstimatorConfig] = None,
+def estimate_omega(system: DiscreteMap, x0, cfg: Optional[Settings] = None,
                    source: str = "omega") -> LimitSetEstimate:
     """Forward limit-set estimate at ``x0``.
 
@@ -118,7 +143,7 @@ _STATUS_OF = {DIVERGED: "escaped", LEFT_DOMAIN: "escaped", SINGULAR: "singular"}
 
 
 def estimate_omega_batch(system: DiscreteMap, seeds,
-                         cfg: Optional[EstimatorConfig] = None,
+                         cfg: Optional[Settings] = None,
                          source: str = "omega") -> list[LimitSetEstimate]:
     """:func:`estimate_omega` at every seed, with the orbits stepped in lockstep.
 
@@ -131,7 +156,7 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
     does not settle, the next round's comparison; the estimate keeps it for
     :func:`cluster_limit_sets`.
     """
-    cfg = cfg or EstimatorConfig()
+    cfg = cfg or Settings()
     seeds = [as_state(s, system.dim) for s in seeds]
     if not seeds:
         return []
@@ -193,7 +218,7 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
 
 
 def estimate_alpha(system: DiscreteMap, x0,
-                   cfg: Optional[EstimatorConfig] = None) -> LimitSetEstimate:
+                   cfg: Optional[Settings] = None) -> LimitSetEstimate:
     """Backward limit-set estimate: the omega estimate of the inverse dynamics."""
     return estimate_omega(system.reversed(), x0, cfg, source="alpha")
 
@@ -290,14 +315,8 @@ def _thin(points: np.ndarray, cap: int = _MEMBER_CAP) -> np.ndarray:
     return points[idx]
 
 
-def _check_tol_cluster(tol_cluster: float) -> None:
-    if not (math.isfinite(tol_cluster) and tol_cluster > 0):
-        raise ValueError(f"tol_cluster must be finite and > 0, got {tol_cluster}")
-
-
 def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
-                       tol_cluster: float = config.TOL_CLUSTER,
-                       gap_factor: float = config.GAP_FACTOR) -> LimitSetCatalog:
+                       cfg: Optional[Settings] = None) -> LimitSetCatalog:
     """Greedy Hausdorff clustering of converged estimates into distinct limit
     sets. Labels are assigned in order of each member's first-seen seed, so
     the catalog is reproducible regardless of estimate order.
@@ -305,7 +324,7 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
     Each estimate joins the cluster at the smallest Hausdorff distance below
     that cluster's merge tolerance, the first such one on a tie, or starts a
     new cluster. Two samples of one curve can sit half a sampling gap apart,
-    so the merge tolerance is ``max(tol_cluster, gap_factor * g)``, with
+    so the merge tolerance is ``max(cfg.tol_cluster, cfg.gap_factor * g)``, with
     ``g`` the larger sampling gap of the estimate and the cluster. Every
     estimate and cluster cloud is prepared once, and an estimate's window
     keeps the sampling gap its shape test took. A cluster whose lower bound
@@ -321,8 +340,9 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
     for its distance, and a distance below ``tol_own`` joins it, all without
     the cluster's gap. Each member's ``resolution`` is its cluster's gap, taken
     at the end if no decision took it, and the member keeps its cluster's
-    prepared cloud. ``tol_cluster`` must be finite and positive."""
-    _check_tol_cluster(tol_cluster)
+    prepared cloud. The catalog records both settings."""
+    cfg = cfg or Settings()
+    tol_cluster, gap_factor = cfg.tol_cluster, cfg.gap_factor
     if len(estimates) == 0:
         raise ValueError("no estimates to cluster")
     bad = [i for i, e in enumerate(estimates) if not e.converged]
@@ -371,19 +391,17 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
                            gap_factor=gap_factor)
 
 
-def catalog_from_seeds(system: DiscreteMap, seeds,
-                       cfg: Optional[EstimatorConfig] = None,
-                       tol_cluster: float = config.TOL_CLUSTER):
+def catalog_from_seeds(system: DiscreteMap, seeds, cfg: Optional[Settings] = None):
     """Estimate omega at each seed and cluster what converged.
 
     ``seeds`` lists states, as :func:`estimate_omega_batch` takes them: for a
     1-d system a flat list of numbers is one seed per number.
     Returns ``(catalog, skipped)`` where skipped lists (seed, status) for
     orbits that escaped, hit a singularity, or failed to settle. The
-    clustering, and so every match tolerance, uses ``cfg.gap_factor``.
+    estimates read ``cfg``'s estimator fields, and the clustering, and so
+    every match tolerance, its ``tol_cluster`` and ``gap_factor``.
     """
-    _check_tol_cluster(tol_cluster)
-    cfg = cfg or EstimatorConfig()
+    cfg = cfg or Settings()
     seeds = [as_state(s, system.dim) for s in seeds]
     ests, skipped = [], []
     for s, est in zip(seeds, estimate_omega_batch(system, seeds, cfg)):
@@ -393,7 +411,7 @@ def catalog_from_seeds(system: DiscreteMap, seeds,
             skipped.append((s, est.status))
     if not ests:
         raise UnconvergedError("no seed produced a converged estimate")
-    return cluster_limit_sets(ests, tol_cluster, cfg.gap_factor), skipped
+    return cluster_limit_sets(ests, cfg), skipped
 
 
 # -- basins ------------------------------------------------------------------
@@ -409,25 +427,6 @@ _SPECIAL_LABELS = {CODE_UNDETERMINED: "undetermined",
 # basin code of each engine termination code; the causes group as in _STATUS_OF
 _BASIN_CODE = np.array([{"escaped": CODE_ESCAPED, "singular": CODE_SINGULAR}.get(
     _STATUS_OF.get(cause), CODE_UNDETERMINED) for cause in TERMINATIONS], dtype=np.int16)
-
-
-@dataclass(frozen=True)
-class BasinConfig:
-    """Grid orbits drop ``burn`` steps, then their next ``window`` states must
-    sit on one member. An orbit escapes once a coordinate magnitude exceeds
-    ``escape_radius``."""
-
-    burn: int = config.BASIN_BURN
-    window: int = config.BASIN_WINDOW
-    escape_radius: float = config.ESCAPE_RADIUS
-
-    def __post_init__(self):
-        if self.burn < 0:
-            raise ValueError(f"basin_burn must be >= 0, got {self.burn}")
-        if self.window < 1:
-            raise ValueError(f"basin_window must be >= 1, got {self.window}")
-        if not self.escape_radius > 0:
-            raise ValueError(f"escape_radius must be > 0, got {self.escape_radius}")
 
 
 _BATCH = 65536      # most grid nodes settled in one chunk; bounds its memory
@@ -529,11 +528,12 @@ class _SettleStage:
 
 
 def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
-                  cfg: BasinConfig) -> np.ndarray:
+                  cfg: Settings) -> np.ndarray:
     """Settle a batch of start points and match each tail to a catalog member.
-    :func:`iterate_batch`, with the escape radius as ``r_div``, runs the burn and
-    then each window step after its nearest-member query; a row it stops gets
-    the code of its cause.
+    :func:`iterate_batch`, with ``cfg.escape_radius`` as ``r_div``, runs the
+    ``cfg.basin_burn`` steps and then each of the ``cfg.basin_window`` window
+    steps after its nearest-member query; a row it stops gets the code of its
+    cause.
 
     A row is labelled ``i`` when every window state's nearest member point
     belongs to member ``i`` and the largest of those distances is at most
@@ -589,12 +589,12 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
         codes[rows[~going]] = _BASIN_CODE[run.termination[~going]]
         return rows[going], run.last[going]
 
-    rows, X = advance(np.arange(n), X0, cfg.burn)
+    rows, X = advance(np.arange(n), X0, cfg.basin_burn)
     max_dist = np.zeros(n)
     owner = np.full(n, -1, dtype=np.int32)
     anchor = np.full(n, -1, dtype=np.intp)
     consistent = np.ones(n, dtype=bool)
-    for _ in range(cfg.window):
+    for _ in range(cfg.basin_window):
         if rows.size == 0:
             break
         live = consistent[rows]
@@ -610,7 +610,7 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
         max_dist[asked] = np.maximum(max_dist[asked], d)
         rows, X = advance(rows, X, 1)
 
-    # window >= 1, so every consistent row still going has an owner
+    # basin_window >= 1, so every consistent row still going has an owner
     rows = rows[consistent[rows]]
     ok = max_dist[rows] <= tol_by_member[owner[rows]]
     codes[rows[ok]] = owner[rows[ok]]
@@ -619,15 +619,18 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
 
 def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
                    region: Optional[DomainRegion] = None, resolution=101,
-                   cfg: Optional[BasinConfig] = None, threads: int = 1) -> BasinMap:
+                   cfg: Optional[Settings] = None, threads: int = 1) -> BasinMap:
     """Label every grid node of ``region`` with the catalog member its orbit
     settles onto (``resolution`` nodes per axis, endpoints included).
 
-    A node is labeled only when the trailing window of its orbit sits entirely
-    within the member's match tolerance. Orbits that hit an excluded point or a
+    A node's orbit drops ``cfg.basin_burn`` steps, and the node is labeled
+    only when the next ``cfg.basin_window`` states sit entirely within the
+    member's match tolerance. Orbits that hit an excluded point or a
     non-finite image are ``singular``, orbits that leave the domain or get a
-    coordinate past the escape radius are ``escaped``, the rest ``undetermined``;
-    the image of the last window state is checked too.
+    coordinate past ``cfg.escape_radius`` are ``escaped``, the rest
+    ``undetermined``; the image of the last window state is checked too. The
+    map's ``params`` record the three settings as ``burn``, ``window`` and
+    ``escape_radius``.
 
     The nodes are settled in ``max(threads, ceil(nodes / _BATCH))`` chunks of
     near-equal size, but no more chunks than nodes, so that every thread has
@@ -642,7 +645,7 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
         raise ValueError(f"threads must be <= {config.MAX_THREADS}, got {threads}")
     if np.min(resolution) < 1:
         raise ValueError(f"resolution must be >= 1 node per axis, got {resolution}")
-    cfg = cfg or BasinConfig()
+    cfg = cfg or Settings()
     region = region or system.domain
     axes = region.grid(resolution)
     res = tuple(len(a) for a in axes)
@@ -663,7 +666,7 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     codes = np.concatenate(parts).reshape(res)
 
     params = {
-        "burn": cfg.burn, "window": cfg.window,
+        "burn": cfg.basin_burn, "window": cfg.basin_window,
         "escape_radius": cfg.escape_radius,
         "tol_cluster": catalog.tol_cluster,
         "match_tolerances": {m.label: catalog.match_tolerance(m)
@@ -714,36 +717,28 @@ def _boundary_pairs(basins: BasinMap):
         yield tuple(int(v) for v in pairs[k, 0]), tuple(int(v) for v in pairs[k, 1])
 
 
-def _check_witness(depth: int, max_pairs: int) -> None:
-    if depth < 1:
-        raise ValueError(f"witness_depth must be >= 1, got {depth}")
-    if max_pairs < 0:
-        raise ValueError(f"witness_max_pairs must be >= 0, got {max_pairs}")
-
-
 def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
-                             cfg: Optional[EstimatorConfig] = None,
-                             depth: int = config.WITNESS_DEPTH,
-                             max_pairs: int = config.WITNESS_MAX_PAIRS) -> list[ClosednessWitness]:
+                             cfg: Optional[Settings] = None) -> list[ClosednessWitness]:
     """Search basin boundaries for evidence that a domain of attraction is not
     closed: a sequence shrinking toward a neighboring node whose members all
     settle on one limit set while the node itself settles on another.
 
-    Heuristic and bounded (first ``max_pairs`` boundary pairs in row-major
-    order, ``depth`` sequence points each); an empty result is consistent
+    Heuristic and bounded (first ``cfg.witness_max_pairs`` boundary pairs in
+    row-major order, ``cfg.witness_depth`` sequence points each, every one
+    estimated with ``cfg``'s estimator fields); an empty result is consistent
     with closed basins on the sampled grid, not a proof. The states are
     estimated in two batches, every pair's first sequence point and then the
     rest of the pairs that pass it, and the pairs are judged in order,
     exactly as if each estimate were made when the search reached it.
     """
-    _check_witness(depth, max_pairs)
-    cfg = cfg or EstimatorConfig()
+    cfg = cfg or Settings()
     catalog = basins.catalog
 
     cases = []
-    for a_idx, b_idx in itertools.islice(_boundary_pairs(basins), max_pairs):
+    for a_idx, b_idx in itertools.islice(_boundary_pairs(basins), cfg.witness_max_pairs):
         xa, xb = basins.node(a_idx), basins.node(b_idx)
-        sequence = np.array([xb + (xa - xb) * 2.0 ** (-j) for j in range(1, depth + 1)])
+        sequence = np.array([xb + (xa - xb) * 2.0 ** (-j)
+                             for j in range(1, cfg.witness_depth + 1)])
         cases.append((basins.label_at(a_idx), xa, xb, sequence))
 
     # Each distinct state is estimated once, and only if the replay below

@@ -1,11 +1,11 @@
 """Run steps and report builders: what a subcommand or the demo composes from
-checked :class:`Settings`; the command line only parses, prints and names the files.
+one checked :class:`limits.Settings`, handed whole to every library call that
+reads a setting; the command line only parses, prints and names the files.
 Library calls go through their modules (``limits.compute_basins``), so a
 wrapper set on a module attribute, as perfbench's tracer sets, sees each one."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -15,33 +15,6 @@ from .dynamics import DomainRegion, _grid_nodes
 from .errors import DomainError
 
 _SURVEY_RANDOM = 512        # random draws added to a survey grid
-
-
-@dataclass(frozen=True)
-class Settings(limits.EstimatorConfig):
-    """Every ``--set NAME=VALUE`` setting, one field each, defaulting to its
-    ``config`` constant: the estimator's config (``r_div`` guards ``simulate``
-    too), ``tol_cluster``, the basin settling and the witness search. Each value
-    is checked as its reader checks it: ``tol_cluster``, witness, estimator, basin."""
-
-    tol_cluster: float = config.TOL_CLUSTER
-    basin_burn: int = config.BASIN_BURN
-    basin_window: int = config.BASIN_WINDOW
-    escape_radius: float = config.ESCAPE_RADIUS
-    witness_depth: int = config.WITNESS_DEPTH
-    witness_max_pairs: int = config.WITNESS_MAX_PAIRS
-
-    def __post_init__(self):
-        limits._check_tol_cluster(self.tol_cluster)
-        limits._check_witness(self.witness_depth, self.witness_max_pairs)
-        super().__post_init__()
-        _ = self.basin      # its BasinConfig checks the basin settling
-
-    @property
-    def basin(self) -> limits.BasinConfig:
-        """What ``compute_basins`` reads of these settings."""
-        return limits.BasinConfig(burn=self.basin_burn, window=self.basin_window,
-                                  escape_radius=self.escape_radius)
 
 
 def survey_samples(region: DomainRegion, seed: int) -> np.ndarray:
@@ -55,13 +28,12 @@ def survey_samples(region: DomainRegion, seed: int) -> np.ndarray:
 
 
 def basins_step(system, catalog, region, resolution: int, threads: int,
-                sets: Settings, out: Path, stem: str):
+                sets: limits.Settings, out: Path, stem: str):
     """Label the grid, search it for closedness witnesses, and write
     ``stem.csv`` and ``stem.json``. Returns the summary and the witnesses."""
     basins = limits.compute_basins(system, catalog, region=region, resolution=resolution,
-                                   cfg=sets.basin, threads=threads)
-    witnesses = limits.basin_closedness_witness(system, basins, sets, sets.witness_depth,
-                                                sets.witness_max_pairs)
+                                   cfg=sets, threads=threads)
+    witnesses = limits.basin_closedness_witness(system, basins, sets)
     limits.write_basin_csv(basins, out / f"{stem}.csv")
     labels, counts = np.unique(basins.codes, return_counts=True)
     summary = {
@@ -78,7 +50,7 @@ def basins_step(system, catalog, region, resolution: int, threads: int,
     return summary, witnesses
 
 
-def verify_step(system, pair, samples, xi, seed: int, cfg: limits.EstimatorConfig,
+def verify_step(system, pair, samples, xi, seed: int, cfg: limits.Settings,
                 tol: float, path: Path):
     """Check the chart ``pair`` on ``samples`` (and its limit-set pushforward
     from ``xi`` unless that is None) and write the ``verify-report`` to
@@ -115,14 +87,13 @@ def learned_lift(system, dictionary, lift) -> dict:
 
 # -- the demo ---------------------------------------------------------------------
 
-def _demo_catalog(name: str, sets: Settings):
+def _demo_catalog(name: str, sets: limits.Settings):
     system = systems.get_system(name)
-    catalog, _ = limits.catalog_from_seeds(system, systems.default_seeds(name), sets,
-                                           sets.tol_cluster)
+    catalog, _ = limits.catalog_from_seeds(system, systems.default_seeds(name), sets)
     return system, catalog
 
 
-def _demo_mobius(out: Path, seed: int, threads: int, sets: Settings, f,
+def _demo_mobius(out: Path, seed: int, threads: int, sets: limits.Settings, f,
                  catalog) -> dict:
     serialize.dump(limits.catalog_to_dict(catalog), out / "mobius-catalog.json")
 
@@ -144,7 +115,7 @@ def _demo_mobius(out: Path, seed: int, threads: int, sets: Settings, f,
     }
 
 
-def _demo_cot(out: Path, seed: int, sets: Settings) -> dict:
+def _demo_cot(out: Path, seed: int, sets: limits.Settings) -> dict:
     f = systems.get_system("cot-map")
     report, conj, push, _ = verify_step(
         f, systems.exact_immersion("cot-map"), survey_samples(f.domain, seed), [1.0], seed,
@@ -162,7 +133,7 @@ def _demo_cot(out: Path, seed: int, sets: Settings) -> dict:
     }
 
 
-def _demo_rotation(out: Path, seed: int, sets: Settings) -> dict:
+def _demo_rotation(out: Path, seed: int, sets: limits.Settings) -> dict:
     f, catalog = _demo_catalog("rotation-scaling", sets)
     serialize.dump(limits.catalog_to_dict(catalog), out / "rotation-catalog.json")
 
@@ -226,7 +197,7 @@ def _demo_sweep(out: Path, seed: int, f, catalog) -> dict:
     }
 
 
-def demo(out: Path, seed: int, threads: int, sets: Settings) -> dict:
+def demo(out: Path, seed: int, threads: int, sets: limits.Settings) -> dict:
     """Run the four worked examples, each writing its files under ``out``, and
     return the ``demo-summary`` report of their entries. The first and the
     last share the mobius catalog, built here once."""

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import limitlab as L
-from limitlab import (DomainRegion, EstimatorConfig, LinearSystem,
+from limitlab import (DomainRegion, Settings, LinearSystem,
                       basin_closedness_witness, build_dictionary,
                       catalog_from_seeds, classify_growth, collapse_report,
                       compute_basins, conjugacy_residual, estimate_alpha,
@@ -146,7 +146,7 @@ def test_criterion_4_planar_spiral_chart_circle_and_origin_obstruction():
     samples = ring.sample(10_000, np.random.default_rng(42))
     rep = conjugacy_residual(ent.immersion, f, ent.target, samples)
 
-    est = estimate_omega(f, [2.0, 0.0], EstimatorConfig(tail=10_000))
+    est = estimate_omega(f, [2.0, 0.0], Settings(tail=10_000))
     d_circle = hausdorff(est.points, circle_cloud())
 
     inj = injectivity_probe(ent.immersion, ring.sample(2000, np.random.default_rng(7)))

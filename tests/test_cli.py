@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limitlab import BasinConfig
+from limitlab import Settings
 from limitlab.cli import main
 from limitlab.serialize import validate
 
@@ -731,9 +731,9 @@ def test_demo_passes_tol_cluster_and_the_basin_settings_to_their_readers(tmp_pat
     class Stop(Exception):
         pass
 
-    def catalog(system, seeds, cfg, tol_cluster):
-        seen["tol_cluster"] = tol_cluster
-        return limitlab.limits.LimitSetCatalog(members=(), tol_cluster=tol_cluster), []
+    def catalog(system, seeds, cfg):
+        seen["tol_cluster"] = cfg.tol_cluster
+        return limitlab.limits.LimitSetCatalog(members=(), tol_cluster=cfg.tol_cluster), []
 
     def basins(system, catalog, region, resolution, cfg, threads):
         seen["basin"] = cfg
@@ -745,19 +745,29 @@ def test_demo_passes_tol_cluster_and_the_basin_settings_to_their_readers(tmp_pat
         main(["demo", "--out", str(tmp_path), "--set", "tol_cluster=0.25",
               "--set", "basin_burn=7", "--set", "basin_window=3", "--set", "escape_radius=9"])
     assert seen == {"tol_cluster": 0.25,
-                    "basin": BasinConfig(burn=7, window=3, escape_radius=9.0)}
+                    "basin": Settings(tol_cluster=0.25, basin_burn=7, basin_window=3,
+                                      escape_radius=9.0)}
+
+
+def test_demo_passes_tol_cluster_to_the_consistency_check(tmp_path, capsys):
+    # the cot example's forward/backward comparison used to keep the default
+    # tol_cluster whatever --set said
+    code, _, _ = run(capsys, "demo", "--seed", "42", "--set", "tol_cluster=0.5",
+                     "--out", str(tmp_path))
+    assert code == 0
+    assert read_json(tmp_path / "cot-consistency.json")["tolerance"] == 0.5
 
 
 def test_settings_defaults_are_the_config_constants():
-    # runs.Settings() is the run with no --set, and each default is the
+    # Settings() is the run with no --set, and each default is the
     # constant of that name in config, of its type
     import dataclasses
     import types
 
-    from limitlab import cli, config, runs
-    defaults = runs.Settings()
+    from limitlab import cli, config
+    defaults = Settings()
     assert defaults == cli._settings(types.SimpleNamespace(set=None), ())
-    for f in dataclasses.fields(runs.Settings):
+    for f in dataclasses.fields(Settings):
         value, want = getattr(defaults, f.name), getattr(config, f.name.upper())
         assert (value, type(value)) == (want, type(want)), f.name
 
@@ -765,11 +775,10 @@ def test_settings_defaults_are_the_config_constants():
 @pytest.mark.parametrize("setting", ["basin_window=0", "witness_depth=0", "tol_cluster=0",
                                      "burn=-1"])
 def test_settings_reject_what_set_rejects_with_its_message(tmp_path, capsys, setting):
-    from limitlab import runs
     name, value = setting.split("=")
     message = _rejected_setting(tmp_path, capsys, "basins", setting)
     with pytest.raises(ValueError) as exc:
-        runs.Settings(**{name: type(getattr(runs.Settings(), name))(value)})
+        Settings(**{name: type(getattr(Settings(), name))(value)})
     assert str(exc.value) == message
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from limitlab import (DiscreteMap, DomainRegion, EstimatorConfig, ImmersionMap,
-                      LimitSetCatalog, LinearSystem, catalog_from_seeds,
+from limitlab import (DiscreteMap, DomainRegion, ImmersionMap, LimitSetCatalog,
+                      LinearSystem, Settings, catalog_from_seeds,
                       collapse_report, conjugacy_residual, directed_hausdorff,
                       exact_immersion, get_system, hausdorff, injectivity_probe,
                       omega_alpha_consistency, pushforward_check)
@@ -277,7 +277,7 @@ def test_pushforward_requires_converged_omega():
     ent = exact_immersion("jordan", 0)        # identity lift of the defective block
     with pytest.raises(UnconvergedError):
         pushforward_check(ent.immersion, get_system("jordan"), ent.target,
-                          [0.0, 1.0], EstimatorConfig(burn=100, tail=100, max_rounds=3))
+                          [0.0, 1.0], Settings(burn=100, tail=100, max_rounds=3))
 
 
 def test_pushforward_without_inverse_reports_no_inverse():
@@ -347,6 +347,17 @@ def test_collapse_single_member_has_no_ratio():
     assert len(catalog_one) == 1
     assert report.collapse_ratio is None
     assert member_points.shape == (1, 1)
+
+
+def test_collapse_maximal_member_reads_the_catalogs_tol_cluster(cot_catalog):
+    # the images cos{0} and cos{pi} sit 2 apart: no member holds the other
+    # within 1e-3, but either does within 3
+    F = cos_map(0.0, np.pi)
+    samples = np.linspace(0.0, np.pi, 64)[:, None]
+    tight = collapse_report(F, cot_catalog, samples=samples)
+    loose = collapse_report(F, replace(cot_catalog, tol_cluster=3.0), samples=samples)
+    assert cot_catalog.tol_cluster == 1e-3
+    assert (tight.maximal_member, loose.maximal_member) == (None, "S0")
 
 
 def test_collapse_is_permutation_equivariant(cot_catalog):
@@ -598,4 +609,4 @@ def test_consistency_never_flags_linear_targets():
 def test_consistency_unconverged_raises():
     with pytest.raises(UnconvergedError):
         omega_alpha_consistency(get_system("jordan"), [0.0, 1.0],
-                                EstimatorConfig(burn=100, tail=100, max_rounds=3))
+                                Settings(burn=100, tail=100, max_rounds=3))

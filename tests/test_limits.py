@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from limitlab import (BasinConfig, EstimatorConfig, LimitSetEstimate,
-                      basin_closedness_witness, catalog_from_seeds,
+from limitlab import (LimitSetEstimate, Settings, basin_closedness_witness, catalog_from_seeds,
                       catalog_to_dict, cluster_limit_sets,
                       compute_basins, estimate_alpha, estimate_omega,
                       estimate_omega_batch, get_system, hausdorff, iterate,
@@ -26,7 +25,7 @@ from limitlab.limits import (BasinMap, CODE_ESCAPED, CODE_SINGULAR, CODE_UNDETER
                              _DEFER, _RULED_OUT, _SettleStage, _classify_shape, _thin)
 from limitlab.serialize import validate
 
-FAST = EstimatorConfig(burn=200, tail=200, max_rounds=6)
+FAST = Settings(burn=200, tail=200, max_rounds=6)
 
 
 # -- estimates -------------------------------------------------------------------
@@ -94,8 +93,8 @@ def test_omega_burn_invariance():
         system = get_system(name)
         e1 = estimate_omega(system, x0)
         e2 = estimate_omega(system, x0,
-                            dataclasses.replace(EstimatorConfig(),
-                                                burn=EstimatorConfig().burn + EstimatorConfig().tail))
+                            dataclasses.replace(Settings(),
+                                                burn=Settings().burn + Settings().tail))
         assert e1.converged and e2.converged
         tol = max(e1.settle_tol, e2.settle_tol)
         assert hausdorff(e1.points, e2.points) <= tol, name
@@ -155,8 +154,8 @@ def test_batch_estimates_do_not_depend_on_order_or_company():
 def test_estimator_config_rejects_impossible_settings():
     for bad in ({"burn": -1}, {"tail": 0}, {"max_rounds": -1}):
         with pytest.raises(ValueError):
-            EstimatorConfig(**bad)
-    EstimatorConfig(burn=0, tail=1, max_rounds=0)
+            Settings(**bad)
+    Settings(burn=0, tail=1, max_rounds=0)
 
 
 @pytest.mark.parametrize("bad", [
@@ -167,11 +166,11 @@ def test_estimator_config_rejects_impossible_settings():
 def test_estimator_config_rejects_impossible_tolerances(bad):
     (name,) = bad
     with pytest.raises(ValueError, match=name):
-        EstimatorConfig(**bad)
+        Settings(**bad)
 
 
 def test_estimator_config_accepts_zero_tolerances():
-    EstimatorConfig(tol_settle=0.0, gap_factor=0.0, tol_fp=0.0, max_period=0)
+    Settings(tol_settle=0.0, gap_factor=0.0, tol_fp=0.0, max_period=0)
 
 
 # -- boundedness ------------------------------------------------------------------
@@ -390,7 +389,7 @@ def _layout_grid(name):
         A = rng.normal(size=(9, 9))
         A *= 0.5 / np.abs(np.linalg.eigvals(A)).max()
         return (LinearSystem(A, name=name).as_map(), [np.zeros(9)],
-                DomainRegion.box([[-1.0, 1.0]] * 9), 3, BasinConfig(burn=100, window=8))
+                DomainRegion.box([[-1.0, 1.0]] * 9), 3, Settings(basin_burn=100, basin_window=8))
     if name == "rotation-scaling-back":     # most rows leave the disc, at many steps
         return get_system("rotation-scaling").reversed(), [[0.1, 0.1]], box, 41, None
     if name == "mobius":
@@ -485,12 +484,12 @@ def test_basin_escape_and_singular_codes():
 def _brute_force_basin_codes(system, catalog, nodes, cfg):
     """The settling protocol with the nearest member found over raw points."""
     X = nodes.copy()
-    for _ in range(cfg.burn):
+    for _ in range(cfg.basin_burn):
         X = system.forward(X)
     owner = np.full(len(X), -1)
     consistent = np.ones(len(X), dtype=bool)
     max_dist = np.zeros(len(X))
-    for _ in range(cfg.window):
+    for _ in range(cfg.basin_window):
         dist = np.stack([np.linalg.norm(X[:, None, :] - m.points[None], axis=-1).min(axis=1)
                          for m in catalog.members], axis=1)
         who = dist.argmin(axis=1)
@@ -506,11 +505,11 @@ def _brute_force_basin_codes(system, catalog, nodes, cfg):
 def _reference_basin_code(system, catalog, node, cfg):
     """One node's code from its own orbit: the engine's termination cause,
     else the nearest member of every window state and the tolerance rule."""
-    traj = iterate(system, node, cfg.burn + cfg.window, r_div=cfg.escape_radius)
+    traj = iterate(system, node, cfg.basin_burn + cfg.basin_window, r_div=cfg.escape_radius)
     if traj.termination != "completed":
         return CODE_SINGULAR if traj.termination == "singular" else CODE_ESCAPED
     owners, worst = set(), 0.0
-    for x in traj.points[cfg.burn:cfg.burn + cfg.window]:
+    for x in traj.points[cfg.basin_burn:cfg.basin_burn + cfg.basin_window]:
         dist = [np.linalg.norm(m.points - x, axis=1).min() for m in catalog.members]
         owners.add(int(np.argmin(dist)))
         worst = max(worst, min(dist))
@@ -603,7 +602,8 @@ def _period_three():
     # period-3 member, held to 0.3 so that nodes turning beside it settle on
     # it at every window step, each step one member point further on
     system = get_system("rotation-scaling", theta=2 * np.pi / 3)
-    catalog, _ = catalog_from_seeds(system, [[1.0, 0.0]], cfg=FAST, tol_cluster=0.3)
+    catalog, _ = catalog_from_seeds(system, [[1.0, 0.0]],
+                                    cfg=dataclasses.replace(FAST, tol_cluster=0.3))
     return system, catalog, DomainRegion.box([[-1.5, 1.5], [-1.5, 1.5]]), 9
 
 
@@ -638,8 +638,8 @@ def _wide_beside_point():
                                   _near_tie, _subnormal_members, _ruled_out_rows,
                                   _period_three, _thinned_successor,
                                   _wide_beside_point])
-@pytest.mark.parametrize("cfg", [BasinConfig(),
-                                 BasinConfig(burn=3, window=4, escape_radius=40.0)])
+@pytest.mark.parametrize("cfg", [Settings(),
+                                 Settings(basin_burn=3, basin_window=4, escape_radius=40.0)])
 def test_basin_codes_equal_a_per_node_reference(case, cfg):
     system, catalog, region, resolution = case()
     basins = compute_basins(system, catalog, region=region, resolution=resolution, cfg=cfg)
@@ -736,7 +736,7 @@ def test_basin_rows_ask_the_tree_once_then_follow_their_anchors(monkeypatch, rot
                             region=DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]), resolution=41)
     assert basins.label_at((20, 20)) == "S0" and (basins.codes >= 0).all()
     points = sum(len(m._cloud.distinct) for m in rotation_catalog.members)
-    assert sum(asked) <= points + 41 * 41 + BasinConfig().window - 1
+    assert sum(asked) <= points + 41 * 41 + Settings().basin_window - 1
 
 
 BASIN_FIXTURE = Path(__file__).parent / "fixtures" / "basin_codes.json"
@@ -761,7 +761,7 @@ def test_basin_reference_cases_hit_every_code():
     seen = set()
     for case in (_pole_map, _excluded_ball_doubler, _shear_doubler):
         system, catalog, region, resolution = case()
-        for cfg in (BasinConfig(), BasinConfig(burn=3, window=4, escape_radius=40.0)):
+        for cfg in (Settings(), Settings(basin_burn=3, basin_window=4, escape_radius=40.0)):
             basins = compute_basins(system, catalog, region=region, resolution=resolution,
                                     cfg=cfg)
             seen |= {int(min(c, 0)) for c in np.unique(basins.codes)}
@@ -774,7 +774,7 @@ def test_basin_escape_is_the_max_abs_guard_on_every_image():
     ident = LinearSystem(np.eye(2)).as_map()
     catalog, _ = catalog_from_seeds(ident, [[0.9, 0.9]], cfg=FAST)
     corner = compute_basins(ident, catalog, region=DomainRegion.box([[0.9, 1.0], [0.9, 1.0]]),
-                            resolution=1, cfg=BasinConfig(escape_radius=1.0))
+                            resolution=1, cfg=Settings(escape_radius=1.0))
     assert corner.codes.tolist() == [[0]]
 
     # both windows sit on the member; the image 2.4 of the second window's
@@ -785,16 +785,17 @@ def test_basin_escape_is_the_max_abs_guard_on_every_image():
                                  points=np.array([[0.3], [0.6], [1.2]]))
     catalog = LimitSetCatalog(members=(member,), tol_cluster=catalog.tol_cluster)
     basins = compute_basins(doubler, catalog, region=DomainRegion.interval(0.3, 0.6),
-                            resolution=2, cfg=BasinConfig(burn=0, window=2, escape_radius=2.0))
+                            resolution=2,
+                            cfg=Settings(basin_burn=0, basin_window=2, escape_radius=2.0))
     assert basins.codes.tolist() == [0, CODE_ESCAPED]
 
 
 def test_basin_config_rejects_impossible_settings():
-    for bad in ({"burn": -1}, {"window": 0}, {"escape_radius": 0.0},
+    for bad in ({"basin_burn": -1}, {"basin_window": 0}, {"escape_radius": 0.0},
                 {"escape_radius": -1.0}, {"escape_radius": float("nan")}):
         with pytest.raises(ValueError):
-            BasinConfig(**bad)
-    BasinConfig(burn=0, window=1, escape_radius=1e-300)
+            Settings(**bad)
+    Settings(basin_burn=0, basin_window=1, escape_radius=1e-300)
 
 
 def test_basins_on_copies_of_one_point_match_brute_force():
@@ -808,7 +809,7 @@ def test_basins_on_copies_of_one_point_match_brute_force():
     decoy = dataclasses.replace(origin, label="S0", points=np.full((300, 1), 1.5e-3))
     catalog = LimitSetCatalog(members=(decoy, dataclasses.replace(origin, label="S1")),
                               tol_cluster=catalog.tol_cluster)
-    cfg = BasinConfig(burn=10, window=4)
+    cfg = Settings(basin_burn=10, basin_window=4)
     basins = compute_basins(half, catalog, region=DomainRegion.interval(-2.0, 2.0),
                             resolution=101, cfg=cfg)
     expected = _brute_force_basin_codes(half, catalog, basins.axes[0][:, None], cfg)
@@ -921,20 +922,21 @@ def _witnesses_pair_by_pair(system, basins, cfg, depth, max_pairs):
     ("cot-map", None)])
 def test_batched_witness_search_equals_pair_by_pair_search(name, region):
     system = get_system(name)
-    cfg = EstimatorConfig()
+    cfg = Settings()
     catalog, _ = catalog_from_seeds(system, default_seeds(name), cfg)
     basins = compute_basins(system, catalog, region=region, resolution=21)
     for depth, max_pairs in [(8, 64), (3, 3)]:
-        got = basin_closedness_witness(system, basins, cfg, depth=depth, max_pairs=max_pairs)
+        got = basin_closedness_witness(system, basins, Settings(witness_depth=depth,
+                                                                witness_max_pairs=max_pairs))
         want = _witnesses_pair_by_pair(system, basins, cfg, depth, max_pairs)
         assert len(got) == len(want) >= 1
         for w, (xa, xb, sequence, label_a, label_b) in zip(got, want):
             assert np.array_equal(w.sequence_seed, xa) and np.array_equal(w.limit_point, xb)
             assert np.array_equal(w.sequence, sequence)
             assert (w.sequence_label, w.limit_label) == (label_a, label_b)
-    assert basin_closedness_witness(system, basins, cfg, max_pairs=0) == []
+    assert basin_closedness_witness(system, basins, Settings(witness_max_pairs=0)) == []
     with pytest.raises(ValueError):
-        basin_closedness_witness(system, basins, cfg, depth=0)
+        basin_closedness_witness(system, basins, Settings(witness_depth=0))
 
 
 def test_witness_search_estimates_only_the_states_its_replay_reads(monkeypatch):
@@ -1167,6 +1169,7 @@ def test_tol_cluster_must_be_finite_and_positive(seed_set_estimates):
     ests = seed_set_estimates["negation"][:2]
     for bad in (0.0, -1e-3, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="tol_cluster"):
-            cluster_limit_sets(ests, tol_cluster=bad)
+            cluster_limit_sets(ests, Settings(tol_cluster=bad))
         with pytest.raises(ValueError, match="tol_cluster"):
-            catalog_from_seeds(get_system("negation"), [0.3], cfg=FAST, tol_cluster=bad)
+            catalog_from_seeds(get_system("negation"), [0.3],
+                               cfg=dataclasses.replace(FAST, tol_cluster=bad))
