@@ -240,9 +240,9 @@ def _build_scalar_linear(a: float) -> DiscreteMap:
 def _build_jordan(lam: float, m: int) -> DiscreteMap:
     if not np.isfinite(lam):
         raise InvalidParamError("lam must be finite")
+    if not 1 <= m <= 4 or m != int(m):
+        raise InvalidParamError(f"block size m must be an integer in 1..4, got {m}")
     m = int(m)
-    if not 1 <= m <= 4:
-        raise InvalidParamError(f"block size m must lie in 1..4, got {m}")
     A = np.eye(m) * float(lam) + np.eye(m, k=1)
     return LinearSystem(A, name=f"jordan(lam={lam:g},m={m})").as_map()
 

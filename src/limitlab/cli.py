@@ -10,7 +10,8 @@ parses and checks the arguments, names the files and prints; the steps and
 report builders it calls live in :mod:`limitlab.runs`.
 
 Each report kind has one renderer, looked up by kind in ``_RENDERERS``. A
-subcommand prints each report it names in a ``wrote`` line through it, and
+subcommand prints each report it names in a ``wrote`` line through it, from
+the document ``serialize.dump`` returned, the values the file holds, and
 ``report`` renders the saved file through it, so the two print the same
 lines. Besides the renders a subcommand prints only what no report holds:
 skipped seeds, the ``wrote`` lines and ``verify``'s chart target.
@@ -150,30 +151,19 @@ def _seed_option(raw: str) -> int:
     return _seed(raw, "--seed")
 
 
-# The type of each --set setting, by name: the fields of Settings.
-_SET_KINDS = {f.name: type(f.default) for f in dataclasses.fields(Settings)}
-# the names the limit-set estimator reads
+# every --set name, and the names the limit-set estimator reads
+_ALL_SETTINGS = tuple(f.name for f in dataclasses.fields(Settings))
 _ESTIMATOR = ("burn", "tail", "max_rounds", "tol_settle", "gap_factor", "tol_fp",
               "max_period", "r_div")
 
 
 def _settings(args, names) -> Settings:
-    """The settings of a run: the ``--set`` values for ``names`` as their
-    field's type, over the ``Settings`` defaults. Any other ``--set``
-    name, a value the type does not hold exactly (``burn=2.5``,
-    ``tol_fp=nan``) and a value the code that reads it rejects are usage
-    errors, raised here, before the run steps an orbit or writes a file."""
-    sets = _parse_params(args.set, "--set", names)
-    for name, value in sets.items():
-        kind = _SET_KINDS[name]
-        try:
-            exact = kind(value) == value
-        except (ValueError, OverflowError):     # int(nan), int(inf)
-            exact = False
-        if not exact:
-            raise InvalidParamError(f"--set {name}={value!r} is not a valid {kind.__name__}")
-        sets[name] = kind(value)
-    return Settings(**sets)
+    """The settings of a run: the ``--set`` values for ``names`` over the
+    ``Settings`` defaults. Any other ``--set`` name, and a value
+    ``Settings`` rejects (``burn=2.5``, ``tol_fp=nan``, ``r_div=0``), are
+    usage errors, raised here, before the run steps an orbit or writes a
+    file."""
+    return Settings(**_parse_params(args.set, "--set", names))
 
 
 def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
@@ -206,6 +196,12 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _print_skipped(skipped) -> None:
+    """One line for each catalog seed that gave no estimate, and why."""
+    for seed, status in skipped:
+        print(f"skipped seed {','.join(repr(float(v)) for v in seed)}: {status}")
 
 
 def _table(header, rows) -> str:
@@ -260,12 +256,10 @@ def cmd_limits(args) -> int:
     catalog, skipped = _catalog(args, system, sets)
 
     path = _out_dir(args) / "catalog.json"
-    doc = catalog_to_dict(catalog)
-    serialize.dump(doc, path)
+    doc = serialize.dump(catalog_to_dict(catalog), path)
 
     print(_render(doc))
-    for seed, status in skipped:
-        print(f"skipped seed {','.join(repr(float(v)) for v in seed)}: {status}")
+    _print_skipped(skipped)
     print(f"wrote {path}")
     return 0
 
@@ -274,7 +268,7 @@ def cmd_basins(args) -> int:
     _at_least(1, args, "resolution")
     _at_least(1, args, "threads", at_most=config.MAX_THREADS)
     system = get_system(args.system, **_parse_params(args.param, "--param"))
-    sets = _settings(args, tuple(_SET_KINDS))
+    sets = _settings(args, _ALL_SETTINGS)
     region, box = _region(args, system)
     if box is not None:
         raise InvalidParamError(
@@ -287,8 +281,7 @@ def cmd_basins(args) -> int:
                                   args.threads, sets, out, "basins")
 
     print(_render(summary))
-    for seed, status in skipped:
-        print(f"skipped seed {','.join(repr(float(v)) for v in seed)}: {status}")
+    _print_skipped(skipped)
     print(f"wrote {out / 'basins.csv'}")
     print(f"wrote {out / 'basins.json'}")
     return 0
@@ -316,7 +309,7 @@ def cmd_verify(args) -> int:
                 if y is not None:
                     raise DomainError(x, y, detail=system.name)
         except DomainError as exc:
-            point = [float(v) for v in np.atleast_1d(exc.point)]
+            point = np.atleast_1d(exc.point)
             _emit_error("immersion-undefined", str(exc),
                         system=args.system, immersion=F.name, reason=exc.reason,
                         immersion_undefined_at=point[0] if len(point) == 1 else point,
@@ -361,12 +354,11 @@ def cmd_learn(args) -> int:
 
     out = _out_dir(args)
     lift_doc = runs.learned_lift(system, dictionary, lift)
-    fit_path = out / "fit.json"
-    serialize.dump(lift_doc["fit"], fit_path)
-    lift_path = out / "lift.json"
-    serialize.dump(lift_doc, lift_path)
+    fit_path, lift_path = out / "fit.json", out / "lift.json"
+    fit_doc = serialize.dump(lift_doc["fit"], fit_path)
+    lift_doc = serialize.dump(lift_doc, lift_path)
 
-    print(_render(lift_doc["fit"]))
+    print(_render(fit_doc))
     print(_render(lift_doc))
     print(f"wrote {fit_path}")
     print(f"wrote {lift_path}")
@@ -402,7 +394,7 @@ def cmd_sweep(args) -> int:
                  ("fourier", 2), ("rational-pole", 1)]
     else:
         specs = [("monomial", 1), ("monomial", 2), ("monomial", 3)]
-    catalog, _skipped = _catalog(args, system, sets, region, box)
+    catalog, skipped = _catalog(args, system, sets, region, box)
 
     report = obstruction_sweep(system, catalog, specs, ridges=ridges,
                                region=region, seed=args.seed, pole=args.pole, box=box)
@@ -410,10 +402,10 @@ def cmd_sweep(args) -> int:
     csv_path = out / "sweep.csv"
     report.write_csv(csv_path)
     json_path = out / "sweep.json"
-    data = report.to_dict()
-    serialize.dump(data, json_path)
+    data = serialize.dump(report.to_dict(), json_path)
 
     print(_render(data))
+    _print_skipped(skipped)
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return 0
@@ -421,11 +413,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_demo(args) -> int:
     _at_least(1, args, "threads", at_most=config.MAX_THREADS)
-    sets = _settings(args, tuple(_SET_KINDS))     # the demo reads every setting
+    sets = _settings(args, _ALL_SETTINGS)     # the demo reads every setting
     out = _out_dir(args)
-    summary = runs.demo(out, args.seed, args.threads, sets)
     path = out / "demo-summary.json"
-    serialize.dump(summary, path)
+    summary = serialize.dump(runs.demo(out, args.seed, args.threads, sets), path)
     print(_render(summary))
     print(f"wrote {path}")
     return 0
@@ -718,7 +709,7 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         _emit_error("domain-error", str(exc), reason=exc.reason,
-                    point=[float(v) for v in np.atleast_1d(exc.point)])
+                    point=np.atleast_1d(exc.point))
         return 3
     except LimitLabError as exc:
         _emit_error(type(exc).__name__, str(exc))

@@ -23,6 +23,7 @@ from .geometry import (_pair_blocks, _pair_rows, _prepare, diameter,
                        directed_hausdorff, hausdorff, split_discrepancy)
 from .limits import (LimitSetCatalog, LimitSetEstimate, Settings, estimate_alpha,
                      estimate_omega)
+from .serialize import _coerce
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,14 @@ class ConjugacyReport:
     samples_skipped: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "conjugacy-report",
-            "max_residual": float(self.max_residual),
-            "mean_residual": float(self.mean_residual),
-            "worst_point": [float(v) for v in np.atleast_1d(self.worst_point)],
-            "samples_used": int(self.samples_used),
-            "samples_skipped": int(self.samples_skipped),
-        }
+        return _coerce({
+            "schema_version": 1, "kind": "conjugacy-report",
+            "max_residual": self.max_residual,
+            "mean_residual": self.mean_residual,
+            "worst_point": self.worst_point,
+            "samples_used": self.samples_used,
+            "samples_skipped": self.samples_skipped,
+        })
 
 
 def conjugacy_residual(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap,
@@ -182,16 +182,15 @@ class PushforwardReport:
     omega_target: LimitSetEstimate
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "pushforward-report",
-            "hausdorff_omega": float(self.hausdorff_omega),
-            "one_sided_omega": float(self.one_sided_omega),
-            "hausdorff_alpha": None if self.hausdorff_alpha is None else float(self.hausdorff_alpha),
-            "one_sided_alpha": None if self.one_sided_alpha is None else float(self.one_sided_alpha),
+        return _coerce({
+            "schema_version": 1, "kind": "pushforward-report",
+            "hausdorff_omega": self.hausdorff_omega,
+            "one_sided_omega": self.one_sided_omega,
+            "hausdorff_alpha": self.hausdorff_alpha,
+            "one_sided_alpha": self.one_sided_alpha,
             "alpha_status": self.alpha_status,
             "omega_shapes": [self.omega_source.shape, self.omega_target.shape],
-        }
+        })
 
 
 def pushforward_check(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap, xi,
@@ -253,16 +252,15 @@ class CollapseReport:
     samples_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "collapse-report",
-            "labels": list(self.labels),
-            "pairwise_hausdorff": [[float(v) for v in row] for row in self.pairwise],
+        return _coerce({
+            "schema_version": 1, "kind": "collapse-report",
+            "labels": self.labels,
+            "pairwise_hausdorff": self.pairwise,
             "maximal_member": self.maximal_member,
-            "collapse_ratio": None if self.collapse_ratio is None else float(self.collapse_ratio),
-            "image_diameter": float(self.image_diameter),
-            "samples_used": int(self.samples_used),
-        }
+            "collapse_ratio": self.collapse_ratio,
+            "image_diameter": self.image_diameter,
+            "samples_used": self.samples_used,
+        })
 
 
 _COLLAPSE_SAMPLES = 512     # domain samples drawn for the image diameter
@@ -348,25 +346,16 @@ class InjectivityReport:
     delta_img: float
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "injectivity-report",
-            "collisions": [
-                {
-                    "x": [float(v) for v in a],
-                    "x_prime": [float(v) for v in b],
-                    "input_dist": float(dx),
-                    "image_dist": float(di),
-                }
-                for a, b, dx, di in self.collisions
-            ],
-            "n_collisions": int(self.n_collisions),
-            "min_separation_ratio": (None if self.min_separation_ratio is None
-                                     else float(self.min_separation_ratio)),
-            "pairs_checked": int(self.pairs_checked),
-            "delta_sep": float(self.delta_sep),
-            "delta_img": float(self.delta_img),
-        }
+        return _coerce({
+            "schema_version": 1, "kind": "injectivity-report",
+            "collisions": [{"x": a, "x_prime": b, "input_dist": dx, "image_dist": di}
+                           for a, b, dx, di in self.collisions],
+            "n_collisions": self.n_collisions,
+            "min_separation_ratio": self.min_separation_ratio,
+            "pairs_checked": self.pairs_checked,
+            "delta_sep": self.delta_sep,
+            "delta_img": self.delta_img,
+        })
 
 
 def injectivity_probe(F: ImmersionMap, samples,
@@ -421,7 +410,7 @@ def injectivity_probe(F: ImmersionMap, samples,
                              n_collisions=n_collisions,
                              min_separation_ratio=min_ratio if pairs else None,
                              pairs_checked=pairs,
-                             delta_sep=delta_sep, delta_img=delta_img)
+                             delta_sep=float(delta_sep), delta_img=float(delta_img))
 
 
 # -- forward/backward consistency ------------------------------------------------
@@ -436,16 +425,13 @@ class ConsistencyReport:
     alpha: Optional[LimitSetEstimate]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "consistency-report",
-            "consistent": bool(self.consistent),
+        return _coerce({
+            "schema_version": 1, "kind": "consistency-report",
+            "consistent": self.consistent,
             "detail": self.detail,
-            "hausdorff_distance": (None if self.hausdorff_distance is None
-                                   else float(self.hausdorff_distance)),
-            "tolerance": (None if self.tolerance is None
-                          else float(self.tolerance)),
-        }
+            "hausdorff_distance": self.hausdorff_distance,
+            "tolerance": self.tolerance,
+        })
 
 
 def omega_alpha_consistency(g: DiscreteMap, z0,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .immersion import (ImmersionMap, _residual_images, _residual_samples,
                         _residual_tail, collapse_report, injectivity_probe)
 from .limits import LimitSetCatalog
 from .linear import LinearSystem
-from .serialize import write_csv
+from .serialize import _coerce, write_csv
 
 
 # -- dictionaries -------------------------------------------------------------
@@ -195,16 +195,7 @@ class FitReport:
     method: str                     # "normal-equations" | "qr"
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "fit-report",
-            "rms_residual": float(self.rms_residual),
-            "max_residual": float(self.max_residual),
-            "gram_condition": float(self.gram_condition),
-            "samples_used": int(self.samples_used),
-            "ridge": float(self.ridge),
-            "method": self.method,
-        }
+        return _coerce({"schema_version": 1, "kind": "fit-report", **asdict(self)})
 
 
 @dataclass(frozen=True)
@@ -331,18 +322,7 @@ class TradeoffRow:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "dict_kind": self.dict_kind,
-            "dict_size": int(self.dict_size),
-            "ridge": float(self.ridge),
-            "residual_heldout": (None if self.residual_heldout is None
-                                 else float(self.residual_heldout)),
-            "collapse_ratio": (None if self.collapse_ratio is None
-                               else float(self.collapse_ratio)),
-            "min_sep_ratio": (None if self.min_sep_ratio is None
-                              else float(self.min_sep_ratio)),
-            "error": self.error,
-        }
+        return _coerce(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -352,13 +332,9 @@ class TradeoffReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "kind": "tradeoff-report",
-            "system": self.system_name,
-            "seed": int(self.seed),
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return _coerce({"schema_version": 1, "kind": "tradeoff-report",
+                        "system": self.system_name, "seed": self.seed,
+                        "rows": [asdict(r) for r in self.rows]})
 
     def write_csv(self, path) -> None:
         header = ["dict_kind", "dict_size", "ridge", "residual_heldout",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -31,6 +31,7 @@ from .errors import UnconvergedError
 from .geometry import (_Cloud, _box_lower, _hausdorff_lower_bounds, _margin, _prepare,
                        diameter, directed_hausdorff, hausdorff, sampling_gap,
                        split_discrepancy)
+from .serialize import _coerce
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,9 @@ class Settings:
     * the basin settling: ``basin_burn``, ``basin_window``, ``escape_radius``;
     * the witness search: ``witness_depth`` and ``witness_max_pairs``.
 
-    Each value is checked here, in the order ``tol_cluster``, witness,
-    estimator, basin, and a value no reader can use is a ``ValueError``."""
+    Each value is stored as its field's type. One the type does not hold
+    exactly (``burn=2.5``, ``tol_fp=nan``), then one no reader can use, checked
+    in the order ``tol_cluster``, witness, estimator, basin, is a ``ValueError``."""
 
     burn: int = config.BURN
     tail: int = config.TAIL
@@ -65,6 +67,16 @@ class Settings:
     witness_max_pairs: int = config.WITNESS_MAX_PAIRS
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            try:
+                exact = kind(value) == value
+            except (TypeError, ValueError, OverflowError):     # int(nan), int(inf)
+                exact = False
+            if not exact:
+                noun = "an integer" if kind is int else "a number"
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+            object.__setattr__(self, f.name, kind(value))
         if not (math.isfinite(self.tol_cluster) and self.tol_cluster > 0):
             raise ValueError(f"tol_cluster must be finite and > 0, got {self.tol_cluster}")
         self._at_least(witness_depth=1, witness_max_pairs=0,
@@ -254,6 +266,11 @@ class LimitSetCatalog:
     members: tuple[CatalogMember, ...]
     tol_cluster: float
     gap_factor: float = config.GAP_FACTOR
+
+    def __post_init__(self):
+        # stored as floats, so the catalog report writes 1.0 for a tolerance of 1
+        object.__setattr__(self, "tol_cluster", float(self.tol_cluster))
+        object.__setattr__(self, "gap_factor", float(self.gap_factor))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -800,26 +817,21 @@ def write_basin_csv(basins: BasinMap, path) -> None:
 
 
 def catalog_to_dict(catalog: LimitSetCatalog, max_points: int = 128) -> dict:
-    members = []
-    for m in catalog.members:
-        pts = _thin(m.points, max_points)
-        members.append({
-            "label": m.label,
-            "shape": m.shape,
-            "period": m.period,
-            "diameter": float(m.diameter),
-            "precompact": bool(m.precompact),
-            "first_seed": [float(v) for v in m.first_seed],
-            "n_estimates": int(m.n_estimates),
-            "resolution": float(m.resolution),
-            "representative_points": [[float(v) for v in p] for p in pts],
-        })
-    return {
-        "schema_version": 1,
-        "kind": "limit-set-catalog",
-        "tol_cluster": float(catalog.tol_cluster),
-        "gap_factor": float(catalog.gap_factor),
-        "min_separation": (None if len(catalog) < 2
-                           else float(catalog.min_separation())),
+    members = [{
+        "label": m.label,
+        "shape": m.shape,
+        "period": m.period,
+        "diameter": m.diameter,
+        "precompact": m.precompact,
+        "first_seed": m.first_seed,
+        "n_estimates": m.n_estimates,
+        "resolution": m.resolution,
+        "representative_points": _thin(m.points, max_points),
+    } for m in catalog.members]
+    return _coerce({
+        "schema_version": 1, "kind": "limit-set-catalog",
+        "tol_cluster": catalog.tol_cluster,
+        "gap_factor": catalog.gap_factor,
+        "min_separation": None if len(catalog) < 2 else catalog.min_separation(),
         "members": members,
-    }
+    })

@@ -23,6 +23,7 @@ import numpy as np
 from . import config
 from .dynamics import DiscreteMap, DomainRegion
 from .errors import IllConditionedError, NotStableError
+from .serialize import _coerce
 
 
 @dataclass(frozen=True)
@@ -425,31 +426,23 @@ def stability_bound(sys, subspace_basis, tol_eig: float = config.TOL_EIG,
 
 # -- serialization -----------------------------------------------------------
 
-def spectral_split_to_dict(split: SpectralSplit) -> dict:
-    """JSON-ready form: eigenvalue report plus column-major bases."""
-    def colmajor(mat: np.ndarray) -> dict:
-        return {
-            "shape": [int(mat.shape[0]), int(mat.shape[1])],
-            "data_colmajor": [float(v) for v in np.asarray(mat).flatten(order="F")],
-        }
+def _colmajor(mat: np.ndarray) -> dict:
+    """A real matrix as its shape and its entries in column-major order."""
+    return {"shape": mat.shape, "data_colmajor": mat.ravel(order="F")}
 
-    return {
+
+def spectral_split_to_dict(split: SpectralSplit) -> dict:
+    """JSON-ready form: eigenvalue report plus column-major bases. Each
+    eigenvalue is written as ``[re, im]``."""
+    return _coerce({
         "schema_version": 1,
         "kind": "spectral-split",
-        "dims": list(split.dims),
-        "eigenvalues": [
-            {
-                "value": [float(r["value"].real), float(r["value"].imag)],
-                "alg_mult": int(r["alg_mult"]),
-                "geo_mult": int(r["geo_mult"]),
-                "abs_class": r["abs_class"],
-                "split_class": r["split_class"],
-            }
-            for r in split.eigen_report()
-        ],
-        "stable_basis": colmajor(split.stable_basis),
-        "unit_basis": colmajor(split.unit_basis),
-        "unstable_basis": colmajor(split.unstable_basis),
+        "dims": split.dims,
+        "eigenvalues": [r | {"value": [r["value"].real, r["value"].imag]}
+                        for r in split.eigen_report()],
+        "stable_basis": _colmajor(split.stable_basis),
+        "unit_basis": _colmajor(split.unit_basis),
+        "unstable_basis": _colmajor(split.unstable_basis),
         "tol_eig": split.tol_eig,
         "tol_rank": split.tol_rank,
-    }
+    })

@@ -30,7 +30,7 @@ def survey_samples(region: DomainRegion, seed: int) -> np.ndarray:
 def basins_step(system, catalog, region, resolution: int, threads: int,
                 sets: limits.Settings, out: Path, stem: str):
     """Label the grid, search it for closedness witnesses, and write
-    ``stem.csv`` and ``stem.json``. Returns the summary and the witnesses."""
+    ``stem.csv`` and ``stem.json``. Returns the written summary and the witnesses."""
     basins = limits.compute_basins(system, catalog, region=region, resolution=resolution,
                                    cfg=sets, threads=threads)
     witnesses = limits.basin_closedness_witness(system, basins, sets)
@@ -38,16 +38,13 @@ def basins_step(system, catalog, region, resolution: int, threads: int,
     labels, counts = np.unique(basins.codes, return_counts=True)
     summary = {
         "schema_version": 1, "kind": "basin-summary", "system": system.name,
-        "resolution": [int(r) for r in basins.resolution],
-        "counts": {basins.label_of_code(int(c)): int(n) for c, n in zip(labels, counts)},
+        "resolution": basins.resolution,
+        "counts": dict(zip(map(basins.label_of_code, labels), counts)),
         "params": basins.params,
-        "witnesses": [{
-            "boundary_label": w.sequence_label, "limit_label": w.limit_label,
-            "limit_point": [float(v) for v in w.limit_point],
-        } for w in witnesses],
+        "witnesses": [{"boundary_label": w.sequence_label, "limit_label": w.limit_label,
+                       "limit_point": w.limit_point} for w in witnesses],
     }
-    serialize.dump(summary, out / f"{stem}.json")
-    return summary, witnesses
+    return serialize.dump(summary, out / f"{stem}.json"), witnesses
 
 
 def verify_step(system, pair, samples, xi, seed: int, cfg: limits.Settings,
@@ -55,7 +52,7 @@ def verify_step(system, pair, samples, xi, seed: int, cfg: limits.Settings,
     """Check the chart ``pair`` on ``samples`` (and its limit-set pushforward
     from ``xi`` unless that is None) and write the ``verify-report`` to
     ``path``: ``ok`` if no residual exceeds ``tol`` and no sample pair
-    collides, else ``failed``. Returns the report and the three results."""
+    collides, else ``failed``. Returns the written report and the three results."""
     F, target = pair.immersion, pair.target
     conj = immersion.conjugacy_residual(F, system, target, samples)
     push = None if xi is None else immersion.pushforward_check(F, system, target, xi, cfg)
@@ -68,21 +65,18 @@ def verify_step(system, pair, samples, xi, seed: int, cfg: limits.Settings,
         "pushforward": push.to_dict() if push else None,
         "injectivity": inj.to_dict(),
     }
-    serialize.dump(report, path)
-    return report, conj, push, inj
+    return serialize.dump(report, path), conj, push, inj
 
 
 def learned_lift(system, dictionary, lift) -> dict:
     """The ``learned-lift`` report of a fitted lift, its fit report under ``fit``."""
-    K = lift.K
-    return {
+    return serialize._coerce({
         "schema_version": 1, "kind": "learned-lift", "system": system.name,
-        "dict_kind": dictionary.kind, "labels": list(dictionary.labels),
-        "K": {"shape": [int(K.shape[0]), int(K.shape[1])],
-              "data_colmajor": [float(v) for v in K.flatten(order="F")]},
-        "eigenvalues": [[float(ev.real), float(ev.imag)] for ev in lift.eigenvalues],
+        "dict_kind": dictionary.kind, "labels": dictionary.labels,
+        "K": linear._colmajor(lift.K),
+        "eigenvalues": [[ev.real, ev.imag] for ev in lift.eigenvalues],
         "fit": lift.report.to_dict(),
-    }
+    })
 
 
 # -- the demo ---------------------------------------------------------------------
@@ -144,8 +138,7 @@ def _demo_rotation(out: Path, seed: int, sets: limits.Settings) -> dict:
     except DomainError as exc:
         # expected: the fixed point at the origin is outside the immersion's
         # domain, so its limit set cannot even be carried over
-        collapse_error = {"reason": exc.reason,
-                          "point": [float(v) for v in np.atleast_1d(exc.point)]}
+        collapse_error = {"reason": exc.reason, "point": np.atleast_1d(exc.point)}
 
     push = immersion.pushforward_check(pair.immersion, f, pair.target, [2.0, 0.0], sets)
 
@@ -166,7 +159,7 @@ def _demo_rotation(out: Path, seed: int, sets: limits.Settings) -> dict:
             "collapse_domain_failure": collapse_error,
             "one_sided_omega": push.one_sided_omega,
             "alpha_status": push.alpha_status,
-            "spectral_dims": list(split.dims),
+            "spectral_dims": split.dims,
             "stability_bound": bound,
         },
     }
@@ -191,8 +184,7 @@ def _demo_sweep(out: Path, seed: int, f, catalog) -> dict:
             "rows": len(report.rows),
             "best_dict": best.dict_kind,
             "best_residual": best.residual_heldout,
-            "rational_pole_eigenvalues": [
-                [float(e.real), float(e.imag)] for e in lift.eigenvalues],
+            "rational_pole_eigenvalues": [[e.real, e.imag] for e in lift.eigenvalues],
         },
     }
 

@@ -1,5 +1,9 @@
 """Deterministic JSON/CSV output and schema validation helpers.
 
+This is the one place a report value takes its JSON form: a report builder
+returns ``_coerce`` of a dict of its fields as the library holds them, and
+:func:`dump` returns the plain document it wrote, what ``json.loads`` reads back.
+
 Every JSON and CSV artifact but the basin grid goes through these functions so
 that two runs with the same seed produce byte-identical files: keys are sorted,
 floats use Python's shortest round-trip repr, and numpy scalars are coerced
@@ -16,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 _SCHEMA_DIR = Path(__file__).parent / "schemas"
+_CANONICAL = {"sort_keys": True, "indent": 2, "allow_nan": False}
 
 
 def _coerce(obj):
@@ -36,11 +41,15 @@ def _coerce(obj):
 
 def dumps(obj) -> str:
     """Canonical JSON text: sorted keys, two-space indent, round-trip floats."""
-    return json.dumps(_coerce(obj), sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(_coerce(obj), **_CANONICAL)
 
 
-def dump(obj, path) -> None:
-    Path(path).write_text(dumps(obj) + "\n")
+def dump(obj, path) -> dict:
+    """Write ``obj`` to ``path`` as :func:`dumps` text and a newline, and
+    return the plain document written: what ``json.loads`` reads back."""
+    doc = _coerce(obj)
+    Path(path).write_text(json.dumps(doc, **_CANONICAL) + "\n")
+    return doc
 
 
 def _cell(value) -> str:
@@ -73,8 +82,21 @@ def load_schema(name: str) -> dict:
     return json.loads(path.read_text())
 
 
+def _parts(obj):
+    """The reports nested in ``obj``: each dict below it with a ``kind``."""
+    children = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    for child in children:
+        if isinstance(child, dict) and "kind" in child:
+            yield child
+        yield from _parts(child)
+
+
 def validate(obj: dict, schema_name: str) -> None:
-    """Validate a report dict against its bundled schema (needs jsonschema)."""
+    """Validate a report dict against its bundled schema, and each report
+    nested in it against the schema of its kind (needs jsonschema)."""
     import jsonschema
 
-    jsonschema.validate(_coerce(obj), load_schema(schema_name))
+    doc = _coerce(obj)
+    jsonschema.validate(doc, load_schema(schema_name))
+    for part in _parts(doc):
+        jsonschema.validate(part, load_schema(part["kind"]))

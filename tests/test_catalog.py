@@ -57,7 +57,15 @@ def test_param_validation():
     with pytest.raises(InvalidParamError):
         get_system("rotation-scaling", theta=0.0)
     assert get_system("jordan", lam=0.3, m=4).dim == 4
+    assert get_system("jordan", m=2.0).dim == 2
     assert get_system("scalar-linear", a=-0.5).forward([2.0])[0] == -1.0
+
+
+@pytest.mark.parametrize("m", [2.5, 2.9999, float("nan")])
+def test_jordan_rejects_a_block_size_that_is_not_an_integer(m):
+    # the block size used to be truncated: m=2.5 built jordan(lam=1,m=2)
+    with pytest.raises(InvalidParamError, match="block size m must be an integer"):
+        get_system("jordan", m=m)
 
 
 def test_default_seeds_match_dimensions():

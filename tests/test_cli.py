@@ -354,6 +354,16 @@ def test_bad_param_is_a_usage_error(tmp_path, capsys):
     assert stderr_payload(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("m", ["2.5", "2.9999"])
+def test_a_non_integral_jordan_block_size_is_a_usage_error(tmp_path, capsys, m):
+    # it used to run as jordan(lam=1,m=2) and exit 0
+    code, _, err = run(capsys, "simulate", "--system", "jordan",
+                       "--param", f"m={m}", "--x0", "1,0", "--out", str(tmp_path))
+    assert code == 2
+    assert stderr_payload(err)["error"] == "usage"
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_domain_axis_must_be_ordered(tmp_path, capsys):
     code, _, err = run(capsys, "limits", "--system", "mobius",
                        "--domain=1,-1", "--out", str(tmp_path))
@@ -515,6 +525,21 @@ def test_limits_domain_keeps_the_pole(tmp_path, capsys):
                          "--seeds=3.0000000001;0.0", "--out", str(tmp_path))
     assert code == 0 and err == ""
     assert "skipped seed 3.0000000001: singular" in out
+
+
+def test_sweep_prints_its_skipped_seeds(tmp_path, capsys):
+    # the sweep's catalog lacks the seed at the pole; sweep used to say
+    # nothing of it, where limits with the same seeds prints the line
+    seeds = "--seeds=0;3;2.5"
+    code, out, err = run(capsys, "sweep", "--system", "mobius", seeds,
+                         "--dicts", "monomial:1", "--out", str(tmp_path / "sweep"))
+    assert code == 0 and err == ""
+    code, limits_out, _ = run(capsys, "limits", "--system", "mobius", seeds,
+                              "--out", str(tmp_path / "limits"))
+    assert code == 0
+    skipped = [line for line in limits_out.splitlines() if line.startswith("skipped seed")]
+    assert skipped == ["skipped seed 3.0: singular"]
+    assert [line for line in out.splitlines() if line.startswith("skipped seed")] == skipped
 
 
 def test_simulate_backward_is_guarded_by_the_domain(tmp_path, capsys):

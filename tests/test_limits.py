@@ -173,6 +173,24 @@ def test_estimator_config_accepts_zero_tolerances():
     Settings(tol_settle=0.0, gap_factor=0.0, tol_fp=0.0, max_period=0)
 
 
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Settings)
+                                  if type(f.default) is int])
+def test_settings_reject_a_value_an_integer_field_does_not_hold(name):
+    # each used to construct: tail=3.7 ran a 3-point window, and burn=nan
+    # failed inside the orbit engine without naming the setting
+    for bad in (float("nan"), float("inf"), -float("inf"), 2.5):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            Settings(**{name: bad})
+
+
+def test_settings_store_each_value_as_its_fields_type():
+    sets = Settings(tol_cluster=1, burn=5.0)
+    assert (sets.tol_cluster, type(sets.tol_cluster)) == (1.0, float)
+    assert (sets.burn, type(sets.burn)) == (5, int)
+    with pytest.raises(ValueError, match="^tol_fp must be a number, got nan"):
+        Settings(tol_fp=float("nan"))
+
+
 # -- boundedness ------------------------------------------------------------------
 
 def test_omega_convergence_matches_boundedness_on_linear_maps():

@@ -46,6 +46,25 @@ def test_dumps_refuses_nan():
         dumps({"x": np.inf})
 
 
+def _plain(obj) -> bool:
+    """Whether ``obj`` holds only the types ``json.loads`` returns."""
+    if type(obj) is dict:
+        return all(type(k) is str and _plain(v) for k, v in obj.items())
+    if type(obj) is list:
+        return all(_plain(v) for v in obj)
+    return type(obj) in (str, int, float, bool, type(None))
+
+
+def test_dump_returns_the_document_it_wrote(tmp_path):
+    p = tmp_path / "doc.json"
+    doc = {"f": np.float64(0.1), "i": np.int64(7), "b": np.bool_(True),
+           "arr": np.arange(3.0), "t": (1, np.float64(2.5))}
+    got = dump(doc, p)
+    assert got == json.loads(p.read_text())
+    assert got == {"f": 0.1, "i": 7, "b": True, "arr": [0.0, 1.0, 2.0], "t": [1, 2.5]}
+    assert _plain(got)
+
+
 def test_dump_ends_with_newline(tmp_path):
     p = tmp_path / "doc.json"
     dump({"a": 1}, p)
@@ -88,34 +107,73 @@ def test_validate_rejects_malformed_documents():
 
 
 def test_live_reports_of_every_kind_validate(cot_catalog, tmp_path):
+    # each builder returns plain values: its own JSON round trip, with no
+    # numpy type left for the encoder to convert
+    import dataclasses
+
     import limitlab as L
+    from limitlab import config, runs
+    from limitlab.catalog import rotation_block
 
     f = L.get_system("cot-map")
     ent = L.exact_immersion("cot-map", 0)
     samples = f.domain.sample(100, np.random.default_rng(0))
+    lift = L.fit_lift(f, L.build_dictionary("fourier", 1, 1), seed=0)
+    sweep = L.obstruction_sweep(f, cot_catalog, specs=[("fourier", 0)], seed=0)
+    mobius = L.get_system("mobius")
+    mobius_catalog, _ = L.catalog_from_seeds(mobius, L.default_seeds("mobius"))
+    region = L.DomainRegion.interval(-2.0, 2.0)
+    docs = [
+        ("conjugacy-report",
+         L.conjugacy_residual(ent.immersion, f, ent.target, samples).to_dict()),
+        ("pushforward-report",
+         L.pushforward_check(ent.immersion, f, ent.target, [1.0]).to_dict()),
+        ("collapse-report", L.collapse_report(ent.immersion, cot_catalog, seed=0).to_dict()),
+        ("injectivity-report", L.injectivity_probe(ent.immersion, samples).to_dict()),
+        ("consistency-report", L.omega_alpha_consistency(f, [2.0]).to_dict()),
+        ("limit-set-catalog", L.catalog_to_dict(cot_catalog)),
+        ("fit-report", lift.report.to_dict()),
+        ("learned-lift", runs.learned_lift(f, lift.dictionary, lift)),
+        ("tradeoff-report", sweep.to_dict()),
+        ("spectral-split", L.spectral_split_to_dict(L.spectral_split(np.diag([0.5, 1.0, 2.0])))),
+        ("spectral-split", L.spectral_split_to_dict(L.spectral_split(rotation_block(1.0)))),
+        ("basin-summary", runs.basins_step(mobius, mobius_catalog, region, 21, 1,
+                                           L.Settings(), tmp_path, "basins")[0]),
+        ("verify-report", runs.verify_step(
+            mobius, L.exact_immersion("mobius"), runs.survey_samples(region, 0), [0.0],
+            0, L.Settings(), config.VERIFY_TOL, tmp_path / "verify.json")[0]),
+    ]
+    for kind, doc in docs:
+        validate(doc, kind)
+        assert doc == json.loads(dumps(doc)), kind
+        assert _plain(doc), kind
+    assert [row.to_dict() for row in sweep.rows] == sweep.to_dict()["rows"]
 
-    conj = L.conjugacy_residual(ent.immersion, f, ent.target, samples)
-    validate(conj.to_dict(), "conjugacy-report")
+    # a value given as an integer is written as the float it stands for
+    one = L.injectivity_probe(ent.immersion, samples, delta_sep=1, delta_img=1).to_dict()
+    assert '"delta_sep": 1.0' in dumps(one) and '"delta_img": 1.0' in dumps(one)
+    by_hand = dataclasses.replace(cot_catalog, tol_cluster=1, gap_factor=2)
+    assert '"tol_cluster": 1.0' in dumps(L.catalog_to_dict(by_hand))
+    assert '"gap_factor": 2.0' in dumps(L.catalog_to_dict(by_hand))
 
-    push = L.pushforward_check(ent.immersion, f, ent.target, [1.0])
-    validate(push.to_dict(), "pushforward-report")
 
-    col = L.collapse_report(ent.immersion, cot_catalog, seed=0)
-    validate(col.to_dict(), "collapse-report")
+def test_validate_checks_each_nested_report_against_its_kind(tmp_path):
+    # verify-report and learned-lift typed their parts as bare objects, so a
+    # part missing a required field passed
+    import limitlab as L
+    from limitlab import config, runs
 
-    inj = L.injectivity_probe(ent.immersion, samples)
-    validate(inj.to_dict(), "injectivity-report")
-
-    cons = L.omega_alpha_consistency(f, [2.0])
-    validate(cons.to_dict(), "consistency-report")
-
-    validate(L.catalog_to_dict(cot_catalog), "limit-set-catalog")
+    f = L.get_system("cot-map")
+    samples = f.domain.sample(50, np.random.default_rng(0))
+    report = runs.verify_step(f, L.exact_immersion("cot-map", 0), samples, None, 0,
+                              L.Settings(), config.VERIFY_TOL, tmp_path / "verify.json")[0]
+    validate(report, "verify-report")
+    conj = {k: v for k, v in report["conjugacy"].items() if k != "max_residual"}
+    with pytest.raises(jsonschema.ValidationError, match="max_residual"):
+        validate(report | {"conjugacy": conj}, "verify-report")
 
     lift = L.fit_lift(f, L.build_dictionary("fourier", 1, 1), seed=0)
-    validate(lift.report.to_dict(), "fit-report")
-
-    sweep = L.obstruction_sweep(f, cot_catalog, specs=[("fourier", 0)], seed=0)
-    validate(sweep.to_dict(), "tradeoff-report")
-
-    split = L.spectral_split_to_dict(L.spectral_split(np.diag([0.5, 1.0, 2.0])))
-    validate(split, "spectral-split")
+    doc = runs.learned_lift(f, lift.dictionary, lift)
+    validate(doc, "learned-lift")
+    with pytest.raises(jsonschema.ValidationError):
+        validate(doc | {"fit": doc["fit"] | {"ridge": "none"}}, "learned-lift")
