@@ -377,6 +377,14 @@ def _max_abs(X: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _within(X: np.ndarray, cap: float) -> bool:
+    """Whether every entry of ``X`` lies in ``[-cap, cap]``, by two
+    reductions: a NaN fails both comparisons, so it is never within. Then
+    every row's max-abs is at most ``cap`` too, and no row needs
+    :func:`_max_abs`."""
+    return X.size == 0 or bool(X.max() <= cap and X.min() >= -cap)
+
+
 def _row_norm(X: np.ndarray) -> np.ndarray:
     """Each row's Euclidean norm, equal to ``np.linalg.norm(X, axis=1)`` on a
     row-major ``X`` to the bit. Below 8 columns numpy sums the squares in
@@ -499,6 +507,16 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     states inside the domain with a finite image, and ``last`` holds it. A
     NaN ``r_div`` raises ``ValueError``: nothing compares past it, so it would
     silently drop the guard.
+
+    The guards go by reduction first. When the largest entry of a block's
+    images is at most the cap and the smallest at least its negative, no
+    image fails (a NaN fails both comparisons), so the block skips the
+    per-row max-abs, the failure mask and its reductions; the start states
+    take the same test against ``r_div``. Each image's max-abs is computed
+    only in a block where some row stops, where it tells a diverged image
+    from a non-finite one, also for a row that a domain check stops inside
+    a multi-step block. While no row has stopped, ``last`` takes the going
+    states by a plain copy. The verdicts are those of the per-row test.
     """
     last = np.array(X0, dtype=float)
     if last.ndim != 2 or last.shape[1] != system.dim:
@@ -520,7 +538,8 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     # block has read everything it needs (``P`` or an image may be a view of
     # it), and the going rows' states at the end. Only the start states can
     # be past ``r_div``: every later state is an image that passed the guard.
-    active, P, over = np.arange(n), last, _max_abs(last) > r_div
+    active, P = np.arange(n), last
+    over = None if _within(last, r_div) else _max_abs(last) > r_div
     t = ran = 0             # steps done; steps in which some row was still going
     span = 1                # the next block's length before its caps
     with np.errstate(all="ignore"):
@@ -548,18 +567,26 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
                 Y = _run_block(system, P, b)
             span = 2 * b
 
-            M = _max_abs(Y)                     # (b, m): each image's max-abs
-            failed = ~(M <= cap)
+            # (b, m): each image's max-abs and whether a check fails there,
+            # built only when the reductions or a state check find a failure
+            M = failed = None
+            if not _within(Y, cap):
+                M = _max_abs(Y)
+                failed = ~(M <= cap)
             # The states inside the block, checked before their step. One past
             # r_div failed the guard as an image, a step before its own check.
             inner = None if b == 1 else _state_codes(system.domain, Y[:-1].reshape(-1, d))
             if inner is not None:
                 inner = inner.reshape(b - 1, -1)
+                if failed is None:
+                    failed = np.zeros(Y.shape[:2], dtype=bool)
                 failed[1:] |= inner != _CODE[COMPLETED]
-            stops = failed.any(axis=0)
-            stopping = stops.any()
+            stopping = failed is not None       # it holds a failure wherever it is built
             kept = b                            # images each row keeps
             if stopping:
+                if M is None:                   # only a state check failed
+                    M = _max_abs(Y)
+                stops = failed.any(axis=0)
                 kept = np.full(len(active), b)
                 sub = np.flatnonzero(stops)
                 first = failed[:, sub].argmax(axis=0)   # the step each one stops at
@@ -584,7 +611,10 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
             else:
                 ran, P = t + b, Y[-1]
             t += b
-    last[active] = P
+    if active.size == n:
+        last[...] = P
+    else:
+        last[active] = P
     if states is not None:
         states = states[:ran]
     return BatchOrbit(last=last, termination=termination, valid=valid, states=states)

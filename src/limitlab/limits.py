@@ -88,8 +88,8 @@ class Settings:
         if not (math.isfinite(self.r_div) and self.r_div > 0):
             raise ValueError(f"r_div must be finite and > 0, got {self.r_div}")
         self._at_least(basin_burn=0, basin_window=1)
-        if not self.escape_radius > 0:
-            raise ValueError(f"escape_radius must be > 0, got {self.escape_radius}")
+        if not (math.isfinite(self.escape_radius) and self.escape_radius > 0):
+            raise ValueError(f"escape_radius must be finite and > 0, got {self.escape_radius}")
 
     def _at_least(self, **least):
         for name, bound in least.items():
@@ -154,42 +154,41 @@ def estimate_omega(system: DiscreteMap, x0, cfg: Optional[Settings] = None,
 _STATUS_OF = {DIVERGED: "escaped", LEFT_DOMAIN: "escaped", SINGULAR: "singular"}
 
 
-def estimate_omega_batch(system: DiscreteMap, seeds,
-                         cfg: Optional[Settings] = None,
-                         source: str = "omega") -> list[LimitSetEstimate]:
-    """:func:`estimate_omega` at every seed, with the orbits stepped in lockstep.
+@dataclass(frozen=True)
+class _Outcome:
+    """One seed's settle loop, before any shape is classified. ``cause`` is
+    ``COMPLETED`` for a seed whose windows ran out or settled, else the
+    engine's cause of its stop; ``window`` is its last tail window, prepared,
+    or for a stop its last valid state as a one-point cloud; ``gap`` and
+    ``tol`` are the last settle test's distance and tolerance (``inf`` and
+    ``tol_settle`` before any test)."""
 
-    The burn runs for all seeds at once, then one tail window at a time for
-    the seeds that have not yet settled, escaped or hit a singularity; the
-    settle test and shape classification stay per seed. Estimates come back
-    in seed order, and each equals the one-seed estimate to the bit: no seed's
-    result depends on which seeds share the call. Each tail window is prepared
-    once (:func:`geometry._prepare`) for its settle test, its shape and, if it
-    does not settle, the next round's comparison; the estimate keeps it for
-    :func:`cluster_limit_sets`.
-    """
-    cfg = cfg or Settings()
-    seeds = [as_state(s, system.dim) for s in seeds]
+    cause: str
+    window: _Cloud
+    gap: float
+    tol: float
+
+    @property
+    def converged(self) -> bool:
+        return self.cause == COMPLETED and self.gap <= self.tol
+
+
+def _settle_seeds(system: DiscreteMap, seeds: list[np.ndarray],
+                  cfg: Settings) -> list[_Outcome]:
+    """The settle loop of :func:`estimate_omega_batch` on ``seeds`` (states
+    as :func:`dynamics.as_state` returns them): each seed's outcome, in seed
+    order. The burn runs for all seeds at once, then one tail window at a
+    time for the seeds that have not yet settled, escaped or hit a
+    singularity. Each tail window is prepared once
+    (:func:`geometry._prepare`) for its settle test and, if it does not
+    settle, the next round's comparison."""
     if not seeds:
         return []
-    out: list[Optional[LimitSetEstimate]] = [None] * len(seeds)
+    out: list[Optional[_Outcome]] = [None] * len(seeds)
 
-    def fail(i, cause, point):
-        pts = np.atleast_2d(point).copy()
-        return LimitSetEstimate(points=pts, source=source, seed=seeds[i],
-                                diameter=float(diameter(pts)), shape="unknown",
-                                period=None, converged=False, status=_STATUS_OF[cause],
-                                settle_gap=float("inf"), settle_tol=cfg.tol_settle)
-
-    def settled(i, window, converged, gap, tol_eff):
-        shape, period, diam = _classify_shape(window, cfg.tol_fp, cfg.max_period)
-        est = LimitSetEstimate(points=window.points, source=source, seed=seeds[i],
-                               diameter=diam, shape=shape, period=period,
-                               converged=converged,
-                               status="converged" if converged else "unconverged",
-                               settle_gap=float(gap), settle_tol=float(tol_eff))
-        vars(est)["_cloud"] = window        # the cached_property's slot
-        return est
+    def fail(cause, point):
+        return _Outcome(cause, _prepare(np.atleast_2d(point).copy()), float("inf"),
+                        cfg.tol_settle)
 
     burn = iterate_batch(system, np.stack(seeds), cfg.burn, r_div=cfg.r_div)
     rows = []
@@ -197,7 +196,7 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
         if burn.cause(i) == COMPLETED:
             rows.append(i)
         else:
-            out[i] = fail(i, burn.cause(i), burn.last[i])
+            out[i] = fail(burn.cause(i), burn.last[i])
     current = burn.last[rows]
 
     prev: dict[int, _Cloud] = {}
@@ -210,14 +209,14 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
         still = []
         for j, i in enumerate(rows):
             if run.cause(j) != COMPLETED:
-                out[i] = fail(i, run.cause(j), run.last[j])
+                out[i] = fail(run.cause(j), run.last[j])
                 continue
             window = _prepare(np.ascontiguousarray(run.states[:, j]))
             if i in prev:
                 gap[i] = hausdorff(prev[i], window)
                 tol_eff[i] = max(cfg.tol_settle, cfg.gap_factor * split_discrepancy(window))
                 if gap[i] <= tol_eff[i]:
-                    out[i] = settled(i, window, True, gap[i], tol_eff[i])
+                    out[i] = _Outcome(COMPLETED, window, gap[i], tol_eff[i])
                     continue
             prev[i] = window
             still.append(j)
@@ -225,7 +224,41 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
         current = run.last[still]
 
     for i in rows:
-        out[i] = settled(i, prev[i], False, gap[i], tol_eff[i])
+        out[i] = _Outcome(COMPLETED, prev[i], gap[i], tol_eff[i])
+    return out
+
+
+def estimate_omega_batch(system: DiscreteMap, seeds,
+                         cfg: Optional[Settings] = None,
+                         source: str = "omega") -> list[LimitSetEstimate]:
+    """:func:`estimate_omega` at every seed, with the orbits stepped in lockstep.
+
+    :func:`_settle_seeds` runs the settle loop for all seeds; the shape of
+    each window is then classified per seed. Estimates come back in seed
+    order, and each equals the one-seed estimate to the bit: no seed's result
+    depends on which seeds share the call. Each tail window is prepared once
+    for its settle test and its shape; the estimate keeps it for
+    :func:`cluster_limit_sets`.
+    """
+    cfg = cfg or Settings()
+    seeds = [as_state(s, system.dim) for s in seeds]
+    out = []
+    for seed, o in zip(seeds, _settle_seeds(system, seeds, cfg)):
+        if o.cause != COMPLETED:
+            out.append(LimitSetEstimate(
+                points=o.window.points, source=source, seed=seed,
+                diameter=float(diameter(o.window.points)), shape="unknown", period=None,
+                converged=False, status=_STATUS_OF[o.cause],
+                settle_gap=o.gap, settle_tol=o.tol))
+            continue
+        shape, period, diam = _classify_shape(o.window, cfg.tol_fp, cfg.max_period)
+        est = LimitSetEstimate(points=o.window.points, source=source, seed=seed,
+                               diameter=diam, shape=shape, period=period,
+                               converged=o.converged,
+                               status="converged" if o.converged else "unconverged",
+                               settle_gap=float(o.gap), settle_tol=float(o.tol))
+        vars(est)["_cloud"] = o.window      # the cached_property's slot
+        out.append(est)
     return out
 
 
@@ -485,7 +518,32 @@ class _SettleStage:
     -1 where the point is outside the domain (an excluded point included) or
     its image is not finite. The points take one checked step together and
     their images are asked of the tree in one query. ``succ`` ends with one
-    more -1, which an anchor of -1 reads."""
+    more -1, which an anchor of -1 reads.
+
+    Each point also has its separation ``sep``: the :func:`geometry._box_lower`
+    distance from the point to the nearest box of another member (+inf when
+    the catalog has one member). A row whose anchor has a successor ``p``
+    takes the separation test first. With ``u`` the bound to ``p`` that
+    :meth:`bounds` records (the computed distance widened by the margin
+    ``(rho, alpha)`` of :func:`geometry._margin`), the row settles on the
+    owner ``i`` of ``p`` when ``u <= tol_i`` and ``(u + u)(1 + rho) + alpha <
+    sep[p]``. That is the verdict the box bounds give, for this reason. Write
+    ``|.|`` for exact distances, ``D_j`` for the exact distance to member
+    ``j``'s box, ``e_r = (d + 2) eps`` and ``e_a = sqrt(d) 2**-537`` for the
+    errors of a computed distance, so that ``rho = 16 e_r`` and ``alpha = 16
+    e_a``. The widening puts ``u`` above the exact distance: ``|q - p| <= u -
+    15 alpha / 16``. The narrowing puts ``sep[p]`` below it: ``D_j(p) >=
+    sep[p] > 2u (1 + rho) + alpha``, less the few ulps of rounding the test
+    itself makes, which ``rho`` covers many times over. A box distance is
+    1-Lipschitz, so ``D_j(q) >= D_j(p) - |q - p| > u (1 + 2 rho) + alpha``.
+    The row's computed box bound is that distance less at most ``e_r + rho``
+    of it and ``e_a + alpha``: ``lower_j(q) > u (1 + rho - e_r - 2 rho**2) +
+    alpha - e_a - alpha (rho + e_r) > u``. So ``u < lower_j`` for every
+    other member ``j``, and with ``u <= tol_i`` that is the settled verdict,
+    with the same bound and candidate. A bound that overflows fails ``u <=
+    tol_i``, and a separation that overflows is ``-inf``, so neither
+    settles a row. Only the rows the test leaves open (no anchor, an anchor
+    with no successor, or a failed test) pay for every member's box bound."""
 
     def __init__(self, system: DiscreteMap, member_pts: list[np.ndarray], tol: np.ndarray):
         self.points = np.vstack(member_pts)
@@ -502,30 +560,59 @@ class _SettleStage:
         run = iterate_batch(system, self.points, 1, r_div=np.inf)
         done = np.flatnonzero(run.termination == _CODE[COMPLETED])
         self.succ[done] = self.tree.query(run.last[done], k=1)[1]
+        self.sep = np.full(len(self.points), np.inf)
+        for i, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            box = _box_lower(self.points, lo, hi)
+            box[self.owners == i] = np.inf
+            np.minimum(self.sep, box, out=self.sep)
+
+    def _bound(self, Q: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Each row's distance to its candidate member point, widened by the
+        margin. Each row less its candidate point is formed a column at a
+        time: a row gather of the points costs more, and would be row-major."""
+        rho, alpha = self.margin
+        diff = np.empty(Q.shape, order="F")
+        for j, column in enumerate(self.columns):
+            np.subtract(Q[:, j], column[cand], out=diff[:, j])
+        return _row_norm(diff) * (1 + rho) + alpha
 
     def bounds(self, Q: np.ndarray, anchor: np.ndarray):
         """The bound verdict on each row of ``Q``, whose ``anchor`` is a member
         point index or -1: ``(verdict, bound, cand)``, where the verdict is a
         member index with the upper bound that settled the row on it,
         ``_RULED_OUT``, or ``_DEFER`` to the tree, and ``cand`` is the member
-        point the bound measured."""
+        point the bound measured. The separation test decides the rows it
+        can; the others take :meth:`_boxed`, with the same result."""
         rho, alpha = self.margin
+        cand = self.succ[anchor]
+        if (cand < 0).all():
+            return self._boxed(Q, cand)
+        with np.errstate(over="ignore"):
+            bound = self._bound(Q, cand)
+            own = self.owners[cand]
+            quick = ((cand >= 0) & (bound <= self.tol[own])
+                     & ((bound + bound) * (1 + rho) + alpha < self.sep[cand]))
+        verdict = np.where(quick, own, _DEFER)
+        rest = np.flatnonzero(~quick)
+        if rest.size:
+            verdict[rest], bound[rest], cand[rest] = self._boxed(Q[rest], cand[rest])
+        return verdict, bound, cand
+
+    def _boxed(self, Q: np.ndarray, cand: np.ndarray):
+        """:meth:`bounds` by every member's box bound: a row ruled out by
+        every box, or settled on its candidate's owner when the bound is within
+        that member's tolerance and below every other member's box bound. A
+        row with no candidate (-1) takes the first point of its nearest box."""
         with np.errstate(over="ignore"):
             # each member's box distance, less the margin
             lower = [_box_lower(Q, lo, hi) for lo, hi in zip(self.lo, self.hi)]
             verdict = np.where(np.logical_and.reduce(
                 [b > t for b, t in zip(lower, self.tol)]), _RULED_OUT, _DEFER)
-            cand = self.succ[anchor]
             lost = cand < 0
             if lost.any():
                 cand[lost] = self.first[np.array(lower)[:, lost].argmin(axis=0)]
             own = self.owners[cand]
-            # each row less its candidate point, a column at a time: a row
-            # gather of the points costs more, and would be row-major
-            diff = np.empty(Q.shape, order="F")
-            for j, column in enumerate(self.columns):
-                np.subtract(Q[:, j], column[cand], out=diff[:, j])
-            bound = _row_norm(diff) * (1 + rho) + alpha
+            bound = self._bound(Q, cand)
             ok = bound <= self.tol[own]
             for i, b in enumerate(lower):
                 ok &= (bound < b) | (own == i)
@@ -568,7 +655,10 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
       at distance at most ``u``. ``u``, widened by the margin, is recorded in
       place of that distance: the largest distance only feeds the final
       ``<= tol_i`` test, and either value passes it, so the test's outcome
-      rests on the other window steps alike.
+      rests on the other window steps alike. Where the candidate point lies
+      far enough from every other member's box, the separation test of
+      :class:`_SettleStage` gives this verdict without taking the row's box
+      distances.
 
     Any member point gives a valid ``u``; the candidate is chosen so that
     ``u`` is small. A limit set is invariant, so the image of a member point
@@ -587,6 +677,10 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     a near-tie, an underflowed distance or an overflowed one decides nothing
     and goes to the tree. The codes are therefore those of asking the tree
     at every step, whichever rows the bounds decide.
+
+    While every row is still going and consistent, the window loop reads
+    and writes its per-row records through a full slice, with no gather and
+    scatter by row index.
 
     The tree and the bounds run on the distinct rows of each member's cloud,
     which the member keeps: copies of a point add nothing to a nearest-member
@@ -614,16 +708,18 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     for _ in range(cfg.basin_window):
         if rows.size == 0:
             break
-        live = consistent[rows]
-        asked, Q = (rows, X) if live.all() else (rows[live], X[live])
+        if rows.size == n and consistent.all():
+            asked, Q = slice(None), X           # every row: views, no gathers
+        else:
+            live = consistent[rows]
+            asked, Q = (rows, X) if live.all() else (rows[live], X[live])
         who, d, anchor[asked] = stage.nearest(Q, anchor[asked])
-        out = who == _RULED_OUT
-        if out.any():
-            consistent[asked[out]] = False
-            asked, who, d = asked[~out], who[~out], d[~out]
-        first = owner[asked] == -1
-        owner[asked[first]] = who[first]
-        consistent[asked] &= owner[asked] == who
+        # a ruled-out row turns inconsistent; its owner and distance are not
+        # read again
+        mine = owner[asked]
+        mine = np.where(mine == -1, who, mine)
+        owner[asked] = mine
+        consistent[asked] &= (mine == who) & (who != _RULED_OUT)
         max_dist[asked] = np.maximum(max_dist[asked], d)
         rows, X = advance(rows, X, 1)
 
@@ -747,6 +843,10 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
     estimated in two batches, every pair's first sequence point and then the
     rest of the pairs that pass it, and the pairs are judged in order,
     exactly as if each estimate were made when the search reached it.
+
+    A judgement reads only whether a state's estimate converged and which
+    member its window matches, so the states go through the settle loop
+    alone (:func:`_settle_seeds`) and no shape is classified.
     """
     cfg = cfg or Settings()
     catalog = basins.catalog
@@ -758,35 +858,32 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
                              for j in range(1, cfg.witness_depth + 1)])
         cases.append((basins.label_at(a_idx), xa, xb, sequence))
 
-    # Each distinct state is estimated once, and only if the replay below
+    # Each distinct state is settled once, and only if the replay below
     # reads it: first every pair's first sequence point, then the rest of the
     # sequence and the limit node of each pair whose first point settled on
-    # its label. Estimates do not depend on the batch.
-    found: dict[bytes, LimitSetEstimate] = {}
+    # its label. Outcomes do not depend on the batch.
+    found: dict[bytes, _Outcome] = {}
 
     def settle(states):
         todo = {x.tobytes(): x for x in states if x.tobytes() not in found}
-        found.update(zip(todo, estimate_omega_batch(system, list(todo.values()), cfg)))
+        found.update(zip(todo, _settle_seeds(system, list(todo.values()), cfg)))
 
-    def settles_on(x, label):
-        est = found[x.tobytes()]
-        return est.converged and catalog.match(est.points) == label
+    def label_of(x):
+        o = found[x.tobytes()]
+        return catalog.match(o.window) if o.converged else None
 
     settle([sequence[0] for *_, sequence in cases])
     cases = [(label_a, xa, xb, sequence) for label_a, xa, xb, sequence in cases
-             if settles_on(sequence[0], label_a)]
+             if label_of(sequence[0]) == label_a]
     settle([x for _, _, xb, sequence in cases for x in (*sequence[1:], xb)])
 
     witnesses: list[ClosednessWitness] = []
     seen: set[tuple] = set()
     for label_a, xa, xb, sequence in cases:
-        if not all(settles_on(x, label_a) for x in sequence[1:]):
+        if not all(label_of(x) == label_a for x in sequence[1:]):
             continue
 
-        est_b = found[xb.tobytes()]
-        if not est_b.converged:
-            continue
-        label_b = catalog.match(est_b.points)
+        label_b = label_of(xb)
         if label_b is None or label_b == label_a:
             continue
 

@@ -837,7 +837,8 @@ def test_simulate_honours_r_div(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting", ["basin_burn=-3", "basin_window=0", "escape_radius=0",
-                                     "escape_radius=-1", "escape_radius=nan"])
+                                     "escape_radius=-1", "escape_radius=nan",
+                                     "escape_radius=inf"])
 def test_impossible_basin_settings_are_usage_errors(tmp_path, capsys, setting):
     message = _rejected_setting(tmp_path, capsys, "basins", setting)
     assert setting.split("=")[0] in message

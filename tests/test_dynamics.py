@@ -650,6 +650,101 @@ def test_a_nan_guard_radius_is_rejected():
         iterate(doubler, [1.0], 3, r_div=float("nan"))
 
 
+def _trigger_map(r_div):
+    """Column 0 counts down by one per step. On the step that takes it to 0,
+    a row whose column 1 holds a code of ``_TRIGGERS`` gets that code's
+    image: column 1 becomes NaN, +-inf, exactly +-``top`` (``r_div``, or the
+    largest float for an infinite ``r_div``), +-float max, or the next float
+    past ``top``; or column 0 jumps to -1e3, outside the domain, with an
+    image well inside the guard. Any other code runs free."""
+    fmax = np.finfo(float).max
+    top = min(r_div, fmax)
+    with np.errstate(over="ignore"):
+        past = np.nextafter(top, np.inf)
+    values = {1.0: np.nan, 2.0: np.inf, 3.0: -np.inf, 4.0: top, 5.0: -top,
+              6.0: fmax, 7.0: -fmax, 8.0: past}
+
+    def forward(X):
+        X = np.asarray(X, dtype=float)
+        Y = X.copy()
+        Y[..., 0] -= 1.0
+        fire = Y[..., 0] == 0.0
+        for code, value in values.items():
+            Y[..., 1][fire & (X[..., 1] == code)] = value
+        Y[..., 0][fire & (X[..., 1] == 9.0)] = -1e3
+        return Y
+    domain = DomainRegion.box([[-100.0, np.inf], [-np.inf, np.inf]])
+    return DiscreteMap(dim=2, forward=forward, domain=domain)
+
+
+_TRIGGERS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0)
+
+
+def _trigger_rows(r_div, k):
+    # every code fired at every step of a k-step run (inside and across
+    # blocks of 1, 2, 4 and 8 steps) and never, a state outside the domain,
+    # and, for a finite guard, a start past it at the guard's edge
+    rows = [[t, code] for code in _TRIGGERS for t in range(1, k + 2)]
+    rows += [[-500.0, 0.5], [k + 5.0, 0.5]]
+    if r_div < np.finfo(float).max:
+        rows += [[3.0, 2.0 * r_div], [3.0, -np.nextafter(r_div, np.inf)], [3.0, -r_div]]
+    return np.array(rows)
+
+
+def _assert_rows_match_iterate(run, system, X0, k, r_div):
+    for i, x0 in enumerate(X0):
+        traj = iterate(system, x0, k, r_div=r_div)
+        assert (run.cause(i), int(run.valid[i])) == (traj.termination, len(traj)), x0
+        assert _bits(run.last[i]) == _bits(traj.last), x0
+        assert _bits(run.states[:len(traj) - 1, i]) == _bits(traj.points[:-1]), x0
+
+
+@pytest.mark.parametrize("r_div,k", [(1e4, 12), (np.finfo(float).max, 12),
+                                     (np.inf, 12), (np.inf, 1), (1e4, 1)])
+def test_guards_by_reduction_match_row_by_row_orbits(r_div, k):
+    # the engine decides a block's guard with two reductions and takes each
+    # row's max-abs only where some row stops: NaN and +-inf images, images
+    # exactly at +-r_div and +-float max, the next float past the guard and
+    # starts past it must stop (or pass) exactly as one orbit at a time does.
+    # The narrow batch steps blocks of several steps; the wide one, over
+    # 2**15 floats of rows that never stop, one step per block
+    system = _trigger_map(r_div)
+    X0 = _trigger_rows(r_div, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        narrow = _assert_matches_reference(system, X0, k, r_div, True)
+        _assert_rows_match_iterate(narrow, system, X0, k, r_div)
+        free = np.column_stack([np.full(2 ** 14, k + 5.0), np.linspace(-1.0, 1.0, 2 ** 14)])
+        wide = iterate_batch(system, np.vstack([free, X0]), k, r_div=r_div, record=True)
+    rows = slice(len(free), None)
+    assert _bits(wide.last[rows]) == _bits(narrow.last)
+    assert np.array_equal(wide.termination[rows], narrow.termination)
+    assert np.array_equal(wide.valid[rows], narrow.valid)
+    assert _bits(wide.states[:, rows]) == _bits(narrow.states)
+    assert (wide.termination[:len(free)] == _CODE[COMPLETED]).all()
+    assert _bits(wide.last[:len(free)]) == _bits(free - [k, 0.0])
+    # nothing diverges past a guard at float max: the next float up is inf
+    want = {"completed", "singular", "left-domain"}
+    assert {narrow.cause(i) for i in range(len(X0))} == \
+        want | ({"diverged"} if r_div < np.finfo(float).max else set())
+
+
+def test_a_row_leaves_the_domain_inside_a_block_whose_images_all_pass_the_guard():
+    # every image of these blocks is within the guard, so the block skips
+    # the per-row max-abs; the rows jump out of the domain at steps 2, 4, 5
+    # and 6, and the state checks inside the blocks of steps 2-3 and 4-7
+    # stop them there, as left-domain, with the jump kept as their last state
+    system = _trigger_map(1e4)
+    X0 = np.array([[t, 9.0] for t in (2.0, 4.0, 5.0, 6.0)] + [[20.0, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = _assert_matches_reference(system, X0, 10, 1e4, True)
+        _assert_rows_match_iterate(run, system, X0, 10, 1e4)
+    assert [run.cause(i) for i in range(4)] == ["left-domain"] * 4
+    assert run.valid[:4].tolist() == [3, 5, 6, 7]
+    assert run.last[:4, 0].tolist() == [-1e3] * 4
+
+
 def test_iterate_batch_matches_the_reference_on_catalog_maps(rng):
     # near the mobius pole (escapes, one singular), the cot map and a
     # rotation-scaling batch, with a guard radius some rows cross

@@ -17,7 +17,7 @@ from limitlab import (LimitSetEstimate, Settings, basin_closedness_witness, cata
                       list_systems, write_basin_csv, DomainRegion,
                       LinearSystem, LimitSetCatalog, CatalogMember, default_seeds)
 from limitlab import config
-from limitlab.dynamics import DiscreteMap
+from limitlab.dynamics import DiscreteMap, _grid_nodes
 from limitlab.errors import UnconvergedError
 from limitlab import geometry, limits
 from limitlab.geometry import _prepare, diameter, sampling_gap
@@ -650,12 +650,13 @@ def _wide_beside_point():
     return _STILL, catalog, DomainRegion.box([[-1e-4, 1e-4], [-1e-4, 1e-4]]), 9
 
 
-@pytest.mark.parametrize("case", [_pole_map, _pole_map_per_row,
-                                  _excluded_ball_doubler, _shear_doubler,
-                                  _tiny_spread_contraction, _origin_inside_circle,
-                                  _near_tie, _subnormal_members, _ruled_out_rows,
-                                  _period_three, _thinned_successor,
-                                  _wide_beside_point])
+_BASIN_CASES = [_pole_map, _pole_map_per_row, _excluded_ball_doubler, _shear_doubler,
+                _tiny_spread_contraction, _origin_inside_circle, _near_tie,
+                _subnormal_members, _ruled_out_rows, _period_three, _thinned_successor,
+                _wide_beside_point]
+
+
+@pytest.mark.parametrize("case", _BASIN_CASES)
 @pytest.mark.parametrize("cfg", [Settings(),
                                  Settings(basin_burn=3, basin_window=4, escape_radius=40.0)])
 def test_basin_codes_equal_a_per_node_reference(case, cfg):
@@ -664,6 +665,66 @@ def test_basin_codes_equal_a_per_node_reference(case, cfg):
     for idx in np.ndindex(basins.codes.shape):
         want = _reference_basin_code(system, catalog, basins.node(idx), cfg)
         assert basins.codes[idx] == want, (idx, basins.node(idx))
+
+
+@pytest.mark.parametrize("case", _BASIN_CASES)
+def test_the_separation_test_gives_the_box_bounds_verdict(case):
+    # the case's grid nodes under random anchors; rows around their
+    # candidate, in random directions, up to past its tolerance; and rows on
+    # the way from the candidate to the nearest point of another member's
+    # box, where the separation test must leave what the box bounds defer:
+    # ``bounds``, which lets the separation test settle what it can first,
+    # returns the triple that every member's box bound on every row gives
+    system, catalog, region, resolution = case()
+    tol = np.array([catalog.match_tolerance(m) for m in catalog.members])
+    stage = _SettleStage(system, [m._cloud.distinct for m in catalog.members], tol)
+    rng = np.random.default_rng(7)
+    nodes = _grid_nodes(region.grid(resolution))
+    anchor = rng.integers(-1, len(stage.points), len(nodes) + 4000)
+    cand = np.maximum(stage.succ[anchor[len(nodes):]], 0)
+    p = stage.points[cand]
+    around, toward = slice(0, 2000), slice(2000, None)
+    spread = tol[stage.owners[cand[around]]] * rng.uniform(0.0, 1.5, 2000)
+    unit = rng.normal(size=(2000, p.shape[1]))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    # each box's nearest point to the candidate; with one member, its own
+    boxes = np.array([np.clip(p[toward], lo, hi) for lo, hi in zip(stage.lo, stage.hi)])
+    dist = np.linalg.norm(boxes - p[toward], axis=2)
+    dist[stage.owners[cand[toward]], np.arange(2000)] = np.inf
+    nearest = boxes[dist.argmin(axis=0), np.arange(2000)]
+    t = rng.uniform(0.0, 1.2, 2000)[:, None]
+    Q = np.vstack([nodes, p[around] + unit * spread[:, None],
+                   p[toward] + t * (nearest - p[toward])])
+    got = stage.bounds(Q, anchor)
+    want = stage._boxed(Q, stage.succ[anchor])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_the_box_bounds_take_at_most_one_row_per_step_after_the_first(monkeypatch,
+                                                                      rotation_catalog):
+    # on the rotation-scaling grid every orbit but the origin's turns along
+    # the circle: once its first step has anchored a row, the separation
+    # test settles it, and only the origin's row, inside the circle's box,
+    # takes the members' box bounds
+    rows = []
+    bounds, boxed = _SettleStage.bounds, _SettleStage._boxed
+
+    def counted_bounds(self, Q, anchor):
+        rows.append(0)
+        return bounds(self, Q, anchor)
+
+    def counted_boxed(self, Q, cand):
+        rows[-1] += len(Q)
+        return boxed(self, Q, cand)
+
+    monkeypatch.setattr(_SettleStage, "bounds", counted_bounds)
+    monkeypatch.setattr(_SettleStage, "_boxed", counted_boxed)
+    basins = compute_basins(get_system("rotation-scaling"), rotation_catalog,
+                            region=DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]), resolution=41)
+    assert (basins.codes >= 0).all()
+    assert len(rows) == Settings().basin_window
+    assert rows[0] == 41 * 41 and max(rows[1:]) <= 1
 
 
 def _unanchored(stage, rows):
@@ -810,7 +871,8 @@ def test_basin_escape_is_the_max_abs_guard_on_every_image():
 
 def test_basin_config_rejects_impossible_settings():
     for bad in ({"basin_burn": -1}, {"basin_window": 0}, {"escape_radius": 0.0},
-                {"escape_radius": -1.0}, {"escape_radius": float("nan")}):
+                {"escape_radius": -1.0}, {"escape_radius": float("nan")},
+                {"escape_radius": float("inf")}):
         with pytest.raises(ValueError):
             Settings(**bad)
     Settings(basin_burn=0, basin_window=1, escape_radius=1e-300)
@@ -961,20 +1023,28 @@ def test_witness_search_estimates_only_the_states_its_replay_reads(monkeypatch):
     # 64 boundary pairs: 4 distinct first sequence points, then the other 7
     # points and the limit node of the pairs whose first point settled on
     # their label, 33 states in all, as many as the pair-by-pair search
-    # reads. One batch of every sequence point and limit node made 65.
+    # reads. One batch of every sequence point and limit node made 65. The
+    # search reads only convergence and the matched member, so it runs the
+    # settle loop alone and classifies no shape.
     system = get_system("rotation-scaling")
     catalog, _ = catalog_from_seeds(system, default_seeds("rotation-scaling"))
     basins = compute_basins(system, catalog, resolution=21,
                             region=DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]))
-    batches = []
-    batch = limits.estimate_omega_batch
+    batches, shapes = [], []
+    batch, classify = limits._settle_seeds, limits._classify_shape
 
     def counted(system, seeds, *rest):
         batches.append(len(seeds))
         return batch(system, seeds, *rest)
 
-    monkeypatch.setattr(limits, "estimate_omega_batch", counted)
+    def counted_shape(*args):
+        shapes.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(limits, "_settle_seeds", counted)
+    monkeypatch.setattr(limits, "_classify_shape", counted_shape)
     witnesses = basin_closedness_witness(system, basins)
+    assert shapes == []
     assert [(w.sequence_label, w.limit_label) for w in witnesses] == [("S1", "S0")]
     assert np.array_equal(witnesses[0].limit_point, [0.0, 0.0])
     assert batches == [4, 29]
