@@ -374,43 +374,87 @@ def injectivity_probe(F: ImmersionMap, samples,
     sample indices ``(r, c)``, ``r < c``; ``n_collisions`` counts all.
     A pair whose distance in either space overflows raises
     :class:`DomainError` (``non-finite-distance``) at its first sample.
+
+    ``samples`` may be prepared once by :func:`_probe_samples` for every
+    chart probed on them over one domain at one ``delta_sep``; raw samples
+    are prepared here, so both give the same report.
     """
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
-    X = X[F.domain.contains_batch(X)]
-    if len(X) < 2:
-        raise ValueError("need at least two in-domain samples")
+    S = _probe_samples(F.domain, samples, delta_sep)
+    X = S.X
     FX = F.apply(X)
 
     collisions = []
     n_collisions = 0
     min_ratio = float("inf")
-    pairs = 0
-    chunk = 512
     n = len(X)
-    for (i, b, dx), (_, _, di) in zip(_pair_blocks(X, chunk), _pair_blocks(FX, chunk)):
-        bad = np.flatnonzero(~(np.isfinite(dx) & np.isfinite(di)))
-        if bad.size:
-            _, (r,), (c,) = _pair_rows(n, i, b, bad, 1)
+    for (i, b, dx, finite, sep, dx_sep), (_, _, di) in zip(
+            S.blocks, _pair_blocks(FX, _PROBE_CHUNK)):
+        ok = np.isfinite(di)
+        ok &= finite
+        if not ok.all():
+            _, (r,), (c,) = _pair_rows(n, i, b, np.flatnonzero(~ok), 1)
             raise DomainError(X[r], "non-finite-distance",
                               detail=f"{F.name}: the distance to {X[c]} or "
                               "between their images overflows")
-        sep = dx > delta_sep
-        n_sep = int(np.count_nonzero(sep))
-        pairs += n_sep
-        if n_sep:
-            min_ratio = min(min_ratio, float((di[sep] / dx[sep]).min()))
-            hit = np.flatnonzero(sep & (di < delta_img))
-            n_collisions += len(hit)
+        if dx_sep.size:
+            di_sep = di if dx_sep.size == di.size else di[sep]
+            min_ratio = min(min_ratio, float((di_sep / dx_sep).min()))
+            close = di_sep < delta_img
+            n_hit = int(np.count_nonzero(close))
+            n_collisions += n_hit
             room = max_recorded - len(collisions)
-            if len(hit) and room > 0:
+            if n_hit and room > 0:
+                hit = np.flatnonzero(sep)[close]
                 pos, rows, cols = _pair_rows(n, i, b, hit, room)
                 collisions.extend((X[r], X[c], float(dx[k]), float(di[k]))
                                   for k, r, c in zip(pos, rows, cols))
     return InjectivityReport(collisions=tuple(collisions),
                              n_collisions=n_collisions,
-                             min_separation_ratio=min_ratio if pairs else None,
-                             pairs_checked=pairs,
+                             min_separation_ratio=min_ratio if S.pairs else None,
+                             pairs_checked=S.pairs,
                              delta_sep=float(delta_sep), delta_img=float(delta_img))
+
+
+_PROBE_CHUNK = 512      # sample rows per block of the probe's pair walk
+
+
+class _ProbeSamples:
+    """Samples prepared for :func:`injectivity_probe`: the part of the probe
+    that reads no chart, for one domain at one ``delta_sep``.
+
+    ``X`` holds the in-domain rows of ``samples``, and ``blocks`` one entry
+    per :func:`geometry._pair_blocks` block of them, ``(i, b, dx, finite,
+    sep, dx_sep)``: the block's first row and row count, its input-space
+    pair distances, which of them are finite, which exceed ``delta_sep``,
+    and those distances, ``dx[sep]``. ``pairs`` counts the separated pairs
+    of all blocks. Make one with :func:`_probe_samples`.
+    """
+
+    __slots__ = ("domain", "delta_sep", "X", "blocks", "pairs")
+
+    def __init__(self, domain: DomainRegion, samples: np.ndarray, delta_sep: float):
+        X = samples[domain.contains_batch(samples)]
+        if len(X) < 2:
+            raise ValueError("need at least two in-domain samples")
+        self.domain, self.delta_sep, self.X = domain, delta_sep, X
+        self.blocks = []
+        for i, b, dx in _pair_blocks(X, _PROBE_CHUNK):
+            sep = dx > delta_sep
+            self.blocks.append((i, b, dx, np.isfinite(dx), sep, dx[sep]))
+        self.pairs = sum(block[-1].size for block in self.blocks)
+
+
+def _probe_samples(domain: DomainRegion, samples, delta_sep: float) -> _ProbeSamples:
+    """``samples`` prepared for probing charts on ``domain`` at ``delta_sep``.
+    Samples already prepared are returned as they are; prepared for another
+    domain or ``delta_sep``, they are refused with a ``ValueError``, as are
+    fewer than two samples in ``domain``."""
+    if not isinstance(samples, _ProbeSamples):
+        return _ProbeSamples(domain, np.atleast_2d(np.asarray(samples, dtype=float)),
+                             delta_sep)
+    if samples.domain is not domain or samples.delta_sep != delta_sep:
+        raise ValueError("these samples were prepared for another domain or delta_sep")
+    return samples
 
 
 # -- forward/backward consistency ------------------------------------------------

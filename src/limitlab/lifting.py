@@ -8,13 +8,27 @@ held-out samples, limit-set collapse against a catalog, and injectivity
 probing. The sweep makes the residual/collapse/injectivity trade-off visible
 across dictionary families and sizes.
 
-A sweep draws its training pairs and runs the conjugacy residual's samples
-stage (the held-out samples kept and their source step) once. Per dictionary
-it evaluates the features, the residual's images stage (``F(x)`` and
-``F(f(x))``) and the collapse and injectivity probes once; per ridge only the
-solve and the residual's tail (``g(F(x)) = K F(x)`` and the report) run. That
-reuse is exact: nothing but the solve and the tail reads ``K`` or the ridge.
-:func:`fit_lift` is the same solve on freshly drawn pairs.
+A sweep draws its training pairs, runs the conjugacy residual's samples
+stage (the held-out samples kept and their source step) and prepares the
+held-out samples for the injectivity probe (their pair distances) once. Per
+dictionary it evaluates the features, the residual's images stage (``F(x)``
+and ``F(f(x))``) and the collapse and injectivity probes once; per ridge only
+the solve and the residual's tail (``g(F(x)) = K F(x)`` and the report) run.
+That reuse is exact: nothing but the solve and the tail reads ``K`` or the
+ridge. :func:`fit_lift` is the same solve on freshly drawn pairs.
+
+A dictionary evaluates a batch by one evaluator per kind, which computes
+what its features share once per batch: a monomial dictionary each
+exponent's powers, a rational-pole dictionary its base, a Fourier dictionary
+each ``j*x``. Its values are the per-feature formulas' to the bit.
+
+Byte-for-byte reproducibility holds per host and numpy build. numpy's power
+kernel depends on the form of the exponent: on an AVX-512 host an array
+exponent runs numpy's SVML kernel, while a broadcast scalar ``2.0`` runs the
+exact ``x*x``, and the two differ in the last bit on a few percent of
+inputs. A monomial passes its exponents as an array the state's width, which
+for a 1-d monomial numpy takes as a scalar; so the last bits of a monomial
+feature depend on the state dimension, the host's SIMD and the numpy build.
 """
 
 from __future__ import annotations
@@ -31,8 +45,9 @@ from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _grid_nodes,
                        _row_norm, iterate_batch)
 from .errors import (CatalogGuardError, DomainError, InvalidParamError,
                      SingularGramError)
-from .immersion import (ImmersionMap, _residual_images, _residual_samples,
-                        _residual_tail, collapse_report, injectivity_probe)
+from .immersion import (ImmersionMap, _probe_samples, _residual_images,
+                        _residual_samples, _residual_tail, collapse_report,
+                        injectivity_probe)
 from .limits import LimitSetCatalog
 from .linear import LinearSystem
 from .serialize import _coerce, write_csv
@@ -42,12 +57,17 @@ from .serialize import _coerce, write_csv
 
 @dataclass(frozen=True)
 class Dictionary:
-    """A finite family of observables ``R^dim -> R``, evaluated as columns."""
+    """A finite family of observables ``R^dim -> R``, evaluated as columns.
+
+    A batch is evaluated by the one evaluator of its kind that
+    :func:`build_dictionary` made, on the states in C order, into
+    one C-ordered ``(m, size)`` array.
+    """
 
     kind: str
     dim: int
     labels: tuple[str, ...]
-    _funcs: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(repr=False)
+    _evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     params: dict = field(default_factory=dict)
 
     @property
@@ -60,59 +80,90 @@ class Dictionary:
         if X.shape[1] != self.dim:
             raise ValueError(f"dictionary expects dim {self.dim}, got {X.shape[1]}")
         with np.errstate(all="ignore"):
-            cols = [np.asarray(fn(X), dtype=float).reshape(len(X)) for fn in self._funcs]
-        return np.column_stack(cols)
+            # numpy picks its power kernel from the layout of the operands, so
+            # the states are always passed in one order
+            return self._evaluate(np.ascontiguousarray(X))
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(np.atleast_2d(x))[0]
 
 
-def _monomial_funcs(dim: int, order: int, include_constant: bool):
-    funcs, labels = [], []
-    degrees = range(0 if include_constant else 1, order + 1)
-    for total in degrees:
+def _monomials(dim: int, order: int, include_constant: bool):
+    """The evaluator and labels of every monomial up to total degree ``order``.
+
+    Each exponent's powers are computed once per call, ``X ** e`` with the
+    exponent passed as a state-shaped array, as ``X ** counts`` passes a
+    monomial's counts; numpy then runs the same power kernel on each entry,
+    so a power is the one ``np.prod(X ** counts, axis=1)`` takes. A monomial
+    is the left-to-right product of its nonzero-degree factors: the factors
+    of degree 0 that product multiplies in are exactly 1.0.
+    """
+    terms, labels = [], []
+    for total in range(0 if include_constant else 1, order + 1):
         for combo in itertools.combinations_with_replacement(range(dim), total):
-            counts = np.bincount(combo, minlength=dim) if combo else np.zeros(dim, dtype=int)
+            counts = np.bincount(combo, minlength=dim)
+            terms.append([(i, float(c)) for i, c in enumerate(counts) if c > 0])
+            labels.append("*".join(f"x{i + 1}" if c == 1 else f"x{i + 1}^{c}"
+                                   for i, c in enumerate(counts) if c > 0) or "1")
+    exponents = sorted({e for term in terms for _, e in term})
 
-            def fn(X, c=counts.astype(float)):
-                return np.prod(X ** c, axis=1)
+    def evaluate(X):
+        powers = {e: X ** np.full(dim, e) for e in exponents}
+        out = np.empty((len(X), len(terms)))
+        for col, term in zip(out.T, terms):
+            if not term:
+                col[:] = 1.0
+                continue
+            (i, e), *rest = term
+            col[:] = powers[e][:, i]
+            for i, e in rest:
+                col *= powers[e][:, i]
+        return out
+    return evaluate, labels
 
-            if not combo:
-                labels.append("1")
-            else:
-                labels.append("*".join(
-                    f"x{i + 1}" if c == 1 else f"x{i + 1}^{c}"
-                    for i, c in enumerate(counts) if c > 0))
-            funcs.append(fn)
-    return funcs, labels
 
-
-def _fourier_funcs(order: int, include_constant: bool):
-    funcs, labels = [], []
-    if include_constant:
-        funcs.append(lambda X: np.ones(len(X)))
-        labels.append("1")
+def _fourier(order: int, include_constant: bool):
+    """``cos(jx)`` and ``sin(jx)`` for ``j`` up to ``order``, ``j*x`` once per ``j``."""
+    labels = ["1"] if include_constant else []
     for j in range(1, order + 1):
-        funcs.append(lambda X, j=j: np.cos(j * X[:, 0]))
-        labels.append(f"cos({j}x)")
-        funcs.append(lambda X, j=j: np.sin(j * X[:, 0]))
-        labels.append(f"sin({j}x)")
-    return funcs, labels
+        labels += [f"cos({j}x)", f"sin({j}x)"]
+
+    def evaluate(X):
+        out = np.empty((len(X), len(labels)))
+        if include_constant:
+            out[:, 0] = 1.0
+        for j in range(1, order + 1):
+            jx = j * X[:, 0]
+            k = int(include_constant) + 2 * (j - 1)
+            out[:, k] = np.cos(jx)
+            out[:, k + 1] = np.sin(jx)
+        return out
+    return evaluate, labels
 
 
-def _rational_pole_funcs(order: int, pole: float, include_constant: bool):
-    funcs, labels = [], []
-    if include_constant:
-        funcs.append(lambda X: np.ones(len(X)))
-        labels.append("1")
-    for j in range(1, order + 1):
-        def fn(X, j=j, p=pole):
-            return ((X[:, 0] + p) / (X[:, 0] - p)) ** j
+def _rational_pole(order: int, pole: float, include_constant: bool):
+    """Powers ``1..order`` of ``(x+pole)/(x-pole)``, its base once per call."""
+    labels = ["1"] if include_constant else []
+    labels += [f"((x+{pole:g})/(x-{pole:g}))^{j}" if j > 1
+               else f"(x+{pole:g})/(x-{pole:g})" for j in range(1, order + 1)]
 
-        funcs.append(fn)
-        labels.append(f"((x+{pole:g})/(x-{pole:g}))^{j}" if j > 1
-                      else f"(x+{pole:g})/(x-{pole:g})")
-    return funcs, labels
+    def evaluate(X):
+        out = np.empty((len(X), len(labels)))
+        base = (X[:, 0] + pole) / (X[:, 0] - pole)
+        if include_constant:
+            out[:, 0] = 1.0
+        for j in range(1, order + 1):
+            out[:, int(include_constant) + j - 1] = base ** j
+        return out
+    return evaluate, labels
+
+
+def _custom(funcs: Sequence[Callable]):
+    """One column per callable on the whole ``(m, dim)`` batch."""
+    def evaluate(X):
+        return np.column_stack([np.asarray(fn(X), dtype=float).reshape(len(X))
+                                for fn in funcs])
+    return evaluate
 
 
 def build_dictionary(kind: str, dim: int, order: int = 2, *,
@@ -130,31 +181,31 @@ def build_dictionary(kind: str, dim: int, order: int = 2, *,
         raise InvalidParamError(
             f"dictionary order must lie in [0, {config.MAX_DICT_ORDER}], got {order}")
     if kind == "monomial":
-        fns, labs = _monomial_funcs(dim, order, include_constant)
+        evaluate, labs = _monomials(dim, order, include_constant)
         params = {"order": order, "include_constant": include_constant}
     elif kind == "fourier":
         if dim != 1:
             raise InvalidParamError("fourier dictionaries are one-dimensional")
-        fns, labs = _fourier_funcs(order, include_constant)
+        evaluate, labs = _fourier(order, include_constant)
         params = {"order": order, "include_constant": include_constant}
     elif kind == "rational-pole":
         if dim != 1:
             raise InvalidParamError("rational-pole dictionaries are one-dimensional")
-        fns, labs = _rational_pole_funcs(order, pole, include_constant)
+        evaluate, labs = _rational_pole(order, pole, include_constant)
         params = {"order": order, "pole": pole, "include_constant": include_constant}
     elif kind == "custom":
         if not funcs:
             raise InvalidParamError("custom dictionaries need explicit funcs")
-        fns = list(funcs)
-        labs = list(labels) if labels else [f"phi{i}" for i in range(len(fns))]
-        if len(labs) != len(fns):
+        evaluate = _custom(tuple(funcs))
+        labs = list(labels) if labels else [f"phi{i}" for i in range(len(funcs))]
+        if len(labs) != len(funcs):
             raise InvalidParamError("labels must match funcs one-to-one")
         params = {}
     else:
         raise InvalidParamError(f"unknown dictionary kind {kind!r}")
-    if not fns:
+    if not labs:
         raise InvalidParamError("dictionary is empty")
-    return Dictionary(kind=kind, dim=dim, labels=tuple(labs), _funcs=tuple(fns),
+    return Dictionary(kind=kind, dim=dim, labels=tuple(labs), _evaluate=evaluate,
                       params=params)
 
 
@@ -364,9 +415,12 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
     with an ``error`` field so the sweep output is total.
 
     Each piece of work runs once at the level where its inputs change. Once
-    per sweep: :func:`training_pairs` and the residual's samples stage
-    (``immersion._residual_samples``: the held-out samples kept on the full
-    space and their one source step). Once per dictionary, at its first
+    per sweep, when first needed: :func:`training_pairs`, the residual's
+    samples stage (``immersion._residual_samples``: the held-out samples
+    kept on the full space and their one source step) and the injectivity
+    probe's input-space stage (``immersion._probe_samples``: the held-out
+    samples in ``region``, their pair distances and which pairs are
+    separated). Once per dictionary, at its first
     ridge that gets that far: the dictionary's features, the residual's
     images stage (``immersion._residual_images``: ``F(x)`` and
     ``F(f(x))``), :func:`collapse_report` and :func:`injectivity_probe`. Per
@@ -388,6 +442,7 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
     pairs = _once(lambda: training_pairs(system, region, seed=seed, box=box))
     samples = _once(lambda: _residual_samples(DomainRegion.full_space(system.dim),
                                               system, heldout))
+    probe_samples = _once(lambda: _probe_samples(region, heldout, config.DELTA_SEP))
 
     rows = []
     for kind, order in specs:
@@ -402,7 +457,7 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
         features = _once(lambda d=dictionary: _features(d, *pairs()))
         images = _once(lambda F=F: _residual_images(F, *samples()))
         collapse = _once(lambda F=F: collapse_report(F, catalog, seed=seed))
-        injectivity = _once(lambda F=F: injectivity_probe(F, heldout))
+        injectivity = _once(lambda F=F: injectivity_probe(F, probe_samples()))
         for ridge in ridges:
             try:
                 _check_ridge(ridge)

@@ -70,17 +70,23 @@ def apply_matrix(X, A) -> np.ndarray:
     kernels that round differently, so a state stepped alone would drift from
     the same state stepped in a batch. Here each output coordinate is one
     fixed-order sum over the columns of ``X``, elementwise, so every row is
-    rounded alike, in either memory order. The result takes the order of
-    ``X``, so a column-major batch writes contiguous columns.
+    rounded alike, in either memory order: one pass per column ``j`` of
+    ``X`` adds ``X[..., j] * A[i, j]`` to every output ``i`` at once. The
+    result takes the order of ``X``, so a column-major batch writes
+    contiguous columns. A matrix whose column count is not the states'
+    dimension is refused with a ``ValueError``.
     """
     A = np.asarray(A, dtype=float)
     X = np.asarray(X, dtype=float)
+    if A.ndim != 2 or X.ndim == 0 or A.shape[1] != X.shape[-1]:
+        raise ValueError(f"a matrix of shape {A.shape} cannot act on states "
+                         f"of shape {X.shape}")
     out = np.empty_like(X, shape=X.shape[:-1] + (len(A),))
-    for i, row in enumerate(A):
-        acc = out[..., i]
-        np.multiply(X[..., 0], row[0], out=acc)
-        for j in range(1, len(row)):
-            acc += X[..., j] * row[j]
+    np.multiply(X[..., :1], A[:, 0], out=out)
+    term = np.empty_like(out)
+    for j in range(1, A.shape[1]):
+        np.multiply(X[..., j:j + 1], A[:, j], out=term)
+        out += term
     return out
 
 

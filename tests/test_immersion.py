@@ -9,9 +9,11 @@ from scipy.spatial.distance import cdist
 from limitlab import (DiscreteMap, DomainRegion, ImmersionMap, LimitSetCatalog,
                       LinearSystem, Settings, catalog_from_seeds,
                       collapse_report, conjugacy_residual, directed_hausdorff,
-                      exact_immersion, get_system, hausdorff, injectivity_probe,
-                      omega_alpha_consistency, pushforward_check)
+                      exact_immersion, get_system, hausdorff, immersion,
+                      injectivity_probe, omega_alpha_consistency,
+                      pushforward_check)
 from limitlab.catalog import exact_immersions, list_systems
+from limitlab.config import DELTA_SEP
 from limitlab.errors import DomainError, UnconvergedError
 from limitlab.serialize import validate
 
@@ -560,6 +562,97 @@ def test_injectivity_needs_two_samples():
     F = cos_map(0.0, np.pi)
     with pytest.raises(ValueError):
         injectivity_probe(F, np.array([[1.0]]))
+    # two samples, one of them in the domain; refused when they are prepared
+    samples = np.array([[-1.0], [1.0]])
+    with pytest.raises(ValueError, match="at least two in-domain samples"):
+        immersion._probe_samples(F.domain, samples, DELTA_SEP)
+    with pytest.raises(ValueError, match="at least two in-domain samples"):
+        injectivity_probe(F, samples)
+
+
+# -- prepared probe samples -----------------------------------------------------------
+
+def probe_outcome(F, samples, **kw):
+    """The probe's report as a dict, or the error it raises as its fields."""
+    try:
+        return injectivity_probe(F, samples, **kw).to_dict()
+    except (DomainError, ValueError) as exc:
+        return type(exc).__name__, str(exc), list(getattr(exc, "point", []))
+
+
+def assert_prepared_equals_raw(F, samples, **kw):
+    prepared = immersion._probe_samples(F.domain, samples, kw.get("delta_sep", DELTA_SEP))
+    raw = probe_outcome(F, samples, **kw)
+    assert probe_outcome(F, prepared, **kw) == raw
+    # a prepared set is only read: it probes the next chart the same way
+    assert probe_outcome(F, prepared, **kw) == raw
+    return raw
+
+
+@pytest.mark.parametrize("delta_sep", [DELTA_SEP, 0.1])
+@pytest.mark.parametrize("max_recorded", [0, 10, 256, 5000])
+def test_prepared_samples_give_the_raw_samples_report(max_recorded, delta_sep):
+    # 1,100 samples, some outside the box, the rest three blocks of the walk
+    rng = np.random.default_rng(11)
+    samples = rng.uniform(-1.0, 1.0, size=(1100, 2))
+    W = rng.normal(scale=3.0, size=(2, 3))
+    region = DomainRegion.box([[-0.98, 1.0], [-1.0, 1.0]])
+    prepared = immersion._probe_samples(region, samples, delta_sep)
+    n = len(prepared.X)
+    assert 1024 < n < 1100
+    assert [block[:2] for block in prepared.blocks] == [(0, 512), (512, 512), (1024, n - 1024)]
+    kw = {"delta_sep": delta_sep, "max_recorded": max_recorded}
+    for func in (lambda X: np.sin(X @ W), lambda X: np.floor(4.0 * np.sin(X @ W))):
+        F = ImmersionMap(2, 3, func, region)
+        report = assert_prepared_equals_raw(F, samples, **kw)
+        assert injectivity_probe(F, prepared, **kw).to_dict() == report
+        _, n_collisions, _, pairs = reference_probe(F, samples, **kw)
+        assert report["pairs_checked"] == prepared.pairs == pairs
+        assert report["n_collisions"] == n_collisions
+        assert len(report["collisions"]) == min(max_recorded, n_collisions)
+    # at 1e-3 a few pairs are too close, so some blocks are separated
+    # throughout and some not; at 0.1 none is
+    whole = [dx.size == dx_sep.size for _, _, dx, _, _, dx_sep in prepared.blocks]
+    assert whole == ([False, True, True] if delta_sep == DELTA_SEP else [False] * 3)
+    assert n_collisions > 5000
+
+
+def non_finite_case(where):
+    """1,100 samples of [0, 1] whose first overflowing pair, in row-major
+    order, lies in the second block: in input space or in image space."""
+    samples = np.random.default_rng(12).uniform(0.0, 1.0, size=(1100, 1))
+    if where == "input":
+        samples[[700, 900, 1050], 0] = [1e154, -1e154, -1e154]
+    else:
+        samples[[600, 1050], 0] = [7.0, -7.0]
+    F = ImmersionMap(1, 1, lambda X: np.where(np.abs(X) == 7.0, 1e154 * np.sign(X),
+                                              np.tanh(X)), DomainRegion.full_space(1))
+    return F, samples
+
+
+@pytest.mark.parametrize("where", ["input", "image"])
+def test_prepared_samples_raise_at_the_first_overflowing_pair(where):
+    F, samples = non_finite_case(where)
+    X = samples
+    FX = F.apply(X)
+    bad = ~(np.isfinite(cdist(X, X)) & np.isfinite(cdist(FX, FX)))
+    bad[np.tril_indices(len(X))] = False
+    r, c = np.argwhere(bad)[0]
+    assert 512 <= r < 1024
+    outcome = assert_prepared_equals_raw(F, samples)
+    assert outcome[0] == "DomainError" and outcome[2] == [X[r, 0]]
+    assert f"the distance to {X[c]}" in outcome[1]
+
+
+def test_prepared_samples_are_refused_for_another_domain_or_separation():
+    samples = np.linspace(-3.0, 3.0, 1100)[:, None]
+    full = ImmersionMap(1, 1, lambda X: np.cos(np.asarray(X)), DomainRegion.full_space(1))
+    half = replace(full, domain=DomainRegion.interval(0.0, 3.0))
+    prepared = immersion._probe_samples(full.domain, samples, DELTA_SEP)
+    assert immersion._probe_samples(full.domain, prepared, DELTA_SEP) is prepared
+    for F, kw in ((half, {}), (full, {"delta_sep": 0.5})):
+        with pytest.raises(ValueError, match="prepared for another domain"):
+            injectivity_probe(F, prepared, **kw)
 
 
 # -- forward/backward consistency -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dictionary regression: construction, fitting, recovery, and the sweep."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,89 @@ def test_dictionary_single_point_call():
     v = d([0.5, 2.0])
     assert v.shape == (3,)
     assert np.allclose(v, [1.0, 0.5, 2.0])
+
+
+# -- evaluation against the per-feature formulas ------------------------------
+
+def reference_funcs(kind, dim, order, include_constant=True, pole=1.0):
+    """One closure per feature, each computing its formula on the batch."""
+    funcs = [lambda X: np.ones(len(X))] if include_constant and kind != "monomial" else []
+    if kind == "monomial":
+        for total in range(0 if include_constant else 1, order + 1):
+            for combo in itertools.combinations_with_replacement(range(dim), total):
+                c = np.bincount(combo, minlength=dim).astype(float)
+                funcs.append(lambda X, c=c: np.prod(X ** c, axis=1))
+    elif kind == "fourier":
+        for j in range(1, order + 1):
+            funcs.append(lambda X, j=j: np.cos(j * X[:, 0]))
+            funcs.append(lambda X, j=j: np.sin(j * X[:, 0]))
+    else:
+        for j in range(1, order + 1):
+            funcs.append(lambda X, j=j: ((X[:, 0] + pole) / (X[:, 0] - pole)) ** j)
+    return funcs
+
+
+def reference_dictionary(kind, dim, order=2, **kw):
+    """``build_dictionary``'s dictionary, evaluated by the per-feature closures."""
+    d = build_dictionary(kind, dim, order, **kw)
+    funcs = reference_funcs(kind, dim, order, **kw)
+    return replace(build_dictionary("custom", dim, funcs=funcs, labels=d.labels),
+                   kind=d.kind, params=d.params)
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+           2.2250738585072014e-308, -1e-310, 1e-170, 1e154, -1e155, 1e300,
+           -1e300, 0.5, -1.5, 1.0, -1.0, 2.0]
+
+
+def awkward_states(dim, seed):
+    """Normal draws at three scales, then rows made of the special values."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1.0, 1e3, 1e60], size=(300, dim))
+    return np.vstack([rng.normal(size=(300, dim)) * scale,
+                      rng.choice(SPECIAL, size=(400, dim))])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.flags["C_CONTIGUOUS"]
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# order 0 without the constant is an empty dictionary, which is refused
+@pytest.mark.parametrize("dim,order,include_constant", [
+    (dim, order, const) for dim in (1, 2, 3, 4) for order in range(9)
+    for const in (True, False) if order or const])
+def test_monomials_equal_the_per_feature_products(dim, order, include_constant):
+    X = awkward_states(dim, 100 * dim + order)
+    got = build_dictionary("monomial", dim, order,
+                           include_constant=include_constant).evaluate(X)
+    want = reference_dictionary("monomial", dim, order,
+                                include_constant=include_constant).evaluate(X)
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("kind,order,include_constant", [
+    (kind, order, const)
+    for kind, orders in (("rational-pole", range(1, 5)), ("fourier", range(5)))
+    for order in orders for const in (True, False) if order or const])
+def test_one_dimensional_kinds_equal_the_per_feature_formulas(kind, order,
+                                                              include_constant):
+    X = np.concatenate([awkward_states(1, order), [[1.0], [-1.0]]])  # the poles
+    kw = {"include_constant": include_constant}
+    if kind == "rational-pole":
+        kw["pole"] = -1.0 if order % 2 else 1.0
+    got = build_dictionary(kind, 1, order, **kw).evaluate(X)
+    assert_same_bits(got, reference_dictionary(kind, 1, order, **kw).evaluate(X))
+
+
+def test_monomials_do_not_depend_on_the_batch_memory_order():
+    # numpy picks its power kernel from the layout of the operands; on some
+    # hosts a column-major batch took another kernel and other last bits
+    X = np.random.default_rng(7).normal(size=(100_000, 2)) * 3.0
+    d = build_dictionary("monomial", 2, 3)
+    assert_same_bits(d.evaluate(np.asfortranarray(X)), d.evaluate(X))
 
 
 # -- training data -----------------------------------------------------------
@@ -452,7 +536,7 @@ def test_sweep_matches_an_injectivity_failure_without_collapse_prefix(
 def test_sweep_runs_shared_work_once_per_sweep_and_per_fitted_dictionary(
         monkeypatch, cot_catalog):
     calls = {"training_pairs": 0, "collapse_report": 0, "injectivity_probe": 0,
-             "_residual_samples": 0, "_residual_images": 0}
+             "_residual_samples": 0, "_residual_images": 0, "_probe_samples": 0}
 
     def counted(name):
         fn = getattr(lifting, name)
@@ -471,7 +555,18 @@ def test_sweep_runs_shared_work_once_per_sweep_and_per_fitted_dictionary(
                              ridges=(0.0, float("nan")), seed=42).rows
     assert len(rows) == 8
     assert calls == {"training_pairs": 1, "collapse_report": 2, "injectivity_probe": 2,
-                     "_residual_samples": 1, "_residual_images": 2}
+                     "_residual_samples": 1, "_residual_images": 2, "_probe_samples": 1}
+
+
+def test_sweep_rows_equal_those_of_per_feature_dictionaries(monkeypatch,
+                                                            rotation_catalog):
+    system = get_system("rotation-scaling")
+    specs = [("monomial", k) for k in range(1, 6)]
+    kw = {"ridges": (0.0, 1e-8, 1e-4), "seed": 42, "box": [[-2.0, 2.0]] * 2}
+    rows = obstruction_sweep(system, rotation_catalog, specs, **kw).rows
+    assert sum(r.error is None for r in rows) >= 10
+    monkeypatch.setattr(lifting, "build_dictionary", reference_dictionary)
+    assert obstruction_sweep(system, rotation_catalog, specs, **kw).rows == rows
 
 
 @pytest.mark.parametrize("stage", ["_residual_samples", "_residual_images",

@@ -110,6 +110,47 @@ def test_apply_matrix_rows_do_not_depend_on_the_batch(A, rng):
     assert (np.abs(batch - X @ A.T) <= bound).all()
 
 
+def per_output_sums(X, A):
+    """``X @ A.T`` as one loop per output coordinate, each a left-to-right sum."""
+    out = np.empty_like(X, shape=X.shape[:-1] + (len(A),))
+    for i, row in enumerate(A):
+        acc = out[..., i]
+        np.multiply(X[..., 0], row[0], out=acc)
+        for j in range(1, len(row)):
+            acc += X[..., j] * row[j]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(k, k) for k in range(1, 22)] + [(3, 2)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_apply_matrix_equals_the_per_output_sums(shape):
+    rng = np.random.default_rng(100 * shape[0] + shape[1])
+    A = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3], size=shape)
+    d = shape[1]
+    X = rng.normal(size=(300, d)) * rng.choice([1e-8, 1.0, 1e8], size=(300, d))
+    batches = {"C": X, "F": np.asfortranarray(X), "state": X[7],
+               "stack": rng.normal(size=(3, 40, d))}
+    for name, batch in batches.items():
+        got = apply_matrix(batch, A)
+        want = per_output_sums(batch, A)
+        assert got.shape == batch.shape[:-1] + (shape[0],), name
+        assert np.array_equal(got, want), name
+        # the result keeps the input's memory order
+        layout = "F_CONTIGUOUS" if name == "F" else "C_CONTIGUOUS"
+        assert got.flags[layout], name
+
+
+def test_apply_matrix_refuses_a_matrix_of_another_width():
+    # the first two columns used to give a (3, 2) result
+    with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 5\)"):
+        LinearSystem(np.eye(2)).as_map().forward(np.ones((3, 5)))
+    # and this an IndexError
+    with pytest.raises(ValueError, match=r"\(3, 3\).*\(4, 2\)"):
+        apply_matrix(np.ones((4, 2)), np.eye(3))
+    with pytest.raises(ValueError):
+        apply_matrix(np.ones(2), np.ones(2))
+
+
 # -- spectral split -----------------------------------------------------------------
 
 def test_spectral_split_three_way():
