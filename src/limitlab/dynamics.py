@@ -33,8 +33,9 @@ slow; below 8 columns it adds the squares in column order, so a column-by-
 column fold gives the same bits, faster. From 8 columns on numpy adds them
 pairwise, and the helper calls numpy.
 
-The per-step kernels of a wide batch (the fold of :func:`_row_norm`, the
-max-abs fold of :func:`_max_abs`, ``geometry._box_lower`` and the catalog's
+The per-step kernels of a wide batch (the norm fold :func:`_fold_norm`,
+which ``geometry._box_lower`` and the basin bounds share with
+:func:`_row_norm`, the max-abs fold of :func:`_max_abs` and the catalog's
 rotation-scaling steps) work column by column, in place: each column goes
 through one scratch buffer into one accumulator, with ``out=``. An
 elementwise operation rounds its result alone, whatever buffer receives it,
@@ -133,7 +134,7 @@ class DomainRegion:
             object.__setattr__(self, "bounds", b)
         if self.excluded is not None:
             e = np.atleast_2d(np.asarray(self.excluded, dtype=float))
-            if e.shape[0] == 0:
+            if e.size == 0:         # [], [[]] or a (0, d) array: no excluded point
                 e = None
             elif e.shape[1] != self.dim or not np.isfinite(e).all():
                 raise ValueError("excluded points must be finite and match the region dimension")
@@ -151,7 +152,7 @@ class DomainRegion:
     @staticmethod
     def box(bounds, excluded=None, eps_excl: float = config.EPS_EXCL) -> "DomainRegion":
         b = np.asarray(bounds, dtype=float)
-        kind = "punctured-box" if excluded is not None and len(np.atleast_2d(excluded)) else "box"
+        kind = "punctured-box" if excluded is not None and np.size(excluded) else "box"
         return DomainRegion(kind, b.shape[0], b, excluded, eps_excl)
 
     @staticmethod
@@ -390,16 +391,28 @@ def _row_norm(X: np.ndarray) -> np.ndarray:
     row-major ``X`` to the bit. Below 8 columns numpy sums the squares in
     order, so folding them column by column is the same sum, and faster; from
     8 on it sums pairwise, and numpy does the work on a row-major copy, as it
-    groups a column-major array's terms differently. The fold squares each
-    column into one scratch buffer and adds it to one accumulator, in place:
-    the same operations on the same operands in the same order as a sum of
-    fresh arrays, so the same bits, without a temporary per column."""
+    groups a column-major array's terms differently. The fold
+    (:func:`_fold_norm`) runs the same operations on the same operands in the
+    same order as a sum of fresh arrays, so the same bits, without a
+    temporary per column."""
     if X.shape[1] >= 8:
         return np.linalg.norm(np.ascontiguousarray(X), axis=1)
-    acc, sq = X[:, 0] * X[:, 0], None
-    for j in range(1, X.shape[1]):
-        sq = np.multiply(X[:, j], X[:, j], out=sq)
-        acc += sq
+    return _fold_norm(X.T)
+
+
+def _fold_norm(columns) -> np.ndarray:
+    """The fold of :func:`_row_norm`: the Euclidean norm across ``columns``,
+    same-shaped arrays taken in coordinate order, each squared into one
+    scratch buffer and added to one accumulator, in place. ``columns`` is
+    read one at a time, so a generator may hand over every column in one
+    buffer of its own."""
+    acc = sq = None
+    for c in columns:
+        if acc is None:
+            acc = c * c
+        else:
+            sq = np.multiply(c, c, out=sq)
+            acc += sq
     return np.sqrt(acc, out=acc)
 
 

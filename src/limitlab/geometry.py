@@ -68,7 +68,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from .dynamics import _row_norm
+from .dynamics import _fold_norm, _row_norm
 
 _CHUNK = 1024
 _TREE_MIN = 512         # raw rows from which every cloud takes the KD tree
@@ -195,34 +195,32 @@ def _box_lower(Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     distances: the computed box distance narrowed by :func:`_margin`, or
     ``-inf`` where it overflowed.
 
-    Below 8 columns the box distance is the fold of :func:`dynamics._row_norm`
-    over the per-column gaps, done in place: each column's gap
-    ``max(lo - q, q - hi, 0)`` is formed in one scratch buffer, squared there
-    and added to one accumulator, which then takes the root and the margin.
-    Those are the operations of the row norm of the full gap array, on the
-    same operands in the same order, so the bits are the same, without the
-    ``(..., d)`` temporaries. From 8 columns on the row norm sums pairwise,
-    and it gets the full gap array, which it reduces in row-major order
-    whatever the order of ``Q``."""
+    Below 8 columns the box distance is :func:`dynamics._fold_norm` over the
+    per-column gaps: each column's gap ``max(lo - q, q - hi, 0)`` is formed
+    in one scratch buffer and handed to the fold, whose accumulator then
+    takes the margin. Those are the operations of the row norm of the full
+    gap array, on the same operands in the same order, so the bits are the
+    same, without the ``(..., d)`` temporaries. From 8 columns on the row
+    norm sums pairwise, and it gets the full gap array, which it reduces in
+    row-major order whatever the order of ``Q``."""
     d = Q.shape[-1]
     rho, alpha = _margin(d)
+
+    def gaps():
+        gap = above = None
+        for j in range(d):
+            q = Q[..., j]
+            gap = np.subtract(lo[..., j], q, out=gap)
+            above = np.subtract(q, hi[..., j], out=above)
+            np.maximum(gap, above, out=gap)
+            yield np.maximum(gap, 0.0, out=gap)
+
     with np.errstate(over="ignore"):
         if d >= 8:
             gap = np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
             box = _row_norm(gap.reshape(-1, d)).reshape(gap.shape[:-1])
         else:
-            box = gap = above = None
-            for j in range(d):
-                q = Q[..., j]
-                gap = np.subtract(lo[..., j], q, out=gap)
-                above = np.subtract(q, hi[..., j], out=above)
-                np.maximum(gap, above, out=gap)
-                np.maximum(gap, 0.0, out=gap)
-                if box is None:
-                    box = gap * gap
-                else:
-                    box += np.multiply(gap, gap, out=gap)
-            np.sqrt(box, out=box)
+            box = _fold_norm(gaps())
         finite = np.isfinite(box)
         np.multiply(box, 1 - rho, out=box)
         box -= alpha

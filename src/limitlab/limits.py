@@ -26,12 +26,26 @@ from scipy.spatial import cKDTree
 from . import config
 from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
                        TERMINATIONS, DiscreteMap, DomainRegion, _grid_nodes,
-                       _row_norm, as_state, iterate_batch)
+                       _fold_norm, _row_norm, as_state, iterate_batch)
 from .errors import UnconvergedError
 from .geometry import (_Cloud, _box_lower, _hausdorff_lower_bounds, _margin, _prepare,
                        diameter, directed_hausdorff, hausdorff, sampling_gap,
                        split_discrepancy)
 from .serialize import _coerce
+
+
+def _exact(kind: type, name: str, value):
+    """``value`` as ``kind`` (``int`` or ``float``), or a ``ValueError`` naming
+    ``name`` where ``kind`` does not hold it exactly (``2.5`` as an integer,
+    ``nan`` as one)."""
+    try:
+        exact = kind(value) == value
+    except (TypeError, ValueError, OverflowError):     # int(nan), int(inf)
+        exact = False
+    if not exact:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -68,15 +82,8 @@ class Settings:
 
     def __post_init__(self):
         for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            try:
-                exact = kind(value) == value
-            except (TypeError, ValueError, OverflowError):     # int(nan), int(inf)
-                exact = False
-            if not exact:
-                noun = "an integer" if kind is int else "a number"
-                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-            object.__setattr__(self, f.name, kind(value))
+            object.__setattr__(self, f.name,
+                               _exact(type(f.default), f.name, getattr(self, f.name)))
         if not (math.isfinite(self.tol_cluster) and self.tol_cluster > 0):
             raise ValueError(f"tol_cluster must be finite and > 0, got {self.tol_cluster}")
         self._at_least(witness_depth=1, witness_max_pairs=0,
@@ -505,9 +512,6 @@ class BasinMap:
         return self.label_of_code(int(self.codes[idx]))
 
 
-_DEFER, _RULED_OUT = -1, -2     # bound verdicts besides a member index
-
-
 class _SettleStage:
     """The nearest-member query of :func:`_settle_batch`, for one catalog.
 
@@ -522,28 +526,28 @@ class _SettleStage:
 
     Each point also has its separation ``sep``: the :func:`geometry._box_lower`
     distance from the point to the nearest box of another member (+inf when
-    the catalog has one member). A row whose anchor has a successor ``p``
-    takes the separation test first. With ``u`` the bound to ``p`` that
-    :meth:`bounds` records (the computed distance widened by the margin
-    ``(rho, alpha)`` of :func:`geometry._margin`), the row settles on the
-    owner ``i`` of ``p`` when ``u <= tol_i`` and ``(u + u)(1 + rho) + alpha <
-    sep[p]``. That is the verdict the box bounds give, for this reason. Write
-    ``|.|`` for exact distances, ``D_j`` for the exact distance to member
-    ``j``'s box, ``e_r = (d + 2) eps`` and ``e_a = sqrt(d) 2**-537`` for the
-    errors of a computed distance, so that ``rho = 16 e_r`` and ``alpha = 16
-    e_a``. The widening puts ``u`` above the exact distance: ``|q - p| <= u -
-    15 alpha / 16``. The narrowing puts ``sep[p]`` below it: ``D_j(p) >=
-    sep[p] > 2u (1 + rho) + alpha``, less the few ulps of rounding the test
-    itself makes, which ``rho`` covers many times over. A box distance is
-    1-Lipschitz, so ``D_j(q) >= D_j(p) - |q - p| > u (1 + 2 rho) + alpha``.
-    The row's computed box bound is that distance less at most ``e_r + rho``
-    of it and ``e_a + alpha``: ``lower_j(q) > u (1 + rho - e_r - 2 rho**2) +
-    alpha - e_a - alpha (rho + e_r) > u``. So ``u < lower_j`` for every
-    other member ``j``, and with ``u <= tol_i`` that is the settled verdict,
-    with the same bound and candidate. A bound that overflows fails ``u <=
-    tol_i``, and a separation that overflows is ``-inf``, so neither
-    settles a row. Only the rows the test leaves open (no anchor, an anchor
-    with no successor, or a failed test) pay for every member's box bound."""
+    the catalog has one member). :meth:`nearest` gives each row the tree's
+    answer, or a bound that gives the same owner. With ``u`` the row's
+    distance to its candidate point ``p``, of member ``i``, widened by the
+    margin ``(rho, alpha)`` of :func:`geometry._margin`, the separation test
+    ``u <= tol_i`` and ``(u + u)(1 + rho) + alpha < sep[p]`` settles the row
+    on ``i`` with distance ``u``, for this reason. Write ``|.|`` for exact
+    distances, ``D_j`` for the exact distance to member ``j``'s box, ``e_r =
+    (d + 2) eps`` and ``e_a = sqrt(d) 2**-537`` for the errors of a computed
+    distance, the tree's included, so that ``rho = 16 e_r`` and ``alpha = 16
+    e_a``. The widening puts ``u`` above the tree's distance to ``p`` as well
+    as the exact one: ``|q - p| <= u - 15 alpha / 16``. The narrowing puts
+    ``sep[p]`` below the exact distance: ``D_j(p) >= sep[p] > 2u (1 + rho) +
+    alpha``, less the few ulps of rounding the test itself makes, which
+    ``rho`` covers many times over. A box distance is 1-Lipschitz, so every
+    point ``x`` of another member ``j`` has ``|q - x| >= D_j(q) >= D_j(p) -
+    |q - p| > u (1 + 2 rho) + alpha``, and the tree's distance to ``x`` is
+    that less at most ``e_r`` of it and ``e_a``, still above ``u``. So the
+    tree's nearest point lies in ``i``, at a distance of at most ``u <=
+    tol_i``: the owner is the tree's, and both distances are within ``tol_i``.
+    A bound that overflows fails ``u <= tol_i``, and a separation that
+    overflows is ``-inf``, so neither settles a row; a tie, a near-tie or an
+    underflowed distance fails the margin and goes to the tree."""
 
     def __init__(self, system: DiscreteMap, member_pts: list[np.ndarray], tol: np.ndarray):
         self.points = np.vstack(member_pts)
@@ -568,63 +572,38 @@ class _SettleStage:
 
     def _bound(self, Q: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """Each row's distance to its candidate member point, widened by the
-        margin. Each row less its candidate point is formed a column at a
-        time: a row gather of the points costs more, and would be row-major."""
+        margin. Below 8 columns the rows less their candidate points go to the
+        fold a column at a time, each formed in place in its gathered column:
+        a row gather of the points costs more, and so do fresh buffers."""
         rho, alpha = self.margin
-        diff = np.empty(Q.shape, order="F")
-        for j, column in enumerate(self.columns):
-            np.subtract(Q[:, j], column[cand], out=diff[:, j])
-        return _row_norm(diff) * (1 + rho) + alpha
+        if len(self.columns) >= 8:
+            norm = _row_norm(Q - self.points[cand])
+        else:
+            norm = _fold_norm(np.subtract(q, p, out=p) for q, p in
+                              zip(Q.T, (column[cand] for column in self.columns)))
+        norm *= 1 + rho
+        norm += alpha
+        return norm
 
-    def bounds(self, Q: np.ndarray, anchor: np.ndarray):
-        """The bound verdict on each row of ``Q``, whose ``anchor`` is a member
-        point index or -1: ``(verdict, bound, cand)``, where the verdict is a
-        member index with the upper bound that settled the row on it,
-        ``_RULED_OUT``, or ``_DEFER`` to the tree, and ``cand`` is the member
-        point the bound measured. The separation test decides the rows it
-        can; the others take :meth:`_boxed`, with the same result."""
+    def nearest(self, Q: np.ndarray, anchor: np.ndarray, live: np.ndarray):
+        """``(who, dist, cand)`` per row of ``Q``, whose ``anchor`` is a member
+        point index or -1. A row's candidate is its anchor's successor or, with
+        none, the first point of the member whose box is nearest; ``dist`` is
+        its bound and ``who`` its owner. A ``live`` row the separation test
+        leaves open takes the tree's nearest point, distance and owner
+        instead. The point each row was measured against is its next
+        anchor."""
         rho, alpha = self.margin
         cand = self.succ[anchor]
-        if (cand < 0).all():
-            return self._boxed(Q, cand)
+        lost = cand < 0
+        if lost.any():
+            lower = [_box_lower(Q[lost], lo, hi) for lo, hi in zip(self.lo, self.hi)]
+            cand[lost] = self.first[np.argmin(lower, axis=0)]
+        who = self.owners[cand]
         with np.errstate(over="ignore"):
-            bound = self._bound(Q, cand)
-            own = self.owners[cand]
-            quick = ((cand >= 0) & (bound <= self.tol[own])
-                     & ((bound + bound) * (1 + rho) + alpha < self.sep[cand]))
-        verdict = np.where(quick, own, _DEFER)
-        rest = np.flatnonzero(~quick)
-        if rest.size:
-            verdict[rest], bound[rest], cand[rest] = self._boxed(Q[rest], cand[rest])
-        return verdict, bound, cand
-
-    def _boxed(self, Q: np.ndarray, cand: np.ndarray):
-        """:meth:`bounds` by every member's box bound: a row ruled out by
-        every box, or settled on its candidate's owner when the bound is within
-        that member's tolerance and below every other member's box bound. A
-        row with no candidate (-1) takes the first point of its nearest box."""
-        with np.errstate(over="ignore"):
-            # each member's box distance, less the margin
-            lower = [_box_lower(Q, lo, hi) for lo, hi in zip(self.lo, self.hi)]
-            verdict = np.where(np.logical_and.reduce(
-                [b > t for b, t in zip(lower, self.tol)]), _RULED_OUT, _DEFER)
-            lost = cand < 0
-            if lost.any():
-                cand[lost] = self.first[np.array(lower)[:, lost].argmin(axis=0)]
-            own = self.owners[cand]
-            bound = self._bound(Q, cand)
-            ok = bound <= self.tol[own]
-            for i, b in enumerate(lower):
-                ok &= (bound < b) | (own == i)
-        verdict[ok] = own[ok]
-        return verdict, bound, cand
-
-    def nearest(self, Q: np.ndarray, anchor: np.ndarray):
-        """``(who, dist, anchor)`` per row: the bound's verdict and bound, and
-        for the rows it defers, the tree's nearest owner and distance; the
-        member point each row was measured against is its next anchor."""
-        who, dist, cand = self.bounds(Q, anchor)
-        ask = who == _DEFER
+            dist = self._bound(Q, cand)
+            ask = live & ~((dist <= self.tol[who])
+                           & ((dist + dist) * (1 + rho) + alpha < self.sep[cand]))
         if ask.any():
             dist[ask], cand[ask] = self.tree.query(Q[ask], k=1)
             who[ask] = self.owners[cand[ask]]
@@ -640,47 +619,29 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     cause.
 
     A row is labelled ``i`` when every window state's nearest member point
-    belongs to member ``i`` and the largest of those distances is at most
-    ``tol_i``, the member's match tolerance. Rows are asked only while that
-    can still hold; a row that fails it keeps stepping, as it may yet stop.
-    The KD tree answers the query, unless one of two bounds already does
-    (:meth:`_SettleStage.bounds`):
+    belongs to member ``i`` at a distance of at most ``tol_i``, the member's
+    match tolerance. The codes are those of asking the KD tree at every
+    window step: a row turns inconsistent at the first step whose nearest
+    member differs from its first one or whose distance exceeds that
+    member's tolerance, and is not asked again (a step with no consistent
+    row asks nothing); it keeps stepping, as it may yet stop. At the end
+    every consistent row still going takes its owner.
 
-    * *ruled out*: the row's distance to every member's bounding box exceeds
-      that member's tolerance. Whichever member the tree names, its distance
-      exceeds its tolerance, so the row cannot be labelled.
-    * *settled*: the row's distance ``u`` to a candidate member point, of
-      member ``i``, is at most ``tol_i`` and below the row's distance to
-      every other member's box. Then the tree's nearest point lies in ``i``,
-      at distance at most ``u``. ``u``, widened by the margin, is recorded in
-      place of that distance: the largest distance only feeds the final
-      ``<= tol_i`` test, and either value passes it, so the test's outcome
-      rests on the other window steps alike. Where the candidate point lies
-      far enough from every other member's box, the separation test of
-      :class:`_SettleStage` gives this verdict without taking the row's box
-      distances.
+    :meth:`_SettleStage.nearest` answers a row without the tree where the
+    separation test of :class:`_SettleStage` proves the tree's owner, with a
+    distance within its tolerance. It measures the row against a candidate
+    member point, chosen so that the bound is small. A limit set is
+    invariant, so the image of a member point lies near another point of the
+    same member, and a state near member point ``p`` steps to a state near
+    ``f(p)``. Each row therefore carries an anchor, the member point it was
+    last measured against (the candidate that settled it, or the tree's
+    nearest point), and its next candidate is the anchor's successor: the
+    member point nearest the anchor's image, found once, when the stage is
+    built. A row with no anchor yet, or whose anchor has no successor, takes
+    the first distinct point of the member whose box is nearest.
 
-    Any member point gives a valid ``u``; the candidate is chosen so that
-    ``u`` is small. A limit set is invariant, so the image of a member point
-    lies near another point of the same member, and a state near member point
-    ``p`` steps to a state near ``f(p)``. Each row therefore carries an
-    anchor, the member point it was last measured against (the candidate
-    that settled it, or the tree's nearest point), and its next candidate is
-    the anchor's successor: the member point nearest the anchor's image,
-    found once, when the stage is built. A row with no anchor yet, or whose
-    anchor has no successor, takes the first distinct point of the member
-    whose box is nearest; on a member that fits within its tolerance, that
-    one point bounds every row near it.
-
-    Both tests carry the margin of :func:`geometry._margin`, which covers the
-    rounding of the bound and of the tree's own distance together, so a tie,
-    a near-tie, an underflowed distance or an overflowed one decides nothing
-    and goes to the tree. The codes are therefore those of asking the tree
-    at every step, whichever rows the bounds decide.
-
-    While every row is still going and consistent, the window loop reads
-    and writes its per-row records through a full slice, with no gather and
-    scatter by row index.
+    While no row has stopped, the window loop reads and writes its per-row
+    records through a full slice, with no gather and scatter by row index.
 
     The tree and the bounds run on the distinct rows of each member's cloud,
     which the member keeps: copies of a point add nothing to a nearest-member
@@ -688,9 +649,8 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
     copies of one point."""
     n = len(X0)
     codes = np.full(n, CODE_UNDETERMINED, dtype=np.int16)
-    tol_by_member = np.array([catalog.match_tolerance(m) for m in catalog.members])
     stage = _SettleStage(system, [m._cloud.distinct for m in catalog.members],
-                         tol_by_member)
+                         np.array([catalog.match_tolerance(m) for m in catalog.members]))
 
     def advance(rows, X, k):
         run = iterate_batch(system, X, k, r_div=cfg.escape_radius)
@@ -701,32 +661,24 @@ def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
         return rows[going], run.last[going]
 
     rows, X = advance(np.arange(n), X0, cfg.basin_burn)
-    max_dist = np.zeros(n)
     owner = np.full(n, -1, dtype=np.int32)
     anchor = np.full(n, -1, dtype=np.intp)
     consistent = np.ones(n, dtype=bool)
-    for _ in range(cfg.basin_window):
+    for step in range(cfg.basin_window):
         if rows.size == 0:
             break
-        if rows.size == n and consistent.all():
-            asked, Q = slice(None), X           # every row: views, no gathers
-        else:
-            live = consistent[rows]
-            asked, Q = (rows, X) if live.all() else (rows[live], X[live])
-        who, d, anchor[asked] = stage.nearest(Q, anchor[asked])
-        # a ruled-out row turns inconsistent; its owner and distance are not
-        # read again
-        mine = owner[asked]
-        mine = np.where(mine == -1, who, mine)
-        owner[asked] = mine
-        consistent[asked] &= (mine == who) & (who != _RULED_OUT)
-        max_dist[asked] = np.maximum(max_dist[asked], d)
+        asked = slice(None) if rows.size == n else rows     # no stop yet: views
+        live = consistent[asked]
+        if live.any():
+            who, d, anchor[asked] = stage.nearest(X, anchor[asked], live)
+            if step == 0:
+                owner[asked] = who
+            consistent[asked] &= (owner[asked] == who) & (d <= stage.tol[who])
         rows, X = advance(rows, X, 1)
 
     # basin_window >= 1, so every consistent row still going has an owner
     rows = rows[consistent[rows]]
-    ok = max_dist[rows] <= tol_by_member[owner[rows]]
-    codes[rows[ok]] = owner[rows[ok]]
+    codes[rows] = owner[rows]
     return codes
 
 
@@ -750,8 +702,13 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     one and no chunk holds more than ``_BATCH``; ``min(threads, chunks)``
     threads run them. ``threads`` is at most ``config.MAX_THREADS``. A
     node's code does not depend on its chunk: :func:`_settle_batch` decides
-    each row on its own.
+    each row on its own, and its codes are those of asking the KD tree for
+    the nearest member point at every window step. ``threads`` and each
+    ``resolution`` must be integers, or it is a ``ValueError``.
     """
+    threads = _exact(int, "threads", threads)
+    for r in np.ravel(resolution).tolist():
+        _exact(int, "resolution", r)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads > config.MAX_THREADS:

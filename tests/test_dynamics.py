@@ -52,6 +52,19 @@ def test_excluded_points_carry_a_protective_ball():
     assert region.contains([3.1])
 
 
+def test_an_empty_exclusion_list_excludes_no_point():
+    # every constructor reads [] (or a (0, d) array) as no excluded point:
+    # the region is the one built without it
+    for build, args in [(DomainRegion.interval, (0.0, 1.0)),
+                        (DomainRegion.box, ([[0.0, 1.0], [0.0, 1.0]],)),
+                        (DomainRegion.full_space, (2,))]:
+        plain = build(*args)
+        for empty in ([], [[]], np.empty((0, plain.dim))):
+            region = build(*args, excluded=empty)
+            assert (region.kind, region.dim, region.excluded) == (plain.kind, plain.dim, None)
+            assert region.contains([0.5] * plain.dim)
+
+
 def test_annulus_membership_is_radial():
     region = DomainRegion.annulus(1.0, 2.0)
     assert region.contains([1.5, 0.0])

@@ -22,7 +22,7 @@ from limitlab.errors import UnconvergedError
 from limitlab import geometry, limits
 from limitlab.geometry import _prepare, diameter, sampling_gap
 from limitlab.limits import (BasinMap, CODE_ESCAPED, CODE_SINGULAR, CODE_UNDETERMINED,
-                             _DEFER, _RULED_OUT, _SettleStage, _classify_shape, _thin)
+                             _SettleStage, _classify_shape, _thin)
 from limitlab.serialize import validate
 
 FAST = Settings(burn=200, tail=200, max_rounds=6)
@@ -399,6 +399,22 @@ def test_basins_settle_in_at_least_one_chunk_per_thread(mobius_unit, mobius_unit
             compute_basins(mobius_unit, mobius_unit_catalog, **{"resolution": 11, **bad})
 
 
+def test_basins_refuse_a_non_integral_resolution_or_thread_count(mobius_unit,
+                                                                 mobius_unit_catalog):
+    # as Settings refuses burn=2.5: a resolution of 2.5 would settle a
+    # 2-node grid, and 1.5 threads is no thread count
+    for name, value in [("resolution", 2.5), ("resolution", [3, 2.5]), ("resolution", "11"),
+                        ("resolution", float("nan")), ("threads", 1.5)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            compute_basins(mobius_unit, mobius_unit_catalog, **{"resolution": 11, name: value})
+    # integral values of any numeric type are accepted
+    want = compute_basins(mobius_unit, mobius_unit_catalog, resolution=11).codes
+    for ok in ({"resolution": 11.0}, {"resolution": np.int64(11)}, {"resolution": [11]},
+               {"threads": 2.0}, {"threads": np.int32(2)}):
+        got = compute_basins(mobius_unit, mobius_unit_catalog, **{"resolution": 11, **ok})
+        assert np.array_equal(got.codes, want)
+
+
 def _layout_grid(name):
     """``(system, seeds, region, resolution, cfg)`` of a basin grid."""
     box = DomainRegion.box([[-2.0, 2.0]] * 2)
@@ -667,14 +683,41 @@ def test_basin_codes_equal_a_per_node_reference(case, cfg):
         assert basins.codes[idx] == want, (idx, basins.node(idx))
 
 
+_TREE = -1      # the verdict of a row that :meth:`_SettleStage.nearest` asks the tree about
+
+
+def _verdicts(stage, Q, anchor, live=None):
+    """``(verdict, bound, cand)`` of every row of ``Q``: the owner the
+    separation test settled it on, or ``_TREE`` where the stage asks the tree
+    (every row is ``live`` unless said otherwise), with the bound and
+    candidate it was measured against. A row the tree answers reports the
+    tree's distance, which lies below the row's bound, and the tree's owner
+    and point."""
+    Q = np.asarray(Q, dtype=float)
+    anchor = np.asarray(anchor)
+    live = np.ones(len(Q), dtype=bool) if live is None else live
+    who, bound, cand = stage.nearest(Q, anchor, np.zeros(len(Q), dtype=bool))
+    owner, dist, point = stage.nearest(Q, anchor, live)
+    asked = dist < bound
+    assert (asked <= live).all()
+    dist_t, idx_t = stage.tree.query(Q[asked], k=1)
+    assert np.array_equal(dist[asked], dist_t) and np.array_equal(point[asked], idx_t)
+    assert np.array_equal(owner[asked], stage.owners[idx_t])
+    kept = ~asked
+    assert np.array_equal(owner[kept], who[kept]) and np.array_equal(dist[kept], bound[kept])
+    assert np.array_equal(point[kept], cand[kept])
+    return np.where(asked, _TREE, who), bound, cand
+
+
 @pytest.mark.parametrize("case", _BASIN_CASES)
 def test_the_separation_test_gives_the_box_bounds_verdict(case):
     # the case's grid nodes under random anchors; rows around their
     # candidate, in random directions, up to past its tolerance; and rows on
     # the way from the candidate to the nearest point of another member's
-    # box, where the separation test must leave what the box bounds defer:
-    # ``bounds``, which lets the separation test settle what it can first,
-    # returns the triple that every member's box bound on every row gives
+    # box, where the separation test must leave open what the tree decides.
+    # A row it settles gets the verdict the members' boxes prove, the tree's
+    # owner, with a bound at least the tree's distance and within the
+    # owner's tolerance
     system, catalog, region, resolution = case()
     tol = np.array([catalog.match_tolerance(m) for m in catalog.members])
     stage = _SettleStage(system, [m._cloud.distinct for m in catalog.members], tol)
@@ -695,60 +738,76 @@ def test_the_separation_test_gives_the_box_bounds_verdict(case):
     t = rng.uniform(0.0, 1.2, 2000)[:, None]
     Q = np.vstack([nodes, p[around] + unit * spread[:, None],
                    p[toward] + t * (nearest - p[toward])])
-    got = stage.bounds(Q, anchor)
-    want = stage._boxed(Q, stage.succ[anchor])
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+    verdict, bound, got = _verdicts(stage, Q, anchor)
+    dist_t, idx_t = stage.tree.query(Q, k=1)
+    settled = verdict != _TREE
+    assert np.array_equal(verdict[settled], stage.owners[idx_t[settled]])
+    assert (bound[settled] >= dist_t[settled]).all()
+    assert (bound[settled] <= tol[verdict[settled]]).all()
+    # a row whose anchor has a successor is measured against it; any other
+    # row against the first point of a member
+    follows = stage.succ[anchor] >= 0
+    assert np.array_equal(got[follows], stage.succ[anchor][follows])
+    assert np.isin(got[~follows], stage.first).all()
 
 
-def test_the_box_bounds_take_at_most_one_row_per_step_after_the_first(monkeypatch,
-                                                                      rotation_catalog):
+def test_the_tree_takes_at_most_one_row_per_step_after_the_first(monkeypatch,
+                                                                 rotation_catalog):
     # on the rotation-scaling grid every orbit but the origin's turns along
     # the circle: once its first step has anchored a row, the separation
     # test settles it, and only the origin's row, inside the circle's box,
-    # takes the members' box bounds
+    # goes to the tree
     rows = []
-    bounds, boxed = _SettleStage.bounds, _SettleStage._boxed
+    nearest = _SettleStage.nearest
 
-    def counted_bounds(self, Q, anchor):
+    def counted(self, Q, anchor, live):
+        tree = self.tree
         rows.append(0)
-        return bounds(self, Q, anchor)
 
-    def counted_boxed(self, Q, cand):
-        rows[-1] += len(Q)
-        return boxed(self, Q, cand)
+        class Spy:
+            def query(self, X, k):
+                rows[-1] += len(X)
+                return tree.query(X, k=k)
 
-    monkeypatch.setattr(_SettleStage, "bounds", counted_bounds)
-    monkeypatch.setattr(_SettleStage, "_boxed", counted_boxed)
+        self.tree = Spy()
+        try:
+            return nearest(self, Q, anchor, live)
+        finally:
+            self.tree = tree
+
+    monkeypatch.setattr(_SettleStage, "nearest", counted)
     basins = compute_basins(get_system("rotation-scaling"), rotation_catalog,
                             region=DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]), resolution=41)
     assert (basins.codes >= 0).all()
     assert len(rows) == Settings().basin_window
-    assert rows[0] == 41 * 41 and max(rows[1:]) <= 1
+    assert 0 < rows[0] <= 41 * 41 and max(rows[1:]) <= 1
 
 
 def _unanchored(stage, rows):
     Q = np.array(rows, dtype=float)
-    return stage.bounds(Q, np.full(len(Q), -1))
+    return _verdicts(stage, Q, np.full(len(Q), -1))
 
 
 def test_basin_bounds_decide_only_clear_rows():
     tol = np.array([1e-3, 1e-3])
     stage = _SettleStage(_STILL, [np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])], tol)
     tol_edge = 1e-3 * np.array([1 - 1e-15, 1 + 1e-15])
-    who, bound, _ = _unanchored(stage, [[1e-4, 0.0], [1.0, 5e-4], [0.5, 0.3],
-                                        [tol_edge[0], 0.0], [tol_edge[1], 0.0]])
+    rows = [[1e-4, 0.0], [1.0, 5e-4], [0.5, 0.3], [tol_edge[0], 0.0], [tol_edge[1], 0.0]]
+    who, bound, _ = _unanchored(stage, rows)
     # settled on each member, with a bound between the distance and the
-    # tolerance; ruled out far from both; within the margin of the
-    # tolerance either way, deferred
-    assert who.tolist() == [0, 1, _RULED_OUT, _DEFER, _DEFER]
+    # tolerance; far from both, or within the margin of the tolerance either
+    # way, asked of the tree, whose distance far from both is past both
+    # tolerances
+    assert who.tolist() == [0, 1, _TREE, _TREE, _TREE]
     assert 1e-4 <= bound[0] <= 1e-3 and 5e-4 <= bound[1] <= 1e-3
+    assert stage.tree.query(rows[2])[0] > tol.max()
 
-    # near-ties and underflowed distances between two compact members defer
+    # near-ties and underflowed distances between two compact members go to
+    # the tree
     for members, rows in [(([0.0, 0.0], [0.0, 2.0 ** -60]), [[1e-4, 1e-5], [1e-4, 0.0]]),
                           (([0.0, 0.0], [2e-310, 1e-310]), [[3e-310, 0.0], [-1e-310, 0.0]])]:
         stage = _SettleStage(_STILL, [np.array([m]) for m in members], tol)
-        assert _unanchored(stage, rows)[0].tolist() == [_DEFER, _DEFER]
+        assert _unanchored(stage, rows)[0].tolist() == [_TREE, _TREE]
     # alone, a subnormal member settles the rows within its tolerance
     stage = _SettleStage(_STILL, [np.array([[2e-310, 1e-310]])], tol[:1])
     assert _unanchored(stage, [[0.0, 0.0]])[0].tolist() == [0]
@@ -759,10 +818,16 @@ def test_basin_bounds_decide_only_clear_rows():
     wide = np.array([[-1.0, 0.0], [1.0, 0.0]])
     stage = _SettleStage(_STILL, [wide], tol[:1])
     Q = np.array([[-1.0 + 1e-4, 0.0], [1.0 - 1e-4, 0.0], [1.0 - 1e-4, 0.0]])
-    who, _, cand = stage.bounds(Q, np.array([-1, -1, 1]))
-    assert who.tolist() == [0, _DEFER, 0] and cand.tolist() == [0, 0, 1]
+    who, _, cand = _verdicts(stage, Q, np.array([-1, -1, 1]))
+    assert who.tolist() == [0, _TREE, 0] and cand.tolist() == [0, 0, 1]
     stage = _SettleStage(_STILL, [np.array([[0.0, 0.0]]), wide], tol)
-    assert _unanchored(stage, [[1e-4, 0.0], [0.0, 0.5]])[0].tolist() == [_DEFER, _RULED_OUT]
+    rows = [[1e-4, 0.0], [0.0, 0.5]]
+    assert _unanchored(stage, rows)[0].tolist() == [_TREE, _TREE]
+    assert stage.tree.query(rows[1])[0] > tol.max()
+    # a row that is not live is never asked of the tree
+    Q = np.array(rows)
+    who, dist, cand = stage.nearest(Q, np.full(2, -1), np.array([False, True]))
+    assert dist[0] > 0.9 and cand[0] == 1 and dist[1] == 0.5
 
 
 def test_basin_successors_follow_the_map_on_the_member():
@@ -777,10 +842,10 @@ def test_basin_successors_follow_the_map_on_the_member():
     assert succ[succ[succ]].tolist() == [0, 1, 2]
     assert np.allclose(stage.points[succ], system.forward(stage.points), atol=1e-12)
     Q = stage.points[succ] + [1e-4, 0.0]
-    who, _, cand = stage.bounds(Q, np.arange(3))
+    who, _, cand = _verdicts(stage, Q, np.arange(3))
     assert who.tolist() == [0, 0, 0] and cand.tolist() == succ.tolist()
     # unanchored, only the row beside the member's first point settles
-    who, _, cand = stage.bounds(Q, np.full(3, -1))
+    who, _, cand = _unanchored(stage, Q)
     assert (who == 0).sum() == 1 and cand.tolist() == [0, 0, 0]
 
     # a point outside the domain, at an excluded point or with a non-finite
@@ -790,11 +855,34 @@ def test_basin_successors_follow_the_map_on_the_member():
     stage = _SettleStage(_STILL.restrict(region),
                          [np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])], np.array([1e-3]))
     assert stage.succ.tolist() == [0, -1, -1, -1]
-    assert stage.bounds(np.array([[1e-4, 0.0]]), np.array([2]))[2].tolist() == [0]
+    assert _verdicts(stage, [[1e-4, 0.0]], [2])[2].tolist() == [0]
     ratio = DiscreteMap(dim=2, forward=lambda X: X / X[:, :1],
                         domain=DomainRegion.full_space(2))
     stage = _SettleStage(ratio, [np.array([[0.0, 1.0], [1.0, 0.0]])], np.array([1e-3]))
     assert stage.succ.tolist() == [-1, 1, -1]
+
+
+def test_a_row_past_its_tolerance_is_not_asked_again(monkeypatch):
+    # one member of two points 2 apart, each held to 1e-3, and a still map:
+    # every node of the grid between them sits inside the member's box, at
+    # about 1 from both points. Its first query finds it past its
+    # tolerance, so it turns inconsistent, and the tree is not asked about
+    # it again: the tree sees the member points' images and the nodes once
+    asked = []
+
+    class Counted(cKDTree):
+        def query(self, x, *args, **kwargs):
+            asked.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    member = _point_members([-1.0, 0.0]).members[0]
+    member = dataclasses.replace(member, shape="curve", points=np.array([[-1.0, 0.0], [1.0, 0.0]]))
+    catalog = LimitSetCatalog(members=(member,), tol_cluster=1e-3)
+    monkeypatch.setattr(limits, "cKDTree", Counted)
+    basins = compute_basins(_STILL, catalog, region=DomainRegion.box([[-0.1, 0.1]] * 2),
+                            resolution=3)
+    assert (basins.codes == CODE_UNDETERMINED).all()
+    assert asked == [2, 9]
 
 
 def test_basin_rows_ask_the_tree_once_then_follow_their_anchors(monkeypatch, rotation_catalog):
