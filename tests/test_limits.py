@@ -911,7 +911,8 @@ BASIN_FIXTURE = Path(__file__).parent / "fixtures" / "basin_codes.json"
 
 def test_basin_codes_equal_the_pinned_fixture():
     # the grids tools/regenerate_fixtures.py pins: every node's code, by the
-    # sha256 of the code array, and the count of each label
+    # sha256 of the code array, the count of each label, and each closedness
+    # witness's limit point and labels
     for grid in json.loads(BASIN_FIXTURE.read_text())["grids"]:
         system = get_system(grid["system"], **grid["params"])
         catalog, _ = catalog_from_seeds(system, default_seeds(grid["system"]))
@@ -922,6 +923,10 @@ def test_basin_codes_equal_the_pinned_fixture():
                 for c, n in zip(codes, counts)} == grid["counts"], grid["system"]
         assert hashlib.sha256(basins.codes.tobytes()).hexdigest() == grid["sha256"], \
             grid["system"]
+        witnesses = [{"limit_point": w.limit_point.tolist(), "boundary_label": w.sequence_label,
+                      "limit_label": w.limit_label}
+                     for w in basin_closedness_witness(system, basins)]
+        assert witnesses == grid["witnesses"], grid["system"]
 
 
 def test_basin_reference_cases_hit_every_code():

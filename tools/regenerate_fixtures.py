@@ -3,10 +3,10 @@
 
 The obstruction-sweep acceptance test compares a fresh sweep against the
 values pinned in ``obstruction_sweep.json``, and the basin-code test compares
-fresh basin grids against the sha256 of their codes and their label counts
-in ``basin_codes.json``, so a genuine behaviour change shows up as an
-explicit fixture diff instead of silent drift. Run from the repository root
-after an intentional change, then review the diff:
+fresh basin grids against the sha256 of their codes, their label counts and
+their closedness witnesses in ``basin_codes.json``, so a genuine behaviour
+change shows up as an explicit fixture diff instead of silent drift. Run
+from the repository root after an intentional change, then review the diff:
 
     python3 tools/regenerate_fixtures.py
 
@@ -29,9 +29,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the sources beside this script, not whatever limitlab is installed
 sys.path.insert(0, str(ROOT / "src"))
 
-from limitlab import (DomainRegion, build_dictionary, catalog_from_seeds,  # noqa: E402
-                      compute_basins, conjugacy_residual, default_seeds,
-                      fit_lift, get_system, injectivity_probe, obstruction_sweep)
+from limitlab import (DomainRegion, basin_closedness_witness,  # noqa: E402
+                      build_dictionary, catalog_from_seeds, compute_basins,
+                      conjugacy_residual, default_seeds, fit_lift, get_system,
+                      injectivity_probe, obstruction_sweep)
 from limitlab.serialize import dump, dumps  # noqa: E402
 
 FIXTURE_DIR = ROOT / "tests" / "fixtures"
@@ -93,9 +94,9 @@ def control_fixture() -> dict:
     }
 
 
-# basin grids pinned by their codes: system, its parameters, the grid's
-# per-axis bounds (None: the system's own domain) and nodes per axis; each
-# catalog comes from the system's default seeds
+# basin grids pinned by their codes and closedness witnesses: system, its
+# parameters, the grid's per-axis bounds (None: the system's own domain) and
+# nodes per axis; each catalog comes from the system's default seeds
 BASIN_GRIDS = (
     ("rotation-scaling", {}, [[-2.0, 2.0], [-2.0, 2.0]], 201),
     ("jordan", {"lam": 0.9}, [[-1.0, 1.0], [-1.0, 1.0]], 101),
@@ -120,6 +121,9 @@ def basin_codes_fixture() -> dict:
             "resolution": resolution,
             "sha256": hashlib.sha256(basins.codes.tobytes()).hexdigest(),
             "counts": {basins.label_of_code(int(c)): int(n) for c, n in zip(codes, counts)},
+            "witnesses": [{"limit_point": w.limit_point.tolist(),
+                           "boundary_label": w.sequence_label, "limit_label": w.limit_label}
+                          for w in basin_closedness_witness(system, basins)],
         })
     return {"kind": "basin-codes-fixture", "schema_version": 1, "grids": grids}
 
