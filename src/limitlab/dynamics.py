@@ -81,6 +81,20 @@ DIVERGED = "diverged"
 TERMINATIONS = (COMPLETED, LEFT_DOMAIN, SINGULAR, DIVERGED)
 
 
+def _exact(kind: type, name: str, value):
+    """``value`` as ``kind`` (``int`` or ``float``), or a ``ValueError`` naming
+    ``name`` where ``kind`` does not hold it exactly (``2.5`` as an integer,
+    ``nan`` as one)."""
+    try:
+        exact = kind(value) == value
+    except (TypeError, ValueError, OverflowError):     # int(nan), int(inf)
+        exact = False
+    if not exact:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def as_state(x, dim: Optional[int] = None) -> np.ndarray:
     """Coerce ``x`` to a finite float64 state vector of shape ``(d,)``.
 
@@ -519,7 +533,8 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     one checked step with no divergence guard: the rows that complete are the
     states inside the domain with a finite image, and ``last`` holds it. A
     NaN ``r_div`` raises ``ValueError``: nothing compares past it, so it would
-    silently drop the guard.
+    silently drop the guard. So does a ``k`` that is not an integer (``1.7``;
+    ``3.0`` and numpy integers are taken), which would be truncated.
 
     The guards go by reduction first. When the largest entry of a block's
     images is at most the cap and the smallest at least its negative, no
@@ -534,11 +549,11 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     last = np.array(X0, dtype=float)
     if last.ndim != 2 or last.shape[1] != system.dim:
         raise ValueError(f"expected an (n, {system.dim}) batch of states, got shape {last.shape}")
+    k = _exact(int, "k", k)
     if k < 0:
         raise ValueError("step count must be >= 0")
     if np.isnan(r_div):
         raise ValueError("r_div must not be NaN")
-    k = int(k)
     # One comparison is the image guard: ``M <= cap`` is false for a NaN or
     # inf image and for one past ``r_div``, also when ``r_div`` is inf.
     cap = min(r_div, np.finfo(float).max)

@@ -25,27 +25,13 @@ from scipy.spatial import cKDTree
 
 from . import config
 from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
-                       TERMINATIONS, DiscreteMap, DomainRegion, _grid_nodes,
-                       _fold_norm, _row_norm, as_state, iterate_batch)
+                       TERMINATIONS, DiscreteMap, DomainRegion, _exact, _fold_norm,
+                       _grid_nodes, _row_norm, as_state, iterate_batch)
 from .errors import UnconvergedError
 from .geometry import (_Cloud, _box_lower, _hausdorff_lower_bounds, _margin, _prepare,
                        diameter, directed_hausdorff, hausdorff, sampling_gap,
                        split_discrepancy)
 from .serialize import _coerce
-
-
-def _exact(kind: type, name: str, value):
-    """``value`` as ``kind`` (``int`` or ``float``), or a ``ValueError`` naming
-    ``name`` where ``kind`` does not hold it exactly (``2.5`` as an integer,
-    ``nan`` as one)."""
-    try:
-        exact = kind(value) == value
-    except (TypeError, ValueError, OverflowError):     # int(nan), int(inf)
-        exact = False
-    if not exact:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
-    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -59,7 +45,9 @@ class Settings:
       (``r_div`` guards ``simulate`` too);
     * the clustering: ``tol_cluster`` and ``gap_factor``;
     * the basin settling: ``basin_burn``, ``basin_window``, ``escape_radius``;
-    * the witness search: ``witness_depth`` and ``witness_max_pairs``.
+    * the witness search: ``witness_depth`` and ``witness_max_pairs``, and the
+      basin settling fields, which settle its sequence points (it reads none
+      of the estimator's).
 
     Each value is stored as its field's type. One the type does not hold
     exactly (``burn=2.5``, ``tol_fp=nan``), then one no reader can use, checked
@@ -161,41 +149,32 @@ def estimate_omega(system: DiscreteMap, x0, cfg: Optional[Settings] = None,
 _STATUS_OF = {DIVERGED: "escaped", LEFT_DOMAIN: "escaped", SINGULAR: "singular"}
 
 
-@dataclass(frozen=True)
-class _Outcome:
-    """One seed's settle loop, before any shape is classified. ``cause`` is
-    ``COMPLETED`` for a seed whose windows ran out or settled, else the
-    engine's cause of its stop; ``window`` is its last tail window, prepared,
-    or for a stop its last valid state as a one-point cloud; ``gap`` and
-    ``tol`` are the last settle test's distance and tolerance (``inf`` and
-    ``tol_settle`` before any test)."""
+def estimate_omega_batch(system: DiscreteMap, seeds,
+                         cfg: Optional[Settings] = None,
+                         source: str = "omega") -> list[LimitSetEstimate]:
+    """:func:`estimate_omega` at every seed, with the orbits stepped in lockstep.
 
-    cause: str
-    window: _Cloud
-    gap: float
-    tol: float
-
-    @property
-    def converged(self) -> bool:
-        return self.cause == COMPLETED and self.gap <= self.tol
-
-
-def _settle_seeds(system: DiscreteMap, seeds: list[np.ndarray],
-                  cfg: Settings) -> list[_Outcome]:
-    """The settle loop of :func:`estimate_omega_batch` on ``seeds`` (states
-    as :func:`dynamics.as_state` returns them): each seed's outcome, in seed
-    order. The burn runs for all seeds at once, then one tail window at a
-    time for the seeds that have not yet settled, escaped or hit a
-    singularity. Each tail window is prepared once
-    (:func:`geometry._prepare`) for its settle test and, if it does not
-    settle, the next round's comparison."""
+    The burn runs for all seeds at once, then one tail window at a time for
+    the seeds that have not yet settled, escaped or hit a singularity; the
+    shape of each seed's last window is then classified. Estimates come back
+    in seed order, and each equals the one-seed estimate to the bit: no
+    seed's result depends on which seeds share the call. Each tail window is
+    prepared once (:func:`geometry._prepare`) for its settle test, the next
+    round's comparison and its shape; the estimate keeps it for
+    :func:`cluster_limit_sets`.
+    """
+    cfg = cfg or Settings()
+    seeds = [as_state(s, system.dim) for s in seeds]
     if not seeds:
         return []
-    out: list[Optional[_Outcome]] = [None] * len(seeds)
+    out: list[Optional[LimitSetEstimate]] = [None] * len(seeds)
 
-    def fail(cause, point):
-        return _Outcome(cause, _prepare(np.atleast_2d(point).copy()), float("inf"),
-                        cfg.tol_settle)
+    def fail(i, cause, point):
+        points = np.atleast_2d(point).copy()
+        out[i] = LimitSetEstimate(
+            points=points, source=source, seed=seeds[i], diameter=float(diameter(points)),
+            shape="unknown", period=None, converged=False, status=_STATUS_OF[cause],
+            settle_gap=float("inf"), settle_tol=cfg.tol_settle)
 
     burn = iterate_batch(system, np.stack(seeds), cfg.burn, r_div=cfg.r_div)
     rows = []
@@ -203,10 +182,13 @@ def _settle_seeds(system: DiscreteMap, seeds: list[np.ndarray],
         if burn.cause(i) == COMPLETED:
             rows.append(i)
         else:
-            out[i] = fail(burn.cause(i), burn.last[i])
+            fail(i, burn.cause(i), burn.last[i])
     current = burn.last[rows]
 
     prev: dict[int, _Cloud] = {}
+    # each seed's last window, whose shape is classified after the loop: done
+    # between a round's window gathers, it took 10% longer on 48 negation seeds
+    settled: dict[int, _Cloud] = {}
     gap = dict.fromkeys(rows, float("inf"))
     tol_eff = dict.fromkeys(rows, cfg.tol_settle)
     for _ in range(cfg.max_rounds + 1):
@@ -216,56 +198,31 @@ def _settle_seeds(system: DiscreteMap, seeds: list[np.ndarray],
         still = []
         for j, i in enumerate(rows):
             if run.cause(j) != COMPLETED:
-                out[i] = fail(run.cause(j), run.last[j])
+                fail(i, run.cause(j), run.last[j])
                 continue
             window = _prepare(np.ascontiguousarray(run.states[:, j]))
             if i in prev:
                 gap[i] = hausdorff(prev[i], window)
                 tol_eff[i] = max(cfg.tol_settle, cfg.gap_factor * split_discrepancy(window))
                 if gap[i] <= tol_eff[i]:
-                    out[i] = _Outcome(COMPLETED, window, gap[i], tol_eff[i])
+                    settled[i] = window
                     continue
             prev[i] = window
             still.append(j)
         rows = [rows[j] for j in still]
         current = run.last[still]
 
-    for i in rows:
-        out[i] = _Outcome(COMPLETED, prev[i], gap[i], tol_eff[i])
-    return out
-
-
-def estimate_omega_batch(system: DiscreteMap, seeds,
-                         cfg: Optional[Settings] = None,
-                         source: str = "omega") -> list[LimitSetEstimate]:
-    """:func:`estimate_omega` at every seed, with the orbits stepped in lockstep.
-
-    :func:`_settle_seeds` runs the settle loop for all seeds; the shape of
-    each window is then classified per seed. Estimates come back in seed
-    order, and each equals the one-seed estimate to the bit: no seed's result
-    depends on which seeds share the call. Each tail window is prepared once
-    for its settle test and its shape; the estimate keeps it for
-    :func:`cluster_limit_sets`.
-    """
-    cfg = cfg or Settings()
-    seeds = [as_state(s, system.dim) for s in seeds]
-    out = []
-    for seed, o in zip(seeds, _settle_seeds(system, seeds, cfg)):
-        if o.cause != COMPLETED:
-            out.append(LimitSetEstimate(
-                points=o.window.points, source=source, seed=seed,
-                diameter=float(diameter(o.window.points)), shape="unknown", period=None,
-                converged=False, status=_STATUS_OF[o.cause],
-                settle_gap=o.gap, settle_tol=o.tol))
-            continue
-        shape, period, diam = _classify_shape(o.window, cfg.tol_fp, cfg.max_period)
-        est = LimitSetEstimate(points=o.window.points, source=source, seed=seed,
+    settled.update((i, prev[i]) for i in rows)
+    for i, window in settled.items():
+        converged = gap[i] <= tol_eff[i]
+        shape, period, diam = _classify_shape(window, cfg.tol_fp, cfg.max_period)
+        est = LimitSetEstimate(points=window.points, source=source, seed=seeds[i],
                                diameter=diam, shape=shape, period=period,
-                               converged=o.converged,
-                               status="converged" if o.converged else "unconverged",
-                               settle_gap=float(o.gap), settle_tol=float(o.tol))
-        vars(est)["_cloud"] = o.window      # the cached_property's slot
-        out.append(est)
+                               converged=converged,
+                               status="converged" if converged else "unconverged",
+                               settle_gap=float(gap[i]), settle_tol=float(tol_eff[i]))
+        vars(est)["_cloud"] = window        # the cached_property's slot
+        out[i] = est
     return out
 
 
@@ -612,7 +569,9 @@ class _SettleStage:
 
 def _settle_batch(system: DiscreteMap, X0: np.ndarray, catalog: LimitSetCatalog,
                   cfg: Settings) -> np.ndarray:
-    """Settle a batch of start points and match each tail to a catalog member.
+    """Settle a batch of start points and match each tail to a catalog member:
+    the one basin labelling, of the grid nodes of :func:`compute_basins` and
+    the sequence points of :func:`basin_closedness_witness` alike.
     :func:`iterate_batch`, with ``cfg.escape_radius`` as ``r_div``, runs the
     ``cfg.basin_burn`` steps and then each of the ``cfg.basin_window`` window
     steps after its nearest-member query; a row it stops gets the code of its
@@ -695,7 +654,9 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     coordinate past ``cfg.escape_radius`` are ``escaped``, the rest
     ``undetermined``; the image of the last window state is checked too. The
     map's ``params`` record the three settings as ``burn``, ``window`` and
-    ``escape_radius``.
+    ``escape_radius``. :func:`basin_closedness_witness` labels its sequence
+    points by the same :func:`_settle_batch`, so a point and a node at the
+    same place get the same code.
 
     The nodes are settled in ``max(threads, ceil(nodes / _BATCH))`` chunks of
     near-equal size, but no more chunks than nodes, so that every thread has
@@ -794,56 +755,34 @@ def basin_closedness_witness(system: DiscreteMap, basins: BasinMap,
     settle on one limit set while the node itself settles on another.
 
     Heuristic and bounded (first ``cfg.witness_max_pairs`` boundary pairs in
-    row-major order, ``cfg.witness_depth`` sequence points each, every one
-    estimated with ``cfg``'s estimator fields); an empty result is consistent
-    with closed basins on the sampled grid, not a proof. The states are
-    estimated in two batches, every pair's first sequence point and then the
-    rest of the pairs that pass it, and the pairs are judged in order,
-    exactly as if each estimate were made when the search reached it.
-
-    A judgement reads only whether a state's estimate converged and which
-    member its window matches, so the states go through the settle loop
-    alone (:func:`_settle_seeds`) and no shape is classified.
+    row-major order, ``cfg.witness_depth`` sequence points each); an empty
+    result is consistent with closed basins on the sampled grid, not a proof.
+    The labelling is the map's: a pair is a candidate only when its limit
+    node has a member code, which is the limit label, and the sequence points
+    of every candidate are settled together by :func:`_settle_batch`, with
+    ``cfg``'s basin settling fields, as :func:`compute_basins` settles the
+    nodes. A candidate is a witness when each of its points gets the code of
+    the pair's labelled node.
     """
     cfg = cfg or Settings()
-    catalog = basins.catalog
-
     cases = []
     for a_idx, b_idx in itertools.islice(_boundary_pairs(basins), cfg.witness_max_pairs):
-        xa, xb = basins.node(a_idx), basins.node(b_idx)
-        sequence = np.array([xb + (xa - xb) * 2.0 ** (-j)
-                             for j in range(1, cfg.witness_depth + 1)])
-        cases.append((basins.label_at(a_idx), xa, xb, sequence))
-
-    # Each distinct state is settled once, and only if the replay below
-    # reads it: first every pair's first sequence point, then the rest of the
-    # sequence and the limit node of each pair whose first point settled on
-    # its label. Outcomes do not depend on the batch.
-    found: dict[bytes, _Outcome] = {}
-
-    def settle(states):
-        todo = {x.tobytes(): x for x in states if x.tobytes() not in found}
-        found.update(zip(todo, _settle_seeds(system, list(todo.values()), cfg)))
-
-    def label_of(x):
-        o = found[x.tobytes()]
-        return catalog.match(o.window) if o.converged else None
-
-    settle([sequence[0] for *_, sequence in cases])
-    cases = [(label_a, xa, xb, sequence) for label_a, xa, xb, sequence in cases
-             if label_of(sequence[0]) == label_a]
-    settle([x for _, _, xb, sequence in cases for x in (*sequence[1:], xb)])
+        if basins.codes[b_idx] >= 0:
+            xa, xb = basins.node(a_idx), basins.node(b_idx)
+            sequence = np.array([xb + (xa - xb) * 2.0 ** (-j)
+                                 for j in range(1, cfg.witness_depth + 1)])
+            cases.append((a_idx, b_idx, xa, xb, sequence))
+    if not cases:
+        return []
+    codes = _settle_batch(system, np.concatenate([c[-1] for c in cases]), basins.catalog, cfg)
 
     witnesses: list[ClosednessWitness] = []
     seen: set[tuple] = set()
-    for label_a, xa, xb, sequence in cases:
-        if not all(label_of(x) == label_a for x in sequence[1:]):
+    for (a_idx, b_idx, xa, xb, sequence), got in zip(
+            cases, codes.reshape(len(cases), cfg.witness_depth)):
+        if not (got == basins.codes[a_idx]).all():
             continue
-
-        label_b = label_of(xb)
-        if label_b is None or label_b == label_a:
-            continue
-
+        label_a, label_b = basins.label_at(a_idx), basins.label_at(b_idx)
         key = (label_a, label_b, tuple(np.round(xb, 12)))
         if key in seen:
             continue

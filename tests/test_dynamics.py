@@ -494,6 +494,21 @@ def test_iterate_batch_keeps_only_current_states_unless_recording():
         iterate_batch(get_system("negation"), [0.5], 3)       # needs (n, d)
 
 
+def test_a_non_integral_step_count_is_refused():
+    # 2.5 ran 2 steps and 1.7 one; an integral float and numpy integers run
+    mobius, halver = get_system("mobius"), get_system("scalar-linear", a=0.5)
+    for k in (2.5, 1.7, -0.5, float("nan"), float("inf"), "3", None):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            iterate_batch(halver, [[1.0]], k)
+    with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+        iterate(mobius, 0.0, 2.5)
+    for k in (np.int64(3), np.int32(3), np.uint8(3), 3.0, np.float64(3.0)):
+        run = iterate_batch(halver, [[1.0], [-2.0]], k, record=True)
+        assert run.last[:, 0].tolist() == [0.125, -0.25] and run.states.shape == (3, 2, 1)
+        assert iterate(mobius, 0.0, k).steps_taken == 3
+    assert iterate(mobius, 0.0, np.int64(0)).steps_taken == 0
+
+
 def _reference_orbit(system, x0, k, r_div):
     """One orbit, one state at a time, in the documented check order:
     ``(points, cause, steps begun)``. Shares no code with the engine."""

@@ -1112,35 +1112,116 @@ def test_batched_witness_search_equals_pair_by_pair_search(name, region):
         basin_closedness_witness(system, basins, Settings(witness_depth=0))
 
 
-def test_witness_search_estimates_only_the_states_its_replay_reads(monkeypatch):
-    # 64 boundary pairs: 4 distinct first sequence points, then the other 7
-    # points and the limit node of the pairs whose first point settled on
-    # their label, 33 states in all, as many as the pair-by-pair search
-    # reads. One batch of every sequence point and limit node made 65. The
-    # search reads only convergence and the matched member, so it runs the
-    # settle loop alone and classifies no shape.
-    system = get_system("rotation-scaling")
-    catalog, _ = catalog_from_seeds(system, default_seeds("rotation-scaling"))
-    basins = compute_basins(system, catalog, resolution=21,
-                            region=DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]]))
-    batches, shapes = [], []
-    batch, classify = limits._settle_seeds, limits._classify_shape
+@pytest.mark.parametrize("name,bounds,resolution,pairs,candidates,witness", [
+    ("rotation-scaling", [[-2.0, 2.0], [-2.0, 2.0]], 21, 8, 8, ([0.0, 0.0], "S1", "S0")),
+    # 3 singular nodes by the pole at 3: their pairs are not candidates
+    ("mobius", [[-5.0, 5.0]], 301, 10, 4, ([1.0], "S0", "S1"))],
+    ids=["rotation-scaling-21", "mobius-301"])
+def test_witness_search_settles_its_points_in_one_basin_batch(
+        monkeypatch, name, bounds, resolution, pairs, candidates, witness):
+    # a pair is a candidate when its limit node has a member code; every
+    # candidate's 8 sequence points are settled in one _settle_batch call, as
+    # the grid's nodes are, and no limit set is estimated, classified or matched
+    system = get_system(name)
+    catalog, _ = catalog_from_seeds(system, default_seeds(name))
+    basins = compute_basins(system, catalog, region=DomainRegion.box(bounds),
+                            resolution=resolution)
+    walked = list(itertools.islice(limits._boundary_pairs(basins), config.WITNESS_MAX_PAIRS))
+    assert len(walked) == pairs
+    assert sum(int(basins.codes[b] >= 0) for _, b in walked) == candidates
+    shapes = []
+    settle = limits._settle_batch
 
-    def counted(system, seeds, *rest):
-        batches.append(len(seeds))
-        return batch(system, seeds, *rest)
+    def counted(system, X0, *rest):
+        shapes.append(X0.shape)
+        return settle(system, X0, *rest)
 
-    def counted_shape(*args):
-        shapes.append(args)
-        return classify(*args)
+    def refused(*args, **kwargs):
+        raise AssertionError("the witness search estimated or matched a limit set")
 
-    monkeypatch.setattr(limits, "_settle_seeds", counted)
-    monkeypatch.setattr(limits, "_classify_shape", counted_shape)
+    monkeypatch.setattr(limits, "_settle_batch", counted)
+    for fn in ("estimate_omega_batch", "estimate_omega", "_classify_shape"):
+        monkeypatch.setattr(limits, fn, refused)
+    monkeypatch.setattr(limits.LimitSetCatalog, "match", refused)
     witnesses = basin_closedness_witness(system, basins)
-    assert shapes == []
-    assert [(w.sequence_label, w.limit_label) for w in witnesses] == [("S1", "S0")]
-    assert np.array_equal(witnesses[0].limit_point, [0.0, 0.0])
-    assert batches == [4, 29]
+    assert shapes == [(candidates * config.WITNESS_DEPTH, system.dim)]
+    assert [(w.limit_point.tolist(), w.sequence_label, w.limit_label)
+            for w in witnesses] == [witness]
+
+
+def _witnesses_from_point_codes(system, basins, cfg):
+    """The witness search with each sequence point labelled alone by the
+    per-node reference, and each limit label taken from the map."""
+    from limitlab.limits import _boundary_pairs
+
+    found, seen = [], set()
+    for a_idx, b_idx in itertools.islice(_boundary_pairs(basins), cfg.witness_max_pairs):
+        if basins.codes[b_idx] < 0:
+            continue
+        xa, xb = basins.node(a_idx), basins.node(b_idx)
+        sequence = np.array([xb + (xa - xb) * 2.0 ** (-j)
+                             for j in range(1, cfg.witness_depth + 1)])
+        if not all(_brute_force_basin_codes(system, basins.catalog, x[None], cfg)[0]
+                   == basins.codes[a_idx] for x in sequence):
+            continue
+        key = (basins.label_at(a_idx), basins.label_at(b_idx), tuple(np.round(xb, 12)))
+        if key not in seen:
+            seen.add(key)
+            found.append((xa, xb, sequence) + key[:2])
+    return found
+
+
+_SEED_110 = [[0.0, 0.0], [1.0229351769447144, -0.47749356045363867],
+             [-0.6676936022014206, -0.05228599461227615],
+             [-0.4161237398125139, -1.7344001269398368]]
+
+
+@pytest.mark.parametrize("name,seeds,bounds,resolution,found", [
+    ("rotation-scaling", None, [[-2.0, 2.0], [-2.0, 2.0]], 21, 1),
+    ("cot-map", None, None, 21, 1),
+    ("mobius", None, [[-5.0, 5.0]], 301, 1),
+    # the basins-grid seed-110 catalog: its circle member's tolerance leaves
+    # 106 nodes undetermined, whose pairs fill the budget, and none witnesses
+    ("rotation-scaling", _SEED_110, [[-2.0, 2.0], [-2.0, 2.0]], 201, 0)],
+    ids=["rotation-scaling-21", "cot-map-21", "mobius-301", "rotation-scaling-seed-110-201"])
+def test_witness_search_equals_a_per_point_reference(name, seeds, bounds, resolution, found):
+    system = get_system(name)
+    cfg = Settings()
+    catalog, _ = catalog_from_seeds(system, seeds or default_seeds(name), cfg)
+    region = DomainRegion.box(bounds) if bounds else None
+    basins = compute_basins(system, catalog, region=region, resolution=resolution)
+    if seeds:
+        assert (basins.codes == CODE_UNDETERMINED).sum() == 106
+    got = basin_closedness_witness(system, basins, cfg)
+    want = _witnesses_from_point_codes(system, basins, cfg)
+    assert len(got) == len(want) == found
+    for w, (xa, xb, sequence, label_a, label_b) in zip(got, want):
+        assert np.array_equal(w.sequence_seed, xa) and np.array_equal(w.limit_point, xb)
+        assert np.array_equal(w.sequence, sequence)
+        assert (w.sequence_label, w.limit_label) == (label_a, label_b)
+
+
+def test_a_sequence_that_crosses_into_the_limit_basin_is_no_witness():
+    # x -> 1.5 x - 0.5 x^3 sends (-inf, 0) to -1 and (0, inf) to 1. Nodes at
+    # -0.07 and 0.03 straddle the repeller 0. The sequence from -0.07 toward
+    # 0.03 starts at -0.02, in its own node's basin, but its later points
+    # cross 0; the one from 0.03 toward -0.07 starts at -0.02 too, in the
+    # other basin. Neither pair is a witness.
+    system = DiscreteMap(dim=1, forward=lambda x: 1.5 * x - 0.5 * x ** 3,
+                         domain=DomainRegion.full_space(1), name="bistable")
+    cfg = Settings()
+    catalog, _ = catalog_from_seeds(system, [[-0.5], [0.5]], cfg)
+    basins = compute_basins(system, catalog, region=DomainRegion.interval(-0.97, 1.03),
+                            resolution=21)
+    a, b = (9,), (10,)
+    assert basins.node(a)[0] == pytest.approx(-0.07) and basins.node(b)[0] == pytest.approx(0.03)
+    assert (basins.label_at(a), basins.label_at(b)) == ("S0", "S1")
+    sequence = np.array([basins.node(b) + (basins.node(a) - basins.node(b)) * 2.0 ** -j
+                         for j in range(1, cfg.witness_depth + 1)])
+    codes = [int(_brute_force_basin_codes(system, catalog, x[None], cfg)[0]) for x in sequence]
+    assert codes[0] == 0 and 1 in codes
+    assert _witnesses_from_point_codes(system, basins, cfg) == []
+    assert basin_closedness_witness(system, basins, cfg) == []
 
 
 def test_no_witness_on_linear_system():
