@@ -578,7 +578,7 @@ def _write_raster(path: Path, out: Path) -> str:
 
 def cmd_report(args) -> int:
     src = Path(args.dir)
-    out = Path(args.out) if args.out != "." else src / "render"
+    out = src / "render" if args.out is None else Path(args.out)
     reports = [(path, data) for path in sorted(src.glob("*.json"))
                if (data := _saved_report(path)) is not None]
     rasters = [path for path in sorted(src.glob("*.csv")) if _basin_dims(path) in (1, 2)]
@@ -676,9 +676,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--dicts", help="comma-separated kind:order specs")
     p.add_argument("--ridges", help="comma-separated ridge values (default 0)")
-    p.add_argument("--seeds", help="semicolon-separated catalog seed states")
-    p.add_argument("--auto-seeds", type=int, default=0,
-                   help="draw this many catalog seeds uniformly from the region")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", help="semicolon-separated catalog seed states")
+    seeds.add_argument("--auto-seeds", type=int, default=0,
+                       help="draw this many catalog seeds uniformly from the region")
     p.add_argument("--pole", type=float, default=1.0)
     p.set_defaults(func=cmd_sweep)
 
@@ -690,8 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="print saved reports as their subcommands do; "
                                       "write .xy/.ppm files")
     p.add_argument("--dir", default=".", help="directory holding artifacts")
-    p.add_argument("--out", default=".",
-                   help="directory for derived files (default: DIR/render)")
+    p.add_argument("--out", help="directory for derived files (default: DIR/render)")
     p.set_defaults(func=cmd_report)
 
     return parser

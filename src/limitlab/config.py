@@ -47,7 +47,7 @@ VERIFY_TOL = 1e-8         # largest conjugacy residual a verify report calls ok
 # Dictionary lifting.
 GRID_SAMPLES = 512
 RANDOM_SAMPLES = 512
-QR_COND_SWITCH = 1e8      # above this Gram condition, solve by orthogonal factorization
+SVD_COND_SWITCH = 1e8     # above this Gram condition, solve by SVD least squares
 SINGULAR_COND = 1e14      # above this with ridge=0, refuse
 MAX_DICT_ORDER = 32       # monomial degree / Fourier frequency cap
 CATALOG_GUARD = 64        # sweep refuses catalogs larger than this

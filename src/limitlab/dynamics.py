@@ -27,11 +27,13 @@ its first failed check. Rows that stop inside a block change nothing for the
 others, so the result is that of checking step by step, while a small batch
 pays the checks' fixed cost once per block instead of once per step.
 
-Row-wise Euclidean norms go through one helper, :func:`_row_norm`. numpy's
-``np.linalg.norm(X, axis=1)`` reduces along the short last axis, which is
-slow; below 8 columns it adds the squares in column order, so a column-by-
-column fold gives the same bits, faster. From 8 columns on numpy adds them
-pairwise, and the helper calls numpy.
+Row-wise Euclidean norms go through one fold, :func:`_fold_norm`, at every
+width: it adds the squares in column order and takes one square root, the
+in-order sum whose error ``geometry._margin`` bounds. :func:`_row_norm` is
+that fold over a batch's columns. Below 8 columns numpy's
+``np.linalg.norm(X, axis=1)`` adds the squares in the same order, so the
+fold gives its bits; from 8 columns on numpy sums pairwise, and the fold
+does not follow it.
 
 The per-step kernels of a wide batch (the norm fold :func:`_fold_norm`,
 which ``geometry._box_lower`` and the basin bounds share with
@@ -54,11 +56,10 @@ stays column-major: a one-step block is the map's own output, and
 and a row gather (the rows that go on after some stop) are row-major.
 Each step gives the same bits in either order. The catalog maps of two or more
 dimensions use only +, -, *, / and sqrt, which round each element alone,
-whatever the strides. A reduction may depend on the order: numpy's
-pairwise sum in ``np.linalg.norm`` groups a column-major array differently,
-so :func:`_row_norm` hands numpy a row-major copy from 8 columns on. A user
-map that multiplies through BLAS (``X @ A.T``) may round differently in the
-two orders, as it does for one row against several.
+whatever the strides, and so does the norm fold: it adds whole columns, so
+no reduction is grouped by the memory order. A user map that multiplies
+through BLAS (``X @ A.T``) may round differently in the two orders, as it
+does for one row against several.
 """
 
 from __future__ import annotations
@@ -401,23 +402,18 @@ def _within(X: np.ndarray, cap: float) -> bool:
 
 
 def _row_norm(X: np.ndarray) -> np.ndarray:
-    """Each row's Euclidean norm, equal to ``np.linalg.norm(X, axis=1)`` on a
-    row-major ``X`` to the bit. Below 8 columns numpy sums the squares in
-    order, so folding them column by column is the same sum, and faster; from
-    8 on it sums pairwise, and numpy does the work on a row-major copy, as it
-    groups a column-major array's terms differently. The fold
-    (:func:`_fold_norm`) runs the same operations on the same operands in the
-    same order as a sum of fresh arrays, so the same bits, without a
-    temporary per column."""
-    if X.shape[1] >= 8:
-        return np.linalg.norm(np.ascontiguousarray(X), axis=1)
+    """Each row's Euclidean norm: :func:`_fold_norm` over the columns of
+    ``X``, the same bits in either memory order and at every width. Below 8
+    columns these are the bits of ``np.linalg.norm(X, axis=1)``."""
     return _fold_norm(X.T)
 
 
 def _fold_norm(columns) -> np.ndarray:
-    """The fold of :func:`_row_norm`: the Euclidean norm across ``columns``,
+    """The one row-norm arithmetic: the Euclidean norm across ``columns``,
     same-shaped arrays taken in coordinate order, each squared into one
-    scratch buffer and added to one accumulator, in place. ``columns`` is
+    scratch buffer and added to one accumulator, in place. It runs the same
+    operations on the same operands in the same order as a sum of fresh
+    arrays, so the same bits, without a temporary per column. ``columns`` is
     read one at a time, so a generator may hand over every column in one
     buffer of its own."""
     acc = sq = None
@@ -475,10 +471,8 @@ def _run_block(system: DiscreteMap, P: np.ndarray, b: int) -> np.ndarray:
     map gave it: on a wide batch, a fresh buffer per step costs more in page
     faults than the step itself, and a column-major batch stays column-major.
     That changes no bit: an elementwise ufunc rounds each element alone,
-    whatever the strides. Reductions do not: numpy's row norm of a
-    column-major array differs in the last bit from 8 columns on, so
-    :func:`_row_norm` and ``geometry._box_lower`` reduce a row-major array
-    there."""
+    whatever the strides, and the norm fold of :func:`_row_norm` and
+    ``geometry._box_lower`` is elementwise across whole columns."""
     first = _step_rows(system.forward, P, system.vectorized)
     if b == 1:
         return first[None]

@@ -29,27 +29,25 @@ arithmetic, and come out bit for bit as on the raw cloud (``sampling_gap``
 needs the multiplicities too; see there).
 
 The path rule (:func:`_by_tree`) takes the tree for a cloud of at least
-``_TREE_MIN`` raw rows, whatever its dimension, and for a cloud of fewer than
-8 columns with at least ``_TREE_DISTINCT`` distinct rows. Below 8 columns the
-tree and ``cdist`` both add the squared coordinate differences in column
-order and take one square root, so they return the same bits (with scipy
-1.17, on lattice ties, near-duplicates and magnitudes from 1e-310 to 1e300);
-the tree is then only a cheaper way to the same value. From 8 columns on the
-two can round a distance differently, the boundary where
-``dynamics._row_norm`` leaves its in-order fold for numpy's pairwise sum.
-There the choice follows the raw size alone, so every result stays
-identical to the undeduplicated computation.
+``_TREE_DISTINCT`` distinct rows, in every dimension, so every metric
+depends only on a cloud's distinct rows. Below 8 columns the tree and
+``cdist`` both add the squared coordinate differences in column order and
+take one square root, so they return the same bits (with scipy 1.17, on
+lattice ties, near-duplicates and magnitudes from 1e-310 to 1e300); the
+tree is then only a cheaper way to the same value. From 8 columns on the two
+can round a distance differently, each within the error that :func:`_margin`
+bounds.
 
 A cloud that is measured many times (a tail window compared with the next
 one, an estimate against every catalog cluster, a catalog member against
 every query) is prepared once as a :class:`_Cloud`. It keeps the validated
-points as passed (the path rule reads their row count), and computes on
-first use, then keeps, its distinct rows, their counts, its bounding box and
-a KD tree on the distinct rows. Every metric takes a prepared cloud wherever
-it takes an array and returns the same value to the bit: the derived forms
-are the ones the metric would otherwise compute from the raw points. It also
-keeps its sampling gap once computed, so a window classified as a curve and
-then clustered is measured once.
+points as passed and computes on first use, then keeps, its distinct rows,
+their counts, its bounding box and a KD tree on the distinct rows. Every
+metric takes a prepared cloud wherever it takes an array and returns the
+same value to the bit: the derived forms are the ones the metric would
+otherwise compute from the raw points. It also keeps its sampling gap once
+computed, so a window classified as a curve and then clustered is measured
+once.
 
 Catalog loops skip a Hausdorff distance that a lower bound already decides
 (:func:`_hausdorff_lower_bounds`). Every point of one cloud has its nearest
@@ -68,11 +66,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from .dynamics import _fold_norm, _row_norm
+from .dynamics import _fold_norm
 
 _CHUNK = 1024
-_TREE_MIN = 512         # raw rows from which every cloud takes the KD tree
-_TREE_DISTINCT = 128    # distinct rows from which a cloud of < 8 columns does
+_TREE_DISTINCT = 128    # distinct rows from which a cloud takes the KD tree
 
 
 def _as_cloud(points) -> np.ndarray:
@@ -158,11 +155,8 @@ class _Cloud:
 
 def _by_tree(c: _Cloud) -> bool:
     """Whether nearest-neighbour queries against ``c`` use its KD tree: from
-    ``_TREE_MIN`` raw rows, and below 8 columns also from ``_TREE_DISTINCT``
-    distinct rows, where the tree and ``cdist`` agree to the bit (see the
-    module docstring)."""
-    return len(c) >= _TREE_MIN or (c.points.shape[1] < 8
-                                   and len(c.distinct) >= _TREE_DISTINCT)
+    ``_TREE_DISTINCT`` distinct rows (see the module docstring)."""
+    return len(c.distinct) >= _TREE_DISTINCT
 
 
 def _prepare(points) -> _Cloud:
@@ -195,14 +189,12 @@ def _box_lower(Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     distances: the computed box distance narrowed by :func:`_margin`, or
     ``-inf`` where it overflowed.
 
-    Below 8 columns the box distance is :func:`dynamics._fold_norm` over the
-    per-column gaps: each column's gap ``max(lo - q, q - hi, 0)`` is formed
-    in one scratch buffer and handed to the fold, whose accumulator then
-    takes the margin. Those are the operations of the row norm of the full
-    gap array, on the same operands in the same order, so the bits are the
-    same, without the ``(..., d)`` temporaries. From 8 columns on the row
-    norm sums pairwise, and it gets the full gap array, which it reduces in
-    row-major order whatever the order of ``Q``."""
+    The box distance is :func:`dynamics._fold_norm` over the per-column
+    gaps: each column's gap ``max(lo - q, q - hi, 0)`` is formed in one
+    scratch buffer and handed to the fold, whose accumulator then takes the
+    margin. Those are the operations of the row norm of the full gap array,
+    on the same operands in the same order, so the bits are the same, in
+    either memory order of ``Q``, without the ``(..., d)`` temporaries."""
     d = Q.shape[-1]
     rho, alpha = _margin(d)
 
@@ -216,11 +208,7 @@ def _box_lower(Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             yield np.maximum(gap, 0.0, out=gap)
 
     with np.errstate(over="ignore"):
-        if d >= 8:
-            gap = np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
-            box = _row_norm(gap.reshape(-1, d)).reshape(gap.shape[:-1])
-        else:
-            box = _fold_norm(gaps())
+        box = _fold_norm(gaps())
         finite = np.isfinite(box)
         np.multiply(box, 1 - rho, out=box)
         box -= alpha

@@ -243,7 +243,7 @@ class FitReport:
     gram_condition: float
     samples_used: int
     ridge: float
-    method: str                     # "normal-equations" | "qr"
+    method: str                     # the solver that ran: "normal-equations" | "svd"
 
     def to_dict(self) -> dict:
         return _coerce({"schema_version": 1, "kind": "fit-report", **asdict(self)})
@@ -315,14 +315,14 @@ def _solve(PhiX: np.ndarray, PhiY: np.ndarray,
         raise SingularGramError(
             f"gram condition {cond:.3e} exceeds {config.SINGULAR_COND:.1e}; "
             "add ridge regularisation or shrink the dictionary")
-    if cond > config.QR_COND_SWITCH:
+    if cond > config.SVD_COND_SWITCH:
         if ridge > 0.0:
             A = np.vstack([PhiX, np.sqrt(ridge) * np.eye(N)])
             B = np.vstack([PhiY, np.zeros((N, N))])
         else:
             A, B = PhiX, PhiY
         Kt, *_ = np.linalg.lstsq(A, B, rcond=None)
-        method = "qr"
+        method = "svd"
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             # an overflow here gives a non-finite K, rejected below
@@ -342,9 +342,11 @@ def fit_lift(system: DiscreteMap, dictionary: Dictionary,
     """Least-squares fit of ``K`` with ``Phi(f(x)) ~ K Phi(x)``.
 
     Uses normal equations while the Gram matrix is comfortably conditioned,
-    switching to a QR solve past ``QR_COND_SWITCH``; a Gram condition beyond
-    ``SINGULAR_COND`` with no ridge raises :class:`SingularGramError` instead
-    of returning garbage coefficients.
+    switching past ``SVD_COND_SWITCH`` to ``np.linalg.lstsq``, LAPACK's
+    SVD-based least squares (``gelsd``); the report's ``method`` names the
+    solver that ran. A Gram condition beyond ``SINGULAR_COND`` with no ridge
+    raises :class:`SingularGramError` instead of returning garbage
+    coefficients.
     """
     _check_ridge(ridge)
     region = region or system.domain

@@ -529,15 +529,12 @@ class _SettleStage:
 
     def _bound(self, Q: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """Each row's distance to its candidate member point, widened by the
-        margin. Below 8 columns the rows less their candidate points go to the
-        fold a column at a time, each formed in place in its gathered column:
-        a row gather of the points costs more, and so do fresh buffers."""
+        margin. The rows less their candidate points go to the fold a column
+        at a time, each formed in place in its gathered column: a row gather
+        of the points costs more, and so do fresh buffers."""
         rho, alpha = self.margin
-        if len(self.columns) >= 8:
-            norm = _row_norm(Q - self.points[cand])
-        else:
-            norm = _fold_norm(np.subtract(q, p, out=p) for q, p in
-                              zip(Q.T, (column[cand] for column in self.columns)))
+        norm = _fold_norm(np.subtract(q, p, out=p) for q, p in
+                          zip(Q.T, (column[cand] for column in self.columns)))
         norm *= 1 + rho
         norm += alpha
         return norm

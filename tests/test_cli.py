@@ -261,6 +261,24 @@ def test_report_renders_a_2d_basin_raster(tmp_path, capsys):
     assert len(others) == 1 and pixels[2][2] not in others
 
 
+def test_report_out_dot_writes_into_the_working_directory(tmp_path, capsys, monkeypatch):
+    # `--out .` is the working directory; with no --out the files go to DIR/render
+    artifacts, cwd = tmp_path / "artifacts", tmp_path / "cwd"
+    code, _, _ = run(capsys, "limits", "--system", "mobius", "--out", str(artifacts))
+    assert code == 0
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    xy = ["catalog.S0.xy", "catalog.S1.xy"]
+    code, _, err = run(capsys, "report", "--dir", str(artifacts), "--out", ".")
+    assert code == 0 and err == ""
+    assert sorted(p.name for p in cwd.iterdir()) == xy
+    assert not (artifacts / "render").exists()
+    code, _, err = run(capsys, "report", "--dir", str(artifacts))
+    assert code == 0 and err == ""
+    assert sorted(p.name for p in (artifacts / "render").iterdir()) == xy
+    assert sorted(p.name for p in cwd.iterdir()) == xy
+
+
 def test_report_on_empty_directory_fails(tmp_path, capsys):
     code, _, err = run(capsys, "report", "--dir", str(tmp_path))
     assert code == 3
@@ -577,6 +595,24 @@ def test_sweep_guard_is_a_math_error(tmp_path, capsys):
     assert stderr_payload(err)["error"] == "CatalogGuardError"
 
 
+def test_sweep_refuses_auto_seeds_with_seeds(tmp_path, capsys, monkeypatch):
+    # the catalog seeds are drawn or listed, never both: refused before any work
+    import limitlab.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a catalog was built")
+
+    monkeypatch.setattr(limitlab.cli, "catalog_from_seeds", refuse)
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "sweep", "--system", "mobius", "--auto-seeds", "3",
+                       "--seeds", "0.1;0.2", "--dicts", "monomial:1", "--out", str(out_dir))
+    assert code == 2
+    payload = stderr_payload(err)
+    assert payload["error"] == "usage"
+    assert "--auto-seeds" in payload["message"] and "--seeds" in payload["message"]
+    assert not out_dir.exists()
+
+
 # -- configuration plumbing ---------------------------------------------------------
 
 def test_seed_falls_back_to_environment(tmp_path, capsys, monkeypatch):
@@ -692,7 +728,7 @@ _SET_NAMES = {
 }
 # listed in config.py, but no subcommand passes them to the code that uses them
 _NEVER_READ = ["eps_excl", "r_bound", "bound_horizon", "tol_eig", "tol_rank", "delta_sep",
-               "delta_img", "grid_samples", "random_samples", "qr_cond_switch",
+               "delta_img", "grid_samples", "random_samples", "svd_cond_switch",
                "singular_cond", "max_dict_order", "catalog_guard", "seed"]
 
 

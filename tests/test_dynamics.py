@@ -364,11 +364,14 @@ def test_row_norm_is_numpy_norm_to_the_bit(d, rng):
 
 
 @pytest.mark.parametrize("d", [8, 9, 16])
-def test_row_norm_leaves_eight_columns_and_more_to_numpy(d, rng):
-    # numpy may sum 8 or more terms pairwise, where a column fold would not
-    # be its sum, so the helper hands these widths to numpy
+def test_row_norm_folds_eight_columns_and_more_in_order(d, rng):
+    # numpy adds 8 or more squares pairwise; the helper keeps the in-order
+    # sum at every width, the sum whose error geometry._margin bounds
     X = _wide_rows(rng, 20000, d)
-    assert np.array_equal(_row_norm(X), np.linalg.norm(X, axis=1), equal_nan=True)
+    want = np.sqrt(reduce(np.add, [c * c for c in X.T]))
+    assert np.array_equal(_bits(_row_norm(X)), _bits(want))
+    finite = np.isfinite(want)
+    assert (want[finite] != np.linalg.norm(X, axis=1)[finite]).any()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
@@ -865,8 +868,7 @@ def test_a_row_that_stops_inside_a_block_stops_alike_in_either_layout():
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 33])
 def test_row_norm_and_box_bound_give_the_same_bits_in_either_layout(d, rng):
-    # numpy's norm of a column-major array differs in the last bit from 8
-    # columns on, so those widths reduce a row-major copy
+    # the fold adds whole columns, so no reduction depends on the layout
     X = _wide_rows(rng, 4000, d)
     F = np.asfortranarray(X)
     assert _bits(_row_norm(F)) == _bits(_row_norm(X))

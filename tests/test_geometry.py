@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 from limitlab import (diameter, directed_hausdorff, hausdorff, sampling_gap,
                       split_discrepancy)
-from limitlab.geometry import (_TREE_DISTINCT, _TREE_MIN, _box_lower, _by_tree,
+from limitlab.geometry import (_TREE_DISTINCT, _box_lower, _by_tree,
                                _hausdorff_lower_bounds, _margin, _prepare)
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
@@ -200,8 +200,9 @@ def oracle_gap(a):
 def repeated_clouds(draw, dim=2, big=None):
     """A few rows, each repeated some number of times, then shuffled.
 
-    ``big`` pads the first row's copies until the raw cloud reaches the
-    KD-tree threshold while its distinct rows stay far below it.
+    ``big`` adds ``_TREE_DISTINCT`` seeded rows, once each, so the cloud's
+    distinct rows reach the KD-tree threshold, and pads the first row's
+    copies to 512 raw rows.
     """
     rows = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
                          min_size=1, max_size=10))
@@ -209,11 +210,13 @@ def repeated_clouds(draw, dim=2, big=None):
                          min_size=len(rows), max_size=len(rows)))
     if big is None:
         big = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if big:
-        reps[0] += max(0, _TREE_MIN - sum(reps))
+        rows += rng.uniform(-100.0, 100.0, (_TREE_DISTINCT, dim)).tolist()
+        reps += [1] * _TREE_DISTINCT
+        reps[0] += max(0, 512 - sum(reps))
     cloud = np.repeat(np.array(rows, dtype=float), reps, axis=0)
-    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(cloud))
-    return cloud[order]
+    return cloud[rng.permutation(len(cloud))]
 
 
 @settings(max_examples=80, deadline=None)
@@ -233,7 +236,8 @@ def test_hausdorff_exact_on_repeated_clouds(a, b):
 @given(st.sampled_from([2, 3]).flatmap(
     lambda d: st.tuples(repeated_clouds(dim=d), repeated_clouds(dim=d))))
 def test_hausdorff_exact_on_repeated_clouds_in_the_plane_and_in_space(pair):
-    # both directions from one distance block (or the tree, past _TREE_MIN)
+    # both directions from one distance block (or the tree, from _TREE_DISTINCT
+    # distinct rows)
     a, b = pair
     assert hausdorff(a, b) == max(oracle_directed(a, b), oracle_directed(b, a))
 
@@ -267,8 +271,8 @@ def test_sampling_gap_exact_on_mixed_clouds(a):
 @settings(max_examples=40, deadline=None)
 @given(repeated_clouds(big=True), repeated_clouds(big=False))
 def test_exact_across_the_tree_threshold(big, small):
-    # the raw cloud takes the KD-tree path, its distinct rows would not
-    assert len(big) >= _TREE_MIN > len(np.unique(big, axis=0))
+    # the big cloud takes the KD-tree path, the small one brute force
+    assert _by_tree(_prepare(big)) and not _by_tree(_prepare(small))
     assert directed_hausdorff(small, big) == oracle_directed(small, big)
     assert directed_hausdorff(big, small) == oracle_directed(big, small)
     assert sampling_gap(big) == oracle_gap(big)
@@ -291,25 +295,29 @@ def test_signed_zeros_are_one_point():
     assert diameter(np.array([[0.0], [-0.0]])) == 0.0
 
 
-def test_path_choice_follows_the_raw_size(rng):
+def test_path_choice_follows_the_distinct_rows(rng):
     # in eight or more dimensions the KD tree and the brute-force path can
-    # round a distance differently, so a raw cloud past the threshold must
-    # get the tree's distances even when its distinct rows are few
+    # round a distance differently; the distinct rows pick the path, so a
+    # cloud's copies change no distance
     base = rng.normal(size=(40, 10))
     big = np.repeat(base, 16, axis=0)[rng.permutation(640)]
-    tree = cKDTree(big)
+    wide = rng.normal(size=(_TREE_DISTINCT, 10))
+    tree = cKDTree(wide)
+    wide_copies = np.repeat(wide, 3, axis=0)[rng.permutation(3 * _TREE_DISTINCT)]
     for q in rng.normal(size=(100, 1, 10)):
-        nearest = float(tree.query(q)[0][0])
-        assert directed_hausdorff(q, big) == nearest
+        nearest = float(cdist(q, base).min())
+        assert directed_hausdorff(q, big) == directed_hausdorff(q, base) == nearest
         # every row of big has twins, so the lone query sets the gap
         assert sampling_gap(np.vstack([big, q])) == nearest
+        nearest = float(tree.query(q)[0][0])
+        assert directed_hausdorff(q, wide_copies) == directed_hausdorff(q, wide) == nearest
 
 
 # -- the path rule: the KD tree below 8 columns gives cdist's bits ------------------------
 #
-# Below 8 columns a cloud with _TREE_DISTINCT distinct rows takes the KD tree
-# even when its raw size is under _TREE_MIN. The clouds below sit on both
-# sides of both cuts; the oracle is scipy's cdist on the raw clouds.
+# A cloud with _TREE_DISTINCT distinct rows takes the KD tree, whatever its
+# raw size. The clouds below sit on both sides of that cut, with raw sizes on
+# both sides of 512; the oracle is scipy's cdist on the raw clouds.
 
 def cdist_directed(a, b):
     return float(cdist(a, b).min(axis=1).max())
@@ -323,10 +331,10 @@ def cdist_gap(a):
     return float(d.min(axis=1).max())
 
 
-# (distinct rows, raw rows) on either side of _TREE_DISTINCT and _TREE_MIN
+# (distinct rows, raw rows) on either side of _TREE_DISTINCT and of 512
 PATH_SIZES = [(_TREE_DISTINCT - 1, _TREE_DISTINCT - 1), (_TREE_DISTINCT, _TREE_DISTINCT),
-              (_TREE_DISTINCT - 1, _TREE_MIN - 1), (_TREE_DISTINCT, _TREE_MIN - 1),
-              (40, _TREE_MIN - 1), (40, _TREE_MIN), (300, 300)]
+              (_TREE_DISTINCT - 1, 511), (_TREE_DISTINCT, 511),
+              (40, 511), (40, 512), (300, 300)]
 
 
 def _path_cloud(rng, d, distinct, raw, kind, scale):
@@ -358,7 +366,7 @@ def test_path_rule_below_eight_columns_gives_the_cdist_bits(d, scale, kind, rng)
     for k, c in enumerate(clouds):
         other = clouds[(k + 3) % len(clouds)]
         distinct = len(np.unique(c, axis=0))
-        by_tree = len(c) >= _TREE_MIN or distinct >= _TREE_DISTINCT
+        by_tree = distinct >= _TREE_DISTINCT
         tree_sides.add(by_tree)
         pc = _prepare(c)
         assert _by_tree(pc) == by_tree
@@ -374,19 +382,23 @@ def test_path_rule_below_eight_columns_gives_the_cdist_bits(d, scale, kind, rng)
     assert tree_sides == {True, False}
 
 
-def test_path_rule_keeps_the_raw_size_from_eight_columns(rng):
-    # 300 distinct rows: the tree below 8 columns, brute force from 8 on
+def test_path_rule_reads_only_the_distinct_rows_in_every_dimension(rng):
+    # the tree from _TREE_DISTINCT distinct rows, brute force below, however
+    # many copies each row has
     for d in (7, 8, 10):
-        pc = _prepare(rng.normal(size=(300, d)))
-        assert _by_tree(pc) == (d < 8)
+        for distinct, copies in ((_TREE_DISTINCT - 1, 5), (_TREE_DISTINCT, 1), (300, 1)):
+            rows = rng.normal(size=(distinct, d))
+            pc = _prepare(np.repeat(rows, copies, axis=0))
+            assert _by_tree(pc) == (distinct >= _TREE_DISTINCT)
 
 
 # -- prepared clouds: the same values as the raw arrays ---------------------------------
 #
 # A prepared cloud keeps its distinct rows, counts, box and KD tree after the
 # first metric that needs them, so the same object is measured several times
-# and in varying orders. The raw size must still pick the path: d = 8 and 10
-# are where the KD tree and the brute-force path can round differently.
+# and in varying orders. Its distinct rows pick the path, as they do for the
+# raw array: d = 8 and 10 are where the KD tree and the brute-force path can
+# round differently.
 
 SCALES = [1e-310, 1e-155, 1.0, 1e150]
 
@@ -394,7 +406,7 @@ SCALES = [1e-310, 1e-155, 1.0, 1e150]
 @st.composite
 def scaled_clouds(draw, dim, scale):
     """Repeated rows of one dimension and scale, some of them signed zeros,
-    raw size past the tree threshold about half the time."""
+    distinct rows past the tree threshold about half the time."""
     cloud = draw(repeated_clouds(dim=dim)) * scale
     zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=3))
     for z in zeros:
@@ -439,17 +451,19 @@ def test_metrics_on_prepared_clouds_equal_the_raw_arrays(pair, order):
 @pytest.mark.parametrize("d", [1, 2, 8, 10])
 @pytest.mark.parametrize("scale", SCALES)
 def test_prepared_clouds_keep_the_path_of_the_raw_size(d, scale, rng):
-    # 640 raw rows, 40 distinct: the tree path, with its own rounding
+    # 642 raw rows, 40 distinct and two signed zeros: the raw array and its
+    # prepared cloud take the brute-force path of their distinct rows
     base = rng.normal(size=(40, d)) * scale
     big = np.vstack([np.repeat(base, 16, axis=0), np.zeros((1, d)), -np.zeros((1, d))])
     big = big[rng.permutation(len(big))]
     small = rng.normal(size=(100, d)) * scale
     prepared = _prepare(big)
-    assert len(prepared) >= _TREE_MIN > len(prepared.distinct)
-    tree = cKDTree(np.unique(big, axis=0))
+    assert len(prepared) == 642 and len(prepared.distinct) == 41
+    assert not _by_tree(prepared)
+    distinct = np.unique(big, axis=0)
     for q in small:
-        nearest = float(tree.query(q)[0])
-        assert directed_hausdorff(q[None], prepared) == nearest
+        nearest = float(cdist(q[None], distinct).min())
+        assert directed_hausdorff(q[None], prepared) == directed_hausdorff(q[None], big) == nearest
         # every row of big has a twin, so the lone query sets the gap
         assert sampling_gap(_prepare(np.vstack([big, q]))) == nearest
     assert directed_hausdorff(prepared, small) == oracle_directed(big, small)
@@ -513,11 +527,16 @@ def _bits(x):
 
 
 def _box_lower_of_the_gap_array(Q, lo, hi):
-    # the box bound written on the full (..., d) gap array
+    # the box bound written on the full (..., d) gap array, its squares added
+    # in column order at every width
     rho, alpha = _margin(Q.shape[-1])
     with np.errstate(over="ignore"):
         gap = np.maximum(np.maximum(lo - Q, Q - hi), 0.0)
-        box = np.linalg.norm(gap.reshape(-1, gap.shape[-1]), axis=1).reshape(gap.shape[:-1])
+        sq = gap * gap
+        acc = sq[..., 0]
+        for k in range(1, Q.shape[-1]):
+            acc = acc + sq[..., k]
+        box = np.sqrt(acc)
         return np.where(np.isfinite(box), box * (1 - rho) - alpha, -np.inf)
 
 

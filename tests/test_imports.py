@@ -5,6 +5,9 @@ when it is loaded anywhere in the module, appears inside a string
 annotation, or is exported through ``__all__``. A literal ``__all__`` exports
 the names it lists; a computed one (``__init__`` builds it from ``dir()``)
 exports every public name the module binds.
+
+A second scan keeps row norms to their one implementation,
+``dynamics._row_norm``: no module calls ``np.linalg.norm`` with an axis.
 """
 
 from __future__ import annotations
@@ -86,3 +89,29 @@ def test_the_scan_counts_loads_string_annotations_and_all():
     assert unused_imports(source) == [(4, "c"), (4, "e"), (4, "f")]
     computed = "from x import a, _b\n__all__ = [n for n in dir() if not n.startswith('_')]\n"
     assert unused_imports(computed) == [(1, "_b")]
+
+
+def axis_norms(source: str) -> list[int]:
+    """The line of every ``np.linalg.norm`` call that passes an axis, by
+    keyword or as its third positional argument."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in ("np.linalg.norm", "numpy.linalg.norm")
+                  and (len(node.args) >= 3 or any(k.arg == "axis" for k in node.keywords)))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: p.name)
+def test_row_norms_have_one_implementation(path):
+    assert axis_norms(path.read_text()) == []
+
+
+def test_the_norm_scan_finds_an_axis_however_it_is_passed():
+    source = (
+        "import numpy as np\n"
+        "a = np.linalg.norm(x)\n"
+        "b = np.linalg.norm(x, axis=1)\n"
+        "c = np.linalg.norm(x, None, -1)\n"
+        "d = numpy.linalg.norm(x, ord=2, axis=(0, 1))\n"
+        "e = np.linalg.norm(np.ascontiguousarray(x), 2)\n"
+    )
+    assert axis_norms(source) == [3, 4, 5]

@@ -232,10 +232,12 @@ def test_ridge_penalty_never_improves_training_residual():
 
 
 def test_ill_conditioned_gram_switches_to_qr():
+    # past SVD_COND_SWITCH the fit leaves the normal equations for
+    # np.linalg.lstsq, LAPACK's SVD solver, and the report says "svd"
     f = get_system("mobius")
     d = build_dictionary("monomial", 1, 12)
     lift = fit_lift(f, d, region=MOBIUS_REGION, seed=42)
-    assert lift.report.method == "qr"
+    assert lift.report.method == "svd"
     assert lift.report.gram_condition > 1e8
 
 
@@ -320,6 +322,78 @@ def test_non_finite_fit_is_a_singular_gram_error():
                             funcs=[lambda X: 1.0 + 1e308 * (X[:, 0] < -0.9)])
     with pytest.raises(SingularGramError):
         fit_lift(get_system("mobius"), jump, region=MOBIUS_REGION, seed=42)
+
+
+# -- residuals of dictionaries with 8 or more features ---------------------------
+#
+# Every row norm is the in-order sum of squares, also where numpy's
+# ``np.linalg.norm`` adds eight or more squares pairwise and rounds some rows
+# differently. The oracle adds them one column at a time, with fresh arrays.
+# The reports' means and maxima can hide a last-bit change in a few rows, so
+# the residual of every row is recorded where the module takes it.
+
+def in_order_norms(E):
+    acc = np.zeros(len(E))
+    for k in range(E.shape[1]):
+        acc = acc + E[:, k] * E[:, k]
+    return np.sqrt(acc)
+
+
+def _record_row_norms(monkeypatch, module):
+    seen, row_norm = [], module._row_norm
+
+    def recording(E):
+        seen.append((E.copy(), row_norm(E)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(module, "_row_norm", recording)
+    return seen
+
+
+# (system, dictionary, sample box): 9 and 21 features
+WIDE = [("cot-map", ("fourier", 1, 4), None),
+        ("rotation-scaling", ("monomial", 2, 5), [[-2.0, 2.0], [-2.0, 2.0]])]
+
+
+@pytest.mark.parametrize("name, spec, box", WIDE, ids=["fourier:4", "monomial:5"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_wide_fit_residual_is_the_in_order_sum(name, spec, box, order, monkeypatch):
+    f, d = get_system(name), build_dictionary(*spec)
+    assert d.size >= 8
+    seen = _record_row_norms(monkeypatch, lifting)
+    lift = fit_lift(f, d, seed=42, box=box)
+    PhiX, PhiY = lifting._features(d, *training_pairs(f, seed=42, box=box))
+    E = PhiY - PhiX @ lift.K.T
+    want = in_order_norms(E)
+    assert (want != np.linalg.norm(E, axis=1)).any()     # numpy's sum differs here
+    [(E_fit, got)] = seen
+    assert E_fit.tobytes() == E.tobytes() and got.tobytes() == want.tobytes()
+    assert lifting._row_norm(np.asarray(E, order=order)).tobytes() == want.tobytes()
+    assert lift.report.max_residual == float(want.max())
+    assert lift.report.rms_residual == float(np.sqrt(np.mean(want ** 2)))
+
+
+@pytest.mark.parametrize("name, spec, box", WIDE, ids=["fourier:4", "monomial:5"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_wide_conjugacy_residual_is_the_in_order_sum(name, spec, box, order, monkeypatch,
+                                                     rng):
+    f, d = get_system(name), build_dictionary(*spec)
+    lift = fit_lift(f, d, seed=42, box=box)
+    F, g = lift.as_immersion(), lift.lifted_map()
+    bounds = np.array(box or f.domain.bounds)
+    X = np.asarray(rng.uniform(bounds[:, 0], bounds[:, 1], (400, f.dim)), order=order)
+    seen = _record_row_norms(monkeypatch, immersion)
+    report = conjugacy_residual(F, f, g, X)
+    _, Xv, FX, FY = immersion._residual_images(F, *immersion._residual_samples(F.domain, f, X))
+    E = FY - g.forward(FX)
+    want = in_order_norms(E)
+    assert (want != np.linalg.norm(E, axis=1)).any()     # numpy's sum differs here
+    [(E_conj, got)] = seen
+    assert E_conj.tobytes() == E.tobytes() and got.tobytes() == want.tobytes()
+    assert report.samples_used == len(want) > 300
+    assert report.max_residual == float(want.max())
+    assert report.mean_residual == float(want.mean())
+    assert report.rms_residual == float(np.sqrt(np.mean(want ** 2)))
 
 
 # -- sweep -------------------------------------------------------------------
