@@ -13,8 +13,10 @@ Each report kind has one renderer, looked up by kind in ``_RENDERERS``. A
 subcommand prints each report it names in a ``wrote`` line through it, from
 the document ``serialize.dump`` returned, the values the file holds, and
 ``report`` renders the saved file through it, so the two print the same
-lines. Besides the renders a subcommand prints only what no report holds:
-skipped seeds, the ``wrote`` lines and ``verify``'s chart target.
+lines. Every subcommand but ``report`` prints through ``_print_run``: the
+renders, then the skipped seeds, then the ``wrote`` lines. Before them only
+what no report holds is printed: ``simulate``'s orbit summary and
+``verify``'s chart target.
 
 Exit codes: 0 on success, 2 for usage/parameter problems, 3 when the requested
 mathematics fails (domain violations, unconverged estimates, singular
@@ -169,9 +171,14 @@ def _settings(args, names) -> Settings:
 def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
     """The region a run works on, and the box to sample it within when it has
     no finite box of its own: ``--domain``, else the system's domain, sampled
-    within ``[-2, 2]`` per axis when it is unbounded."""
+    within ``[-2, 2]`` per axis when it is unbounded. A ``--domain`` with an
+    infinite bound is a usage error: these runs grid or sample the region."""
     if args.domain is not None:
-        return _parse_domain(args.domain, system.dim), None
+        region = _parse_domain(args.domain, system.dim)
+        if not region.has_finite_box():
+            raise InvalidParamError(f"--domain must have finite bounds for "
+                                    f"{args.command}, got {args.domain!r}")
+        return region, None
     region = system.domain
     if region.has_finite_box():
         return region, None
@@ -198,10 +205,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _print_skipped(skipped) -> None:
-    """One line for each catalog seed that gave no estimate, and why."""
+def _print_run(docs, paths, skipped=()) -> None:
+    """What a run prints: the render of each report in ``docs``, a line for
+    each catalog seed in ``skipped`` that gave no estimate and why, then a
+    ``wrote`` line for each file in ``paths``."""
+    for doc in docs:
+        print(_render(doc))
     for seed, status in skipped:
         print(f"skipped seed {','.join(repr(float(v)) for v in seed)}: {status}")
+    for path in paths:
+        print(f"wrote {path}")
 
 
 def _table(header, rows) -> str:
@@ -236,6 +249,7 @@ def _stepped_system(args):
 
 
 def cmd_simulate(args) -> int:
+    _at_least(0, args, "steps")
     system, system_run = _stepped_system(args)
     sets = _settings(args, ("r_div",))
     x0 = _parse_points("--x0", args.x0, system.dim)[0]
@@ -246,7 +260,7 @@ def cmd_simulate(args) -> int:
     last = ",".join(repr(float(v)) for v in traj.last)
     print(f"system={system.name} direction={'backward' if args.backward else 'forward'} "
           f"steps={traj.steps_taken} termination={traj.termination} last={last}")
-    print(f"wrote {path}")
+    _print_run((), [path])
     return 0
 
 
@@ -258,9 +272,7 @@ def cmd_limits(args) -> int:
     path = _out_dir(args) / "catalog.json"
     doc = serialize.dump(catalog_to_dict(catalog), path)
 
-    print(_render(doc))
-    _print_skipped(skipped)
-    print(f"wrote {path}")
+    _print_run([doc], [path], skipped)
     return 0
 
 
@@ -280,10 +292,7 @@ def cmd_basins(args) -> int:
     summary, _ = runs.basins_step(system, catalog, region, args.resolution,
                                   args.threads, sets, out, "basins")
 
-    print(_render(summary))
-    _print_skipped(skipped)
-    print(f"wrote {out / 'basins.csv'}")
-    print(f"wrote {out / 'basins.json'}")
+    _print_run([summary], [out / "basins.csv", out / "basins.json"], skipped)
     return 0
 
 
@@ -330,8 +339,7 @@ def cmd_verify(args) -> int:
                                           sets, args.tol, path)
 
     print(f"immersion {F.name} -> {target.name}")     # the report names no target
-    print(_render(report))
-    print(f"wrote {path}")
+    _print_run([report], [path])
     if report["status"] != "ok":
         _emit_error("verification-failed",
                     f"max residual {conj.max_residual!r} exceeds tol {args.tol!r} "
@@ -358,10 +366,7 @@ def cmd_learn(args) -> int:
     fit_doc = serialize.dump(lift_doc["fit"], fit_path)
     lift_doc = serialize.dump(lift_doc, lift_path)
 
-    print(_render(fit_doc))
-    print(_render(lift_doc))
-    print(f"wrote {fit_path}")
-    print(f"wrote {lift_path}")
+    _print_run([fit_doc, lift_doc], [fit_path, lift_path])
     return 0
 
 
@@ -404,10 +409,7 @@ def cmd_sweep(args) -> int:
     json_path = out / "sweep.json"
     data = serialize.dump(report.to_dict(), json_path)
 
-    print(_render(data))
-    _print_skipped(skipped)
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+    _print_run([data], [csv_path, json_path], skipped)
     return 0
 
 
@@ -417,8 +419,7 @@ def cmd_demo(args) -> int:
     out = _out_dir(args)
     path = out / "demo-summary.json"
     summary = serialize.dump(runs.demo(out, args.seed, args.threads, sets), path)
-    print(_render(summary))
-    print(f"wrote {path}")
+    _print_run([summary], [path])
     return 0
 
 

@@ -278,6 +278,17 @@ class DomainRegion:
         return [np.linspace(self.bounds[i, 0], self.bounds[i, 1], int(res[i]))
                 for i in range(self.dim)]
 
+    def survey(self, per_axis: int, n: int, seed: int, box=None) -> np.ndarray:
+        """The nodes of the ``per_axis`` grid inside the region, in the grid's
+        row-major order, then ``n`` :meth:`sample` draws seeded with ``seed``.
+        A region with no finite box gives the draws alone."""
+        parts = []
+        if self.has_finite_box():
+            nodes = _grid_nodes(self.grid(per_axis))
+            parts.append(nodes[self.contains_batch(nodes)])
+        parts.append(self.sample(n, np.random.default_rng(seed), box=box))
+        return np.vstack(parts)
+
 
 def _grid_nodes(axes) -> np.ndarray:
     """The nodes of the grid with per-axis coordinates ``axes`` as an

@@ -302,7 +302,7 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
 
     if samples is None:
         rng = np.random.default_rng(seed)
-        box = _bounding_box(catalog, F.domain)
+        box = _bounding_box(catalog)
         samples = F.domain.sample(_COLLAPSE_SAMPLES, rng, box=box)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     sample_images = F.apply(samples)
@@ -326,7 +326,7 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
                           samples_used=int(len(samples)))
 
 
-def _bounding_box(catalog: LimitSetCatalog, domain: DomainRegion) -> np.ndarray:
+def _bounding_box(catalog: LimitSetCatalog) -> np.ndarray:
     """Fallback sample box: the catalog's spread, padded, for unbounded domains."""
     pts = np.vstack([m.points for m in catalog.members])
     lo, hi = pts.min(axis=0), pts.max(axis=0)

@@ -22,13 +22,21 @@ what its features share once per batch: a monomial dictionary each
 exponent's powers, a rational-pole dictionary its base, a Fourier dictionary
 each ``j*x``. Its values are the per-feature formulas' to the bit.
 
-Byte-for-byte reproducibility holds per host and numpy build. numpy's power
-kernel depends on the form of the exponent: on an AVX-512 host an array
-exponent runs numpy's SVML kernel, while a broadcast scalar ``2.0`` runs the
-exact ``x*x``, and the two differ in the last bit on a few percent of
-inputs. A monomial passes its exponents as an array the state's width, which
-for a 1-d monomial numpy takes as a scalar; so the last bits of a monomial
-feature depend on the state dimension, the host's SIMD and the numpy build.
+Byte-for-byte reproducibility holds per host and numpy build, not across
+them, by three paths. First, numpy's power kernel depends on the form of the
+exponent: on an AVX-512 host an array exponent runs numpy's SVML kernel,
+while a broadcast scalar ``2.0`` runs the exact ``x*x``, and the two differ
+in the last bit on a few percent of inputs. A monomial passes its exponents
+as an array the state's width, which for a 1-d monomial numpy takes as a
+scalar; so the last bits of a monomial feature depend on the state
+dimension, the host's SIMD and the numpy build. Second, numpy's SIMD
+``tan``, ``arctan`` and ``exp`` loops: with its AVX-512 loops switched off,
+``demo --seed 42`` writes a different ``cot-verify.json`` and
+``mobius-sweep.*``. Third, OpenBLAS's kernel, which it picks at run time
+and which forms the Gram products and runs the solve here: under another
+kernel the demo writes a different ``mobius-sweep.*`` and
+``demo-summary.json``. The demo's catalog, basin, spectral, pushforward and
+consistency files stayed byte-identical under every setting tried.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import config
-from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _grid_nodes,
-                       _row_norm, iterate_batch)
+from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _row_norm,
+                       iterate_batch)
 from .errors import (CatalogGuardError, DomainError, InvalidParamError,
                      SingularGramError)
 from .immersion import (ImmersionMap, _probe_samples, _residual_images,
@@ -216,19 +224,13 @@ def training_pairs(system: DiscreteMap, region: Optional[DomainRegion] = None,
                    n_random: int = config.RANDOM_SAMPLES,
                    seed: int = config.DEFAULT_SEED,
                    box=None) -> tuple[np.ndarray, np.ndarray]:
-    """State/next-state pairs over ``region``: a regular grid plus seeded
-    uniform draws, less the rows one checked step of the system rejects.
+    """State/next-state pairs over ``region``: its survey
+    (:meth:`DomainRegion.survey`) of about ``n_grid`` grid nodes and
+    ``n_random`` draws, less the rows one checked step of the system rejects.
     """
     region = region or system.domain
-    rng = np.random.default_rng(seed)
-    parts = []
-    if region.has_finite_box():
-        per_axis = max(2, int(round(n_grid ** (1.0 / region.dim))))
-        G = _grid_nodes(region.grid(per_axis))
-        parts.append(G[region.contains_batch(G)])
-    if n_random > 0:
-        parts.append(region.sample(n_random, rng, box=box))
-    X = np.vstack(parts)
+    per_axis = max(2, int(round(n_grid ** (1.0 / region.dim))))
+    X = region.survey(per_axis, n_random, seed, box=box)
     run = iterate_batch(system, X, 1, r_div=np.inf)
     keep = run.termination == _CODE[COMPLETED]
     return X[keep], run.last[keep]

@@ -332,8 +332,12 @@ def _thin(points: np.ndarray, cap: int = _MEMBER_CAP) -> np.ndarray:
 def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
                        cfg: Optional[Settings] = None) -> LimitSetCatalog:
     """Greedy Hausdorff clustering of converged estimates into distinct limit
-    sets. Labels are assigned in order of each member's first-seen seed, so
-    the catalog is reproducible regardless of estimate order.
+    sets. Labels follow the seeds of the clusters' first estimates, taken in
+    input order and sorted as tuples. The catalog does depend on estimate
+    order: with rotation-scaling's default seeds ``S0`` is the origin, with
+    the same seeds reversed it is the circle, whose first estimate then has
+    the seed ``(-1.5, 0.25)``. Making members independent of that order is
+    ROADMAP item 9's.
 
     Each estimate joins the cluster at the smallest Hausdorff distance below
     that cluster's merge tolerance, the first such one on a tie, or starts a

@@ -11,20 +11,16 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as systems, config, immersion, lifting, limits, linear, serialize
-from .dynamics import DomainRegion, _grid_nodes
+from .dynamics import DomainRegion
 from .errors import DomainError
 
 _SURVEY_RANDOM = 512        # random draws added to a survey grid
 
 
 def survey_samples(region: DomainRegion, seed: int) -> np.ndarray:
-    """The grid nodes inside ``region``, then 512 uniform draws from it."""
-    per_axis = 129 if region.dim == 1 else 17
-    grid = _grid_nodes(region.grid(per_axis))
-    grid = grid[region.contains_batch(grid)]
-    rng = np.random.default_rng(seed)
-    rand = region.sample(_SURVEY_RANDOM, rng)
-    return np.vstack([grid, rand])
+    """The region's survey (:meth:`DomainRegion.survey`): the nodes of a grid
+    of 129 per axis in 1-d, 17 otherwise, then 512 uniform draws."""
+    return region.survey(129 if region.dim == 1 else 17, _SURVEY_RANDOM, seed)
 
 
 def basins_step(system, catalog, region, resolution: int, threads: int,

@@ -6,9 +6,10 @@ returns ``_coerce`` of a dict of its fields as the library holds them, and
 
 Every JSON and CSV artifact but the basin grid goes through these functions so
 that two runs with the same seed produce byte-identical files: keys are sorted,
-floats use Python's shortest round-trip repr, and numpy scalars are coerced
-to plain Python types before encoding. ``limits.write_basin_csv`` formats its
-integer and label cells by hand, for speed, by the same rules.
+floats use Python's shortest round-trip repr, and numpy scalars and arrays
+become plain Python values by numpy's own ``tolist`` before encoding.
+``limits.write_basin_csv`` formats its integer and label cells by hand, for
+speed, by the same rules.
 """
 
 from __future__ import annotations
@@ -28,14 +29,8 @@ def _coerce(obj):
         return {str(k): _coerce(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_coerce(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return _coerce(obj.tolist())
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     return obj
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from limitlab import Settings
-from limitlab.cli import main
+from limitlab.cli import _render, main
 from limitlab.serialize import validate
 
 
@@ -53,6 +53,18 @@ def assert_report_renders_each_artifact(capsys, directory):
     assert artifacts
     for path in artifacts:
         assert _RENDERED[read_json(path)["kind"]] in sections[path.name]
+
+
+@pytest.fixture
+def no_orbit(monkeypatch):
+    """Fail the test if any module steps an orbit or a checked batch."""
+    import limitlab
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit was stepped")
+
+    for module in (limitlab.dynamics, limitlab.limits, limitlab.lifting, limitlab.immersion):
+        monkeypatch.setattr(module, "iterate_batch", refuse)
 
 
 # -- happy paths ---------------------------------------------------------------
@@ -382,6 +394,32 @@ def test_a_non_integral_jordan_block_size_is_a_usage_error(tmp_path, capsys, m):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command,argv", [
+    ("basins", []), ("verify", []), ("learn", []), ("sweep", ["--dicts", "monomial:1"])])
+def test_an_infinite_domain_bound_is_a_usage_error_before_any_orbit(
+        tmp_path, capsys, no_orbit, command, argv):
+    # these runs grid or sample the region: they used to step the catalog's
+    # orbits and then fail, naming a grid rule or a sample box the command
+    # line has no option for
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--system", "mobius", "--domain=-inf,0.5",
+                         *argv, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    payload = stderr_payload(err)
+    assert payload == {"error": "usage", "message":
+                       f"--domain must have finite bounds for {command}, got '-inf,0.5'"}
+    assert not out_dir.exists()
+
+
+def test_simulate_refuses_a_negative_step_count_naming_the_flag(tmp_path, capsys):
+    code, out, err = run(capsys, "simulate", "--system", "mobius", "--x0", "0",
+                         "--steps=-1", "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert stderr_payload(err) == {"error": "usage",
+                                   "message": "--steps must be >= 0, got -1"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_domain_axis_must_be_ordered(tmp_path, capsys):
     code, _, err = run(capsys, "limits", "--system", "mobius",
                        "--domain=1,-1", "--out", str(tmp_path))
@@ -543,6 +581,26 @@ def test_limits_domain_keeps_the_pole(tmp_path, capsys):
                          "--seeds=3.0000000001;0.0", "--out", str(tmp_path))
     assert code == 0 and err == ""
     assert "skipped seed 3.0000000001: singular" in out
+
+
+def test_limits_prints_its_render_then_its_skipped_seeds_then_what_it_wrote(
+        tmp_path, capsys):
+    code, out, err = run(capsys, "limits", "--system", "mobius", "--domain=-5,5",
+                         "--seeds=0.0;3.0;-2.0", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    path = tmp_path / "catalog.json"
+    assert out == (_render(read_json(path)) + "\n"
+                   "skipped seed 3.0: singular\n"
+                   f"wrote {path}\n")
+
+
+def test_learn_prints_its_two_renders_then_its_two_wrote_lines(tmp_path, capsys):
+    code, out, err = run(capsys, "learn", "--system", "mobius", "--domain=-0.9,0.5",
+                         "--dict", "rational-pole", "--order", "2", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    fit, lift = tmp_path / "fit.json", tmp_path / "lift.json"
+    assert out == (_render(read_json(fit)) + "\n" + _render(read_json(lift)) + "\n"
+                   f"wrote {fit}\nwrote {lift}\n")
 
 
 def test_sweep_prints_its_skipped_seeds(tmp_path, capsys):
@@ -763,19 +821,11 @@ def test_names_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, nam
     ("basins", "witness_depth=0"), ("basins", "witness_max_pairs=-1"),
     ("demo", "witness_depth=0"), ("demo", "witness_max_pairs=-1"),
     ("demo", "basin_window=0"), ("demo", "tol_cluster=-1")])
-def test_impossible_settings_are_rejected_before_any_orbit(tmp_path, capsys, monkeypatch,
+def test_impossible_settings_are_rejected_before_any_orbit(tmp_path, capsys, no_orbit,
                                                           command, setting):
     # simulate used to run with r_div=0 and call a converging orbit diverged;
     # basins refused a witness setting only after settling the whole grid, and
     # demo after writing its mobius catalog
-    import limitlab.dynamics
-    import limitlab.limits
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an orbit was stepped")
-
-    monkeypatch.setattr(limitlab.dynamics, "iterate_batch", refuse)
-    monkeypatch.setattr(limitlab.limits, "iterate_batch", refuse)
     message = _rejected_setting(tmp_path, capsys, command, setting)
     assert message.startswith(setting.split("=")[0] + " must be")
     assert not (tmp_path / command).exists()

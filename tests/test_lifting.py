@@ -197,6 +197,59 @@ def test_training_pairs_skip_grid_on_non_box_regions():
     assert ring.contains_batch(X).all()
 
 
+def survey_reference(region, per_axis, n, seed, box=None):
+    """The grid nodes inside ``region`` in row-major order, then ``n`` seeded
+    draws: the grid spelled out node by node."""
+    parts = []
+    if region.has_finite_box():
+        nodes = np.array(list(itertools.product(*region.grid(per_axis))))
+        parts.append(nodes[region.contains_batch(nodes)])
+    parts.append(region.sample(n, np.random.default_rng(seed), box=box))
+    return np.vstack(parts)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SURVEY_REGIONS = {
+    "interval": DomainRegion.interval(-0.9, 0.5),
+    # the excluded point is a node of the 17-per-axis grid, so it is dropped
+    "punctured-box": DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]], excluded=[[0.5, 0.5]]),
+    "annulus": DomainRegion.annulus(0.1, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", ["interval", "punctured-box"])
+def test_survey_samples_are_the_grid_then_the_draws(name):
+    from limitlab import runs
+    region = SURVEY_REGIONS[name]
+    got = runs.survey_samples(region, 7)
+    want = survey_reference(region, 129 if region.dim == 1 else 17, 512, 7)
+    assert same_bits(got, want)
+    if name == "punctured-box":
+        assert len(want) == 17 * 17 - 1 + 512
+
+
+def test_survey_samples_on_a_region_without_a_finite_box_are_the_draws():
+    from limitlab import runs
+    ring = SURVEY_REGIONS["annulus"]
+    assert same_bits(runs.survey_samples(ring, 7), ring.sample(512, np.random.default_rng(7)))
+    with pytest.raises(ValueError, match="unbounded region: pass an explicit sample box"):
+        runs.survey_samples(DomainRegion.full_space(2), 7)
+
+
+@pytest.mark.parametrize("name,system", [("interval", "mobius"),
+                                         ("punctured-box", "rotation-scaling"),
+                                         ("annulus", "rotation-scaling")])
+def test_training_pairs_are_the_survey_of_the_region(name, system):
+    region = SURVEY_REGIONS[name]
+    X, _ = training_pairs(get_system(system), region, n_grid=100, n_random=50, seed=3)
+    per_axis = max(2, int(round(100 ** (1.0 / region.dim))))
+    # no row of these surveys is rejected by the step, so X is the whole survey
+    assert same_bits(X, survey_reference(region, per_axis, 50, 3))
+
+
 # -- fitting -----------------------------------------------------------------
 
 def test_rational_pole_dictionary_linearizes_the_rational_map():

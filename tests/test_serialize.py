@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from limitlab.serialize import (dump, dumps, load_schema, schema_names,
+from limitlab.serialize import (_coerce, dump, dumps, load_schema, schema_names,
                                 validate, write_csv)
 
 EXPECTED_SCHEMAS = [
@@ -32,6 +32,45 @@ def test_dumps_coerces_numpy_types():
     assert out == {"f": 0.1, "i": 7, "b": True, "arr": [0.0, 1.0, 2.0],
                    "key": "k"}
     assert isinstance(out["f"], float) and isinstance(out["i"], int)
+
+
+_FLOATS = [np.float16(0.1), np.float32(0.1), np.float64(0.1), np.float32(-3.0e38)]
+_INTS = ([t(v) for t in (np.int8, np.int16, np.int32, np.int64) for v in (-7, 0, 99)]
+         + [t(v) for t in (np.uint8, np.uint16, np.uint32, np.uint64) for v in (0, 200)]
+         + [np.int64(-2**63), np.uint64(2**64 - 1)])
+
+
+@pytest.mark.parametrize("value,expected", [(v, float(v)) for v in _FLOATS]
+                         + [(v, int(v)) for v in _INTS]
+                         + [(np.bool_(True), True), (np.bool_(False), False)],
+                         ids=lambda v: repr(v))
+def test_coerce_gives_numpy_scalars_their_python_value_and_type(value, expected):
+    got = _coerce(value)
+    assert type(got) is type(expected) and got == expected
+    assert dumps({"v": value}) == dumps({"v": expected})
+
+
+@pytest.mark.parametrize("array,expected", [
+    (np.array(0.1, dtype=np.float32), float(np.float32(0.1))),
+    (np.array(7, dtype=np.int16), 7),
+    (np.arange(3, dtype=np.uint8), [0, 1, 2]),
+    (np.array([True, False]), [True, False]),
+    (np.array([[0.5, np.float32(0.1)], [-0.0, 2.0]], dtype=np.float32),
+     [[0.5, float(np.float32(0.1))], [-0.0, 2.0]]),
+    (np.arange(4.0).reshape(2, 2), [[0.0, 1.0], [2.0, 3.0]])], ids=repr)
+def test_coerce_gives_arrays_nested_python_lists(array, expected):
+    def types(obj):
+        return [types(v) for v in obj] if isinstance(obj, list) else type(obj)
+
+    got = _coerce(array)
+    assert got == expected and types(got) == types(expected)
+    assert dumps({"a": array}) == dumps({"a": expected})
+
+
+def test_coerce_gives_a_numpy_string_its_python_type_and_the_same_text():
+    got = _coerce({"s": np.str_("k")})["s"]
+    assert type(got) is str and got == "k"
+    assert dumps({"s": np.str_("k")}) == dumps({"s": "k"})
 
 
 def test_dumps_floats_round_trip():
