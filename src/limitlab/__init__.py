@@ -2,7 +2,7 @@
 diagnostics for discrete-time dynamical systems."""
 
 from .catalog import (ExactImmersion, default_seeds, exact_immersion,
-                      exact_immersions, get_system, list_systems, manifest)
+                      exact_immersions, get_system, list_systems)
 from .dynamics import (BatchOrbit, DiscreteMap, DomainRegion, Trajectory,
                        iterate, iterate_batch, write_trajectory_csv)
 from .errors import (CatalogGuardError, DomainError, IllConditionedError,

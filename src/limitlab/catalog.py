@@ -1,18 +1,22 @@
 """Named example systems with known limit sets and, where available, exact
 immersions onto linear targets.
 
-Each entry builds a fresh :class:`DiscreteMap` with vectorized evaluators and
-an honest domain (poles and other singular points are excluded up front, so
-orbits hitting them terminate as singular rather than overflowing silently).
-``exact_immersion`` returns the catalogued closed-form immersion together with
-the linear (or simpler) system it intertwines with — the pair the verification
-pipeline consumes.
+Each system is one ``make(**params)`` in ``_SYSTEMS``: it builds a fresh
+:class:`DiscreteMap` with vectorized evaluators and an honest domain (poles
+and other singular points are excluded up front, so orbits hitting them
+terminate as singular rather than overflowing silently), and returns it with
+its charts and its default seeds, all for the same parameters. A parameter's
+default is the default of its keyword in ``make``. ``exact_immersion``
+returns a catalogued closed-form immersion together with the linear (or
+simpler) system it intertwines with — the pair the verification pipeline
+consumes.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,16 +36,6 @@ class ExactImmersion:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    summary: str
-    defaults: dict = field(default_factory=dict)
-    build: Callable[..., DiscreteMap] = None
-    immersions: Callable[..., tuple[ExactImmersion, ...]] = None
-    seeds: tuple = ()
-
-
 # -- the two rational maps -----------------------------------------------------
 
 def _mobius_forward(x):
@@ -54,7 +48,7 @@ def _mobius_backward(x):
     return (3.0 * x + 1.0) / (x + 3.0)
 
 
-def _build_mobius() -> DiscreteMap:
+def _mobius_map() -> DiscreteMap:
     return DiscreteMap(
         dim=1,
         forward=_mobius_forward,
@@ -65,11 +59,7 @@ def _build_mobius() -> DiscreteMap:
     )
 
 
-def _build_mobius_inverse() -> DiscreteMap:
-    return _build_mobius().reversed()
-
-
-def _mobius_immersions() -> tuple[ExactImmersion, ...]:
+def _mobius():
     half = LinearSystem(np.array([[0.5]]), name="scale-1/2").as_map()
     double = LinearSystem(np.array([[2.0]]), name="scale-2").as_map()
     F_low = ImmersionMap(
@@ -82,20 +72,20 @@ def _mobius_immersions() -> tuple[ExactImmersion, ...]:
         func=lambda X: (np.asarray(X, dtype=float) - 1.0) / (np.asarray(X, dtype=float) + 1.0),
         domain=DomainRegion.interval(-1.0, np.inf, excluded=[-1.0]),
         name="(x-1)/(x+1)")
-    return (
+    charts = (
         ExactImmersion(F_low, half, note="x < 1; sends the attracting point to 0"),
         ExactImmersion(F_up, double, note="x > -1; sends the repelling point to 0"),
     )
+    return _mobius_map(), charts, (0.0, -0.5, 0.5, 2.0, 1.0)
 
 
-def _mobius_inverse_immersions() -> tuple[ExactImmersion, ...]:
-    half = LinearSystem(np.array([[0.5]]), name="scale-1/2").as_map()
-    double = LinearSystem(np.array([[2.0]]), name="scale-2").as_map()
-    lo, up = _mobius_immersions()
-    return (
-        ExactImmersion(up.immersion, half, note="x > -1; roles swap under time reversal"),
-        ExactImmersion(lo.immersion, double, note="x < 1"),
+def _mobius_inverse():
+    system, (low, up), _ = _mobius()
+    charts = (
+        ExactImmersion(up.immersion, low.target, note="x > -1; roles swap under time reversal"),
+        ExactImmersion(low.immersion, up.target, note="x < 1"),
     )
+    return system.reversed(), charts, (0.0, -0.5, 0.5, 2.0, -1.0)
 
 
 # -- the half-angle cotangent map ------------------------------------------------
@@ -122,26 +112,24 @@ def _cot_backward(y):
         return 2.0 * _arccot(_SQRT2 * t)
 
 
-def _build_cot_map() -> DiscreteMap:
-    return DiscreteMap(
+def _cot_map():
+    system = DiscreteMap(
         dim=1,
         forward=_cot_forward,
         inverse=_cot_backward,
         domain=DomainRegion.interval(0.0, np.pi),
         name="cot-map",
     )
-
-
-def _cot_immersions() -> tuple[ExactImmersion, ...]:
-    target = _build_mobius().restrict(DomainRegion.interval(-1.0, 1.0))
+    target = _mobius_map().restrict(DomainRegion.interval(-1.0, 1.0))
     F = ImmersionMap(
         dim_in=1, dim_out=1,
         func=lambda X: np.cos(np.asarray(X, dtype=float)),
         domain=DomainRegion.interval(0.0, np.pi),
         name="cos")
-    return (ExactImmersion(F, target,
-                           note="cos is injective on [0, pi]; fold at the endpoints "
-                                "squares the multipliers"),)
+    charts = (ExactImmersion(F, target,
+                             note="cos is injective on [0, pi]; fold at the endpoints "
+                                  "squares the multipliers"),)
+    return system, charts, (1.0, 2.0, 0.5, 0.0, float(np.pi))
 
 
 # -- planar rotation with radial contraction to the unit circle -------------------
@@ -151,7 +139,28 @@ def _rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _build_rotation_scaling(theta: float) -> DiscreteMap:
+def rotation_block(theta: float) -> LinearSystem:
+    """The linear target of the rotation-scaling chart: the rotation by
+    ``theta`` on the first two axes and the contraction by 1/2 on the third."""
+    A = np.zeros((3, 3))
+    A[:2, :2] = _rotation_matrix(theta)
+    A[2, 2] = 0.5
+    return LinearSystem(A, name=f"rotation-block(theta={theta:g})")
+
+
+def _circle_chart(X):
+    """``(x/r, y/r, (r-1)/r)``: the angle on the unit circle and the radius,
+    undefined at the origin."""
+    X = np.asarray(X, dtype=float)
+    single = X.ndim == 1
+    P = np.atleast_2d(X)
+    r = _row_norm(P)
+    with np.errstate(all="ignore"):
+        out = np.column_stack([P[:, 0] / r, P[:, 1] / r, (r - 1.0) / r])
+    return out[0] if single else out
+
+
+def _rotation_scaling(theta: float = 1.0):
     if not (0.0 < theta < 2.0 * np.pi):
         raise InvalidParamError(f"theta must lie in (0, 2*pi), got {theta}")
     R = _rotation_matrix(theta)
@@ -180,7 +189,7 @@ def _build_rotation_scaling(theta: float) -> DiscreteMap:
             np.divide(out, s[:, None], out=out, order="F")
         return out[0] if single else out
 
-    return DiscreteMap(
+    system = DiscreteMap(
         dim=2,
         forward=forward,
         inverse=backward,
@@ -188,185 +197,111 @@ def _build_rotation_scaling(theta: float) -> DiscreteMap:
         inverse_domain=DomainRegion.annulus(0.0, 2.0),
         name=f"rotation-scaling(theta={theta:g})",
     )
-
-
-def rotation_block(theta: float) -> LinearSystem:
-    """The linear target of the rotation-scaling chart: the rotation by
-    ``theta`` on the first two axes and the contraction by 1/2 on the third."""
-    A = np.zeros((3, 3))
-    A[:2, :2] = _rotation_matrix(theta)
-    A[2, 2] = 0.5
-    return LinearSystem(A, name=f"rotation-block(theta={theta:g})")
-
-
-def _rotation_scaling_immersions(theta: float) -> tuple[ExactImmersion, ...]:
-    target = rotation_block(theta).as_map()
-
-    def func(X):
-        X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        P = np.atleast_2d(X)
-        r = _row_norm(P)
-        with np.errstate(all="ignore"):
-            out = np.column_stack([P[:, 0] / r, P[:, 1] / r, (r - 1.0) / r])
-        return out[0] if single else out
-
     F = ImmersionMap(
-        dim_in=2, dim_out=3, func=func,
+        dim_in=2, dim_out=3, func=_circle_chart,
         domain=DomainRegion.full_space(2, excluded=[[0.0, 0.0]]),
         name="(x/r, y/r, (r-1)/r)")
-    return (ExactImmersion(F, target,
-                           note="undefined at the origin — the fixed point there "
-                                "cannot be represented"),)
+    charts = (ExactImmersion(F, rotation_block(theta).as_map(),
+                             note="undefined at the origin — the fixed point there "
+                                  "cannot be represented"),)
+    return system, charts, ((2.0, 0.0), (0.5, 0.5), (-1.5, 0.25), (0.0, 0.0))
 
 
 # -- small linear / symmetry examples ---------------------------------------------
 
-def _build_negation() -> DiscreteMap:
+def _linear(system: DiscreteMap, seeds):
+    """A linear system with the identity as its chart."""
+    F = ImmersionMap(dim_in=system.dim, dim_out=system.dim,
+                     func=lambda X: np.asarray(X, dtype=float),
+                     domain=system.domain, name="identity")
+    return system, (ExactImmersion(F, system, note="already linear"),), seeds
+
+
+def _negation():
     neg = lambda x: -np.asarray(x, dtype=float)
-    return DiscreteMap(
-        dim=1, forward=neg, inverse=neg,
-        domain=DomainRegion.full_space(1),
-        name="negation",
-    )
+    return _linear(DiscreteMap(dim=1, forward=neg, inverse=neg,
+                               domain=DomainRegion.full_space(1), name="negation"),
+                   (0.7, 1.3, 0.0, -0.4))
 
 
-def _build_scalar_linear(a: float) -> DiscreteMap:
+def _scalar_linear(a: float = 0.5):
     if not np.isfinite(a):
         raise InvalidParamError("a must be finite")
-    return LinearSystem(np.array([[float(a)]]), name=f"scalar-linear(a={a:g})").as_map()
+    return _linear(LinearSystem(np.array([[float(a)]]), name=f"scalar-linear(a={a:g})").as_map(),
+                   (1.0, -2.0, 0.25))
 
 
-def _build_jordan(lam: float, m: int) -> DiscreteMap:
+def _jordan(lam: float = 1.0, m: int = 2):
+    """The block's seeds are its ``m`` unit vectors, then the all-ones vector."""
     if not np.isfinite(lam):
         raise InvalidParamError("lam must be finite")
     if not 1 <= m <= 4 or m != int(m):
         raise InvalidParamError(f"block size m must be an integer in 1..4, got {m}")
     m = int(m)
     A = np.eye(m) * float(lam) + np.eye(m, k=1)
-    return LinearSystem(A, name=f"jordan(lam={lam:g},m={m})").as_map()
-
-
-def _identity_immersion(system: DiscreteMap) -> tuple[ExactImmersion, ...]:
-    F = ImmersionMap(dim_in=system.dim, dim_out=system.dim,
-                     func=lambda X: np.asarray(X, dtype=float),
-                     domain=system.domain, name="identity")
-    return (ExactImmersion(F, system, note="already linear"),)
+    return _linear(LinearSystem(A, name=f"jordan(lam={lam:g},m={m})").as_map(),
+                   (*np.eye(m), np.ones(m)))
 
 
 # -- registry ---------------------------------------------------------------------
 
-_ENTRIES: dict[str, CatalogEntry] = {}
+# name -> (summary, make); make(**params) returns (system, charts, seeds)
+_SYSTEMS: dict[str, tuple[str, Callable[..., tuple]]] = {
+    "mobius": ("rational map with an attracting and a repelling fixed point and a pole",
+               _mobius),
+    "mobius-inverse": ("time reversal of the rational map: the fixed points trade stability",
+                       _mobius_inverse),
+    "cot-map": ("half-angle cotangent map on [0, pi], conjugate to the rational map via cos",
+                _cot_map),
+    "rotation-scaling": ("planar rotation with radial pull toward the unit circle",
+                         _rotation_scaling),
+    "negation": ("sign flip: every nonzero point lies on its own period-2 orbit", _negation),
+    "scalar-linear": ("one-dimensional linear contraction/expansion x -> a*x", _scalar_linear),
+    "jordan": ("single Jordan block: polynomial transients on top of geometric rates", _jordan),
+}
 
 
-def _register(entry: CatalogEntry) -> None:
-    _ENTRIES[entry.name] = entry
+def _defaults(make) -> dict:
+    return {p.name: p.default for p in inspect.signature(make).parameters.values()}
 
 
-_register(CatalogEntry(
-    name="mobius",
-    summary="rational map with an attracting and a repelling fixed point and a pole",
-    build=_build_mobius,
-    immersions=_mobius_immersions,
-    seeds=(0.0, -0.5, 0.5, 2.0, 1.0),
-))
-_register(CatalogEntry(
-    name="mobius-inverse",
-    summary="time reversal of the rational map: the fixed points trade stability",
-    build=_build_mobius_inverse,
-    immersions=_mobius_inverse_immersions,
-    seeds=(0.0, -0.5, 0.5, 2.0, -1.0),
-))
-_register(CatalogEntry(
-    name="cot-map",
-    summary="half-angle cotangent map on [0, pi], conjugate to the rational map via cos",
-    build=_build_cot_map,
-    immersions=_cot_immersions,
-    seeds=(1.0, 2.0, 0.5, 0.0, float(np.pi)),
-))
-_register(CatalogEntry(
-    name="rotation-scaling",
-    summary="planar rotation with radial pull toward the unit circle",
-    defaults={"theta": 1.0},
-    build=_build_rotation_scaling,
-    immersions=_rotation_scaling_immersions,
-    seeds=((2.0, 0.0), (0.5, 0.5), (-1.5, 0.25), (0.0, 0.0)),
-))
-_register(CatalogEntry(
-    name="negation",
-    summary="sign flip: every nonzero point lies on its own period-2 orbit",
-    build=_build_negation,
-    immersions=lambda: _identity_immersion(_build_negation()),
-    seeds=(0.7, 1.3, 0.0, -0.4),
-))
-_register(CatalogEntry(
-    name="scalar-linear",
-    summary="one-dimensional linear contraction/expansion x -> a*x",
-    defaults={"a": 0.5},
-    build=_build_scalar_linear,
-    immersions=lambda a: _identity_immersion(_build_scalar_linear(a)),
-    seeds=(1.0, -2.0, 0.25),
-))
-_register(CatalogEntry(
-    name="jordan",
-    summary="single Jordan block: polynomial transients on top of geometric rates",
-    defaults={"lam": 1.0, "m": 2},
-    build=_build_jordan,
-    immersions=lambda lam, m: _identity_immersion(_build_jordan(lam, m)),
-    seeds=((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)),
-))
+def _make(name: str, params: dict) -> tuple:
+    """``make(**params)`` of the named system, after checking the names."""
+    if name not in _SYSTEMS:
+        known = ", ".join(sorted(_SYSTEMS))
+        raise UnknownSystemError(f"unknown system {name!r}; catalogued: {known}")
+    make = _SYSTEMS[name][1]
+    defaults = _defaults(make)
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise InvalidParamError(
+            f"{name} takes parameters {sorted(defaults) or 'none'}; "
+            f"got unexpected {sorted(unknown)}")
+    return make(**params)
 
 
 def list_systems() -> list[dict]:
-    """Deterministic manifest of the catalogued systems."""
+    """The catalogued systems by name, each at its default parameters."""
     out = []
-    for name in sorted(_ENTRIES):
-        e = _ENTRIES[name]
+    for name, (summary, make) in sorted(_SYSTEMS.items()):
+        system, charts, _ = make()
         out.append({
-            "name": e.name,
-            "dim": e.build(**e.defaults).dim,
-            "summary": e.summary,
-            "params": dict(e.defaults),
-            "has_exact_immersion": _has_immersion(e),
+            "name": name,
+            "dim": system.dim,
+            "summary": summary,
+            "params": _defaults(make),
+            "has_exact_immersion": bool(charts),
         })
     return out
 
 
-def _has_immersion(entry: CatalogEntry) -> bool:
-    try:
-        entry.immersions(**entry.defaults)
-        return True
-    except NoExactImmersionError:
-        return False
-
-
-def _entry(name: str) -> CatalogEntry:
-    if name not in _ENTRIES:
-        known = ", ".join(sorted(_ENTRIES))
-        raise UnknownSystemError(f"unknown system {name!r}; catalogued: {known}")
-    return _ENTRIES[name]
-
-
-def _check_params(entry: CatalogEntry, params: dict) -> dict:
-    unknown = set(params) - set(entry.defaults)
-    if unknown:
-        raise InvalidParamError(
-            f"{entry.name} takes parameters {sorted(entry.defaults) or 'none'}; "
-            f"got unexpected {sorted(unknown)}")
-    merged = dict(entry.defaults)
-    merged.update(params)
-    return merged
-
-
 def get_system(name: str, **params) -> DiscreteMap:
-    entry = _entry(name)
-    return entry.build(**_check_params(entry, params))
+    return _make(name, params)[0]
 
 
 def exact_immersions(name: str, **params) -> tuple[ExactImmersion, ...]:
     """All catalogued closed-form immersions for the named system."""
-    entry = _entry(name)
-    return entry.immersions(**_check_params(entry, params))
+    return _make(name, params)[1]
 
 
 def exact_immersion(name: str, variant: int = 0, **params) -> ExactImmersion:
@@ -376,16 +311,14 @@ def exact_immersion(name: str, variant: int = 0, **params) -> ExactImmersion:
     catalogued system has one (the identity, for the linear ones).
     """
     pairs = exact_immersions(name, **params)
+    if not pairs:
+        raise NoExactImmersionError(f"{name} has no catalogued exact immersion")
     if not 0 <= variant < len(pairs):
         raise InvalidParamError(
             f"{name} has {len(pairs)} immersion variant(s); got variant={variant}")
     return pairs[variant]
 
 
-def default_seeds(name: str) -> list[np.ndarray]:
-    entry = _entry(name)
-    return [np.atleast_1d(np.asarray(s, dtype=float)) for s in entry.seeds]
-
-
-def manifest() -> dict:
-    return {"schema_version": 1, "kind": "system-manifest", "systems": list_systems()}
+def default_seeds(name: str, **params) -> list[np.ndarray]:
+    """The named system's default seeds at these parameters, one array each."""
+    return [np.array(s, dtype=float, ndmin=1) for s in _make(name, params)[2]]

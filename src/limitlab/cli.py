@@ -188,14 +188,15 @@ def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
 def _catalog(args, system, sets: Settings, region=None, box=None):
     """The catalog a run works against, from ``--auto-seeds`` points drawn in
     the region (``sweep`` only), the ``--seeds`` list, or the system's default
-    seeds. Returns ``(catalog, skipped)`` as :func:`catalog_from_seeds` does."""
+    seeds at its ``--param`` values. Returns ``(catalog, skipped)`` as
+    :func:`catalog_from_seeds` does."""
     if getattr(args, "auto_seeds", 0):
         rng = np.random.default_rng(args.seed)
         seeds = list(region.sample(args.auto_seeds, rng, box=box))
     elif args.seeds is not None:
         seeds = _parse_points("--seeds", args.seeds, system.dim)
     else:
-        seeds = default_seeds(args.system)
+        seeds = default_seeds(args.system, **_parse_params(args.param, "--param"))
     return catalog_from_seeds(system, seeds, sets)
 
 
@@ -329,7 +330,7 @@ def cmd_verify(args) -> int:
     if args.x0 is not None:
         xi = _parse_points("--x0", args.x0, system.dim)[0]
     else:
-        for cand in default_seeds(args.system):
+        for cand in default_seeds(args.system, **params):
             if region.contains(cand) and F.domain.contains(cand) \
                     and system.domain.contains(cand):
                 xi = cand

@@ -19,7 +19,7 @@ from . import config
 from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _row_norm,
                        _step_rows, as_state, iterate_batch)
 from .errors import DomainError, UnconvergedError
-from .geometry import (_pair_blocks, _pair_rows, _prepare, diameter,
+from .geometry import (_pair, _pair_blocks, _pair_rows, _prepare, diameter,
                        directed_hausdorff, hausdorff, split_discrepancy)
 from .limits import (LimitSetCatalog, LimitSetEstimate, Settings, estimate_alpha,
                      estimate_omega)
@@ -193,6 +193,15 @@ class PushforwardReport:
         })
 
 
+def _image_distances(image, est: LimitSetEstimate) -> tuple[float, float]:
+    """The Hausdorff distance between ``image`` and the estimate's window, and
+    the one-sided distance from ``image`` to it: each cloud prepared once and
+    each directed distance taken once (:func:`hausdorff` is their maximum)."""
+    image, window = _pair(image, est._cloud)
+    one = directed_hausdorff(image, window)
+    return max(one, directed_hausdorff(window, image)), one
+
+
 def pushforward_check(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap, xi,
                       cfg: Optional[Settings] = None) -> PushforwardReport:
     """Compare the image of the source limit-set estimate with the target's own.
@@ -213,9 +222,7 @@ def pushforward_check(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap, xi,
                 f"omega estimate on the {side} side did not converge "
                 f"(status={est.status})", est)
 
-    image = F.apply(est_x.points)
-    h_omega = hausdorff(image, est_z.points)
-    one_omega = directed_hausdorff(image, est_z.points)
+    h_omega, one_omega = _image_distances(F.apply(est_x.points), est_z)
 
     h_alpha = one_alpha = None
     if f.inverse is None or g.inverse is None:
@@ -227,9 +234,7 @@ def pushforward_check(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap, xi,
             # the backward orbit leaves the domain, so there is nothing to compare
             alpha_status = "escape-vacuous"
         elif est_xa.converged and est_za.converged:
-            image_a = F.apply(est_xa.points)
-            h_alpha = hausdorff(image_a, est_za.points)
-            one_alpha = directed_hausdorff(image_a, est_za.points)
+            h_alpha, one_alpha = _image_distances(F.apply(est_xa.points), est_za)
             alpha_status = "checked"
         else:
             raise UnconvergedError("alpha estimate did not converge and did not escape")

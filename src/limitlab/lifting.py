@@ -76,7 +76,6 @@ class Dictionary:
     dim: int
     labels: tuple[str, ...]
     _evaluate: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    params: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -190,17 +189,14 @@ def build_dictionary(kind: str, dim: int, order: int = 2, *,
             f"dictionary order must lie in [0, {config.MAX_DICT_ORDER}], got {order}")
     if kind == "monomial":
         evaluate, labs = _monomials(dim, order, include_constant)
-        params = {"order": order, "include_constant": include_constant}
     elif kind == "fourier":
         if dim != 1:
             raise InvalidParamError("fourier dictionaries are one-dimensional")
         evaluate, labs = _fourier(order, include_constant)
-        params = {"order": order, "include_constant": include_constant}
     elif kind == "rational-pole":
         if dim != 1:
             raise InvalidParamError("rational-pole dictionaries are one-dimensional")
         evaluate, labs = _rational_pole(order, pole, include_constant)
-        params = {"order": order, "pole": pole, "include_constant": include_constant}
     elif kind == "custom":
         if not funcs:
             raise InvalidParamError("custom dictionaries need explicit funcs")
@@ -208,13 +204,11 @@ def build_dictionary(kind: str, dim: int, order: int = 2, *,
         labs = list(labels) if labels else [f"phi{i}" for i in range(len(funcs))]
         if len(labs) != len(funcs):
             raise InvalidParamError("labels must match funcs one-to-one")
-        params = {}
     else:
         raise InvalidParamError(f"unknown dictionary kind {kind!r}")
     if not labs:
         raise InvalidParamError("dictionary is empty")
-    return Dictionary(kind=kind, dim=dim, labels=tuple(labs), _evaluate=evaluate,
-                      params=params)
+    return Dictionary(kind=kind, dim=dim, labels=tuple(labs), _evaluate=evaluate)
 
 
 # -- training data ------------------------------------------------------------

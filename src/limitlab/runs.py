@@ -19,8 +19,13 @@ _SURVEY_RANDOM = 512        # random draws added to a survey grid
 
 def survey_samples(region: DomainRegion, seed: int) -> np.ndarray:
     """The region's survey (:meth:`DomainRegion.survey`): the nodes of a grid
-    of 129 per axis in 1-d, 17 otherwise, then 512 uniform draws."""
-    return region.survey(129 if region.dim == 1 else 17, _SURVEY_RANDOM, seed)
+    of 129 per axis in 1-d, 17 in 2-d, and above that the most per axis whose
+    grid holds at most 17**2 nodes (6 in 3-d, 4 in 4-d), then 512 uniform
+    draws. A grid of 17 per axis in 4-d would hold 83,521 nodes, and the
+    injectivity probe keeps every pair distance of them."""
+    d = region.dim
+    per_axis = 129 if d == 1 else max(n for n in range(1, 18) if n ** d <= 17 ** 2)
+    return region.survey(per_axis, _SURVEY_RANDOM, seed)
 
 
 def basins_step(system, catalog, region, resolution: int, threads: int,

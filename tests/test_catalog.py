@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitlab import (DomainRegion, catalog_from_seeds, conjugacy_residual,
+from limitlab import (DomainRegion, catalog, catalog_from_seeds, conjugacy_residual,
                       default_seeds, estimate_omega, exact_immersion,
-                      exact_immersions, get_system, list_systems, manifest)
-from limitlab.errors import InvalidParamError, UnknownSystemError
+                      exact_immersions, get_system, list_systems)
+from limitlab.errors import InvalidParamError, NoExactImmersionError, UnknownSystemError
 from limitlab.serialize import validate
 
 ALL_NAMES = ["cot-map", "jordan", "mobius", "mobius-inverse", "negation",
@@ -42,6 +42,9 @@ def test_listing_is_complete_and_sorted():
     assert all(set(r) == {"name", "dim", "summary", "params",
                           "has_exact_immersion"} for r in rows)
     assert all(r["has_exact_immersion"] is True for r in rows)
+    assert {r["name"]: r["params"] for r in rows if r["params"]} == {
+        "jordan": {"lam": 1.0, "m": 2}, "rotation-scaling": {"theta": 1.0},
+        "scalar-linear": {"a": 0.5}}
 
 
 def test_unknown_system_raises():
@@ -69,12 +72,46 @@ def test_jordan_rejects_a_block_size_that_is_not_an_integer(m):
 
 
 def test_default_seeds_match_dimensions():
-    for name in ALL_NAMES:
-        system = get_system(name)
-        seeds = default_seeds(name)
-        assert len(seeds) >= 3
+    cases = [(name, {}) for name in ALL_NAMES] + [
+        ("jordan", {"m": 1}), ("jordan", {"m": 2}), ("jordan", {"m": 3}),
+        ("jordan", {"m": 4}), ("scalar-linear", {"a": 2}), ("rotation-scaling", {"theta": 2})]
+    for name, params in cases:
+        system = get_system(name, **params)
+        seeds = default_seeds(name, **params)
+        if name == "jordan":        # the block's unit vectors, then the all-ones vector
+            assert np.array_equal(seeds, np.vstack([np.eye(system.dim), np.ones(system.dim)]))
+        else:
+            assert len(seeds) >= 3
         assert all(s.shape == (system.dim,) for s in seeds)
         assert all(system.domain.contains(s) for s in seeds)
+
+
+def test_default_parameter_seeds_are_pinned():
+    pinned = {
+        "cot-map": [[1.0], [2.0], [0.5], [0.0], [np.pi]],
+        "jordan": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        "mobius": [[0.0], [-0.5], [0.5], [2.0], [1.0]],
+        "mobius-inverse": [[0.0], [-0.5], [0.5], [2.0], [-1.0]],
+        "negation": [[0.7], [1.3], [0.0], [-0.4]],
+        "rotation-scaling": [[2.0, 0.0], [0.5, 0.5], [-1.5, 0.25], [0.0, 0.0]],
+        "scalar-linear": [[1.0], [-2.0], [0.25]],
+    }
+    for name in ALL_NAMES:
+        seeds = default_seeds(name)
+        assert all(s.dtype == np.float64 for s in seeds)
+        assert np.array(seeds).tobytes() == np.array(pinned[name]).tobytes(), name
+
+
+def test_a_system_without_a_chart_raises_no_exact_immersion(monkeypatch):
+    def chartless():
+        return get_system("negation"), (), (0.7,)
+
+    monkeypatch.setitem(catalog._SYSTEMS, "chartless", ("negation, no chart", chartless))
+    assert exact_immersions("chartless") == ()
+    with pytest.raises(NoExactImmersionError, match="chartless"):
+        exact_immersion("chartless")
+    row, = [r for r in list_systems() if r["name"] == "chartless"]
+    assert row["has_exact_immersion"] is False and row["params"] == {}
 
 
 def test_immersion_variant_counts():
@@ -94,13 +131,6 @@ def test_negation_identity_chart_has_zero_residual():
     rep = conjugacy_residual(pair.immersion, f, pair.target, samples)
     assert pair.immersion.name == "identity"
     assert rep.max_residual == 0.0 and rep.samples_used == 1000
-
-
-def test_manifest_lists_every_system():
-    doc = manifest()
-    assert doc["kind"] == "system-manifest"
-    assert doc["schema_version"] == 1
-    assert [s["name"] for s in doc["systems"]] == ALL_NAMES
 
 
 # -- golden conjugacies --------------------------------------------------------

@@ -203,6 +203,24 @@ def test_sweep_keeps_overflowing_probe_distances_as_error_rows(
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_3d_jordan_block_runs_on_its_own_default_seeds(tmp_path, capsys):
+    # the default seeds follow --param m: e1, e2, e3 and (1, 1, 1), all
+    # drawn to the origin at lam=0.9; they used to be the 2-d block's
+    jordan = ("--system", "jordan", "--param", "m=3", "--param", "lam=0.9")
+    for argv in [("limits",), ("basins", "--domain=-1,1;-1,1;-1,1", "--resolution", "5"),
+                 ("verify",), ("sweep", "--dicts", "monomial:1")]:
+        code, _, err = run(capsys, *argv, *jordan, "--out", str(tmp_path / argv[0]))
+        assert (code, err) == (0, ""), argv
+    member, = read_json(tmp_path / "limits" / "catalog.json")["members"]
+    assert (member["shape"], member["n_estimates"]) == ("fixed-point", 4)
+    assert read_json(tmp_path / "basins" / "basins.json")["counts"] == {"S0": 125}
+    report = read_json(tmp_path / "verify" / "verify.json")
+    assert report["status"] == "ok" and report["pushforward"] is not None
+    assert report["conjugacy"]["samples_used"] == 6 ** 3 + 512
+    assert len(read_json(tmp_path / "sweep" / "sweep.json")["rows"]) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_refuses_overflowing_sample_distances(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--system", "jordan",
                        "--domain=-1e200,1e200;-1e200,1e200", "--out", str(tmp_path))

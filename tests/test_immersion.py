@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 from limitlab import (DiscreteMap, DomainRegion, ImmersionMap, LimitSetCatalog,
                       LinearSystem, Settings, catalog_from_seeds,
                       collapse_report, conjugacy_residual, directed_hausdorff,
-                      exact_immersion, get_system, hausdorff, immersion,
+                      estimate_alpha, exact_immersion, get_system, hausdorff, immersion,
                       injectivity_probe, omega_alpha_consistency,
                       pushforward_check)
 from limitlab.catalog import exact_immersions, list_systems
@@ -245,10 +245,20 @@ def test_conjugacy_report_validates():
 
 # -- pushforward -------------------------------------------------------------------------
 
+def assert_geometry_distances(F, h, one, source, target):
+    """The report's two distances are geometry's own on the raw windows, bit
+    for bit, though the check takes each directed distance once."""
+    image = F.apply(source.points)
+    assert h == hausdorff(image, target.points)
+    assert one == directed_hausdorff(image, target.points)
+
+
 def test_pushforward_mobius_alpha_is_vacuous():
     ent = exact_immersion("mobius", 0)
     report = pushforward_check(ent.immersion, get_system("mobius"), ent.target, [0.0])
     assert report.hausdorff_omega < 1e-12
+    assert_geometry_distances(ent.immersion, report.hausdorff_omega, report.one_sided_omega,
+                              report.omega_source, report.omega_target)
     assert report.one_sided_omega <= report.hausdorff_omega
     # the halved target has no backward limit set from a nonzero start
     assert report.alpha_status == "escape-vacuous"
@@ -258,11 +268,17 @@ def test_pushforward_mobius_alpha_is_vacuous():
 
 def test_pushforward_cot_checks_alpha():
     ent = exact_immersion("cot-map", 0)
-    report = pushforward_check(ent.immersion, get_system("cot-map"), ent.target, [1.0])
+    f = get_system("cot-map")
+    report = pushforward_check(ent.immersion, f, ent.target, [1.0])
     assert report.hausdorff_omega < 1e-12
     assert report.alpha_status == "checked"
     assert report.hausdorff_alpha < 1e-12
     assert report.one_sided_alpha <= report.hausdorff_alpha
+    assert_geometry_distances(ent.immersion, report.hausdorff_omega, report.one_sided_omega,
+                              report.omega_source, report.omega_target)
+    assert_geometry_distances(ent.immersion, report.hausdorff_alpha, report.one_sided_alpha,
+                              estimate_alpha(f, [1.0]),
+                              estimate_alpha(ent.target, ent.immersion([1.0])))
 
 
 def test_pushforward_rotation_scaling():
@@ -271,6 +287,8 @@ def test_pushforward_rotation_scaling():
                                ent.target, [2.0, 0.0])
     assert report.hausdorff_omega < 1e-10
     assert report.omega_source.shape == "curve"
+    assert_geometry_distances(ent.immersion, report.hausdorff_omega, report.one_sided_omega,
+                              report.omega_source, report.omega_target)
     # backward iteration leaves the annulus on the source side
     assert report.alpha_status == "escape-vacuous"
 

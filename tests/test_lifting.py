@@ -110,7 +110,7 @@ def reference_dictionary(kind, dim, order=2, **kw):
     d = build_dictionary(kind, dim, order, **kw)
     funcs = reference_funcs(kind, dim, order, **kw)
     return replace(build_dictionary("custom", dim, funcs=funcs, labels=d.labels),
-                   kind=d.kind, params=d.params)
+                   kind=d.kind)
 
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
@@ -217,18 +217,25 @@ SURVEY_REGIONS = {
     # the excluded point is a node of the 17-per-axis grid, so it is dropped
     "punctured-box": DomainRegion.box([[-2.0, 2.0], [-2.0, 2.0]], excluded=[[0.5, 0.5]]),
     "annulus": DomainRegion.annulus(0.1, 3.0),
+    "cube": DomainRegion.box([[-1.0, 1.0]] * 3),
+    "tesseract": DomainRegion.box([[-1.0, 1.0]] * 4),
 }
 
 
-@pytest.mark.parametrize("name", ["interval", "punctured-box"])
+@pytest.mark.parametrize("name", ["interval", "punctured-box", "cube", "tesseract"])
 def test_survey_samples_are_the_grid_then_the_draws(name):
     from limitlab import runs
     region = SURVEY_REGIONS[name]
+    per_axis = {1: 129, 2: 17, 3: 6, 4: 4}[region.dim]
     got = runs.survey_samples(region, 7)
-    want = survey_reference(region, 129 if region.dim == 1 else 17, 512, 7)
+    want = survey_reference(region, per_axis, 512, 7)
     assert same_bits(got, want)
     if name == "punctured-box":
         assert len(want) == 17 * 17 - 1 + 512
+    if region.dim > 2:
+        # the most per axis within 17**2 nodes: the injectivity probe keeps
+        # every pair distance of the survey
+        assert len(got) <= 17 ** 2 + 512 < len(survey_reference(region, per_axis + 1, 512, 7))
 
 
 def test_survey_samples_on_a_region_without_a_finite_box_are_the_draws():
