@@ -156,7 +156,7 @@ def _circle_chart(X):
     P = np.atleast_2d(X)
     r = _row_norm(P)
     with np.errstate(all="ignore"):
-        out = np.column_stack([P[:, 0] / r, P[:, 1] / r, (r - 1.0) / r])
+        out = np.stack([P[..., 0] / r, P[..., 1] / r, (r - 1.0) / r], axis=-1)
     return out[0] if single else out
 
 
@@ -176,7 +176,7 @@ def _rotation_scaling(theta: float = 1.0):
         out, scale = apply_matrix(P, R), _row_norm(P)
         scale += 1.0
         np.divide(2.0, scale, out=scale)
-        np.multiply(scale[:, None], out, out=out, order="F")
+        np.multiply(scale[..., None], out, out=out, order="F")
         return out[0] if single else out
 
     def backward(Y):
@@ -186,7 +186,7 @@ def _rotation_scaling(theta: float = 1.0):
         out, s = apply_matrix(P, R_inv), _row_norm(P)
         with np.errstate(all="ignore"):     # (P R_inv^T) / (2 - s), in place
             np.subtract(2.0, s, out=s)
-            np.divide(out, s[:, None], out=out, order="F")
+            np.divide(out, s[..., None], out=out, order="F")
         return out[0] if single else out
 
     system = DiscreteMap(
@@ -320,5 +320,8 @@ def exact_immersion(name: str, variant: int = 0, **params) -> ExactImmersion:
 
 
 def default_seeds(name: str, **params) -> list[np.ndarray]:
-    """The named system's default seeds at these parameters, one array each."""
-    return [np.array(s, dtype=float, ndmin=1) for s in _make(name, params)[2]]
+    """The named system's default seeds at these parameters, one array each,
+    less any seed equal to an earlier one (jordan's all-ones vector at m=1)."""
+    seeds = [np.array(s, dtype=float, ndmin=1) for s in _make(name, params)[2]]
+    return [s for i, s in enumerate(seeds)
+            if not any(np.array_equal(s, t) for t in seeds[:i])]

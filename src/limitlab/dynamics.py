@@ -30,7 +30,7 @@ pays the checks' fixed cost once per block instead of once per step.
 Row-wise Euclidean norms go through one fold, :func:`_fold_norm`, at every
 width: it adds the squares in column order and takes one square root, the
 in-order sum whose error ``geometry._margin`` bounds. :func:`_row_norm` is
-that fold over a batch's columns. Below 8 columns numpy's
+that fold over a batch's last axis. Below 8 columns numpy's
 ``np.linalg.norm(X, axis=1)`` adds the squares in the same order, so the
 fold gives its bits; from 8 columns on numpy sums pairwise, and the fold
 does not follow it.
@@ -413,10 +413,10 @@ def _within(X: np.ndarray, cap: float) -> bool:
 
 
 def _row_norm(X: np.ndarray) -> np.ndarray:
-    """Each row's Euclidean norm: :func:`_fold_norm` over the columns of
+    """Each state's Euclidean norm: :func:`_fold_norm` over the last axis of
     ``X``, the same bits in either memory order and at every width. Below 8
-    columns these are the bits of ``np.linalg.norm(X, axis=1)``."""
-    return _fold_norm(X.T)
+    columns these are the bits of ``np.linalg.norm(X, axis=-1)``."""
+    return _fold_norm(X[..., j] for j in range(X.shape[-1]))
 
 
 def _fold_norm(columns) -> np.ndarray:

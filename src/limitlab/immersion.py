@@ -10,6 +10,7 @@ evidence with explicit tolerances.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -104,7 +105,8 @@ def conjugacy_residual(F: ImmersionMap, f: DiscreteMap, g: DiscreteMap,
     :func:`_residual_tail` (``g(F(x))`` and the report). A caller that scores
     many charts or targets on one sample set may run each stage once per
     change of its inputs, as ``lifting.obstruction_sweep`` does; the result
-    is this function's.
+    is this function's; ``lifting.fit_lift`` runs the images and tail
+    stages on its training pairs, and reports this residual on them.
     """
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     if X.shape[1] != f.dim:
@@ -134,14 +136,12 @@ def _residual_samples(domain: DomainRegion, f: DiscreteMap, X: np.ndarray):
 
 def _residual_images(F: ImmersionMap, X: np.ndarray, Xv: np.ndarray, Y: np.ndarray):
     """The second stage: ``(X, Xv, F(Xv), F(Y))`` over the rows where both
-    chart images are finite. Raises ``non-finite-image`` at ``X[0]`` when
-    none are."""
+    chart images are finite. When none are, the rows are empty, and the
+    tail raises ``non-finite-image`` at ``X[0]`` on them."""
     with np.errstate(all="ignore"):
         FX = _step_rows(F.func, Xv, F.vectorized, F.dim_out)
         FY = _step_rows(F.func, Y, F.vectorized, F.dim_out)
     finite = np.isfinite(FX).all(axis=1) & np.isfinite(FY).all(axis=1)
-    if not finite.any():
-        raise DomainError(X[0], "non-finite-image", detail=_NO_SAMPLES)
     return X, Xv[finite], FX[finite], FY[finite]
 
 
@@ -284,24 +284,27 @@ def collapse_report(F: ImmersionMap, catalog: LimitSetCatalog,
     ``maximal_member`` is the member whose image contains every other image
     within ``catalog.tol_cluster``, the tolerance the catalog was clustered
     with, one-sidedly, when one exists. Each member's image is prepared once
-    (:func:`geometry._prepare`) for all the distances it takes part in.
+    (:func:`geometry._prepare`) and each directed distance between two
+    images is taken once; ``pairwise`` is the larger of the two directions,
+    which is what :func:`hausdorff` returns.
     """
     images = [_prepare(F.apply(m.points)) for m in catalog.members]
     labels = tuple(m.label for m in catalog.members)
     k = len(images)
-    pairwise = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            pairwise[i, j] = pairwise[j, i] = hausdorff(images[i], images[j])
-            if not np.isfinite(pairwise[i, j]):
-                raise DomainError(catalog.members[i].points[0], "non-finite-distance",
-                                  detail=f"{F.name}: the distance between the "
-                                  f"images of {labels[i]} and {labels[j]} overflows")
+    directed = np.zeros((k, k))     # directed[i, j]: from image i to image j
+    for i, j in itertools.permutations(range(k), 2):
+        directed[i, j] = directed_hausdorff(images[i], images[j])
+    pairwise = np.maximum(directed, directed.T)
+    overflow = np.argwhere(~np.isfinite(pairwise))
+    if len(overflow):
+        i, j = overflow[0]
+        raise DomainError(catalog.members[i].points[0], "non-finite-distance",
+                          detail=f"{F.name}: the distance between the "
+                          f"images of {labels[i]} and {labels[j]} overflows")
 
     maximal = None
     for i in range(k):
-        if all(directed_hausdorff(images[j], images[i]) < catalog.tol_cluster
-               for j in range(k) if j != i):
+        if all(directed[j, i] < catalog.tol_cluster for j in range(k) if j != i):
             maximal = labels[i]
             break
 
@@ -506,12 +509,12 @@ def omega_alpha_consistency(g: DiscreteMap, z0,
         raise UnconvergedError(
             f"limit-set estimates did not converge (omega={est_o.status}, "
             f"alpha={est_a.status})")
-    d = hausdorff(est_o.points, est_a.points)
+    d = hausdorff(est_o._cloud, est_a._cloud)
     # two finite samplings of one curve disagree by about as much as two
     # random halves of either sampling do, so the comparison tolerance
     # adapts to the noisier estimate
-    tol_eff = max(cfg.tol_cluster, cfg.gap_factor * max(split_discrepancy(est_o.points),
-                                                        split_discrepancy(est_a.points)))
+    tol_eff = max(cfg.tol_cluster, cfg.gap_factor * max(split_discrepancy(est_o._cloud),
+                                                        split_discrepancy(est_a._cloud)))
     consistent = d < tol_eff
     detail = "matched" if consistent else "inconsistent: forward and backward limit sets differ"
     return ConsistencyReport(consistent=consistent, detail=detail,

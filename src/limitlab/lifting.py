@@ -8,14 +8,14 @@ held-out samples, limit-set collapse against a catalog, and injectivity
 probing. The sweep makes the residual/collapse/injectivity trade-off visible
 across dictionary families and sizes.
 
-A sweep draws its training pairs, runs the conjugacy residual's samples
-stage (the held-out samples kept and their source step) and prepares the
-held-out samples for the injectivity probe (their pair distances) once. Per
-dictionary it evaluates the features, the residual's images stage (``F(x)``
-and ``F(f(x))``) and the collapse and injectivity probes once; per ridge only
-the solve and the residual's tail (``g(F(x)) = K F(x)`` and the report) run.
-That reuse is exact: nothing but the solve and the tail reads ``K`` or the
-ridge. :func:`fit_lift` is the same solve on freshly drawn pairs.
+Every lift is fitted and scored by the stages of one conjugacy residual,
+:func:`immersion.conjugacy_residual`'s: :func:`fit_lift` runs its images
+stage (``F(x)`` and ``F(f(x))``) and its tail (``K F(x)`` and the norms) on
+the training pairs. A sweep draws the training pairs, runs the samples stage
+on the held-out samples and prepares those for the injectivity probe once;
+per dictionary, the images stage on both sets and the collapse and
+injectivity probes; per ridge, only the solve and the held-out tail. That
+reuse is exact: nothing but the solve and the tail reads ``K`` or the ridge.
 
 A dictionary evaluates a batch by one evaluator per kind, which computes
 what its features share once per batch: a monomial dictionary each
@@ -49,8 +49,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import config
-from .dynamics import (_CODE, COMPLETED, DiscreteMap, DomainRegion, _row_norm,
-                       iterate_batch)
+from .dynamics import _CODE, COMPLETED, DiscreteMap, DomainRegion, iterate_batch
 from .errors import (CatalogGuardError, DomainError, InvalidParamError,
                      SingularGramError)
 from .immersion import (ImmersionMap, _probe_samples, _residual_images,
@@ -283,25 +282,14 @@ def _check_ridge(ridge: float) -> None:
         raise InvalidParamError(f"ridge must be finite and non-negative, got {ridge}")
 
 
-def _features(dictionary: Dictionary, X: np.ndarray,
-              Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Phi(X)`` and ``Phi(Y)``, rows with a non-finite value dropped."""
-    PhiX = dictionary.evaluate(X)
-    PhiY = dictionary.evaluate(Y)
-    keep = np.isfinite(PhiX).all(axis=1) & np.isfinite(PhiY).all(axis=1)
-    PhiX, PhiY = PhiX[keep], PhiY[keep]
-    m, N = PhiX.shape
-    if m < N:
-        raise SingularGramError(
-            f"only {m} usable samples for a {N}-function dictionary")
-    return PhiX, PhiY
-
-
 def _solve(PhiX: np.ndarray, PhiY: np.ndarray,
            ridge: float) -> tuple[np.ndarray, float, str]:
     """``(K^T, gram condition, method)`` for one ridge, solved as
     :func:`fit_lift` describes."""
-    N = PhiX.shape[1]
+    m, N = PhiX.shape
+    if m < N:
+        raise SingularGramError(
+            f"only {m} usable samples for a {N}-function dictionary")
     with np.errstate(over="ignore", invalid="ignore"):
         # features past 1e154 overflow the Gram matrix; its condition is then
         # not finite, and the checks below refuse it
@@ -337,23 +325,26 @@ def fit_lift(system: DiscreteMap, dictionary: Dictionary,
              box=None) -> LearnedLift:
     """Least-squares fit of ``K`` with ``Phi(f(x)) ~ K Phi(x)``.
 
-    Uses normal equations while the Gram matrix is comfortably conditioned,
-    switching past ``SVD_COND_SWITCH`` to ``np.linalg.lstsq``, LAPACK's
-    SVD-based least squares (``gelsd``); the report's ``method`` names the
-    solver that ran. A Gram condition beyond ``SINGULAR_COND`` with no ridge
-    raises :class:`SingularGramError` instead of returning garbage
+    Runs the conjugacy residual's images and tail stages on the
+    :func:`training_pairs`: the features are the finite rows of the images,
+    and the report's residuals are :func:`immersion.conjugacy_residual`'s
+    of the lift on those pairs. Uses normal equations while the Gram matrix
+    is comfortably conditioned, switching past ``SVD_COND_SWITCH`` to
+    ``np.linalg.lstsq``, LAPACK's SVD-based least squares (``gelsd``); the
+    report's ``method`` names the solver that ran. Fewer usable rows than
+    features, or a Gram condition beyond ``SINGULAR_COND`` with no ridge,
+    raise :class:`SingularGramError` instead of returning garbage
     coefficients.
     """
     _check_ridge(ridge)
     region = region or system.domain
     X, Y = training_pairs(system, region, n_grid=n_grid, n_random=n_random,
                           seed=seed, box=box)
-    PhiX, PhiY = _features(dictionary, X, Y)
-    Kt, cond, method = _solve(PhiX, PhiY, ridge)
-    resid = _row_norm(PhiY - PhiX @ Kt)
-    report = FitReport(rms_residual=float(np.sqrt(np.mean(resid ** 2))),
-                       max_residual=float(resid.max()),
-                       gram_condition=cond, samples_used=len(PhiX),
+    images = _residual_images(_immersion(dictionary, region), X, X, Y)
+    Kt, cond, method = _solve(*images[2:], ridge)
+    fit = _residual_tail(_lifted_map(dictionary, Kt.T), *images)
+    report = FitReport(rms_residual=fit.rms_residual, max_residual=fit.max_residual,
+                       gram_condition=cond, samples_used=len(images[2]),
                        ridge=float(ridge), method=method)
     return LearnedLift(dictionary=dictionary, K=Kt.T, domain=region, report=report)
 
@@ -418,17 +409,18 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
     kept on the full space and their one source step) and the injectivity
     probe's input-space stage (``immersion._probe_samples``: the held-out
     samples in ``region``, their pair distances and which pairs are
-    separated). Once per dictionary, at its first
-    ridge that gets that far: the dictionary's features, the residual's
-    images stage (``immersion._residual_images``: ``F(x)`` and
-    ``F(f(x))``), :func:`collapse_report` and :func:`injectivity_probe`. Per
-    ridge: the ridge check, the solve and the residual's tail
+    separated). Once per dictionary, at its first ridge that gets that far:
+    the residual's images stage (``immersion._residual_images``: ``F(x)``
+    and ``F(f(x))``) on the training pairs, the solve's features, and on the
+    held-out samples, :func:`collapse_report` and :func:`injectivity_probe`.
+    Per ridge: the ridge check, the solve and the residual's held-out tail
     (``immersion._residual_tail``: ``K F(x)`` and the report). Reusing the
     shared work is exact, because nothing but the solve and the tail reads
     ``K`` or the ridge. A stage that raised raises the same error again at
     each later ridge, at the same point of the row, so every row is the one
     a fit and a :func:`immersion.conjugacy_residual` call per (spec, ridge)
-    give.
+    give, but for the fit's tail on its training rows, which the sweep skips
+    and which raises only if ``K F(x)`` is non-finite on every such row.
     """
     if len(catalog) > config.CATALOG_GUARD:
         raise CatalogGuardError(
@@ -452,14 +444,14 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
                                     error=str(exc)) for ridge in ridges)
             continue
         F = _immersion(dictionary, region)
-        features = _once(lambda d=dictionary: _features(d, *pairs()))
+        features = _once(lambda F=F: _residual_images(F, pairs()[0], *pairs()))
         images = _once(lambda F=F: _residual_images(F, *samples()))
         collapse = _once(lambda F=F: collapse_report(F, catalog, seed=seed))
         injectivity = _once(lambda F=F: injectivity_probe(F, probe_samples()))
         for ridge in ridges:
             try:
                 _check_ridge(ridge)
-                Kt, _, _ = _solve(*features(), ridge)
+                Kt, _, _ = _solve(*features()[2:], ridge)
                 resid = _residual_tail(_lifted_map(dictionary, Kt.T),
                                        *images()).rms_residual
                 try:

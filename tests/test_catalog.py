@@ -78,12 +78,31 @@ def test_default_seeds_match_dimensions():
     for name, params in cases:
         system = get_system(name, **params)
         seeds = default_seeds(name, **params)
-        if name == "jordan":        # the block's unit vectors, then the all-ones vector
-            assert np.array_equal(seeds, np.vstack([np.eye(system.dim), np.ones(system.dim)]))
+        if name == "jordan":
+            # the block's unit vectors, then the all-ones vector unless it is one of them
+            want = np.eye(system.dim)
+            if system.dim > 1:
+                want = np.vstack([want, np.ones(system.dim)])
+            assert np.array_equal(seeds, want)
         else:
             assert len(seeds) >= 3
         assert all(s.shape == (system.dim,) for s in seeds)
         assert all(system.domain.contains(s) for s in seeds)
+        assert len({s.tobytes() for s in seeds}) == len(seeds), (name, params)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_maps_and_charts_act_on_any_leading_axes(name):
+    # the documented (..., d) contract: a (3, 4, d) stack is the (12, d) batch
+    system = get_system(name)
+    X = np.random.default_rng(7).uniform(0.1, 1.9, (12, system.dim))
+    funcs = [system.forward, system.inverse]
+    funcs += [chart.immersion.func for chart in exact_immersions(name)]
+    for fn in funcs:
+        batch = np.asarray(fn(X))
+        stacked = np.asarray(fn(X.reshape(3, 4, system.dim)))
+        assert stacked.shape == (3, 4, batch.shape[-1]), fn
+        assert stacked.reshape(batch.shape).tobytes() == batch.tobytes(), fn
 
 
 def test_default_parameter_seeds_are_pinned():

@@ -327,6 +327,39 @@ def test_more_functions_than_samples_is_refused():
         fit_lift(f, d, region=MOBIUS_REGION, n_grid=2, n_random=0, seed=42)
 
 
+def test_a_training_set_with_no_usable_row_is_refused():
+    # every survey node lies in mobius's exclusion ball at its pole, 3, so
+    # the step rejects them all and no row is left to fit
+    f = get_system("mobius")
+    ball = DomainRegion.interval(3.0 - 1e-10, 3.0 + 1e-10)
+    assert len(training_pairs(f, ball, seed=42)[0]) == 0
+    with pytest.raises(SingularGramError,
+                       match="^only 0 usable samples for a 4-function dictionary$"):
+        fit_lift(f, build_dictionary("rational-pole", 1, 3), region=ball, seed=42)
+
+
+# (system, dictionary, region, sample box), the region and box as ``learn`` picks them
+FIT_CASES = {
+    "rational-pole:3": ("mobius", ("rational-pole", 1, 3), MOBIUS_REGION, None),
+    "monomial:5": ("rotation-scaling", ("monomial", 2, 5), None, [[-2.0, 2.0]] * 2),
+    "fourier:4": ("cot-map", ("fourier", 1, 4), None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_fit_report_is_the_conjugacy_residual_on_the_training_pairs(case):
+    name, spec, region, box = FIT_CASES[case]
+    f = get_system(name)
+    lift = fit_lift(f, build_dictionary(*spec), region=region, seed=42, box=box)
+    X, _ = training_pairs(f, region, seed=42, box=box)
+    report = conjugacy_residual(
+        lift.as_immersion().restricted(DomainRegion.full_space(f.dim)), f,
+        lift.lifted_map(), X)
+    assert report.samples_used == lift.report.samples_used == len(X)
+    assert report.rms_residual.hex() == lift.report.rms_residual.hex()
+    assert report.max_residual.hex() == lift.report.max_residual.hex()
+
+
 def test_rotation_custom_dictionary_recovers_block_operator(rng):
     f = get_system("rotation-scaling")
     region = DomainRegion.annulus(0.1, 3.0)
@@ -420,15 +453,17 @@ WIDE = [("cot-map", ("fourier", 1, 4), None),
 def test_wide_fit_residual_is_the_in_order_sum(name, spec, box, order, monkeypatch):
     f, d = get_system(name), build_dictionary(*spec)
     assert d.size >= 8
-    seen = _record_row_norms(monkeypatch, lifting)
+    # the fit takes its row norms in the conjugacy residual's tail
+    seen = _record_row_norms(monkeypatch, immersion)
     lift = fit_lift(f, d, seed=42, box=box)
-    PhiX, PhiY = lifting._features(d, *training_pairs(f, seed=42, box=box))
-    E = PhiY - PhiX @ lift.K.T
+    X, Y = training_pairs(f, seed=42, box=box)
+    _, _, PhiX, PhiY = immersion._residual_images(lift.as_immersion(), X, X, Y)
+    E = PhiY - lift.lifted_map().forward(PhiX)
     want = in_order_norms(E)
     assert (want != np.linalg.norm(E, axis=1)).any()     # numpy's sum differs here
     [(E_fit, got)] = seen
     assert E_fit.tobytes() == E.tobytes() and got.tobytes() == want.tobytes()
-    assert lifting._row_norm(np.asarray(E, order=order)).tobytes() == want.tobytes()
+    assert immersion._row_norm(np.asarray(E, order=order)).tobytes() == want.tobytes()
     assert lift.report.max_residual == float(want.max())
     assert lift.report.rms_residual == float(np.sqrt(np.mean(want ** 2)))
 
@@ -682,14 +717,16 @@ def test_sweep_runs_shared_work_once_per_sweep_and_per_fitted_dictionary(
 
     for name in calls:
         monkeypatch.setattr(lifting, name, counted(name))
-    # fourier:1 and fourier:2 fit at ridge 0; monomial:16 is singular there and
-    # nan is no ridge, so it fits at none; fourier:40 is no dictionary at all
+    # fourier:1 and fourier:2 fit at ridge 0, each with its training and its
+    # held-out images; monomial:16 has its training images, but is singular
+    # there and nan is no ridge, so it fits at none; fourier:40 is no
+    # dictionary at all
     specs = [("fourier", 1), ("fourier", 2), ("monomial", 16), ("fourier", 40)]
     rows = obstruction_sweep(get_system("cot-map"), cot_catalog, specs,
                              ridges=(0.0, float("nan")), seed=42).rows
     assert len(rows) == 8
     assert calls == {"training_pairs": 1, "collapse_report": 2, "injectivity_probe": 2,
-                     "_residual_samples": 1, "_residual_images": 2, "_probe_samples": 1}
+                     "_residual_samples": 1, "_residual_images": 5, "_probe_samples": 1}
 
 
 def test_sweep_rows_equal_those_of_per_feature_dictionaries(monkeypatch,
@@ -717,10 +754,14 @@ def test_sweep_matches_a_residual_stage_failure_at_every_ridge(
         [("monomial", 2), ("monomial", 16)], (0.0, 1e-4, float("nan")))
     refused = "domain violation (out-of-bounds) at [0.]: refused"
     no_ridge = "ridge must be finite and non-negative, got nan"
-    # the ridge check and a singular solve come before the residual
+    # the ridge check comes first; the training images come before a singular
+    # solve, and the solve before the held-out samples and the tail
     assert [r.dict_size for r in rows] == [3, 3, 3, 17, 17, 17]
     errors = [r.error for r in rows]
     assert errors[:3] == [refused, refused, no_ridge]
-    assert "gram condition" in errors[3]
+    if stage == "_residual_images":
+        assert errors[3] == refused
+    else:
+        assert "gram condition" in errors[3]
     assert errors[4:] == [refused, no_ridge]
     assert all(r.residual_heldout is None for r in rows)
