@@ -2,14 +2,14 @@
 immersions onto linear targets.
 
 Each system is one ``make(**params)`` in ``_SYSTEMS``: it builds a fresh
-:class:`DiscreteMap` with vectorized evaluators and an honest domain (poles
-and other singular points are excluded up front, so orbits hitting them
-terminate as singular rather than overflowing silently), and returns it with
-its charts and its default seeds, all for the same parameters. A parameter's
-default is the default of its keyword in ``make``. ``exact_immersion``
-returns a catalogued closed-form immersion together with the linear (or
-simpler) system it intertwines with — the pair the verification pipeline
-consumes.
+:class:`DiscreteMap` with vectorized evaluators and an honest domain (poles and
+other singular points are excluded up front, so orbits hitting them terminate
+as singular rather than overflowing silently), and returns it with its charts,
+unbuilt, as zero-argument callables (a linear target's rank test calls LAPACK),
+and its default seeds, all for the same parameters. A parameter's default is
+the default of its keyword in ``make``. ``exact_immersion`` returns a
+catalogued closed-form immersion together with the linear (or simpler) system
+it intertwines with — the pair the verification pipeline consumes.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def _mobius_map() -> DiscreteMap:
 
 
 def _mobius():
-    half = LinearSystem(np.array([[0.5]]), name="scale-1/2").as_map()
-    double = LinearSystem(np.array([[2.0]]), name="scale-2").as_map()
+    half = LinearSystem(np.array([[0.5]]), name="scale-1/2")
+    double = LinearSystem(np.array([[2.0]]), name="scale-2")
     F_low = ImmersionMap(
         dim_in=1, dim_out=1,
         func=lambda X: (np.asarray(X, dtype=float) + 1.0) / (np.asarray(X, dtype=float) - 1.0),
@@ -73,8 +73,10 @@ def _mobius():
         domain=DomainRegion.interval(-1.0, np.inf, excluded=[-1.0]),
         name="(x-1)/(x+1)")
     charts = (
-        ExactImmersion(F_low, half, note="x < 1; sends the attracting point to 0"),
-        ExactImmersion(F_up, double, note="x > -1; sends the repelling point to 0"),
+        lambda: ExactImmersion(F_low, half.as_map(),
+                               note="x < 1; sends the attracting point to 0"),
+        lambda: ExactImmersion(F_up, double.as_map(),
+                               note="x > -1; sends the repelling point to 0"),
     )
     return _mobius_map(), charts, (0.0, -0.5, 0.5, 2.0, 1.0)
 
@@ -82,8 +84,9 @@ def _mobius():
 def _mobius_inverse():
     system, (low, up), _ = _mobius()
     charts = (
-        ExactImmersion(up.immersion, low.target, note="x > -1; roles swap under time reversal"),
-        ExactImmersion(low.immersion, up.target, note="x < 1"),
+        lambda: ExactImmersion(up().immersion, low().target,
+                               note="x > -1; roles swap under time reversal"),
+        lambda: ExactImmersion(low().immersion, up().target, note="x < 1"),
     )
     return system.reversed(), charts, (0.0, -0.5, 0.5, 2.0, -1.0)
 
@@ -126,9 +129,9 @@ def _cot_map():
         func=lambda X: np.cos(np.asarray(X, dtype=float)),
         domain=DomainRegion.interval(0.0, np.pi),
         name="cos")
-    charts = (ExactImmersion(F, target,
-                             note="cos is injective on [0, pi]; fold at the endpoints "
-                                  "squares the multipliers"),)
+    charts = (lambda: ExactImmersion(F, target,
+                                     note="cos is injective on [0, pi]; fold at the "
+                                          "endpoints squares the multipliers"),)
     return system, charts, (1.0, 2.0, 0.5, 0.0, float(np.pi))
 
 
@@ -201,9 +204,9 @@ def _rotation_scaling(theta: float = 1.0):
         dim_in=2, dim_out=3, func=_circle_chart,
         domain=DomainRegion.full_space(2, excluded=[[0.0, 0.0]]),
         name="(x/r, y/r, (r-1)/r)")
-    charts = (ExactImmersion(F, rotation_block(theta).as_map(),
-                             note="undefined at the origin — the fixed point there "
-                                  "cannot be represented"),)
+    charts = (lambda: ExactImmersion(F, rotation_block(theta).as_map(),
+                                     note="undefined at the origin — the fixed point "
+                                          "there cannot be represented"),)
     return system, charts, ((2.0, 0.0), (0.5, 0.5), (-1.5, 0.25), (0.0, 0.0))
 
 
@@ -214,7 +217,7 @@ def _linear(system: DiscreteMap, seeds):
     F = ImmersionMap(dim_in=system.dim, dim_out=system.dim,
                      func=lambda X: np.asarray(X, dtype=float),
                      domain=system.domain, name="identity")
-    return system, (ExactImmersion(F, system, note="already linear"),), seeds
+    return system, (lambda: ExactImmersion(F, system, note="already linear"),), seeds
 
 
 def _negation():
@@ -300,8 +303,8 @@ def get_system(name: str, **params) -> DiscreteMap:
 
 
 def exact_immersions(name: str, **params) -> tuple[ExactImmersion, ...]:
-    """All catalogued closed-form immersions for the named system."""
-    return _make(name, params)[1]
+    """All catalogued closed-form immersions for the named system, built."""
+    return tuple(chart() for chart in _make(name, params)[1])
 
 
 def exact_immersion(name: str, variant: int = 0, **params) -> ExactImmersion:
@@ -310,13 +313,13 @@ def exact_immersion(name: str, variant: int = 0, **params) -> ExactImmersion:
     Raises :class:`NoExactImmersionError` for a system with none; every
     catalogued system has one (the identity, for the linear ones).
     """
-    pairs = exact_immersions(name, **params)
-    if not pairs:
+    charts = _make(name, params)[1]
+    if not charts:
         raise NoExactImmersionError(f"{name} has no catalogued exact immersion")
-    if not 0 <= variant < len(pairs):
+    if not 0 <= variant < len(charts):
         raise InvalidParamError(
-            f"{name} has {len(pairs)} immersion variant(s); got variant={variant}")
-    return pairs[variant]
+            f"{name} has {len(charts)} immersion variant(s); got variant={variant}")
+    return charts[variant]()
 
 
 def default_seeds(name: str, **params) -> list[np.ndarray]:

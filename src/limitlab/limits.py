@@ -234,7 +234,7 @@ def estimate_alpha(system: DiscreteMap, x0,
 
 # -- clustering --------------------------------------------------------------
 
-_MEMBER_CAP = 2048  # union clouds are thinned deterministically beyond this
+_MEMBER_CAP = 2048  # a merged member's windows are thinned evenly beyond this
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,8 @@ class CatalogMember:
     def _cloud(self) -> _Cloud:
         """The stored cloud, prepared once for every match, separation and
         basin query against this member. :func:`cluster_limit_sets` hands over
-        its cluster's cloud, with the distinct rows, tree and sampling gap the
-        clustering took. Not a field: members compare by their values."""
+        the cloud it measured, a lone window or a merged member's thinned
+        windows. Not a field: members compare by their values."""
         return _prepare(self.points)
 
 
@@ -332,33 +332,31 @@ def _thin(points: np.ndarray, cap: int = _MEMBER_CAP) -> np.ndarray:
 def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
                        cfg: Optional[Settings] = None) -> LimitSetCatalog:
     """Greedy Hausdorff clustering of converged estimates into distinct limit
-    sets. Labels follow the seeds of the clusters' first estimates, taken in
-    input order and sorted as tuples. The catalog does depend on estimate
-    order: with rotation-scaling's default seeds ``S0`` is the origin, with
-    the same seeds reversed it is the circle, whose first estimate then has
-    the seed ``(-1.5, 0.25)``. Making members independent of that order is
-    ROADMAP item 9's.
+    sets.
 
-    Each estimate joins the cluster at the smallest Hausdorff distance below
-    that cluster's merge tolerance, the first such one on a tie, or starts a
-    new cluster. Two samples of one curve can sit half a sampling gap apart,
-    so the merge tolerance is ``max(cfg.tol_cluster, cfg.gap_factor * g)``, with
-    ``g`` the larger sampling gap of the estimate and the cluster. Every
-    estimate and cluster cloud is prepared once, and an estimate's window
-    keeps the sampling gap its shape test took. A cluster whose lower bound
+    Each estimate is compared with the first window of every cluster so far:
+    a converged window already stands for its whole limit set, as its settle
+    test held it against the window before. It joins the cluster whose first
+    window is at the smallest Hausdorff distance below the merge tolerance,
+    the first such one on a tie, or starts a new cluster. Two samples of one
+    curve can sit half a sampling gap apart, so the merge tolerance is
+    ``max(cfg.tol_cluster, cfg.gap_factor * g)``, with ``g`` the larger
+    sampling gap of the two windows. The windows come prepared by the
+    estimator, with their trees and gaps. A cluster whose lower bound
     (:func:`geometry._hausdorff_lower_bounds`) already reaches its merge
     tolerance or the best distance so far cannot be the one joined, so its
-    distance is not computed; the clusters come out as if every distance
-    were.
+    distance is not computed; the clusters come out as if every distance were.
 
-    The tolerance is never below the estimate's own part, ``tol_own =
-    max(tol_cluster, gap_factor * gap(estimate))``, so a merged cluster's
-    gap is taken only when a decision reads it: a bound at or above the best
-    distance rules the cluster out, otherwise a bound below ``tol_own`` calls
-    for its distance, and a distance below ``tol_own`` joins it, all without
-    the cluster's gap. Each member's ``resolution`` is its cluster's gap, taken
-    at the end if no decision took it, and the member keeps its cluster's
-    prepared cloud. The catalog records both settings."""
+    A member of one estimate keeps that window's prepared cloud. A merged
+    member holds its windows in the order they joined, thinned once to at
+    most ``_MEMBER_CAP`` rows evenly across them (:func:`_thin`); its
+    ``resolution`` is that cloud's sampling gap. Labels follow the seeds of
+    the clusters' first estimates, sorted as tuples. Estimate order decides
+    which window anchors a cluster, so it can change the labels and which
+    windows a member holds: with rotation-scaling's default seeds ``S0`` is
+    the origin, with the same seeds reversed it is the circle, whose first
+    estimate then has the seed ``(-1.5, 0.25)``. The catalog records both
+    settings."""
     cfg = cfg or Settings()
     tol_cluster, gap_factor = cfg.tol_cluster, cfg.gap_factor
     if len(estimates) == 0:
@@ -368,42 +366,41 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
         raise UnconvergedError(f"estimates at positions {bad} did not converge; "
                                "cluster only converged estimates", estimates[bad[0]])
 
-    clusters: list[dict] = []
+    clusters: list[list[LimitSetEstimate]] = []
     for est in estimates:
         cloud = est._cloud
-        # the cluster's gap is read only where tol_own decides nothing
         tol_own = max(tol_cluster, gap_factor * cloud.gap)
         hit = None
         best = float("inf")
-        bounds = _hausdorff_lower_bounds(cloud, [c["cloud"] for c in clusters])
-        for c, bound in zip(clusters, bounds):
-            if bound >= best or (bound >= tol_own and bound >= gap_factor * c["cloud"].gap):
-                continue
-            d = hausdorff(cloud, c["cloud"])
-            if d < best and (d < tol_own or d < gap_factor * c["cloud"].gap):
+        firsts = [c[0]._cloud for c in clusters]
+        for c, first, bound in zip(clusters, firsts,
+                                   _hausdorff_lower_bounds(cloud, firsts)):
+            tol = min(best, max(tol_own, gap_factor * first.gap))
+            if bound < tol and (d := hausdorff(cloud, first)) < tol:
                 hit, best = c, d
         if hit is None:
-            clusters.append({"cloud": cloud, "ests": [est]})
+            clusters.append([est])
         else:
-            hit["cloud"] = _Cloud(_thin(np.vstack([hit["cloud"].points, cloud.points])))
-            hit["ests"].append(est)
+            hit.append(est)
 
-    clusters.sort(key=lambda c: tuple(c["ests"][0].seed))
+    clusters.sort(key=lambda c: tuple(c[0].seed))
     members = []
-    for i, c in enumerate(clusters):
-        first = c["ests"][0]
+    for i, ests in enumerate(clusters):
+        first = ests[0]
+        cloud = (first._cloud if len(ests) == 1 else
+                 _Cloud(_thin(np.vstack([e._cloud.points for e in ests]))))
         member = CatalogMember(
             label=f"S{i}",
-            points=c["cloud"].points,
+            points=cloud.points,
             shape=first.shape,
             period=first.period,
-            diameter=float(diameter(c["cloud"])),
+            diameter=float(diameter(cloud)),
             first_seed=first.seed,
-            n_estimates=len(c["ests"]),
-            precompact=all(e.status == "converged" for e in c["ests"]),
-            resolution=float(c["cloud"].gap),
+            n_estimates=len(ests),
+            precompact=all(e.status == "converged" for e in ests),
+            resolution=float(cloud.gap),
         )
-        vars(member)["_cloud"] = c["cloud"]     # the cached_property's slot
+        vars(member)["_cloud"] = cloud     # the cached_property's slot
         members.append(member)
     return LimitSetCatalog(members=tuple(members), tol_cluster=tol_cluster,
                            gap_factor=gap_factor)

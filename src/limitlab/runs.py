@@ -37,14 +37,14 @@ def basins_step(system, catalog, region, resolution: int, threads: int,
     witnesses = limits.basin_closedness_witness(system, basins, sets)
     limits.write_basin_csv(basins, out / f"{stem}.csv")
     labels, counts = np.unique(basins.codes, return_counts=True)
-    summary = {
+    summary = serialize._coerce({
         "schema_version": 1, "kind": "basin-summary", "system": system.name,
         "resolution": basins.resolution,
         "counts": dict(zip(map(basins.label_of_code, labels), counts)),
         "params": basins.params,
         "witnesses": [{"boundary_label": w.sequence_label, "limit_label": w.limit_label,
                        "limit_point": w.limit_point} for w in witnesses],
-    }
+    })
     return serialize.dump(summary, out / f"{stem}.json"), witnesses
 
 
@@ -139,7 +139,7 @@ def _demo_rotation(out: Path, seed: int, sets: limits.Settings) -> dict:
     except DomainError as exc:
         # expected: the fixed point at the origin is outside the immersion's
         # domain, so its limit set cannot even be carried over
-        collapse_error = {"reason": exc.reason, "point": np.atleast_1d(exc.point)}
+        collapse_error = {"reason": exc.reason, "point": np.atleast_1d(exc.point).tolist()}
 
     push = immersion.pushforward_check(pair.immersion, f, pair.target, [2.0, 0.0], sets)
 
@@ -197,5 +197,5 @@ def demo(out: Path, seed: int, threads: int, sets: limits.Settings) -> dict:
     mobius = _demo_catalog("mobius", sets)
     examples = [_demo_mobius(out, seed, threads, sets, *mobius), _demo_cot(out, seed, sets),
                 _demo_rotation(out, seed, sets), _demo_sweep(out, seed, *mobius)]
-    return {"schema_version": 1, "kind": "demo-summary", "seed": seed,
-            "examples": examples}
+    return serialize._coerce({"schema_version": 1, "kind": "demo-summary", "seed": seed,
+                              "examples": examples})

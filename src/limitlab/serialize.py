@@ -2,7 +2,8 @@
 
 This is the one place a report value takes its JSON form: a report builder
 returns ``_coerce`` of a dict of its fields as the library holds them, and
-:func:`dump` returns the plain document it wrote, what ``json.loads`` reads back.
+:func:`dump` writes that document and returns it as it is, what ``json.loads``
+reads back; a numpy array or integer left in it is a ``TypeError``.
 
 Every JSON and CSV artifact but the basin grid goes through these functions so
 that two runs with the same seed produce byte-identical files: keys are sorted,
@@ -39,10 +40,9 @@ def dumps(obj) -> str:
     return json.dumps(_coerce(obj), **_CANONICAL)
 
 
-def dump(obj, path) -> dict:
-    """Write ``obj`` to ``path`` as :func:`dumps` text and a newline, and
-    return the plain document written: what ``json.loads`` reads back."""
-    doc = _coerce(obj)
+def dump(doc: dict, path) -> dict:
+    """Write a builder's coerced document to ``path`` as :func:`dumps` text and
+    a newline, and return it as it is: what ``json.loads`` reads back."""
     Path(path).write_text(json.dumps(doc, **_CANONICAL) + "\n")
     return doc
 

@@ -133,6 +133,27 @@ def test_a_system_without_a_chart_raises_no_exact_immersion(monkeypatch):
     assert row["has_exact_immersion"] is False and row["params"] == {}
 
 
+# scalar-linear's and jordan's maps are LinearSystem.as_map: the map itself
+# takes its rank and inverse from LAPACK
+_NOT_LINEAR_SYSTEMS = [n for n in ALL_NAMES if n not in ("scalar-linear", "jordan")]
+
+
+@pytest.mark.parametrize("name", _NOT_LINEAR_SYSTEMS)
+def test_a_system_and_its_seeds_leave_the_charts_unbuilt(monkeypatch, name):
+    # a chart's linear target takes its rank and inverse from LAPACK; a
+    # system and its seeds build no chart, so they make no such call
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for fn in ("matrix_rank", "inv", "svd"):
+        monkeypatch.setattr(np.linalg, fn, refuse)
+    assert get_system(name).dim == len(default_seeds(name)[0])
+    monkeypatch.undo()
+    charts = exact_immersions(name)
+    assert charts and all(isinstance(c, catalog.ExactImmersion) for c in charts)
+    assert all(c.target.dim == c.immersion.dim_out for c in charts)
+
+
 def test_immersion_variant_counts():
     counts = {n: len(exact_immersions(n))
               for n in ALL_NAMES if n != "negation"}

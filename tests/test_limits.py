@@ -253,7 +253,7 @@ def test_cluster_is_idempotent(rotation_catalog):
 def test_catalog_takes_each_converged_window_gap_once(monkeypatch):
     # the shape test and the clustering share the estimate's prepared window,
     # so the gap worker sees each converged window once and each merged
-    # cluster cloud once
+    # member's final cloud once
     measured, estimates = [], []
     worker, batch = geometry._sampling_gap, limits.estimate_omega_batch
 
@@ -273,8 +273,8 @@ def test_catalog_takes_each_converged_window_gap_once(monkeypatch):
     assert sum(e.shape == "curve" for e in estimates) == len(seeds) - 1
     for e in estimates:
         assert sum(points is e.points for points in measured) == 1
-    merges = len(estimates) - len(catalog)
-    assert merges > 0 and len(measured) == len(estimates) + merges
+    merged = sum(m.n_estimates > 1 for m in catalog.members)
+    assert merged > 0 and len(measured) == len(estimates) + merged
 
 
 def _shape_over_every_lag(points, tol_fp, max_period):
@@ -1237,31 +1237,34 @@ def test_no_witness_on_linear_system():
 # -- pruned catalog loops against the loops they replaced ---------------------------
 #
 # Clustering and ``min_separation`` skip the Hausdorff distances that a lower
-# bound already decides. The references below are the loops as they were
-# before, on raw arrays and with every distance computed; the catalogs must
+# bound already decides. The references below are the same rules as all-pairs
+# loops, on raw arrays and with every distance computed; the catalogs must
 # come out equal to the bit.
 
 def _reference_members(estimates, tol_cluster=1e-3, gap_factor=2.0):
-    clusters: list[dict] = []
+    """Each estimate against each cluster's first window; each member's
+    windows joined in order and thinned once at the end."""
+    clusters: list[list] = []
     for est in estimates:
         res = sampling_gap(est.points)
         hit = None
         best = float("inf")
         for c in clusters:
-            d = hausdorff(est.points, c["points"])
-            tol_eff = max(tol_cluster, gap_factor * max(res, c["res"]))
+            d = hausdorff(est.points, c[0].points)
+            tol_eff = max(tol_cluster, gap_factor * max(res, sampling_gap(c[0].points)))
             if d < tol_eff and d < best:
                 hit, best = c, d
         if hit is None:
-            clusters.append({"points": est.points, "ests": [est], "res": res})
+            clusters.append([est])
         else:
-            hit["points"] = _thin(np.vstack([hit["points"], est.points]))
-            hit["ests"].append(est)
-            hit["res"] = sampling_gap(hit["points"])
-    clusters.sort(key=lambda c: tuple(c["ests"][0].seed))
-    return [(f"S{i}", c["points"], float(sampling_gap(c["points"])),
-             float(diameter(c["points"])), len(c["ests"]))
-            for i, c in enumerate(clusters)]
+            hit.append(est)
+    clusters.sort(key=lambda c: tuple(c[0].seed))
+    members = []
+    for i, c in enumerate(clusters):
+        points = _thin(np.vstack([e.points for e in c]))
+        members.append((f"S{i}", points, float(sampling_gap(points)),
+                        float(diameter(points)), len(c)))
+    return members
 
 
 def _all_pairs_min(catalog):
@@ -1335,17 +1338,16 @@ def _arc_estimate(n, seed, radius=1.0, shift=0.0):
 def _gap_deciding_estimates():
     """A coarse arc, a dense window on it and a dense window on a slightly
     larger arc. Each dense window's own tolerance is too tight for its
-    distance to the cluster, so the cluster's gap decides: the first window
-    joins the coarse arc, and the second, just past the merged cluster's
-    tolerance, starts a cluster of its own."""
+    distance to the coarse arc, so the coarse arc's gap decides: the first
+    window joins it, and the second, just past that gap's tolerance but not
+    ruled out by its lower bound, starts a cluster of its own."""
     coarse, dense, far = (_arc_estimate(50, 0.0), _arc_estimate(500, 1.0, shift=0.5),
-                          _arc_estimate(2000, 2.0, radius=1.00395, shift=0.25))
+                          _arc_estimate(2000, 2.0, radius=1.0347, shift=0.25))
     tol_own = [max(1e-3, 2.0 * sampling_gap(e.points)) for e in (dense, far)]
-    assert tol_own[0] < hausdorff(dense.points, coarse.points) < 2.0 * sampling_gap(coarse.points)
-    merged = _thin(np.vstack([coarse.points, dense.points]))
-    bound = geometry._hausdorff_lower_bounds(_prepare(far.points), [_prepare(merged)])[0]
-    assert max(tol_own[1], bound) < 2.0 * sampling_gap(merged) <= hausdorff(far.points, merged)
-    assert hausdorff(far.points, merged) < 1.02 * 2.0 * sampling_gap(merged)
+    tol = 2.0 * sampling_gap(coarse.points)
+    assert tol_own[0] < hausdorff(dense.points, coarse.points) < tol
+    bound = geometry._hausdorff_lower_bounds(_prepare(far.points), [_prepare(coarse.points)])[0]
+    assert max(tol_own[1], bound) < tol <= hausdorff(far.points, coarse.points) < 1.02 * tol
     return [coarse, dense, far]
 
 
@@ -1369,8 +1371,7 @@ def test_a_cluster_gap_read_on_demand_equals_the_eager_loop(order):
 
 def test_clustering_takes_a_merged_gap_only_when_a_decision_reads_it(
         seed_set_estimates, monkeypatch):
-    # every circle window lies within its own tolerance of the circle
-    # cluster, so no merge decision reads the cluster's gap: the only merged
+    # merge decisions read only the windows' own gaps, so the only merged
     # cloud measured is the final one, for the member's resolution
     ests = seed_set_estimates["rotation-scaling"]
     measured = []
@@ -1400,6 +1401,53 @@ def test_clustering_takes_a_merged_gap_only_when_a_decision_reads_it(
                         lambda p, real=geometry.cKDTree: rebuilt.append(p) or real(p))
     assert catalog.min_separation() == want
     assert rebuilt == []
+
+
+def test_clustering_prepares_only_the_merged_members_final_clouds(monkeypatch):
+    # the estimator hands over prepared windows, so every merge decision
+    # reuses their distinct rows and trees: the clustering deduplicates and
+    # builds a tree only for each merged member's one final cloud
+    estimates = {name: [e for e in estimate_omega_batch(system, seeds) if e.converged]
+                 for name, (system, seeds) in _seed_sets().items()}
+    distinct, trees = [], []
+    monkeypatch.setattr(geometry, "_distinct_rows",
+                        lambda p, real=geometry._distinct_rows: distinct.append(p) or real(p))
+    monkeypatch.setattr(geometry, "cKDTree",
+                        lambda p, real=geometry.cKDTree: trees.append(p) or real(p))
+    thinned = plain = 0
+    for name, ests in estimates.items():
+        distinct.clear()
+        trees.clear()
+        catalog = cluster_limit_sets(ests)
+        merged = [vars(m)["_cloud"] for m in catalog.members if m.n_estimates > 1]
+        assert [id(p) for p in distinct] == [id(c.points) for c in merged]
+        assert [id(p) for p in trees] == [id(c.distinct) for c in merged
+                                          if geometry._by_tree(c)]
+        windows = {tuple(e.seed): i for i, e in enumerate(ests)}
+        for m in catalog.members:
+            if m.n_estimates == 1:
+                continue
+            first = windows[tuple(m.first_seed)]
+            width = len(ests[first].points)
+            if m.n_estimates * width > limits._MEMBER_CAP:
+                thinned += 1
+                continue
+            # a member within the cap is its windows joined in input order, from
+            # its first one, bit for bit
+            assert len(m.points) == m.n_estimates * width
+            blocks = np.split(m.points, m.n_estimates)
+            assert blocks[0].tobytes() == ests[first].points.tobytes()
+            at = [next(i for i, e in enumerate(ests) if e.points.tobytes() == b.tobytes())
+                  for b in blocks]
+            assert at[0] == first and at == sorted(at)
+            plain += 1
+    assert thinned > 0 and plain > 0
+    # every circle window joins the circle, so its member is all of them,
+    # thinned once
+    ests = estimates["rotation-scaling"]
+    circle = max(cluster_limit_sets(ests).members, key=lambda m: m.n_estimates)
+    want = _thin(np.vstack([e.points for e in ests if e.shape == "curve"]))
+    assert circle.points.tobytes() == want.tobytes()
 
 
 def _random_catalog(rng):

@@ -96,12 +96,21 @@ def _plain(obj) -> bool:
 
 def test_dump_returns_the_document_it_wrote(tmp_path):
     p = tmp_path / "doc.json"
-    doc = {"f": np.float64(0.1), "i": np.int64(7), "b": np.bool_(True),
-           "arr": np.arange(3.0), "t": (1, np.float64(2.5))}
+    doc = _coerce({"f": np.float64(0.1), "i": np.int64(7), "b": np.bool_(True),
+                   "arr": np.arange(3.0), "t": (1, np.float64(2.5))})
     got = dump(doc, p)
+    assert got is doc
     assert got == json.loads(p.read_text())
     assert got == {"f": 0.1, "i": 7, "b": True, "arr": [0.0, 1.0, 2.0], "t": [1, 2.5]}
     assert _plain(got)
+
+
+@pytest.mark.parametrize("raw", [np.arange(3.0), [np.arange(3.0)], {"k": np.zeros((2, 2))}])
+def test_dump_refuses_a_document_its_builder_did_not_coerce(tmp_path, raw):
+    p = tmp_path / "doc.json"
+    with pytest.raises(TypeError, match="ndarray"):
+        dump({"a": raw}, p)
+    assert not p.exists()
 
 
 def test_dump_ends_with_newline(tmp_path):

@@ -33,7 +33,7 @@ from limitlab import (DomainRegion, basin_closedness_witness,  # noqa: E402
                       build_dictionary, catalog_from_seeds, compute_basins,
                       conjugacy_residual, default_seeds, fit_lift, get_system,
                       injectivity_probe, obstruction_sweep)
-from limitlab.serialize import dump, dumps  # noqa: E402
+from limitlab.serialize import _coerce, dump, dumps  # noqa: E402
 
 FIXTURE_DIR = ROOT / "tests" / "fixtures"
 
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
         return 1 if drifted else 0
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     for name, payload in fixtures.items():
-        dump(payload, FIXTURE_DIR / name)
+        dump(_coerce(payload), FIXTURE_DIR / name)
         print(f"wrote {FIXTURE_DIR / name}")
     for row in sweep["sweep"]["rows"]:
         print("  sweep row:", row)
