@@ -172,11 +172,14 @@ def _region(args, system) -> tuple[DomainRegion, Optional[list]]:
     """The region a run works on, and the box to sample it within when it has
     no finite box of its own: ``--domain``, else the system's domain, sampled
     within ``[-2, 2]`` per axis when it is unbounded. A ``--domain`` with an
-    infinite bound is a usage error: these runs grid or sample the region."""
+    infinite bound, or a width past the float range, is a usage error: these
+    runs grid or sample the region."""
     if args.domain is not None:
         region = _parse_domain(args.domain, system.dim)
         if not region.has_finite_box():
-            raise InvalidParamError(f"--domain must have finite bounds for "
+            need = ("widths within the float range" if np.isfinite(region.bounds).all()
+                    else "finite bounds")
+            raise InvalidParamError(f"--domain must have {need} for "
                                     f"{args.command}, got {args.domain!r}")
         return region, None
     region = system.domain

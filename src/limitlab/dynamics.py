@@ -255,7 +255,7 @@ class DomainRegion:
             if self.dim != 2:
                 raise NotImplementedError("annulus sampling implemented for dim 2")
             return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        if self.bounds is not None and np.isfinite(self.bounds).all():
+        if self.has_finite_box():
             lo, hi = self.bounds[:, 0], self.bounds[:, 1]
         elif box is not None:
             b = np.asarray(box, dtype=float)
@@ -265,15 +265,18 @@ class DomainRegion:
         return rng.uniform(lo, hi, size=(n, self.dim))
 
     def has_finite_box(self) -> bool:
-        """Whether the region has finite per-axis bounds (an annulus bounds the
-        radius, not the axes): the regions :meth:`grid` can span."""
-        return (self.bounds is not None and self.kind != "annulus"
-                and bool(np.isfinite(self.bounds).all()))
+        """Whether the region has per-axis bounds with finite widths ``hi - lo``
+        (an annulus bounds the radius, not the axes): the regions :meth:`grid`
+        can span and :meth:`sample` can draw from without a box."""
+        if self.bounds is None or self.kind == "annulus":
+            return False
+        with np.errstate(over="ignore"):        # a width past the float range is inf
+            return bool(np.isfinite(self.bounds[:, 1] - self.bounds[:, 0]).all())
 
     def grid(self, resolution) -> list[np.ndarray]:
         """Per-axis sample nodes: ``resolution[i]`` points spanning axis i inclusive."""
         if not self.has_finite_box():
-            raise ValueError("grids need finite per-axis bounds")
+            raise ValueError("grids need finite per-axis bounds and widths")
         res = np.broadcast_to(np.asarray(resolution, dtype=int), (self.dim,))
         return [np.linspace(self.bounds[i, 0], self.bounds[i, 1], int(res[i]))
                 for i in range(self.dim)]

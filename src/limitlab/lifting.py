@@ -18,23 +18,19 @@ injectivity probes; per ridge, only the solve and the held-out tail. That
 reuse is exact: nothing but the solve and the tail reads ``K`` or the ridge.
 
 A dictionary evaluates a batch by one evaluator per kind, which computes
-what its features share once per batch: a monomial dictionary each
-exponent's powers, a rational-pole dictionary its base, a Fourier dictionary
-each ``j*x``. Its values are the per-feature formulas' to the bit.
+what its features share once per batch: a monomial dictionary each product
+its monomials share as a prefix, a rational-pole dictionary its base and
+running powers, a Fourier dictionary each ``j*x``. Its values are the
+per-feature formulas' to the bit. Monomials and rational-pole powers take
+only multiplications, in an order the code fixes; an IEEE product is
+correctly rounded, so those features do not depend on the host.
 
 Byte-for-byte reproducibility holds per host and numpy build, not across
-them, by three paths. First, numpy's power kernel depends on the form of the
-exponent: on an AVX-512 host an array exponent runs numpy's SVML kernel,
-while a broadcast scalar ``2.0`` runs the exact ``x*x``, and the two differ
-in the last bit on a few percent of inputs. A monomial passes its exponents
-as an array the state's width, which for a 1-d monomial numpy takes as a
-scalar; so the last bits of a monomial feature depend on the state
-dimension, the host's SIMD and the numpy build. Second, numpy's SIMD
-``tan``, ``arctan`` and ``exp`` loops: with its AVX-512 loops switched off,
-``demo --seed 42`` writes a different ``cot-verify.json`` and
-``mobius-sweep.*``. Third, OpenBLAS's kernel, which it picks at run time
-and which forms the Gram products and runs the solve here: under another
-kernel the demo writes a different ``mobius-sweep.*`` and
+them, by two paths. First, numpy's SIMD ``tan``, ``arctan`` and ``exp``
+loops: with its AVX-512 loops switched off, ``demo --seed 42`` writes a
+different ``cot-verify.json``. Second, OpenBLAS's kernel, which it picks at
+run time and which forms the Gram products and runs the solve here: under
+another kernel the demo writes a different ``mobius-sweep.*`` and
 ``demo-summary.json``. The demo's catalog, basin, spectral, pushforward and
 consistency files stayed byte-identical under every setting tried.
 """
@@ -43,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -86,8 +83,7 @@ class Dictionary:
         if X.shape[1] != self.dim:
             raise ValueError(f"dictionary expects dim {self.dim}, got {X.shape[1]}")
         with np.errstate(all="ignore"):
-            # numpy picks its power kernel from the layout of the operands, so
-            # the states are always passed in one order
+            # every evaluator, custom ones too, gets the states in C order
             return self._evaluate(np.ascontiguousarray(X))
 
     def __call__(self, x) -> np.ndarray:
@@ -97,33 +93,23 @@ class Dictionary:
 def _monomials(dim: int, order: int, include_constant: bool):
     """The evaluator and labels of every monomial up to total degree ``order``.
 
-    Each exponent's powers are computed once per call, ``X ** e`` with the
-    exponent passed as a state-shaped array, as ``X ** counts`` passes a
-    monomial's counts; numpy then runs the same power kernel on each entry,
-    so a power is the one ``np.prod(X ** counts, axis=1)`` takes. A monomial
-    is the left-to-right product of its nonzero-degree factors: the factors
-    of degree 0 that product multiplies in are exactly 1.0.
+    A monomial is the left-to-right product of its factors in axis order,
+    starting from 1.0: ``x1^2*x2`` is ``((1.0*x1)*x1)*x2``, which is
+    ``(x1*x1)*x2``. Each monomial is its prefix's product times its last
+    factor, so a prefix that monomials share is multiplied out once per call.
     """
-    terms, labels = [], []
-    for total in range(0 if include_constant else 1, order + 1):
-        for combo in itertools.combinations_with_replacement(range(dim), total):
-            counts = np.bincount(combo, minlength=dim)
-            terms.append([(i, float(c)) for i, c in enumerate(counts) if c > 0])
-            labels.append("*".join(f"x{i + 1}" if c == 1 else f"x{i + 1}^{c}"
-                                   for i, c in enumerate(counts) if c > 0) or "1")
-    exponents = sorted({e for term in terms for _, e in term})
+    combos = [combo for total in range(0 if include_constant else 1, order + 1)
+              for combo in itertools.combinations_with_replacement(range(dim), total)]
+    labels = ["*".join(f"x{i + 1}" if c == 1 else f"x{i + 1}^{c}"
+                       for i, c in Counter(combo).items()) or "1" for combo in combos]
 
     def evaluate(X):
-        powers = {e: X ** np.full(dim, e) for e in exponents}
-        out = np.empty((len(X), len(terms)))
-        for col, term in zip(out.T, terms):
-            if not term:
-                col[:] = 1.0
-                continue
-            (i, e), *rest = term
-            col[:] = powers[e][:, i]
-            for i, e in rest:
-                col *= powers[e][:, i]
+        out = np.ones((len(X), len(combos)))
+        product = {(): 1.0}
+        for col, combo in zip(out.T, combos):
+            if combo:
+                np.multiply(product[combo[:-1]], X[:, combo[-1]], out=col)
+            product[combo] = col
         return out
     return evaluate, labels
 
@@ -148,18 +134,21 @@ def _fourier(order: int, include_constant: bool):
 
 
 def _rational_pole(order: int, pole: float, include_constant: bool):
-    """Powers ``1..order`` of ``(x+pole)/(x-pole)``, its base once per call."""
+    """Powers ``1..order`` of ``(x+pole)/(x-pole)``, its base once per call.
+
+    The powers are a running product starting from 1.0: the ``j``-th is the
+    ``(j-1)``-th times the base, so the cube is ``(b*b)*b``.
+    """
     labels = ["1"] if include_constant else []
     labels += [f"((x+{pole:g})/(x-{pole:g}))^{j}" if j > 1
                else f"(x+{pole:g})/(x-{pole:g})" for j in range(1, order + 1)]
 
     def evaluate(X):
-        out = np.empty((len(X), len(labels)))
+        out = np.ones((len(X), len(labels)))
         base = (X[:, 0] + pole) / (X[:, 0] - pole)
-        if include_constant:
-            out[:, 0] = 1.0
-        for j in range(1, order + 1):
-            out[:, int(include_constant) + j - 1] = base ** j
+        power = 1.0
+        for col in out.T[int(include_constant):]:
+            power = np.multiply(power, base, out=col)
         return out
     return evaluate, labels
 
@@ -291,9 +280,13 @@ def _solve(PhiX: np.ndarray, PhiY: np.ndarray,
         raise SingularGramError(
             f"only {m} usable samples for a {N}-function dictionary")
     with np.errstate(over="ignore", invalid="ignore"):
-        # features past 1e154 overflow the Gram matrix; its condition is then
-        # not finite, and the checks below refuse it
+        # products past the float range overflow the Gram matrix: all +inf,
+        # its condition is inf and the checks below refuse it; +inf and -inf
+        # in one sum give NaN, which the condition number cannot take
         G = PhiX.T @ PhiX + ridge * np.eye(N)
+    if np.isnan(G).any():
+        raise SingularGramError("the gram matrix has NaN entries: its feature "
+                                "products overflow the float range")
     cond = float(np.linalg.cond(G))
     if cond > config.SINGULAR_COND and ridge == 0.0:
         raise SingularGramError(

@@ -231,6 +231,61 @@ def test_verify_refuses_overflowing_sample_distances(tmp_path, capsys):
     assert payload["point"] == [-1e200, -1e200]
 
 
+def test_verify_that_exceeds_its_tolerance_exits_3(tmp_path, capsys):
+    # cot-map's chart is exact but for rounding, which a zero tolerance fails
+    code, out, err = run(capsys, "verify", "--system", "cot-map", "--x0", "1.0",
+                         "--tol", "0", "--out", str(tmp_path))
+    assert code == 3 and "status: failed" in out
+    payload = stderr_payload(err)
+    assert (payload["error"], payload["system"]) == ("verification-failed", "cot-map")
+    report = read_json(tmp_path / "verify.json")
+    validate(report, "verify-report")
+    assert report["status"] == "failed"
+    assert 0.0 < report["conjugacy"]["max_residual"] < 1e-15
+
+
+def test_basins_of_a_grid_that_escapes_in_the_burn(tmp_path, capsys):
+    # x -> 2x from [0.5, 1] passes the escape radius during the burn, so every
+    # row stops before the settle window and no pair can be a witness
+    code, _, err = run(capsys, "basins", "--system", "scalar-linear", "--param", "a=2",
+                       "--seeds", "0", "--domain=0.5,1", "--resolution", "5",
+                       "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    doc = read_json(tmp_path / "basins.json")
+    assert (doc["counts"], doc["witnesses"]) == ({"escaped": 5}, [])
+
+
+# x^32 on [-1e5, 1e5] is finite, but the Gram matrix's products of features
+# overflow to +inf on some rows and -inf on others, and their sums are NaN
+_NAN_GRAM = ("--system", "scalar-linear", "--domain=-1e5,1e5")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ridge", ["0", "1"])
+def test_learn_refuses_a_gram_matrix_with_nan_entries(tmp_path, capsys, ridge):
+    code, _, err = run(capsys, "learn", *_NAN_GRAM, "--dict", "monomial", "--order", "32",
+                       "--ridge", ridge, "--out", str(tmp_path))
+    assert code == 3
+    payload = stderr_payload(err)
+    assert payload["error"] == "SingularGramError" and "NaN" in payload["message"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_keeps_a_gram_matrix_with_nan_entries_as_error_rows(tmp_path, capsys):
+    sweep = ("sweep", *_NAN_GRAM, "--ridges", "0,1")
+    code, _, err = run(capsys, *sweep, "--dicts", "monomial:32,monomial:2",
+                       "--out", str(tmp_path / "both"))
+    assert (code, err) == (0, "")
+    rows = read_json(tmp_path / "both" / "sweep.json")["rows"]
+    assert [(r["dict_size"], r["ridge"]) for r in rows] == [(3, 0.0), (3, 1.0),
+                                                            (33, 0.0), (33, 1.0)]
+    assert all("NaN" in r["error"] for r in rows[2:])
+    assert rows[1]["error"] is None
+    code, _, _ = run(capsys, *sweep, "--dicts", "monomial:2", "--out", str(tmp_path / "alone"))
+    assert code == 0
+    assert read_json(tmp_path / "alone" / "sweep.json")["rows"] == rows[:2]
+
+
 def test_learn_recovers_the_rational_cascade(tmp_path, capsys):
     code, out, err = run(capsys, "learn", "--system", "mobius",
                          "--dict", "rational-pole", "--order", "3",
@@ -426,6 +481,23 @@ def test_an_infinite_domain_bound_is_a_usage_error_before_any_orbit(
     payload = stderr_payload(err)
     assert payload == {"error": "usage", "message":
                        f"--domain must have finite bounds for {command}, got '-inf,0.5'"}
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,argv", [
+    ("basins", []), ("verify", []), ("learn", []), ("sweep", ["--dicts", "monomial:1"])])
+def test_a_domain_wider_than_the_float_range_is_a_usage_error_before_any_orbit(
+        tmp_path, capsys, no_orbit, command, argv):
+    # its bounds are finite but its width is not: basins gridded it with NaN
+    # and inf nodes, and the others' uniform draws overflowed
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--system", "scalar-linear",
+                         "--domain=-1e308,1e308", *argv, "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert stderr_payload(err) == {"error": "usage", "message":
+                                   f"--domain must have widths within the float range "
+                                   f"for {command}, got '-1e308,1e308'"}
     assert not out_dir.exists()
 
 

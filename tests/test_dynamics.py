@@ -93,6 +93,20 @@ def test_grid_includes_endpoints_and_exact_interior_nodes():
         DomainRegion.full_space(1).grid(11)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_whose_width_overflows_span_no_grid_and_no_draw(rng):
+    # np.linspace(-1e308, 1e308, 3) is [nan, inf, 1e308], and a uniform draw
+    # between those bounds overflows
+    region = DomainRegion.interval(-1e308, 1e308)
+    assert not region.has_finite_box()
+    with pytest.raises(ValueError):
+        region.grid(3)
+    with pytest.raises(ValueError, match="unbounded region"):
+        region.sample(4, rng)
+    assert (np.abs(region.sample(4, rng, box=[[-1.0, 1.0]])) <= 1.0).all()
+    assert DomainRegion.interval(-1e307, 1e307).has_finite_box()
+
+
 def test_sample_stays_in_region_and_respects_exclusions(rng):
     region = DomainRegion.interval(-1.0, 1.0, excluded=[0.0], eps_excl=0.2)
     pts = region.sample(256, rng)

@@ -1,6 +1,8 @@
 """Dictionary regression: construction, fitting, recovery, and the sweep."""
 
+import functools
 import itertools
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -87,21 +89,38 @@ def test_dictionary_single_point_call():
 
 # -- evaluation against the per-feature formulas ------------------------------
 
+def product(factors):
+    """The left-to-right product of ``factors``, starting from 1.0."""
+    return functools.reduce(operator.mul, factors, 1.0)
+
+
+def monomial_combos(dim, order, include_constant=True):
+    """Each monomial's factors, as the axis indices in the order multiplied."""
+    return [combo for total in range(0 if include_constant else 1, order + 1)
+            for combo in itertools.combinations_with_replacement(range(dim), total)]
+
+
+def pole_base(X, pole):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (X[:, 0] + pole) / (X[:, 0] - pole)
+
+
 def reference_funcs(kind, dim, order, include_constant=True, pole=1.0):
-    """One closure per feature, each computing its formula on the batch."""
+    """One closure per feature, each computing its formula on the batch: a
+    monomial as the left-to-right product of its columns, a rational-pole
+    power as a running product of the base."""
     funcs = [lambda X: np.ones(len(X))] if include_constant and kind != "monomial" else []
     if kind == "monomial":
-        for total in range(0 if include_constant else 1, order + 1):
-            for combo in itertools.combinations_with_replacement(range(dim), total):
-                c = np.bincount(combo, minlength=dim).astype(float)
-                funcs.append(lambda X, c=c: np.prod(X ** c, axis=1))
+        for combo in monomial_combos(dim, order, include_constant):
+            funcs.append(lambda X, combo=combo: product(X[:, i] for i in combo)
+                         * np.ones(len(X)))
     elif kind == "fourier":
         for j in range(1, order + 1):
             funcs.append(lambda X, j=j: np.cos(j * X[:, 0]))
             funcs.append(lambda X, j=j: np.sin(j * X[:, 0]))
     else:
         for j in range(1, order + 1):
-            funcs.append(lambda X, j=j: ((X[:, 0] + pole) / (X[:, 0] - pole)) ** j)
+            funcs.append(lambda X, j=j: product([pole_base(X, pole)] * j))
     return funcs
 
 
@@ -161,11 +180,41 @@ def test_one_dimensional_kinds_equal_the_per_feature_formulas(kind, order,
 
 
 def test_monomials_do_not_depend_on_the_batch_memory_order():
-    # numpy picks its power kernel from the layout of the operands; on some
-    # hosts a column-major batch took another kernel and other last bits
+    # the evaluators get every batch in C order: numpy picks some kernels
+    # from the layout of the operands, and on some hosts a column-major batch
+    # once took another power kernel and other last bits
     X = np.random.default_rng(7).normal(size=(100_000, 2)) * 3.0
     d = build_dictionary("monomial", 2, 3)
     assert_same_bits(d.evaluate(np.asfortranarray(X)), d.evaluate(X))
+
+
+@pytest.mark.parametrize("kind,dim,order,include_constant", [
+    *(("monomial", dim, order, const) for dim in (1, 2, 3) for order in (1, 6)
+      for const in (True, False)),
+    *(("rational-pole", 1, order, const) for order in (1, 3, 7)
+      for const in (True, False))])
+def test_features_equal_python_float_products(kind, dim, order, include_constant):
+    # the oracle multiplies Python floats, one row at a time, so it runs none
+    # of numpy's loops: each feature is a product of correctly rounded steps
+    X = awkward_states(dim, 7 * dim + order)
+    pole = 1.0
+    if kind == "monomial":
+        factors = [[[row[i] for i in combo]
+                    for combo in monomial_combos(dim, order, include_constant)]
+                   for row in X.tolist()]
+    else:
+        X = np.concatenate([X, [[pole], [-pole]]])
+        factors = [[[b] * j for j in range(0 if include_constant else 1, order + 1)]
+                   for b in pole_base(X, pole).tolist()]
+    want = np.array([[product(f) for f in row] for row in factors])
+    got = build_dictionary(kind, dim, order, include_constant=include_constant,
+                           pole=pole).evaluate(X)
+    # IEEE 754 leaves the sign of a NaN result open, and numpy's and Python's
+    # products of two NaNs of opposite sign differ in it: NaNs are compared
+    # by position, every other entry to the bit, its sign included
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert_same_bits(np.where(nan, np.nan, got), np.where(nan, np.nan, want))
 
 
 # -- training data -----------------------------------------------------------

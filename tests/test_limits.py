@@ -151,6 +151,25 @@ def test_batch_estimates_do_not_depend_on_order_or_company():
     assert estimate_omega_batch(system, [], FAST) == []
 
 
+def test_an_orbit_that_escapes_inside_a_tail_window_is_an_escaped_estimate():
+    # 1.01^n passes r_div = 1e12 near n = 2,777: after the burn and four
+    # tail windows that did not settle, inside the fifth
+    system = get_system("scalar-linear", a=1.01)
+    cfg = Settings()
+    seeds = [1.0, 0.0, -3.0]
+    batch = estimate_omega_batch(system, seeds, cfg)
+    for seed, est in zip(seeds, batch):
+        assert_same_estimate(est, estimate_omega(system, seed, cfg))
+    assert batch[1].status == "converged"
+    for est in batch[0], batch[2]:
+        orbit = iterate(system, est.seed, cfg.burn + 5 * cfg.tail, r_div=cfg.r_div)
+        assert cfg.burn + 4 * cfg.tail < orbit.steps_taken < cfg.burn + 5 * cfg.tail
+        assert (est.status, est.converged, est.shape) == ("escaped", False, "unknown")
+        assert np.array_equal(est.points, orbit.points[-1:])     # the image kept
+        assert np.abs(est.points).max() > cfg.r_div
+        assert est.settle_gap == float("inf")
+
+
 def test_estimator_config_rejects_impossible_settings():
     for bad in ({"burn": -1}, {"tail": 0}, {"max_rounds": -1}):
         with pytest.raises(ValueError):
