@@ -73,6 +73,18 @@ from . import config
 from .errors import NoInverseError
 from .serialize import write_csv
 
+# Keep the heap warm. glibc serves a block above its mmap threshold (128 KiB
+# at start) by mmap and unmaps it on free, and the first such free raises the
+# threshold to that block's size and the trim threshold to twice it
+# (mallopt(3), M_MMAP_THRESHOLD). Until then each full-size temporary of a
+# wide grid step (a 40,401 x 2 array is 646 kB) is mapped afresh, and its
+# pages fault again at every step: a fresh process took about 360 minor
+# faults per rotation-scaling step on the 201^2 grid. One 16 MiB block,
+# allocated and freed here, sets both thresholds at once; its pages are never
+# touched. 32 MiB would not: with its header it is above the 32 MiB ceiling
+# of the dynamic threshold, which then stays where it was.
+np.empty(1 << 24, dtype=np.uint8)
+
 # Termination causes.
 COMPLETED = "completed"
 LEFT_DOMAIN = "left-domain"

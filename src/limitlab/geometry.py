@@ -45,9 +45,13 @@ points as passed and computes on first use, then keeps, its distinct rows,
 their counts, its bounding box and a KD tree on the distinct rows. Every
 metric takes a prepared cloud wherever it takes an array and returns the
 same value to the bit: the derived forms are the ones the metric would
-otherwise compute from the raw points. It also keeps its sampling gap once
-computed, so a window classified as a curve and then clustered is measured
-once.
+otherwise compute from the raw points. It also keeps its sampling gap and
+its diameter once computed, so a window classified as a curve and then
+clustered is measured once, and a diameter is computed only where something
+reads it: the shape test of ``limits`` brackets it by one row of distances
+(:func:`_diameter_bracket`) and computes it only where the bracket leaves
+the shape open, and a catalog member's diameter is read only by the
+catalog report.
 
 Catalog loops skip a Hausdorff distance that a lower bound already decides
 (:func:`_hausdorff_lower_bounds`). Every point of one cloud has its nearest
@@ -61,6 +65,8 @@ comparison or a minimum.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -104,15 +110,17 @@ class _Cloud:
 
     ``points`` is the cloud as passed; ``len()`` and ``np.asarray`` give it.
     The distinct rows, their counts, the bounding box of the distinct rows, a
-    KD tree on them and the sampling gap are computed on first use and kept.
-    The points must not change afterwards. Make one with :func:`_prepare`.
+    KD tree on them, the sampling gap and the diameter are computed on first
+    use and kept. The points must not change afterwards. Make one with
+    :func:`_prepare`.
     """
 
-    __slots__ = ("points", "_distinct", "_counts", "_box", "_tree", "_gap")
+    __slots__ = ("points", "_distinct", "_counts", "_box", "_tree", "_gap", "_diameter")
 
     def __init__(self, points: np.ndarray):
         self.points = points
-        self._distinct = self._counts = self._box = self._tree = self._gap = None
+        self._distinct = self._counts = self._box = self._tree = None
+        self._gap = self._diameter = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -151,6 +159,13 @@ class _Cloud:
         if self._gap is None:
             self._gap = _sampling_gap(self)
         return self._gap
+
+    @property
+    def diameter(self) -> float:
+        """:func:`diameter` of the points."""
+        if self._diameter is None:
+            self._diameter = _diameter(self)
+        return self._diameter
 
 
 def _by_tree(c: _Cloud) -> bool:
@@ -319,12 +334,35 @@ def hausdorff(a, b) -> float:
 
 
 def diameter(points) -> float:
-    """Largest pairwise distance within a cloud."""
-    p = _prepare(points).distinct
+    """Largest pairwise distance within a cloud. A prepared cloud computes it
+    once."""
+    return _prepare(points).diameter
+
+
+def _diameter(c: _Cloud) -> float:
+    p = c.distinct
     if len(p) == 1:
         return 0.0
     return max(float(dist.max()) for _, _, dist in _pair_blocks(p, _CHUNK)
                if dist.size)
+
+
+def _diameter_bracket(c: _Cloud) -> tuple[float, float]:
+    """``(low, high)`` with ``low <= diameter(c) <= high``, from one row of
+    distances: ``low`` is the largest distance from the first distinct row to
+    the others, and ``high`` is ``2 low`` widened by :func:`_margin`.
+
+    ``low`` is a pair distance of the cloud, computed by the kernel that
+    computes the diameter, so the diameter is at least it to the bit. Every
+    point lies within the exact ``low`` of the first row, so the exact
+    diameter is at most twice that, and the margin, which exceeds the
+    rounding of both computed values together, keeps ``high`` above the
+    computed diameter, as it keeps the separation bound of
+    ``limits._SettleStage`` on the right side of the tree's distances."""
+    p = c.distinct
+    low = float(cdist(p[:1], p).max())
+    rho, alpha = (float(v) for v in _margin(p.shape[1]))
+    return low, (low + low) * (1 + rho) + alpha
 
 
 def sampling_gap(points) -> float:
@@ -363,13 +401,23 @@ def split_discrepancy(points) -> float:
     can dwarf the typical nearest-neighbour spacing), so settle checks that
     compare whole windows calibrate against this instead.
 
-    The split is seeded per call and depends only on the cloud size, so the
-    result is deterministic for a given input.
+    The split is the permutation of :func:`_split_permutation`, which depends
+    only on the cloud size, so the result is deterministic for a given input.
     """
     p = _prepare(points).points
     n = len(p)
     if n < 4:
         return 0.0
-    perm = np.random.default_rng(0).permutation(n)
+    perm = _split_permutation(n)
     half = n // 2
     return hausdorff(_Cloud(p[perm[:half]]), _Cloud(p[perm[half:]]))
+
+
+@lru_cache(maxsize=64)
+def _split_permutation(n: int) -> np.ndarray:
+    """``np.random.default_rng(0).permutation(n)``, drawn once per size and
+    kept read-only: a settle test splits every window of a tail length the
+    same way."""
+    perm = np.random.default_rng(0).permutation(n)
+    perm.flags.writeable = False
+    return perm

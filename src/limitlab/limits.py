@@ -28,9 +28,9 @@ from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
                        TERMINATIONS, DiscreteMap, DomainRegion, _exact, _fold_norm,
                        _grid_nodes, _row_norm, as_state, iterate_batch)
 from .errors import UnconvergedError
-from .geometry import (_Cloud, _box_lower, _hausdorff_lower_bounds, _margin, _prepare,
-                       diameter, directed_hausdorff, hausdorff, sampling_gap,
-                       split_discrepancy)
+from .geometry import (_Cloud, _box_lower, _diameter_bracket, _hausdorff_lower_bounds,
+                       _margin, _prepare, diameter, directed_hausdorff, hausdorff,
+                       sampling_gap, split_discrepancy)
 from .serialize import _coerce
 
 
@@ -95,12 +95,15 @@ class Settings:
 
 @dataclass(frozen=True)
 class LimitSetEstimate:
-    """A tail-window point cloud standing in for an omega/alpha-limit set."""
+    """A tail-window point cloud standing in for an omega/alpha-limit set.
+
+    Its ``diameter`` is :func:`geometry.diameter` of ``points``, computed when
+    first read and kept on the prepared window; the shape test reads it only
+    where its one-row bounds leave the shape open (:func:`_classify_shape`)."""
 
     points: np.ndarray           # (m, d); the last tail window
     source: str                  # "omega" | "alpha"
     seed: np.ndarray             # the starting state
-    diameter: float
     shape: str                   # "fixed-point" | "periodic-orbit" | "curve" | "unknown"
     period: Optional[int]
     converged: bool
@@ -115,24 +118,46 @@ class LimitSetEstimate:
         sampling gap. Not a field: estimates compare by their values."""
         return _prepare(self.points)
 
+    @property
+    def diameter(self) -> float:
+        return diameter(self._cloud)
+
 
 def _classify_shape(window: _Cloud, tol_fp: float, max_period: int):
-    diam = diameter(window)
-    if diam < tol_fp:
-        return "fixed-point", 1, diam
+    """``(shape, period)`` of a tail window: a fixed point when its diameter
+    ``D`` is below ``tol_fp``, else a periodic orbit at the first lag ``p <=
+    max_period`` whose every step ``|x_{k+p} - x_k|`` is below ``tol_fp``,
+    else a curve when its sampling gap is below ``0.05 D``, else unknown.
+
+    Both tests on ``D`` are monotone in it, so each is first put to the ends
+    of the bracket ``low <= D <= high`` of :func:`geometry._diameter_bracket`,
+    taken from one row of distances; where the two ends agree, so does ``D``.
+    Only a threshold inside the bracket needs the full O(m^2) diameter, which
+    the window then keeps. The shapes are those of comparing ``D`` itself."""
+    low, high = _diameter_bracket(window)
+
+    def decided(test) -> bool:
+        at_low = test(low)
+        return at_low if at_low == test(high) else test(diameter(window))
+
+    if decided(lambda diam: diam < tol_fp):
+        return "fixed-point", 1
     points = window.points
     # lag p passes when every |x_{k+p} - x_k| < tol_fp, so |x_p - x_0| must;
     # those first distances, taken for all lags at once, leave few lags to
-    # check in full, still in ascending order
+    # check in full, still in ascending order. A square that overflows is
+    # inf, which no lag passes
     lags = min(max_period, len(points) - 1)
-    first = _row_norm(points[1:lags + 1] - points[0])
-    for p in np.flatnonzero(first < tol_fp) + 1:
-        lagged = _row_norm(points[p:] - points[:-p])
-        if lagged.max() < tol_fp:
-            return "periodic-orbit", int(p), diam
-    if sampling_gap(window) < 0.05 * diam:
-        return "curve", None, diam
-    return "unknown", None, diam
+    with np.errstate(over="ignore"):
+        first = _row_norm(points[1:lags + 1] - points[0])
+        for p in np.flatnonzero(first < tol_fp) + 1:
+            lagged = _row_norm(points[p:] - points[:-p])
+            if lagged.max() < tol_fp:
+                return "periodic-orbit", int(p)
+    gap = sampling_gap(window)
+    if decided(lambda diam: gap < 0.05 * diam):
+        return "curve", None
+    return "unknown", None
 
 
 def estimate_omega(system: DiscreteMap, x0, cfg: Optional[Settings] = None,
@@ -172,8 +197,8 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
     def fail(i, cause, point):
         points = np.atleast_2d(point).copy()
         out[i] = LimitSetEstimate(
-            points=points, source=source, seed=seeds[i], diameter=float(diameter(points)),
-            shape="unknown", period=None, converged=False, status=_STATUS_OF[cause],
+            points=points, source=source, seed=seeds[i], shape="unknown", period=None,
+            converged=False, status=_STATUS_OF[cause],
             settle_gap=float("inf"), settle_tol=cfg.tol_settle)
 
     burn = iterate_batch(system, np.stack(seeds), cfg.burn, r_div=cfg.r_div)
@@ -215,9 +240,9 @@ def estimate_omega_batch(system: DiscreteMap, seeds,
     settled.update((i, prev[i]) for i in rows)
     for i, window in settled.items():
         converged = gap[i] <= tol_eff[i]
-        shape, period, diam = _classify_shape(window, cfg.tol_fp, cfg.max_period)
+        shape, period = _classify_shape(window, cfg.tol_fp, cfg.max_period)
         est = LimitSetEstimate(points=window.points, source=source, seed=seeds[i],
-                               diameter=diam, shape=shape, period=period,
+                               shape=shape, period=period,
                                converged=converged,
                                status="converged" if converged else "unconverged",
                                settle_gap=float(gap[i]), settle_tol=float(tol_eff[i]))
@@ -239,11 +264,16 @@ _MEMBER_CAP = 2048  # a merged member's windows are thinned evenly beyond this
 
 @dataclass(frozen=True)
 class CatalogMember:
+    """One distinct limit set of a catalog: its stored cloud, the shape and
+    period of its first estimate, and its sampling gap as ``resolution``.
+    Its ``diameter`` is :func:`geometry.diameter` of ``points``, computed
+    when first read (by the catalog report) and kept on the prepared cloud;
+    basin maps and sweeps never read it."""
+
     label: str
     points: np.ndarray
     shape: str
     period: Optional[int]
-    diameter: float
     first_seed: np.ndarray
     n_estimates: int
     precompact: bool
@@ -256,6 +286,10 @@ class CatalogMember:
         the cloud it measured, a lone window or a merged member's thinned
         windows. Not a field: members compare by their values."""
         return _prepare(self.points)
+
+    @property
+    def diameter(self) -> float:
+        return diameter(self._cloud)
 
 
 @dataclass(frozen=True)
@@ -394,7 +428,6 @@ def cluster_limit_sets(estimates: Sequence[LimitSetEstimate],
             points=cloud.points,
             shape=first.shape,
             period=first.period,
-            diameter=float(diameter(cloud)),
             first_seed=first.seed,
             n_estimates=len(ests),
             precompact=all(e.status == "converged" for e in ests),

@@ -1,8 +1,13 @@
 """Guarded domains, map evaluation, and finite-orbit iteration."""
 
 import itertools
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 
 from limitlab import (DiscreteMap, DomainRegion, LinearSystem, Trajectory, get_system,
                       iterate, iterate_batch, list_systems, write_trajectory_csv)
+import limitlab
 from limitlab import config
 from limitlab.dynamics import (_CODE, COMPLETED, LEFT_DOMAIN, SINGULAR, _max_abs, _row_norm,
                                _state_codes, as_state)
@@ -939,3 +945,41 @@ def test_trajectory_csv_bytes_are_pinned(tmp_path):
     write_trajectory_csv(traj, path)
     assert path.read_bytes() == (b"k,x1,x2\n0,0.0,-0.0\n1,1e-310,1e+300\n"
                                  b"2,3.141592653589793,-1.5\n# termination=diverged\n")
+
+
+# -- the heap -------------------------------------------------------------------------
+
+_STEP_FAULTS = """
+import resource
+import numpy as np
+import limitlab
+from limitlab import config, get_system
+from limitlab.dynamics import _grid_nodes, iterate_batch
+
+system = get_system("rotation-scaling")
+X = _grid_nodes([np.linspace(-2.0, 2.0, 201)] * 2)
+assert X.flags.f_contiguous
+for _ in range(5):
+    X = iterate_batch(system, X, 1, r_div=config.ESCAPE_RADIUS).last
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    X = iterate_batch(system, X, 1, r_div=config.ESCAPE_RADIUS).last
+assert X.flags.f_contiguous
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the 16 MiB block at import sets glibc's malloc thresholds")
+def test_a_fresh_process_steps_a_wide_grid_without_page_faults():
+    # a fresh interpreter, whose heap only limitlab's import has grown: each
+    # step's full-size temporaries must come from the heap, not from new
+    # mappings whose pages fault at every step (about 360 per step without
+    # the block that dynamics allocates and frees at import)
+    env = dict(os.environ)
+    package_root = str(Path(limitlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _STEP_FAULTS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 5

@@ -9,8 +9,9 @@ from scipy.spatial.distance import cdist
 
 from limitlab import (diameter, directed_hausdorff, hausdorff, sampling_gap,
                       split_discrepancy)
-from limitlab.geometry import (_TREE_DISTINCT, _box_lower, _by_tree,
-                               _hausdorff_lower_bounds, _margin, _prepare)
+from limitlab.geometry import (_TREE_DISTINCT, _box_lower, _by_tree, _diameter_bracket,
+                               _hausdorff_lower_bounds, _margin, _prepare,
+                               _split_permutation)
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -277,6 +278,29 @@ def test_exact_across_the_tree_threshold(big, small):
     assert directed_hausdorff(big, small) == oracle_directed(big, small)
     assert sampling_gap(big) == oracle_gap(big)
     assert diameter(big) == oracle_diameter(big)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("scale", [1e-310, 1e-160, 1e-23, 1.0, 1e150, 1e300])
+def test_the_one_row_bracket_holds_the_diameter(d, scale, rng):
+    for n in list(range(1, 12)) + [200, 1100]:
+        cloud = rng.normal(size=(n, d)) * scale
+        low, high = _diameter_bracket(_prepare(cloud))
+        assert low <= diameter(cloud) <= high
+
+
+def test_a_prepared_cloud_keeps_its_diameter(rng):
+    cloud = _prepare(rng.normal(size=(300, 2)))
+    assert cloud._diameter is None
+    first = diameter(cloud)
+    assert cloud._diameter == first == diameter(cloud.points)
+
+
+def test_the_split_is_drawn_once_per_size_and_kept_read_only():
+    for n in (4, 5, 200, 201):
+        perm = _split_permutation(n)
+        assert np.array_equal(perm, np.random.default_rng(0).permutation(n))
+        assert _split_permutation(n) is perm and not perm.flags.writeable
 
 
 def test_sampling_gap_counts_only_singletons(rng):

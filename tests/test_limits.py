@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +259,7 @@ def test_cluster_merges_phase_shifted_curve_samples(rotation_catalog):
 def test_cluster_is_idempotent(rotation_catalog):
     synthetic = [
         LimitSetEstimate(points=m.points, source="omega", seed=m.first_seed,
-                         diameter=m.diameter, shape=m.shape, period=m.period,
+                         shape=m.shape, period=m.period,
                          converged=True, status="converged",
                          settle_gap=0.0, settle_tol=1e-7)
         for m in rotation_catalog.members
@@ -297,16 +298,18 @@ def test_catalog_takes_each_converged_window_gap_once(monkeypatch):
 
 
 def _shape_over_every_lag(points, tol_fp, max_period):
-    """The shape test checking every lag in full, in ascending order."""
+    """The shape test on the full diameter, checking every lag in full, in
+    ascending order."""
     diam = diameter(points)
     if diam < tol_fp:
-        return "fixed-point", 1, diam
+        return "fixed-point", 1
     for p in range(1, min(max_period, len(points) - 1) + 1):
-        if np.linalg.norm(points[p:] - points[:-p], axis=1).max() < tol_fp:
-            return "periodic-orbit", p, diam
+        with np.errstate(over="ignore"):
+            if np.linalg.norm(points[p:] - points[:-p], axis=1).max() < tol_fp:
+                return "periodic-orbit", p
     if sampling_gap(points) < 0.05 * diam:
-        return "curve", None, diam
-    return "unknown", None, diam
+        return "curve", None
+    return "unknown", None
 
 
 def test_shape_test_checks_in_full_only_lags_whose_first_step_is_close(rng):
@@ -320,13 +323,53 @@ def test_shape_test_checks_in_full_only_lags_whose_first_step_is_close(rng):
         np.zeros((1, 2)),
         np.array([[0.0], [1.0]]),
     ]
+    decay = 1e-23 * 0.5 ** np.arange(200)[:, None] * np.array([1.0, -2.0])
+    narrow = np.linspace(0.0, 0.7e-6, 30)[:, None]      # diameter in [1e-6 / 2, 1e-6)
+    # a V whose first distinct row, its vertex, is sqrt(2) from the farthest
+    # point while the diameter is 2: its gap, 0.083, lies between 0.05 of each
+    t = np.linspace(-1.0, 1.0, 35)[rng.permutation(35)]
+    vee = np.column_stack([np.abs(t), t])
+    huge = 1e300 * (1.0 + rng.normal(size=(40, 2)))    # every square overflows
+    windows += [decay, narrow, vee, huge]
     for w in windows:
         for tol_fp in (1e-12, 1e-6, 0.5):
             for max_period in (0, 1, 3, 8):
-                got = _classify_shape(_prepare(w), tol_fp, max_period)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = _classify_shape(_prepare(w), tol_fp, max_period)
                 assert got == _shape_over_every_lag(w, tol_fp, max_period)
                 assert got[1] is None or type(got[1]) is int
-    assert _classify_shape(_prepare(windows[1]), 1e-6, 8)[:2] == ("periodic-orbit", 4)
+    assert _classify_shape(_prepare(windows[1]), 1e-6, 8) == ("periodic-orbit", 4)
+
+    # the one-row bracket decides the decay's fixed-point test and both tests
+    # of the narrow window at 1e-12; at 1e-6 the narrow window's fixed-point
+    # test and the V's gap test need the full diameter
+    def computes_diameter(w, tol_fp):
+        window = _prepare(w)
+        shape = _classify_shape(window, tol_fp, 0)
+        return shape, window._diameter is not None
+
+    assert computes_diameter(decay, 1e-12) == (("fixed-point", 1), False)
+    assert computes_diameter(narrow, 1e-6) == (("fixed-point", 1), True)
+    assert computes_diameter(narrow, 1e-12) == (("curve", None), False)
+    assert computes_diameter(vee, 1e-6) == (("curve", None), True)
+    assert _classify_shape(_prepare(huge), 1e-6, 8) == ("unknown", None)
+
+
+def test_estimates_and_members_read_the_diameter_of_their_points(seed_set_estimates):
+    cases = [(get_system("mobius"), [[0.0], [5.0 / 3.0]]),
+             (get_system("scalar-linear", a=1.1), [[1.0]]),
+             (get_system("jordan"), [[0.0, 1.0], [1.0, 0.0]])]
+    ests = [e for system, seeds in cases for e in estimate_omega_batch(system, seeds, FAST)]
+    assert {e.status for e in ests} == {"converged", "unconverged", "escaped", "singular"}
+    for e in ests:
+        assert e.diameter == diameter(e.points) and type(e.diameter) is float
+    for converged in seed_set_estimates.values():
+        catalog = cluster_limit_sets(converged)
+        for e in converged:
+            assert e.diameter == diameter(e.points)
+        for m in catalog.members:
+            assert m.diameter == diameter(m.points) and type(m.diameter) is float
 
 
 def test_catalog_from_seeds_reports_skips():
@@ -582,7 +625,7 @@ def _seeded(system, seeds, region, resolution=41):
 def _point_members(*points):
     # one single-point member per point, held to the cluster tolerance 1e-3
     members = tuple(CatalogMember(label=f"S{i}", points=np.array([p], dtype=float),
-                                  shape="fixed-point", period=1, diameter=0.0,
+                                  shape="fixed-point", period=1,
                                   first_seed=np.array(p, dtype=float), n_estimates=1,
                                   precompact=True, resolution=0.0)
                     for i, p in enumerate(points))
@@ -1349,7 +1392,7 @@ def _arc_estimate(n, seed, radius=1.0, shift=0.0):
     t = (np.arange(n) + shift) / n
     points = radius * np.column_stack([np.cos(t), np.sin(t)])
     return LimitSetEstimate(points=points, source="omega", seed=np.array([0.0, seed]),
-                            diameter=diameter(points), shape="curve", period=None,
+                            shape="curve", period=None,
                             converged=True, status="converged", settle_gap=0.0,
                             settle_tol=1e-7)
 
@@ -1483,7 +1526,7 @@ def _random_catalog(rng):
             pts = rng.normal(size=(int(rng.integers(1, 40)), dim)) * scale
         pts = np.repeat(pts, rng.integers(1, 4, len(pts)), axis=0)
         members.append(CatalogMember(label=f"S{i}", points=pts, shape="unknown", period=None,
-                                     diameter=0.0, first_seed=pts[0], n_estimates=1,
+                                     first_seed=pts[0], n_estimates=1,
                                      precompact=True, resolution=0.0))
     return LimitSetCatalog(members=tuple(members), tol_cluster=1e-3)
 
