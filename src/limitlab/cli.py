@@ -542,8 +542,11 @@ def _saved_report(path: Path) -> Optional[dict]:
 def _basin_dims(path: Path) -> int:
     """The grid dimension of a basin CSV (header ``i,...,label``, then a row
     per node), else 0."""
-    with open(path) as fh:
-        header, node = fh.readline().strip(), fh.readline().strip()
+    try:
+        with open(path) as fh:
+            header, node = fh.readline().strip(), fh.readline().strip()
+    except UnicodeDecodeError:
+        return 0
     is_basin = node and header.startswith("i,") and header.endswith(",label")
     return header.count(",") if is_basin else 0
 
@@ -718,6 +721,9 @@ def main(argv=None) -> int:
         return 3
     except LimitLabError as exc:
         _emit_error(type(exc).__name__, str(exc))
+        return 3
+    except np.linalg.LinAlgError as exc:      # a ValueError, but no usage error
+        _emit_error("numerical-error", str(exc))
         return 3
     except ValueError as exc:
         _emit_error("usage", str(exc))

@@ -393,8 +393,8 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
     residual is :func:`immersion.conjugacy_residual`'s, with the lift checked
     on the full space rather than on ``region``: a held-out sample whose step
     image leaves the training region still counts, since the lift is defined
-    there too. Rows that fail to fit (singular Gram, domain escapes) are kept
-    with an ``error`` field so the sweep output is total.
+    there too. Rows that fail to fit (singular Gram, domain escapes, a LAPACK
+    failure) are kept with an ``error`` field so the sweep output is total.
 
     Each piece of work runs once at the level where its inputs change. Once
     per sweep, when first needed: :func:`training_pairs`, the residual's
@@ -464,8 +464,9 @@ def obstruction_sweep(system: DiscreteMap, catalog: LimitSetCatalog,
     return TradeoffReport(system_name=system.name, rows=tuple(rows), seed=seed)
 
 
-# The errors a sweep keeps as a row's ``error`` instead of raising.
-_ROW_ERRORS = (SingularGramError, DomainError, InvalidParamError)
+# The errors a sweep keeps as a row's ``error`` instead of raising; a LAPACK
+# routine that does not converge raises ``LinAlgError``.
+_ROW_ERRORS = (SingularGramError, DomainError, InvalidParamError, np.linalg.LinAlgError)
 
 
 def _once(fn: Callable):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limitlab import Settings
+from limitlab import Settings, config
 from limitlab.cli import _render, main
 from limitlab.serialize import validate
 
@@ -286,6 +286,51 @@ def test_sweep_keeps_a_gram_matrix_with_nan_entries_as_error_rows(tmp_path, caps
     assert read_json(tmp_path / "alone" / "sweep.json")["rows"] == rows[:2]
 
 
+def _fail_for(fn, columns):
+    """``fn`` (``np.linalg.solve`` or ``lstsq``) raising LAPACK's error on a
+    matrix of ``columns`` columns, or on every matrix if ``columns`` is None."""
+    def call(a, *args, **kwargs):
+        if columns is None or a.shape[1] == columns:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return fn(a, *args, **kwargs)
+    return call
+
+
+# a Gram condition past the switch solves by lstsq; none is past infinity
+@pytest.mark.parametrize("solver, switch", [("solve", float("inf")), ("lstsq", 0.0)])
+def test_a_lapack_failure_in_learn_is_a_numerical_error(tmp_path, capsys, monkeypatch,
+                                                        solver, switch):
+    monkeypatch.setattr(config, "SVD_COND_SWITCH", switch)
+    monkeypatch.setattr(np.linalg, solver, _fail_for(getattr(np.linalg, solver), None))
+    code, out, err = run(capsys, "learn", "--system", "mobius", "--domain=-0.9,0.5",
+                         "--dict", "rational-pole", "--order", "3", "--out", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert stderr_payload(err) == {"error": "numerical-error",
+                                   "message": "SVD did not converge"}
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("switch", [float("inf"), 0.0])
+def test_a_lapack_failure_in_a_sweep_is_kept_as_that_rows_error(tmp_path, capsys,
+                                                                monkeypatch, switch):
+    monkeypatch.setattr(config, "SVD_COND_SWITCH", switch)
+    sweep = ("sweep", "--system", "mobius", "--domain=-0.9,0.5", "--ridges", "0,1e-8",
+             "--dicts", "monomial:1,monomial:2,monomial:3")
+    assert run(capsys, *sweep, "--out", str(tmp_path / "clean"))[0] == 0
+    clean = read_json(tmp_path / "clean" / "sweep.json")["rows"]
+    for solver in ("solve", "lstsq"):          # monomial:2 on the line has 3 features
+        monkeypatch.setattr(np.linalg, solver, _fail_for(getattr(np.linalg, solver), 3))
+    code, _, err = run(capsys, *sweep, "--out", str(tmp_path / "failing"))
+    assert (code, err) == (0, "")
+    rows = read_json(tmp_path / "failing" / "sweep.json")["rows"]
+    assert (tmp_path / "failing" / "sweep.csv").exists()
+    assert [r for r in rows if r["dict_size"] != 3] == [r for r in clean if r["dict_size"] != 3]
+    failed = [r for r in rows if r["dict_size"] == 3]
+    assert [r["ridge"] for r in failed] == [0.0, 1e-8]
+    assert all(r["error"] == "SVD did not converge" and r["residual_heldout"] is None
+               for r in failed)
+
+
 def test_learn_recovers_the_rational_cascade(tmp_path, capsys):
     code, out, err = run(capsys, "learn", "--system", "mobius",
                          "--dict", "rational-pole", "--order", "3",
@@ -385,6 +430,14 @@ def test_report_skips_a_basin_csv_without_nodes(tmp_path, capsys):
     assert code == 3
     assert stderr_payload(err)["error"] == "MissingArtifactError"
     assert [p.name for p in tmp_path.iterdir()] == ["basins.csv"]
+
+
+def test_report_skips_a_csv_that_is_not_utf8(tmp_path, capsys):
+    assert run(capsys, "limits", "--system", "mobius", "--out", str(tmp_path))[0] == 0
+    (tmp_path / "binary.csv").write_bytes(b"\xff\xfei,label\n0,S0\n")
+    code, out, err = run(capsys, "report", "--dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "== catalog.json ==" in out and "rendered 1 artifact(s)" in out
 
 
 # one run of each subcommand that writes a report
