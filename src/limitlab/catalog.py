@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import DiscreteMap, DomainRegion, _row_norm
+from .dynamics import DiscreteMap, DomainRegion, _fold_norm, _row_norm
 from .errors import InvalidParamError, NoExactImmersionError, UnknownSystemError
 from .immersion import ImmersionMap
 from .linear import LinearSystem, apply_matrix
@@ -166,20 +166,26 @@ def _circle_chart(X):
 def _rotation_scaling(theta: float = 1.0):
     if not (0.0 < theta < 2.0 * np.pi):
         raise InvalidParamError(f"theta must lie in (0, 2*pi), got {theta}")
-    R = _rotation_matrix(theta)
+    rows = _rotation_matrix(theta).tolist()
     R_inv = _rotation_matrix(-theta)
 
     def forward(X):
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         P = np.atleast_2d(X)
-        # (2 / (r + 1)) * (P R^T) in place, the scale still the left operand,
-        # so the same bits without the temporaries; order "F" runs the inner
-        # loop down each column, not across a row of two
-        out, scale = apply_matrix(P, R), _row_norm(P)
+        # (2 / (r + 1)) * (P R^T) one output column at a time, in place: the
+        # operations, operands and order of apply_matrix and a scale product,
+        # so the same bits without their temporaries and broadcasts
+        x, y = P[..., 0], P[..., 1]
+        scale = _fold_norm((x, y))
         scale += 1.0
         np.divide(2.0, scale, out=scale)
-        np.multiply(scale[..., None], out, out=out, order="F")
+        out, term = np.empty_like(P), np.empty_like(scale)
+        for i, (a, b) in enumerate(rows):
+            col = out[..., i]
+            np.multiply(x, a, out=col)
+            col += np.multiply(y, b, out=term)
+            col *= scale
         return out[0] if single else out
 
     def backward(Y):

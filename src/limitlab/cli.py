@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -531,11 +532,14 @@ def _render(data: dict) -> str:
 
 
 def _saved_report(path: Path) -> Optional[dict]:
-    """The report a JSON file holds: an object with a ``kind``, else None."""
+    """The report a JSON file holds: an object with a ``kind``, else None. A
+    file that does not parse raises ``ValueError``, with the reason."""
     try:
         data = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
+    except UnicodeDecodeError:
+        raise ValueError("is not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"does not parse as JSON ({exc})") from None
     return data if isinstance(data, dict) and data.get("kind") is not None else None
 
 
@@ -587,8 +591,13 @@ def _write_raster(path: Path, out: Path) -> str:
 def cmd_report(args) -> int:
     src = Path(args.dir)
     out = src / "render" if args.out is None else Path(args.out)
-    reports = [(path, data) for path in sorted(src.glob("*.json"))
-               if (data := _saved_report(path)) is not None]
+    reports, unread = [], []
+    for path in sorted(src.glob("*.json")):
+        try:
+            if (data := _saved_report(path)) is not None:
+                reports.append((path, data))
+        except ValueError as exc:
+            unread.append(f"skipped {path.name}: {exc}")
     rasters = [path for path in sorted(src.glob("*.csv")) if _basin_dims(path) in (1, 2)]
     if not reports and not rasters:
         raise MissingArtifactError(f"no renderable artifacts under {src}")
@@ -600,6 +609,8 @@ def cmd_report(args) -> int:
             _write_xy(data, path.stem, out)
     for path in rasters:
         print(f"== {path.name} ==\n{_write_raster(path, out)}\n")
+    for line in unread:
+        print(line)
     print(f"rendered {len(reports) + len(rasters)} artifact(s); derived files in {out}")
     return 0
 
@@ -631,7 +642,11 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParamError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process. It holds no state between parses; ``main``
+    looks up a subcommand's ``cmd_<name>`` when it is called, so a function
+    wrapped or replaced on this module after the first parse is the one run."""
     parser = _Parser(
         prog="limitlab",
         description="limit sets, basins, and linear-representation diagnostics "
@@ -644,14 +659,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--backward", action="store_true",
                    help="iterate the inverse map instead")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("limits", help="estimate and catalog limit sets from seeds")
     _add_common(p)
     p.add_argument("--seeds", help="semicolon-separated seed states")
     p.add_argument("--backward", action="store_true",
                    help="catalog backward-time limit sets")
-    p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("basins", help="label a grid by settled limit set")
     _add_common(p)
@@ -659,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=101,
                    help="grid nodes per axis (endpoints included)")
     p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=cmd_basins)
 
     p = sub.add_parser("verify", help="check a catalogued exact immersion")
     _add_common(p)
@@ -668,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", help="state for the limit-set pushforward check")
     p.add_argument("--tol", type=float, default=config.VERIFY_TOL,
                    help="max conjugacy residual to count as ok")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("learn", help="fit a dictionary lift by least squares")
     _add_common(p)
@@ -678,7 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--pole", type=float, default=1.0,
                    help="pole location for rational-pole dictionaries")
-    p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("sweep", help="dictionary trade-off sweep against a catalog")
     _add_common(p)
@@ -689,18 +699,15 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--auto-seeds", type=int, default=0,
                        help="draw this many catalog seeds uniformly from the region")
     p.add_argument("--pole", type=float, default=1.0)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("demo", help="run the four worked examples deterministically")
     _add_common(p, system=False)
     p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("report", help="print saved reports as their subcommands do; "
                                       "write .xy/.ppm files")
     p.add_argument("--dir", default=".", help="directory holding artifacts")
     p.add_argument("--out", help="directory for derived files (default: DIR/render)")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -711,7 +718,7 @@ def main(argv=None) -> int:
         if "seed" in vars(args) and args.seed is None:
             args.seed = _seed(os.environ.get("LIMITLAB_SEED") or config.DEFAULT_SEED,
                               "LIMITLAB_SEED")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _USAGE_ERRORS as exc:
         _emit_error("usage", str(exc))
         return 2

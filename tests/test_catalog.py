@@ -310,7 +310,8 @@ def test_omega_from_both_sides_of_the_pole():
 def test_rotation_scaling_steps_to_the_bits_of_the_fresh_array_form():
     # forward (2 / (r + 1)) * (P R^T) and backward (P R_inv^T) / (2 - s),
     # written on fresh arrays, on zero, huge and subnormal rows and on rows
-    # where the backward denominator vanishes or the product overflows
+    # where the backward denominator vanishes or the product overflows; the
+    # rows stepped alone, in a batch, in column-major order and as a stack
     from limitlab.catalog import _rotation_matrix
     from limitlab.linear import apply_matrix
 
@@ -319,15 +320,18 @@ def test_rotation_scaling_steps_to_the_bits_of_the_fresh_array_form():
     R, R_inv = _rotation_matrix(theta), _rotation_matrix(-theta)
     P = np.array([[0.0, 0.0], [-0.0, 0.0], [5e-324, -5e-324], [1e-310, 2e-310],
                   [1e300, -1e300], [1.7e308, 1.7e308], [-1.7e308, 3e307], [2.0, 0.0],
-                  [0.6, -0.8], [1.0, 0.5], [-3.0, 4.0]])
+                  [0.6, -0.8], [1.0, 0.5], [-3.0, 4.0], [0.0, -2.5]])
     with np.errstate(all="ignore"):
         r = np.linalg.norm(P, axis=1)
         want_f = (2.0 / (r + 1.0))[:, None] * apply_matrix(P, R)
         want_b = apply_matrix(P, R_inv) / (2.0 - r)[:, None]
-        got_f, got_b = system.forward(P), system.inverse(P)
+        batches = [(Q, system.forward(Q), system.inverse(Q))
+                   for Q in (P, np.asfortranarray(P), P.reshape(3, 4, 2))]
         alone = [(system.forward(p), system.inverse(p)) for p in P]
     assert not np.isfinite(want_b).all() and not np.isfinite(want_f).all()
-    for got, want in ((got_f, want_f), (got_b, want_b)):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for Q, got_f, got_b in batches:
+        for got, want in ((got_f, want_f), (got_b, want_b)):
+            assert got.shape == Q.shape
+            assert np.array_equal(got.reshape(-1, 2).view(np.uint64), want.view(np.uint64))
     assert np.array_equal(np.array([f for f, _ in alone]).view(np.uint64), want_f.view(np.uint64))
     assert np.array_equal(np.array([b for _, b in alone]).view(np.uint64), want_b.view(np.uint64))

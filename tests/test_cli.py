@@ -1,6 +1,7 @@
 """The command line, exercised in-process through main(argv)."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,45 @@ def test_report_skips_a_csv_that_is_not_utf8(tmp_path, capsys):
     code, out, err = run(capsys, "report", "--dir", str(tmp_path))
     assert (code, err) == (0, "")
     assert "== catalog.json ==" in out and "rendered 1 artifact(s)" in out
+
+
+def test_report_names_a_json_file_it_cannot_read_and_renders_the_rest(tmp_path, capsys):
+    assert run(capsys, "limits", "--system", "mobius", "--out", str(tmp_path))[0] == 0
+    shutil.copy(tmp_path / "catalog.json", tmp_path / "rotation-catalog.json")
+    text = (tmp_path / "rotation-catalog.json").read_text()
+    (tmp_path / "rotation-catalog.json").write_text(text[:-2] + "|\n")
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "caf\xe9"}')
+    (tmp_path / "notes.json").write_text('{"note": "no kind"}')
+    code, out, err = run(capsys, "report", "--dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "== catalog.json ==" in out and "rotation-catalog" not in report_sections(out)
+    lines = out.splitlines()
+    assert lines[-3].startswith("skipped latin1.json: is not UTF-8")
+    assert lines[-2].startswith("skipped rotation-catalog.json: does not parse as JSON (")
+    assert lines[-1].startswith("rendered 1 artifact(s)")
+    assert "notes.json" not in out
+
+
+# -- one parser for every main call in a process -----------------------------------
+
+def test_a_set_option_does_not_outlive_its_call(tmp_path, capsys):
+    for out, extra in (("a", ["--set", "tol_cluster=0.5"]), ("b", [])):
+        assert run(capsys, "limits", "--system", "mobius", "--out", str(tmp_path / out),
+                   *extra)[0] == 0
+    assert read_json(tmp_path / "a" / "catalog.json")["tol_cluster"] == 0.5
+    assert read_json(tmp_path / "b" / "catalog.json")["tol_cluster"] == Settings().tol_cluster
+
+
+def test_main_runs_the_subcommand_the_module_holds_now(tmp_path, capsys, monkeypatch):
+    from limitlab import cli
+
+    argv = ["limits", "--system", "scalar-linear", "--out", str(tmp_path)]
+    assert run(capsys, *argv, "--param", "a=0.25", "--param", "a=0.5")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_limits", lambda args: seen.append(args.param) or 0)
+    assert run(capsys, *argv, "--param", "a=0.75")[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert seen == [["a=0.75"], None]
 
 
 # one run of each subcommand that writes a report

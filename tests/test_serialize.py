@@ -5,9 +5,11 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from limitlab.serialize import (_coerce, dump, dumps, load_schema, schema_names,
-                                validate, write_csv)
+from limitlab.serialize import (_CANONICAL, _coerce, dump, dumps, load_schema,
+                                schema_names, validate, write_csv)
 
 EXPECTED_SCHEMAS = [
     "basin-summary", "collapse-report", "conjugacy-report",
@@ -83,6 +85,77 @@ def test_dumps_refuses_nan():
         dumps({"x": float("nan")})
     with pytest.raises(ValueError):
         dumps({"x": np.inf})
+
+
+# -- the writer against json.dumps --------------------------------------------------
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+                1.7976931348623157e308, 1e16, 1e-7, 0.1, -2.5]
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_numbers = _floats | st.integers()
+_text = st.text(alphabet=st.characters() | st.sampled_from('"[],:\\'), max_size=6)
+_scalars = st.none() | st.booleans() | _numbers | _text
+_lists = (st.lists(_floats, max_size=6) | st.lists(st.integers(), max_size=6)
+          | st.lists(_text, max_size=4) | st.lists(_scalars, max_size=6))
+# rows of numbers, the C encoder's path, and rows it must refuse: empty
+# rows, bools, strings, None, nested rows and scalars among the rows
+_rows = (st.lists(st.lists(_numbers, min_size=1, max_size=4), min_size=1, max_size=6)
+         | st.lists(st.lists(_numbers | _text, min_size=1, max_size=3), min_size=1, max_size=4)
+         | st.lists(st.lists(_scalars, max_size=4), max_size=5)
+         | st.lists(st.lists(st.lists(_numbers, max_size=3), max_size=3), max_size=3)
+         | st.lists(st.lists(_numbers, max_size=3) | _numbers, max_size=5))
+_documents = st.recursive(
+    _scalars | _lists | _rows,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_text, _documents, max_size=5))
+def test_the_writer_writes_the_bytes_of_json_dumps(doc):
+    assert dumps(doc) == json.dumps(doc, **_CANONICAL)
+
+
+def test_the_writer_writes_every_report_the_demo_writes_as_json_dumps(tmp_path):
+    from limitlab.cli import main
+
+    assert main(["demo", "--seed", "42", "--out", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("*.json"))
+    kinds = set()
+    for path in paths:
+        text = path.read_text()
+        doc = json.loads(text)
+        kinds.add(doc["kind"])
+        assert text == json.dumps(doc, **_CANONICAL) + "\n" == dumps(doc) + "\n", path.name
+    assert len(paths) == 10 and len(kinds) == 8
+
+
+def test_the_writer_writes_a_negation_catalog_as_json_dumps():
+    # limits-seeds' negation job: 48 period-2 members of 128 one-coordinate
+    # points, most of the bytes that workload writes
+    import limitlab as L
+
+    rng = np.random.default_rng(0)
+    seeds = (0.05 + 0.02 * np.arange(48) + rng.uniform(0.0, 0.005, 48)) * rng.choice([-1, 1], 48)
+    catalog, skipped = L.catalog_from_seeds(L.get_system("negation"), seeds[:, None])
+    doc = L.catalog_to_dict(catalog)
+    assert skipped == [] and len(doc["members"]) == 48
+    assert dumps(doc) == json.dumps(doc, **_CANONICAL)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), np.inf, -np.inf])
+@pytest.mark.parametrize("where", [
+    lambda v: {"representative_points": [[0.5], [v], [-0.5]]},
+    lambda v: {"representative_points": [[0.5, 1.0], [2.0, v]]},
+    lambda v: {"members": [{"diameter": 1.0, "first_seed": [0.25, v]}]},
+    lambda v: {"rows": [{"x": v}]}], ids=["rows", "pairs", "scalars", "nested"])
+def test_the_writer_refuses_a_non_finite_float_at_any_depth(tmp_path, bad, where):
+    p = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps(where(bad))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump(where(bad), p)
+    assert not p.exists()
 
 
 def _plain(obj) -> bool:

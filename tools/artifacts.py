@@ -47,6 +47,9 @@ MANY = "--seeds=0,0;2,0;0.5,0.5;-1.5,0.25;1.2,-0.7;0.1,1.9;-0.8,-0.9;1.5,1.5;-0.
 # nodes leave it, turn inconsistent and are not asked of the tree again
 TIGHT = ("--seeds=0.0,0.0;1.0229351769447144,-0.47749356045363867;"
          "-0.6676936022014206,-0.05228599461227615;-0.4161237398125139,-1.7344001269398368")
+# 24 period-2 orbits {x0, -x0}, a member of 128 one-coordinate points each:
+# the shape of most of the bytes a catalog of many seeds writes
+NEGATION = "--seeds=" + ";".join(f"{(-1) ** i * (0.05 + 0.02 * i):.2f}" for i in range(24))
 # a basin grid on one thread, and in two chunks of its column-major node
 # array on two, writes the same files and draws the same raster
 THREADS = ["--threads 2"]
@@ -71,6 +74,7 @@ MANIFEST = [
     *((f"alpha-{s}", f"limits --system {s} --backward", [])
       for s in ("mobius", "cot-map", "rotation-scaling")),
     ("many-limits", f"limits --system rotation-scaling {MANY}", []),
+    ("limits-negation", f"limits --system negation {NEGATION}", []),
     ("many-basins", f"basins {ROTATION_BOX} --resolution 101 {MANY}", []),
     ("basins-rotation-scaling", f"basins {ROTATION_BOX} --resolution 201", THREADS),
     # 3 singular nodes and a witness at 1.0: rows stop, so the engine's stop
