@@ -21,11 +21,12 @@ differently from several). A seed stepped alone and the same seed stepped
 among others therefore agree to the bit.
 
 The same invariant lets the engine step a block of steps at a time: it
-applies the map several times with no check in between, then runs each
-check once over every state and image of the block, and stops each row at
-its first failed check. Rows that stop inside a block change nothing for the
-others, so the result is that of checking step by step, while a small batch
-pays the checks' fixed cost once per block instead of once per step.
+applies the map several times with no check in between, then checks every
+state and image of the block at once. A block that fails no check is kept;
+otherwise it is cut back to the steps before the first failing one, which
+runs again alone. So every stop is decided one step at a time, and the
+result is that of checking step by step, while a small batch pays the
+checks' fixed cost once per block instead of once per step.
 
 Row-wise Euclidean norms go through one fold, :func:`_fold_norm`, at every
 width: it adds the squares in column order and takes one square root, the
@@ -457,13 +458,16 @@ class BatchOrbit:
     """Per-row outcome of :func:`iterate_batch` on an (n, d) batch.
 
     Row ``i`` has ``valid[i]`` points: ``states[:valid[i] - 1, i]`` followed
-    by ``last[i]``. A row that completed has ``valid[i] == k + 1``.
+    by ``last[i]``. A row that completed has ``valid[i] == k + 1``; one
+    stopped at step ``s`` (see :func:`iterate_batch`) has ``s + 1``, or
+    ``s + 2`` if its image diverged and is kept, and its later ``states``
+    entries are ``last[i]``.
     """
 
     last: np.ndarray                 # (n, d) each row's last valid point
     termination: np.ndarray          # (n,) index into TERMINATIONS
     valid: np.ndarray                # (n,) valid points, start state included
-    states: Optional[np.ndarray]     # (steps run, n, d) states before each step, if recorded
+    states: Optional[np.ndarray]     # (steps begun, n, d) states before each step, if recorded
 
     def cause(self, i: int) -> str:
         return TERMINATIONS[int(self.termination[i])]
@@ -531,40 +535,44 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     the image (``diverged``, the image is kept). A stopped row is not stepped
     again. Only the current states are kept unless ``record`` is set.
 
-    The steps run in blocks. A block checks its starting states and drops the
-    rows that fail, applies the map ``b`` times with no check in between, and
-    then makes every check of its ``b`` steps at once, on the states inside
-    the block and on every image. Each row's first failed check, in the order
-    above, sets its cause, its ``valid`` count and its ``last`` state; what
-    the block computed for it after that is discarded. This is exactly the
-    step-by-step result, because a row's images do not depend on the other
-    rows of its batch (see the module docstring). The map may meet states
-    past a row's stop (an excluded point, a state outside the domain, an
-    inf): the block runs with floating-point warnings off, and a block in
-    which the map raises is run again one step long, where the map sees only
-    states that passed their checks, so an error surfaces at the step where
-    a per-step loop raises it.
+    The steps run in blocks. A block checks its starting states and drops
+    the rows that fail, then applies the map ``b`` times with no check in
+    between. A one-step block then stops each row whose image fails; it is
+    the only place where an image stops a row. A longer block stops none: it
+    is kept whole when every image passes the guard and every state inside
+    it lies in the domain, and is otherwise cut back to the steps before the
+    first step at which some row fails, which then runs as a one-step block
+    after its own start check. This is exactly the step-by-step result,
+    because a row's images do not depend on the other rows of its batch
+    (see the module docstring). The map may meet states past a row's stop
+    (an excluded point, a state outside the domain, an inf): the block runs
+    with floating-point warnings off, and a block in which the map raises
+    is run again one step long, where the map sees only states that passed
+    their checks, so an error surfaces at the step where a per-step loop
+    raises it.
 
-    ``b`` starts at 1 and doubles per block, so a batch whose rows all stop
-    early wastes few steps. It is capped by the steps left and by about
-    ``2**15`` floats per block, so a basin grid keeps one step per block. A
-    map that takes one state at a time (``vectorized=False``) steps one at a
-    time: it pays a call per row anyway. ``k = 1`` with ``r_div = np.inf`` is
-    one checked step with no divergence guard: the rows that complete are the
-    states inside the domain with a finite image, and ``last`` holds it. A
-    NaN ``r_div`` raises ``ValueError``: nothing compares past it, so it would
-    silently drop the guard. So does a ``k`` that is not an integer (``1.7``;
-    ``3.0`` and numpy integers are taken), which would be truncated.
+    ``b`` starts at 1 and doubles per block, and starts at 1 again at a
+    cut, so a batch whose rows stop early wastes few steps. It is capped by
+    the steps left and by about ``2**15`` floats per block, so a basin grid
+    keeps one step per block. A map that takes one state at a time
+    (``vectorized=False``) steps one at a time: it pays a call per row
+    anyway. ``k = 1`` with ``r_div = np.inf`` is one checked step with no
+    divergence guard: the rows that complete are the states inside the
+    domain with a finite image, and ``last`` holds it. An ``r_div`` of 0 or
+    less would stop every orbit, and nothing compares past a NaN, which
+    would drop the guard: both raise ``ValueError``. So does a ``k`` that
+    is not an integer (``1.7``; ``3.0`` and numpy integers are taken),
+    which would be truncated.
 
     The guards go by reduction first. When the largest entry of a block's
     images is at most the cap and the smallest at least its negative, no
     image fails (a NaN fails both comparisons), so the block skips the
-    per-row max-abs, the failure mask and its reductions; the start states
-    take the same test against ``r_div``. Each image's max-abs is computed
-    only in a block where some row stops, where it tells a diverged image
-    from a non-finite one, also for a row that a domain check stops inside
-    a multi-step block. While no row has stopped, ``last`` takes the going
-    states by a plain copy. The verdicts are those of the per-row test.
+    per-row max-abs; the start states take the same test against ``r_div``.
+    Each image's max-abs is computed only in a block where the reductions
+    find a failure: a one-step block reads it to tell a diverged image from
+    a non-finite one, a longer block to find the step it is cut at. While no
+    row has stopped, ``last`` takes the going states by a plain copy. The
+    verdicts are those of the per-row test.
     """
     last = np.array(X0, dtype=float)
     if last.ndim != 2 or last.shape[1] != system.dim:
@@ -572,8 +580,8 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     k = _exact(int, "k", k)
     if k < 0:
         raise ValueError("step count must be >= 0")
-    if np.isnan(r_div):
-        raise ValueError("r_div must not be NaN")
+    if not r_div > 0:
+        raise ValueError(f"r_div must be > 0, got {r_div!r}")
     # One comparison is the image guard: ``M <= cap`` is false for a NaN or
     # inf image and for one past ``r_div``, also when ``r_div`` is inf.
     cap = min(r_div, np.finfo(float).max)
@@ -588,12 +596,11 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     # be past ``r_div``: every later state is an image that passed the guard.
     active, P = np.arange(n), last
     over = None if _within(last, r_div) else _max_abs(last) > r_div
-    t = ran = 0             # steps done; steps in which some row was still going
+    t = 0                   # steps begun by some row
     span = 1                # the next block's length before its caps
     with np.errstate(all="ignore"):
         while t < k and active.size:
             b = min(span, k - t, max(1, _BLOCK_FLOATS // P.size)) if system.vectorized else 1
-            ran = t + 1
             code, over = _state_codes(system.domain, P, over), None
             if code is not None:
                 ok = code == _CODE[COMPLETED]
@@ -604,6 +611,7 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
                     if states is not None:
                         states = _room(states, t + 1, k)
                         states[t] = last
+                    t += 1
                     break
             try:
                 Y = _run_block(system, P, b)
@@ -614,57 +622,39 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
                 b = 1
                 Y = _run_block(system, P, b)
             span = 2 * b
-
-            # (b, m): each image's max-abs and whether a check fails there,
-            # built only when the reductions or a state check find a failure
-            M = failed = None
-            if not _within(Y, cap):
-                M = _max_abs(Y)
-                failed = ~(M <= cap)
-            # The states inside the block, checked before their step. One past
-            # r_div failed the guard as an image, a step before its own check.
-            inner = None if b == 1 else _state_codes(system.domain, Y[:-1].reshape(-1, d))
-            if inner is not None:
-                inner = inner.reshape(b - 1, -1)
-                if failed is None:
-                    failed = np.zeros(Y.shape[:2], dtype=bool)
-                failed[1:] |= inner != _CODE[COMPLETED]
-            stopping = failed is not None       # it holds a failure wherever it is built
-            kept = b                            # images each row keeps
-            if stopping:
-                if M is None:                   # only a state check failed
-                    M = _max_abs(Y)
-                stops = failed.any(axis=0)
-                kept = np.full(len(active), b)
-                sub = np.flatnonzero(stops)
-                first = failed[:, sub].argmax(axis=0)   # the step each one stops at
-                cause = np.where(np.isfinite(M[first, sub]), _CODE[DIVERGED], _CODE[SINGULAR])
-                if inner is not None:   # a state's own checks come before its image's
-                    own = np.where(first > 0, inner[first - 1, sub], _CODE[COMPLETED])
-                    cause = np.where(own == _CODE[COMPLETED], cause, own)
-                kept[sub] = first + (cause == _CODE[DIVERGED])    # a diverged image is kept
-                at = kept[sub]
-                stopped = np.where((at > 0)[:, None], Y[at - 1, sub], P[sub])
-            if states is not None:
+            M = None                # (m,) a one-step block's image max-abs, if some image fails
+            if b > 1:
+                # the steps at which some row fails: its image, or its state
+                # inside the block (the image of the step before)
+                fails = (np.zeros(b, dtype=bool) if _within(Y, cap)
+                         else ~(_max_abs(Y) <= cap).all(axis=1))
+                inside = system.domain.contains_batch(Y[:-1].reshape(-1, d))
+                fails[1:] |= ~inside.reshape(b - 1, -1).all(axis=1)
+                if fails.any():
+                    b, span = int(fails.argmax()), 1
+                    Y = Y[:b]
+            elif not _within(Y, cap):
+                M = _max_abs(Y[0])
+            if states is not None and b:
                 states = _room(states, t + b, k)
                 states[t:t + b] = last              # rows stopped before: frozen
-                B = np.concatenate([P[None], Y])    # the block's states, then its last image
-                states[t:t + b, active] = B[np.minimum(np.arange(b)[:, None], kept),
-                                            np.arange(len(active))]
-            if stopping:
-                going, gone = ~stops, active[sub]
-                ran = t + b if going.any() else t + 1 + int(first.max())
-                active, P = active[going], Y[-1][going]
-                termination[gone], valid[gone], last[gone] = cause, t + 1 + at, stopped
-            else:
-                ran, P = t + b, Y[-1]
+                states[t:t + b, active] = np.concatenate([P[None], Y[:-1]])
+            if M is not None:
+                going = M <= cap
+                gone, kept = active[~going], np.isfinite(M[~going])    # a diverged image is kept
+                termination[gone] = np.where(kept, _CODE[DIVERGED], _CODE[SINGULAR])
+                valid[gone] = t + 1 + kept
+                last[gone] = np.where(kept[:, None], Y[0][~going], P[~going])
+                active, P = active[going], Y[0][going]
+            elif b:
+                P = Y[-1]
             t += b
     if active.size == n:
         last[...] = P
     else:
         last[active] = P
     if states is not None:
-        states = states[:ran]
+        states = states[:t]
     return BatchOrbit(last=last, termination=termination, valid=valid, states=states)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from limitlab import Settings
+from limitlab import LimitLabError, Settings
 from limitlab.cli import build_parser
 
 _spec = importlib.util.spec_from_file_location(
@@ -115,6 +115,25 @@ def test_a_command_that_fails_stops_the_run(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(artifacts, "MANIFEST", [("none", "limits --system none", [])])
     with pytest.raises(SystemExit, match="exited 2"):
         artifacts.run(tmp_path / "a")
+
+
+def test_a_report_with_nothing_to_render_is_digested_not_fatal(tmp_path, monkeypatch):
+    # report exits 3 beside a trajectory alone: the exit status and both
+    # printouts are the entry's report digest
+    monkeypatch.setattr(artifacts, "MANIFEST",
+                        [("orbit", "simulate --system mobius --x0 0.5 --steps 3", [])])
+    assert artifacts.run(tmp_path / "a") == 0
+    doc = digests(tmp_path / "a")
+    refusal = ('exit 3\n{"error": "MissingArtifactError", '
+               '"message": "no renderable artifacts under OUT"}\n')
+    assert doc["digests"]["orbit/<report>"] == hashlib.sha256(refusal.encode()).hexdigest()
+    assert sorted(doc["digests"]) == ["orbit/<report>", "orbit/<stdout>", "orbit/trajectory.csv"]
+    # any other failure of report still stops the run
+    def fail(args):
+        raise LimitLabError("unreadable")
+    monkeypatch.setattr(artifacts.cli, "cmd_report", fail)
+    with pytest.raises(SystemExit, match="report .* exited 3"):
+        artifacts.run(tmp_path / "b")
 
 
 def test_every_manifest_command_parses_and_none_runs_twice():

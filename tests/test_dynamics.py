@@ -652,6 +652,39 @@ def test_iterate_batch_matches_a_one_orbit_reference(d, vectorized, raising):
         assert run.valid[-1] == 3
 
 
+# stop step -> (start, length) of the block it falls in, and the rows going
+# there, when every row stops at one of these steps and one runs free: the
+# blocks [0], [1, 2], [3, 6] are cut at 4; 4 runs alone and doubling starts
+# again, [5, 6], [7, 10], [11, 18] is cut at 13; then [14, 15], [16, 19],
+# [20, 27], [28, 43] is cut at 30
+_CUTS = {4: (3, 4, 4), 13: (11, 8, 3), 30: (28, 16, 2)}
+
+
+@pytest.mark.parametrize("mark, lead", [(300.0, 0), (500.0, 0), (900.0, 1), (1200.0, 0)],
+                         ids=["diverged-kept", "non-finite", "left-domain", "excluded"])
+def test_a_cut_block_re_steps_no_more_than_its_unkept_tail(mark, lead):
+    # a row of _lanes_map stops at step s of the list, by the check its mark
+    # names (its state leaves the domain a step after the jump from 900)
+    system = _lanes_map(1, True)
+    rows = []
+
+    def counted(X):
+        rows.append(len(X))
+        return system.forward(X)
+
+    counting = DiscreteMap(dim=1, forward=counted, domain=system.domain)
+    X0 = np.array([[mark - s + lead] for s in _CUTS] + [[-50.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_matches_reference(system, X0, 60, _R_DIV, True)
+        iterate_batch(counting, X0, 60, r_div=_R_DIV)
+        stepped, rows[:] = sum(rows), []
+        refs = [_reference_orbit(counting, x0, 60, _R_DIV) for x0 in X0]
+    assert [begun for _, _, begun in refs] == [s + 1 for s in _CUTS] + [60]
+    tails = sum((start + length - s) * going for s, (start, length, going) in _CUTS.items())
+    assert stepped <= sum(rows) + tails
+
+
 def test_an_infinite_guard_radius_still_stops_at_a_non_finite_image():
     doubler = get_system("scalar-linear", a=2.0)
     with warnings.catch_warnings():
@@ -693,12 +726,16 @@ def test_the_image_guard_at_and_just_past_the_radius(r_div):
 
 
 def test_a_nan_guard_radius_is_rejected():
-    # ``M > nan`` is always false, so a NaN radius would drop the guard
-    doubler = get_system("scalar-linear", a=2.0)
-    with pytest.raises(ValueError, match="r_div"):
-        iterate_batch(doubler, [[1.0]], 3, r_div=np.nan)
-    with pytest.raises(ValueError, match="r_div"):
-        iterate(doubler, [1.0], 3, r_div=float("nan"))
+    # ``M > nan`` is always false, so a NaN radius would drop the guard; a
+    # radius of 0 or less stops every orbit: mobius from 0 converges to -1,
+    # yet it stopped ``diverged`` after one step at 0.0 and at step 0 at -1.0
+    doubler, mobius = get_system("scalar-linear", a=2.0), get_system("mobius")
+    for r_div in (np.nan, 0.0, -0.0, -1.0):
+        with pytest.raises(ValueError, match="r_div"):
+            iterate_batch(doubler, [[1.0]], 3, r_div=r_div)
+        with pytest.raises(ValueError, match="r_div"):
+            iterate(mobius, [0.0], 5, r_div=float(r_div))
+    assert iterate(mobius, [0.0], 5, r_div=np.inf).termination == "completed"
 
 
 def _trigger_map(r_div):
@@ -874,7 +911,8 @@ def test_steps_give_the_same_bits_in_either_layout(name, system, X):
 
 def test_a_row_that_stops_inside_a_block_stops_alike_in_either_layout():
     # the backward rotation-scaling map pushes r = 1 + 1e-3 and 1 + 1e-5 out
-    # of its disc at steps 9 and 16, inside the blocks that start at 7 and 15
+    # of its disc at steps 9 and 16; the first lies inside the block of
+    # steps 7-14, which is cut back to 7-8, and the second starts a block
     back = get_system("rotation-scaling").reversed()
     r = np.r_[np.linspace(0.1, 0.9, 30), 1.0 + 1e-3, 1.0 + 1e-5]
     angle = np.linspace(0.0, 6.0, len(r))

@@ -86,6 +86,19 @@ MANIFEST = [
     ("basins-tight", f"basins {ROTATION_BOX} --resolution 201 {TIGHT}", THREADS),
     # 1-d, and its witness sits at a domain endpoint, 0
     ("basins-cot-map", "basins --system cot-map --resolution 201", THREADS),
+    # one orbit stopped inside a multi-step block, once per cause; report finds
+    # nothing to render beside a trajectory, and its refusal is digested.
+    # mobius leaves [-5, 5] at step 11, in the 8-step block of steps 7-14
+    ("simulate-left-domain", "simulate --system mobius --x0 1.001 --steps 100 --domain=-5,5", []),
+    # the tenth backward preimage of the pole 3 reaches it at step 10
+    ("simulate-singular", "simulate --system mobius --x0 1.0009770395701028 --steps 100", []),
+    # 2**10 passes r_div at step 10, and the image is kept
+    ("simulate-diverged", "simulate --system scalar-linear --param a=2 --x0 1.0 --steps 100 "
+                          "--set r_div=1000", []),
+    # 2**1024 overflows at step 1023, the first step of its block (977 steps, the
+    # budget's rest)
+    ("simulate-overflow", "simulate --system scalar-linear --param a=2 --x0 1.0 --steps 2000 "
+                          "--set r_div=1.7976931348623157e308", []),
     # the default seeds follow --param m (the block's unit vectors, then the all-ones
     # vector), and verify's survey grid stays within 17^2 nodes in 3-d and 4-d
     *((f"jordan-{cmd}-{m}", f"{cmd} --system jordan --param lam=0.9 --param m={m}", [])
@@ -95,14 +108,25 @@ MANIFEST = [
 
 def _run_one(argv: list, out: pathlib.Path) -> dict:
     """The sha256 of each file ``limitlab argv`` and ``report`` write into
-    ``out``, by its path there, and of each one's printout."""
+    ``out``, by its path there, and of each one's printout. A directory
+    with nothing ``report`` can render (a ``simulate`` trajectory alone)
+    makes it exit 3 with a ``MissingArtifactError``: then its printout is
+    that exit status, its standard output and its error line. Any other
+    exit that is not 0 stops the run."""
     digests = {}
     for key, args in (("<stdout>", [*argv, "--out", str(out)]),
                       ("<report>", ["report", "--dir", str(out)])):
-        with contextlib.redirect_stdout(io.StringIO()) as text:
-            if code := cli.main(args):
+        with contextlib.redirect_stdout(io.StringIO()) as text, \
+                contextlib.redirect_stderr(io.StringIO()) as errors:
+            code = cli.main(args)
+        printout, error = text.getvalue(), errors.getvalue()
+        if key == "<report>" and code == 3 and '"MissingArtifactError"' in error:
+            printout = f"exit 3\n{printout}{error}"
+        else:
+            sys.stderr.write(error)
+            if code:
                 sys.exit(f"limitlab {' '.join(args)} exited {code}")
-        digests[key] = text.getvalue().replace(str(out), "OUT").encode()
+        digests[key] = printout.replace(str(out), "OUT").encode()
     digests.update((p.relative_to(out).as_posix(), p.read_bytes())
                    for p in out.rglob("*") if p.is_file())
     return {k: hashlib.sha256(v).hexdigest() for k, v in sorted(digests.items())}
