@@ -30,7 +30,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -40,11 +39,12 @@ import numpy as np
 
 from . import config, runs, serialize
 from .catalog import default_seeds, exact_immersion, get_system
+from .config import Settings, _bound
 from .dynamics import DomainRegion, iterate, write_trajectory_csv
 from .errors import (DomainError, InvalidParamError, LimitLabError,
                      MissingArtifactError, UnknownSystemError)
 from .lifting import build_dictionary, fit_lift, obstruction_sweep
-from .limits import Settings, catalog_from_seeds, catalog_to_dict
+from .limits import catalog_from_seeds, catalog_to_dict
 
 _USAGE_ERRORS = (UnknownSystemError, InvalidParamError)
 
@@ -95,24 +95,24 @@ def _parse_domain(spec: str, dim: int, excluded=None, eps_excl=config.EPS_EXCL) 
 
 
 def _parse_points(flag: str, spec: str, dim: int) -> list[np.ndarray]:
+    """The points of ``flag``, ``;``-separated, each of ``dim`` finite
+    ``,``-separated coordinates."""
     points = []
     for part in spec.split(";"):
         nums = [_number(flag, v) for v in part.split(",") if v.strip()]
         if len(nums) != dim:
             raise InvalidParamError(
                 f"{flag} point {part!r} has {len(nums)} coordinate(s), expected {dim}")
-        points.append(np.asarray(nums, dtype=float))
+        points.append(np.asarray([_bound(flag, v, finite=True) for v in nums]))
     return points
 
 
-def _at_least(low: int, args, *flags, at_most: float = math.inf) -> None:
-    """Reject a count option below ``low`` or above ``at_most``, naming it."""
-    for flag in flags:
-        value = getattr(args, flag.replace("-", "_"))
-        if value < low:
-            raise InvalidParamError(f"--{flag} must be >= {low}, got {value}")
-        if value > at_most:
-            raise InvalidParamError(f"--{flag} must be <= {at_most}, got {value}")
+def _parse_point(flag: str, spec: str, dim: int) -> np.ndarray:
+    """The one point of ``flag``, as :func:`_parse_points` reads it."""
+    points = _parse_points(flag, spec, dim)
+    if len(points) != 1:
+        raise InvalidParamError(f"{flag} takes one point, got {len(points)}: {spec!r}")
+    return points[0]
 
 
 def _number(flag: str, raw: str) -> float:
@@ -121,15 +121,6 @@ def _number(flag: str, raw: str) -> float:
         return float(raw)
     except ValueError:
         raise InvalidParamError(f"{flag}: {raw!r} is not a number") from None
-
-
-def _finite(flag: str, value: float, nonnegative: bool = True) -> float:
-    """``value`` of the number option ``flag``. NaN, infinity and, when
-    ``nonnegative``, a value below 0 are rejected, naming the option."""
-    if not math.isfinite(value) or (nonnegative and value < 0):
-        rule = "finite and >= 0" if nonnegative else "finite"
-        raise InvalidParamError(f"{flag} must be {rule}, got {value}")
-    return value
 
 
 def _seed(value, source: str) -> int:
@@ -254,10 +245,10 @@ def _stepped_system(args):
 
 
 def cmd_simulate(args) -> int:
-    _at_least(0, args, "steps")
+    _bound("--steps", args.steps, 0)
     system, system_run = _stepped_system(args)
     sets = _settings(args, ("r_div",))
-    x0 = _parse_points("--x0", args.x0, system.dim)[0]
+    x0 = _parse_point("--x0", args.x0, system.dim)
     traj = iterate(system_run, x0, args.steps, r_div=sets.r_div)
     out = _out_dir(args)
     path = out / "trajectory.csv"
@@ -282,8 +273,8 @@ def cmd_limits(args) -> int:
 
 
 def cmd_basins(args) -> int:
-    _at_least(1, args, "resolution")
-    _at_least(1, args, "threads", at_most=config.MAX_THREADS)
+    _bound("--resolution", args.resolution, 1)
+    _bound("--threads", args.threads, 1, config.MAX_THREADS)
     system = get_system(args.system, **_parse_params(args.param, "--param"))
     sets = _settings(args, _ALL_SETTINGS)
     region, box = _region(args, system)
@@ -302,7 +293,7 @@ def cmd_basins(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _finite("--tol", args.tol)
+    _bound("--tol", args.tol, 0, finite=True)
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     pair = exact_immersion(args.system, variant=args.variant, **params)
@@ -332,7 +323,7 @@ def cmd_verify(args) -> int:
 
     xi = None
     if args.x0 is not None:
-        xi = _parse_points("--x0", args.x0, system.dim)[0]
+        xi = _parse_point("--x0", args.x0, system.dim)
     else:
         for cand in default_seeds(args.system, **params):
             if region.contains(cand) and F.domain.contains(cand) \
@@ -354,8 +345,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    _finite("--ridge", args.ridge)
-    _finite("--pole", args.pole, nonnegative=False)
+    _bound("--ridge", args.ridge, 0, finite=True)
+    _bound("--pole", args.pole, finite=True)
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
     _settings(args, ())         # a lift fit reads no --set name
@@ -389,9 +380,10 @@ def _parse_dict_specs(spec: str) -> list[tuple[str, int]]:
 
 
 def cmd_sweep(args) -> int:
-    _at_least(0, args, "auto-seeds")
-    _finite("--pole", args.pole, nonnegative=False)
-    ridges = ([_finite("--ridges", _number("--ridges", r)) for r in args.ridges.split(",")]
+    _bound("--auto-seeds", args.auto_seeds, 0)
+    _bound("--pole", args.pole, finite=True)
+    ridges = ([_bound("--ridges", _number("--ridges", r), 0, finite=True)
+               for r in args.ridges.split(",")]
               if args.ridges is not None else [0.0])
     params = _parse_params(args.param, "--param")
     system = get_system(args.system, **params)
@@ -419,7 +411,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    _at_least(1, args, "threads", at_most=config.MAX_THREADS)
+    _bound("--threads", args.threads, 1, config.MAX_THREADS)
     sets = _settings(args, _ALL_SETTINGS)     # the demo reads every setting
     out = _out_dir(args)
     path = out / "demo-summary.json"

@@ -71,6 +71,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import config
+from .config import Settings, _bound, _exact
 from .errors import NoInverseError
 from .serialize import write_csv
 
@@ -93,20 +94,6 @@ SINGULAR = "singular"
 DIVERGED = "diverged"
 
 TERMINATIONS = (COMPLETED, LEFT_DOMAIN, SINGULAR, DIVERGED)
-
-
-def _exact(kind: type, name: str, value):
-    """``value`` as ``kind`` (``int`` or ``float``), or a ``ValueError`` naming
-    ``name`` where ``kind`` does not hold it exactly (``2.5`` as an integer,
-    ``nan`` as one)."""
-    try:
-        exact = kind(value) == value
-    except (TypeError, ValueError, OverflowError):     # int(nan), int(inf)
-        exact = False
-    if not exact:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
-    return kind(value)
 
 
 def as_state(x, dim: Optional[int] = None) -> np.ndarray:
@@ -161,7 +148,9 @@ class DomainRegion:
                 raise ValueError("each bounds pair needs lo < hi")
             object.__setattr__(self, "bounds", b)
         if self.excluded is not None:
-            e = np.atleast_2d(np.asarray(self.excluded, dtype=float))
+            e = np.asarray(self.excluded, dtype=float)
+            # a 1-d region's exclusions may come as a flat list of numbers
+            e = e.reshape(-1, 1) if self.dim == 1 and e.ndim < 2 else np.atleast_2d(e)
             if e.size == 0:         # [], [[]] or a (0, d) array: no excluded point
                 e = None
             elif e.shape[1] != self.dim or not np.isfinite(e).all():
@@ -175,7 +164,7 @@ class DomainRegion:
     @staticmethod
     def interval(lo: float, hi: float, excluded=None, eps_excl: float = config.EPS_EXCL) -> "DomainRegion":
         return DomainRegion("interval", 1, np.array([[lo, hi]], dtype=float),
-                            _column(excluded), eps_excl)
+                            excluded, eps_excl)
 
     @staticmethod
     def box(bounds, excluded=None, eps_excl: float = config.EPS_EXCL) -> "DomainRegion":
@@ -316,13 +305,6 @@ def _grid_nodes(axes) -> np.ndarray:
     for j, m in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
         nodes[:, j].reshape(shape)[...] = m
     return nodes
-
-
-def _column(excluded):
-    if excluded is None:
-        return None
-    e = np.atleast_1d(np.asarray(excluded, dtype=float))
-    return e[:, None] if e.ndim == 1 else e
 
 
 @dataclass(frozen=True)
@@ -524,7 +506,7 @@ def _room(states: np.ndarray, size: int, k: int) -> np.ndarray:
     return grown
 
 
-def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
+def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = Settings.r_div,
                   record: bool = False) -> BatchOrbit:
     """Step every row of ``X0`` (shape ``(n, d)``) up to ``k`` times in lockstep.
 
@@ -577,11 +559,8 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     last = np.array(X0, dtype=float)
     if last.ndim != 2 or last.shape[1] != system.dim:
         raise ValueError(f"expected an (n, {system.dim}) batch of states, got shape {last.shape}")
-    k = _exact(int, "k", k)
-    if k < 0:
-        raise ValueError("step count must be >= 0")
-    if not r_div > 0:
-        raise ValueError(f"r_div must be > 0, got {r_div!r}")
+    k = _bound("k", _exact(int, "k", k), 0)
+    _bound("r_div", r_div, 0, above=True)
     # One comparison is the image guard: ``M <= cap`` is false for a NaN or
     # inf image and for one past ``r_div``, also when ``r_div`` is inf.
     cap = min(r_div, np.finfo(float).max)
@@ -658,7 +637,7 @@ def iterate_batch(system: DiscreteMap, X0, k: int, r_div: float = config.R_DIV,
     return BatchOrbit(last=last, termination=termination, valid=valid, states=states)
 
 
-def iterate(system: DiscreteMap, x0, k: int, r_div: float = config.R_DIV) -> Trajectory:
+def iterate(system: DiscreteMap, x0, k: int, r_div: float = Settings.r_div) -> Trajectory:
     """Forward orbit of up to ``k`` steps; stops early on domain exit,
     singularity, or once a coordinate magnitude exceeds ``r_div``."""
     x0 = as_state(x0, system.dim)

@@ -15,8 +15,7 @@ tolerance. The effective tolerance is recorded on the estimate.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -24,73 +23,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import config
+from .config import Settings, _bound, _exact
 from .dynamics import (_CODE, COMPLETED, DIVERGED, LEFT_DOMAIN, SINGULAR,
-                       TERMINATIONS, DiscreteMap, DomainRegion, _exact, _fold_norm,
+                       TERMINATIONS, DiscreteMap, DomainRegion, _fold_norm,
                        _grid_nodes, _row_norm, as_state, iterate_batch)
 from .errors import UnconvergedError
 from .geometry import (_Cloud, _box_lower, _diameter_bracket, _hausdorff_lower_bounds,
                        _margin, _prepare, diameter, directed_hausdorff, hausdorff,
                        sampling_gap, split_discrepancy)
 from .serialize import _coerce
-
-
-@dataclass(frozen=True)
-class Settings:
-    """Every ``--set NAME=VALUE`` setting, one field each, defaulting to its
-    ``config`` constant. Each reader takes the record as ``cfg`` and reads
-    the fields it needs by these names:
-
-    * the limit-set estimator: ``burn``, ``tail``, ``max_rounds``,
-      ``tol_settle``, ``gap_factor``, ``tol_fp``, ``max_period``, ``r_div``
-      (``r_div`` guards ``simulate`` too);
-    * the clustering: ``tol_cluster`` and ``gap_factor``;
-    * the basin settling: ``basin_burn``, ``basin_window``, ``escape_radius``;
-    * the witness search: ``witness_depth`` and ``witness_max_pairs``, and the
-      basin settling fields, which settle its sequence points (it reads none
-      of the estimator's).
-
-    Each value is stored as its field's type. One the type does not hold
-    exactly (``burn=2.5``, ``tol_fp=nan``), then one no reader can use, checked
-    in the order ``tol_cluster``, witness, estimator, basin, is a ``ValueError``."""
-
-    burn: int = config.BURN
-    tail: int = config.TAIL
-    max_rounds: int = config.MAX_ROUNDS
-    tol_settle: float = config.TOL_SETTLE
-    gap_factor: float = config.GAP_FACTOR
-    tol_fp: float = config.TOL_FP
-    max_period: int = config.MAX_PERIOD
-    r_div: float = config.R_DIV
-    tol_cluster: float = config.TOL_CLUSTER
-    basin_burn: int = config.BASIN_BURN
-    basin_window: int = config.BASIN_WINDOW
-    escape_radius: float = config.ESCAPE_RADIUS
-    witness_depth: int = config.WITNESS_DEPTH
-    witness_max_pairs: int = config.WITNESS_MAX_PAIRS
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name,
-                               _exact(type(f.default), f.name, getattr(self, f.name)))
-        if not (math.isfinite(self.tol_cluster) and self.tol_cluster > 0):
-            raise ValueError(f"tol_cluster must be finite and > 0, got {self.tol_cluster}")
-        self._at_least(witness_depth=1, witness_max_pairs=0,
-                       burn=0, tail=1, max_rounds=0, max_period=0)
-        for name in ("tol_settle", "gap_factor", "tol_fp"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not (math.isfinite(self.r_div) and self.r_div > 0):
-            raise ValueError(f"r_div must be finite and > 0, got {self.r_div}")
-        self._at_least(basin_burn=0, basin_window=1)
-        if not (math.isfinite(self.escape_radius) and self.escape_radius > 0):
-            raise ValueError(f"escape_radius must be finite and > 0, got {self.escape_radius}")
-
-    def _at_least(self, **least):
-        for name, bound in least.items():
-            value = getattr(self, name)
-            if value < bound:
-                raise ValueError(f"{name} must be >= {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -296,7 +237,7 @@ class CatalogMember:
 class LimitSetCatalog:
     members: tuple[CatalogMember, ...]
     tol_cluster: float
-    gap_factor: float = config.GAP_FACTOR
+    gap_factor: float = Settings.gap_factor
 
     def __post_init__(self):
         # stored as floats, so the catalog report writes 1.0 for a tolerance of 1
@@ -701,10 +642,7 @@ def compute_basins(system: DiscreteMap, catalog: LimitSetCatalog,
     threads = _exact(int, "threads", threads)
     for r in np.ravel(resolution).tolist():
         _exact(int, "resolution", r)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads > config.MAX_THREADS:
-        raise ValueError(f"threads must be <= {config.MAX_THREADS}, got {threads}")
+    _bound("threads", threads, 1, config.MAX_THREADS)
     if np.min(resolution) < 1:
         raise ValueError(f"resolution must be >= 1 node per axis, got {resolution}")
     cfg = cfg or Settings()

@@ -658,6 +658,12 @@ def test_thread_counts_above_the_limit_are_usage_errors(tmp_path, capsys, comman
     ("basins", "--domain", "-1,abc", "--domain: 'abc' is not a number"),
     ("limits", "--seeds", "0.5,abc", "--seeds: 'abc' is not a number"),
     ("simulate", "--x0", "abc", "--x0: 'abc' is not a number"),
+    ("simulate", "--x0", "nan", "--x0 must be finite, got nan"),
+    ("simulate", "--x0", "0.5;0.7", "--x0 takes one point, got 2: '0.5;0.7'"),
+    ("verify", "--x0", "inf", "--x0 must be finite, got inf"),
+    ("verify", "--x0", "0.5;0.7", "--x0 takes one point, got 2: '0.5;0.7'"),
+    ("limits", "--seeds", "inf;0", "--seeds must be finite, got inf"),
+    ("sweep", "--seeds", "0;-inf", "--seeds must be finite, got -inf"),
     ("verify", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
     ("learn", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
     ("sweep", "--seed", "-3", "--seed must be an integer >= 0, got -3"),
@@ -1053,17 +1059,35 @@ def test_demo_passes_tol_cluster_to_the_consistency_check(tmp_path, capsys):
 
 
 def test_settings_defaults_are_the_config_constants():
-    # Settings() is the run with no --set, and each default is the
-    # constant of that name in config, of its type
+    # Settings() is the run with no --set, and each default, declared once
+    # in config's table, is of its field's type
     import dataclasses
     import types
+    import typing
 
-    from limitlab import cli, config
+    from limitlab import cli
     defaults = Settings()
     assert defaults == cli._settings(types.SimpleNamespace(set=None), ())
+    kinds = typing.get_type_hints(Settings)
     for f in dataclasses.fields(Settings):
-        value, want = getattr(defaults, f.name), getattr(config, f.name.upper())
-        assert (value, type(value)) == (want, type(want)), f.name
+        assert type(getattr(defaults, f.name)) is kinds[f.name] is type(f.default), f.name
+
+
+def test_every_setting_declares_the_rule_it_is_checked_by():
+    # a field with no bound declared would skip its check; each is held to
+    # its lower bound, with the message --set prints
+    import dataclasses
+
+    for f in dataclasses.fields(Settings):
+        rule = f.metadata.get("bound")
+        assert rule and rule["low"] is not None, f.name
+        outside = rule["low"] if rule["above"] else rule["low"] - 1
+        op = ">" if rule["above"] else ">="
+        with pytest.raises(ValueError, match=f"^{f.name} must be .*{op} {rule['low']}, got "):
+            Settings(**{f.name: outside})
+        if rule["finite"]:
+            with pytest.raises(ValueError, match=f"^{f.name} must be finite and "):
+                Settings(**{f.name: float("inf")})
 
 
 @pytest.mark.parametrize("setting", ["basin_window=0", "witness_depth=0", "tol_cluster=0",

@@ -14,10 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitlab import (DiscreteMap, DomainRegion, LinearSystem, Trajectory, get_system,
-                      iterate, iterate_batch, list_systems, write_trajectory_csv)
+from limitlab import (DiscreteMap, DomainRegion, LinearSystem, Settings, Trajectory,
+                      get_system, iterate, iterate_batch, list_systems, write_trajectory_csv)
 import limitlab
-from limitlab import config
 from limitlab.dynamics import (_CODE, COMPLETED, LEFT_DOMAIN, SINGULAR, _max_abs, _row_norm,
                                _state_codes, as_state)
 from limitlab.errors import NoInverseError
@@ -56,6 +55,22 @@ def test_excluded_points_carry_a_protective_ball():
     assert region.violation([3.0]) == "excluded-point"
     assert region.violation([3.0 + 1e-12]) == "excluded-point"
     assert region.contains([3.1])
+
+
+@pytest.mark.parametrize("excluded", [[1.0, -1.0], 1.0, np.array([1.0, -1.0])])
+def test_a_flat_list_excludes_the_same_points_from_every_1d_region(excluded):
+    # full_space and box made [1.0, -1.0] one 2-d point and raised, while
+    # interval took it as two 1-d exclusions
+    regions = [DomainRegion.interval(-2.0, 2.0, excluded=excluded),
+               DomainRegion.full_space(1, excluded=excluded),
+               DomainRegion.box([[-2.0, 2.0]], excluded=excluded)]
+    want = np.reshape(excluded, (-1, 1))
+    X = np.array([1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12, 1.0 + 1e-6, -1.0 + 1e-6, 0.0,
+                  1.5])[:, None]
+    inside = np.abs(X - want.T).min(axis=1) > 1e-9      # outside every exclusion ball
+    for region in regions:
+        assert np.array_equal(region.excluded, want), region.kind
+        assert region.contains_batch(X).tolist() == inside.tolist(), region.kind
 
 
 def test_an_empty_exclusion_list_excludes_no_point():
@@ -837,7 +852,7 @@ def test_iterate_batch_matches_the_reference_on_catalog_maps(rng):
     # near the mobius pole (escapes, one singular), the cot map and a
     # rotation-scaling batch, with a guard radius some rows cross
     cases = [("mobius", np.r_[rng.uniform(2.5, 3.5, 20), 3.0, 5.0 / 3.0][:, None], 1e3),
-             ("cot-map", get_system("cot-map").domain.sample(16, rng), config.R_DIV),
+             ("cot-map", get_system("cot-map").domain.sample(16, rng), Settings.r_div),
              ("rotation-scaling", rng.uniform(-40.0, 40.0, (16, 2)), 30.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -991,17 +1006,17 @@ _STEP_FAULTS = """
 import resource
 import numpy as np
 import limitlab
-from limitlab import config, get_system
+from limitlab import Settings, get_system
 from limitlab.dynamics import _grid_nodes, iterate_batch
 
 system = get_system("rotation-scaling")
 X = _grid_nodes([np.linspace(-2.0, 2.0, 201)] * 2)
 assert X.flags.f_contiguous
 for _ in range(5):
-    X = iterate_batch(system, X, 1, r_div=config.ESCAPE_RADIUS).last
+    X = iterate_batch(system, X, 1, r_div=Settings.escape_radius).last
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    X = iterate_batch(system, X, 1, r_div=config.ESCAPE_RADIUS).last
+    X = iterate_batch(system, X, 1, r_div=Settings.escape_radius).last
 assert X.flags.f_contiguous
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """

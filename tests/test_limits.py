@@ -1188,7 +1188,7 @@ def test_witness_search_settles_its_points_in_one_basin_batch(
     catalog, _ = catalog_from_seeds(system, default_seeds(name))
     basins = compute_basins(system, catalog, region=DomainRegion.box(bounds),
                             resolution=resolution)
-    walked = list(itertools.islice(limits._boundary_pairs(basins), config.WITNESS_MAX_PAIRS))
+    walked = list(itertools.islice(limits._boundary_pairs(basins), Settings.witness_max_pairs))
     assert len(walked) == pairs
     assert sum(int(basins.codes[b] >= 0) for _, b in walked) == candidates
     shapes = []
@@ -1206,7 +1206,7 @@ def test_witness_search_settles_its_points_in_one_basin_batch(
         monkeypatch.setattr(limits, fn, refused)
     monkeypatch.setattr(limits.LimitSetCatalog, "match", refused)
     witnesses = basin_closedness_witness(system, basins)
-    assert shapes == [(candidates * config.WITNESS_DEPTH, system.dim)]
+    assert shapes == [(candidates * Settings.witness_depth, system.dim)]
     assert [(w.limit_point.tolist(), w.sequence_label, w.limit_label)
             for w in witnesses] == [witness]
 
